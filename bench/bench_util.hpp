@@ -194,6 +194,26 @@ inline experiment::ParamSpec policy_param() {
       hypervisor::policy_choices());
 }
 
+/// The knob every sharded cloud scenario exposes as --param sim_shards=...
+inline experiment::ParamSpec sim_shards_param() {
+  const experiment::ParamSpec spec(
+      "sim_shards", "simulator cores (output is byte-identical across values)",
+      1.0, 1.0);
+  return spec.with_int_range(1, 64);
+}
+
+/// A CloudConfig on `sim_shards` simulator cores. Lazy wiring plus an
+/// explicit activation set (the caller's Cloud::activate_sharded) takes
+/// the same code path whatever the shard count, so the report is
+/// byte-identical across sim_shards_param() values outside its
+/// `observability` block.
+inline core::CloudConfig sharded_cloud_config(int sim_shards) {
+  core::CloudConfig cfg;
+  cfg.wiring = core::WiringMode::kLazy;
+  cfg.sim_shards = sim_shards;
+  return cfg;
+}
+
 /// Observations needed to distinguish two measured series, per confidence.
 /// `binning` is a binning_param() choice, dispatched through the leakage
 /// subsystem's mapping (one source of truth for the knob): fixed ->

@@ -25,7 +25,7 @@ struct Outcome {
 
 Outcome evaluate(hypervisor::AggregationRule rule, const ScenarioContext& ctx) {
   TimingScenarioConfig base;
-  base.run_time = Duration::seconds(ctx.param("run_time_s"));
+  base.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
   base.seed = ctx.seed() ^ 61;
   base.aggregation = rule;
   // Adversarial leader: the machine shared with the victim (index r-1).

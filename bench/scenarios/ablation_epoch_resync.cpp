@@ -31,7 +31,7 @@ struct Outcome {
 Outcome evaluate(bool resync, std::uint64_t epoch_instr,
                  const ScenarioContext& ctx) {
   TimingScenarioConfig base;
-  base.run_time = Duration::seconds(ctx.param("run_time_s"));
+  base.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
   base.seed = ctx.seed() ^ 51;
   base.epoch_resync = resync;
   base.epoch_instr = epoch_instr;

@@ -55,7 +55,7 @@ Result run(const ScenarioContext& ctx) {
     TimingScenarioConfig tc;
     tc.policy = policy;
     tc.replica_count = row.replicas;
-    tc.run_time = Duration::seconds(ctx.param("run_time_s"));
+    tc.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
     tc.seed = ctx.seed() ^ 91;
     tc.marginalize_machines = row.marginalized;
     tc.marginalize_load = ctx.param("marginalize_load");

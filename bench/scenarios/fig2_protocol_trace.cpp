@@ -33,7 +33,7 @@ Result run(const ScenarioContext& ctx) {
                                         ctx.param("broadcast_rate_hz"), 3);
   cloud.start();
   bcast.start();
-  cloud.run_for(Duration::seconds(ctx.param("run_time_s")));
+  cloud.run_for(Duration::from_seconds_f(ctx.param("run_time_s")));
   cloud.halt_all();
 
   // Per packet copy_seq: the adopted median and injection point seen by each

@@ -16,7 +16,7 @@ using experiment::ScenarioContext;
 
 Result run(const ScenarioContext& ctx) {
   TimingScenarioConfig base;
-  base.run_time = Duration::seconds(ctx.param("run_time_s"));
+  base.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
   base.broadcast_rate_hz = ctx.param("broadcast_rate_hz");
   base.seed = ctx.seed();
 

@@ -32,15 +32,10 @@ struct Row {
 
 Row run_nfs(core::Policy policy, double rate, double run_time_s,
             std::uint64_t seed, int sim_shards) {
-  core::CloudConfig cfg;
+  core::CloudConfig cfg = sharded_cloud_config(sim_shards);
   cfg.seed = seed;
   cfg.policy = policy;
   cfg.machine_count = 3;
-  // Lazy wiring + an explicit activation set: the same code path whether
-  // sim_shards is 1 or more, so the report is byte-identical across the
-  // knob (the shard-identity test pins this).
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = sim_shards;
   // Server disk profile: write-cached / short-stroked (nhfsstone touches a
   // small working set), so the queue stays well under Δd at 400 ops/s.
   cfg.machine_template.disk_seek_min = Duration::micros(500);
@@ -147,11 +142,7 @@ Result run(const ScenarioContext& ctx) {
                ParamSpec{"rate_count",
                          "number of load levels from {25,50,100,200,400}",
                          5.0, 2.0}.with_int_range(1, 5),
-               ParamSpec{"sim_shards", "simulator cores (output is "
-                                       "byte-identical across values)",
-                         1.0, 1.0}
-                   .with_int_range(1, 64),
-               policy_param()},
+               sim_shards_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

@@ -33,15 +33,10 @@ AppResult run_app(const workload::ParsecAppSpec& spec, core::Policy policy,
   std::uint64_t disk_irqs = 0;
   obs::Snapshot last_obs;
   for (int run = 0; run < runs; ++run) {
-    core::CloudConfig cfg;
+    core::CloudConfig cfg = sharded_cloud_config(sim_shards);
     cfg.seed = seed + static_cast<std::uint64_t>(run);
     cfg.policy = policy;
     cfg.machine_count = 3;
-    // Lazy wiring + an explicit activation set: the same code path whether
-    // sim_shards is 1 or more, so the report is byte-identical across the
-    // knob (the shard-identity test pins this).
-    cfg.wiring = core::WiringMode::kLazy;
-    cfg.sim_shards = sim_shards;
     // PARSEC profile: warm page cache / sequential readahead -> short
     // positioning times; Δd chosen as in Sec. VII-A (8-15 ms).
     cfg.machine_template.disk_seek_min = Duration::micros(500);
@@ -128,11 +123,7 @@ Result run(const ScenarioContext& ctx) {
                          2.0}.with_int_range(1, 5),
                ParamSpec{"runs_per_app", "runs averaged per app", 5.0, 1.0}
                    .with_int_range(1, 100),
-               ParamSpec{"sim_shards", "simulator cores (output is "
-                                       "byte-identical across values)",
-                         1.0, 1.0}
-                   .with_int_range(1, 64),
-               policy_param()},
+               sim_shards_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

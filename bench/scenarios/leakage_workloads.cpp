@@ -53,15 +53,10 @@ constexpr std::size_t kReservoir = 8192;
 
 core::CloudConfig workload_cloud_config(core::Policy policy,
                                         std::uint64_t seed, int shards) {
-  core::CloudConfig cfg;
+  core::CloudConfig cfg = sharded_cloud_config(shards);
   cfg.seed = seed;
   cfg.policy = policy;
   cfg.machine_count = 3;
-  // Lazy wiring + an explicit activation set: the single guest VM spreads
-  // across the configured simulator cores exactly like placement_e2e, and
-  // the report stays byte-identical across shard counts.
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = shards;
   return cfg;
 }
 
@@ -298,11 +293,7 @@ Result run(const ScenarioContext& ctx) {
              .with_int_range(1, 100),
          ParamSpec{"bins", "observation cells for the estimators", 12.0}
              .with_int_range(4, 128),
-         ParamSpec{"sim_shards", "simulator cores (output is byte-identical "
-                                 "across values)",
-                   1.0, 1.0}
-             .with_int_range(1, 64),
-         binning_param(), policy_param()},
+         sim_shards_param(), binning_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

@@ -26,13 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/cloud.hpp"
 #include "experiment/registry.hpp"
 #include "obs/profiler.hpp"
 #include "placement/placement.hpp"
-#include "sim/sharded.hpp"
 
 namespace stopwatch::bench {
 namespace {
@@ -147,16 +147,11 @@ Result run(const ScenarioContext& ctx) {
                     rel_error <= 0.25 ? 1.0 : 0.0, "bool");
 
   // --- The cloud itself: register every placement, drive a sample ---
-  core::CloudConfig cfg;
+  core::CloudConfig cfg = sharded_cloud_config(ctx.param_int("sim_shards"));
   cfg.seed = ctx.seed();
   cfg.policy = core::Policy::kStopWatch;
   cfg.replica_count = 3;
   cfg.machine_count = n;
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = ctx.param_int("sim_shards");
-  cfg.shard_window_policy = ctx.param_choice("shard_window") == "fixed"
-                                ? sim::WindowPolicy::kFixed
-                                : sim::WindowPolicy::kAdaptive;
 
   core::Cloud cloud(cfg);
   std::vector<core::VmHandle> vms;
@@ -340,15 +335,7 @@ Result run(const ScenarioContext& ctx) {
              .with_int_range(100, 1000000),
          ParamSpec::enumeration("placement", "placement construction",
                                 "theorem2", {"theorem2", "greedy"}),
-         ParamSpec{"sim_shards", "simulator cores (output is byte-identical "
-                                 "across values)",
-                   1.0, 1.0}
-             .with_int_range(1, 64),
-         ParamSpec::enumeration(
-             "shard_window",
-             "barrier window policy (output is byte-identical across "
-             "policies)",
-             "adaptive", {"fixed", "adaptive"})},
+         sim_shards_param()},
     .deterministic = true,
     .run = run,
 }};

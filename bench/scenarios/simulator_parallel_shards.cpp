@@ -43,19 +43,18 @@ struct WorkloadStats {
 /// protocol (with one shard that handoff degenerates to a self-schedule,
 /// keeping the event count identical across shard counts).
 WorkloadStats run_workload(int shards, int chains, Duration horizon,
-                           Duration window, sim::WindowPolicy policy) {
+                           Duration window) {
   sim::ShardedConfig cfg;
   cfg.shards = shards;
   cfg.window = window;
-  cfg.policy = policy;
   sim::ShardedSimulator sharded(cfg);
 
   const std::int64_t horizon_ns = horizon.ns;
   const Duration hop = Duration::nanos(2 * window.ns);
   // The only cross-shard traffic is the ring handoff to shard s+1, and
   // every handoff lands exactly `hop` past the sender's clock — declare
-  // that floor so the adaptive policy can widen windows beyond the
-  // conservative default; all other pairs never exchange events.
+  // that floor so windows can widen beyond the uniform default; all other
+  // pairs never exchange events.
   for (int s = 0; shards > 1 && s < shards; ++s) {
     for (int d = 0; d < shards; ++d) {
       if (d == s) continue;
@@ -112,16 +111,11 @@ Result run(const ScenarioContext& ctx) {
   const auto horizon =
       Duration::from_seconds_f(ctx.param("horizon_ms") / 1000.0);
   const Duration window = Duration::micros(20);
-  const sim::WindowPolicy policy =
-      ctx.param_choice("shard_window") == "fixed" ? sim::WindowPolicy::kFixed
-                                                  : sim::WindowPolicy::kAdaptive;
 
   // Same aggregate chain count on both kernels: the sequential run hosts
   // all shards * chains chains on its one core.
-  const WorkloadStats seq =
-      run_workload(1, shards * chains, horizon, window, policy);
-  const WorkloadStats par =
-      run_workload(shards, chains, horizon, window, policy);
+  const WorkloadStats seq = run_workload(1, shards * chains, horizon, window);
+  const WorkloadStats par = run_workload(shards, chains, horizon, window);
 
   Result result("simulator_parallel_shards");
   result.add_metric("shards", shards, "cores");
@@ -160,10 +154,7 @@ Result run(const ScenarioContext& ctx) {
                          "self-rescheduling timer chains per core", 64.0, 16.0}
                    .with_int_range(1, 4096),
                ParamSpec{"horizon_ms", "simulated milliseconds", 40.0, 4.0}
-                   .with_range(0.1, 10000),
-               ParamSpec::enumeration(
-                   "shard_window", "barrier window policy", "adaptive",
-                   {"fixed", "adaptive"})},
+                   .with_range(0.1, 10000)},
     .deterministic = false,
     .run = run,
 }};

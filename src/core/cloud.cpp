@@ -164,7 +164,7 @@ void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
   for (const NodeId id : external_nodes_) {
     net_.set_node_owner(id, driver_shard_);
   }
-  // Per-pair lookahead floors for the adaptive window policy. The cloud's
+  // Per-pair lookahead floors for the barrier windows. The cloud's
   // cross-shard traffic is hub-and-spoke around the egress shard: worker
   // shards reach it over the datacenter fabric (tunneled output to the
   // egress gate) or the client link (direct replies to externals), and it
@@ -176,8 +176,8 @@ void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
   // plan union-finds co-resident VMs), so guest traffic can only cross
   // shards via an external endpoint. The per-entry contract still
   // validates every cross event against the granted bound, so a workload
-  // that breaks this shape fails loudly and can fall back to
-  // shard_window=fixed.
+  // that breaks this shape (guest output addressed to a VM on another
+  // worker shard) fails loudly and must run with sim_shards=1.
   const int shards = sharded_.shard_count();
   const Duration to_egress = std::min(cfg_.cloud_link.min_latency(),
                                       cfg_.client_link.min_latency());
@@ -206,17 +206,13 @@ void Cloud::run_for(Duration d) {
         topo_->shard_plan().shards() == sharded_.shard_count(),
         "sim_shards > 1 requires activate_sharded() before run_for");
     // Conservative lookahead: every cross-shard frame takes at least the
-    // network's minimum-latency floor, so windows that long always land
-    // cross events at or beyond the next barrier.
-    Duration window = net_.min_latency_floor();
-    if (cfg_.shard_window.ns > 0) {
-      window = std::min(window, cfg_.shard_window);
-    }
+    // network's minimum-latency floor — the uniform floor for any shard
+    // pair activate_sharded did not declare.
+    const Duration window = net_.min_latency_floor();
     SW_EXPECTS_MSG(window.ns > 0,
                    "shard-parallel run needs a positive lookahead window "
                    "(a zero-latency link defeats conservative windowing)");
     sharded_.set_window(window);
-    sharded_.set_window_policy(cfg_.shard_window_policy);
   }
   sharded_.run_until(sharded_.now() + d);
 }

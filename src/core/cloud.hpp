@@ -94,17 +94,6 @@ struct CloudConfig {
   /// execution once activate_sharded() partitions the active VMs across
   /// cores; scenario output stays byte-identical to sim_shards=1.
   int sim_shards{1};
-  /// Barrier window override for shard-parallel runs. <= 0 (the default)
-  /// derives the window from the network's minimum-latency floor — the
-  /// conservative-lookahead bound; a positive value only ever clamps it
-  /// further down (diagnostics / barrier-stress testing).
-  Duration shard_window{};
-  /// Barrier placement policy for shard-parallel runs. kAdaptive (the
-  /// default) pushes each barrier to the realized safe bound (earliest
-  /// pending event + lookahead) — same event orders, far fewer barriers
-  /// on idle-heavy workloads; kFixed is the PR 7 fixed-width reference
-  /// (--param shard_window=fixed on the sim_shards scenarios).
-  sim::WindowPolicy shard_window_policy{sim::WindowPolicy::kAdaptive};
 };
 
 /// Opaque handle to a guest VM in the cloud.

@@ -43,11 +43,6 @@ void ShardedSimulator::set_window(Duration w) {
   cfg_.window = w;
 }
 
-void ShardedSimulator::set_window_policy(WindowPolicy policy) {
-  SW_EXPECTS(!running_);
-  cfg_.policy = policy;
-}
-
 void ShardedSimulator::set_lookahead(int src, int dst, Duration floor) {
   SW_EXPECTS(!running_);
   SW_EXPECTS(src >= 0 && src < cfg_.shards);
@@ -105,8 +100,8 @@ void ShardedSimulator::cross_schedule(int src, int dst, RealTime at, Task cb) {
                      "ns lands before shard " + std::to_string(dst) +
                      "'s window bound at t=" + std::to_string(bound) +
                      "ns; shrink the window / widen the declared lookahead "
-                     "floor to the pair's true minimum latency (or fall "
-                     "back to the fixed window policy)");
+                     "floor to the pair's true minimum latency (or run "
+                     "sequentially with sim_shards=1)");
   auto& lane = lanes_[static_cast<std::size_t>(src) *
                           static_cast<std::size_t>(cfg_.shards) +
                       static_cast<std::size_t>(dst)];
@@ -228,43 +223,12 @@ void ShardedSimulator::run_until(RealTime t) {
     return;
   }
   SW_EXPECTS(t.ns >= now().ns);
-  if (cfg_.policy == WindowPolicy::kAdaptive) {
-    run_until_adaptive(t);
-    return;
-  }
-  const auto k = cores_.size();
-  std::int64_t base = now().ns;
-  bool done = false;
-  while (!done) {
-    // Idle fast-path: with no pending events anywhere and no lane
-    // backlog, no event can materialize before t — jump the clocks.
-    if (pending() == 0) {
-      for (auto& core : cores_) core->run_until(t);
-      break;
-    }
-    const std::int64_t end = std::min(t.ns, base + cfg_.window.ns);
-    const bool final_window = end == t.ns;
-    // Non-final windows stop strictly before the barrier so an event at
-    // exactly `end` orders after any cross-shard entry merged for `end`.
-    run_to_scratch_.assign(k, final_window ? end : end - 1);
-    run_mask_.assign(k, 1);
-    window_end_ns_.assign(k, end);
-    run_window(run_to_scratch_, run_mask_);
-    // A cross-shard entry can land exactly at t during the final window;
-    // run_until(t) is inclusive, so re-run the window until none does.
-    const bool rerun = merge_lanes();
-    if (hook_) hook_(RealTime::nanos(end));
-    base = end;
-    done = final_window && !rerun;
-  }
-}
-
-void ShardedSimulator::run_until_adaptive(RealTime t) {
   constexpr std::int64_t kInf = kUnreachableNs;
   const auto k = cores_.size();
   bool done = false;
   while (!done) {
-    // Same idle fast-path as the fixed loop.
+    // Idle fast-path: with no pending events anywhere and no lane
+    // backlog, no event can materialize before t — jump the clocks.
     if (pending() == 0) {
       for (auto& core : cores_) core->run_until(t);
       break;
@@ -339,7 +303,7 @@ void ShardedSimulator::run_until_adaptive(RealTime t) {
     }
     if (extended) ++adaptive_extensions_;
     SW_EXPECTS_MSG(ran > 0 || all_final,
-                   "adaptive window fixpoint granted no core any work");
+                   "earliest-input-time fixpoint granted no core any work");
     run_window(run_to_scratch_, run_mask_);
     const bool rerun = merge_lanes();
     if (hook_) {

@@ -9,19 +9,18 @@
 //    (derived upstream from the machine index a VM lives on), and a
 //    shard's events touch only shard-confined state. Within a window the
 //    K cores therefore share nothing and run fully in parallel.
-//  * A window spans [B, B + window). Each core executes its events with
-//    timestamp <= B + window - 1ns, then all cores meet at a barrier
-//    (ThreadPool::wait_idle). Under WindowPolicy::kAdaptive each core
-//    instead gets its own window end: the earliest time any cross-shard
-//    entry could still reach it, computed from the per-core earliest-
-//    pending-event watermarks and the declared per-pair lookahead floors
-//    (set_lookahead) by the classic earliest-input-time relaxation
+//  * Each core's window ends at the earliest time any cross-shard entry
+//    could still reach it, computed from the per-core earliest-pending-
+//    event watermarks and the declared per-pair lookahead floors
+//    (set_lookahead; the uniform `window` for pairs without one) by the
+//    classic earliest-input-time relaxation
 //      eit[d] = min over s != d of (min(t_min[s], eit[s]) + L[s][d]),
 //    iterated to its fixpoint so reaction chains (s receives, then
-//    sends) are bounded transitively. Cores whose bound grants no work
-//    skip the window entirely; a "barrier" is only counted when two or
-//    more cores actually run (a thread join happens). The executed event
-//    orders are identical either way.
+//    sends) are bounded transitively. A core executes its events with
+//    timestamp <= its window end - 1ns, then the cores meet at a barrier
+//    (ThreadPool::wait_idle). Cores whose bound grants no work skip the
+//    window entirely; a "barrier" is only counted when two or more cores
+//    actually run (a thread join happens).
 //  * An event that must run on another shard (a cross-shard frame
 //    delivery) is not scheduled directly — the sender enqueues it into
 //    the (source-shard, destination-shard) lane via cross_schedule().
@@ -34,15 +33,13 @@
 //    thread count, and lane drain order cannot affect it.
 //
 // Correctness requires the lookahead contract: every cross-shard entry's
-// timestamp must lie at or beyond the bound its destination's window was
-// granted — under the fixed policy the next barrier, under the adaptive
-// policy the destination's earliest-input-time (enforced per entry by a
-// contract check). Under that contract the sharded run executes the
-// same events at the same timestamps as a sequential run; ties between
-// cross-shard and shard-local events at the exact same nanosecond are the
-// only place orderings could differ, and the jittered links that feed the
-// lanes make exact ties measure-zero (the differential tests check this
-// empirically).
+// timestamp must lie at or beyond the window end its destination was
+// granted (enforced per entry by a contract check). Under that contract
+// the sharded run executes the same events at the same timestamps as a
+// sequential run; ties between cross-shard and shard-local events at the
+// exact same nanosecond are the only place orderings could differ, and
+// the jittered links that feed the lanes make exact ties measure-zero
+// (the differential tests check this empirically).
 //
 // shards == 1 bypasses the machinery entirely (direct run_until on the
 // single core, zero overhead), which is what makes `sim_shards=1` output
@@ -66,28 +63,13 @@ class ThreadPool;
 
 namespace stopwatch::sim {
 
-/// How the per-window barrier bound is chosen.
-enum class WindowPolicy {
-  /// Every window spans exactly the configured lookahead: next barrier at
-  /// base + window. The PR 7 behavior, and the conservative reference.
-  kFixed,
-  /// Each core's window end is pushed to the *realized* safe bound: the
-  /// earliest-input-time fixpoint over the per-core earliest-pending-
-  /// event watermarks and the per-pair lookahead floors (the uniform
-  /// `window` when none are declared). Identical event orders — windows
-  /// only widen over spans where no cross-shard entry can land, so the
-  /// same events run at the same timestamps and the per-entry contract
-  /// holds exactly as before (every send executing at ts lands at
-  /// >= ts + its pair's floor >= the destination's window end).
-  kAdaptive,
-};
-
 struct ShardedConfig {
   /// Number of independent simulator cores (>= 1).
   int shards{1};
-  /// Barrier window width. Must be positive and no larger than the
-  /// minimum cross-shard event latency (the lookahead). The topology
-  /// layer derives this from the link models; tests set it directly.
+  /// Uniform lookahead: the floor of every pair without a declared one.
+  /// Must be positive and no larger than the minimum cross-shard event
+  /// latency. The topology layer derives this from the link models;
+  /// tests set it directly.
   Duration window{Duration::micros(100)};
   /// Worker threads: 0 auto-sizes to min(shards, host cores) — a 1-CPU
   /// host gets the inline path, and an 8-shard run on a 4-core host
@@ -95,9 +77,6 @@ struct ShardedConfig {
   /// inline on the calling thread (same results — useful for
   /// debugging; results never depend on the thread count).
   std::size_t threads{0};
-  /// Barrier placement policy. kFixed is the kernel default; the cloud
-  /// layer defaults to kAdaptive (CloudConfig::shard_window_policy).
-  WindowPolicy policy{WindowPolicy::kFixed};
 };
 
 /// K simulator cores + deterministic cross-shard lanes + barrier loop.
@@ -111,19 +90,16 @@ class ShardedSimulator {
 
   [[nodiscard]] int shard_count() const { return cfg_.shards; }
   [[nodiscard]] Duration window() const { return cfg_.window; }
-  /// Adjusts the barrier window. Must not be called mid-run.
+  /// Adjusts the uniform lookahead. Must not be called mid-run.
   void set_window(Duration w);
-  [[nodiscard]] WindowPolicy window_policy() const { return cfg_.policy; }
-  /// Switches the barrier placement policy. Must not be called mid-run.
-  void set_window_policy(WindowPolicy policy);
 
   /// Declares the minimum latency of cross-shard traffic from `src` to
   /// `dst`: no event executing on `src` at time ts may cross_schedule an
   /// entry for `dst` earlier than ts + floor. Pairs without a declared
-  /// floor fall back to the uniform window. Only the adaptive policy
-  /// reads these; the per-entry contract validates every cross event
-  /// against the bound actually granted, so an optimistic declaration
-  /// fails loudly instead of corrupting the merge order.
+  /// floor fall back to the uniform window. The per-entry contract
+  /// validates every cross event against the bound actually granted, so
+  /// an optimistic declaration fails loudly instead of corrupting the
+  /// merge order.
   void set_lookahead(int src, int dst, Duration floor);
   /// Declares that `src` never sends cross-shard traffic to `dst` (the
   /// pair places no bound on `dst`'s window). An entry on the pair still
@@ -141,7 +117,8 @@ class ShardedSimulator {
   /// Hands an event from shard `src` to shard `dst` for time `at`. Safe
   /// to call from shard `src`'s worker thread during a window (lanes are
   /// single-writer per source). The lookahead contract requires `at` to
-  /// be at or beyond the next barrier; violations throw.
+  /// be at or beyond the destination's granted window end; violations
+  /// throw.
   void cross_schedule(int src, int dst, RealTime at, Task cb);
 
   /// Runs all cores to exactly `t` through barrier-synchronized windows.
@@ -159,13 +136,11 @@ class ShardedSimulator {
   /// Total entries handed across shards via cross_schedule.
   [[nodiscard]] std::uint64_t cross_scheduled() const { return crossed_; }
   /// Barriers executed so far: windows in which two or more cores ran
-  /// and met at a thread join. (Adaptive rounds that run a single
-  /// lagging core inline are not barriers — no join happens.)
+  /// and met at a thread join. (Rounds that run a single lagging core
+  /// inline are not barriers — no join happens.)
   [[nodiscard]] std::uint64_t barriers() const { return barriers_; }
-  /// Windows in which the adaptive policy granted some core a bound more
-  /// than one uniform window past its position (each one stands in for
-  /// at least one barrier the fixed policy would have paid). Always 0
-  /// under WindowPolicy::kFixed.
+  /// Windows in which some core was granted a bound more than one
+  /// uniform window past its position.
   [[nodiscard]] std::uint64_t adaptive_extensions() const {
     return adaptive_extensions_;
   }
@@ -186,9 +161,10 @@ class ShardedSimulator {
   void set_merge_histogram(obs::Histogram* hist) { merge_hist_ = hist; }
 
   // --- Test hooks ---
-  /// Invoked single-threaded after each barrier merge with the barrier
-  /// time. The differential tests snapshot per-shard state here.
-  using BarrierHook = std::function<void(RealTime barrier_time)>;
+  /// Invoked single-threaded after each barrier merge with the frontier:
+  /// the farthest any core has committed to. The differential tests
+  /// snapshot per-shard state here.
+  using BarrierHook = std::function<void(RealTime frontier)>;
   void set_barrier_hook(BarrierHook hook) { hook_ = std::move(hook); }
   /// Permutes the order lanes are drained in at the merge (indices into
   /// the flattened src*K+dst lane array). The merge result must not
@@ -218,9 +194,6 @@ class ShardedSimulator {
   /// already hold the per-destination bounds for the contract check.
   void run_window(const std::vector<std::int64_t>& run_to_ns,
                   const std::vector<char>& mask);
-  /// The adaptive barrier loop: per-core window ends from the
-  /// earliest-input-time fixpoint over watermarks + lookahead floors.
-  void run_until_adaptive(RealTime t);
   /// The declared floor for src -> dst entries (window.ns when the pair
   /// has none), or kUnreachableNs.
   [[nodiscard]] std::int64_t lookahead_ns(int src, int dst) const;
@@ -253,7 +226,7 @@ class ShardedSimulator {
   /// first set_lookahead, -1 entries fall back to cfg_.window.
   std::vector<std::int64_t> lookahead_;
   std::vector<LaneEntry> merge_scratch_;
-  // Adaptive-round scratch (sized shards, reused across rounds).
+  // Per-round scratch (sized shards, reused across rounds).
   std::vector<std::int64_t> t_min_scratch_;
   std::vector<std::int64_t> eit_scratch_;
   std::vector<std::int64_t> run_to_scratch_;

@@ -30,6 +30,26 @@ class EchoProgram final : public vm::GuestProgram {
   }
 };
 
+/// Addresses a packet to `peer` on every PIT tick: guest output bound for
+/// another VM rather than for an external endpoint.
+class PeerSenderProgram final : public vm::GuestProgram {
+ public:
+  explicit PeerSenderProgram(NodeId peer) : peer_(peer) {}
+  void on_boot(vm::GuestApi&) override {}
+  void on_timer_tick(vm::GuestApi& api, std::uint64_t tick) override {
+    net::Packet pkt;
+    pkt.dst = peer_;
+    pkt.kind = net::PacketKind::kData;
+    pkt.seq = tick;
+    pkt.size_bytes = 80;
+    api.send_packet(pkt);
+  }
+  void on_packet(vm::GuestApi&, const net::Packet&) override {}
+
+ private:
+  NodeId peer_;
+};
+
 CloudConfig sharded_config(int shards, std::uint64_t seed = 42) {
   CloudConfig cfg;
   cfg.seed = seed;
@@ -121,6 +141,34 @@ TEST(CloudSharded, TrafficOutsideTheActivationSetThrows) {
   req.size_bytes = 80;
   cloud.send_external(client, req);
   EXPECT_THROW(cloud.run_for(Duration::millis(50)), ContractViolation);
+}
+
+TEST(CloudSharded, GuestTrafficBetweenWorkerShardsNamesTheFallback) {
+  // The declared lookahead matrix has no worker <-> worker floor, so guest
+  // output addressed to a VM on another worker shard can land behind the
+  // destination's granted window. The run must fail loudly and name the
+  // sequential fallback instead of reordering.
+  CloudConfig cfg = sharded_config(3);
+  cfg.policy = Policy::kBaselineXen;
+  Cloud cloud(cfg);
+  const VmHandle b = cloud.add_vm(
+      "b", [] { return std::make_unique<EchoProgram>(); }, {1});
+  const NodeId b_addr = cloud.vm_addr(b);
+  const VmHandle a = cloud.add_vm(
+      "a", [b_addr] { return std::make_unique<PeerSenderProgram>(b_addr); },
+      {0});
+  cloud.activate_sharded({a, b});
+  const auto& plan = cloud.topology().shard_plan();
+  ASSERT_NE(plan.shard_of_machine(0), plan.shard_of_machine(1));
+  ASSERT_NE(plan.shard_of_machine(1), plan.egress_shard());
+  cloud.start();
+  try {
+    cloud.run_for(Duration::millis(50));
+    ADD_FAILURE() << "cross-worker guest traffic was not rejected";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("sim_shards=1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CloudSharded, TunnelingPolicyTapAllowedAcrossShards) {

@@ -114,10 +114,11 @@ TEST(Observability, ReportBlockIsPresentAndPopulated) {
   EXPECT_NE(r.to_json().find("\"observability\""), std::string::npos);
 }
 
-/// Truncates the trailing `observability` block (it holds shard-count-
-/// dependent counters by design) so the remainder can be compared across
-/// sim_shards values.
-std::string strip_observability(std::string json) {
+/// The part of a report that must not depend on sim_shards: the trailing
+/// `observability` block (shard-count-dependent counters by design) is
+/// truncated and the stamped sim_shards value blanked.
+std::string shard_invariant_json(const Result& r, const std::string& shards) {
+  std::string json = r.to_json();
   const std::string marker = ",\n  \"observability\"";
   const std::size_t at = json.find(marker);
   EXPECT_NE(at, std::string::npos);
@@ -125,47 +126,48 @@ std::string strip_observability(std::string json) {
     json.erase(at);
     json += "\n}";
   }
+  const std::string stamp = "\"sim_shards\": " + shards;
+  const std::size_t stamp_at = json.find(stamp);
+  EXPECT_NE(stamp_at, std::string::npos) << json.substr(0, 400);
+  if (stamp_at != std::string::npos) {
+    json.replace(stamp_at, stamp.size(), "\"sim_shards\": _");
+  }
   return json;
 }
 
-TEST(Observability, Fig7ShardCountsByteIdenticalOutsideTheBlock) {
-  // fig7_parsec grows the same sim_shards knob as fig6_nfs: lazy wiring +
-  // explicit activation keeps the code path identical whatever the shard
-  // count, so the report differs only in the stripped shard-dependent
-  // block and the knob's own context stamp.
-  const auto run_with = [](const std::string& shards) {
-    Result r = ScenarioRegistry::instance().run(
-        "fig7_parsec", /*seed=*/17, /*smoke=*/true,
-        {{"app_count", "1"}, {"runs_per_app", "1"}, {"sim_shards", shards}});
-    std::string json = strip_observability(r.to_json());
-    const std::string stamp = "\"sim_shards\": " + shards;
-    const std::size_t at = json.find(stamp);
-    EXPECT_NE(at, std::string::npos) << json.substr(0, 400);
-    json.replace(at, stamp.size(), "\"sim_shards\": _");
-    return json;
+TEST(Observability, ShardCountsByteIdenticalOutsideTheBlock) {
+  // Every sharded cloud scenario takes the same lazy-wiring + activation
+  // path whatever the shard count, so its report differs only in the
+  // stripped block and the knob's own stamp. fig6_nfs truncates
+  // run_time_s to whole seconds, hence its 1 s run.
+  struct Case {
+    const char* scenario;
+    std::uint64_t seed;
+    ParamOverrides overrides;
+    const char* shards;
   };
-  const std::string one = run_with("1");
-  const std::string four = run_with("4");
-  EXPECT_EQ(one, four);
-}
-
-TEST(Observability, Fig6ShardCountsByteIdenticalOutsideTheBlock) {
-  // The lazily-wired fig6_nfs grows the sim_shards knob: same bytes on 1
-  // and 2 simulator cores once the shard-dependent block is stripped.
-  const auto run_with = [](const std::string& shards) {
-    Result r = ScenarioRegistry::instance().run(
-        "fig6_nfs", /*seed=*/13, /*smoke=*/true,
-        {{"run_time_s", "0.3"}, {"rate_count", "1"}, {"sim_shards", shards}});
-    std::string json = strip_observability(r.to_json());
-    const std::string stamp = "\"sim_shards\": " + shards;
-    const std::size_t at = json.find(stamp);
-    EXPECT_NE(at, std::string::npos) << json.substr(0, 400);
-    json.replace(at, stamp.size(), "\"sim_shards\": _");
-    return json;
+  const ParamOverrides small_leakage = {{"trials_per_class", "3"},
+                                        {"parsec_trials", "2"},
+                                        {"nfs_window_s", "0.3"},
+                                        {"nfs_rounds", "1"}};
+  const std::vector<Case> cases = {
+      {"placement_e2e", 11, kSmallPlacement, "4"},
+      {"fig6_nfs", 13, {{"run_time_s", "1"}, {"rate_count", "1"}}, "2"},
+      {"fig7_parsec", 17, {{"app_count", "1"}, {"runs_per_app", "1"}}, "4"},
+      {"leakage_workloads", 13, small_leakage, "3"},
   };
-  const std::string one = run_with("1");
-  const std::string two = run_with("2");
-  EXPECT_EQ(one, two);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.scenario);
+    const auto run_with = [&c](const std::string& shards) {
+      ParamOverrides overrides = c.overrides;
+      overrides["sim_shards"] = shards;
+      return shard_invariant_json(
+          ScenarioRegistry::instance().run(c.scenario, c.seed,
+                                           /*smoke=*/true, overrides),
+          shards);
+    };
+    EXPECT_EQ(run_with("1"), run_with(c.shards));
+  }
 }
 
 }  // namespace

@@ -83,102 +83,35 @@ TEST(PlacementE2e, JobsZeroByteIdenticalToSequential) {
   EXPECT_EQ(report_of(sequential), report_of(parallel));
 }
 
-TEST(PlacementE2e, ShardCountsByteIdentical) {
-  // The PR 7 tentpole guarantee end to end: the same cloud on four
-  // simulator cores serializes to exactly the bytes of the sequential run
-  // — only the stamped sim_shards parameter and the `observability` block
-  // (whose counters are shard-count-dependent by design) may differ.
-  const auto run_with = [](const std::string& shards) {
-    Result r = ScenarioRegistry::instance().run(
-        "placement_e2e", /*seed=*/11, /*smoke=*/true,
-        {{"machines", "99"},
-         {"driven_vms", "8"},
-         {"run_time_s", "0.4"},
-         {"pair_samples", "2000"},
-         {"sim_shards", shards}});
-    std::string json = r.to_json();
-    const std::string block = ",\n  \"observability\"";
-    const std::size_t block_at = json.find(block);
-    EXPECT_NE(block_at, std::string::npos);
-    if (block_at != std::string::npos) {
-      json.erase(block_at);
-      json += "\n}";
-    }
-    const std::string stamp = "\"sim_shards\": " + shards;
-    const std::size_t at = json.find(stamp);
-    EXPECT_NE(at, std::string::npos) << json.substr(0, 400);
-    json.replace(at, stamp.size(), "\"sim_shards\": _");
-    return json;
-  };
-  const std::string one = run_with("1");
-  const std::string four = run_with("4");
-  EXPECT_EQ(one, four);
-}
-
-TEST(PlacementE2e, WindowPoliciesByteIdentical) {
-  // The PR 10 tentpole guarantee: the adaptive barrier window changes how
-  // far each window reaches, never what executes in it — fixed and
-  // adaptive runs of the same sharded cloud serialize to the same bytes
-  // outside the stamped parameter and the observability block.
-  const auto run_with = [](const std::string& policy) {
-    Result r = ScenarioRegistry::instance().run(
-        "placement_e2e", /*seed=*/11, /*smoke=*/true,
-        {{"machines", "99"},
-         {"driven_vms", "8"},
-         {"run_time_s", "0.4"},
-         {"pair_samples", "2000"},
-         {"sim_shards", "4"},
-         {"shard_window", policy}});
-    std::string json = r.to_json();
-    const std::string block = ",\n  \"observability\"";
-    const std::size_t block_at = json.find(block);
-    EXPECT_NE(block_at, std::string::npos);
-    if (block_at != std::string::npos) {
-      json.erase(block_at);
-      json += "\n}";
-    }
-    const std::string stamp = "\"shard_window\": \"" + policy + "\"";
-    const std::size_t at = json.find(stamp);
-    EXPECT_NE(at, std::string::npos) << json.substr(0, 400);
-    json.replace(at, stamp.size(), "\"shard_window\": _");
-    return json;
-  };
-  const std::string fixed = run_with("fixed");
-  const std::string adaptive = run_with("adaptive");
-  EXPECT_EQ(fixed, adaptive);
-}
-
 TEST(PlacementE2e, AdaptiveWindowCutsBarriersThreefold) {
-  // The perf claim behind the adaptive default, asserted on the scenario's
-  // own observability counters: on the 4-core smoke run the adaptive bound
-  // crosses idle stretches in one window, cutting barrier count >= 3x
-  // while executing the same events.
-  const auto counters_with = [](const std::string& policy) {
-    const Result r = ScenarioRegistry::instance().run(
-        "placement_e2e", /*seed=*/11, /*smoke=*/true,
-        {{"machines", "99"},
-         {"driven_vms", "8"},
-         {"run_time_s", "0.4"},
-         {"pair_samples", "2000"},
-         {"sim_shards", "4"},
-         {"shard_window", policy}});
-    const auto counter = [&r](const std::string& name) -> std::uint64_t {
-      for (const auto& [n, v] : r.observability().counters) {
-        if (n == name) return v;
-      }
-      ADD_FAILURE() << "missing counter " << name;
-      return 0;
-    };
-    return std::pair{counter("sharded.barriers"),
-                     counter("sharded.adaptive_extensions")};
+  // The barrier claim, asserted on the scenario's own observability
+  // counters: on the 4-core smoke run each core's window reaches the
+  // earliest time cross-shard traffic could still arrive, so idle
+  // stretches cost one window — at least 3x fewer barriers than one per
+  // uniform window over the run's span.
+  const Result r = ScenarioRegistry::instance().run(
+      "placement_e2e", /*seed=*/11, /*smoke=*/true,
+      {{"machines", "99"},
+       {"driven_vms", "8"},
+       {"run_time_s", "0.4"},
+       {"pair_samples", "2000"},
+       {"sim_shards", "4"}});
+  const auto counter = [&r](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : r.observability().counters) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "missing counter " << name;
+    return 0;
   };
-  const auto [fixed_barriers, fixed_ext] = counters_with("fixed");
-  const auto [adaptive_barriers, adaptive_ext] = counters_with("adaptive");
-  EXPECT_EQ(fixed_ext, 0u);
-  EXPECT_GT(adaptive_ext, 0u);
-  ASSERT_GT(adaptive_barriers, 0u);
-  EXPECT_GE(fixed_barriers, 3 * adaptive_barriers)
-      << "fixed=" << fixed_barriers << " adaptive=" << adaptive_barriers;
+  // The scenario runs its 0.4 s of traffic plus a 0.5 s drain.
+  const std::uint64_t span_ns = 900'000'000;
+  const std::uint64_t barriers = counter("sharded.barriers");
+  const std::uint64_t window_ns = counter("sharded.window_ns");
+  ASSERT_GT(barriers, 0u);
+  ASSERT_GT(window_ns, 0u);
+  EXPECT_GT(counter("sharded.adaptive_extensions"), 0u);
+  EXPECT_LE(3 * barriers, span_ns / window_ns)
+      << "barriers=" << barriers << " window_ns=" << window_ns;
 }
 
 TEST(PlacementE2e, GreedyPlacementModeRunsArbitraryN) {
