@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -238,7 +239,8 @@ Result run(const ScenarioContext& ctx) {
     const core::VmHandle vm = vms[vm_index];
     released += cloud.egress_stats(vm).packets_released;
     if (!cloud.replicas_deterministic(vm)) ++nondeterministic;
-    const auto& assigned = cloud.topology().vm_machines(vm.index);
+    const std::span<const int> assigned =
+        cloud.topology().vm_machines(vm.index);
     for (int r = 0; r < cloud.replicas_of(vm); ++r) {
       const auto hosted =
           static_cast<int>(cloud.replica(vm, r).machine().id().value);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -102,15 +103,16 @@ Cloud::Cloud(CloudConfig cfg)
   }
 }
 
-VmHandle Cloud::add_vm(std::string name, const ProgramFactory& factory,
+VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
                        const std::vector<int>& machine_indices) {
-  return VmHandle{topo_->add_vm(std::move(name), factory, machine_indices)};
+  return VmHandle{
+      topo_->add_vm(std::move(name), std::move(factory), machine_indices)};
 }
 
-NodeId Cloud::add_external_node(std::string name, PacketHandler on_packet) {
+NodeId Cloud::add_external_node(std::string /*name*/, PacketHandler on_packet) {
   SW_EXPECTS(on_packet != nullptr);
-  const NodeId id = net_.add_node(
-      std::move(name), [cb = std::move(on_packet)](const net::Frame& f) {
+  const NodeId id =
+      net_.add_node([cb = std::move(on_packet)](const net::Frame& f) {
         if (const auto* gp = std::get_if<net::GuestPacketPayload>(&f.payload)) {
           cb(gp->pkt);
         }
@@ -151,7 +153,8 @@ void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
   std::vector<std::vector<int>> groups;
   groups.reserve(indices.size());
   for (const std::uint32_t vm : indices) {
-    groups.push_back(topo_->vm_machines(vm));
+    const std::span<const int> machines = topo_->vm_machines(vm);
+    groups.emplace_back(machines.begin(), machines.end());
   }
   topo_->attach_sharding(
       sharded_,

@@ -21,8 +21,8 @@
 // lazily (CloudConfig::wiring = WiringMode::kLazy: a VM's replicas,
 // multicast groups, and machine shards materialize on the first frame that
 // reaches its ingress address) — the mode placement-scale scenarios use to
-// register Θ(n²) VM placements over n = 501 machines and only pay for the
-// ones actually driven.
+// register Θ(n²) VM placements over hundreds of machines and only pay for
+// the ones actually driven.
 //
 // Under the baseline-Xen policy the same topology runs unreplicated
 // guests on unmodified-Xen semantics (real clocks, immediate interrupt
@@ -116,11 +116,12 @@ class Cloud {
   /// factory is invoked once per replica; all replicas receive the same
   /// deterministic seed. Under lazy wiring the factory runs at
   /// materialization instead of here.
-  VmHandle add_vm(std::string name, const ProgramFactory& factory,
+  VmHandle add_vm(std::string name, ProgramFactory factory,
                   const std::vector<int>& machine_indices);
 
   /// Adds an external endpoint (client, collector...) reached over the
   /// client link model (one per-node link entry, not a per-VM fan-out).
+  /// `name` labels the endpoint at the call site; the fabric stores none.
   NodeId add_external_node(std::string name, PacketHandler on_packet);
 
   /// Sends a packet from an external node (src is filled in).

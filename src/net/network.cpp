@@ -27,11 +27,11 @@ void Network::attach_sharded(sim::ShardedSimulator& sharded) {
   sim_ = &sharded.shard(0);
 }
 
-NodeId Network::add_node(std::string name, Handler handler) {
+NodeId Network::add_node(Handler handler) {
   SW_EXPECTS(sharded_ == nullptr || !sharded_->running());
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
-  nodes_.push_back(Node{std::move(name), std::move(handler), {}, RealTime{},
-                        rng_.fork(id.value), 0});
+  nodes_.push_back(
+      Node{std::move(handler), {}, RealTime{}, rng_.fork(id.value), 0});
   return id;
 }
 
@@ -159,10 +159,6 @@ bool Network::send(Frame frame) {
 
 const NodeStats& Network::stats(NodeId node_id) const {
   return node(node_id).stats;
-}
-
-const std::string& Network::name(NodeId node_id) const {
-  return node(node_id).name;
 }
 
 }  // namespace stopwatch::net

@@ -23,7 +23,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <string>
 #include <variant>
 
 #include "common/contracts.hpp"
@@ -78,7 +77,7 @@ class Network {
   void attach_sharded(sim::ShardedSimulator& sharded);
 
   /// Registers a node; the handler is invoked on frame arrival.
-  NodeId add_node(std::string name, Handler handler);
+  NodeId add_node(Handler handler);
 
   /// Replaces a node's handler (used when wiring mutually dependent parts).
   void set_handler(NodeId node, Handler handler);
@@ -115,7 +114,6 @@ class Network {
   bool send(Frame frame);
 
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
-  [[nodiscard]] const std::string& name(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   /// The simulator core that owns a node's events.
@@ -150,7 +148,6 @@ class Network {
 
  private:
   struct Node {
-    std::string name;
     Handler handler;
     NodeStats stats;
     /// Earliest time the node's uplink is free (serialization queueing).

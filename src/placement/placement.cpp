@@ -4,7 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <numeric>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -201,24 +201,48 @@ std::vector<Triangle> greedy_packing(int n, int c) {
 }
 
 bool valid_placement(const std::vector<Triangle>& triangles, int n, int c) {
-  std::set<std::pair<int, int>> edges;
-  std::vector<int> load(static_cast<std::size_t>(n), 0);
+  SW_EXPECTS(n >= 0);
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<int> load(un, 0);
   for (const Triangle& t : triangles) {
     const int vs[3] = {t.a, t.b, t.c};
     for (int v : vs) {
       if (v < 0 || v >= n) return false;
     }
     if (t.a == t.b || t.a == t.c || t.b == t.c) return false;
-    const std::pair<int, int> es[3] = {
-        {std::min(t.a, t.b), std::max(t.a, t.b)},
-        {std::min(t.a, t.c), std::max(t.a, t.c)},
-        {std::min(t.b, t.c), std::max(t.b, t.c)},
-    };
-    for (const auto& e : es) {
-      if (!edges.insert(e).second) return false;  // edge reused
-    }
     for (int v : vs) {
       if (++load[static_cast<std::size_t>(v)] > c && c > 0) return false;
+    }
+  }
+
+  // Edge-disjointness in O(T + n): counting-sort every edge {lo < hi} into
+  // a bucket per lo; an edge repeats iff some hi occurs twice in one
+  // bucket, which a per-vertex stamp catches. Scratch is 12 B per triangle
+  // plus O(n), never O(n^2).
+  const auto for_each_edge = [&triangles](auto&& visit) {
+    for (const Triangle& t : triangles) {
+      visit(std::min(t.a, t.b), std::max(t.a, t.b));
+      visit(std::min(t.a, t.c), std::max(t.a, t.c));
+      visit(std::min(t.b, t.c), std::max(t.b, t.c));
+    }
+  };
+  // first[lo] .. first[lo + 1]: bucket lo's range in his.
+  std::vector<std::size_t> first(un + 1, 0);
+  for_each_edge(
+      [&first](int lo, int) { ++first[static_cast<std::size_t>(lo) + 1]; });
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<int> his(3 * triangles.size());
+  std::vector<std::size_t> cursor(first.begin(), first.end() - 1);
+  for_each_edge([&his, &cursor](int lo, int hi) {
+    his[cursor[static_cast<std::size_t>(lo)]++] = hi;
+  });
+  std::vector<int> seen_in(un, -1);  // last bucket each hi appeared in
+  for (int lo = 0; lo < n; ++lo) {
+    const auto b = static_cast<std::size_t>(lo);
+    for (std::size_t i = first[b]; i < first[b + 1]; ++i) {
+      int& seen = seen_in[static_cast<std::size_t>(his[i])];
+      if (seen == lo) return false;  // edge {lo, his[i]} reused
+      seen = lo;
     }
   }
   return true;

@@ -88,6 +88,7 @@ void bose_cache_clear();
 /// Validates the StopWatch constraints: triangles are pairwise
 /// edge-disjoint, have three distinct vertices in [0, n), and no vertex
 /// appears in more than c triangles (c <= 0 disables the capacity check).
+/// Requires n >= 0. O(T + n) time; scratch is 12 B per triangle plus O(n).
 [[nodiscard]] bool valid_placement(const std::vector<Triangle>& triangles,
                                    int n, int c = 0);
 

@@ -28,8 +28,8 @@ TopologyBuilder::TopologyBuilder(sim::Simulator& sim, net::Network& net,
   // Eager mode reproduces the dense construction: machines (and their
   // network nodes) exist up front, then the egress node.
   if (cfg_.wiring == WiringMode::kEager) table_.materialize_all();
-  egress_node_ = net_->add_node(
-      "egress", [this](const net::Frame& f) { on_egress_frame(f); });
+  egress_node_ =
+      net_->add_node([this](const net::Frame& f) { on_egress_frame(f); });
   if (trace_ != nullptr) {
     egress_track_ = trace_->track(0, 0, "egress", "release-gate");
   }
@@ -45,36 +45,36 @@ std::uint32_t TopologyBuilder::add_vm(std::string name, ProgramFactory factory,
                      " machine indices, got " +
                      std::to_string(machine_indices.size()));
 
-  const auto vm_index = static_cast<std::uint32_t>(vms_.size());
-  vms_.push_back(VmEntry{});
-  VmEntry& entry = vms_.back();
-  entry.name = std::move(name);
-  entry.id = VmId{vm_index};
-  entry.machines.assign(machine_indices.begin(),
-                        machine_indices.begin() + replicas);
-  entry.factory = std::move(factory);
-  entry.det_seed = SplitMix64(cfg_.seed ^ (0xABCDULL + vm_index)).next();
-  for (int m : entry.machines) {
+  const std::span<const int> placed(machine_indices.data(),
+                                    static_cast<std::size_t>(replicas));
+  for (int m : placed) {
     SW_EXPECTS_MSG(m >= 0 && m < cfg_.machine_count,
-                   "VM '" + entry.name + "' machine index " +
-                       std::to_string(m) + " out of range [0, " +
+                   "VM '" + name + "' machine index " + std::to_string(m) +
+                       " out of range [0, " +
                        std::to_string(cfg_.machine_count) + ")");
   }
   // Replica placement constraint sanity: distinct machines.
-  for (std::size_t i = 0; i < entry.machines.size(); ++i) {
-    for (std::size_t j = i + 1; j < entry.machines.size(); ++j) {
-      SW_EXPECTS_MSG(entry.machines[i] != entry.machines[j],
-                     "VM '" + entry.name +
-                         "' places two replicas on machine " +
-                         std::to_string(entry.machines[i]));
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    for (std::size_t j = i + 1; j < placed.size(); ++j) {
+      SW_EXPECTS_MSG(placed[i] != placed[j],
+                     "VM '" + name + "' places two replicas on machine " +
+                         std::to_string(placed[i]));
     }
   }
 
+  const auto vm_index = static_cast<std::uint32_t>(vms_.size());
+  VmEntry& entry = vms_.emplace_back();
+  entry.name = std::move(name);
+  entry.factory = std::move(factory);
+  machines_.insert(machines_.end(), placed.begin(), placed.end());
+
   // The VM's logical address doubles as its ingress entry point. This is
-  // the only per-VM state a lazy registration pays for.
+  // the only per-VM state a lazy registration pays for besides the record.
   entry.addr = net_->add_node(
-      "vm-" + entry.name + "-addr",
       [this, vm_index](const net::Frame& f) { on_addr_frame(vm_index, f); });
+  if (addr_to_vm_.size() <= entry.addr.value) {
+    addr_to_vm_.resize(entry.addr.value + 1, kNoVm);
+  }
   addr_to_vm_[entry.addr.value] = vm_index;
 
   if (cfg_.wiring == WiringMode::kEager) wire(vm_index);
@@ -95,46 +95,52 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
                      "reached a VM that attach_sharding did not "
                      "pre-materialize, and wiring it now would build "
                      "machines from a worker thread mid-window");
+  const std::span<const int> machines = vm_machines(vm_index);
   if (sharded_ != nullptr) {
     // The plan clusters a VM's machine triple into one component, so all
     // replicas — and the synchronous machine calls between them — live on
     // a single core.
-    const int owner = plan_.shard_of_machine(entry.machines.front());
-    for (int m : entry.machines) {
+    const int owner = plan_.shard_of_machine(machines.front());
+    for (int m : machines) {
       SW_ASSERT(plan_.shard_of_machine(m) == owner);
     }
   }
   const int replicas = effective_replicas();
+  const std::uint64_t det_seed =
+      SplitMix64(cfg_.seed ^ (0xABCDULL + vm_index)).next();
+  // Installed before anything is built: every replica registers itself as a
+  // load source of its machine, so even a wiring that throws part-way must
+  // keep what it built alive.
+  entry.wired = std::make_unique<WiredVm>();
+  WiredVm& w = *entry.wired;
 
-  if (trace_ != nullptr && entry.track == nullptr) {
+  if (trace_ != nullptr) {
     // Track identity is the machine-table shard + VM index — both
     // invariant under sim_shards, unlike the owner core.
     const auto table_shard =
-        static_cast<std::uint32_t>(entry.machines.front() / cfg_.shard_size);
+        static_cast<std::uint32_t>(machines.front() / cfg_.shard_size);
     std::string pname = "machine-shard-";
     pname += std::to_string(table_shard);
-    entry.track =
+    w.track =
         trace_->track(1 + table_shard, vm_index, std::move(pname), entry.name);
   }
 
   // Control and ingress multicast groups (replicated policies only).
   if (policy_->replicated() && replicas > 1) {
-    entry.control_group =
+    w.control_group =
         std::make_unique<net::MulticastGroup>(*net_, next_group_id_++);
-    entry.ingress_group =
+    w.ingress_group =
         std::make_unique<net::MulticastGroup>(*net_, next_group_id_++);
-    entry.ingress_group_id = next_group_id_ - 1;
-    groups_[next_group_id_ - 2] = entry.control_group.get();
-    groups_[next_group_id_ - 1] = entry.ingress_group.get();
+    w.ingress_group_id = next_group_id_ - 1;
 
     // Ingress node is the (sole) sender in the ingress group; NAKs flowing
     // back to it are routed by on_addr_frame.
-    entry.ingress_group->add_member(entry.addr,
-                                    [](NodeId, const net::FramePayload&) {});
+    w.ingress_group->add_member(entry.addr,
+                                [](NodeId, const net::FramePayload&) {});
   }
 
   for (int r = 0; r < replicas; ++r) {
-    const int m = entry.machines[static_cast<std::size_t>(r)];
+    const int m = machines[static_cast<std::size_t>(r)];
     hypervisor::GuestContextConfig gc = cfg_.guest_template;
     gc.policy = cfg_.policy;
     gc.replica_count = replicas;
@@ -156,8 +162,8 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
       }
       net_->send(std::move(f));
     };
-    if (entry.control_group) {
-      net::MulticastGroup* group = entry.control_group.get();
+    if (w.control_group) {
+      net::MulticastGroup* group = w.control_group.get();
       const NodeId node = table_.machine_node(m);
       services.control_multicast = [group, node](net::FramePayload payload,
                                                  std::uint32_t bytes) {
@@ -166,13 +172,13 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
     }
 
     auto ctx = std::make_unique<hypervisor::GuestContext>(
-        entry.id, ReplicaIndex{static_cast<std::uint32_t>(r)}, entry.addr,
-        table_.machine(m), core, gc, entry.factory(), entry.det_seed,
+        VmId{vm_index}, ReplicaIndex{static_cast<std::uint32_t>(r)}, entry.addr,
+        table_.machine(m), core, gc, entry.factory(), det_seed,
         std::move(services));
 
-    if (entry.control_group) {
+    if (w.control_group) {
       hypervisor::GuestContext* raw = ctx.get();
-      entry.control_group->add_member(
+      w.control_group->add_member(
           table_.machine_node(m),
           [raw](NodeId, const net::FramePayload& p) {
             if (const auto* prop = std::get_if<net::Proposal>(&p)) {
@@ -184,9 +190,9 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
             }
           });
     }
-    if (entry.ingress_group) {
+    if (w.ingress_group) {
       hypervisor::GuestContext* raw = ctx.get();
-      entry.ingress_group->add_member(
+      w.ingress_group->add_member(
           table_.machine_node(m),
           [raw](NodeId, const net::FramePayload& p) {
             if (const auto* c = std::get_if<net::IngressCopy>(&p)) {
@@ -194,28 +200,33 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
             }
           });
     }
-    entry.replicas.push_back(std::move(ctx));
+    w.replicas.push_back(std::move(ctx));
   }
-  entry.wired = true;
+  if (w.ingress_group) {
+    groups_[w.ingress_group_id - 1] = w.control_group.get();
+    groups_[w.ingress_group_id] = w.ingress_group.get();
+  }
   ++materialized_vms_;
 }
 
-void TopologyBuilder::boot(VmEntry& entry) {
+void TopologyBuilder::boot(std::uint32_t vm_index) {
+  VmEntry& entry = vms_[vm_index];
   SW_ASSERT(entry.wired && !entry.booted);
+  const std::span<const int> machines = vm_machines(vm_index);
   // Exchange of boot-time machine clocks; start = median (Sec. IV-A).
   std::vector<std::int64_t> clocks;
-  for (int m : entry.machines) {
+  for (int m : machines) {
     clocks.push_back(table_.machine(m).local_clock().ns);
   }
   std::sort(clocks.begin(), clocks.end());
   const VirtTime start{clocks[(clocks.size() - 1) / 2]};
-  for (auto& replica : entry.replicas) {
+  for (auto& replica : entry.wired->replicas) {
     replica->start(start);
   }
-  if (entry.track != nullptr) {
-    entry.track->instant(core_of_machine(entry.machines.front()).now().ns,
-                         "boot", "virt_start",
-                         static_cast<std::uint64_t>(start.ns));
+  if (entry.wired->track != nullptr) {
+    entry.wired->track->instant(core_of_machine(machines.front()).now().ns,
+                                "boot", "virt_start",
+                                static_cast<std::uint64_t>(start.ns));
   }
   entry.booted = true;
 }
@@ -231,10 +242,10 @@ void TopologyBuilder::start() {
   std::map<std::pair<int, int>, std::vector<sim::Task>> batches;
   for (std::uint32_t i = 0; i < vms_.size(); ++i) {
     if (!vms_[i].wired || vms_[i].booted) continue;
-    const int machine = vms_[i].machines.front();
+    const int machine = vm_machines(i).front();
     const int owner = sharded_ != nullptr ? plan_.shard_of_machine(machine) : 0;
     batches[{owner, table_.shard_of(machine)}].push_back(
-        [this, i] { boot(vms_[i]); });
+        [this, i] { boot(i); });
   }
   for (auto& [key, batch] : batches) {
     sim::Simulator& core =
@@ -245,7 +256,8 @@ void TopologyBuilder::start() {
 
 void TopologyBuilder::halt_all() {
   for (auto& vm : vms_) {
-    for (auto& r : vm.replicas) r->halt();
+    if (!vm.wired) continue;
+    for (auto& r : vm.wired->replicas) r->halt();
   }
 }
 
@@ -254,7 +266,7 @@ void TopologyBuilder::materialize(std::uint32_t vm) {
   VmEntry& entry = vms_[vm];
   if (entry.wired) return;  // idempotent: replays never re-wire
   wire(vm);
-  if (started_) boot(vms_[vm]);
+  if (started_) boot(vm);
 }
 
 void TopologyBuilder::attach_sharding(
@@ -287,7 +299,7 @@ void TopologyBuilder::attach_sharding(
     // The VM's ingress address delivers on the shard hosting its replicas,
     // keeping the whole ingress -> replicate -> deliver path one-core.
     net_->set_node_owner(vms_[vm].addr,
-                         plan_.shard_of_machine(vms_[vm].machines.front()));
+                         plan_.shard_of_machine(vm_machines(vm).front()));
   }
   activation_locked_ = true;
   SW_EXPECTS_MSG(!egress_tap_ || sharded_->shard_count() == 1 ||
@@ -299,9 +311,9 @@ void TopologyBuilder::attach_sharding(
 
 bool TopologyBuilder::wired_vms_on_one_shard() const {
   int owner = -1;
-  for (const auto& vm : vms_) {
-    if (!vm.wired) continue;
-    const int o = plan_.shard_of_machine(vm.machines.front());
+  for (std::uint32_t i = 0; i < vms_.size(); ++i) {
+    if (!vms_[i].wired) continue;
+    const int o = plan_.shard_of_machine(vm_machines(i).front());
     if (owner == -1) {
       owner = o;
     } else if (o != owner) {
@@ -323,7 +335,7 @@ void TopologyBuilder::set_egress_tap(EgressTap tap) {
 
 bool TopologyBuilder::materialized(std::uint32_t vm) const {
   SW_EXPECTS(vm < vms_.size());
-  return vms_[vm].wired;
+  return vms_[vm].wired != nullptr;
 }
 
 NodeId TopologyBuilder::vm_addr(std::uint32_t vm) const {
@@ -331,14 +343,16 @@ NodeId TopologyBuilder::vm_addr(std::uint32_t vm) const {
   return vms_[vm].addr;
 }
 
-const std::vector<int>& TopologyBuilder::vm_machines(std::uint32_t vm) const {
+std::span<const int> TopologyBuilder::vm_machines(std::uint32_t vm) const {
   SW_EXPECTS(vm < vms_.size());
-  return vms_[vm].machines;
+  const auto stride = static_cast<std::size_t>(effective_replicas());
+  return std::span<const int>(machines_).subspan(vm * stride, stride);
 }
 
 int TopologyBuilder::replicas_of(std::uint32_t vm) const {
   SW_EXPECTS(vm < vms_.size());
-  return static_cast<int>(vms_[vm].replicas.size());
+  const VmEntry& entry = vms_[vm];
+  return entry.wired ? static_cast<int>(entry.wired->replicas.size()) : 0;
 }
 
 hypervisor::GuestContext& TopologyBuilder::replica(std::uint32_t vm, int r) {
@@ -347,21 +361,26 @@ hypervisor::GuestContext& TopologyBuilder::replica(std::uint32_t vm, int r) {
                  "VM '" + vms_[vm].name +
                      "' is not materialized yet (lazy wiring: no traffic has "
                      "reached it)");
-  SW_EXPECTS(r >= 0 && r < static_cast<int>(vms_[vm].replicas.size()));
-  return *vms_[vm].replicas[static_cast<std::size_t>(r)];
+  const auto& replicas = vms_[vm].wired->replicas;
+  SW_EXPECTS(r >= 0 && r < static_cast<int>(replicas.size()));
+  return *replicas[static_cast<std::size_t>(r)];
 }
 
 const EgressStats& TopologyBuilder::egress_stats(std::uint32_t vm) const {
   SW_EXPECTS(vm < vms_.size());
-  return vms_[vm].egress_stats;
+  static const EgressStats kUnwired{};
+  const VmEntry& entry = vms_[vm];
+  return entry.wired ? entry.wired->egress_stats : kUnwired;
 }
 
 bool TopologyBuilder::replicas_deterministic(std::uint32_t vm) const {
   SW_EXPECTS(vm < vms_.size());
   const VmEntry& entry = vms_[vm];
-  for (std::size_t i = 1; i < entry.replicas.size(); ++i) {
-    const auto& a = entry.replicas[0]->output_hashes();
-    const auto& b = entry.replicas[i]->output_hashes();
+  if (!entry.wired) return true;
+  const auto& replicas = entry.wired->replicas;
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    const auto& a = replicas[0]->output_hashes();
+    const auto& b = replicas[i]->output_hashes();
     const std::size_t n = std::min(a.size(), b.size());
     for (std::size_t k = 0; k < n; ++k) {
       if (a[k] != b[k]) return false;
@@ -373,12 +392,13 @@ bool TopologyBuilder::replicas_deterministic(std::uint32_t vm) const {
 std::uint64_t TopologyBuilder::total_divergences() const {
   std::uint64_t total = 0;
   for (const auto& vm : vms_) {
-    for (const auto& r : vm.replicas) {
+    if (!vm.wired) continue;
+    for (const auto& r : vm.wired->replicas) {
       const auto& s = r->stats();
       total += s.divergence_median_passed + s.divergence_disk_late +
                s.divergence_epoch_missing;
     }
-    total += vm.egress_stats.hash_mismatches;
+    total += vm.wired->egress_stats.hash_mismatches;
   }
   return total;
 }
@@ -388,7 +408,8 @@ hypervisor::PolicyStats TopologyBuilder::aggregate_policy_stats() const {
   // instance makes the delivery/aggregation decisions for that replica.
   hypervisor::PolicyStats total = policy_->stats();
   for (const auto& vm : vms_) {
-    for (const auto& r : vm.replicas) {
+    if (!vm.wired) continue;
+    for (const auto& r : vm.wired->replicas) {
       const hypervisor::PolicyStats& s = r->policy().stats();
       total.deliveries_quantized += s.deliveries_quantized;
       total.egress_releases += s.egress_releases;
@@ -409,9 +430,11 @@ void TopologyBuilder::on_addr_frame(std::uint32_t vm_index,
     materialize(vm_index);
   }
   VmEntry& entry = vms_[vm_index];
-  if (entry.ingress_group && frame.rm_group == entry.ingress_group_id) {
+  SW_ASSERT(entry.wired);  // eager clouds wire every VM in add_vm
+  WiredVm& w = *entry.wired;
+  if (w.ingress_group && frame.rm_group == w.ingress_group_id) {
     // NAKs of the ingress stream flow back to the (sender) ingress node.
-    entry.ingress_group->on_frame(entry.addr, frame);
+    w.ingress_group->on_frame(entry.addr, frame);
     return;
   }
   if (const auto* gp = std::get_if<net::GuestPacketPayload>(&frame.payload)) {
@@ -423,22 +446,23 @@ void TopologyBuilder::on_ingress_packet(std::uint32_t vm_index,
                                         const net::Packet& pkt) {
   VmEntry& entry = vms_[vm_index];
   SW_ASSERT(entry.wired);  // on_addr_frame materialized lazy entries
-  if (entry.track != nullptr) {
-    entry.track->instant(core_of_machine(entry.machines.front()).now().ns,
-                         "ingress", "bytes", pkt.size_bytes);
+  WiredVm& w = *entry.wired;
+  const int first_machine = vm_machines(vm_index).front();
+  if (w.track != nullptr) {
+    w.track->instant(core_of_machine(first_machine).now().ns, "ingress",
+                     "bytes", pkt.size_bytes);
   }
-  if (entry.ingress_group) {
+  if (w.ingress_group) {
     net::IngressCopy copy;
-    copy.vm = entry.id;
-    copy.copy_seq = ++entry.ingress_seq;
+    copy.vm = VmId{vm_index};
+    copy.copy_seq = ++w.ingress_seq;
     copy.pkt = pkt;
-    entry.ingress_group->send(entry.addr, copy,
-                              pkt.size_bytes + net::kHeaderBytes);
+    w.ingress_group->send(entry.addr, copy, pkt.size_bytes + net::kHeaderBytes);
   } else {
     // Unreplicated: forward to the (single) hosting machine.
     net::Frame f;
     f.src = entry.addr;
-    f.dst = table_.machine_node(entry.machines[0]);
+    f.dst = table_.machine_node(first_machine);
     f.size_bytes = pkt.size_bytes;
     f.payload = net::GuestPacketPayload{pkt};
     net_->send(std::move(f));
@@ -456,12 +480,16 @@ void TopologyBuilder::on_machine_frame(int machine_idx,
   }
   // Baseline direct guest packet: find the addressed VM on this machine.
   if (const auto* gp = std::get_if<net::GuestPacketPayload>(&frame.payload)) {
-    const auto it = addr_to_vm_.find(gp->pkt.dst.value);
-    if (it == addr_to_vm_.end()) return;
-    VmEntry& entry = vms_[it->second];
-    for (std::size_t r = 0; r < entry.replicas.size(); ++r) {
-      if (entry.machines[r] == machine_idx) {
-        entry.replicas[r]->on_direct_packet(gp->pkt);
+    const std::uint32_t dst = gp->pkt.dst.value;
+    if (dst >= addr_to_vm_.size() || addr_to_vm_[dst] == kNoVm) return;
+    const std::uint32_t vm_index = addr_to_vm_[dst];
+    const VmEntry& entry = vms_[vm_index];
+    if (!entry.wired) return;
+    const std::span<const int> machines = vm_machines(vm_index);
+    const auto& replicas = entry.wired->replicas;
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      if (machines[r] == machine_idx) {
+        replicas[r]->on_direct_packet(gp->pkt);
         return;
       }
     }
@@ -474,12 +502,13 @@ void TopologyBuilder::on_egress_frame(const net::Frame& frame) {
   SW_ASSERT(out->vm.value < vms_.size());
   VmEntry& entry = vms_[out->vm.value];
   SW_ASSERT(entry.wired);  // only running replicas tunnel output
-  auto& slot = entry.egress_slots[out->out_seq];
+  WiredVm& w = *entry.wired;
+  auto& slot = w.egress_slots[out->out_seq];
   if (slot.copies == 0) {
     slot.hash = out->content_hash;
     slot.first_copy_ns = egress_core_->now().ns;
   } else if (slot.hash != out->content_hash) {
-    ++entry.egress_stats.hash_mismatches;
+    ++w.egress_stats.hash_mismatches;
   }
   ++slot.copies;
   if (egress_track_ != nullptr) {
@@ -492,11 +521,11 @@ void TopologyBuilder::on_egress_frame(const net::Frame& frame) {
   // policy's hold (0 = inline; Deterland holds to the next batch boundary,
   // TifcPacing to the VM flow's next paced-queue slot).
   const int release_at =
-      policy_->egress_release_copies(static_cast<int>(entry.replicas.size()));
+      policy_->egress_release_copies(static_cast<int>(w.replicas.size()));
   if (!slot.released && slot.copies >= release_at) {
     OBS_PROF_SCOPE("policy.release");
     slot.released = true;
-    ++entry.egress_stats.packets_released;
+    ++w.egress_stats.packets_released;
     const Duration hold =
         policy_->egress_release_delay(out->vm.value, egress_core_->now());
     if (egress_series_ != nullptr) {
@@ -543,8 +572,8 @@ void TopologyBuilder::on_egress_frame(const net::Frame& frame) {
       });
     }
   }
-  if (slot.copies >= static_cast<int>(entry.replicas.size())) {
-    entry.egress_slots.erase(out->out_seq);
+  if (slot.copies >= static_cast<int>(w.replicas.size())) {
+    w.egress_slots.erase(out->out_seq);
   }
 }
 

@@ -11,13 +11,13 @@
 //    add_vm and booted by start(). Boot events are batched per machine
 //    shard into single simulator entries (Simulator::schedule_batch).
 //  * WiringMode::kLazy: add_vm records only the placement (name, machine
-//    triple, program factory, deterministic seed) and registers the VM's
-//    ingress address node; the first frame that arrives there materializes
-//    the wiring and boots the replicas at the median of their machines'
-//    clocks — exactly the Sec. IV-A boot rule, applied on demand.
-//    Registering Θ(n²) placements over n = 501 machines therefore costs
-//    O(VMs) records and zero scheduled events; only driven VMs ever pay
-//    for replicas.
+//    triple, program factory) and registers the VM's ingress address node;
+//    the first frame that arrives there materializes the wiring and boots
+//    the replicas at the median of their machines' clocks — exactly the
+//    Sec. IV-A boot rule, applied on demand. Registering Θ(n²) placements
+//    (376,251 VMs over n = 1503 machines) therefore costs O(VMs) compact
+//    records and zero scheduled events; only driven VMs ever pay for
+//    replicas.
 //
 // Frame routing (ingress replication, reliable-multicast group dispatch,
 // median egress release) lives here too: it is placement-scale plumbing,
@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,10 +167,11 @@ class TopologyBuilder {
   }
   [[nodiscard]] bool materialized(std::uint32_t vm) const;
   [[nodiscard]] NodeId vm_addr(std::uint32_t vm) const;
-  [[nodiscard]] const std::vector<int>& vm_machines(std::uint32_t vm) const;
+  [[nodiscard]] std::span<const int> vm_machines(std::uint32_t vm) const;
   /// Materialized replicas of `vm` (0 while lazily unwired).
   [[nodiscard]] int replicas_of(std::uint32_t vm) const;
   [[nodiscard]] hypervisor::GuestContext& replica(std::uint32_t vm, int r);
+  /// Egress counters of `vm` (all zero while lazily unwired).
   [[nodiscard]] const EgressStats& egress_stats(std::uint32_t vm) const;
   /// True if every pair of materialized replicas of `vm` agrees on the
   /// common prefix of emitted packet hashes (vacuously true while unwired).
@@ -186,15 +188,9 @@ class TopologyBuilder {
   [[nodiscard]] const ShardPlan& shard_plan() const { return plan_; }
 
  private:
-  struct VmEntry {
-    std::string name;
-    VmId id{};
-    NodeId addr{};
-    std::vector<int> machines;
-    ProgramFactory factory;
-    std::uint64_t det_seed{0};
-    bool wired{false};
-    bool booted{false};
+  /// State only a wired VM has: replicas, multicast groups, ingress and
+  /// egress bookkeeping. wire() allocates it; an unwired VM pays 8 bytes.
+  struct WiredVm {
     std::vector<std::unique_ptr<hypervisor::GuestContext>> replicas;
     std::unique_ptr<net::MulticastGroup> control_group;
     std::unique_ptr<net::MulticastGroup> ingress_group;
@@ -218,8 +214,19 @@ class TopologyBuilder {
     obs::TraceTrack* track{nullptr};
   };
 
+  /// The cold registration record every VM keeps (~80 bytes). Its machine
+  /// indices live in machines_, its VmId is its index, and its replica seed
+  /// is derived at wire time.
+  struct VmEntry {
+    std::string name;
+    ProgramFactory factory;
+    NodeId addr{};
+    bool booted{false};
+    std::unique_ptr<WiredVm> wired;  ///< null until wire()
+  };
+
   void wire(std::uint32_t vm_index);
-  void boot(VmEntry& entry);
+  void boot(std::uint32_t vm_index);
   /// The simulator core that owns `machine` (sim_ when unsharded).
   [[nodiscard]] sim::Simulator& core_of_machine(int machine);
   /// True if every wired VM's replicas live on one shard — the condition
@@ -256,7 +263,11 @@ class TopologyBuilder {
   MachineTable table_;
   NodeId egress_node_{};
   std::vector<VmEntry> vms_;
-  std::map<std::uint32_t, std::uint32_t> addr_to_vm_;  // addr node -> vm idx
+  /// Machine indices of every VM, effective_replicas() per VM, in VM order.
+  std::vector<int> machines_;
+  /// Ingress address node -> VM index; kNoVm for every other node.
+  static constexpr std::uint32_t kNoVm = ~std::uint32_t{0};
+  std::vector<std::uint32_t> addr_to_vm_;
   std::map<std::uint32_t, net::MulticastGroup*> groups_;  // by group id
   std::uint32_t next_group_id_{1};
   std::size_t materialized_vms_{0};

@@ -81,9 +81,8 @@ void MachineTable::materialize_shard(int shard) {
         sharded_ != nullptr ? sharded_->shard(owner) : *sim_;
     sl.machine = std::make_unique<hypervisor::Machine>(
         MachineId{static_cast<std::uint32_t>(idx)}, core, mc, Rng(rng_seed));
-    sl.node = net_->add_node(
-        "machine-" + std::to_string(idx),
-        [this, idx](const net::Frame& f) { on_frame_(idx, f); });
+    sl.node =
+        net_->add_node([this, idx](const net::Frame& f) { on_frame_(idx, f); });
     if (sharded_ != nullptr) net_->set_node_owner(sl.node, owner);
   }
   s.materialized = true;

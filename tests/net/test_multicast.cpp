@@ -21,7 +21,7 @@ struct TrioFixture {
 
   explicit TrioFixture(LinkModel link = {}) {
     for (int i = 0; i < 3; ++i) {
-      const auto id = net.add_node("m" + std::to_string(i), [](const Frame&) {});
+      const auto id = net.add_node([](const Frame&) {});
       members.push_back(id);
     }
     for (const NodeId m : members) {

@@ -23,8 +23,8 @@ struct Pair {
   bool dropped{false};
 
   Pair() {
-    sender = net.add_node("s", [](const Frame&) {});
-    receiver = net.add_node("r", [](const Frame&) {});
+    sender = net.add_node([](const Frame&) {});
+    receiver = net.add_node([](const Frame&) {});
     net.set_handler(sender, [this](const Frame& f) {
       if (f.rm_group == 2) group.on_frame(sender, f);
     });

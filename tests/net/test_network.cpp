@@ -28,8 +28,8 @@ Frame guest_frame(NodeId src, NodeId dst, std::uint32_t bytes) {
 TEST(Network, DeliversFrameToHandler) {
   Fixture fx;
   int received = 0;
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
-  const NodeId b = fx.net.add_node("b", [&](const Frame& f) {
+  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId b = fx.net.add_node([&](const Frame& f) {
     ++received;
     EXPECT_EQ(f.src, a);
   });
@@ -41,9 +41,9 @@ TEST(Network, DeliversFrameToHandler) {
 TEST(Network, LatencyIsAtLeastBasePlusSerialization) {
   Fixture fx;
   RealTime arrival{};
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
+  const NodeId a = fx.net.add_node([](const Frame&) {});
   const NodeId b =
-      fx.net.add_node("b", [&](const Frame&) { arrival = fx.sim.now(); });
+      fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
   LinkModel lm;
   lm.base_latency = Duration::millis(5);
   lm.jitter_sigma = 0.0;
@@ -57,9 +57,9 @@ TEST(Network, LatencyIsAtLeastBasePlusSerialization) {
 TEST(Network, SerializationQueuesBackToBack) {
   Fixture fx;
   std::vector<RealTime> arrivals;
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
+  const NodeId a = fx.net.add_node([](const Frame&) {});
   const NodeId b = fx.net.add_node(
-      "b", [&](const Frame&) { arrivals.push_back(fx.sim.now()); });
+      [&](const Frame&) { arrivals.push_back(fx.sim.now()); });
   LinkModel lm;
   lm.base_latency = Duration::millis(1);
   lm.jitter_sigma = 0.0;
@@ -77,8 +77,8 @@ TEST(Network, SerializationQueuesBackToBack) {
 TEST(Network, LossDropsFrames) {
   Fixture fx;
   int received = 0;
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
-  const NodeId b = fx.net.add_node("b", [&](const Frame&) { ++received; });
+  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId b = fx.net.add_node([&](const Frame&) { ++received; });
   LinkModel lm;
   lm.loss_probability = 1.0;
   fx.net.set_link(a, b, lm);
@@ -90,8 +90,8 @@ TEST(Network, LossDropsFrames) {
 
 TEST(Network, StatsAreCounted) {
   Fixture fx;
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
-  const NodeId b = fx.net.add_node("b", [](const Frame&) {});
+  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId b = fx.net.add_node([](const Frame&) {});
   fx.net.send(guest_frame(a, b, 500));
   fx.sim.run();
   EXPECT_EQ(fx.net.stats(a).frames_sent, 1u);
@@ -104,8 +104,8 @@ TEST(Network, PerDirectionLinksAreIndependent) {
   Fixture fx;
   RealTime ab{}, ba{};
   NodeId a{}, b{};
-  a = fx.net.add_node("a", [&](const Frame&) { ba = fx.sim.now(); });
-  b = fx.net.add_node("b", [&](const Frame&) { ab = fx.sim.now(); });
+  a = fx.net.add_node([&](const Frame&) { ba = fx.sim.now(); });
+  b = fx.net.add_node([&](const Frame&) { ab = fx.sim.now(); });
   LinkModel fast;
   fast.base_latency = Duration::micros(10);
   fast.jitter_sigma = 0.0;
@@ -132,7 +132,7 @@ TEST(Network, PacketContentHashDiscriminates) {
 
 TEST(Network, UnknownNodeRejected) {
   Fixture fx;
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
+  const NodeId a = fx.net.add_node([](const Frame&) {});
   Frame f = guest_frame(a, NodeId{99}, 10);
   EXPECT_THROW(fx.net.send(f), ContractViolation);
 }
@@ -142,12 +142,12 @@ TEST(Network, NodeLinkAppliesToAllTrafficOfANode) {
   // the O(1) alternative to per-pair links against each of Θ(n²) VMs.
   Fixture fx;
   RealTime to_client{}, to_peer{}, from_client{};
-  const NodeId client = fx.net.add_node(
-      "client", [&](const Frame&) { to_client = fx.sim.now(); });
+  const NodeId client =
+      fx.net.add_node([&](const Frame&) { to_client = fx.sim.now(); });
   const NodeId a =
-      fx.net.add_node("a", [&](const Frame&) { from_client = fx.sim.now(); });
+      fx.net.add_node([&](const Frame&) { from_client = fx.sim.now(); });
   const NodeId b =
-      fx.net.add_node("b", [&](const Frame&) { to_peer = fx.sim.now(); });
+      fx.net.add_node([&](const Frame&) { to_peer = fx.sim.now(); });
   LinkModel fast;
   fast.base_latency = Duration::micros(10);
   fast.jitter_sigma = 0.0;
@@ -170,8 +170,8 @@ TEST(Network, PairLinkOverridesNodeLink) {
   Fixture fx;
   RealTime arrival{};
   const NodeId client =
-      fx.net.add_node("client", [&](const Frame&) { arrival = fx.sim.now(); });
-  const NodeId a = fx.net.add_node("a", [](const Frame&) {});
+      fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
+  const NodeId a = fx.net.add_node([](const Frame&) {});
   LinkModel fast;
   fast.base_latency = Duration::micros(10);
   fast.jitter_sigma = 0.0;

@@ -2,12 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 
 namespace stopwatch::placement {
 namespace {
+
+/// The node-based std::set checker valid_placement used to be: one
+/// red-black node per edge. Kept as the reference the sort-based checker
+/// must agree with.
+bool reference_valid_placement(const std::vector<Triangle>& triangles, int n,
+                               int c) {
+  std::set<std::pair<int, int>> edges;
+  std::vector<int> load(static_cast<std::size_t>(n), 0);
+  for (const Triangle& t : triangles) {
+    const int vs[3] = {t.a, t.b, t.c};
+    for (int v : vs) {
+      if (v < 0 || v >= n) return false;
+    }
+    if (t.a == t.b || t.a == t.c || t.b == t.c) return false;
+    const std::pair<int, int> es[3] = {
+        {std::min(t.a, t.b), std::max(t.a, t.b)},
+        {std::min(t.a, t.c), std::max(t.a, t.c)},
+        {std::min(t.b, t.c), std::max(t.b, t.c)},
+    };
+    for (const auto& e : es) {
+      if (!edges.insert(e).second) return false;  // edge reused
+    }
+    for (int v : vs) {
+      if (++load[static_cast<std::size_t>(v)] > c && c > 0) return false;
+    }
+  }
+  return true;
+}
 
 TEST(Quasigroup, IdempotentCommutativeLatinSquare) {
   for (int q : {1, 3, 5, 7, 9, 11, 21}) {
@@ -174,6 +206,92 @@ TEST(ValidPlacement, DetectsViolations) {
   EXPECT_FALSE(valid_placement({{0, 1, 2}, {0, 3, 4}}, 5, 1));
   // A clean placement.
   EXPECT_TRUE(valid_placement({{0, 1, 2}, {0, 3, 4}}, 5, 2));
+  // The same triangle in reversed vertex order reuses all three edges.
+  EXPECT_FALSE(valid_placement({{0, 1, 2}, {2, 1, 0}}, 3));
+}
+
+TEST(ValidPlacement, RejectsNegativeMachineCount) {
+  EXPECT_THROW(static_cast<void>(valid_placement({}, -1)), ContractViolation);
+  EXPECT_THROW(static_cast<void>(valid_placement({{0, 1, 2}}, -1, 2)),
+               ContractViolation);
+  EXPECT_TRUE(valid_placement({}, 0));
+}
+
+TEST(ValidPlacement, AgreesWithSetReferenceOnRandomLists) {
+  // Seeded random lists built to hit every rejection path: packings
+  // validated against a capacity other than the one they were built for
+  // (overflow), copies of an early triangle appended at the end (edge reuse
+  // far apart), reversed or rotated vertex order, degenerate and
+  // out-of-range vertices, and free-form lists of random triples.
+  Rng rng(0x5A1DA7E5ULL);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(3, 30));
+    const int c_build = static_cast<int>(rng.uniform_int(0, 5));
+    const int c_check = static_cast<int>(rng.uniform_int(0, 5));
+    std::vector<Triangle> ts;
+    if (rng.chance(0.8)) {
+      ts = greedy_packing(n, c_build);
+      // Shuffle, so reused edges are not always adjacent in the list.
+      for (std::size_t i = ts.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(ts[i - 1], ts[j]);
+      }
+    } else {
+      const auto count = rng.uniform_int(0, 8);
+      for (std::int64_t i = 0; i < count; ++i) {
+        ts.push_back(Triangle{static_cast<int>(rng.uniform_int(-1, n)),
+                              static_cast<int>(rng.uniform_int(-1, n)),
+                              static_cast<int>(rng.uniform_int(-1, n))});
+      }
+    }
+    if (!ts.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ts.size()) - 1));
+      Triangle& t = ts[pick];
+      switch (rng.uniform_int(0, 6)) {
+        case 0:  // copy of the first triangle, reversed, at the far end
+          ts.push_back(Triangle{ts.front().c, ts.front().b, ts.front().a});
+          break;
+        case 1:  // reversed vertex order in place (still valid)
+          std::swap(t.a, t.c);
+          break;
+        case 2:  // one shared edge with a fresh third vertex
+          ts.push_back(Triangle{t.b, t.a,
+                                static_cast<int>(rng.uniform_int(0, n - 1))});
+          break;
+        case 3:  // degenerate
+          t.c = t.a;
+          break;
+        case 4:  // out of range, below or above
+          t.b = rng.chance(0.5) ? -1 : n;
+          break;
+        default:  // unmodified
+          break;
+      }
+    }
+    const bool expected = reference_valid_placement(ts, n, c_check);
+    ASSERT_EQ(valid_placement(ts, n, c_check), expected)
+        << "trial " << trial << " n=" << n << " c=" << c_check;
+    (expected ? accepted : rejected) += 1;
+  }
+  // Both verdicts must be well represented for the agreement to mean much.
+  EXPECT_GT(accepted, 400);
+  EXPECT_GT(rejected, 400);
+}
+
+TEST(ValidPlacement, FullCapacityTheorem2AtCloudScale) {
+  // The cloud_scale placement: 376,251 triangles over 1503 machines.
+  const int n = 1503;
+  const int c = (n - 1) / 2;
+  std::vector<Triangle> ts = theorem2_placement(n, c);
+  ASSERT_EQ(ts.size(), 376251u);
+  EXPECT_TRUE(valid_placement(ts, n, c));
+  // Placing any triangle a second time reuses its three edges.
+  ts.push_back(ts[ts.size() / 2]);
+  EXPECT_FALSE(valid_placement(ts, n, c));
 }
 
 }  // namespace

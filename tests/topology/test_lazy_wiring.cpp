@@ -6,7 +6,9 @@
 // echoes it like an eagerly wired one would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -177,6 +179,77 @@ TEST(LazyWiring, BaselinePolicyMaterializesOnFirstDirectPacket) {
   cloud.run_for(Duration::seconds(1));
   EXPECT_EQ(received, 1);
   EXPECT_EQ(cloud.replicas_of(vm), 1);  // baseline: single replica
+}
+
+TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
+  // 50k registrations: nothing wired, and every VM still answers its
+  // introspection queries from the cold record alone.
+  CloudConfig cfg = lazy_config(17);
+  cfg.machine_count = 64;
+  cfg.shard_size = 16;
+  Cloud cloud(cfg);
+  constexpr int kVms = 50000;
+  const auto triple = [](int i) {
+    return std::vector<int>{i % 64, (i + 7) % 64, (i + 19) % 64};
+  };
+  for (int i = 0; i < kVms; ++i) {
+    cloud.add_vm("vm" + std::to_string(i),
+                 [] { return std::make_unique<EchoProgram>(); }, triple(i));
+  }
+  auto& topo = cloud.topology();
+  ASSERT_EQ(topo.vm_count(), static_cast<std::size_t>(kVms));
+  EXPECT_EQ(topo.materialized_vm_count(), 0u);
+  EXPECT_EQ(topo.machines().materialized_machines(), 0);
+  for (int i = 0; i < kVms; ++i) {
+    const auto vm = static_cast<std::uint32_t>(i);
+    ASSERT_EQ(topo.replicas_of(vm), 0) << "vm " << i;
+    ASSERT_FALSE(topo.materialized(vm));
+    ASSERT_EQ(topo.egress_stats(vm).packets_released, 0u);
+    ASSERT_EQ(topo.egress_stats(vm).hash_mismatches, 0u);
+    ASSERT_TRUE(topo.replicas_deterministic(vm));
+    const std::span<const int> machines = topo.vm_machines(vm);
+    const std::vector<int> expected = triple(i);
+    ASSERT_TRUE(std::equal(machines.begin(), machines.end(), expected.begin(),
+                           expected.end()))
+        << "vm " << i;
+  }
+  EXPECT_EQ(cloud.total_divergences(), 0u);
+}
+
+TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
+  // A direct guest packet reaching a machine is routed by its destination
+  // address. Addresses that are not VM ingress nodes (the egress, an
+  // external endpoint, an id past every node) and a VM that is not wired
+  // yet all drop the packet without throwing or wiring anything.
+  CloudConfig cfg = lazy_config(3);
+  cfg.policy = Policy::kBaselineXen;
+  Cloud cloud(cfg);
+  const VmHandle vm = cloud.add_vm(
+      "echo", [] { return std::make_unique<EchoProgram>(); }, {2});
+  int received = 0;
+  const NodeId client = cloud.add_external_node(
+      "client", [&](const net::Packet&) { ++received; });
+  cloud.start();
+  const NodeId machine = cloud.topology().machines().machine_node(2);
+  for (const NodeId dst : {cloud.egress_node(), client, NodeId{1u << 20},
+                           cloud.vm_addr(vm)}) {
+    net::Packet pkt;
+    pkt.src = client;
+    pkt.dst = dst;
+    pkt.kind = net::PacketKind::kRequest;
+    pkt.size_bytes = 80;
+    net::Frame f;
+    f.src = client;
+    f.dst = machine;
+    f.size_bytes = pkt.size_bytes;
+    f.payload = net::GuestPacketPayload{pkt};
+    cloud.network().send(std::move(f));
+  }
+  EXPECT_NO_THROW(cloud.run_for(Duration::seconds(1)));
+  EXPECT_EQ(cloud.network().stats(machine).frames_received, 4u);
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(cloud.replicas_of(vm), 0);
+  EXPECT_EQ(cloud.topology().materialized_vm_count(), 0u);
 }
 
 }  // namespace
