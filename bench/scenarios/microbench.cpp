@@ -4,6 +4,7 @@
 // is what future perf PRs move. Wall-clock measurements make this the one
 // intentionally non-deterministic scenario.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -12,6 +13,8 @@
 
 #include "common/rng.hpp"
 #include "experiment/registry.hpp"
+#include "hypervisor/guest_context.hpp"
+#include "hypervisor/machine.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "placement/placement.hpp"
@@ -42,6 +45,71 @@ double time_ns_per_op(std::uint64_t iters, Body&& body) {
 
 /// Defeats dead-code elimination of a computed value.
 volatile double g_sink;
+
+/// Wall nanoseconds per event of six periodic streams, each re-arming
+/// about 20 us ahead with a fixed jitter stream — the shape of interleaved
+/// vCPU slices: every re-arm lands in a level-0 wheel bucket. `events` in
+/// all per round.
+double interleaved_rearm_ns(std::uint64_t rounds, std::uint64_t events) {
+  constexpr int kStreams = 6;
+  struct Streams {
+    sim::Simulator sim;
+    std::array<sim::EventId, kStreams> ids{};
+    std::uint64_t x{0x2545f4914f6cdd1dULL};
+    std::uint64_t fired{0};
+    std::uint64_t events{0};
+  };
+  const double ns = time_ns_per_op(rounds, [events](auto) {
+    Streams st;
+    st.events = events;
+    for (int k = 0; k < kStreams; ++k) {
+      st.ids[k] = st.sim.schedule_after(Duration::nanos(1'000 * k), [&st, k] {
+        // The first (events - kStreams) fires re-arm.
+        if (++st.fired + kStreams > st.events) return;
+        st.x ^= st.x << 13;
+        st.x ^= st.x >> 7;
+        st.x ^= st.x << 17;
+        const auto jitter = static_cast<std::int64_t>(st.x % 2'000);
+        st.sim.reschedule_after(st.ids[k], Duration::nanos(19'000 + jitter));
+      });
+    }
+    st.sim.run();
+    g_sink = static_cast<double>(st.sim.events_executed());
+  });
+  return ns / static_cast<double>(events);
+}
+
+/// A guest that never queues work: it runs only its idle loop.
+class IdleProgram final : public vm::GuestProgram {
+ public:
+  void on_boot(vm::GuestApi&) override {}
+  void on_timer_tick(vm::GuestApi&, std::uint64_t) override {}
+  void on_packet(vm::GuestApi&, const net::Packet&) override {}
+};
+
+/// Wall nanoseconds per guest vCPU slice of one idle guest under
+/// StopWatch on one machine. With one replica there are no beacons, so
+/// every event the simulator executes is one slice ending in an exit.
+double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
+  sim::Simulator sim;
+  hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
+                              Rng(seed));
+  hypervisor::GuestContextConfig cfg;
+  cfg.policy = hypervisor::Policy::kStopWatch;
+  cfg.replica_count = 1;
+  hypervisor::ReplicaServices services;
+  services.send_frame = [](net::Frame) {};
+  hypervisor::GuestContext guest(VmId{0}, ReplicaIndex{0}, NodeId{0}, machine,
+                                 sim, cfg, std::make_unique<IdleProgram>(),
+                                 seed, std::move(services));
+  guest.start(VirtTime{});
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.run(slices);
+  const auto t1 = std::chrono::steady_clock::now();
+  guest.halt();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(sim.events_executed());
+}
 
 Result run(const ScenarioContext& ctx) {
   const auto iters = static_cast<std::uint64_t>(ctx.param("iterations"));
@@ -93,6 +161,22 @@ Result run(const ScenarioContext& ctx) {
         g_sink = static_cast<double>(ticks);
       }) / static_cast<double>(sim_events),
       "ns/event");
+
+  // Simulator: interleaved periodic streams. Unlike simulator_reschedule's
+  // 200 ns re-arm, which lands straight in the due array, these re-arms
+  // take the wheel path that vCPU slices take.
+  result.add_metric(
+      "simulator_interleaved_rearm",
+      interleaved_rearm_ns(std::max<std::uint64_t>(1, iters / 1000),
+                           sim_events),
+      "ns/event");
+
+  // Guest vCPU slices: the event behind most of every cloud run's events.
+  result.add_metric(
+      "guest_idle_slice",
+      guest_idle_slice_ns(std::max<std::uint64_t>(1'000, iters / 10),
+                          ctx.seed()),
+      "ns/slice");
 
   // Simulator: mixed near/far horizons — 70% inside the wheel's level 0
   // (sub-66 us), 20% across the higher levels (sub-275 ms), 10% beyond the

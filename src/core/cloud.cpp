@@ -31,6 +31,19 @@ void validate(const CloudConfig& cfg) {
   SW_EXPECTS_MSG(cfg.clock_offset_spread.ns >= 0,
                  "CloudConfig.clock_offset_spread must be >= 0 (got " +
                      std::to_string(cfg.clock_offset_spread.ns) + " ns)");
+  // The guest template reaches a GuestContext only when a VM is wired,
+  // which under lazy wiring is its first packet, partway through the run.
+  const hypervisor::GuestContextConfig& guest = cfg.guest_template;
+  SW_EXPECTS_MSG(guest.exit_interval_instr >= 1'000,
+                 "CloudConfig.guest_template.exit_interval_instr must be >= "
+                 "1000 (got " +
+                     std::to_string(guest.exit_interval_instr) + ")");
+  SW_EXPECTS_MSG(guest.timer_period.ns > 0,
+                 "CloudConfig.guest_template.timer_period must be > 0 (got " +
+                     std::to_string(guest.timer_period.ns) + " ns)");
+  SW_EXPECTS_MSG(guest.initial_slope > 0.0,
+                 "CloudConfig.guest_template.initial_slope must be > 0 (got " +
+                     std::to_string(guest.initial_slope) + ")");
 }
 
 /// Validates the shard knob before the kernel is constructed (the sharded

@@ -1,7 +1,6 @@
 #include "hypervisor/guest_context.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -28,12 +27,16 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
       cfg_(cfg),
       services_(std::move(services)),
       policy_(make_policy(cfg.policy)),
+      replicated_(policy_->replicated()),
+      epoch_instr_(policy_->epoch_instructions()),
+      max_gap_ns_(policy_->max_replica_gap().ns),
       clock_(policy_->clock_mode(), [m = machine_] { return m->local_clock(); }) {
   SW_EXPECTS(cfg_.replica_count >= 1);
   SW_EXPECTS(cfg_.exit_interval_instr >= 1'000);
+  SW_EXPECTS(cfg_.timer_period.ns > 0);
   SW_EXPECTS(cfg_.initial_slope > 0.0);
   SW_EXPECTS(services_.send_frame != nullptr);
-  if (policy_->replicated() && cfg_.replica_count > 1) {
+  if (replicated_ && cfg_.replica_count > 1) {
     SW_EXPECTS(services_.control_multicast != nullptr);
   }
   guest_ = std::make_unique<vm::GuestVm>(
@@ -57,7 +60,7 @@ void GuestContext::start(VirtTime start) {
   // Launch the beacon loop used for fastest-replica throttling. The loop
   // owns one arena slot for its whole life: each tick re-arms the same
   // event via reschedule_after instead of scheduling a fresh one.
-  if (policy_->replicated() && cfg_.replica_count > 1) {
+  if (replicated_ && cfg_.replica_count > 1) {
     beacon_event_ = sim_->schedule_after(policy_->sync_interval(),
                                          [this] { beacon_tick(); });
   }
@@ -128,17 +131,15 @@ void GuestContext::on_guest_exit() {
   last_exit_clock_ns_ = clock_.now(exit_instr).ns;
   next_periodic_exit_ = exit_instr + cfg_.exit_interval_instr;
 
-  process_io_ops();
-  if (policy_->epoch_instructions() > 0) {
-    check_epoch(exit_instr);
-  }
+  if (guest_->has_io_ops()) process_io_ops();
+  if (epoch_instr_ > 0) check_epoch(exit_instr);
   inject_due_interrupts();
 
   // Host-load bookkeeping (not guest-visible).
   const double busy = guest_->is_idle() ? 0.0 : 1.0;
   activity_ema_ = 0.98 * activity_ema_ + 0.02 * busy;
 
-  if (policy_->replicated() && should_stall()) {
+  if (replicated_ && should_stall()) {
     enter_stall();
     return;
   }
@@ -205,8 +206,10 @@ void GuestContext::inject_due_interrupts() {
     next_timer_tick_ns_ += cfg_.timer_period.ns;
   }
 
-  // Guest soft timers (deterministic: driven by the guest clock).
-  guest_->fire_due_timers();
+  // Guest soft timers (deterministic: driven by the guest clock). The
+  // clock still reads now_ns here: a rebase in check_epoch() keeps the line
+  // continuous at the exit instruction, and passthrough reads this instant.
+  guest_->fire_due_timers(now_ns);
 
   // Disk/DMA completions, in request (FIFO) order.
   while (!disk_slots_.empty() && disk_slots_.front().delivery <= now_ns) {
@@ -233,7 +236,7 @@ void GuestContext::inject_due_interrupts() {
   }
 
   // Network packets, in ingress copy_seq order.
-  for (;;) {
+  while (!net_slots_.empty()) {
     const auto it = net_slots_.find(next_net_inject_seq_);
     if (it == net_slots_.end()) break;
     NetSlot& slot = it->second;
@@ -262,12 +265,8 @@ bool GuestContext::should_stall() const {
       static_cast<std::size_t>(cfg_.replica_count)) {
     return false;  // not all peers known yet
   }
-  std::int64_t max_peer = INT64_MIN;
-  for (const auto& [machine, virt] : peer_virt_ns_) {
-    max_peer = std::max(max_peer, virt);
-  }
   // I am the fastest and my lead over the second-fastest exceeds the cap.
-  return last_exit_clock_ns_ - max_peer > policy_->max_replica_gap().ns;
+  return last_exit_clock_ns_ - max_peer_virt_ns_ > max_gap_ns_;
 }
 
 void GuestContext::enter_stall() {
@@ -292,7 +291,7 @@ void GuestContext::recheck_stall() {
 }
 
 void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
-  SW_EXPECTS(policy_->replicated());
+  SW_EXPECTS(replicated_);
   if (copy.vm != vm_) return;
   NetSlot& slot = net_slots_[copy.copy_seq];
   slot.pkt = copy.pkt;
@@ -326,7 +325,7 @@ void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
 }
 
 void GuestContext::on_proposal(const net::Proposal& p) {
-  SW_EXPECTS(policy_->replicated());
+  SW_EXPECTS(replicated_);
   if (p.vm != vm_) return;
   if (p.copy_seq < next_net_inject_seq_) return;  // already delivered
   NetSlot& slot = net_slots_[p.copy_seq];
@@ -381,6 +380,9 @@ void GuestContext::on_sync_beacon(const net::SyncBeacon& b) {
   if (b.machine == machine_->id()) return;  // self-delivery
   auto& v = peer_virt_ns_[b.machine.value];
   v = std::max(v, b.virt.ns);
+  // From the entry, not the beacon: a first beacon below the entry's
+  // default 0 still counts as 0.
+  max_peer_virt_ns_ = std::max(max_peer_virt_ns_, v);
 }
 
 void GuestContext::on_epoch_report(const net::EpochReport& r) {
@@ -389,7 +391,7 @@ void GuestContext::on_epoch_report(const net::EpochReport& r) {
 }
 
 void GuestContext::on_direct_packet(const net::Packet& pkt) {
-  SW_EXPECTS(!policy_->replicated());
+  SW_EXPECTS(!replicated_);
   const Duration processing =
       machine_->vmm_processing_delay(machine_->load_excluding(nullptr));
   const std::uint64_t seq = baseline_arrival_seq_++;
@@ -403,8 +405,7 @@ void GuestContext::on_direct_packet(const net::Packet& pkt) {
 }
 
 void GuestContext::check_epoch(std::uint64_t exit_instr) {
-  const std::uint64_t epoch_instr = policy_->epoch_instructions();
-  const std::uint64_t boundary = (epoch_index_ + 1) * epoch_instr;
+  const std::uint64_t boundary = (epoch_index_ + 1) * epoch_instr_;
   if (exit_instr < boundary) return;
 
   // Apply the update derived from the *previous* epoch's reports. Doing it
@@ -435,7 +436,7 @@ void GuestContext::check_epoch(std::uint64_t exit_instr) {
       const double candidate =
           (static_cast<double>(med.r_k.ns) - virt_at_epoch_end +
            static_cast<double>(med.d_k.ns)) /
-          static_cast<double>(epoch_instr);
+          static_cast<double>(epoch_instr_);
       const double slope = policy_->epoch_slope(candidate);
       clock_.rebase(exit_instr, slope);
       ++stats_.epoch_rebase_count;

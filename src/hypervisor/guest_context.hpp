@@ -220,6 +220,10 @@ class GuestContext final : public LoadSource {
 
   /// Built before clock_ (clock mode is a policy capability).
   std::unique_ptr<MitigationPolicy> policy_;
+  /// Policy capabilities read on every guest exit; fixed at construction.
+  bool replicated_;
+  std::uint64_t epoch_instr_;
+  std::int64_t max_gap_ns_;
   std::unique_ptr<vm::GuestVm> guest_;
   VirtualClock clock_;
 
@@ -255,8 +259,10 @@ class GuestContext final : public LoadSource {
   std::uint64_t out_hash_chain_{0};
   std::vector<std::uint64_t> out_hashes_;
 
-  // Peer tracking (throttle).
+  // Peer tracking (throttle). The map counts the peers heard from; the
+  // running max of its entries is what should_stall() compares against.
   std::map<std::uint32_t, std::int64_t> peer_virt_ns_;  // by machine id
+  std::int64_t max_peer_virt_ns_{INT64_MIN};
 
   // Epoch resync state.
   std::uint64_t epoch_index_{0};

@@ -32,9 +32,8 @@ void MulticastGroup::send(NodeId from, FramePayload payload,
 
   SenderState& snd = senders_[from.value];
   const std::uint64_t seq = snd.next_seq++;
-  snd.buffer.emplace(seq, std::make_pair(payload, size_bytes));
-  // Bound the retransmission buffer; in PGM terms, the transmit window.
-  while (snd.buffer.size() > 4096) snd.buffer.erase(snd.buffer.begin());
+  snd.buffer.emplace_back(payload, size_bytes);
+  if (snd.buffer.size() > kTransmitWindow) snd.buffer.pop_front();
 
   for (auto& m : members_) {
     if (m.node == from) continue;
@@ -100,14 +99,16 @@ void MulticastGroup::on_frame(NodeId member, const Frame& frame) {
   // NAK handling at the sender side.
   if (const auto* nak = std::get_if<McastNak>(&frame.payload)) {
     SenderState& snd = senders_[member.value];
+    const std::uint64_t window_begin = snd.next_seq - snd.buffer.size();
     for (std::uint64_t s = nak->begin; s < nak->end; ++s) {
-      const auto it = snd.buffer.find(s);
-      if (it == snd.buffer.end()) continue;  // beyond the transmit window
+      // Outside [window_begin, next_seq): beyond the transmit window.
+      if (s < window_begin || s >= snd.next_seq) continue;
+      const auto& [payload, size] = snd.buffer[s - window_begin];
       Frame f;
       f.src = member;
       f.dst = nak->from;
-      f.size_bytes = it->second.second;
-      f.payload = it->second.first;
+      f.size_bytes = size;
+      f.payload = payload;
       f.rm_group = group_id_;
       f.rm_seq = s;
       net_->send(std::move(f));
@@ -129,6 +130,13 @@ void MulticastGroup::on_frame(NodeId member, const Frame& frame) {
 
   if (frame.rm_seq < rx.next_expected) return;  // duplicate
   rx.highest_advertised = std::max(rx.highest_advertised, frame.rm_seq);
+  if (frame.rm_seq == rx.next_expected && rx.stashed.empty()) {
+    // In order with nothing stashed: what deliver_in_order() would do with
+    // a one-entry stash, without the stash.
+    m->deliver(sender, frame.payload);
+    ++rx.next_expected;
+    return;
+  }
   rx.stashed.emplace(frame.rm_seq, frame.payload);
   deliver_in_order(*m, sender, rx);
   if (!rx.stashed.empty()) maybe_schedule_nak(*m, sender, rx);

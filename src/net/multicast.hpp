@@ -76,8 +76,9 @@ class MulticastGroup {
 
   struct SenderState {
     std::uint64_t next_seq{1};
-    /// Retransmission buffer: seq -> (payload, size).
-    std::map<std::uint64_t, std::pair<FramePayload, std::uint32_t>> buffer;
+    /// Retransmission buffer: (payload, size) of the last kTransmitWindow
+    /// sequences sent, [next_seq - buffer.size(), next_seq).
+    std::deque<std::pair<FramePayload, std::uint32_t>> buffer;
     int spm_remaining{0};
     bool spm_armed{false};
     /// The (re-armed-in-place) SPM advertisement timer.
@@ -85,6 +86,8 @@ class MulticastGroup {
   };
 
   static constexpr int kSpmAttempts = 8;
+  /// Sequences a sender keeps for retransmission (PGM's transmit window).
+  static constexpr std::size_t kTransmitWindow = 4096;
 
   MemberState* find_member(NodeId node);
   void deliver_in_order(MemberState& m, NodeId sender,

@@ -60,8 +60,8 @@ EventId Simulator::reschedule_after(EventId id, Duration delay) {
   if (delay.ns < 0) delay.ns = 0;
   ++stats_.rescheduled;
   if (is_executing(id)) {
-    // Re-arm the running event: its Task is parked in execute_top()'s frame
-    // and will be moved back into the same slot after the callback returns.
+    // Re-arm the running event: its Task stays in its pinned slot, which
+    // execute_top() refiles at the new time after the callback returns.
     rearm_at_ns_ = now_.ns + delay.ns;
     return id;
   }
@@ -103,18 +103,6 @@ bool Simulator::cancel(EventId id) {
   if (due_stale_ > 64 && due_stale_ * 2 > due_.size()) due_compact();
   if (far_stale_ > 64 && far_stale_ * 2 > far_.size()) far_compact();
   return true;
-}
-
-bool Simulator::is_scheduled(EventId id) const {
-  if (id.slot >= slab_size_) return false;
-  const Record& rec = record(id.slot);
-  return rec.gen == id.gen && rec.where != Where::kFree &&
-         rec.where != Where::kExecuting;
-}
-
-bool Simulator::is_executing(EventId id) const {
-  return executing_slot_ == id.slot && executing_slot_ != kNil &&
-         executing_gen_ == id.gen;
 }
 
 std::uint32_t Simulator::alloc_slot() {
@@ -327,12 +315,14 @@ void Simulator::flush_bucket(int level, std::uint32_t bucket) {
     }
     // Direct schedules detach LIFO (descending), but a bucket filled by a
     // cascade was built from an already-LIFO walk, so it detaches ascending
-    // — probe both orientations before paying for a real sort.
+    // — probe both orientations before paying for a real sort. A lone
+    // record (the common harvest of a periodic timer) is sorted already.
     const auto ascending = [](const HeapEntry& a, const HeapEntry& b) {
       if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
       return a.seq < b.seq;
     };
-    if (!std::is_sorted(due_.begin(), due_.end(), ascending)) {
+    if (due_.size() > 1 &&
+        !std::is_sorted(due_.begin(), due_.end(), ascending)) {
       std::reverse(due_.begin(), due_.end());
       if (!std::is_sorted(due_.begin(), due_.end(), ascending)) {
         std::sort(due_.begin(), due_.end(), ascending);
@@ -357,6 +347,22 @@ void Simulator::advance_wheel() {
   while (far_stale_ > 0 && !far_.empty() && !entry_live(far_.front())) {
     pop_heap_top(far_);
     --far_stale_;
+  }
+
+  // Fast path: the next level-0 tick lies inside the cursor's level-1
+  // group and the far heap is empty. Every higher-level bound starts at
+  // the next group or later, so that tick is the minimum, and since the
+  // cursor stays in its level-1 group no cascade is due — only the
+  // level-0 harvest below remains.
+  if (bitmap_[0] != 0 && far_.empty()) {
+    const auto pos = static_cast<unsigned>(cur_tick_ & kSlotMask);
+    const std::int64_t tick =
+        cur_tick_ + std::countr_zero(rotr64(bitmap_[0], pos));
+    if ((tick >> kLevelBits) == (cur_tick_ >> kLevelBits)) {
+      cur_tick_ = tick;
+      flush_bucket(0, static_cast<std::uint32_t>(tick & kSlotMask));
+      return;
+    }
   }
 
   // The earliest pending bound of each structure. Level 0 yields an exact
@@ -439,9 +445,10 @@ void Simulator::execute_top() {
   executing_slot_ = top.slot;
   executing_gen_ = top.gen;
   rearm_at_ns_ = kNoRearm;
-  // The Task leaves the slab before it runs, so a throwing callback (or one
-  // that churns the slab) cannot strand a half-dead record; the guard
-  // restores a consistent simulator on unwind.
+  // The Task runs in its slab slot. Chunks never move, so the record stays
+  // put while the callback schedules (and grows the slab); the kExecuting
+  // pin keeps alloc_slot() and cancel() off it; and if the callback
+  // throws, the guard frees the slot and restores a consistent simulator.
   struct ExecGuard {
     Simulator* sim;
     std::uint32_t slot;
@@ -454,13 +461,11 @@ void Simulator::execute_top() {
       }
     }
   } guard{this, top.slot};
-  Task task = std::move(rec.task);
-  task();
+  rec.task();
   guard.armed = false;
   if (rearm_at_ns_ != kNoRearm) {
-    // reschedule_after() on the running event: hand the Task back to the
-    // same slot (same generation — the caller's handle stays valid).
-    rec.task = std::move(task);
+    // reschedule_after() on the running event: refile the same slot (same
+    // generation — the caller's handle stays valid).
     rec.at_ns = rearm_at_ns_;
     rec.seq = next_seq_++;
     place(top.slot, rec);

@@ -129,9 +129,17 @@ class Simulator {
   bool cancel(EventId id);
 
   /// True if `id` names an event that is scheduled and not yet fired.
-  [[nodiscard]] bool is_scheduled(EventId id) const;
+  [[nodiscard]] bool is_scheduled(EventId id) const {
+    if (id.slot >= slab_size_) return false;
+    const Record& rec = record(id.slot);
+    return rec.gen == id.gen && rec.where != Where::kFree &&
+           rec.where != Where::kExecuting;
+  }
   /// True if `id` names the event whose callback is currently running.
-  [[nodiscard]] bool is_executing(EventId id) const;
+  [[nodiscard]] bool is_executing(EventId id) const {
+    return executing_slot_ == id.slot && executing_slot_ != kNil &&
+           executing_gen_ == id.gen;
+  }
 
   /// Run the single earliest pending event. Returns false if none pending.
   bool step();
@@ -264,7 +272,9 @@ class Simulator {
   void flush_bucket(int level, std::uint32_t bucket);
   [[nodiscard]] bool entry_live(const HeapEntry& e) const;
   void pop_heap_top(std::vector<HeapEntry>& heap);
-  void execute_top();
+  /// Kept out of line: its call count is the executed-event count a gprof
+  /// run reports per layer.
+  [[gnu::noinline]] void execute_top();
 
   // The due structure runs in one of two modes: a sorted array consumed
   // through due_head_ (how a bulk-harvested level-0 bucket drains — O(1)

@@ -44,17 +44,18 @@ void GuestVm::advance(std::uint64_t n) {
   instr_ += n;
   Task& task = run_queue_.front();
   task.remaining -= n;
-  if (task.remaining == 0) {
-    // Move the completion out before popping: it may enqueue tasks.
-    auto done = std::move(task.on_complete);
-    run_queue_.pop_front();
-    if (done) done();
-    ensure_runnable();
+  if (task.remaining != 0) return;
+  if (task.idle && only_task()) {
+    // A finished idle chunk alone in the queue: popping it and letting
+    // ensure_runnable() push a fresh one is exactly this reset.
+    task.remaining = kIdleChunkInstr;
+    return;
   }
-}
-
-bool GuestVm::is_idle() const {
-  return run_queue_.size() == 1 && run_queue_.front().idle;
+  // Move the completion out before popping: it may enqueue tasks.
+  auto done = std::move(task.on_complete);
+  run_queue_.pop_front();
+  if (done) done();
+  ensure_runnable();
 }
 
 void GuestVm::stage_handler(std::uint64_t cost, std::function<void()> body) {
@@ -96,8 +97,7 @@ void GuestVm::inject_disk_complete(std::uint64_t request_id) {
   });
 }
 
-void GuestVm::fire_due_timers() {
-  const std::int64_t now_ns = clock_().ns;
+void GuestVm::fire_due_timers(std::int64_t now_ns) {
   while (!timers_.empty() && timers_.begin()->first <= now_ns) {
     auto cb = std::move(timers_.begin()->second);
     timers_.erase(timers_.begin());

@@ -148,10 +148,10 @@ class GuestVm final : private GuestApi {
   void inject_net_packet(const net::Packet& pkt);
   void inject_disk_complete(std::uint64_t request_id);
 
-  /// Fire guest virtual-time timers that are due (called by the VMM at
-  /// guest-caused exits, where virtual time is well defined). Staged like
-  /// interrupt handlers.
-  void fire_due_timers();
+  /// Fire guest virtual-time timers due by `now_ns`, the guest clock at
+  /// this exit (called by the VMM at guest-caused exits, where virtual time
+  /// is well defined). Staged like interrupt handlers.
+  void fire_due_timers(std::int64_t now_ns);
 
   /// Pushes staged handlers onto the run queue (in injection order) — the
   /// VM entry. Must be called after inject_* / fire_due_timers.
@@ -159,10 +159,14 @@ class GuestVm final : private GuestApi {
 
   /// I/O operations emitted since the last drain.
   [[nodiscard]] std::vector<GuestIoOp> drain_io_ops();
+  /// Whether drain_io_ops() would return anything.
+  [[nodiscard]] bool has_io_ops() const { return !pending_io_.empty(); }
 
   /// True while the guest only runs its idle loop (used for the host load
   /// model, not for anything guest-visible).
-  [[nodiscard]] bool is_idle() const;
+  [[nodiscard]] bool is_idle() const {
+    return run_queue_.front().idle && only_task();
+  }
 
   [[nodiscard]] const GuestCounters& counters() const { return counters_; }
   [[nodiscard]] VmId id() const { return id_; }
@@ -203,6 +207,10 @@ class GuestVm final : private GuestApi {
 
   void stage_handler(std::uint64_t cost, std::function<void()> body);
   void ensure_runnable();
+  /// The run queue holds exactly one task (without deque::size()).
+  [[nodiscard]] bool only_task() const {
+    return &run_queue_.front() == &run_queue_.back();
+  }
 
   static constexpr std::uint64_t kIdleChunkInstr = 20'000;
   static constexpr std::uint64_t kIrqHandlerInstr = 2'000;

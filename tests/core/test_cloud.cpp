@@ -322,6 +322,35 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   EXPECT_EQ(ok.machine_count(), 1);
 }
 
+TEST(Cloud, GuestTemplateValidatedAtConstruction) {
+  // Under lazy wiring a GuestContext is built at a VM's first packet, so a
+  // bad guest template must be caught by the Cloud constructor instead.
+  CloudConfig cfg = stopwatch_config();
+  cfg.wiring = WiringMode::kLazy;
+  cfg.guest_template.timer_period = Duration{};
+  expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
+  cfg.guest_template.timer_period = Duration::micros(-4000);
+  expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
+
+  cfg = stopwatch_config();
+  cfg.wiring = WiringMode::kLazy;
+  cfg.guest_template.exit_interval_instr = 999;
+  expect_config_rejected(cfg, "CloudConfig.guest_template.exit_interval_instr");
+
+  cfg = stopwatch_config();
+  cfg.wiring = WiringMode::kLazy;
+  cfg.guest_template.initial_slope = 0.0;
+  expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
+  cfg.guest_template.initial_slope = -1.0;
+  expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
+
+  cfg = stopwatch_config();
+  cfg.wiring = WiringMode::kLazy;
+  cfg.guest_template.exit_interval_instr = 1'000;  // the smallest legal value
+  Cloud ok(cfg);
+  EXPECT_EQ(ok.machine_count(), 3);
+}
+
 TEST(Cloud, FiveReplicaCloudWorks) {
   CloudConfig cfg = stopwatch_config();
   cfg.machine_count = 5;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "hypervisor/machine.hpp"
 #include "sim/simulator.hpp"
 
@@ -128,6 +129,13 @@ TEST(GuestContext, VirtualTimeTracksInstructionsExactly) {
   h.sim.run_until(RealTime::millis(50));
   // base_ips 1e9 and slope 1.0 with zero overheads: virt == real.
   EXPECT_NEAR(static_cast<double>(h.ctx->virt_now().ns), 50e6, 2e5);
+}
+
+TEST(GuestContext, NonPositiveTimerPeriodRejected) {
+  // A zero PIT period would spin the injection loop at the first exit.
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.timer_period = Duration{};
+  EXPECT_THROW(Harness h(cfg), ContractViolation);
 }
 
 TEST(GuestContext, TimerTicksAt250HzVirtual) {
@@ -318,6 +326,62 @@ TEST(GuestContext, ThrottleStallsFastestReplica) {
   h.ctx->on_sync_beacon(b2);
   h.sim.run_until(RealTime::millis(40));
   EXPECT_GT(h.ctx->virt_now().ns, Duration::millis(10).ns);
+}
+
+net::SyncBeacon peer_beacon(std::uint32_t machine, std::int64_t virt_ns) {
+  net::SyncBeacon b;
+  b.vm = VmId{1};
+  b.machine = MachineId{machine};
+  b.virt = VirtTime{virt_ns};
+  return b;
+}
+
+TEST(GuestContext, StaleLowerBeaconDoesNotChangeThrottle) {
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.policy.stopwatch.max_replica_gap = Duration::millis(2);
+  Harness fresh(cfg);
+  Harness stale(cfg);
+  for (Harness* h : {&fresh, &stale}) {
+    h->start();
+    h->ctx->on_sync_beacon(peer_beacon(1, Duration::millis(50).ns));
+    h->ctx->on_sync_beacon(peer_beacon(2, Duration::millis(30).ns));
+    h->sim.run_until(RealTime::millis(10));
+  }
+  // Peer 1's older beacon arrives late: the peer is still known at 50 ms.
+  stale.ctx->on_sync_beacon(peer_beacon(1, Duration::millis(1).ns));
+  for (Harness* h : {&fresh, &stale}) h->sim.run_until(RealTime::millis(45));
+
+  // Measured against 30 ms the replica would have stalled near 32 ms.
+  EXPECT_EQ(stale.ctx->stats().throttle_stalls, 0u);
+  EXPECT_GT(stale.ctx->virt_now().ns, Duration::millis(40).ns);
+  EXPECT_EQ(stale.ctx->virt_now().ns, fresh.ctx->virt_now().ns);
+  EXPECT_EQ(stale.sim.events_executed(), fresh.sim.events_executed());
+}
+
+TEST(GuestContext, NegativeFirstBeaconCountsAsZero) {
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.policy.stopwatch.max_replica_gap = Duration::millis(2);
+  Harness negative(cfg);
+  Harness zero(cfg);
+  negative.start();
+  negative.ctx->on_sync_beacon(peer_beacon(1, -Duration::millis(5).ns));
+  negative.ctx->on_sync_beacon(peer_beacon(2, -Duration::millis(5).ns));
+  zero.start();
+  zero.ctx->on_sync_beacon(peer_beacon(1, 0));
+  zero.ctx->on_sync_beacon(peer_beacon(2, 0));
+
+  // A peer's first beacon lands on a default-0 entry: the lead is measured
+  // from 0, so nothing stalls before virt passes the 2 ms gap.
+  negative.sim.run_until(RealTime::millis(1));
+  EXPECT_EQ(negative.ctx->stats().throttle_stalls, 0u);
+  negative.sim.run_until(RealTime::millis(20));
+  zero.sim.run_until(RealTime::millis(20));
+  EXPECT_GT(negative.ctx->stats().throttle_stalls, 0u);
+  EXPECT_GT(negative.ctx->virt_now().ns, Duration::millis(2).ns);
+  EXPECT_LT(negative.ctx->virt_now().ns, Duration::millis(3).ns);
+  EXPECT_EQ(negative.ctx->virt_now().ns, zero.ctx->virt_now().ns);
+  EXPECT_EQ(negative.ctx->stats().throttle_stalls,
+            zero.ctx->stats().throttle_stalls);
 }
 
 TEST(GuestContext, EpochReportsEmittedAndClockRebased) {

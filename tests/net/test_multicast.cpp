@@ -117,6 +117,31 @@ TEST(Multicast, DuplicateFramesIgnored) {
   EXPECT_EQ(fx.received[fx.members[1].value].size(), 1u);
 }
 
+TEST(Multicast, NakRetransmitsOnlyInsideTransmitWindow) {
+  TrioFixture fx;
+  // 4100 messages: the 4096-message window now holds sequences 5..4100.
+  for (int i = 0; i < 4100; ++i) fx.multicast(0, static_cast<std::uint64_t>(i));
+  fx.sim.run();
+  ASSERT_EQ(fx.received[fx.members[1].value].size(), 4100u);
+  // Jittered links reorder the burst, so some NAKs have already been served.
+  const std::uint64_t base = fx.group.retransmissions();
+  const auto nak = [&fx](std::uint64_t begin, std::uint64_t end) {
+    Frame f;
+    f.src = fx.members[1];
+    f.dst = fx.members[0];
+    f.rm_group = 1;
+    f.payload = McastNak{1, fx.members[1], begin, end};
+    fx.group.on_frame(fx.members[0], f);
+    fx.sim.run();
+  };
+  nak(1, 6);  // 1..4 were evicted; only 5 is still held
+  EXPECT_EQ(fx.group.retransmissions(), base + 1);
+  nak(4098, 4105);  // 4098..4100 held; 4101.. never sent
+  EXPECT_EQ(fx.group.retransmissions(), base + 4);
+  // Retransmissions reach member 1 as duplicates and are dropped.
+  EXPECT_EQ(fx.received[fx.members[1].value].size(), 4100u);
+}
+
 TEST(Multicast, RejectsUnknownMember) {
   TrioFixture fx;
   Frame f;

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace stopwatch::sim {
@@ -98,6 +100,85 @@ TEST(EventCoreChurn, CancelHeavyHeapsCompact) {
   }
   EXPECT_EQ(fired, 200u * 50u);
   EXPECT_LE(sim.arena_slots(), 500u);
+}
+
+// Events run in their slab slot. A callback that throws must still leave
+// the simulator exact: its slot freed (captures destroyed), any re-arm it
+// issued revoked, its handle stale, and the rest of the queue runnable.
+TEST(EventCoreChurn, ThrowingCallbackLeavesSimulatorConsistent) {
+  Simulator sim;
+  std::vector<int> order;
+  auto witness = std::make_shared<int>(7);
+  sim.schedule_after(Duration::micros(1), [&order] { order.push_back(1); });
+  EventId thrower{};
+  thrower = sim.schedule_after(Duration::micros(2), [&sim, &thrower, witness] {
+    sim.reschedule_after(thrower, Duration::micros(5));
+    throw std::runtime_error("callback failed");
+  });
+  sim.schedule_after(Duration::micros(3), [&order] { order.push_back(3); });
+  sim.schedule_after(Duration::millis(400), [&order] { order.push_back(4); });
+  const std::size_t slots = sim.arena_slots();
+  EXPECT_EQ(witness.use_count(), 2);
+
+  ASSERT_TRUE(sim.step());
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(sim.now().ns, 2'000);
+  EXPECT_EQ(sim.pending(), 2u);  // the re-arm died with the callback
+  EXPECT_FALSE(sim.is_scheduled(thrower));
+  EXPECT_FALSE(sim.is_executing(thrower));
+  EXPECT_FALSE(sim.cancel(thrower));
+  EXPECT_EQ(witness.use_count(), 1);  // the Task's captures were destroyed
+
+  // The freed slot is the next one handed out, under a new generation.
+  const EventId next = sim.schedule_after(Duration::nanos(500),
+                                          [&order] { order.push_back(2); });
+  EXPECT_EQ(next.slot, thrower.slot);
+  EXPECT_NE(next.gen, thrower.gen);
+  EXPECT_EQ(sim.arena_slots(), slots);
+  EXPECT_FALSE(sim.cancel(thrower));
+  EXPECT_TRUE(sim.is_scheduled(next));
+  EXPECT_EQ(sim.pending(), 3u);
+
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// A running callback that grows the slab by a whole chunk and then re-arms
+// itself: its record and captures must survive the growth in place.
+TEST(EventCoreChurn, CallbackGrowingSlabReArmsWithCapturesIntact) {
+  struct Log {
+    EventId id;
+    std::vector<std::int64_t> fired_at;
+    std::vector<std::vector<int>> payloads;
+    std::vector<std::uint64_t> tags;
+    std::uint64_t spawned_fired{0};
+  } log;
+  Simulator sim;
+  const std::vector<int> payload{3, 1, 4, 1, 5, 9, 2, 6};
+  const std::uint64_t tag = 0xfeedface;
+  // 8 + 8 + 24 + 8 bytes of captures: the Task holds them inline.
+  log.id = sim.schedule_after(Duration::micros(20), [&sim, &log, payload, tag] {
+    log.fired_at.push_back(sim.now().ns);
+    log.payloads.push_back(payload);
+    log.tags.push_back(tag);
+    if (log.fired_at.size() > 1) return;
+    for (int i = 0; i < 300; ++i) {
+      sim.schedule_after(Duration::nanos(100 + i),
+                         [&log] { ++log.spawned_fired; });
+    }
+    sim.reschedule_after(log.id, Duration::micros(20));
+  });
+  sim.run();
+
+  EXPECT_EQ(sim.kernel_stats().arena_chunks, 2u);  // 301 slots > 256
+  EXPECT_EQ(log.spawned_fired, 300u);
+  EXPECT_EQ(log.fired_at, (std::vector<std::int64_t>{20'000, 40'000}));
+  ASSERT_EQ(log.payloads.size(), 2u);
+  for (const auto& p : log.payloads) EXPECT_EQ(p, payload);
+  EXPECT_EQ(log.tags, (std::vector<std::uint64_t>{tag, tag}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 302u);
 }
 
 }  // namespace

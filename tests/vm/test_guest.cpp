@@ -74,6 +74,48 @@ TEST(GuestVm, IdleGuestStillBurnsInstructions) {
   EXPECT_EQ(fx.guest->instr(), 100'000u);
 }
 
+TEST(GuestVm, IdleChunkResetsAtEveryBoundary) {
+  GuestFixture fx;
+  fx.guest->boot();
+  for (int i = 0; i < 1'000; ++i) {
+    ASSERT_EQ(fx.guest->instr_to_boundary(), 20'000u) << "chunk " << i;
+    ASSERT_TRUE(fx.guest->is_idle()) << "chunk " << i;
+    fx.guest->advance(20'000);
+  }
+  EXPECT_EQ(fx.guest->instr(), 20'000'000u);
+  EXPECT_EQ(fx.guest->instr_to_boundary(), 20'000u);
+  EXPECT_TRUE(fx.guest->is_idle());
+}
+
+TEST(GuestVm, ComputeAtBoundaryDropsFreshIdleChunk) {
+  GuestApi* api = nullptr;
+  GuestFixture fx([&api](GuestApi& a) { api = &a; });
+  fx.guest->boot();
+  fx.run(3 * 20'000);  // three whole idle chunks: a fresh one is queued
+  bool done = false;
+  api->compute(700, [&done] { done = true; });
+  EXPECT_FALSE(fx.guest->is_idle());
+  EXPECT_EQ(fx.guest->instr_to_boundary(), 700u);
+  fx.run(700);
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(fx.guest->is_idle());
+  EXPECT_EQ(fx.guest->instr_to_boundary(), 20'000u);
+}
+
+TEST(GuestVm, ComputeMidChunkKeepsPartialIdleChunk) {
+  GuestApi* api = nullptr;
+  GuestFixture fx([&api](GuestApi& a) { api = &a; });
+  fx.guest->boot();
+  fx.run(20'000 + 5'000);
+  bool done = false;
+  api->compute(700, [&done] { done = true; });
+  EXPECT_FALSE(fx.guest->is_idle());
+  EXPECT_EQ(fx.guest->instr_to_boundary(), 15'000u);  // idle chunk finishes
+  fx.run(15'000 + 700);
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(fx.guest->is_idle());
+}
+
 TEST(GuestVm, ComputeTaskCompletionFires) {
   bool done = false;
   GuestFixture fx([&done](GuestApi& api) {
@@ -176,19 +218,19 @@ TEST(GuestVm, VirtualTimersFireInOrder) {
   });
   fx.guest->boot();
   fx.run(5'000);  // virt +5us: nothing due
-  fx.guest->fire_due_timers();
+  fx.guest->fire_due_timers(fx.virt_ns);
   fx.guest->commit_injections();
   EXPECT_TRUE(fired.empty());
 
   fx.run(20'000);  // virt = 25us: first timer due
-  fx.guest->fire_due_timers();
+  fx.guest->fire_due_timers(fx.virt_ns);
   fx.guest->commit_injections();
   fx.run(2'000);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], 1);
 
   fx.run(40'000);  // virt past 50us
-  fx.guest->fire_due_timers();
+  fx.guest->fire_due_timers(fx.virt_ns);
   fx.guest->commit_injections();
   fx.run(2'000);
   ASSERT_EQ(fired.size(), 2u);
