@@ -124,8 +124,7 @@ inline TimingScenarioResult run_timing_scenario(
       [] { return std::make_unique<workload::AttackerProbeProgram>(); },
       attacker_machines);
 
-  const NodeId sink =
-      cloud.add_external_node("sink", [](const net::Packet&) {});
+  const NodeId sink = cloud.add_external_node([](const net::Packet&) {});
   core::VmHandle victim{};
   if (tc.victim_present) {
     workload::VictimServerProgram::Config vc;
@@ -144,8 +143,7 @@ inline TimingScenarioResult run_timing_scenario(
     cloud.machine(m).set_extra_load(tc.marginalize_load);
   }
 
-  workload::BackgroundBroadcaster bcast(cloud, "bcast",
-                                        cloud.vm_addr(attacker),
+  workload::BackgroundBroadcaster bcast(cloud, cloud.vm_addr(attacker),
                                         tc.broadcast_rate_hz, tc.seed ^ 0x55);
   cloud.start();
   bcast.start();
@@ -200,18 +198,6 @@ inline experiment::ParamSpec sim_shards_param() {
       "sim_shards", "simulator cores (output is byte-identical across values)",
       1.0, 1.0);
   return spec.with_int_range(1, 64);
-}
-
-/// A CloudConfig on `sim_shards` simulator cores. Lazy wiring plus an
-/// explicit activation set (the caller's Cloud::activate_sharded) takes
-/// the same code path whatever the shard count, so the report is
-/// byte-identical across sim_shards_param() values outside its
-/// `observability` block.
-inline core::CloudConfig sharded_cloud_config(int sim_shards) {
-  core::CloudConfig cfg;
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = sim_shards;
-  return cfg;
 }
 
 /// Observations needed to distinguish two measured series, per confidence.

@@ -29,8 +29,8 @@ Result run(const ScenarioContext& ctx) {
       "guest",
       [] { return std::make_unique<workload::AttackerProbeProgram>(); },
       {0, 1, 2});
-  workload::BackgroundBroadcaster bcast(cloud, "sender", cloud.vm_addr(vm),
-                                        ctx.param("broadcast_rate_hz"), 3);
+  workload::BackgroundBroadcaster bcast(
+      cloud, cloud.vm_addr(vm), ctx.param("broadcast_rate_hz"), 3);
   cloud.start();
   bcast.start();
   cloud.run_for(Duration::from_seconds_f(ctx.param("run_time_s")));

@@ -35,7 +35,7 @@ std::vector<double> run_series(core::Policy policy,
       "webserver",
       [] { return std::make_unique<workload::FileServerProgram>(); },
       {0, 1, 2});
-  FileDownloadClient client(cloud, "client", cloud.vm_addr(vm), proto);
+  FileDownloadClient client(cloud, cloud.vm_addr(vm), proto);
   cloud.start();
 
   std::vector<double> avg_ms;

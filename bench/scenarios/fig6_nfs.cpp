@@ -32,7 +32,8 @@ struct Row {
 
 Row run_nfs(core::Policy policy, double rate, double run_time_s,
             std::uint64_t seed, int sim_shards) {
-  core::CloudConfig cfg = sharded_cloud_config(sim_shards);
+  core::CloudConfig cfg;
+  cfg.sim_shards = sim_shards;
   cfg.seed = seed;
   cfg.policy = policy;
   cfg.machine_count = 3;
@@ -50,10 +51,9 @@ Row run_nfs(core::Policy policy, double rate, double run_time_s,
   const core::VmHandle vm = cloud.add_vm(
       "nfs", [] { return std::make_unique<workload::NfsServerProgram>(); },
       {0, 1, 2});
-  workload::NfsLoadGenerator gen(cloud, "nhfsstone", cloud.vm_addr(vm),
-                                 /*processes=*/5, rate,
-                                 workload::paper_nfs_mix(), seed ^ 0x9e37);
-  cloud.activate_sharded({vm});
+  workload::NfsLoadGenerator gen(cloud, cloud.vm_addr(vm), /*processes=*/5,
+                                 rate, workload::paper_nfs_mix(),
+                                 seed ^ 0x9e37);
   cloud.start();
   gen.start();
   cloud.run_for(Duration::seconds(run_time_s));

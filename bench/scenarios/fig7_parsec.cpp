@@ -33,7 +33,8 @@ AppResult run_app(const workload::ParsecAppSpec& spec, core::Policy policy,
   std::uint64_t disk_irqs = 0;
   obs::Snapshot last_obs;
   for (int run = 0; run < runs; ++run) {
-    core::CloudConfig cfg = sharded_cloud_config(sim_shards);
+    core::CloudConfig cfg;
+    cfg.sim_shards = sim_shards;
     cfg.seed = seed + static_cast<std::uint64_t>(run);
     cfg.policy = policy;
     cfg.machine_count = 3;
@@ -48,18 +49,16 @@ AppResult run_app(const workload::ParsecAppSpec& spec, core::Policy policy,
 
     bool done = false;
     RealTime finish{};
-    const NodeId collector =
-        cloud.add_external_node("collector", [&](const net::Packet&) {
-          done = true;
-          finish = cloud.simulator().now();
-        });
+    const NodeId collector = cloud.add_external_node([&](const net::Packet&) {
+      done = true;
+      finish = cloud.simulator().now();
+    });
     const core::VmHandle vm = cloud.add_vm(
         spec.name,
         [&spec, collector] {
           return std::make_unique<workload::ParsecProgram>(spec, collector, 1);
         },
         {0, 1, 2});
-    cloud.activate_sharded({vm});
     cloud.start();
     while (!done) cloud.run_for(Duration::millis(200));
     runtimes.push_back(finish.to_seconds() * 1e3);

@@ -53,7 +53,8 @@ constexpr std::size_t kReservoir = 8192;
 
 core::CloudConfig workload_cloud_config(core::Policy policy,
                                         std::uint64_t seed, int shards) {
-  core::CloudConfig cfg = sharded_cloud_config(shards);
+  core::CloudConfig cfg;
+  cfg.sim_shards = shards;
   cfg.seed = seed;
   cfg.policy = policy;
   cfg.machine_count = 3;
@@ -69,13 +70,11 @@ ObservationLog run_file(core::Policy policy, std::uint64_t seed, int trials,
       [] { return std::make_unique<workload::FileServerProgram>(); },
       {0, 1, 2});
   workload::FileDownloadClient client(
-      cloud, "leak-client", cloud.vm_addr(vm),
-      workload::FileDownloadClient::Protocol::kUdp);
+      cloud, cloud.vm_addr(vm), workload::FileDownloadClient::Protocol::kUdp);
 
   ObservationLog log(ObservationLogConfig{seed, kReservoir});
   TimingTap tap(cloud, vm, TimingTap::Mode::kTrialDuration, log);
   tap.set_series(series);
-  cloud.activate_sharded({vm});
   cloud.start();
 
   const std::uint32_t sizes[] = {24 << 10, 72 << 10, 144 << 10};
@@ -112,7 +111,6 @@ ObservationLog run_nfs(core::Policy policy, std::uint64_t seed,
   ObservationLog log(ObservationLogConfig{seed, kReservoir});
   TimingTap tap(cloud, vm, TimingTap::Mode::kInterRelease, log);
   tap.set_series(series);
-  cloud.activate_sharded({vm});
   cloud.start();
 
   const workload::NfsOp ops[] = {workload::NfsOp::kGetattr,
@@ -126,8 +124,8 @@ ObservationLog run_nfs(core::Policy policy, std::uint64_t seed,
     for (int c = 0; c < 3; ++c, ++window) {
       tap.set_secret_class(c);
       generators.push_back(std::make_unique<workload::NfsLoadGenerator>(
-          cloud, "leak-gen-" + std::to_string(window), cloud.vm_addr(vm),
-          /*processes=*/2, /*rate_per_second=*/120.0,
+          cloud, cloud.vm_addr(vm), /*processes=*/2,
+          /*rate_per_second=*/120.0,
           std::vector<workload::NfsMixEntry>{{ops[c], 1.0}},
           seed ^ (0x9e37ULL + static_cast<std::uint64_t>(window))));
       generators.back()->start(Duration::millis(20));
@@ -157,8 +155,8 @@ ObservationLog run_parsec(core::Policy policy, std::uint64_t seed, int trials,
                   static_cast<std::uint64_t>(c) + 1),
           shards));
       bool done = false;
-      const NodeId collector = cloud.add_external_node(
-          "collector", [&done](const net::Packet&) { done = true; });
+      const NodeId collector =
+          cloud.add_external_node([&done](const net::Packet&) { done = true; });
       const workload::ParsecAppSpec spec = apps[c];
       const auto run_id = static_cast<std::uint32_t>(t);
       const core::VmHandle vm = cloud.add_vm(
@@ -171,7 +169,6 @@ ObservationLog run_parsec(core::Policy policy, std::uint64_t seed, int trials,
       TimingTap tap(cloud, vm, TimingTap::Mode::kTrialDuration, log);
       tap.set_series(series);
       tap.begin_trial(c);
-      cloud.activate_sharded({vm});
       cloud.start();
       while (!done) cloud.run_for(Duration::millis(50));
       tap.end_trial();

@@ -3,7 +3,7 @@
 // placement_utilization reproduces Theorems 1 and 2 analytically; this
 // scenario actually *runs* the resulting cloud. It places Θ(n²) replica
 // sets (every triangle of a full-capacity Theorem 2 placement, 41,750 VMs
-// at n = 501) over the lazily wired sharded topology, drives a sampled
+// at n = 501) as cold registrations, activates and drives a sampled
 // subset of guests with real request traffic through the whole
 // ingress → replicated VMMs → median egress pipeline, and cross-checks the
 // structure the running cloud exhibits against the analytic numbers:
@@ -15,7 +15,7 @@
 //    sampled over the placement table vs computed exactly from machine
 //    occupancy (agreement within 25% relative error at the default 20k
 //    sampled pairs; the estimator's rel. sigma is ~5%);
-//  * scale: only driven VMs materialize replicas (lazy wiring), every
+//  * scale: only driven (activated) VMs materialize replicas, every
 //    driven replica runs on exactly its assigned machine, replicas stay
 //    deterministic, and the egress releases every echoed reply.
 #include <algorithm>
@@ -148,7 +148,8 @@ Result run(const ScenarioContext& ctx) {
                     rel_error <= 0.25 ? 1.0 : 0.0, "bool");
 
   // --- The cloud itself: register every placement, drive a sample ---
-  core::CloudConfig cfg = sharded_cloud_config(ctx.param_int("sim_shards"));
+  core::CloudConfig cfg;
+  cfg.sim_shards = ctx.param_int("sim_shards");
   cfg.seed = ctx.seed();
   cfg.policy = core::Policy::kStopWatch;
   cfg.replica_count = 3;
@@ -168,8 +169,8 @@ Result run(const ScenarioContext& ctx) {
   }
 
   std::map<std::uint32_t, long> replies_by_addr;
-  const NodeId client = cloud.add_external_node(
-      "client", [&replies_by_addr](const net::Packet& pkt) {
+  const NodeId client =
+      cloud.add_external_node([&replies_by_addr](const net::Packet& pkt) {
         ++replies_by_addr[pkt.src.value];
       });
 
@@ -183,9 +184,7 @@ Result run(const ScenarioContext& ctx) {
   }
 
   // Declare the driven sample the activation set and partition it across
-  // the configured simulator cores. Called for sim_shards = 1 too, so both
-  // shard counts take the same pre-materialization path and their reports
-  // stay byte-identical.
+  // the configured simulator cores; the other registrations stay cold.
   std::vector<core::VmHandle> driven_handles;
   driven_handles.reserve(driven.size());
   for (const std::size_t vm_index : driven) {
@@ -193,7 +192,7 @@ Result run(const ScenarioContext& ctx) {
   }
   {
     OBS_PROF_SCOPE("scenario.setup");
-    cloud.activate_sharded(driven_handles);
+    cloud.activate(driven_handles);
     cloud.start();
   }
 
@@ -262,7 +261,7 @@ Result run(const ScenarioContext& ctx) {
   result.add_metric("divergences",
                     static_cast<double>(cloud.total_divergences()), "events");
 
-  // --- Scale proof: lazy wiring only paid for the driven sample ---
+  // --- Scale proof: only the driven sample was wired ---
   auto& topo = cloud.topology();
   result.add_metric("materialized_vms",
                     static_cast<double>(topo.materialized_vm_count()), "VMs");

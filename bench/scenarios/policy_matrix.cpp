@@ -62,8 +62,7 @@ FileChannelRun run_file_channel(hypervisor::PolicyKind kind,
       [] { return std::make_unique<workload::FileServerProgram>(); },
       {0, 1, 2});
   workload::FileDownloadClient client(
-      cloud, "matrix-client", cloud.vm_addr(vm),
-      workload::FileDownloadClient::Protocol::kUdp);
+      cloud, cloud.vm_addr(vm), workload::FileDownloadClient::Protocol::kUdp);
 
   ObservationLog log(ObservationLogConfig{seed, /*reservoir_capacity=*/8192});
   TimingTap tap(cloud, vm, TimingTap::Mode::kTrialDuration, log);

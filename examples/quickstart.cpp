@@ -48,12 +48,12 @@ int main() {
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
 
   // An external client.
-  const NodeId client = cloud.add_external_node(
-      "client", [&cloud](const net::Packet& pkt) {
-        std::printf("[client] reply %llu received at real %.3f ms\n",
-                    static_cast<unsigned long long>(pkt.seq),
-                    cloud.simulator().now().to_millis());
-      });
+  const NodeId client = cloud.add_external_node([&cloud](
+                                                     const net::Packet& pkt) {
+    std::printf("[client] reply %llu received at real %.3f ms\n",
+                static_cast<unsigned long long>(pkt.seq),
+                cloud.simulator().now().to_millis());
+  });
 
   cloud.start();
   for (int i = 0; i < 3; ++i) {

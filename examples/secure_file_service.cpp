@@ -41,9 +41,9 @@ int main() {
       [] { return std::make_unique<workload::FileServerProgram>(); },
       {0, 1, 2});
 
-  FileDownloadClient tcp_client(cloud, "laptop-tcp", cloud.vm_addr(server),
+  FileDownloadClient tcp_client(cloud, cloud.vm_addr(server),
                                 FileDownloadClient::Protocol::kHttpTcp);
-  FileDownloadClient udp_client(cloud, "laptop-udp", cloud.vm_addr(server),
+  FileDownloadClient udp_client(cloud, cloud.vm_addr(server),
                                 FileDownloadClient::Protocol::kUdp);
   cloud.start();
 

@@ -31,8 +31,8 @@ void validate(const CloudConfig& cfg) {
   SW_EXPECTS_MSG(cfg.clock_offset_spread.ns >= 0,
                  "CloudConfig.clock_offset_spread must be >= 0 (got " +
                      std::to_string(cfg.clock_offset_spread.ns) + " ns)");
-  // The guest template reaches a GuestContext only when a VM is wired,
-  // which under lazy wiring is its first packet, partway through the run.
+  // The guest template reaches a GuestContext only when a VM is wired, at
+  // activation, after every add_vm.
   const hypervisor::GuestContextConfig& guest = cfg.guest_template;
   SW_EXPECTS_MSG(guest.exit_interval_instr >= 1'000,
                  "CloudConfig.guest_template.exit_interval_instr must be >= "
@@ -64,7 +64,6 @@ topology::TopologyConfig topology_config(const CloudConfig& cfg) {
   tc.replica_count = cfg.replica_count;
   tc.machine_count = cfg.machine_count;
   tc.shard_size = cfg.shard_size;
-  tc.wiring = cfg.wiring;
   tc.machine_template = cfg.machine_template;
   tc.guest_template = cfg.guest_template;
   tc.clock_offset_spread = cfg.clock_offset_spread;
@@ -81,8 +80,8 @@ Cloud::Cloud(CloudConfig cfg)
   validate(cfg_);
   net_.attach_sharded(sharded_);
   net_.set_default_link(cfg_.cloud_link);
-  topo_ = std::make_unique<topology::TopologyBuilder>(
-      sharded_.shard(0), net_, topology_config(cfg_));
+  topo_ = std::make_unique<topology::TopologyBuilder>(sharded_, net_,
+                                                     topology_config(cfg_));
   // Histograms exist up front (worker threads record into them); counters
   // are copied in at observability() time.
   net_.set_bytes_histogram(registry_.histogram("net.frame_bytes"));
@@ -122,7 +121,7 @@ VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
       topo_->add_vm(std::move(name), std::move(factory), machine_indices)};
 }
 
-NodeId Cloud::add_external_node(std::string /*name*/, PacketHandler on_packet) {
+NodeId Cloud::add_external_node(PacketHandler on_packet) {
   SW_EXPECTS(on_packet != nullptr);
   const NodeId id =
       net_.add_node([cb = std::move(on_packet)](const net::Frame& f) {
@@ -153,11 +152,20 @@ void Cloud::send_external(NodeId from, net::Packet pkt) {
 
 void Cloud::start() {
   SW_EXPECTS(!started_);
+  if (!activated_) {
+    std::vector<VmHandle> all(topo_->vm_count());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i].index = static_cast<std::uint32_t>(i);
+    }
+    activate(all);
+  }
   started_ = true;
   topo_->start();
 }
 
-void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
+void Cloud::activate(const std::vector<VmHandle>& driven) {
+  SW_EXPECTS(!activated_ && !started_);
+  activated_ = true;
   std::vector<std::uint32_t> indices;
   indices.reserve(driven.size());
   for (const VmHandle vm : driven) indices.push_back(vm.index);
@@ -170,7 +178,6 @@ void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
     groups.emplace_back(machines.begin(), machines.end());
   }
   topo_->attach_sharding(
-      sharded_,
       topology::ShardPlan::build(cfg_.sim_shards, cfg_.machine_count, groups),
       indices);
   // Egress + externals move off core 0 together: the builder re-homed the
@@ -218,12 +225,9 @@ void Cloud::run_for(Duration d) {
   OBS_PROF_SCOPE("cloud.run");
   SW_EXPECTS(started_);
   if (sharded_.shard_count() > 1) {
-    SW_EXPECTS_MSG(
-        topo_->shard_plan().shards() == sharded_.shard_count(),
-        "sim_shards > 1 requires activate_sharded() before run_for");
     // Conservative lookahead: every cross-shard frame takes at least the
     // network's minimum-latency floor — the uniform floor for any shard
-    // pair activate_sharded did not declare.
+    // pair activate did not declare.
     const Duration window = net_.min_latency_floor();
     SW_EXPECTS_MSG(window.ns > 0,
                    "shard-parallel run needs a positive lookahead window "

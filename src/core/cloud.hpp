@@ -17,12 +17,13 @@
 //     emission timing (Sec. VI) — and simultaneously verifies replica
 //     output determinism via content hashes.
 //
-// Wiring happens eagerly (the default: replicas exist from add_vm on) or
-// lazily (CloudConfig::wiring = WiringMode::kLazy: a VM's replicas,
-// multicast groups, and machine shards materialize on the first frame that
-// reaches its ingress address) — the mode placement-scale scenarios use to
-// register Θ(n²) VM placements over hundreds of machines and only pay for
-// the ones actually driven.
+// Every cloud takes one lifecycle: add_vm registers a cold placement
+// record; activate(vms) declares the activation set, partitions it across
+// the sim_shards cores, and wires it; start() boots the wired replicas;
+// run_for runs. A cloud that never calls activate gets every registered VM
+// activated by start(). Placement-scale scenarios register Θ(n²) VM
+// placements over hundreds of machines and only pay for the ones they
+// activate.
 //
 // Under the baseline-Xen policy the same topology runs unreplicated
 // guests on unmodified-Xen semantics (real clocks, immediate interrupt
@@ -65,7 +66,6 @@ using hypervisor::Policy;
 using hypervisor::PolicyConfig;
 using hypervisor::PolicyKind;
 using topology::EgressStats;
-using topology::WiringMode;
 
 struct CloudConfig {
   std::uint64_t seed{1};
@@ -79,9 +79,6 @@ struct CloudConfig {
   int machine_count{3};
   /// Machines per shard of the topology layer's machine table.
   int shard_size{64};
-  /// When VM replicas are wired: at add_vm (kEager) or on first ingress
-  /// traffic (kLazy).
-  WiringMode wiring{WiringMode::kEager};
   hypervisor::MachineConfig machine_template{};
   hypervisor::GuestContextConfig guest_template{};
   /// Intra-cloud links (machine <-> machine / ingress / egress).
@@ -90,9 +87,9 @@ struct CloudConfig {
   net::LinkModel client_link{Duration::millis(3), 0.20, 2.5e6, 0.0};
   /// Machine clock offsets drawn uniformly from [0, spread).
   Duration clock_offset_spread{Duration::millis(40)};
-  /// Simulator cores. 1 = the sequential kernel. >1 enables shard-parallel
-  /// execution once activate_sharded() partitions the active VMs across
-  /// cores; scenario output stays byte-identical to sim_shards=1.
+  /// Simulator cores. 1 = the sequential kernel. >1 runs shard-parallel:
+  /// activation partitions the active VMs across cores, and scenario
+  /// output stays byte-identical to sim_shards=1.
   int sim_shards{1};
 };
 
@@ -113,23 +110,22 @@ class Cloud {
 
   /// Adds a guest VM replicated across `machine_indices` (first
   /// `replica_count` entries used; baseline uses only the first). The
-  /// factory is invoked once per replica; all replicas receive the same
-  /// deterministic seed. Under lazy wiring the factory runs at
-  /// materialization instead of here.
+  /// factory is invoked once per replica, when the VM is activated; all
+  /// replicas receive the same deterministic seed.
   VmHandle add_vm(std::string name, ProgramFactory factory,
                   const std::vector<int>& machine_indices);
 
   /// Adds an external endpoint (client, collector...) reached over the
   /// client link model (one per-node link entry, not a per-VM fan-out).
-  /// `name` labels the endpoint at the call site; the fabric stores none.
-  NodeId add_external_node(std::string name, PacketHandler on_packet);
+  NodeId add_external_node(PacketHandler on_packet);
 
   /// Sends a packet from an external node (src is filled in).
   void send_external(NodeId from, net::Packet pkt);
 
-  /// Boots every wired VM, batched per machine shard: exchanges machine
+  /// Activates every registered VM if activate() was not called, then
+  /// boots every wired VM, batched per machine shard: exchanges machine
   /// clocks and starts each replica with the median as the initial virtual
-  /// time (Sec. IV-A). Lazily wired VMs boot at materialization instead.
+  /// time (Sec. IV-A).
   void start();
 
   /// Runs the simulation for `d` (of simulated real time).
@@ -138,17 +134,12 @@ class Cloud {
   /// Stops all guests (no further slices are scheduled).
   void halt_all();
 
-  /// Forces materialization of a lazily wired VM (idempotent).
-  void materialize(VmHandle vm) { topo_->materialize(vm.index); }
-
   /// Declares `driven` the activation set and partitions it across the
   /// configured sim_shards cores (whole shares-a-machine components per
-  /// core — see topology::ShardPlan), pre-wiring every listed VM in index
-  /// order and locking the set. Required before run_for when sim_shards >
-  /// 1; valid (and the same code path, so outputs stay comparable) when
-  /// sim_shards == 1. Requires WiringMode::kLazy and must run before
-  /// start().
-  void activate_sharded(const std::vector<VmHandle>& driven);
+  /// core — see topology::ShardPlan), wiring every listed VM in index
+  /// order. The only way a VM is wired: traffic reaching a VM outside the
+  /// set is a ContractViolation naming it. At most once, before start().
+  void activate(const std::vector<VmHandle>& driven);
 
   /// Installs (or clears) the egress release observer — the hook the
   /// leakage subsystem's TimingTap uses to record attacker-visible egress
@@ -163,8 +154,8 @@ class Cloud {
   // --- Introspection ---
 
   /// The driver core — the core owning every external node and the egress
-  /// gateway (shard 0 until activate_sharded moves them to the plan's
-  /// egress shard; always shard 0 unsharded). Client-side drivers
+  /// gateway (shard 0 until activate moves them to the plan's egress
+  /// shard; always shard 0 unsharded). Client-side drivers
   /// schedule here, which keeps external-node state single-core.
   [[nodiscard]] sim::Simulator& simulator() {
     return sharded_.shard(driver_shard_);
@@ -237,12 +228,13 @@ class Cloud {
   /// span construction. Null / unset when tracing is off.
   obs::TraceTrack* barrier_track_{nullptr};
   std::int64_t prev_barrier_ns_{-1};
-  /// External endpoints registered so far; activate_sharded re-homes them
-  /// (with the egress) onto the plan's egress shard.
+  /// External endpoints registered so far; activate re-homes them (with
+  /// the egress) onto the plan's egress shard.
   std::vector<NodeId> external_nodes_;
   /// Core that owns externals + egress — what simulator() returns. 0
-  /// until activate_sharded installs the plan's egress shard.
+  /// until activate installs the plan's egress shard.
   int driver_shard_{0};
+  bool activated_{false};
   bool started_{false};
 };
 

@@ -142,7 +142,7 @@ bool Network::send(Frame frame) {
   sim::Task deliver(
       [this, dst_id, f = std::make_unique<Frame>(std::move(frame))]() {
         // nodes_ is a deque precisely so this reference survives handlers
-        // that register new nodes mid-delivery (lazy replica wiring).
+        // that register new nodes mid-delivery.
         Node& d = node(dst_id);
         d.stats.frames_received += 1;
         d.stats.bytes_received += f->size_bytes;

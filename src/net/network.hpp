@@ -170,9 +170,9 @@ class Network {
   sim::Simulator* sim_;
   sim::ShardedSimulator* sharded_{nullptr};
   Rng rng_;
-  /// Deque, not vector: handlers may register new nodes mid-delivery (lazy
-  /// replica wiring materializes on first traffic), and a deque keeps the
-  /// executing node — and its handler — reference-stable through that.
+  /// Deque, not vector: handlers may register new nodes mid-delivery (a
+  /// machine shard first touched by a running scenario), and a deque keeps
+  /// the executing node — and its handler — reference-stable through that.
   std::deque<Node> nodes_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkModel> links_;
   std::map<std::uint32_t, LinkModel> node_links_;

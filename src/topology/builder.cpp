@@ -9,15 +9,15 @@
 
 namespace stopwatch::topology {
 
-TopologyBuilder::TopologyBuilder(sim::Simulator& sim, net::Network& net,
-                                 TopologyConfig cfg)
+TopologyBuilder::TopologyBuilder(sim::ShardedSimulator& sharded,
+                                 net::Network& net, TopologyConfig cfg)
     : cfg_(cfg),
       policy_(hypervisor::make_policy(cfg.policy)),
       trace_(obs::active_trace()),
-      sim_(&sim),
-      egress_core_(&sim),
+      sharded_(&sharded),
+      egress_core_(&sharded.shard(0)),
       net_(&net),
-      table_(sim, net,
+      table_(sharded.shard(0), net,
              MachineTableConfig{cfg.machine_count, cfg.shard_size, cfg.seed,
                                 cfg.machine_template, cfg.clock_offset_spread},
              [this](int machine, const net::Frame& f) {
@@ -25,9 +25,7 @@ TopologyBuilder::TopologyBuilder(sim::Simulator& sim, net::Network& net,
              }) {
   policy_->validate_replicas("TopologyConfig", cfg_.replica_count,
                              cfg_.machine_count);
-  // Eager mode reproduces the dense construction: machines (and their
-  // network nodes) exist up front, then the egress node.
-  if (cfg_.wiring == WiringMode::kEager) table_.materialize_all();
+  table_.set_sharding(sharded_, &plan_);
   egress_node_ =
       net_->add_node([this](const net::Frame& f) { on_egress_frame(f); });
   if (trace_ != nullptr) {
@@ -69,41 +67,30 @@ std::uint32_t TopologyBuilder::add_vm(std::string name, ProgramFactory factory,
   machines_.insert(machines_.end(), placed.begin(), placed.end());
 
   // The VM's logical address doubles as its ingress entry point. This is
-  // the only per-VM state a lazy registration pays for besides the record.
+  // the only per-VM state a registration pays for besides the record.
   entry.addr = net_->add_node(
       [this, vm_index](const net::Frame& f) { on_addr_frame(vm_index, f); });
   if (addr_to_vm_.size() <= entry.addr.value) {
     addr_to_vm_.resize(entry.addr.value + 1, kNoVm);
   }
   addr_to_vm_[entry.addr.value] = vm_index;
-
-  if (cfg_.wiring == WiringMode::kEager) wire(vm_index);
   return vm_index;
 }
 
 sim::Simulator& TopologyBuilder::core_of_machine(int machine) {
-  if (sharded_ == nullptr) return *sim_;
   return sharded_->shard(plan_.shard_of_machine(machine));
 }
 
 void TopologyBuilder::wire(std::uint32_t vm_index) {
   VmEntry& entry = vms_[vm_index];
   SW_ASSERT(!entry.wired);
-  SW_EXPECTS_MSG(!activation_locked_,
-                 "VM '" + entry.name +
-                     "' is outside the sharded activation set: traffic "
-                     "reached a VM that attach_sharding did not "
-                     "pre-materialize, and wiring it now would build "
-                     "machines from a worker thread mid-window");
   const std::span<const int> machines = vm_machines(vm_index);
-  if (sharded_ != nullptr) {
-    // The plan clusters a VM's machine triple into one component, so all
-    // replicas — and the synchronous machine calls between them — live on
-    // a single core.
-    const int owner = plan_.shard_of_machine(machines.front());
-    for (int m : machines) {
-      SW_ASSERT(plan_.shard_of_machine(m) == owner);
-    }
+  // The plan clusters a VM's machine triple into one component, so all
+  // replicas — and the synchronous machine calls between them — live on a
+  // single core.
+  const int owner = plan_.shard_of_machine(machines.front());
+  for (int m : machines) {
+    SW_ASSERT(plan_.shard_of_machine(m) == owner);
   }
   const int replicas = effective_replicas();
   const std::uint64_t det_seed =
@@ -211,7 +198,6 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
 
 void TopologyBuilder::boot(std::uint32_t vm_index) {
   VmEntry& entry = vms_[vm_index];
-  SW_ASSERT(entry.wired && !entry.booted);
   const std::span<const int> machines = vm_machines(vm_index);
   // Exchange of boot-time machine clocks; start = median (Sec. IV-A).
   std::vector<std::int64_t> clocks;
@@ -228,7 +214,6 @@ void TopologyBuilder::boot(std::uint32_t vm_index) {
                                 "boot", "virt_start",
                                 static_cast<std::uint64_t>(start.ns));
   }
-  entry.booted = true;
 }
 
 void TopologyBuilder::start() {
@@ -237,19 +222,16 @@ void TopologyBuilder::start() {
   // One boot batch per (owner core, machine shard): a shard of wired VMs
   // costs one simulator arena slot instead of one per VM, each boot thunk
   // a 16-byte capture riding the batch vector's storage, and each batch
-  // lands on the core that owns the booting replicas. Unsharded, the key
-  // degenerates to (0, table shard) — the seed batching, byte for byte.
+  // lands on the core that owns the booting replicas.
   std::map<std::pair<int, int>, std::vector<sim::Task>> batches;
   for (std::uint32_t i = 0; i < vms_.size(); ++i) {
-    if (!vms_[i].wired || vms_[i].booted) continue;
+    if (!vms_[i].wired) continue;
     const int machine = vm_machines(i).front();
-    const int owner = sharded_ != nullptr ? plan_.shard_of_machine(machine) : 0;
-    batches[{owner, table_.shard_of(machine)}].push_back(
-        [this, i] { boot(i); });
+    batches[{plan_.shard_of_machine(machine), table_.shard_of(machine)}]
+        .push_back([this, i] { boot(i); });
   }
   for (auto& [key, batch] : batches) {
-    sim::Simulator& core =
-        sharded_ != nullptr ? sharded_->shard(key.first) : *sim_;
+    sim::Simulator& core = sharded_->shard(key.first);
     core.schedule_batch(core.now(), std::move(batch));
   }
 }
@@ -261,47 +243,34 @@ void TopologyBuilder::halt_all() {
   }
 }
 
-void TopologyBuilder::materialize(std::uint32_t vm) {
-  SW_EXPECTS(vm < vms_.size());
-  VmEntry& entry = vms_[vm];
-  if (entry.wired) return;  // idempotent: replays never re-wire
-  wire(vm);
-  if (started_) boot(vm);
-}
-
 void TopologyBuilder::attach_sharding(
-    sim::ShardedSimulator& sharded, ShardPlan plan,
-    const std::vector<std::uint32_t>& active_vms) {
-  SW_EXPECTS_MSG(cfg_.wiring == WiringMode::kLazy,
-                 "attach_sharding requires WiringMode::kLazy: eager mode "
-                 "materializes every machine on one core in the constructor");
-  SW_EXPECTS(!started_ && !activation_locked_);
-  SW_EXPECTS_MSG(table_.materialized_machines() == 0,
-                 "attach_sharding must run before any machine materializes");
-  SW_EXPECTS_MSG(plan.shards() == sharded.shard_count(),
+    ShardPlan plan, const std::vector<std::uint32_t>& active_vms) {
+  SW_EXPECTS(!started_);
+  SW_EXPECTS_MSG(plan.shards() == sharded_->shard_count(),
                  "shard plan built for a different shard count");
-  sharded_ = &sharded;
+  // One core: a machine touched before activation (a scenario setting its
+  // extra load, say) already sits on the only core there is.
+  SW_EXPECTS_MSG(plan.shards() == 1 || table_.materialized_machines() == 0,
+                 "attach_sharding must run before any machine materializes");
   plan_ = std::move(plan);
-  table_.set_sharding(sharded_, &plan_);
   // The egress gateway leaves core 0: its node delivers — and its clock
   // reads and hold releases run — on the plan's egress shard.
   egress_core_ = &sharded_->shard(plan_.egress_shard());
   net_->set_node_owner(egress_node_, plan_.egress_shard());
 
   // Wire the activation set in index order — deterministic regardless of
-  // the order the caller discovered the VMs in — then lock it.
+  // the order the caller discovered the VMs in.
   std::vector<std::uint32_t> ordered(active_vms);
   std::sort(ordered.begin(), ordered.end());
   ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
   for (const std::uint32_t vm : ordered) {
     SW_EXPECTS(vm < vms_.size());
-    if (!vms_[vm].wired) wire(vm);
+    wire(vm);
     // The VM's ingress address delivers on the shard hosting its replicas,
     // keeping the whole ingress -> replicate -> deliver path one-core.
     net_->set_node_owner(vms_[vm].addr,
                          plan_.shard_of_machine(vm_machines(vm).front()));
   }
-  activation_locked_ = true;
   SW_EXPECTS_MSG(!egress_tap_ || sharded_->shard_count() == 1 ||
                      policy_->tunnels_output() || wired_vms_on_one_shard(),
                  "egress tap is not single-writer under this sharding: the "
@@ -324,8 +293,7 @@ bool TopologyBuilder::wired_vms_on_one_shard() const {
 }
 
 void TopologyBuilder::set_egress_tap(EgressTap tap) {
-  SW_EXPECTS_MSG(tap == nullptr || sharded_ == nullptr ||
-                     sharded_->shard_count() == 1 ||
+  SW_EXPECTS_MSG(tap == nullptr || sharded_->shard_count() == 1 ||
                      policy_->tunnels_output() || wired_vms_on_one_shard(),
                  "egress tap is not single-writer under this sharding: the "
                  "policy does not tunnel output, so replica sends fire the "
@@ -359,8 +327,7 @@ hypervisor::GuestContext& TopologyBuilder::replica(std::uint32_t vm, int r) {
   SW_EXPECTS(vm < vms_.size());
   SW_EXPECTS_MSG(vms_[vm].wired,
                  "VM '" + vms_[vm].name +
-                     "' is not materialized yet (lazy wiring: no traffic has "
-                     "reached it)");
+                     "' is not wired: it is outside the activation set");
   const auto& replicas = vms_[vm].wired->replicas;
   SW_EXPECTS(r >= 0 && r < static_cast<int>(replicas.size()));
   return *replicas[static_cast<std::size_t>(r)];
@@ -421,16 +388,11 @@ hypervisor::PolicyStats TopologyBuilder::aggregate_policy_stats() const {
 
 void TopologyBuilder::on_addr_frame(std::uint32_t vm_index,
                                     const net::Frame& frame) {
-  // Lazy wiring: the first frame reaching a VM's ingress address
-  // materializes its replicas (pre-start frames wire too — materialize()
-  // defers the boot to start() — so laziness never drops traffic an eager
-  // cloud would deliver). Replays find the entry wired and fall straight
-  // through to delivery.
-  if (!vms_[vm_index].wired && cfg_.wiring == WiringMode::kLazy) {
-    materialize(vm_index);
-  }
   VmEntry& entry = vms_[vm_index];
-  SW_ASSERT(entry.wired);  // eager clouds wire every VM in add_vm
+  SW_EXPECTS_MSG(entry.wired,
+                 "VM '" + entry.name +
+                     "' is outside the activation set: a frame reached its "
+                     "ingress address, but only activated VMs are wired");
   WiredVm& w = *entry.wired;
   if (w.ingress_group && frame.rm_group == w.ingress_group_id) {
     // NAKs of the ingress stream flow back to the (sender) ingress node.
@@ -445,7 +407,7 @@ void TopologyBuilder::on_addr_frame(std::uint32_t vm_index,
 void TopologyBuilder::on_ingress_packet(std::uint32_t vm_index,
                                         const net::Packet& pkt) {
   VmEntry& entry = vms_[vm_index];
-  SW_ASSERT(entry.wired);  // on_addr_frame materialized lazy entries
+  SW_ASSERT(entry.wired);  // on_addr_frame rejects unwired VMs
   WiredVm& w = *entry.wired;
   const int first_machine = vm_machines(vm_index).front();
   if (w.track != nullptr) {

@@ -3,21 +3,23 @@
 //
 // The TopologyBuilder owns the structure of the cloud: the sharded
 // MachineTable, the ingress/egress fabric, and one VmEntry per guest VM.
-// Two wiring modes govern when a VM's expensive parts — its control and
-// ingress multicast groups, its replica GuestContexts, its machines'
-// shards — come into existence:
+// Every VM goes through one lifecycle:
 //
-//  * WiringMode::kEager (the seed behaviour): everything is built inside
-//    add_vm and booted by start(). Boot events are batched per machine
-//    shard into single simulator entries (Simulator::schedule_batch).
-//  * WiringMode::kLazy: add_vm records only the placement (name, machine
-//    triple, program factory) and registers the VM's ingress address node;
-//    the first frame that arrives there materializes the wiring and boots
-//    the replicas at the median of their machines' clocks — exactly the
-//    Sec. IV-A boot rule, applied on demand. Registering Θ(n²) placements
-//    (376,251 VMs over n = 1503 machines) therefore costs O(VMs) compact
-//    records and zero scheduled events; only driven VMs ever pay for
-//    replicas.
+//  * add_vm records only the placement (name, machine triple, program
+//    factory) and registers the VM's ingress address node — an ~80 B cold
+//    record and zero scheduled events, so registering Θ(n²) placements
+//    (376,251 VMs over n = 1503 machines) costs O(VMs) compact records.
+//  * attach_sharding takes the activation set and the ShardPlan that
+//    assigns machines to simulator cores, and wires the listed VMs in
+//    index order: their multicast groups, replica GuestContexts, and the
+//    machine shards hosting them come into existence here, on the cores
+//    the plan assigns. This is the only step that wires a VM.
+//  * start() boots every wired VM at the median of its machines' clocks
+//    (Sec. IV-A), batched per (owner core, machine shard) into single
+//    simulator entries (Simulator::schedule_batch).
+//
+// A frame reaching a VM outside the activation set is a contract
+// violation naming that VM, at every shard count.
 //
 // Frame routing (ingress replication, reliable-multicast group dispatch,
 // median egress release) lives here too: it is placement-scale plumbing,
@@ -48,19 +50,12 @@
 
 namespace stopwatch::topology {
 
-/// When a VM's replicas, multicast groups, and machine shards are built.
-enum class WiringMode {
-  kEager,  ///< at add_vm (all tests/scenarios predating the topology layer)
-  kLazy,   ///< on the first frame reaching the VM's ingress address
-};
-
 struct TopologyConfig {
   std::uint64_t seed{1};
   hypervisor::PolicyConfig policy{};
   int replica_count{3};
   int machine_count{1};
   int shard_size{64};
-  WiringMode wiring{WiringMode::kEager};
   hypervisor::MachineConfig machine_template{};
   hypervisor::GuestContextConfig guest_template{};
   Duration clock_offset_spread{};
@@ -85,46 +80,40 @@ class TopologyBuilder {
   using EgressTap =
       std::function<void(std::uint32_t vm, RealTime when, const net::Packet&)>;
 
-  TopologyBuilder(sim::Simulator& sim, net::Network& net, TopologyConfig cfg);
+  /// Builds on `sharded`'s cores; until attach_sharding installs a plan,
+  /// the one-shard plan places everything on core 0.
+  TopologyBuilder(sim::ShardedSimulator& sharded, net::Network& net,
+                  TopologyConfig cfg);
 
   TopologyBuilder(const TopologyBuilder&) = delete;
   TopologyBuilder& operator=(const TopologyBuilder&) = delete;
 
   /// Registers a guest VM placed on the first effective_replicas() entries
-  /// of `machine_indices` (validated: in range, pairwise distinct). Under
-  /// kEager the replicas are wired immediately; under kLazy only the
-  /// placement is recorded. Returns the VM index.
+  /// of `machine_indices` (validated: in range, pairwise distinct). Only
+  /// the placement is recorded; attach_sharding wires it. Returns the VM
+  /// index.
   std::uint32_t add_vm(std::string name, ProgramFactory factory,
                        const std::vector<int>& machine_indices);
 
-  /// Boots every wired VM, batching boot callbacks per machine shard into
-  /// single simulator entries at the current time. Under kLazy,
-  /// still-unwired VMs boot later, at materialization.
+  /// Boots every wired VM, batching boot callbacks per (owner core, machine
+  /// shard) into single simulator entries at the current time.
   void start();
 
-  /// Halts every materialized replica.
+  /// Halts every wired replica.
   void halt_all();
 
-  /// Wires (and, once started, boots) the VM now. Idempotent: the first
-  /// call materializes, replays are no-ops — the property the lazy ingress
-  /// path relies on.
-  void materialize(std::uint32_t vm);
-
-  /// Switches the topology to shard-parallel execution: every machine (and
-  /// every VM whose replicas it hosts) is built on the simulator core the
-  /// plan assigns it, and the listed VMs — the activation set — are wired
-  /// up front, in index order. Afterwards the set is LOCKED: traffic
-  /// reaching a VM outside it would have to materialize machines from a
-  /// worker thread mid-window, so that path throws instead. The egress
-  /// gateway moves to the plan's egress_shard() — the least-loaded core,
-  /// never core 0 on a balanced multi-shard plan. Requires
-  /// WiringMode::kLazy with nothing materialized yet (eager mode builds
-  /// everything on one core in the constructor). An installed egress tap
-  /// is allowed across >1 shard iff it stays single-writer: the policy
-  /// tunnels output (the tap fires only on the egress core), or the whole
-  /// activation set lives on one shard (non-tunneled sends fire it only
-  /// from that core).
-  void attach_sharding(sim::ShardedSimulator& sharded, ShardPlan plan,
+  /// Installs `plan` and wires the activation set `active_vms`, in index
+  /// order. Every machine (and every VM whose replicas it hosts) is built
+  /// on the simulator core the plan assigns it, and each VM's ingress
+  /// address delivers on that core. The egress gateway moves to the plan's
+  /// egress_shard() — the least-loaded core, never core 0 on a balanced
+  /// multi-shard plan. Runs once, before start(). A plan over more than
+  /// one shard requires that no machine has materialized yet (it would sit
+  /// on core 0 whatever the plan says). An installed egress tap is allowed
+  /// across >1 shard iff it stays single-writer: the policy tunnels output
+  /// (the tap fires only on the egress core), or the whole activation set
+  /// lives on one shard (non-tunneled sends fire it only from that core).
+  void attach_sharding(ShardPlan plan,
                        const std::vector<std::uint32_t>& active_vms);
 
   /// Installs (or, with nullptr, removes) the egress release observer used
@@ -168,10 +157,10 @@ class TopologyBuilder {
   [[nodiscard]] bool materialized(std::uint32_t vm) const;
   [[nodiscard]] NodeId vm_addr(std::uint32_t vm) const;
   [[nodiscard]] std::span<const int> vm_machines(std::uint32_t vm) const;
-  /// Materialized replicas of `vm` (0 while lazily unwired).
+  /// Wired replicas of `vm` (0 outside the activation set).
   [[nodiscard]] int replicas_of(std::uint32_t vm) const;
   [[nodiscard]] hypervisor::GuestContext& replica(std::uint32_t vm, int r);
-  /// Egress counters of `vm` (all zero while lazily unwired).
+  /// Egress counters of `vm` (all zero while unwired).
   [[nodiscard]] const EgressStats& egress_stats(std::uint32_t vm) const;
   /// True if every pair of materialized replicas of `vm` agrees on the
   /// common prefix of emitted packet hashes (vacuously true while unwired).
@@ -183,8 +172,8 @@ class TopologyBuilder {
   /// instance and every materialized replica's instance.
   [[nodiscard]] hypervisor::PolicyStats aggregate_policy_stats() const;
   [[nodiscard]] const TopologyConfig& config() const { return cfg_; }
-  /// The machine-to-core assignment (trivial one-shard plan until
-  /// attach_sharding installs a real one).
+  /// The machine-to-core assignment (the one-shard plan until
+  /// attach_sharding installs the activation set's plan).
   [[nodiscard]] const ShardPlan& shard_plan() const { return plan_; }
 
  private:
@@ -221,13 +210,12 @@ class TopologyBuilder {
     std::string name;
     ProgramFactory factory;
     NodeId addr{};
-    bool booted{false};
     std::unique_ptr<WiredVm> wired;  ///< null until wire()
   };
 
   void wire(std::uint32_t vm_index);
   void boot(std::uint32_t vm_index);
-  /// The simulator core that owns `machine` (sim_ when unsharded).
+  /// The simulator core the plan assigns `machine`.
   [[nodiscard]] sim::Simulator& core_of_machine(int machine);
   /// True if every wired VM's replicas live on one shard — the condition
   /// under which a non-tunneling policy's egress tap stays single-writer.
@@ -249,16 +237,12 @@ class TopologyBuilder {
   /// Release-latency rollups (null = off); single-writer, see setter.
   obs::TimeSeries* egress_series_{nullptr};
   EgressTap egress_tap_;
-  sim::Simulator* sim_;
-  /// The core owning the egress gateway: sim_ until attach_sharding moves
-  /// it to the plan's egress shard. All egress-gate clock reads and hold
-  /// scheduling go through this core, never sim_ directly.
+  sim::ShardedSimulator* sharded_;
+  /// The core owning the egress gateway: core 0 until attach_sharding
+  /// moves it to the plan's egress shard. All egress-gate clock reads and
+  /// hold scheduling go through this core.
   sim::Simulator* egress_core_;
-  sim::ShardedSimulator* sharded_{nullptr};
   ShardPlan plan_;
-  /// Set by attach_sharding once the activation set is wired: any further
-  /// wire() is a contract violation (see attach_sharding).
-  bool activation_locked_{false};
   net::Network* net_;
   MachineTable table_;
   NodeId egress_node_{};

@@ -101,14 +101,6 @@ hypervisor::Machine& MachineTable::machine(int i) { return *slot(i).machine; }
 
 NodeId MachineTable::machine_node(int i) { return slot(i).node; }
 
-void MachineTable::materialize_all() {
-  for (int s = 0; s < shard_count(); ++s) {
-    if (!shards_[static_cast<std::size_t>(s)].materialized) {
-      materialize_shard(s);
-    }
-  }
-}
-
 bool MachineTable::machine_materialized(int i) const {
   SW_EXPECTS(i >= 0 && i < cfg_.machine_count);
   return shards_[static_cast<std::size_t>(i / cfg_.shard_size)].materialized;

@@ -70,9 +70,6 @@ class MachineTable {
   /// machine's configured offset).
   [[nodiscard]] Duration clock_offset(int i) const;
 
-  /// Eagerly materializes every shard (the dense construction mode).
-  void materialize_all();
-
   [[nodiscard]] bool machine_materialized(int i) const;
   [[nodiscard]] int materialized_shards() const { return materialized_shards_; }
   [[nodiscard]] int materialized_machines() const {

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,11 +18,10 @@ class ExternalHost final : public transport::TransportEnv {
  public:
   using PacketHandler = std::function<void(const net::Packet&)>;
 
-  ExternalHost(core::Cloud& cloud, std::string name) : cloud_(&cloud) {
-    addr_ = cloud_->add_external_node(
-        std::move(name), [this](const net::Packet& pkt) {
-          for (const auto& h : handlers_) h(pkt);
-        });
+  explicit ExternalHost(core::Cloud& cloud) : cloud_(&cloud) {
+    addr_ = cloud_->add_external_node([this](const net::Packet& pkt) {
+      for (const auto& h : handlers_) h(pkt);
+    });
   }
 
   ExternalHost(const ExternalHost&) = delete;

@@ -82,10 +82,10 @@ void FileServerProgram::serve_udp(NodeId peer, std::uint32_t flow,
   });
 }
 
-FileDownloadClient::FileDownloadClient(core::Cloud& cloud, std::string name,
+FileDownloadClient::FileDownloadClient(core::Cloud& cloud,
                                        NodeId server_addr, Protocol protocol)
     : cloud_(&cloud),
-      host_(cloud, std::move(name)),
+      host_(cloud),
       server_(server_addr),
       protocol_(protocol) {
   tcp_ = std::make_unique<transport::TcpEndpoint>(host_);

@@ -64,7 +64,7 @@ class FileDownloadClient {
  public:
   enum class Protocol { kHttpTcp, kUdp };
 
-  FileDownloadClient(core::Cloud& cloud, std::string name, NodeId server_addr,
+  FileDownloadClient(core::Cloud& cloud, NodeId server_addr,
                      Protocol protocol);
 
   /// Starts one download of `file_size` bytes; `done(latency)` fires on

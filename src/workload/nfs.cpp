@@ -103,13 +103,12 @@ void NfsServerProgram::handle(NodeId peer, std::uint32_t flow,
   });
 }
 
-NfsLoadGenerator::NfsLoadGenerator(core::Cloud& cloud, std::string name,
-                                   NodeId server, int processes,
-                                   double rate_per_second,
+NfsLoadGenerator::NfsLoadGenerator(core::Cloud& cloud, NodeId server,
+                                   int processes, double rate_per_second,
                                    std::vector<NfsMixEntry> mix,
                                    std::uint64_t seed)
     : cloud_(&cloud),
-      host_(cloud, std::move(name)),
+      host_(cloud),
       server_(server),
       processes_(processes),
       rate_per_second_(rate_per_second),

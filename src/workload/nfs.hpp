@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,9 +79,9 @@ class NfsServerProgram final : public vm::GuestProgram {
 /// external host, issuing ops open-loop at `rate_per_second` total.
 class NfsLoadGenerator {
  public:
-  NfsLoadGenerator(core::Cloud& cloud, std::string name, NodeId server,
-                   int processes, double rate_per_second,
-                   std::vector<NfsMixEntry> mix, std::uint64_t seed);
+  NfsLoadGenerator(core::Cloud& cloud, NodeId server, int processes,
+                   double rate_per_second, std::vector<NfsMixEntry> mix,
+                   std::uint64_t seed);
 
   /// Connects all processes, then begins issuing after `warmup`.
   void start(Duration warmup = Duration::millis(50));

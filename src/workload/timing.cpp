@@ -42,13 +42,11 @@ void VictimServerProgram::work_unit(std::int64_t burst_end_ns) {
 }
 
 BackgroundBroadcaster::BackgroundBroadcaster(core::Cloud& cloud,
-                                             std::string name, NodeId target,
-                                             double rate_hz,
+                                             NodeId target, double rate_hz,
                                              std::uint64_t seed)
     : cloud_(&cloud), target_(target), rate_hz_(rate_hz), rng_(seed) {
   SW_EXPECTS(rate_hz > 0.0);
-  self_ = cloud_->add_external_node(std::move(name),
-                                    [](const net::Packet&) {});
+  self_ = cloud_->add_external_node([](const net::Packet&) {});
 }
 
 void BackgroundBroadcaster::start() {

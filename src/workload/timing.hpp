@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,8 +87,8 @@ class VictimServerProgram final : public vm::GuestProgram {
 /// sub-millisecond, at `rate_hz` packets/s on average.
 class BackgroundBroadcaster {
  public:
-  BackgroundBroadcaster(core::Cloud& cloud, std::string name, NodeId target,
-                        double rate_hz, std::uint64_t seed);
+  BackgroundBroadcaster(core::Cloud& cloud, NodeId target, double rate_hz,
+                        std::uint64_t seed);
 
   void start();
 

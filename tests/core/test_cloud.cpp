@@ -59,8 +59,8 @@ EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
   EchoRun run;
-  const NodeId client = cloud.add_external_node(
-      "client", [&run, &cloud](const net::Packet& pkt) {
+  const NodeId client =
+      cloud.add_external_node([&run, &cloud](const net::Packet& pkt) {
         run.reply_times_ns.push_back(cloud.simulator().now().ns);
         run.reply_seqs.push_back(pkt.seq);
       });
@@ -136,8 +136,7 @@ TEST(Cloud, ReplicasObserveIdenticalVirtualDeliveryTimes) {
   const VmHandle vm = cloud.add_vm(
       "probe", [] { return std::make_unique<workload::AttackerProbeProgram>(); },
       {0, 1, 2});
-  workload::BackgroundBroadcaster bcast(cloud, "bcast", cloud.vm_addr(vm),
-                                        80.0, 5);
+  workload::BackgroundBroadcaster bcast(cloud, cloud.vm_addr(vm), 80.0, 5);
   cloud.start();
   bcast.start();
   cloud.run_for(Duration::seconds(5));
@@ -188,7 +187,7 @@ TEST(Cloud, EgressReleasesOnSecondCopy) {
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
   int client_received = 0;
   const NodeId client = cloud.add_external_node(
-      "client", [&](const net::Packet&) { ++client_received; });
+      [&](const net::Packet&) { ++client_received; });
   cloud.start();
   cloud.simulator().schedule_at(RealTime::millis(10), [&] {
     net::Packet req;
@@ -323,29 +322,25 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
 }
 
 TEST(Cloud, GuestTemplateValidatedAtConstruction) {
-  // Under lazy wiring a GuestContext is built at a VM's first packet, so a
-  // bad guest template must be caught by the Cloud constructor instead.
+  // A GuestContext is built only when a VM is activated, so a bad guest
+  // template must be caught by the Cloud constructor instead.
   CloudConfig cfg = stopwatch_config();
-  cfg.wiring = WiringMode::kLazy;
   cfg.guest_template.timer_period = Duration{};
   expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
   cfg.guest_template.timer_period = Duration::micros(-4000);
   expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
 
   cfg = stopwatch_config();
-  cfg.wiring = WiringMode::kLazy;
   cfg.guest_template.exit_interval_instr = 999;
   expect_config_rejected(cfg, "CloudConfig.guest_template.exit_interval_instr");
 
   cfg = stopwatch_config();
-  cfg.wiring = WiringMode::kLazy;
   cfg.guest_template.initial_slope = 0.0;
   expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
   cfg.guest_template.initial_slope = -1.0;
   expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
 
   cfg = stopwatch_config();
-  cfg.wiring = WiringMode::kLazy;
   cfg.guest_template.exit_interval_instr = 1'000;  // the smallest legal value
   Cloud ok(cfg);
   EXPECT_EQ(ok.machine_count(), 3);
@@ -361,7 +356,7 @@ TEST(Cloud, FiveReplicaCloudWorks) {
       {0, 1, 2, 3, 4});
   int received = 0;
   const NodeId client =
-      cloud.add_external_node("client", [&](const net::Packet&) { ++received; });
+      cloud.add_external_node([&](const net::Packet&) { ++received; });
   cloud.start();
   cloud.simulator().schedule_at(RealTime::millis(5), [&] {
     net::Packet req;

@@ -1,6 +1,6 @@
-// Shard-parallel Cloud execution: the sim_shards knob, the
-// activate_sharded activation-set contract, and end-to-end equivalence of
-// a sharded cloud against the sequential run of the same seed.
+// Shard-parallel Cloud execution: the sim_shards knob, the activation-set
+// contract, and end-to-end equivalence of a sharded cloud against the
+// sequential run of the same seed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -55,16 +55,16 @@ CloudConfig sharded_config(int shards, std::uint64_t seed = 42) {
   cfg.seed = seed;
   cfg.policy = Policy::kStopWatch;
   cfg.machine_count = 9;
-  cfg.wiring = WiringMode::kLazy;
   cfg.sim_shards = shards;
   return cfg;
 }
 
 /// Builds a 3-VM cloud on disjoint machine triples, drives each VM with
 /// `requests` echo requests, and returns (reply src addr, arrival ns)
-/// pairs in arrival order.
+/// pairs in arrival order. Without `explicit_activation`, start()
+/// activates every VM.
 std::vector<std::pair<std::uint32_t, std::int64_t>> run_echo_cloud(
-    const CloudConfig& cfg, int requests) {
+    const CloudConfig& cfg, int requests, bool explicit_activation = true) {
   Cloud cloud(cfg);
   std::vector<VmHandle> vms;
   for (int v = 0; v < 3; ++v) {
@@ -74,11 +74,11 @@ std::vector<std::pair<std::uint32_t, std::int64_t>> run_echo_cloud(
         {3 * v, 3 * v + 1, 3 * v + 2}));
   }
   std::vector<std::pair<std::uint32_t, std::int64_t>> replies;
-  const NodeId client = cloud.add_external_node(
-      "client", [&replies, &cloud](const net::Packet& pkt) {
+  const NodeId client =
+      cloud.add_external_node([&replies, &cloud](const net::Packet& pkt) {
         replies.emplace_back(pkt.src.value, cloud.simulator().now().ns);
       });
-  cloud.activate_sharded(vms);
+  if (explicit_activation) cloud.activate(vms);
   cloud.start();
   for (int v = 0; v < 3; ++v) {
     for (int i = 0; i < requests; ++i) {
@@ -103,9 +103,11 @@ std::vector<std::pair<std::uint32_t, std::int64_t>> run_echo_cloud(
 
 TEST(CloudSharded, FourShardsReproduceTheSequentialRunExactly) {
   const auto sequential = run_echo_cloud(sharded_config(1), 6);
-  const auto sharded = run_echo_cloud(sharded_config(4), 6);
   ASSERT_FALSE(sequential.empty());
-  EXPECT_EQ(sequential, sharded);
+  EXPECT_EQ(sequential, run_echo_cloud(sharded_config(4), 6));
+  // start() activating every VM takes the same path as activate().
+  EXPECT_EQ(sequential, run_echo_cloud(sharded_config(4), 6, false));
+  EXPECT_EQ(sequential, run_echo_cloud(sharded_config(1), 6, false));
 }
 
 TEST(CloudSharded, RepeatedShardedRunsAreIdentical) {
@@ -115,32 +117,59 @@ TEST(CloudSharded, RepeatedShardedRunsAreIdentical) {
   EXPECT_EQ(a, b);
 }
 
-TEST(CloudSharded, RunForRequiresActivationWhenSharded) {
-  Cloud cloud(sharded_config(2));
-  cloud.start();
-  EXPECT_THROW(cloud.run_for(Duration::millis(1)), ContractViolation);
+TEST(CloudSharded, TrafficOutsideTheActivationSetThrows) {
+  for (const int shards : {1, 2}) {
+    Cloud cloud(sharded_config(shards));
+    const VmHandle active = cloud.add_vm(
+        "active", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+    const VmHandle dormant = cloud.add_vm(
+        "dormant", [] { return std::make_unique<EchoProgram>(); }, {3, 4, 5});
+    const NodeId client = cloud.add_external_node([](const net::Packet&) {});
+    cloud.activate({active});
+    cloud.start();
+    // Only activation wires a VM, so a frame reaching the dormant VM's
+    // ingress throws, naming it; the sharded kernel rethrows on the
+    // driving thread.
+    net::Packet req;
+    req.dst = cloud.vm_addr(dormant);
+    req.kind = net::PacketKind::kRequest;
+    req.seq = 1;
+    req.size_bytes = 80;
+    cloud.send_external(client, req);
+    try {
+      cloud.run_for(Duration::millis(50));
+      ADD_FAILURE() << "traffic to an unwired VM was not rejected, shards "
+                    << shards;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("dormant"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-TEST(CloudSharded, TrafficOutsideTheActivationSetThrows) {
-  Cloud cloud(sharded_config(2));
-  const VmHandle active = cloud.add_vm(
-      "active", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
-  const VmHandle dormant = cloud.add_vm(
-      "dormant", [] { return std::make_unique<EchoProgram>(); }, {3, 4, 5});
-  const NodeId client =
-      cloud.add_external_node("client", [](const net::Packet&) {});
-  cloud.activate_sharded({active});
-  cloud.start();
-  // A frame reaching the dormant VM's ingress would have to wire it from a
-  // worker thread mid-window; the activation-set contract throws instead,
-  // and the sharded kernel rethrows on the driving thread.
-  net::Packet req;
-  req.dst = cloud.vm_addr(dormant);
-  req.kind = net::PacketKind::kRequest;
-  req.seq = 1;
-  req.size_bytes = 80;
-  cloud.send_external(client, req);
-  EXPECT_THROW(cloud.run_for(Duration::millis(50)), ContractViolation);
+TEST(CloudSharded, MachineTouchedBeforeActivationOnlyAllowedOnOneCore) {
+  // A scenario may load a machine before start(); with one core that
+  // machine already sits where the plan puts it, with more it may not.
+  for (const int shards : {1, 2}) {
+    Cloud cloud(sharded_config(shards));
+    const VmHandle vm = cloud.add_vm(
+        "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+    cloud.machine(0).set_extra_load(0.5);
+    if (shards == 1) {
+      cloud.activate({vm});
+      EXPECT_EQ(cloud.replicas_of(vm), 3);
+      continue;
+    }
+    try {
+      cloud.activate({vm});
+      ADD_FAILURE() << "activation after a machine materialized";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "must run before any machine materializes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CloudSharded, GuestTrafficBetweenWorkerShardsNamesTheFallback) {
@@ -157,7 +186,7 @@ TEST(CloudSharded, GuestTrafficBetweenWorkerShardsNamesTheFallback) {
   const VmHandle a = cloud.add_vm(
       "a", [b_addr] { return std::make_unique<PeerSenderProgram>(b_addr); },
       {0});
-  cloud.activate_sharded({a, b});
+  cloud.activate({a, b});
   const auto& plan = cloud.topology().shard_plan();
   ASSERT_NE(plan.shard_of_machine(0), plan.shard_of_machine(1));
   ASSERT_NE(plan.shard_of_machine(1), plan.egress_shard());
@@ -177,7 +206,7 @@ TEST(CloudSharded, TunnelingPolicyTapAllowedAcrossShards) {
   Cloud cloud(sharded_config(2));
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
-  cloud.activate_sharded({vm});
+  cloud.activate({vm});
   cloud.set_egress_tap([](std::uint32_t, RealTime, const net::Packet&) {});
   EXPECT_TRUE(cloud.has_egress_tap());
 }
@@ -192,7 +221,7 @@ TEST(CloudSharded, NonTunnelingTapRejectedWhenVmsSpanShards) {
       "a", [] { return std::make_unique<EchoProgram>(); }, {0});
   const VmHandle b = cloud.add_vm(
       "b", [] { return std::make_unique<EchoProgram>(); }, {1});
-  cloud.activate_sharded({a, b});
+  cloud.activate({a, b});
   EXPECT_THROW(
       cloud.set_egress_tap([](std::uint32_t, RealTime, const net::Packet&) {}),
       ContractViolation);
@@ -207,7 +236,7 @@ TEST(CloudSharded, NonTunnelingTapPreinstalledRejectedAtActivation) {
       "a", [] { return std::make_unique<EchoProgram>(); }, {0});
   const VmHandle b = cloud.add_vm(
       "b", [] { return std::make_unique<EchoProgram>(); }, {1});
-  EXPECT_THROW(cloud.activate_sharded({a, b}), ContractViolation);
+  EXPECT_THROW(cloud.activate({a, b}), ContractViolation);
 }
 
 TEST(CloudSharded, NonTunnelingTapAllowedWhenActiveSetSharesAShard) {
@@ -218,18 +247,17 @@ TEST(CloudSharded, NonTunnelingTapAllowedWhenActiveSetSharesAShard) {
   Cloud cloud(cfg);
   const VmHandle a = cloud.add_vm(
       "a", [] { return std::make_unique<EchoProgram>(); }, {0});
-  cloud.activate_sharded({a});
+  cloud.activate({a});
   cloud.set_egress_tap([](std::uint32_t, RealTime, const net::Packet&) {});
   EXPECT_TRUE(cloud.has_egress_tap());
 }
 
 TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   Cloud cloud(sharded_config(2));
-  const NodeId client =
-      cloud.add_external_node("client", [](const net::Packet&) {});
+  const NodeId client = cloud.add_external_node([](const net::Packet&) {});
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
-  cloud.activate_sharded({vm});
+  cloud.activate({vm});
   const int egress = cloud.topology().shard_plan().egress_shard();
   EXPECT_GT(egress, 0);  // the single component fills shard 0
   EXPECT_EQ(cloud.network().node_owner(cloud.egress_node()), egress);
@@ -237,8 +265,7 @@ TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   // The driver core follows: external scheduling stays on the owner core.
   EXPECT_EQ(&cloud.simulator(), &cloud.sharded().shard(egress));
   // Externals registered after activation land there directly too.
-  const NodeId late =
-      cloud.add_external_node("late", [](const net::Packet&) {});
+  const NodeId late = cloud.add_external_node([](const net::Packet&) {});
   EXPECT_EQ(cloud.network().node_owner(late), egress);
 }
 

@@ -38,8 +38,7 @@ TEST(PlacementIntegration, Theorem2CloudRunsAllVms) {
   std::vector<std::unique_ptr<workload::BackgroundBroadcaster>> casts;
   for (int i = 0; i < 4; ++i) {
     casts.push_back(std::make_unique<workload::BackgroundBroadcaster>(
-        cloud, "bcast" + std::to_string(i),
-        cloud.vm_addr(vms[static_cast<std::size_t>(i)]), 40.0,
+        cloud, cloud.vm_addr(vms[static_cast<std::size_t>(i)]), 40.0,
         static_cast<std::uint64_t>(100 + i)));
   }
   cloud.start();

@@ -26,8 +26,8 @@ RunResult run_probe_cloud(CloudConfig cfg, int replicas_used,
   const VmHandle vm = cloud.add_vm(
       "probe", [] { return std::make_unique<workload::AttackerProbeProgram>(); },
       machines);
-  workload::BackgroundBroadcaster bcast(cloud, "bcast", cloud.vm_addr(vm),
-                                        60.0, cfg.seed ^ 0xAA);
+  workload::BackgroundBroadcaster bcast(cloud, cloud.vm_addr(vm), 60.0,
+                                        cfg.seed ^ 0xAA);
   cloud.start();
   bcast.start();
   cloud.run_for(run_time);

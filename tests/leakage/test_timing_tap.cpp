@@ -64,7 +64,7 @@ struct TapFixture {
           cfg.machine_count = 3;
           return cfg;
         }()) {
-    sink = cloud.add_external_node("sink", [](const net::Packet&) {});
+    sink = cloud.add_external_node([](const net::Packet&) {});
     const NodeId sink_copy = sink;
     vm = cloud.add_vm(
         "beacon",

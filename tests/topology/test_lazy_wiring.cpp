@@ -1,9 +1,6 @@
-// Lazy replica wiring: a VM registered under WiringMode::kLazy costs one
-// ingress address node until the first frame reaches it; that frame
-// materializes the multicast groups and replica GuestContexts exactly once
-// (replays never re-wire), boots the replicas at the median of their
-// machines' clocks, and the packet itself is still delivered — the guest
-// echoes it like an eagerly wired one would.
+// Cold registration and activation: a registered VM costs one ingress
+// address node and a cold record until Cloud::activate wires it, and
+// activation builds only the machine shards hosting the activated VMs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,23 +36,10 @@ CloudConfig lazy_config(std::uint64_t seed = 11) {
   cfg.policy = Policy::kStopWatch;
   cfg.machine_count = 9;
   cfg.shard_size = 4;
-  cfg.wiring = WiringMode::kLazy;
   return cfg;
 }
 
-void send_request(Cloud& cloud, NodeId client, VmHandle vm, std::uint64_t seq,
-                  Duration at) {
-  cloud.simulator().schedule_at(RealTime{} + at, [&cloud, client, vm, seq] {
-    net::Packet req;
-    req.dst = cloud.vm_addr(vm);
-    req.kind = net::PacketKind::kRequest;
-    req.seq = seq;
-    req.size_bytes = 80;
-    cloud.send_external(client, req);
-  });
-}
-
-TEST(LazyWiring, FirstPacketWiresOnceAndRepliesFlow) {
+TEST(LazyWiring, ActivationBuildsOnlyTheActivatedVmsShards) {
   Cloud cloud(lazy_config());
   const VmHandle a = cloud.add_vm(
       "a", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
@@ -66,26 +50,13 @@ TEST(LazyWiring, FirstPacketWiresOnceAndRepliesFlow) {
 
   std::vector<std::uint64_t> replies;
   const NodeId client = cloud.add_external_node(
-      "client", [&](const net::Packet& pkt) { replies.push_back(pkt.seq); });
+      [&](const net::Packet& pkt) { replies.push_back(pkt.seq); });
 
-  cloud.start();
-  // Nothing materialized at start: no replicas, no machine shards beyond
-  // what eager mode would have forced.
+  // Registration wires nothing and builds no machine.
   EXPECT_EQ(cloud.topology().materialized_vm_count(), 0u);
   EXPECT_EQ(cloud.topology().machines().materialized_machines(), 0);
-  EXPECT_EQ(cloud.replicas_of(a), 0);
-  EXPECT_FALSE(cloud.vm_materialized(a));
-
-  // Drive VM a with several packets; b and untouched get none.
-  for (int i = 0; i < 10; ++i) {
-    send_request(cloud, client, a, static_cast<std::uint64_t>(i),
-                 Duration::millis(20 * (i + 1)));
-  }
-  cloud.run_for(Duration::seconds(2));
-
-  // Exactly one VM wired, by its first packet; replays did not re-wire
-  // (re-wiring would re-run the factory and reset guest state, so replies
-  // past the first would restart their sequence).
+  cloud.activate({a});
+  cloud.start();
   EXPECT_TRUE(cloud.vm_materialized(a));
   EXPECT_FALSE(cloud.vm_materialized(b));
   EXPECT_FALSE(cloud.vm_materialized(untouched));
@@ -93,14 +64,26 @@ TEST(LazyWiring, FirstPacketWiresOnceAndRepliesFlow) {
   EXPECT_EQ(cloud.replicas_of(a), 3);
   EXPECT_EQ(cloud.replicas_of(b), 0);
 
+  for (int i = 0; i < 10; ++i) {
+    cloud.simulator().schedule_at(
+        RealTime::millis(20 * (i + 1)), [&cloud, client, a, i] {
+          net::Packet req;
+          req.dst = cloud.vm_addr(a);
+          req.kind = net::PacketKind::kRequest;
+          req.seq = static_cast<std::uint64_t>(i);
+          req.size_bytes = 80;
+          cloud.send_external(client, req);
+        });
+  }
+  cloud.run_for(Duration::seconds(2));
   ASSERT_EQ(replies.size(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(replies[i], i);
   EXPECT_EQ(cloud.egress_stats(a).packets_released, 10u);
   EXPECT_TRUE(cloud.replicas_deterministic(a));
   EXPECT_EQ(cloud.total_divergences(), 0u);
 
-  // Only the shards hosting a's machines {0,1,2} materialized: shard 0 of
-  // the size-4 sharding. The untouched VMs' machines stayed un-built.
+  // Only the shard hosting a's machines {0,1,2} materialized: shard 0 of
+  // the size-4 sharding. The other VMs' machines stayed un-built.
   EXPECT_EQ(cloud.topology().machines().materialized_machines(), 4);
 
   // Introspecting an unwired VM's replicas is a contract violation that
@@ -111,74 +94,6 @@ TEST(LazyWiring, FirstPacketWiresOnceAndRepliesFlow) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("untouched"), std::string::npos);
   }
-}
-
-TEST(LazyWiring, MaterializeIsIdempotentAndExplicit) {
-  Cloud cloud(lazy_config(5));
-  const VmHandle vm = cloud.add_vm(
-      "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
-  // Explicit materialization before start wires but defers boot to start().
-  cloud.materialize(vm);
-  EXPECT_TRUE(cloud.vm_materialized(vm));
-  EXPECT_EQ(cloud.replicas_of(vm), 3);
-  cloud.materialize(vm);  // replay: no re-wire
-  EXPECT_EQ(cloud.topology().materialized_vm_count(), 1u);
-
-  int received = 0;
-  const NodeId client = cloud.add_external_node(
-      "client", [&](const net::Packet&) { ++received; });
-  cloud.start();
-  send_request(cloud, client, vm, 1, Duration::millis(10));
-  cloud.run_for(Duration::seconds(1));
-  EXPECT_EQ(received, 1);
-  EXPECT_GT(cloud.replica(vm, 0).instr(), 0u);
-}
-
-TEST(LazyWiring, LazyEchoMatchesEagerSemantics) {
-  // The same traffic through a lazy and an eager cloud produces the same
-  // application-level outcome (every request echoed exactly once, replicas
-  // deterministic) — laziness changes construction cost, not behaviour.
-  for (const WiringMode mode : {WiringMode::kEager, WiringMode::kLazy}) {
-    CloudConfig cfg = lazy_config(21);
-    cfg.wiring = mode;
-    Cloud cloud(cfg);
-    const VmHandle vm = cloud.add_vm(
-        "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 4, 8});
-    std::vector<std::uint64_t> replies;
-    const NodeId client = cloud.add_external_node(
-        "client", [&](const net::Packet& pkt) { replies.push_back(pkt.seq); });
-    cloud.start();
-    for (int i = 0; i < 6; ++i) {
-      send_request(cloud, client, vm, static_cast<std::uint64_t>(i),
-                   Duration::millis(30 * (i + 1)));
-    }
-    cloud.run_for(Duration::seconds(2));
-    ASSERT_EQ(replies.size(), 6u) << "mode " << static_cast<int>(mode);
-    for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(replies[i], i);
-    EXPECT_TRUE(cloud.replicas_deterministic(vm));
-    EXPECT_EQ(cloud.total_divergences(), 0u);
-    // VM machines {0,4,8} span all three size-4 shards under lazy wiring.
-    if (mode == WiringMode::kLazy) {
-      EXPECT_EQ(cloud.topology().machines().materialized_machines(), 9);
-    }
-  }
-}
-
-TEST(LazyWiring, BaselinePolicyMaterializesOnFirstDirectPacket) {
-  CloudConfig cfg = lazy_config(3);
-  cfg.policy = Policy::kBaselineXen;
-  Cloud cloud(cfg);
-  const VmHandle vm = cloud.add_vm(
-      "echo", [] { return std::make_unique<EchoProgram>(); }, {2});
-  int received = 0;
-  const NodeId client = cloud.add_external_node(
-      "client", [&](const net::Packet&) { ++received; });
-  cloud.start();
-  EXPECT_EQ(cloud.replicas_of(vm), 0);
-  send_request(cloud, client, vm, 0, Duration::millis(5));
-  cloud.run_for(Duration::seconds(1));
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(cloud.replicas_of(vm), 1);  // baseline: single replica
 }
 
 TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
@@ -219,16 +134,19 @@ TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
 TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
   // A direct guest packet reaching a machine is routed by its destination
   // address. Addresses that are not VM ingress nodes (the egress, an
-  // external endpoint, an id past every node) and a VM that is not wired
-  // yet all drop the packet without throwing or wiring anything.
+  // external endpoint, an id past every node) and a VM outside the
+  // activation set all drop the packet without throwing or wiring anything.
   CloudConfig cfg = lazy_config(3);
   cfg.policy = Policy::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {2});
+  const VmHandle active = cloud.add_vm(
+      "active", [] { return std::make_unique<EchoProgram>(); }, {3});
   int received = 0;
-  const NodeId client = cloud.add_external_node(
-      "client", [&](const net::Packet&) { ++received; });
+  const NodeId client =
+      cloud.add_external_node([&](const net::Packet&) { ++received; });
+  cloud.activate({active});
   cloud.start();
   const NodeId machine = cloud.topology().machines().machine_node(2);
   for (const NodeId dst : {cloud.egress_node(), client, NodeId{1u << 20},
@@ -249,7 +167,7 @@ TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
   EXPECT_EQ(cloud.network().stats(machine).frames_received, 4u);
   EXPECT_EQ(received, 0);
   EXPECT_EQ(cloud.replicas_of(vm), 0);
-  EXPECT_EQ(cloud.topology().materialized_vm_count(), 0u);
+  EXPECT_EQ(cloud.topology().materialized_vm_count(), 1u);
 }
 
 }  // namespace

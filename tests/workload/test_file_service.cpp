@@ -47,9 +47,9 @@ TEST_P(DownloadSizeTest, CompletesUnderBothProtocolsAndPolicies) {
   const auto [policy_int, size] = GetParam();
   const auto policy = static_cast<core::Policy>(policy_int);
   ServiceFixture fx(policy);
-  FileDownloadClient tcp(fx.cloud, "tcp-client", fx.cloud.vm_addr(fx.server),
+  FileDownloadClient tcp(fx.cloud, fx.cloud.vm_addr(fx.server),
                          FileDownloadClient::Protocol::kHttpTcp);
-  FileDownloadClient udp(fx.cloud, "udp-client", fx.cloud.vm_addr(fx.server),
+  FileDownloadClient udp(fx.cloud, fx.cloud.vm_addr(fx.server),
                          FileDownloadClient::Protocol::kUdp);
   fx.cloud.start();
   const double tcp_ms = fx.download_ms(tcp, size);
@@ -70,9 +70,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FileService, StopWatchHttpSlowerThanBaseline) {
   ServiceFixture base(core::Policy::kBaselineXen);
   ServiceFixture sw(core::Policy::kStopWatch);
-  FileDownloadClient cb(base.cloud, "c", base.cloud.vm_addr(base.server),
+  FileDownloadClient cb(base.cloud, base.cloud.vm_addr(base.server),
                         FileDownloadClient::Protocol::kHttpTcp);
-  FileDownloadClient cs(sw.cloud, "c", sw.cloud.vm_addr(sw.server),
+  FileDownloadClient cs(sw.cloud, sw.cloud.vm_addr(sw.server),
                         FileDownloadClient::Protocol::kHttpTcp);
   base.cloud.start();
   sw.cloud.start();
@@ -85,9 +85,9 @@ TEST(FileService, StopWatchHttpSlowerThanBaseline) {
 TEST(FileService, UdpNarrowsTheGapOnLargeFiles) {
   ServiceFixture base(core::Policy::kBaselineXen);
   ServiceFixture sw(core::Policy::kStopWatch);
-  FileDownloadClient cb(base.cloud, "c", base.cloud.vm_addr(base.server),
+  FileDownloadClient cb(base.cloud, base.cloud.vm_addr(base.server),
                         FileDownloadClient::Protocol::kUdp);
-  FileDownloadClient cs(sw.cloud, "c", sw.cloud.vm_addr(sw.server),
+  FileDownloadClient cs(sw.cloud, sw.cloud.vm_addr(sw.server),
                         FileDownloadClient::Protocol::kUdp);
   base.cloud.start();
   sw.cloud.start();
@@ -99,7 +99,7 @@ TEST(FileService, UdpNarrowsTheGapOnLargeFiles) {
 
 TEST(FileService, SequentialDownloadsUseIndependentConnections) {
   ServiceFixture fx(core::Policy::kStopWatch);
-  FileDownloadClient client(fx.cloud, "c", fx.cloud.vm_addr(fx.server),
+  FileDownloadClient client(fx.cloud, fx.cloud.vm_addr(fx.server),
                             FileDownloadClient::Protocol::kHttpTcp);
   fx.cloud.start();
   const double first = fx.download_ms(client, 10 * 1024);
@@ -112,7 +112,7 @@ TEST(FileService, SequentialDownloadsUseIndependentConnections) {
 
 TEST(FileService, ColdStartReadsWholeFileFromDisk) {
   ServiceFixture fx(core::Policy::kStopWatch);
-  FileDownloadClient client(fx.cloud, "c", fx.cloud.vm_addr(fx.server),
+  FileDownloadClient client(fx.cloud, fx.cloud.vm_addr(fx.server),
                             FileDownloadClient::Protocol::kUdp);
   fx.cloud.start();
   fx.download_ms(client, 1024 * 1024);

@@ -39,8 +39,8 @@ NfsRun run_nfs(core::Policy policy, double rate, Duration sim_time,
       "nfs",
       [server_cfg] { return std::make_unique<NfsServerProgram>(server_cfg); },
       {0, 1, 2});
-  NfsLoadGenerator gen(cloud, "gen", cloud.vm_addr(vm), 5, rate,
-                       paper_nfs_mix(), 17);
+  NfsLoadGenerator gen(cloud, cloud.vm_addr(vm), 5, rate, paper_nfs_mix(),
+                       17);
   cloud.start();
   gen.start();
   cloud.run_for(sim_time);

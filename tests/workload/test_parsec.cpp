@@ -32,11 +32,10 @@ ParsecRun run_app(const ParsecAppSpec& spec, core::Policy policy) {
   core::Cloud cloud(parsec_config(policy));
   bool done = false;
   RealTime finish{};
-  const NodeId collector = cloud.add_external_node(
-      "collector", [&](const net::Packet&) {
-        done = true;
-        finish = cloud.simulator().now();
-      });
+  const NodeId collector = cloud.add_external_node([&](const net::Packet&) {
+    done = true;
+    finish = cloud.simulator().now();
+  });
   const core::VmHandle vm = cloud.add_vm(
       spec.name,
       [&spec, collector] {

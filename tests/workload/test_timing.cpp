@@ -15,7 +15,7 @@ TEST(Broadcaster, EmitsAtApproximateRate) {
   const core::VmHandle vm = cloud.add_vm(
       "probe", [] { return std::make_unique<AttackerProbeProgram>(); },
       {0, 1, 2});
-  BackgroundBroadcaster bcast(cloud, "bcast", cloud.vm_addr(vm), 80.0, 5);
+  BackgroundBroadcaster bcast(cloud, cloud.vm_addr(vm), 80.0, 5);
   cloud.start();
   bcast.start();
   cloud.run_for(Duration::seconds(10));
@@ -32,7 +32,7 @@ TEST(AttackerProbe, RecordsEveryDelivery) {
   const core::VmHandle vm = cloud.add_vm(
       "probe", [] { return std::make_unique<AttackerProbeProgram>(); },
       {0, 1, 2});
-  BackgroundBroadcaster bcast(cloud, "bcast", cloud.vm_addr(vm), 50.0, 7);
+  BackgroundBroadcaster bcast(cloud, cloud.vm_addr(vm), 50.0, 7);
   cloud.start();
   bcast.start();
   cloud.run_for(Duration::seconds(5));
@@ -54,7 +54,7 @@ TEST(VictimServer, LoadsItsHost) {
   cfg.seed = 8;
   cfg.machine_count = 3;
   core::Cloud cloud(cfg);
-  const NodeId sink = cloud.add_external_node("sink", [](const net::Packet&) {});
+  const NodeId sink = cloud.add_external_node([](const net::Packet&) {});
   VictimServerProgram::Config vc;
   vc.sink = sink;
   const core::VmHandle vm = cloud.add_vm(
@@ -76,7 +76,7 @@ TEST(VictimServer, DeterministicAcrossReplicasDespiteDisk) {
   cfg.machine_count = 3;
   cfg.policy.stopwatch.delta_d = Duration::millis(30);
   core::Cloud cloud(cfg);
-  const NodeId sink = cloud.add_external_node("sink", [](const net::Packet&) {});
+  const NodeId sink = cloud.add_external_node([](const net::Packet&) {});
   VictimServerProgram::Config vc;
   vc.sink = sink;
   vc.disk_probability = 0.2;
