@@ -17,6 +17,7 @@
 // runners.
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 
 #include "experiment/registry.hpp"
@@ -44,6 +45,9 @@ struct WorkloadStats {
 /// keeping the event count identical across shard counts).
 WorkloadStats run_workload(int shards, int chains, Duration horizon,
                            Duration window) {
+  // The chains live here, outside their own callbacks: a chain whose
+  // capture owned it would keep itself alive forever.
+  std::deque<sim::Task> chain_store;
   sim::ShardedConfig cfg;
   cfg.shards = shards;
   cfg.window = window;
@@ -70,7 +74,7 @@ WorkloadStats run_workload(int shards, int chains, Duration horizon,
     for (int c = 0; c < chains; ++c) {
       // Chain state lives in the callback's capture; the tick delay walks
       // a fixed xorshift stream so every run does identical work.
-      auto chain = std::make_shared<sim::Task>();
+      sim::Task* chain = &chain_store.emplace_back();
       auto x = static_cast<std::uint64_t>(s * 1000 + c) *
                    0x9E3779B97F4A7C15ULL |
                1ULL;

@@ -29,10 +29,6 @@ class ThreadPool {
   /// exception into task-local state (the runner stores it per scenario).
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing. The pool
-  /// stays usable for further submissions afterwards.
-  void wait_idle();
-
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
@@ -40,10 +36,8 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t in_flight_{0};
   bool stopping_{false};
 };
 

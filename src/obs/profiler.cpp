@@ -147,6 +147,7 @@ ProfilerSnapshot Profiler::snapshot() const {
   std::map<std::uint64_t, ThreadSlot::PathAccum> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    snap.core_busy_ns = core_busy_ns_;
     for (const auto& slot : slots_) {
       for (std::size_t i = 0; i < kProfPhaseCount; ++i) {
         snap.phases[i].calls += slot->phases[i].calls;
@@ -174,6 +175,13 @@ ProfilerSnapshot Profiler::snapshot() const {
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& slot : slots_) slot->reset();
+  core_busy_ns_.clear();
+}
+
+void Profiler::add_core_busy_ns(std::size_t core, std::uint64_t ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (core_busy_ns_.size() <= core) core_busy_ns_.resize(core + 1, 0);
+  core_busy_ns_[core] += ns;
 }
 
 std::uint64_t ProfilerSnapshot::attributed_ns() const {
@@ -225,7 +233,13 @@ std::string profile_to_json(const ProfilerSnapshot& snap,
                   i + 1 < kProfPhaseCount ? "," : "");
     out += buf;
   }
-  out += pad + "  ]\n";
+  out += pad + "  ],\n";
+  out += pad + "  \"core_busy_ns\": [";
+  for (std::size_t i = 0; i < snap.core_busy_ns.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(snap.core_busy_ns[i]);
+  }
+  out += "]\n";
   out += pad + "}";
   return out;
 }

@@ -48,7 +48,7 @@ inline constexpr std::array<const char*, 13> kProfPhases = {
     "scenario.drive",       // scenario-side load/drive scheduling
     "scenario.placement",   // scenario-side placement construction + checks
     "scenario.setup",       // scenario-side topology build + VM creation
-    "sharded.barrier_wait", // window submit + wait for worker cores
+    "sharded.barrier_wait", // wait for worker cores after the caller's own
     "sharded.merge",        // cross-shard lane drain + deterministic merge
     "sim.due_fallback",     // sorted-due -> heap fallback flip
     "sim.harvest",          // wheel cursor advance + level-0 bulk harvest
@@ -85,6 +85,10 @@ struct ProfPathSnapshot {
 struct ProfilerSnapshot {
   std::array<ProfPhaseSnapshot, kProfPhaseCount> phases{};
   std::vector<ProfPathSnapshot> paths;
+  /// Wall time each sharded-simulator core spent running events, indexed
+  /// by core (empty when no sharded window ran). Measured on whichever
+  /// thread ran the core, so it overlaps the phases above.
+  std::vector<std::uint64_t> core_busy_ns;
 
   /// Sum of per-phase exclusive time — the wall time the profiler can
   /// attribute to named phases.
@@ -112,6 +116,10 @@ class Profiler {
   /// Same quiescence contract as snapshot().
   void clear();
 
+  /// Adds `ns` to sharded-simulator core `core`'s busy total. Called by
+  /// the thread driving the simulator, between windows.
+  void add_core_busy_ns(std::size_t core, std::uint64_t ns);
+
   struct ThreadSlot;
 
  private:
@@ -121,6 +129,7 @@ class Profiler {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadSlot>> slots_;
+  std::vector<std::uint64_t> core_busy_ns_;  // guarded by mu_
 };
 
 /// The process-wide profiler the current run records into (nullptr when
@@ -170,8 +179,9 @@ class ProfScope {
     ::stopwatch::obs::prof_phase_index(name)             \
   }
 
-/// The `profile` block: fixed schema (every phase, registry order), wall
-/// values measured. `wall_ns` is the scenario's elapsed wall time; the
+/// The `profile` block: fixed schema (every phase, registry order, then
+/// one `core_busy_ns` entry per sharded-simulator core), wall values
+/// measured. `wall_ns` is the scenario's elapsed wall time; the
 /// unattributed remainder is reported as `other_ns` (clamped at 0).
 /// RSS values are the boundary samples (0 when the platform offers none).
 [[nodiscard]] std::string profile_to_json(const ProfilerSnapshot& snap,

@@ -1,9 +1,10 @@
 // Shard-parallel deterministic event execution (conservative PDES).
 //
 // A ShardedSimulator owns K independent sim::Simulator cores — each with
-// its own timer wheel and slab arena — and runs them on a ThreadPool in
-// barrier-synchronized windows. The protocol is the classic conservative
-// one, specialized to this codebase's topology:
+// its own timer wheel and slab arena — and runs them on T threads in
+// barrier-synchronized windows: the calling thread plus T - 1 persistent
+// workers, with core s always on thread s mod T. The protocol is the
+// classic conservative one, specialized to this codebase's topology:
 //
 //  * Event ownership is static: every event belongs to exactly one shard
 //    (derived upstream from the machine index a VM lives on), and a
@@ -17,17 +18,23 @@
 //      eit[d] = min over s != d of (min(t_min[s], eit[s]) + L[s][d]),
 //    iterated to its fixpoint so reaction chains (s receives, then
 //    sends) are bounded transitively. A core executes its events with
-//    timestamp <= its window end - 1ns, then the cores meet at a barrier
-//    (ThreadPool::wait_idle). Cores whose bound grants no work skip the
-//    window entirely; a "barrier" is only counted when two or more cores
-//    actually run (a thread join happens).
+//    timestamp <= its window end - 1ns, then the cores meet at a barrier.
+//    Cores whose bound grants no work skip the window entirely; a
+//    "barrier" is only counted when two or more cores actually run.
+//  * The barrier is an epoch handshake, not a task queue: the calling
+//    thread publishes the window's bounds, bumps the epoch of each worker
+//    that owns a running core, runs its own cores, then waits for a
+//    countdown of those workers to reach zero. Every wait spins first
+//    (a window lasts tens to hundreds of microseconds) and parks on
+//    std::atomic::wait only when the spin runs out. A window that runs a
+//    single core runs it inline, and no window allocates.
 //  * An event that must run on another shard (a cross-shard frame
 //    delivery) is not scheduled directly — the sender enqueues it into
 //    the (source-shard, destination-shard) lane via cross_schedule().
 //    Lanes are single-writer per source shard, so enqueueing is lock-free
 //    by construction.
-//  * At the barrier the main thread drains every lane and schedules the
-//    entries into their destination cores in one deterministic order:
+//  * At the barrier the calling thread drains every lane and schedules
+//    the entries into their destination cores in one deterministic order:
 //    (timestamp, source shard, per-source sequence number). The order is
 //    a pure function of simulation content — worker completion order,
 //    thread count, and lane drain order cannot affect it.
@@ -46,20 +53,19 @@
 // the byte-identical reference for `sim_shards=N`.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-
-namespace stopwatch {
-class ThreadPool;
-}  // namespace stopwatch
 
 namespace stopwatch::sim {
 
@@ -71,11 +77,13 @@ struct ShardedConfig {
   /// latency. The topology layer derives this from the link models;
   /// tests set it directly.
   Duration window{Duration::micros(100)};
-  /// Worker threads: 0 auto-sizes to min(shards, host cores) — a 1-CPU
-  /// host gets the inline path, and an 8-shard run on a 4-core host
-  /// gets 4 workers instead of 8 thrashing ones. 1 runs every window
-  /// inline on the calling thread (same results — useful for
-  /// debugging; results never depend on the thread count).
+  /// Threads that run windows, the calling thread included (so T - 1
+  /// persistent workers are spawned). 0 auto-sizes to min(shards, host
+  /// cores): a 1-CPU host gets the inline path, and an 8-shard run on a
+  /// 4-core host gets 4 threads instead of 8 thrashing ones. Values
+  /// above `shards` are clamped to it. 1 runs every window inline on the
+  /// calling thread (same results — useful for debugging; results never
+  /// depend on the thread count).
   std::size_t threads{0};
 };
 
@@ -89,6 +97,8 @@ class ShardedSimulator {
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   [[nodiscard]] int shard_count() const { return cfg_.shards; }
+  /// Threads that run windows, the calling thread included.
+  [[nodiscard]] std::size_t thread_count() const { return workers_.size() + 1; }
   [[nodiscard]] Duration window() const { return cfg_.window; }
   /// Adjusts the uniform lookahead. Must not be called mid-run.
   void set_window(Duration w);
@@ -123,7 +133,14 @@ class ShardedSimulator {
 
   /// Runs all cores to exactly `t` through barrier-synchronized windows.
   /// On return every core's clock reads `t` and every lane entry with
-  /// timestamp <= t has executed on its destination core.
+  /// timestamp <= t has executed on its destination core. A callback
+  /// that throws on any core ends the run after that window's barrier
+  /// and re-raises here (the lowest core's exception first); the
+  /// simulator stays usable.
+  ///
+  /// While an obs::Profiler is armed, each core's busy time in this call
+  /// is added to the profiler's per-core totals (wall-clock values that
+  /// never reach the deterministic report).
   void run_until(RealTime t);
 
   /// True while worker threads are inside a window — shared-state
@@ -135,9 +152,10 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t pending() const;
   /// Total entries handed across shards via cross_schedule.
   [[nodiscard]] std::uint64_t cross_scheduled() const { return crossed_; }
-  /// Barriers executed so far: windows in which two or more cores ran
-  /// and met at a thread join. (Rounds that run a single lagging core
-  /// inline are not barriers — no join happens.)
+  /// Barriers executed so far: windows in which two or more cores ran.
+  /// (Rounds that run a single lagging core inline are not barriers.)
+  /// Like every counter here, it depends on the shard count but never on
+  /// the thread count.
   [[nodiscard]] std::uint64_t barriers() const { return barriers_; }
   /// Windows in which some core was granted a bound more than one
   /// uniform window past its position.
@@ -187,13 +205,20 @@ class ShardedSimulator {
   /// landed at or before its destination core's current clock (only
   /// possible at a final window, where it forces a re-run).
   bool merge_lanes();
-  /// One window: runs every core whose `mask` entry is set to its
-  /// `run_to_ns` entry on the pool (inline when only one runs),
-  /// collecting callback exceptions for re-raise on this thread.
-  /// Counts a barrier when two or more cores ran. `window_end_ns_` must
-  /// already hold the per-destination bounds for the contract check.
-  void run_window(const std::vector<std::int64_t>& run_to_ns,
-                  const std::vector<char>& mask);
+  /// One window: runs every core whose `run_mask_` entry is set to its
+  /// `run_to_ns_` entry — inline when one core runs, else each on its
+  /// own thread — then re-raises the first callback exception on the
+  /// calling thread. `window_end_ns_` must already hold the per-
+  /// destination bounds for the contract check.
+  void run_window(std::size_t ran);
+  /// Runs core `s` to its bound, capturing a callback exception and,
+  /// while profiling, its wall time into the core's slot.
+  void run_core(std::size_t s);
+  /// Runs the window's cores owned by thread `thread`.
+  void run_cores_of(std::size_t thread);
+  /// A worker's life: wait for its epoch to move, run its cores, count
+  /// down, repeat until the destructor sets `stopping_`.
+  void worker_loop(std::size_t thread);
   /// The declared floor for src -> dst entries (window.ns when the pair
   /// has none), or kUnreachableNs.
   [[nodiscard]] std::int64_t lookahead_ns(int src, int dst) const;
@@ -202,15 +227,25 @@ class ShardedSimulator {
   static constexpr std::int64_t kUnreachableNs =
       std::numeric_limits<std::int64_t>::max();
 
+  /// One core and the state only its thread writes during a window, on
+  /// cache lines of its own. Adjacent cores' hot fields (the clock and
+  /// counters at the head, the executing slot at the tail) would
+  /// otherwise share a line and bounce it between threads on every
+  /// event.
+  struct alignas(64) Core {
+    Simulator sim;
+    /// Per-source lane sequence counter (see LaneEntry::seq).
+    std::uint64_t lane_seq{0};
+    std::exception_ptr error;
+    std::uint64_t busy_ns{0};
+  };
+
   ShardedConfig cfg_;
-  std::vector<std::unique_ptr<Simulator>> cores_;
+  std::vector<std::unique_ptr<Core>> cores_;
   /// Flattened [src * shards + dst]; each lane is written only by its
-  /// source shard's worker during a window, drained only at barriers.
+  /// source shard's thread during a window, drained only at barriers.
   std::vector<Lane> lanes_;
-  /// Per-source-shard sequence counters (worker-confined like the lanes).
-  std::vector<std::uint64_t> lane_seq_;
   std::vector<int> drain_order_;
-  std::unique_ptr<ThreadPool> pool_;
   BarrierHook hook_;
   std::uint64_t crossed_{0};
   std::uint64_t barriers_{0};
@@ -220,17 +255,36 @@ class ShardedSimulator {
   bool running_{false};
   /// Per-destination bounds for the window in flight; cross_schedule
   /// validates each entry's timestamp against its destination's slot.
-  /// Written single-threaded before the workers start.
+  /// Written by the calling thread before the workers start.
   std::vector<std::int64_t> window_end_ns_;
   /// Flattened [src * shards + dst] per-pair floors; empty until the
   /// first set_lookahead, -1 entries fall back to cfg_.window.
   std::vector<std::int64_t> lookahead_;
   std::vector<LaneEntry> merge_scratch_;
-  // Per-round scratch (sized shards, reused across rounds).
-  std::vector<std::int64_t> t_min_scratch_;
-  std::vector<std::int64_t> eit_scratch_;
-  std::vector<std::int64_t> run_to_scratch_;
+  // Per-window state, sized once to `shards`; written by the calling
+  // thread between windows, read-only during one.
+  std::vector<std::int64_t> t_min_;
+  std::vector<std::int64_t> eit_;
+  std::vector<std::int64_t> run_to_ns_;
   std::vector<char> run_mask_;
+  /// True while an armed profiler wants per-core busy time.
+  bool timing_{false};
+
+  // --- Epoch barrier ---
+  /// One worker's release signal, alone on its cache line.
+  struct alignas(64) Epoch {
+    std::atomic<std::uint32_t> value{0};
+  };
+  /// Indexed by thread; entry 0 (the calling thread) is unused.
+  std::unique_ptr<Epoch[]> epochs_;
+  /// Per-window scratch: which workers own a running core.
+  std::vector<char> release_;
+  /// Workers of the window in flight that have not finished it.
+  alignas(64) std::atomic<std::uint32_t> outstanding_{0};
+  std::uint32_t epoch_{0};
+  /// Set by the destructor before its final epoch bump.
+  bool stopping_{false};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace stopwatch::sim

@@ -106,7 +106,7 @@ class TopologyBuilder {
   /// order. Every machine (and every VM whose replicas it hosts) is built
   /// on the simulator core the plan assigns it, and each VM's ingress
   /// address delivers on that core. The egress gateway moves to the plan's
-  /// egress_shard() — the least-loaded core, never core 0 on a balanced
+  /// egress_shard() — the last core, which hosts no guest on a
   /// multi-shard plan. Runs once, before start(). A plan over more than
   /// one shard requires that no machine has materialized yet (it would sit
   /// on core 0 whatever the plan says). An installed egress tap is allowed

@@ -72,10 +72,15 @@ ShardPlan ShardPlan::build(
   }
   plan.components_ = static_cast<int>(ordered.size());
 
-  // Deterministic greedy balance: biggest components first (smallest root
-  // breaks ties), each onto the least-loaded shard (lowest index breaks
-  // ties) — longest-processing-time scheduling, a pure function of the
-  // active set.
+  // Egress + external clients own the last shard alone whenever there
+  // is more than one: that core then runs only the client and egress
+  // traffic, and no guest component's load paces its windows.
+  plan.egress_shard_ = shards - 1;
+  const int guest_shards = std::max(1, shards - 1);
+  // Deterministic greedy balance over the guest shards: biggest
+  // components first (smallest root breaks ties), each onto the
+  // least-loaded shard (lowest index breaks ties) — longest-processing-
+  // time scheduling, a pure function of the active set.
   std::sort(ordered.begin(), ordered.end(),
             [](const Component& a, const Component& b) {
               if (a.machines.size() != b.machines.size()) {
@@ -85,7 +90,7 @@ ShardPlan ShardPlan::build(
             });
   for (const auto& component : ordered) {
     int target = 0;
-    for (int s = 1; s < shards; ++s) {
+    for (int s = 1; s < guest_shards; ++s) {
       if (plan.loads_[static_cast<std::size_t>(s)] <
           plan.loads_[static_cast<std::size_t>(target)]) {
         target = s;
@@ -96,15 +101,6 @@ ShardPlan ShardPlan::build(
     }
     plan.loads_[static_cast<std::size_t>(target)] +=
         static_cast<int>(component.machines.size());
-  }
-  // Egress + external clients go to the least-loaded shard, ties to the
-  // highest index: with shards > 1 that is never shard 0 when loads are
-  // balanced, which removes the historical core-0 egress funnel.
-  for (int s = 1; s < shards; ++s) {
-    if (plan.loads_[static_cast<std::size_t>(s)] <=
-        plan.loads_[static_cast<std::size_t>(plan.egress_shard_)]) {
-      plan.egress_shard_ = s;
-    }
   }
   return plan;
 }

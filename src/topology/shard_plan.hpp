@@ -7,10 +7,11 @@
 // Transitively, any two VMs sharing a machine must co-locate too. The
 // plan therefore clusters the *active* VMs' machine triples into
 // connected components (union-find over the shares-a-machine graph) and
-// distributes whole components across shards with a deterministic greedy
-// balance: components ordered by (size desc, smallest machine index asc),
-// each assigned to the currently least-loaded shard (ties to the lowest
-// shard index). Machines touched by no active VM get a round-robin
+// distributes whole components across the guest shards — every shard but
+// the egress shard, once there are two or more — with a deterministic
+// greedy balance: components ordered by (size desc, smallest machine
+// index asc), each assigned to the currently least-loaded guest shard
+// (ties to the lowest shard index). Machines touched by no active VM get a round-robin
 // fallback assignment; under the activation contract they never
 // materialize mid-run, so the fallback only keeps shard_of_machine total.
 #pragma once
@@ -41,9 +42,10 @@ class ShardPlan {
   /// Machines per shard, planned components only (balance diagnostics).
   [[nodiscard]] const std::vector<int>& shard_loads() const { return loads_; }
   /// Shard that owns the egress gateway and the external-client nodes:
-  /// the least-loaded shard after the component deal, ties to the
-  /// *highest* index — non-zero whenever shards > 1, so egress traffic
-  /// stops funneling through core 0. 0 for the trivial plan.
+  /// the last shard, which holds no guest component whenever shards > 1.
+  /// The client/egress core then runs only its own traffic, so guest
+  /// load never paces its windows (and through them, every other
+  /// core's). 0 for a one-shard plan.
   [[nodiscard]] int egress_shard() const { return egress_shard_; }
 
  private:

@@ -1,6 +1,6 @@
 // The thread pool behind `stopwatch_bench --jobs`: every submitted task
-// runs exactly once, destruction drains the queue, and wait_idle is a
-// barrier — the properties the parallel runner's determinism rests on.
+// runs exactly once and destruction drains the queue — the properties the
+// parallel runner's determinism rests on.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -26,28 +26,6 @@ TEST(ThreadPool, RunsEverySubmittedTaskExactlyOnce) {
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
   }
-}
-
-TEST(ThreadPool, WaitIdleIsABarrierAndPoolStaysUsable) {
-  std::atomic<int> count{0};
-  ThreadPool pool(3);
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-  // The pool accepts further work after an idle barrier.
-  for (int i = 0; i < 25; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 75);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // Must not deadlock with nothing submitted.
-  EXPECT_EQ(pool.thread_count(), 2u);
 }
 
 TEST(ThreadPool, SingleThreadPreservesSubmissionOrder) {

@@ -10,6 +10,7 @@
 
 #include "common/contracts.hpp"
 #include "core/cloud.hpp"
+#include "topology/shard_plan.hpp"
 
 namespace stopwatch::core {
 namespace {
@@ -108,6 +109,38 @@ TEST(CloudSharded, FourShardsReproduceTheSequentialRunExactly) {
   // start() activating every VM takes the same path as activate().
   EXPECT_EQ(sequential, run_echo_cloud(sharded_config(4), 6, false));
   EXPECT_EQ(sequential, run_echo_cloud(sharded_config(1), 6, false));
+}
+
+TEST(CloudSharded, PerCoreEventCountersSumToTheTotal) {
+  for (const int shards : {1, 4}) {
+    Cloud cloud(sharded_config(shards));
+    for (int v = 0; v < 3; ++v) {
+      cloud.add_vm(
+          "echo" + std::to_string(v),
+          [] { return std::make_unique<EchoProgram>(); },
+          {3 * v, 3 * v + 1, 3 * v + 2});
+    }
+    cloud.start();
+    cloud.run_for(Duration::millis(30));
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto& [name, value] : cloud.observability().counters) {
+      counters[name] = value;
+    }
+    std::uint64_t per_core = 0;
+    int cores = 0;
+    for (const auto& [name, value] : counters) {
+      if (name.starts_with("sharded.core")) {
+        per_core += value;
+        ++cores;
+      }
+    }
+    // One counter per core, and only when there is more than one core.
+    EXPECT_EQ(cores, shards > 1 ? shards : 0);
+    if (shards > 1) {
+      EXPECT_EQ(per_core, counters.at("sim.events_executed"));
+      EXPECT_GT(counters.at("sharded.core0.events_executed"), 0u);
+    }
+  }
 }
 
 TEST(CloudSharded, RepeatedShardedRunsAreIdentical) {
@@ -213,8 +246,9 @@ TEST(CloudSharded, TunnelingPolicyTapAllowedAcrossShards) {
 
 TEST(CloudSharded, NonTunnelingTapRejectedWhenVmsSpanShards) {
   // Baseline Xen emits output from the replica send path — with active
-  // VMs on two shards the tap would fire from two worker threads.
-  CloudConfig cfg = sharded_config(2);
+  // VMs on two shards the tap would fire from two worker threads. (Three
+  // shards: the last one hosts only egress and the clients.)
+  CloudConfig cfg = sharded_config(3);
   cfg.policy = Policy::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle a = cloud.add_vm(
@@ -228,7 +262,7 @@ TEST(CloudSharded, NonTunnelingTapRejectedWhenVmsSpanShards) {
 }
 
 TEST(CloudSharded, NonTunnelingTapPreinstalledRejectedAtActivation) {
-  CloudConfig cfg = sharded_config(2);
+  CloudConfig cfg = sharded_config(3);
   cfg.policy = Policy::kBaselineXen;
   Cloud cloud(cfg);
   cloud.set_egress_tap([](std::uint32_t, RealTime, const net::Packet&) {});
@@ -267,6 +301,29 @@ TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   // Externals registered after activation land there directly too.
   const NodeId late = cloud.add_external_node([](const net::Packet&) {});
   EXPECT_EQ(cloud.network().node_owner(late), egress);
+}
+
+TEST(CloudSharded, PlanKeepsGuestComponentsOffTheEgressShard) {
+  // Six disjoint machine triples plus two components that share a
+  // machine: seven components over 24 machines.
+  std::vector<std::vector<int>> groups;
+  for (int v = 0; v < 6; ++v) groups.push_back({3 * v, 3 * v + 1, 3 * v + 2});
+  groups.push_back({18, 19, 20});
+  groups.push_back({20, 21, 22});
+  for (const int shards : {2, 4}) {
+    const auto plan = topology::ShardPlan::build(shards, 24, groups);
+    EXPECT_EQ(plan.egress_shard(), shards - 1) << "shards " << shards;
+    EXPECT_EQ(plan.component_count(), 7);
+    for (const auto& group : groups) {
+      for (const int m : group) {
+        EXPECT_NE(plan.shard_of_machine(m), plan.egress_shard())
+            << "machine " << m << ", shards " << shards;
+      }
+    }
+    EXPECT_EQ(plan.shard_loads()[static_cast<std::size_t>(shards - 1)], 0);
+  }
+  // One shard: everything, egress included, shares core 0.
+  EXPECT_EQ(topology::ShardPlan::build(1, 24, groups).egress_shard(), 0);
 }
 
 TEST(CloudSharded, RejectsNonPositiveShardCount) {

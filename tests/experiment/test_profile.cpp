@@ -1,16 +1,18 @@
 // The self-profiling acceptance contract, end to end: an armed profiler
 // over placement_e2e attributes >= 90% of the measured wall time to named
 // phases; the profile block's *schema* (names/structure, digits aside) is
-// identical across sim_shards and --jobs; the deterministic `timeseries`
-// block is byte-identical across those knobs; the memory-accounting
-// gauges are populated; and the leakage_workloads MI series stays inside
-// its fixed window budget on a 10x-horizon run.
+// identical across sim_shards and --jobs, apart from one busy-time entry
+// per sharded core; the deterministic `timeseries` block is
+// byte-identical across those knobs; the memory-accounting gauges are
+// populated; and the leakage_workloads MI series stays inside its fixed
+// window budget on a 10x-horizon run.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/registry.hpp"
@@ -102,17 +104,36 @@ std::string profile_json_of(const std::string& shards, std::uint64_t jobs) {
                               obs::process_rss_peak_bytes());
 }
 
+/// The `core_busy_ns` array of a profile JSON, and the JSON with that
+/// array emptied.
+std::pair<std::string, std::string> split_core_busy(const std::string& json) {
+  const std::string key = "\"core_busy_ns\": [";
+  const std::size_t begin = json.find(key);
+  EXPECT_NE(begin, std::string::npos);
+  if (begin == std::string::npos) return {"", json};
+  const std::size_t open = begin + key.size();
+  const std::size_t close = json.find(']', open);
+  return {json.substr(open, close - open),
+          json.substr(0, open) + json.substr(close)};
+}
+
 TEST(Profile, SchemaIsStableAcrossShardCountsAndJobs) {
   // The values are wall-clock measurements, but the shape — every phase
   // name, field, and separator — must not know how many simulator shards
-  // or runner jobs produced it.
-  const std::string one = schema_shape(profile_json_of("1", /*jobs=*/1));
-  const std::string four = schema_shape(profile_json_of("4", /*jobs=*/1));
-  const std::string pooled = schema_shape(profile_json_of("1", /*jobs=*/8));
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one, pooled);
-  EXPECT_NE(one.find("\"schema\": \"stopwatch-profile/#\""),
+  // or runner jobs produced it. The one exception is `core_busy_ns`, one
+  // entry per sharded core: empty on the sequential kernel, four entries
+  // on four cores.
+  const auto [one_cores, one] = split_core_busy(profile_json_of("1", 1));
+  const auto [four_cores, four] = split_core_busy(profile_json_of("4", 1));
+  const auto [pooled_cores, pooled] =
+      split_core_busy(profile_json_of("1", /*jobs=*/8));
+  EXPECT_EQ(schema_shape(one), schema_shape(four));
+  EXPECT_EQ(schema_shape(one), schema_shape(pooled));
+  EXPECT_NE(schema_shape(one).find("\"schema\": \"stopwatch-profile/#\""),
             std::string::npos);
+  EXPECT_EQ(one_cores, "");
+  EXPECT_EQ(pooled_cores, "");
+  EXPECT_EQ(schema_shape(four_cores), "#, #, #, #");
 }
 
 /// The serialized `timeseries` block of a small placement_e2e run.

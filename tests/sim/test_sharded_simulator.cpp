@@ -4,7 +4,10 @@
 // chains + cross-entity messages through the lanes) is replayed under
 // different shard counts, thread counts, and lane drain orders; per-entity
 // event logs must match entry for entry, and at every barrier the sharded
-// logs must be an exact prefix of the sequential reference.
+// logs must be an exact prefix of the sequential reference. The epoch
+// barrier's own contract is checked too: per-core event sequences do not
+// depend on the thread count, a callback exception on a worker-run core
+// re-raises from run_until, and destruction joins parked workers.
 //
 // Timestamp parity keeps the comparison tie-free by construction: chain
 // ticks land on even nanoseconds, message deliveries on odd ones, and a
@@ -16,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -42,6 +48,7 @@ struct DiffHarness {
       : entities_(entities),
         sim_({shards, kWindow, threads}),
         logs_(static_cast<std::size_t>(entities)),
+        core_logs_(static_cast<std::size_t>(shards)),
         ticks_(static_cast<std::size_t>(entities), 0),
         sent_(static_cast<std::size_t>(entities), 0) {
     const Rng root(seed);
@@ -61,6 +68,8 @@ struct DiffHarness {
     const auto eu = static_cast<std::size_t>(e);
     Simulator& core = sim_.shard(shard_of(e));
     logs_[eu].push_back({core.now().ns, 0, ticks_[eu]++, 0});
+    core_logs_[static_cast<std::size_t>(shard_of(e))].push_back(
+        {core.now().ns, 0, static_cast<std::uint64_t>(e), ticks_[eu]});
     Rng& rng = rngs_[eu];
     if (rng.chance(0.35)) {
       const int target = static_cast<int>(rng.uniform_int(0, entities_ - 1));
@@ -76,9 +85,11 @@ struct DiffHarness {
           core.now().ns + kWindow.ns + 2 * (draw * entities_ + residue) + 1;
       const std::uint64_t msg = ++sent_[eu];
       auto deliver = [this, target, e, msg] {
+        const std::int64_t now = sim_.shard(shard_of(target)).now().ns;
         logs_[static_cast<std::size_t>(target)].push_back(
-            {sim_.shard(shard_of(target)).now().ns, 1,
-             static_cast<std::uint64_t>(e), msg});
+            {now, 1, static_cast<std::uint64_t>(e), msg});
+        core_logs_[static_cast<std::size_t>(shard_of(target))].push_back(
+            {now, 1, static_cast<std::uint64_t>(target), msg});
       };
       const int src_shard = shard_of(e);
       const int dst_shard = shard_of(target);
@@ -96,6 +107,9 @@ struct DiffHarness {
   int entities_;
   ShardedSimulator sim_;
   std::vector<std::vector<Entry>> logs_;
+  /// Per core, every event in execution order (written only by the
+  /// thread running that core).
+  std::vector<std::vector<Entry>> core_logs_;
   std::vector<Rng> rngs_;
   std::vector<std::uint64_t> ticks_;
   std::vector<std::uint64_t> sent_;
@@ -315,17 +329,96 @@ TEST(ShardedSimulator, RepeatedRunsWithThreadsAreIdentical) {
 }
 
 TEST(ShardedSimulator, AggregateCountersSumOverCores) {
-  DiffHarness h(4, 8, 3);
+  DiffHarness h(4, 8, 3, /*threads=*/4);
   h.sim_.run_until(RealTime::nanos(100'000));
   std::uint64_t executed = 0;
   std::size_t pending = 0;
   for (int s = 0; s < 4; ++s) {
+    // Every harness event writes exactly one entry to its core's log.
+    EXPECT_EQ(h.sim_.shard(s).events_executed(),
+              h.core_logs_[static_cast<std::size_t>(s)].size())
+        << "core " << s;
     executed += h.sim_.shard(s).events_executed();
     pending += h.sim_.shard(s).pending();
   }
   EXPECT_EQ(h.sim_.events_executed(), executed);
   EXPECT_EQ(h.sim_.pending(), pending);  // lanes are empty between runs
   EXPECT_GT(h.sim_.cross_scheduled(), 0u);
+}
+
+TEST(ShardedSimulator, ThreadCountNeverChangesPerCoreSequences) {
+  // Core s runs on thread s mod T: at every T from 1 (all inline) to 4
+  // (one core per thread), each core must execute the same events in the
+  // same order, and the counters must not move.
+  const RealTime horizon = RealTime::nanos(300'000);
+  DiffHarness inline_run(4, 12, 5, /*threads=*/1);
+  inline_run.sim_.run_until(horizon);
+  ASSERT_EQ(inline_run.sim_.thread_count(), 1u);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    DiffHarness threaded(4, 12, 5, threads);
+    threaded.sim_.run_until(horizon);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(threaded.sim_.thread_count(), threads);
+    for (std::size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(inline_run.core_logs_[s], threaded.core_logs_[s])
+          << "core " << s;
+      EXPECT_EQ(inline_run.sim_.shard(static_cast<int>(s)).events_executed(),
+                threaded.sim_.shard(static_cast<int>(s)).events_executed());
+    }
+    EXPECT_EQ(inline_run.sim_.barriers(), threaded.sim_.barriers());
+    EXPECT_EQ(inline_run.sim_.cross_scheduled(),
+              threaded.sim_.cross_scheduled());
+  }
+}
+
+TEST(ShardedSimulator, WorkerCoreExceptionReraisesAndNextRunWorks) {
+  // Core 3 runs on a worker thread (3 mod 4 threads); its callback throws
+  // mid-window while core 1 runs on another worker in the same window.
+  ShardedSimulator sharded({4, kWindow, 4});
+  ASSERT_EQ(sharded.thread_count(), 4u);
+  // One counter per core: cores 1 and 3 run on different threads.
+  int core1_ran = 0;
+  int core3_ran = 0;
+  sharded.shard(1).schedule_at(RealTime::nanos(400), [&] { ++core1_ran; });
+  sharded.shard(3).schedule_at(RealTime::nanos(500), [] {
+    throw std::runtime_error("callback failed on core 3");
+  });
+  sharded.shard(3).schedule_at(RealTime::nanos(30'000), [&] { ++core3_ran; });
+  sharded.shard(1).schedule_at(RealTime::nanos(30'000), [&] { ++core1_ran; });
+  try {
+    sharded.run_until(RealTime::nanos(20'000));
+    ADD_FAILURE() << "the worker core's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "callback failed on core 3");
+  }
+  EXPECT_FALSE(sharded.running());
+  EXPECT_EQ(core1_ran, 1);
+  // The failed run leaves no stale error behind: the next run completes.
+  sharded.run_until(RealTime::nanos(40'000));
+  EXPECT_EQ(sharded.now(), RealTime::nanos(40'000));
+  EXPECT_EQ(core1_ran, 2);
+  EXPECT_EQ(core3_ran, 1);
+}
+
+TEST(ShardedSimulator, DestructionJoinsParkedWorkers) {
+  // Before any run: the workers sit in their first wait. The sleep
+  // outlasts the spin, so they are parked, not spinning.
+  {
+    ShardedSimulator sharded({4, kWindow, 4});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  // After a throw: the run's workers finished their window and parked.
+  {
+    ShardedSimulator sharded({4, kWindow, 4});
+    sharded.shard(2).schedule_at(RealTime::nanos(100), [] {
+      throw std::runtime_error("boom");
+    });
+    sharded.shard(1).schedule_at(RealTime::nanos(100), [] {});
+    EXPECT_THROW(sharded.run_until(RealTime::nanos(5'000)),
+                 std::runtime_error);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  SUCCEED();
 }
 
 TEST(ShardedSimulator, RejectsInvalidConfig) {
