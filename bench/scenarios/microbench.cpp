@@ -101,7 +101,9 @@ double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
   services.send_frame = [](net::Frame) {};
   hypervisor::GuestContext guest(VmId{0}, ReplicaIndex{0}, NodeId{0}, machine,
                                  sim, cfg, std::make_unique<IdleProgram>(),
-                                 seed, std::move(services));
+                                 seed,
+                                 hypervisor::SliceStreams::derive(seed, 0, 0),
+                                 std::move(services));
   guest.start(VirtTime{});
   const auto t0 = std::chrono::steady_clock::now();
   sim.run(slices);

@@ -12,13 +12,31 @@ std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
 }
+
+constexpr std::uint64_t kSliceStreamTag = 0x5117CE5ULL;
+enum SliceRole : std::uint64_t { kIpsRole = 1, kPreemptRole = 2 };
+
+Rng slice_stream(std::uint64_t seed, std::uint32_t vm, std::uint32_t replica,
+                 SliceRole role) {
+  std::uint64_t h = SplitMix64(seed ^ kSliceStreamTag).next();
+  h = SplitMix64(h ^ vm).next();
+  h = SplitMix64(h ^ replica).next();
+  return Rng(SplitMix64(h ^ role).next());
+}
 }  // namespace
+
+SliceStreams SliceStreams::derive(std::uint64_t seed, std::uint32_t vm,
+                                  std::uint32_t replica) {
+  return SliceStreams{slice_stream(seed, vm, replica, kIpsRole),
+                      slice_stream(seed, vm, replica, kPreemptRole)};
+}
 
 GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
                            Machine& machine, sim::Simulator& sim,
                            GuestContextConfig cfg,
                            std::unique_ptr<vm::GuestProgram> program,
-                           std::uint64_t det_seed, ReplicaServices services)
+                           std::uint64_t det_seed, SliceStreams streams,
+                           ReplicaServices services)
     : vm_(vm),
       replica_(replica),
       vm_addr_(vm_addr),
@@ -26,6 +44,7 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
       sim_(&sim),
       cfg_(cfg),
       services_(std::move(services)),
+      streams_(std::move(streams)),
       policy_(make_policy(cfg.policy)),
       replicated_(policy_->replicated()),
       epoch_instr_(policy_->epoch_instructions()),
@@ -101,12 +120,16 @@ void GuestContext::schedule_slice() {
   if (n == 0) n = 1;
 
   const double other_load = machine_->load_excluding(this);
-  const double ips = machine_->effective_ips(other_load);
+  const double ips = machine_->effective_ips(
+      other_load, machine_->ips_jitter(streams_.ips));
   auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
                   machine_->config().exit_overhead;
   // Periodic loss of the physical core to coresident load (vCPU scheduling).
   if (cur >= next_preempt_instr_) {
-    run_time += machine_->preemption_wait(other_load);
+    if (machine_->preempts(other_load)) {
+      run_time += machine_->preemption_wait(other_load,
+                                            streams_.preempt.exponential(1.0));
+    }
     next_preempt_instr_ = cur + machine_->config().preempt_interval_instr;
   }
   pending_slice_n_ = n;
@@ -116,7 +139,7 @@ void GuestContext::schedule_slice() {
     sim_->reschedule_after(*slice_event_, run_time);
   } else {
     slice_event_ = sim_->schedule_after(
-        run_time, [this] { on_slice_end(pending_slice_n_); });
+        run_time, [this] { on_slice_end(pending_slice_n_); }, sim::Tie::kExit);
   }
 }
 

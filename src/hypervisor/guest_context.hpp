@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "hypervisor/machine.hpp"
 #include "hypervisor/policy.hpp"
@@ -105,6 +106,20 @@ struct GuestContextStats {
   std::vector<PacketTrace> packet_traces;
 };
 
+/// A replica's own per-slice random streams: host IPS jitter and vCPU
+/// preemption wait. They are keyed by stable identity, so one guest's
+/// draws never interleave with a co-resident's and do not depend on the
+/// order in which anything was wired.
+struct SliceStreams {
+  Rng ips;
+  Rng preempt;
+  /// The streams of replica `replica` of VM index `vm` under cloud seed
+  /// `seed`, one per role.
+  [[nodiscard]] static SliceStreams derive(std::uint64_t seed,
+                                           std::uint32_t vm,
+                                           std::uint32_t replica);
+};
+
 /// Hooks the GuestContext needs from the cloud fabric.
 struct ReplicaServices {
   /// Multicast a control payload to the VM's replica VMM group (reliable;
@@ -121,7 +136,8 @@ class GuestContext final : public LoadSource {
   GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
                Machine& machine, sim::Simulator& sim, GuestContextConfig cfg,
                std::unique_ptr<vm::GuestProgram> program,
-               std::uint64_t det_seed, ReplicaServices services);
+               std::uint64_t det_seed, SliceStreams streams,
+               ReplicaServices services);
 
   GuestContext(const GuestContext&) = delete;
   GuestContext& operator=(const GuestContext&) = delete;
@@ -217,6 +233,7 @@ class GuestContext final : public LoadSource {
   sim::Simulator* sim_;
   GuestContextConfig cfg_;
   ReplicaServices services_;
+  SliceStreams streams_;
 
   /// Built before clock_ (clock mode is a policy capability).
   std::unique_ptr<MitigationPolicy> policy_;

@@ -111,22 +111,35 @@ class Machine {
     return load;
   }
 
-  /// Samples the effective instruction rate for a guest whose coresident
-  /// load is `other_load`. Varies per slice (host jitter).
-  [[nodiscard]] double effective_ips(double other_load) {
-    const double jitter =
-        cfg_.ips_jitter_sigma > 0.0 ? rng_.lognormal(0.0, cfg_.ips_jitter_sigma)
-                                    : 1.0;
+  /// Draws one slice's host IPS jitter from `rng`, a guest's own stream
+  /// (1.0 without jitter).
+  [[nodiscard]] double ips_jitter(Rng& rng) const {
+    return cfg_.ips_jitter_sigma > 0.0
+               ? rng.lognormal(0.0, cfg_.ips_jitter_sigma)
+               : 1.0;
+  }
+
+  /// The effective instruction rate of a slice with IPS jitter `jitter`,
+  /// for a guest whose coresident load is `other_load`.
+  [[nodiscard]] double effective_ips(double other_load, double jitter) const {
     return cfg_.base_ips * jitter / (1.0 + cfg_.contention_alpha * other_load);
   }
 
-  /// Samples the runqueue wait a vCPU suffers when it loses the core on a
-  /// host with coresident load `other_load` (0 load -> no wait).
-  [[nodiscard]] Duration preemption_wait(double other_load) {
-    if (other_load <= 0.0 || cfg_.preempt_wait.ns <= 0) return Duration{};
+  /// Whether a vCPU that loses the core waits at all under coresident
+  /// load `other_load` (0 load -> no wait, and no draw).
+  [[nodiscard]] bool preempts(double other_load) const {
+    return other_load > 0.0 && cfg_.preempt_wait.ns > 0;
+  }
+
+  /// The runqueue wait a vCPU suffers when it loses the core on a host
+  /// with coresident load `other_load`: ~Exp(preempt_wait * other_load),
+  /// scaled from `unit_exp`, a unit-mean exponential draw from the
+  /// guest's own stream. Precondition: preempts(other_load).
+  [[nodiscard]] Duration preemption_wait(double other_load,
+                                         double unit_exp) const {
     const double mean_ns =
         static_cast<double>(cfg_.preempt_wait.ns) * other_load;
-    return Duration{static_cast<std::int64_t>(rng_.exponential(1.0 / mean_ns))};
+    return Duration{static_cast<std::int64_t>(mean_ns * unit_exp)};
   }
 
   /// Samples the Dom0 device-model processing delay under `load`.

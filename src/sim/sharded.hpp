@@ -43,10 +43,14 @@
 // timestamp must lie at or beyond the window end its destination was
 // granted (enforced per entry by a contract check). Under that contract
 // the sharded run executes the same events at the same timestamps as a
-// sequential run; ties between cross-shard and shard-local events at the
-// exact same nanosecond are the only place orderings could differ, and
-// the jittered links that feed the lanes make exact ties measure-zero
-// (the differential tests check this empirically).
+// sequential run. At one nanosecond, the kernel's tie rule runs every
+// ordinary event before any guest vCPU exit (sim::Tie::kExit), so a
+// merged frame delivery meets an exit at its instant exactly as in a
+// sequential run, although the merge schedules it later. Only two
+// ordinary events of different origins at the same nanosecond could
+// still order differently from a sequential run; the jittered links that
+// feed the lanes make those ties measure-zero (the differential tests
+// check this empirically).
 //
 // shards == 1 bypasses the machinery entirely (direct run_until on the
 // single core, zero overhead), which is what makes `sim_shards=1` output
@@ -128,8 +132,9 @@ class ShardedSimulator {
   /// to call from shard `src`'s worker thread during a window (lanes are
   /// single-writer per source). The lookahead contract requires `at` to
   /// be at or beyond the destination's granted window end; violations
-  /// throw.
-  void cross_schedule(int src, int dst, RealTime at, Task cb);
+  /// throw. `tie` places the entry in the destination's equal-time order.
+  void cross_schedule(int src, int dst, RealTime at, Task cb,
+                      Tie tie = Tie::kOrdinary);
 
   /// Runs all cores to exactly `t` through barrier-synchronized windows.
   /// On return every core's clock reads `t` and every lane entry with
@@ -195,6 +200,7 @@ class ShardedSimulator {
     std::uint64_t seq;  // per-source-shard, monotonically increasing
     int src;
     int dst;
+    Tie tie;
     Task task;
   };
   struct Lane {

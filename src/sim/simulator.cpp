@@ -18,14 +18,14 @@ inline std::uint64_t rotr64(std::uint64_t v, unsigned r) {
 }
 }  // namespace
 
-EventId Simulator::schedule_at(RealTime at, Task cb) {
+EventId Simulator::schedule_at(RealTime at, Task cb, Tie tie) {
   SW_EXPECTS(at.ns >= now_.ns);
-  return schedule_impl(at.ns, std::move(cb));
+  return schedule_impl(at.ns, std::move(cb), tie);
 }
 
-EventId Simulator::schedule_after(Duration delay, Task cb) {
+EventId Simulator::schedule_after(Duration delay, Task cb, Tie tie) {
   if (delay.ns < 0) delay.ns = 0;
-  return schedule_impl(now_.ns + delay.ns, std::move(cb));
+  return schedule_impl(now_.ns + delay.ns, std::move(cb), tie);
 }
 
 EventId Simulator::schedule_batch(RealTime at, std::vector<Task> batch) {
@@ -42,13 +42,13 @@ EventId Simulator::schedule_batch(RealTime at, std::vector<Task> batch) {
   });
 }
 
-EventId Simulator::schedule_impl(std::int64_t at_ns, Task&& cb) {
+EventId Simulator::schedule_impl(std::int64_t at_ns, Task&& cb, Tie tie) {
   SW_EXPECTS(cb != nullptr);
   const std::uint32_t slot = alloc_slot();
   Record& rec = record(slot);
   rec.task = std::move(cb);
   rec.at_ns = at_ns;
-  rec.seq = next_seq_++;
+  rec.seq = take_seq(tie == Tie::kExit ? kExitBit : 0);
   place(slot, rec);
   ++live_;
   if (live_ > stats_.max_live) stats_.max_live = live_;
@@ -75,7 +75,8 @@ EventId Simulator::reschedule_after(EventId id, Duration delay) {
     ++far_stale_;
   }
   rec.at_ns = now_.ns + delay.ns;
-  rec.seq = next_seq_++;  // retime = new position in the equal-time order
+  // Retime = new position in the equal-time order of its class.
+  rec.seq = take_seq(rec.seq);
   place(id.slot, rec);
   return id;
 }
@@ -467,7 +468,7 @@ void Simulator::execute_top() {
     // reschedule_after() on the running event: refile the same slot (same
     // generation — the caller's handle stays valid).
     rec.at_ns = rearm_at_ns_;
-    rec.seq = next_seq_++;
+    rec.seq = take_seq(rec.seq);
     place(top.slot, rec);
     ++live_;
     rearm_at_ns_ = kNoRearm;

@@ -2,8 +2,12 @@
 //
 // This is the substrate on which the whole cloud runs: machines, links,
 // VMMs, and guest vCPUs are all driven by events scheduled here. Events at
-// equal timestamps fire in schedule order (sequence-number tie-break), so a
-// simulation run is a pure function of its configuration and seed.
+// equal timestamps run in a fixed order: every ordinary event first, then
+// every guest vCPU exit (Tie::kExit), each class in schedule order
+// (sequence-number tie-break). An input that lands on the nanosecond of an
+// exit is therefore always visible to that exit, however the two were
+// scheduled, and a simulation run is a pure function of its configuration
+// and seed.
 //
 // Storage layout (the PR-5 event core):
 //  * every event lives in one slot of a slab arena of Record entries,
@@ -22,9 +26,10 @@
 //
 // Wheel buckets hold live events only (cancel unlinks in O(1) via intrusive
 // prev/next indices); the two heaps use lazy deletion with generation
-// checks and periodic compaction. Equal-time FIFO order is preserved across
-// every structure because events become executable only through the due
-// heap, which orders by (time, sequence).
+// checks and periodic compaction. The equal-time order holds across every
+// structure because events become executable only through the due heap,
+// which orders by (time, sequence), and an exit's sequence number carries
+// the kExitBit above every ordinary one.
 #pragma once
 
 #include <array>
@@ -46,6 +51,11 @@ struct EventId {
   std::uint32_t gen{0};
   constexpr auto operator<=>(const EventId&) const = default;
 };
+
+/// Equal-time class of an event. At one nanosecond every kOrdinary event
+/// runs before any kExit event; within a class, events run in schedule
+/// order. Guest vCPU exits are kExit.
+enum class Tie : std::uint8_t { kOrdinary, kExit };
 
 /// Observer of kernel event execution. The kernel samples: an installed
 /// sink is notified once every `Simulator::kTraceSampleEvery` executed
@@ -101,11 +111,12 @@ class Simulator {
 
   /// Schedule `cb` to run at absolute time `at`. `at` must not be in the
   /// past.
-  EventId schedule_at(RealTime at, Task cb);
+  EventId schedule_at(RealTime at, Task cb, Tie tie = Tie::kOrdinary);
 
   /// Schedule `cb` to run `delay` after now. Negative delays are clamped to
-  /// zero (fires this instant, after already-queued same-time events).
-  EventId schedule_after(Duration delay, Task cb);
+  /// zero (fires this instant, after already-queued same-time events of
+  /// its class).
+  EventId schedule_after(Duration delay, Task cb, Tie tie = Tie::kOrdinary);
 
   /// Schedule a batch of callbacks as ONE event record at absolute time
   /// `at`; when it fires the callbacks run back to back in vector order. A
@@ -119,7 +130,8 @@ class Simulator {
   /// object, so periodic timers (vCPU slices, sync beacons, stall rechecks)
   /// pay no allocation, no construction, and no cancel on each tick. Works
   /// on a pending event too (it is retimed without firing). Negative delays
-  /// clamp to zero. Returns `id` unchanged (the handle stays valid).
+  /// clamp to zero. The event keeps its Tie class. Returns `id` unchanged
+  /// (the handle stays valid).
   /// Precondition: `id` is pending or currently executing.
   EventId reschedule_after(EventId id, Duration delay);
 
@@ -140,6 +152,11 @@ class Simulator {
     return executing_slot_ == id.slot && executing_slot_ != kNil &&
            executing_gen_ == id.gen;
   }
+
+  /// True while an event's callback is running. Outside a callback every
+  /// event at or before now() has run; inside one, the events at now() of
+  /// a later tie position have not.
+  [[nodiscard]] bool in_callback() const { return executing_slot_ != kNil; }
 
   /// Run the single earliest pending event. Returns false if none pending.
   bool step();
@@ -205,6 +222,10 @@ class Simulator {
       std::int64_t{1} << (kLevelBits * kWheelLevels);
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Set in the sequence number of every Tie::kExit event, so the (time,
+  /// sequence) key of every structure orders exits after ordinary events
+  /// at equal times.
+  static constexpr std::uint64_t kExitBit = std::uint64_t{1} << 63;
 
   enum class Where : std::uint8_t {
     kFree,       // on the free list
@@ -243,7 +264,12 @@ class Simulator {
     }
   };
 
-  EventId schedule_impl(std::int64_t at_ns, Task&& cb);
+  EventId schedule_impl(std::int64_t at_ns, Task&& cb, Tie tie);
+  /// The next sequence number, in the tie position of `seq_class` (a
+  /// record's previous sequence, or kExitBit / 0).
+  std::uint64_t take_seq(std::uint64_t seq_class) {
+    return next_seq_++ | (seq_class & kExitBit);
+  }
   /// Slab accessors: records live in fixed-size chunks, so a slot's address
   /// is stable for the simulator's lifetime — callbacks may schedule (and
   /// grow the slab) while a record is being executed, without relocations.

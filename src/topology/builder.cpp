@@ -161,6 +161,8 @@ void TopologyBuilder::wire(std::uint32_t vm_index) {
     auto ctx = std::make_unique<hypervisor::GuestContext>(
         VmId{vm_index}, ReplicaIndex{static_cast<std::uint32_t>(r)}, entry.addr,
         table_.machine(m), core, gc, entry.factory(), det_seed,
+        hypervisor::SliceStreams::derive(cfg_.seed, vm_index,
+                                         static_cast<std::uint32_t>(r)),
         std::move(services));
 
     if (w.control_group) {

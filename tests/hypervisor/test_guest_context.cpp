@@ -89,7 +89,8 @@ struct Harness {
     };
     ctx = std::make_unique<GuestContext>(VmId{1}, ReplicaIndex{0}, NodeId{50},
                                          machine, sim, cfg, std::move(prog),
-                                         777, svc);
+                                         777, SliceStreams::derive(5, 1, 0),
+                                         svc);
   }
 
   void start() { ctx->start(VirtTime{}); }

@@ -240,6 +240,74 @@ TEST(Simulator, EqualTimeFifoAcrossWheelAndDueBoundary) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Simulator, ExitRunsAfterOrdinaryEventsAtItsNanosecond) {
+  // Whichever was scheduled first, and through every structure an event
+  // can wait in (far heap, wheel, due array), the ordinary events at an
+  // instant run before its exits; each class keeps schedule order.
+  for (const std::int64_t at_ns :
+       {std::int64_t{900}, std::int64_t{2'000'000}, std::int64_t{400'000'000}}) {
+    Simulator sim;
+    std::vector<int> order;
+    const RealTime t{at_ns};
+    sim.schedule_at(t, [&] { order.push_back(10); }, Tie::kExit);
+    sim.schedule_at(t, [&] { order.push_back(1); });
+    sim.schedule_at(t, [&] { order.push_back(11); }, Tie::kExit);
+    sim.schedule_at(t, [&] { order.push_back(2); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 11})) << at_ns;
+  }
+}
+
+TEST(Simulator, OrdinaryEventScheduledAtAnExitInstantRunsFirst) {
+  // The ordinary event arrives mid-drain, after the exit already sits in
+  // the sorted due array: it must still run first.
+  Simulator sim;
+  std::vector<int> order;
+  const RealTime t{5'000};
+  sim.schedule_at(t, [&] { order.push_back(2); }, Tie::kExit);
+  sim.schedule_at(RealTime{4'999}, [&] {
+    sim.schedule_at(t, [&] { order.push_back(1); });
+  });
+  sim.run_until(RealTime{4'999});
+  sim.schedule_at(t, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(Simulator, ReArmedExitKeepsItsTiePosition) {
+  // An exit that re-arms itself (in its callback or while pending) stays
+  // an exit: an ordinary event at its new instant still runs first.
+  Simulator sim;
+  std::vector<int> order;
+  EventId exit{};
+  int fires = 0;
+  exit = sim.schedule_at(RealTime{1'000}, [&] {
+    order.push_back(100 + fires);
+    if (++fires == 1) sim.reschedule_after(exit, Duration::nanos(1'000));
+  }, Tie::kExit);
+  sim.schedule_at(RealTime{2'000}, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 101}));
+
+  order.clear();
+  const EventId pending = sim.schedule_at(
+      RealTime{3'000}, [&] { order.push_back(200); }, Tie::kExit);
+  sim.schedule_at(RealTime{4'000}, [&] { order.push_back(2); });
+  sim.reschedule_after(pending, Duration::nanos(2'000));  // now 4'000
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 200}));
+}
+
+TEST(Simulator, InCallbackIsTrueOnlyWhileAnEventRuns) {
+  Simulator sim;
+  bool inside = false;
+  sim.schedule_at(RealTime{10}, [&] { inside = sim.in_callback(); });
+  EXPECT_FALSE(sim.in_callback());
+  sim.run();
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(sim.in_callback());
+}
+
 TEST(Simulator, ManyTimescalesRunInOrder) {
   // One event per timescale from nanoseconds (due/level 0) to seconds (far
   // heap), interleaved at schedule time; execution must sort them.

@@ -52,24 +52,26 @@ TEST(MachineTable, ShardedLookupEquivalentToDenseTable) {
     EXPECT_EQ(dm.config().clock_offset.ns, sm.config().clock_offset.ns);
     EXPECT_EQ(dm.local_clock().ns, sm.local_clock().ns);
     // The per-machine RNG stream is derived from (seed, index), not from a
-    // shared draw order: the first jittered IPS samples must agree.
-    EXPECT_DOUBLE_EQ(dm.effective_ips(0.0), sm.effective_ips(0.0)) << i;
+    // shared draw order: the first jittered Dom0 delays must agree.
+    EXPECT_EQ(dm.vmm_processing_delay(0.0).ns,
+              sm.vmm_processing_delay(0.0).ns)
+        << i;
   }
 }
 
 TEST(MachineTable, MaterializationOrderDoesNotChangeMachines) {
   Fixture forward(30, 8);
   Fixture backward(30, 8);
-  std::vector<double> fwd, bwd;
+  std::vector<std::int64_t> fwd, bwd;
   for (int i = 0; i < 30; ++i) {
-    fwd.push_back(forward.table.machine(i).effective_ips(0.5));
+    fwd.push_back(forward.table.machine(i).vmm_processing_delay(0.5).ns);
   }
   for (int i = 29; i >= 0; --i) {
-    bwd.push_back(backward.table.machine(i).effective_ips(0.5));
+    bwd.push_back(backward.table.machine(i).vmm_processing_delay(0.5).ns);
   }
   for (int i = 0; i < 30; ++i) {
-    EXPECT_DOUBLE_EQ(fwd[static_cast<std::size_t>(i)],
-                     bwd[static_cast<std::size_t>(29 - i)])
+    EXPECT_EQ(fwd[static_cast<std::size_t>(i)],
+              bwd[static_cast<std::size_t>(29 - i)])
         << i;
   }
 }
