@@ -5,6 +5,7 @@
 // intentionally non-deterministic scenario.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -88,8 +89,9 @@ class IdleProgram final : public vm::GuestProgram {
 };
 
 /// Wall nanoseconds per guest vCPU slice of one idle guest under
-/// StopWatch on one machine. With one replica there are no beacons, so
-/// every event the simulator executes is one slice ending in an exit.
+/// StopWatch on one machine. With one replica there are no beacons, and
+/// alone on its machine the guest runs spans: every event the simulator
+/// executes ends a span of idle exits, and every exit ends one idle chunk.
 double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
   sim::Simulator sim;
   hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
@@ -105,12 +107,14 @@ double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
                                  hypervisor::SliceStreams::derive(seed, 0, 0),
                                  std::move(services));
   guest.start(VirtTime{});
+  const std::uint64_t target = slices * vm::GuestVm::kIdleChunkInstr;
   const auto t0 = std::chrono::steady_clock::now();
-  sim.run(slices);
+  while (guest.instr() < target) sim.step();
   const auto t1 = std::chrono::steady_clock::now();
+  const std::uint64_t exits = guest.instr() / vm::GuestVm::kIdleChunkInstr;
   guest.halt();
   return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(sim.events_executed());
+         static_cast<double>(exits);
 }
 
 Result run(const ScenarioContext& ctx) {
@@ -262,20 +266,23 @@ Result run(const ScenarioContext& ctx) {
   }
 
   // Profiling disabled must be free the same way: the schedule+run body
-  // with an OBS_PROF_SCOPE probe on the per-event path, measured with a
+  // with a profiling scope on the per-event path, measured with a
   // profiler installed-but-never-armed (the pointer load + armed-flag
   // check) against no profiler installed (the pointer load alone). Same
   // alternating paired-ratio scheme as above; nightly gates <= 1.02.
+  // The scopes read a probe-local pointer, not the process-wide one:
+  // scenarios on other --jobs threads must never see this profiler.
   {
-    obs::Profiler idle;  // installed, never armed
-    obs::Profiler* const previous = obs::active_profiler();
+    obs::Profiler idle;  // installed in `probe` only, never armed
+    std::atomic<obs::Profiler*> probe{nullptr};
     const std::uint64_t reps = std::max<std::uint64_t>(1, iters / 2000);
     const auto loop = [&](obs::Profiler* installed) {
-      obs::set_active_profiler(installed);
+      probe.store(installed, std::memory_order_relaxed);
       return time_ns_per_op(reps, [&](auto) {
         sim::Simulator sim;
         for (std::uint64_t i = 0; i < sim_events; ++i) {
-          OBS_PROF_SCOPE("bench.probe");
+          const obs::ProfScope scope(obs::prof_phase_index("bench.probe"),
+                                     probe);
           sim.schedule_at(RealTime::nanos(i * 100), [] {});
         }
         sim.run();
@@ -300,7 +307,6 @@ Result run(const ScenarioContext& ctx) {
       }
       ratios.push_back(disarmed / plain);
     }
-    obs::set_active_profiler(previous);
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
     result.add_metric("profiling_disabled_overhead_ratio",

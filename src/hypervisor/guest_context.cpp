@@ -89,6 +89,7 @@ void GuestContext::start(VirtTime start) {
 
 void GuestContext::beacon_tick() {
   if (halted_) return;
+  settle();
   net::SyncBeacon b;
   b.vm = vm_;
   b.machine = machine_->id();
@@ -99,52 +100,167 @@ void GuestContext::beacon_tick() {
 }
 
 void GuestContext::halt() {
+  settle();
   halted_ = true;
   if (slice_event_) {
     sim_->cancel(*slice_event_);
     slice_event_.reset();
   }
+  span_.clear();
+  span_next_ = 0;
 }
 
 VirtTime GuestContext::virt_now() const {
+  settle();
   return clock_.now(guest_->instr());
+}
+
+vm::GuestProgram& GuestContext::program() {
+  settle();
+  cut_span();
+  return guest_->program();
+}
+
+void GuestContext::on_host_load_changed() {
+  settle();
+  cut_span();
 }
 
 void GuestContext::schedule_slice() {
   if (halted_ || stalled_) return;
   SW_ASSERT(!slice_event_ || !sim_->is_scheduled(*slice_event_));
-  const std::uint64_t cur = guest_->instr();
-  SW_ASSERT(next_periodic_exit_ > cur);
-  const std::uint64_t to_periodic = next_periodic_exit_ - cur;
-  std::uint64_t n = std::min(guest_->instr_to_boundary(), to_periodic);
-  if (n == 0) n = 1;
-
-  const double other_load = machine_->load_excluding(this);
-  const double ips = machine_->effective_ips(
-      other_load, machine_->ips_jitter(streams_.ips));
-  auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
-                  machine_->config().exit_overhead;
-  // Periodic loss of the physical core to coresident load (vCPU scheduling).
-  if (cur >= next_preempt_instr_) {
-    if (machine_->preempts(other_load)) {
-      run_time += machine_->preemption_wait(other_load,
-                                            streams_.preempt.exponential(1.0));
-    }
-    next_preempt_instr_ = cur + machine_->config().preempt_interval_instr;
-  }
-  pending_slice_n_ = n;
+  plan_span();
+  const Duration until{span_.back().at_ns - sim_->now().ns};
   if (slice_event_ && sim_->is_executing(*slice_event_)) {
-    // The common case: the slice that just ended re-arms itself — same
-    // arena slot, same Task, no allocation or construction per slice.
-    sim_->reschedule_after(*slice_event_, run_time);
+    // The common case: the span that just ended re-arms itself — same
+    // arena slot, same Task, no allocation or construction per span.
+    sim_->reschedule_after(*slice_event_, until);
   } else {
     slice_event_ = sim_->schedule_after(
-        run_time, [this] { on_slice_end(pending_slice_n_); }, sim::Tie::kExit);
+        until, [this] { on_span_end(); }, sim::Tie::kExit);
   }
 }
 
-void GuestContext::on_slice_end(std::uint64_t n) {
-  guest_->advance(n);
+void GuestContext::plan_span() {
+  span_.clear();
+  span_next_ = 0;
+  const MachineConfig& mc = machine_->config();
+  const double other_load = machine_->load_excluding(this);
+  const bool preempts = machine_->preempts(other_load);
+  const bool extend = guest_->is_idle() && !guest_->has_io_ops() &&
+                      machine_->sole_source(this);
+  const std::int64_t due_clock = extend ? next_due_clock_ns() : 0;
+  const std::uint64_t due_instr =
+      epoch_instr_ > 0 ? (epoch_index_ + 1) * epoch_instr_ : UINT64_MAX;
+
+  std::uint64_t cur = guest_->instr();
+  std::uint64_t chunk = guest_->instr_to_boundary();
+  std::uint64_t periodic = next_periodic_exit_;
+  std::uint64_t next_preempt = next_preempt_instr_;
+  std::int64_t t = sim_->now().ns;
+  const std::int64_t t_bound = t + cfg_.timer_period.ns;
+  std::size_t preempt_draws = 0;
+  for (;;) {
+    SW_ASSERT(periodic > cur);
+    const std::uint64_t n = std::min(chunk, periodic - cur);
+    const double jitter = jitter_draws_.ahead(
+        span_.size(), [&] { return machine_->ips_jitter(streams_.ips); });
+    const double ips = machine_->effective_ips(other_load, jitter);
+    auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
+                    mc.exit_overhead;
+    // Periodic loss of the physical core to coresident load (vCPU
+    // scheduling).
+    bool drew_preempt = false;
+    if (cur >= next_preempt) {
+      if (preempts) {
+        run_time += machine_->preemption_wait(
+            other_load, preempt_draws_.ahead(preempt_draws++, [&] {
+              return streams_.preempt.exponential(1.0);
+            }));
+        drew_preempt = true;
+      }
+      next_preempt = cur + mc.preempt_interval_instr;
+    }
+    t += run_time.ns;
+    cur += n;
+    const std::int64_t clock =
+        clock_.at(cur, RealTime{t} + mc.clock_offset).ns;
+    span_.push_back({t, clock, cur, next_preempt, drew_preempt});
+    if (!extend || clock >= due_clock || cur >= due_instr || t >= t_bound) {
+      break;
+    }
+    // A quiet exit of an idle guest: the chunk restarts when it ends.
+    chunk -= n;
+    if (chunk == 0) chunk = vm::GuestVm::kIdleChunkInstr;
+    periodic = cur + cfg_.exit_interval_instr;
+  }
+  next_preempt_instr_ = next_preempt;
+  start_slice(span_.front());
+}
+
+std::int64_t GuestContext::next_due_clock_ns() const {
+  std::int64_t due = std::min(next_timer_tick_ns_, guest_->next_timer_ns());
+  if (!disk_slots_.empty()) due = std::min(due, disk_slots_.front().delivery);
+  if (!net_slots_.empty()) {
+    const auto it = net_slots_.find(next_net_inject_seq_);
+    if (it != net_slots_.end() && it->second.have_pkt &&
+        it->second.delivery.has_value()) {
+      due = std::min(due, *it->second.delivery);
+    }
+  }
+  if (replicated_ && cfg_.replica_count > 1 &&
+      peer_virt_ns_.size() + 1 >=
+          static_cast<std::size_t>(cfg_.replica_count)) {
+    // should_stall() holds once the clock exceeds max peer + gap.
+    const std::int64_t stall =
+        max_peer_virt_ns_ > INT64_MAX - max_gap_ns_ - 1
+            ? INT64_MAX
+            : max_peer_virt_ns_ + max_gap_ns_ + 1;
+    due = std::min(due, stall);
+  }
+  return due;
+}
+
+void GuestContext::start_slice(const PlannedExit& e) {
+  jitter_draws_.pop();
+  if (e.drew_preempt) preempt_draws_.pop();
+}
+
+void GuestContext::run_quiet_exits(std::size_t end) {
+  if (end == span_next_) return;
+  // Only the last exit's values survive, except the activity decay and
+  // the draws, which each exit takes in turn.
+  const PlannedExit& last = span_[end - 1];
+  guest_->advance_idle(last.instr - guest_->instr());
+  last_exit_instr_ = last.instr;
+  last_exit_clock_ns_ = last.clock_ns;
+  next_periodic_exit_ = last.instr + cfg_.exit_interval_instr;
+  for (; span_next_ < end; ++span_next_) {
+    update_activity(false);
+    start_slice(span_[span_next_ + 1]);
+  }
+}
+
+void GuestContext::settle_to_now() {
+  // Inside a callback the exits at now() run after it (Tie::kExit).
+  const std::int64_t limit =
+      sim_->in_callback() ? sim_->now().ns - 1 : sim_->now().ns;
+  std::size_t end = span_next_;
+  while (end + 1 < span_.size() && span_[end].at_ns <= limit) ++end;
+  run_quiet_exits(end);
+}
+
+void GuestContext::cut_span() {
+  if (span_next_ + 1 >= span_.size()) return;
+  span_.resize(span_next_ + 1);
+  next_preempt_instr_ = span_.back().preempt_after;
+  sim_->reschedule_after(*slice_event_,
+                         Duration{span_.back().at_ns - sim_->now().ns});
+}
+
+void GuestContext::on_span_end() {
+  run_quiet_exits(span_.size() - 1);
+  guest_->advance(span_.back().instr - guest_->instr());
   on_guest_exit();
 }
 
@@ -159,8 +275,7 @@ void GuestContext::on_guest_exit() {
   inject_due_interrupts();
 
   // Host-load bookkeeping (not guest-visible).
-  const double busy = guest_->is_idle() ? 0.0 : 1.0;
-  activity_ema_ = 0.98 * activity_ema_ + 0.02 * busy;
+  update_activity(!guest_->is_idle());
 
   if (replicated_ && should_stall()) {
     enter_stall();
@@ -316,6 +431,7 @@ void GuestContext::recheck_stall() {
 void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
   SW_EXPECTS(replicated_);
   if (copy.vm != vm_) return;
+  settle();
   NetSlot& slot = net_slots_[copy.copy_seq];
   slot.pkt = copy.pkt;
   slot.have_pkt = true;
@@ -333,6 +449,7 @@ void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
   const std::uint64_t seq = copy.copy_seq;
   sim_->schedule_after(processing, [this, seq] {
     if (halted_) return;
+    settle();
     net::Proposal p;
     p.vm = vm_;
     p.copy_seq = seq;
@@ -350,6 +467,7 @@ void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
 void GuestContext::on_proposal(const net::Proposal& p) {
   SW_EXPECTS(replicated_);
   if (p.vm != vm_) return;
+  settle();
   if (p.copy_seq < next_net_inject_seq_) return;  // already delivered
   NetSlot& slot = net_slots_[p.copy_seq];
   slot.proposals[p.proposer.value] = p.proposed_delivery.ns;
@@ -389,6 +507,7 @@ void GuestContext::on_proposal(const net::Proposal& p) {
     median = last_exit_clock_ns_;
   }
   slot.delivery = median;
+  cut_span();
   {
     const auto trace_it = live_traces_.find(p.copy_seq);
     if (trace_it != live_traces_.end()) {
@@ -401,20 +520,31 @@ void GuestContext::on_proposal(const net::Proposal& p) {
 void GuestContext::on_sync_beacon(const net::SyncBeacon& b) {
   if (b.vm != vm_) return;
   if (b.machine == machine_->id()) return;  // self-delivery
+  settle();
+  const std::size_t known = peer_virt_ns_.size();
   auto& v = peer_virt_ns_[b.machine.value];
   v = std::max(v, b.virt.ns);
   // From the entry, not the beacon: a first beacon below the entry's
   // default 0 still counts as 0.
   max_peer_virt_ns_ = std::max(max_peer_virt_ns_, v);
+  // A raised maximum only delays a stall; a completed peer set can start
+  // one.
+  if (peer_virt_ns_.size() != known &&
+      peer_virt_ns_.size() + 1 >=
+          static_cast<std::size_t>(cfg_.replica_count)) {
+    cut_span();
+  }
 }
 
 void GuestContext::on_epoch_report(const net::EpochReport& r) {
   if (r.vm != vm_) return;
+  settle();
   epoch_reports_[r.epoch].by_machine[r.machine.value] = r;
 }
 
 void GuestContext::on_direct_packet(const net::Packet& pkt) {
   SW_EXPECTS(!replicated_);
+  settle();
   const Duration processing =
       machine_->vmm_processing_delay(machine_->load_excluding(nullptr));
   const std::uint64_t seq = baseline_arrival_seq_++;
@@ -425,6 +555,7 @@ void GuestContext::on_direct_packet(const net::Packet& pkt) {
       (sim_->now() + processing).ns + machine_->config().clock_offset.ns,
       last_exit_clock_ns_);
   net_slots_.emplace(seq, std::move(slot));
+  cut_span();
 }
 
 void GuestContext::check_epoch(std::uint64_t exit_instr) {

@@ -25,6 +25,36 @@
 // the guest clock passes through machine-local real time, and interrupts
 // are delivered as soon as Dom0 has processed them — which is exactly what
 // leaks coresident-victim activity.
+//
+// Spans. Interrupts are injected only at guest exits, and at an idle exit
+// none is due, so nothing guest-visible happens between such exits. The
+// execution engine therefore plans a *span*: the run of exits up to and
+// including the first one where something may become due, with one
+// simulator event (Tie::kExit) at its end.
+//  * A guest qualifies when it is idle, has no queued I/O and is the only
+//    LoadSource on its machine (so no co-resident reads its activity, and
+//    its coresident load is the constant extra load). For such a guest
+//    schedule_slice() runs the per-slice arithmetic and draws in a loop
+//    and stops at the first exit that reaches a PIT tick, a guest soft
+//    timer, a disk or net delivery, an epoch boundary or a stall, or at
+//    one PIT period of real time past the span's start (the span bound).
+//    A busy or co-resident guest plans a span of one exit: one code path.
+//  * Settle: every entry point, internal event and state accessor first
+//    runs the planned exits that lie in the past, exactly as their events
+//    would have. Inside a callback at time t that is every exit strictly
+//    before t (exits at t run after ordinary events, per Tie::kExit);
+//    between runs, every exit at or before now().
+//  * Cut: an input that changes what becomes due (a proposal completing
+//    a delivery, a direct packet, a change of the machine's load inputs,
+//    a beacon that completes the peer set, or outside access to the
+//    guest program) truncates the plan after the exit in flight, whose
+//    time was fixed when its slice started; the span event moves there.
+//  * Draws: each slice's IPS jitter and preemption draw come from the
+//    replica's own streams, taken ahead into queues when planned and
+//    popped when the slice starts, so draws a cut left unused serve the
+//    next span in stream order.
+// A run with spans is therefore identical, exit for exit, to one where
+// every exit is its own event.
 #pragma once
 
 #include <array>
@@ -166,14 +196,26 @@ class GuestContext final : public LoadSource {
 
   // --- Introspection for experiments ---
 
+  // Each accessor of run state settles the span first (see the header
+  // comment); identity accessors read constants.
+
   [[nodiscard]] VirtTime virt_now() const;
-  [[nodiscard]] std::uint64_t instr() const { return guest_->instr(); }
-  [[nodiscard]] const GuestContextStats& stats() const { return stats_; }
+  [[nodiscard]] std::uint64_t instr() const {
+    settle();
+    return guest_->instr();
+  }
+  [[nodiscard]] const GuestContextStats& stats() const {
+    settle();
+    return stats_;
+  }
   [[nodiscard]] const MitigationPolicy& policy() const { return *policy_; }
   [[nodiscard]] const vm::GuestCounters& guest_counters() const {
+    settle();
     return guest_->counters();
   }
-  [[nodiscard]] vm::GuestProgram& program() { return guest_->program(); }
+  /// The guest program, for the caller to read or drive. The caller may
+  /// give the guest work, so the span is cut as well as settled.
+  [[nodiscard]] vm::GuestProgram& program();
   [[nodiscard]] VmId vm() const { return vm_; }
   [[nodiscard]] ReplicaIndex replica() const { return replica_; }
   [[nodiscard]] Machine& machine() { return *machine_; }
@@ -181,18 +223,87 @@ class GuestContext final : public LoadSource {
   /// check: all replicas of a VM must agree at equal counts).
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> output_signature()
       const {
+    settle();
     return {out_hash_chain_, out_seq_};
   }
   /// Per-packet output hashes, for prefix comparison across replicas.
   [[nodiscard]] const std::vector<std::uint64_t>& output_hashes() const {
+    settle();
     return out_hashes_;
   }
-  [[nodiscard]] double activity() const override { return activity_ema_; }
+  [[nodiscard]] double activity() const override {
+    settle();
+    return activity_ema_;
+  }
+  /// The machine's extra load changed or a co-resident registered: the
+  /// guest's coresident load, and whether it runs spans, may change.
+  void on_host_load_changed() override;
 
  private:
+  /// One planned exit: the end of one slice.
+  struct PlannedExit {
+    std::int64_t at_ns;  // real time of the exit
+    std::int64_t clock_ns;  // guest clock at the exit
+    std::uint64_t instr;  // guest instructions retired at the exit
+    /// next_preempt_instr_ once this slice was planned.
+    std::uint64_t preempt_after;
+    bool drew_preempt;  // the slice took a preemption draw
+  };
+
+  /// Draws from one stream, taken ahead of the slices that use them. A
+  /// plan reads ahead (drawing only past the queued ones); a slice's
+  /// start pops its draw; a cut leaves the unused draws queued.
+  class DrawQueue {
+   public:
+    template <typename Draw>
+    double ahead(std::size_t i, Draw&& draw) {
+      while (head_ + i >= buf_.size()) buf_.push_back(draw());
+      return buf_[head_ + i];
+    }
+    void pop() {
+      if (++head_ == buf_.size()) {
+        buf_.clear();
+        head_ = 0;
+      } else if (head_ >= 1024) {
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<double> buf_;
+    std::size_t head_{0};
+  };
+
   // Execution engine.
   void schedule_slice();
-  void on_slice_end(std::uint64_t n);
+  /// Plans the next span from the state after the last exit (span_[0] is
+  /// the slice starting now).
+  void plan_span();
+  /// Pops the draws of the slice that `e` ends, as it starts.
+  void start_slice(const PlannedExit& e);
+  /// The span event: runs the quiet exits, then the final one in full.
+  void on_span_end();
+  /// Runs the quiet exits span_[span_next_, end): what on_guest_exit()
+  /// does at each when nothing is due, and the start of the next slice.
+  void run_quiet_exits(std::size_t end);
+  /// Settles the span to now() (see the header comment). Logically const:
+  /// it runs exits that already happened in simulated time.
+  void settle() const {
+    if (span_next_ + 1 < span_.size()) {
+      const_cast<GuestContext*>(this)->settle_to_now();
+    }
+  }
+  void settle_to_now();
+  /// Truncates the plan after the exit in flight. Call after settle().
+  void cut_span();
+  /// Guest clock at which the earliest pending PIT tick, guest timer,
+  /// disk or net delivery becomes due, or a stall begins.
+  [[nodiscard]] std::int64_t next_due_clock_ns() const;
+  void update_activity(bool busy) {
+    activity_ema_ = 0.98 * activity_ema_ + 0.02 * (busy ? 1.0 : 0.0);
+  }
   void on_guest_exit();
   void beacon_tick();
   void process_io_ops();
@@ -248,10 +359,16 @@ class GuestContext final : public LoadSource {
   bool halted_{false};
   bool stalled_{false};
   RealTime stall_began_{};
-  std::uint64_t pending_slice_n_{0};
+  /// The span in flight: span_[span_next_] is the first exit not yet run,
+  /// and span_.back() is the exit of the span event.
+  std::vector<PlannedExit> span_;
+  std::size_t span_next_{0};
+  DrawQueue jitter_draws_;
+  DrawQueue preempt_draws_;
   /// Periodic timers each own one simulator arena slot for their lifetime
   /// (re-armed in place via Simulator::reschedule_after; the handles stay
-  /// valid across re-arms, so halt() can still cancel them).
+  /// valid across re-arms, so halt() can still cancel them). The slice
+  /// event is the span event.
   std::optional<sim::EventId> slice_event_;
   std::optional<sim::EventId> beacon_event_;
   std::optional<sim::EventId> stall_event_;

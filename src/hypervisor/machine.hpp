@@ -26,6 +26,9 @@ class LoadSource {
   virtual ~LoadSource() = default;
   /// Current activity in [0, 1] (fraction of recent time spent non-idle).
   [[nodiscard]] virtual double activity() const = 0;
+  /// The machine's load inputs changed: its extra load was set, or
+  /// another source registered.
+  virtual void on_host_load_changed() {}
 };
 
 struct MachineConfig {
@@ -90,9 +93,15 @@ class Machine {
     return sim_->now() + cfg_.clock_offset;
   }
 
-  void register_load_source(const LoadSource* src) {
+  void register_load_source(LoadSource* src) {
     SW_EXPECTS(src != nullptr);
+    for (LoadSource* s : sources_) s->on_host_load_changed();
     sources_.push_back(src);
+  }
+
+  /// True if `src` is the only load source on this machine.
+  [[nodiscard]] bool sole_source(const LoadSource* src) const {
+    return sources_.size() == 1 && sources_.front() == src;
   }
 
   /// Extra host load injected by experiments (e.g., the collaborating
@@ -100,6 +109,7 @@ class Machine {
   void set_extra_load(double load) {
     SW_EXPECTS(load >= 0.0);
     extra_load_ = load;
+    for (LoadSource* s : sources_) s->on_host_load_changed();
   }
 
   /// Sum of coresident activity excluding `self` (pass nullptr for "all").
@@ -173,7 +183,7 @@ class Machine {
   sim::Simulator* sim_;
   MachineConfig cfg_;
   Rng rng_;
-  std::vector<const LoadSource*> sources_;
+  std::vector<LoadSource*> sources_;
   double extra_load_{0.0};
   RealTime disk_free_{};
   MachineStats stats_;

@@ -65,6 +65,14 @@ class VirtualClock {
     return at_instr(current_instr);
   }
 
+  /// The guest-visible clock at the moment the guest had retired `instr`
+  /// instructions while the machine-local real clock read `local_real`
+  /// (a planned exit, not necessarily now).
+  [[nodiscard]] VirtTime at(std::uint64_t instr, RealTime local_real) const {
+    if (mode_ == Mode::kRealPassthrough) return VirtTime{local_real.ns};
+    return at_instr(instr);
+  }
+
   /// Rebase at `anchor_instr` with a new slope, keeping the clock continuous
   /// (start_{k+1} = virt_k at the anchor). Used by epoch resync.
   void rebase(std::uint64_t anchor_instr, double new_slope) {

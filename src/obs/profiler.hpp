@@ -152,8 +152,12 @@ void prof_exit(Profiler::ThreadSlot* slot);
 /// (+ one when a profiler is installed), one predicted branch.
 class ProfScope {
  public:
-  explicit ProfScope(std::size_t phase) {
-    Profiler* p = detail::g_profiler.load(std::memory_order_relaxed);
+  explicit ProfScope(std::size_t phase) : ProfScope(phase, detail::g_profiler) {}
+  /// Reads the profiler from `source` instead of the process-wide pointer:
+  /// the same disarmed check, on a pointer no other thread can see (the
+  /// microbench overhead probe's way to time it while scenarios run).
+  ProfScope(std::size_t phase, const std::atomic<Profiler*>& source) {
+    Profiler* p = source.load(std::memory_order_relaxed);
     if (p == nullptr || !p->armed()) [[likely]] {
       slot_ = nullptr;
       return;

@@ -58,6 +58,15 @@ void GuestVm::advance(std::uint64_t n) {
   ensure_runnable();
 }
 
+void GuestVm::advance_idle(std::uint64_t n) {
+  SW_EXPECTS(booted_ && is_idle());
+  Task& chunk = run_queue_.front();
+  const std::uint64_t done =
+      (kIdleChunkInstr - chunk.remaining + n) % kIdleChunkInstr;
+  chunk.remaining = kIdleChunkInstr - done;
+  instr_ += n;
+}
+
 void GuestVm::stage_handler(std::uint64_t cost, std::function<void()> body) {
   staged_handlers_.push_back(Task{cost, std::move(body), false});
 }

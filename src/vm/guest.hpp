@@ -138,6 +138,11 @@ class GuestVm final : private GuestApi {
   /// further tasks and I/O operations).
   void advance(std::uint64_t n);
 
+  /// Advances an idle guest by `n` instructions, its lone idle chunk
+  /// restarting whenever it ends: the same as advance() over any run of
+  /// exits that retire `n` in total, each within one chunk.
+  void advance_idle(std::uint64_t n);
+
   // --- VM entry (interrupt injection; only at guest-caused exits) ---
   //
   // Injections are staged and applied by commit_injections() so that
@@ -167,6 +172,16 @@ class GuestVm final : private GuestApi {
   [[nodiscard]] bool is_idle() const {
     return run_queue_.front().idle && only_task();
   }
+
+  /// Guest clock deadline of the earliest pending guest timer (INT64_MAX
+  /// when none is set).
+  [[nodiscard]] std::int64_t next_timer_ns() const {
+    return timers_.empty() ? INT64_MAX : timers_.begin()->first;
+  }
+
+  /// Instructions in one idle-loop chunk: an idle guest alone in its run
+  /// queue completes one chunk and starts the next at every chunk end.
+  static constexpr std::uint64_t kIdleChunkInstr = 20'000;
 
   [[nodiscard]] const GuestCounters& counters() const { return counters_; }
   [[nodiscard]] VmId id() const { return id_; }
@@ -212,7 +227,6 @@ class GuestVm final : private GuestApi {
     return &run_queue_.front() == &run_queue_.back();
   }
 
-  static constexpr std::uint64_t kIdleChunkInstr = 20'000;
   static constexpr std::uint64_t kIrqHandlerInstr = 2'000;
 
   VmId id_{};

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,19 +55,31 @@ MachineConfig exact_machine() {
   return mc;
 }
 
+/// A co-resident load source that never does anything: beside it a guest
+/// is not alone on its machine, so it plans spans of one exit, while its
+/// coresident load stays exactly what it would be alone.
+class IdleNeighbor final : public LoadSource {
+ public:
+  [[nodiscard]] double activity() const override { return 0.0; }
+};
+
 struct Harness {
   sim::Simulator sim;
   Machine machine;
+  IdleNeighbor neighbor;
   RecorderProgram* program{nullptr};
   std::unique_ptr<GuestContext> ctx;
   std::vector<net::Proposal> own_proposals;
   std::vector<net::EpochReport> own_reports;
+  std::vector<net::SyncBeacon> own_beacons;
   std::vector<net::Frame> frames_out;
 
   explicit Harness(GuestContextConfig cfg,
                    std::function<void(vm::GuestApi&)> boot = nullptr,
-                   MachineConfig mc = exact_machine())
+                   MachineConfig mc = exact_machine(),
+                   bool idle_neighbor = false)
       : machine(MachineId{0}, sim, mc, Rng(5)) {
+    if (idle_neighbor) machine.register_load_source(&neighbor);
     auto prog = std::make_unique<RecorderProgram>();
     prog->boot_action = std::move(boot);
     program = prog.get();
@@ -84,6 +97,7 @@ struct Harness {
         own_reports.push_back(*e);
         ctx->on_epoch_report(*e);
       } else if (const auto* b = std::get_if<net::SyncBeacon>(&payload)) {
+        own_beacons.push_back(*b);
         ctx->on_sync_beacon(*b);
       }
     };
@@ -431,6 +445,216 @@ TEST(GuestContext, PacketTracesRecordProtocolTimeline) {
   EXPECT_EQ(tr.proposals_ms.size(), 3u);
   EXPECT_NEAR(tr.chosen_delivery_virt_ms, 17.0, 0.1);  // median of 15/17/19
   EXPECT_GE(tr.inject_virt_ms, tr.chosen_delivery_virt_ms);
+}
+
+// --- Spans: exactness against one event per exit ---
+
+RealTime us(std::int64_t micros) { return RealTime::nanos(micros * 1'000); }
+
+/// Everything a guest's run exposes, read through the public accessors.
+struct Snapshot {
+  std::uint64_t instr{0};
+  std::int64_t virt_ns{0};
+  std::uint64_t net{0}, disk{0}, ticks{0}, tunneled{0}, median_passed{0},
+      disk_late{0}, epoch_missing{0}, stalls{0}, rebases{0};
+  std::int64_t stall_ns{0};
+  std::vector<double> spread_ms, margin_ms, disk_margin_ms;
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::int64_t> tick_virt_ns, packet_virt_ns;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> beacons;  // virt, instr
+  bool operator==(const Snapshot&) const = default;
+};
+
+Snapshot snapshot(const Harness& h) {
+  Snapshot s;
+  s.instr = h.ctx->instr();
+  s.virt_ns = h.ctx->virt_now().ns;
+  const GuestContextStats& st = h.ctx->stats();
+  s.net = st.net_deliveries;
+  s.disk = st.disk_deliveries;
+  s.ticks = st.timer_injections;
+  s.tunneled = st.outputs_tunneled;
+  s.median_passed = st.divergence_median_passed;
+  s.disk_late = st.divergence_disk_late;
+  s.epoch_missing = st.divergence_epoch_missing;
+  s.stalls = st.throttle_stalls;
+  s.rebases = st.epoch_rebase_count;
+  s.stall_ns = st.total_stall_time.ns;
+  s.spread_ms = st.proposal_spread_ms;
+  s.margin_ms = st.median_margin_ms;
+  s.disk_margin_ms = st.disk_margin_ms;
+  s.hashes = h.ctx->output_hashes();
+  s.tick_virt_ns = h.program->tick_virt_ns;
+  s.packet_virt_ns = h.program->packet_virt_ns;
+  for (const net::SyncBeacon& b : h.own_beacons) {
+    s.beacons.emplace_back(b.virt.ns, b.instr);
+  }
+  return s;
+}
+
+/// Every ~7.3 ms of guest time: a disk read and an output packet whose
+/// contents carry the instruction count (so output hashes pin timing).
+void periodic_io(vm::GuestApi& api) {
+  api.set_timer(Duration::micros(7300), [&api] {
+    api.disk_read(4096, [] {});
+    net::Packet pkt;
+    pkt.dst = NodeId{9};
+    pkt.size_bytes = 100;
+    pkt.seq = api.instructions();
+    api.send_packet(pkt);
+    periodic_io(api);
+  });
+}
+
+/// A jittered, contended, preempting machine: every per-slice draw counts.
+MachineConfig noisy_machine() {
+  MachineConfig mc;
+  mc.disk_seek_min = Duration::millis(2);
+  mc.disk_seek_max = Duration::millis(5);
+  mc.preempt_interval_instr = 3'000'000;
+  mc.clock_offset = Duration::micros(700);
+  return mc;
+}
+
+/// Drives a guest alone on its machine (which runs spans) and the same
+/// guest beside an idle neighbor (every span one exit) through the same
+/// inputs, and checks that they agree at every read.
+class SpanExactness {
+ public:
+  explicit SpanExactness(const GuestContextConfig& cfg)
+      : alone_(cfg, periodic_io, noisy_machine()),
+        paired_(cfg, periodic_io, noisy_machine(), /*idle_neighbor=*/true) {
+    alone_.start();
+    paired_.start();
+  }
+
+  /// Schedules `op` on both harnesses as an ordinary event at `at`.
+  void at(RealTime at, const std::function<void(Harness&)>& op) {
+    for (Harness* h : {&alone_, &paired_}) {
+      h->sim.schedule_at(at, [h, op] { op(*h); });
+    }
+  }
+
+  /// The paired guest's next event time: with one exit per event, almost
+  /// always an exit.
+  RealTime next_exit() {
+    return RealTime{paired_.sim.next_event_time_ns().value()};
+  }
+
+  /// Runs both to `t` and compares them.
+  void check_at(RealTime t) {
+    alone_.sim.run_until(t);
+    paired_.sim.run_until(t);
+    EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "at " << t.ns << " ns";
+    ++checks_;
+  }
+
+  void finish() {
+    EXPECT_GT(checks_, 20);
+    // Spans really ran: the lone guest needed far fewer events.
+    EXPECT_LT(alone_.sim.events_executed() * 4,
+              paired_.sim.events_executed());
+    EXPECT_GT(snapshot(alone_).disk, 0u);
+    EXPECT_GT(snapshot(alone_).net, 0u);
+  }
+
+  [[nodiscard]] const Harness& alone() const { return alone_; }
+
+ private:
+  Harness alone_;
+  Harness paired_;
+  int checks_{0};
+};
+
+void check_many(SpanExactness& x, std::int64_t from_us, std::int64_t to_us,
+                std::int64_t step_us) {
+  for (std::int64_t t = from_us; t <= to_us; t += step_us) x.check_at(us(t));
+}
+
+TEST(GuestContextSpans, StopWatchSpansMatchOneEventPerExit) {
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.policy.stopwatch.max_replica_gap = Duration::millis(2);
+  cfg.policy.stopwatch.epoch_resync = true;
+  cfg.policy.stopwatch.epoch_instr = 9'000'000;
+  SpanExactness x(cfg);
+  check_many(x, 300, 3'000, 370);
+
+  // An ingress copy in the middle of a span, then one on an exit's
+  // nanosecond, read with a run_until that ends exactly on an exit.
+  x.at(us(4'100), [](Harness& h) { h.feed_ingress(1, 11); });
+  x.check_at(us(5'000));
+  const RealTime exit = x.next_exit();
+  x.at(exit, [](Harness& h) { h.feed_ingress(2, 22); });
+  x.check_at(exit);
+  x.check_at(x.next_exit());
+
+  // Proposals that complete both deliveries, the first with a median
+  // that already passed: it is due at the next exit.
+  x.at(us(6'300), [](Harness& h) {
+    h.feed_peer_proposal(1, 1'000'000, 1);
+    h.feed_peer_proposal(1, 2'000'000, 2);
+    h.feed_peer_proposal(2, 12'000'000, 1);
+    h.feed_peer_proposal(2, 13'000'000, 2);
+  });
+  // Coresident load appears: preemption draws start.
+  x.at(us(8'200), [](Harness& h) { h.machine.set_extra_load(0.6); });
+  check_many(x, 6'000, 16'000, 430);
+
+  // Beacons: the second completes the peer set and starts the throttle;
+  // later ones release it.
+  x.at(us(16'500), [](Harness& h) {
+    h.ctx->on_sync_beacon(peer_beacon(1, Duration::millis(2).ns));
+  });
+  x.at(us(19'100), [](Harness& h) {
+    h.ctx->on_sync_beacon(peer_beacon(2, Duration::millis(1).ns));
+  });
+  x.at(us(24'000), [](Harness& h) {
+    h.ctx->on_sync_beacon(peer_beacon(1, Duration::millis(90).ns));
+    h.ctx->on_sync_beacon(peer_beacon(2, Duration::millis(90).ns));
+  });
+  x.at(us(26'000), [](Harness& h) { h.machine.set_extra_load(0.0); });
+  check_many(x, 16'000, 40'000, 290);
+
+  // Between runs, too: an input outside any callback.
+  x.check_at(x.next_exit());
+  x.at(x.next_exit(), [](Harness& h) { h.machine.set_extra_load(0.3); });
+  check_many(x, 40'100, 52'000, 1'130);
+
+  x.at(us(52'700), [](Harness& h) { h.ctx->halt(); });
+  check_many(x, 52'400, 56'000, 600);
+  x.finish();
+  const GuestContextStats& st = x.alone().ctx->stats();
+  EXPECT_EQ(st.throttle_stalls, 1u);
+  EXPECT_EQ(st.divergence_median_passed, 1u);
+  EXPECT_GT(st.divergence_epoch_missing, 0u);  // epoch boundaries crossed
+}
+
+TEST(GuestContextSpans, BaselineSpansMatchOneEventPerExit) {
+  GuestContextConfig cfg;
+  cfg.policy = Policy::kBaselineXen;
+  cfg.replica_count = 1;
+  SpanExactness x(cfg);
+  check_many(x, 300, 5'000, 410);
+  const auto direct = [](std::uint64_t seq) {
+    return [seq](Harness& h) {
+      net::Packet pkt;
+      pkt.seq = seq;
+      pkt.size_bytes = 80;
+      h.ctx->on_direct_packet(pkt);
+    };
+  };
+  x.at(us(5'500), direct(1));
+  const RealTime exit = x.next_exit();
+  x.at(exit, direct(2));
+  x.check_at(exit);
+  x.at(us(9'100), [](Harness& h) { h.machine.set_extra_load(0.8); });
+  check_many(x, 6'000, 30'000, 530);
+  x.at(us(30'900), direct(3));
+  x.at(us(31'000), [](Harness& h) { h.machine.set_extra_load(0.0); });
+  check_many(x, 30'500, 45'000, 710);
+  x.at(us(45'300), [](Harness& h) { h.ctx->halt(); });
+  check_many(x, 45'100, 48'000, 700);
+  x.finish();
 }
 
 }  // namespace
