@@ -102,12 +102,6 @@ const BoseSystem& bose_construction_cached(int n) {
   return *it->second;
 }
 
-void bose_cache_clear() {
-  BoseCache& cache = bose_cache();
-  const std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.by_n.clear();
-}
-
 long theorem2_bound(int n, int c) {
   SW_EXPECTS(n % 6 == 3);
   SW_EXPECTS(c >= 1 && c <= (n - 1) / 2);
@@ -124,8 +118,12 @@ long theorem2_bound(int n, int c) {
 std::vector<Triangle> theorem2_placement(int n, int c) {
   OBS_PROF_SCOPE("placement.theorem2");
   SW_EXPECTS(n % 6 == 3);
+  return theorem2_placement(bose_construction_cached(n), n, c);
+}
+
+std::vector<Triangle> theorem2_placement(const BoseSystem& sys, int n, int c) {
+  SW_EXPECTS(n % 6 == 3 && sys.n == n);
   SW_EXPECTS(c >= 1 && c <= (n - 1) / 2);
-  const BoseSystem& sys = bose_construction_cached(n);
   const int q = 2 * sys.v + 1;
   const Quasigroup Q(q);
   const auto node = [q](int a, int l) { return a + l * q; };

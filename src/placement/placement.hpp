@@ -60,13 +60,9 @@ struct BoseSystem {
 /// Memoized view of bose_construction(n), shared process-wide behind a
 /// mutex (the parallel scenario runner calls theorem2_placement from many
 /// worker threads at once). The returned reference is heap-backed and
-/// never evicted, so it stays valid across later insertions; reading the
-/// system concurrently is safe — it is immutable once built.
+/// never evicted, so it stays valid for the life of the process; reading
+/// the system concurrently is safe — it is immutable once built.
 [[nodiscard]] const BoseSystem& bose_construction_cached(int n);
-
-/// Drops every cached Bose system. Single-threaded contexts only (bench
-/// cold-path isolation and tests); outstanding references die with it.
-void bose_cache_clear();
 
 /// Theorem 2: constructive capacity-constrained placement. Requires
 /// n ≡ 3 (mod 6) and 1 <= c <= (n-1)/2. Returns edge-disjoint triangles
@@ -76,6 +72,10 @@ void bose_cache_clear();
 ///   c ≡ 1 (mod 3):  (1/3)cn
 ///   c ≡ 2 (mod 3):  (1/3)(c-1)n + (n-3)/6
 [[nodiscard]] std::vector<Triangle> theorem2_placement(int n, int c);
+/// Theorem 2 from a given Bose system for n (theorem2_placement(n, c)
+/// passes the cached one).
+[[nodiscard]] std::vector<Triangle> theorem2_placement(const BoseSystem& sys,
+                                                       int n, int c);
 
 /// Number of VMs Theorem 2 guarantees for (n, c).
 [[nodiscard]] long theorem2_bound(int n, int c);
