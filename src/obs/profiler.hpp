@@ -152,7 +152,8 @@ void prof_exit(Profiler::ThreadSlot* slot);
 /// (+ one when a profiler is installed), one predicted branch.
 class ProfScope {
  public:
-  explicit ProfScope(std::size_t phase) : ProfScope(phase, detail::g_profiler) {}
+  explicit ProfScope(std::size_t phase)
+      : ProfScope(phase, detail::g_profiler) {}
   /// Reads the profiler from `source` instead of the process-wide pointer:
   /// the same disarmed check, on a pointer no other thread can see (the
   /// microbench overhead probe's way to time it while scenarios run).

@@ -244,8 +244,8 @@ TEST(Simulator, ExitRunsAfterOrdinaryEventsAtItsNanosecond) {
   // Whichever was scheduled first, and through every structure an event
   // can wait in (far heap, wheel, due array), the ordinary events at an
   // instant run before its exits; each class keeps schedule order.
-  for (const std::int64_t at_ns :
-       {std::int64_t{900}, std::int64_t{2'000'000}, std::int64_t{400'000'000}}) {
+  for (const std::int64_t at_ns : {std::int64_t{900}, std::int64_t{2'000'000},
+                                   std::int64_t{400'000'000}}) {
     Simulator sim;
     std::vector<int> order;
     const RealTime t{at_ns};
