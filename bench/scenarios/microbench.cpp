@@ -88,11 +88,16 @@ class IdleProgram final : public vm::GuestProgram {
   void on_packet(vm::GuestApi&, const net::Packet&) override {}
 };
 
-/// Wall nanoseconds per guest vCPU slice of one idle guest under
-/// StopWatch on one machine. With one replica there are no beacons, and
-/// alone on its machine the guest runs spans: every event the simulator
-/// executes ends a span of idle exits, and every exit ends one idle chunk.
-double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
+/// Wall cost of one idle guest under StopWatch on one machine, run for
+/// `events` simulator events. With one replica there are no beacons, and
+/// alone on its machine the guest runs spans: every event ends a span of
+/// idle exits, and every exit ends one idle chunk.
+struct IdleGuestCost {
+  double ns_per_event;  // per simulator event, i.e. per span
+  double ns_per_exit;
+};
+
+IdleGuestCost guest_idle_cost(std::uint64_t events, std::uint64_t seed) {
   sim::Simulator sim;
   hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
                               Rng(seed));
@@ -107,14 +112,14 @@ double guest_idle_slice_ns(std::uint64_t slices, std::uint64_t seed) {
                                  hypervisor::SliceStreams::derive(seed, 0, 0),
                                  std::move(services));
   guest.start(VirtTime{});
-  const std::uint64_t target = slices * vm::GuestVm::kIdleChunkInstr;
   const auto t0 = std::chrono::steady_clock::now();
-  while (guest.instr() < target) sim.step();
+  sim.run(events);
   const auto t1 = std::chrono::steady_clock::now();
+  const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
   const std::uint64_t exits = guest.instr() / vm::GuestVm::kIdleChunkInstr;
   guest.halt();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(exits);
+  return {ns / static_cast<double>(sim.events_executed()),
+          ns / static_cast<double>(exits)};
 }
 
 Result run(const ScenarioContext& ctx) {
@@ -177,12 +182,12 @@ Result run(const ScenarioContext& ctx) {
                            sim_events),
       "ns/event");
 
-  // Guest vCPU slices: the event behind most of every cloud run's events.
-  result.add_metric(
-      "guest_idle_slice",
-      guest_idle_slice_ns(std::max<std::uint64_t>(1'000, iters / 10),
-                          ctx.seed()),
-      "ns/slice");
+  // Idle guest vCPU slices: ns per simulator event (one span of exits)
+  // and ns per exit.
+  const IdleGuestCost idle =
+      guest_idle_cost(std::max<std::uint64_t>(1'000, iters / 10), ctx.seed());
+  result.add_metric("guest_idle_slice", idle.ns_per_event, "ns/slice");
+  result.add_metric("guest_idle_exit", idle.ns_per_exit, "ns/exit");
 
   // Simulator: mixed near/far horizons — 70% inside the wheel's level 0
   // (sub-66 us), 20% across the higher levels (sub-275 ms), 10% beyond the

@@ -277,6 +277,12 @@ Result run(const ScenarioContext& ctx) {
                     "shards");
   result.add_metric("network_nodes",
                     static_cast<double>(cloud.network().node_count()), "nodes");
+  result.add_metric("events_executed",
+                    static_cast<double>(cloud.events_executed()), "events");
+  result.add_metric("events_per_driven_vm",
+                    static_cast<double>(cloud.events_executed()) /
+                        static_cast<double>(driven.size()),
+                    "events");
 
   // Reply counts per driven VM in VM-index order (figure-shaped evidence
   // that each sampled guest actually served traffic).

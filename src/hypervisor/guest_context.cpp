@@ -242,9 +242,10 @@ void GuestContext::run_quiet_exits(std::size_t end) {
 }
 
 void GuestContext::settle_to_now() {
-  // Inside a callback the exits at now() run after it (Tie::kExit).
+  // Until a run_until() has closed now(), the exits at now() still run
+  // after the ordinary events there (Tie::kExit).
   const std::int64_t limit =
-      sim_->in_callback() ? sim_->now().ns - 1 : sim_->now().ns;
+      sim_->now_closed() ? sim_->now().ns : sim_->now().ns - 1;
   std::size_t end = span_next_;
   while (end + 1 < span_.size() && span_[end].at_ns <= limit) ++end;
   run_quiet_exits(end);

@@ -41,9 +41,12 @@
 //    A busy or co-resident guest plans a span of one exit: one code path.
 //  * Settle: every entry point, internal event and state accessor first
 //    runs the planned exits that lie in the past, exactly as their events
-//    would have. Inside a callback at time t that is every exit strictly
-//    before t (exits at t run after ordinary events, per Tie::kExit);
-//    between runs, every exit at or before now().
+//    would have. At time t that is every exit strictly before t (exits at
+//    t run after ordinary events, per Tie::kExit), and the exits at t too
+//    once a run_until() has ended at t (Simulator::now_closed()). So a
+//    read between step() calls at t leaves the exits at t to the inputs
+//    still queued there, and an input scheduled at t after a run ended
+//    there finds them done.
 //  * Cut: an input that changes what becomes due (a proposal completing
 //    a delivery, a direct packet, a change of the machine's load inputs,
 //    a beacon that completes the peer set, or outside access to the

@@ -135,15 +135,13 @@ const Simulator& ShardedSimulator::shard(int s) const {
   return cores_[static_cast<std::size_t>(s)]->sim;
 }
 
-void ShardedSimulator::cross_schedule(int src, int dst, RealTime at, Task cb,
-                                      Tie tie) {
+void ShardedSimulator::cross_schedule(int src, int dst, RealTime at, Task cb) {
   SW_EXPECTS(src >= 0 && src < cfg_.shards);
   SW_EXPECTS(dst >= 0 && dst < cfg_.shards);
   if (!running_) {
     // Single-threaded context (setup between runs): no lane needed, the
     // destination core's own (time, sequence) order is deterministic.
-    cores_[static_cast<std::size_t>(dst)]->sim.schedule_at(at, std::move(cb),
-                                                           tie);
+    cores_[static_cast<std::size_t>(dst)]->sim.schedule_at(at, std::move(cb));
     return;
   }
   // Lookahead contract: inside a window every cross-shard timestamp must
@@ -162,7 +160,7 @@ void ShardedSimulator::cross_schedule(int src, int dst, RealTime at, Task cb,
                       static_cast<std::size_t>(dst)];
   lane.entries.push_back(
       {at.ns, ++cores_[static_cast<std::size_t>(src)]->lane_seq, src, dst,
-       tie, std::move(cb)});
+       std::move(cb)});
 }
 
 void ShardedSimulator::set_lane_drain_order(std::vector<int> order) {
@@ -201,14 +199,12 @@ bool ShardedSimulator::merge_lanes() {
     }
   }
   if (merge_scratch_.empty()) return false;
-  // The deterministic merge rule: timestamp, then tie class (ordinary
-  // before exit, as in the kernel), then source shard, then the source's
-  // sequence number. seq is unique per source, so this is a total order —
-  // the drain order above cannot leak through the sort.
+  // The deterministic merge rule: timestamp, then source shard, then the
+  // source's sequence number. seq is unique per source, so this is a total
+  // order — the drain order above cannot leak through the sort.
   std::sort(merge_scratch_.begin(), merge_scratch_.end(),
             [](const LaneEntry& a, const LaneEntry& b) {
               if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
-              if (a.tie != b.tie) return a.tie < b.tie;
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
@@ -221,7 +217,7 @@ bool ShardedSimulator::merge_lanes() {
   for (auto& e : merge_scratch_) {
     Simulator& dst = cores_[static_cast<std::size_t>(e.dst)]->sim;
     any_due = any_due || e.at_ns <= dst.now().ns;
-    dst.schedule_at(RealTime::nanos(e.at_ns), std::move(e.task), e.tie);
+    dst.schedule_at(RealTime::nanos(e.at_ns), std::move(e.task));
   }
   merge_scratch_.clear();
   return any_due;

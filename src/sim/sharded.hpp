@@ -132,9 +132,8 @@ class ShardedSimulator {
   /// to call from shard `src`'s worker thread during a window (lanes are
   /// single-writer per source). The lookahead contract requires `at` to
   /// be at or beyond the destination's granted window end; violations
-  /// throw. `tie` places the entry in the destination's equal-time order.
-  void cross_schedule(int src, int dst, RealTime at, Task cb,
-                      Tie tie = Tie::kOrdinary);
+  /// throw.
+  void cross_schedule(int src, int dst, RealTime at, Task cb);
 
   /// Runs all cores to exactly `t` through barrier-synchronized windows.
   /// On return every core's clock reads `t` and every lane entry with
@@ -200,7 +199,6 @@ class ShardedSimulator {
     std::uint64_t seq;  // per-source-shard, monotonically increasing
     int src;
     int dst;
-    Tie tie;
     Task task;
   };
   struct Lane {

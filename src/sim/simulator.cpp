@@ -496,6 +496,7 @@ void Simulator::run_until(RealTime t) {
     execute_top();
   }
   now_ = t;
+  closed_ns_ = t.ns;
 }
 
 }  // namespace stopwatch::sim

@@ -153,10 +153,12 @@ class Simulator {
            executing_gen_ == id.gen;
   }
 
-  /// True while an event's callback is running. Outside a callback every
-  /// event at or before now() has run; inside one, the events at now() of
-  /// a later tie position have not.
-  [[nodiscard]] bool in_callback() const { return executing_slot_ != kNil; }
+  /// True when the last run_until() ended at now(): every event at now()
+  /// pending then has run, guest exits included, and whatever runs at
+  /// now() from here on runs after them. False inside the callbacks that
+  /// run_until() runs at its instant and between step() or run() calls,
+  /// where exits at now() may still be pending behind ordinary events.
+  [[nodiscard]] bool now_closed() const { return closed_ns_ == now_.ns; }
 
   /// Run the single earliest pending event. Returns false if none pending.
   bool step();
@@ -319,6 +321,7 @@ class Simulator {
   void far_compact();
 
   RealTime now_{};
+  std::int64_t closed_ns_{-1};  // where the last run_until() ended
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   std::uint64_t batched_{0};

@@ -462,6 +462,7 @@ struct Snapshot {
   std::vector<std::uint64_t> hashes;
   std::vector<std::int64_t> tick_virt_ns, packet_virt_ns;
   std::vector<std::pair<std::int64_t, std::uint64_t>> beacons;  // virt, instr
+  std::vector<std::pair<std::uint64_t, std::int64_t>> proposals;  // seq, virt
   bool operator==(const Snapshot&) const = default;
 };
 
@@ -488,6 +489,9 @@ Snapshot snapshot(const Harness& h) {
   s.packet_virt_ns = h.program->packet_virt_ns;
   for (const net::SyncBeacon& b : h.own_beacons) {
     s.beacons.emplace_back(b.virt.ns, b.instr);
+  }
+  for (const net::Proposal& p : h.own_proposals) {
+    s.proposals.emplace_back(p.copy_seq, p.proposed_delivery.ns);
   }
   return s;
 }
@@ -547,6 +551,28 @@ class SpanExactness {
     paired_.sim.run_until(t);
     EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "at " << t.ns << " ns";
     ++checks_;
+  }
+
+  /// Runs both to just before `t`, then runs the `n` ordinary events at
+  /// `t` one step() at a time, comparing them before and after each step.
+  void step_through(RealTime t, int n) {
+    alone_.sim.run_until(RealTime{t.ns - 1});
+    paired_.sim.run_until(RealTime{t.ns - 1});
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "before step " << i;
+      for (Harness* h : {&alone_, &paired_}) {
+        ASSERT_TRUE(h->sim.step());
+        ASSERT_EQ(h->sim.now(), t);
+      }
+    }
+    EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "after the steps";
+    ++checks_;
+  }
+
+  /// Runs both to `t` without reading either.
+  void run_unread(RealTime t) {
+    alone_.sim.run_until(t);
+    paired_.sim.run_until(t);
   }
 
   void finish() {
@@ -655,6 +681,54 @@ TEST(GuestContextSpans, BaselineSpansMatchOneEventPerExit) {
   x.at(us(45'300), [](Harness& h) { h.ctx->halt(); });
   check_many(x, 45'100, 48'000, 700);
   x.finish();
+}
+
+TEST(GuestContextSpans, ReadsAtAnExitInstantMatchOneEventPerExit) {
+  GuestContextConfig baseline;
+  baseline.policy = Policy::kBaselineXen;
+  baseline.replica_count = 1;
+  for (const GuestContextConfig& cfg : {stopwatch_cfg(), baseline}) {
+    const bool stopwatch = cfg.policy.kind == PolicyKind::kStopWatch;
+    SCOPED_TRACE(stopwatch ? "StopWatch" : "baseline");
+    // A packet (an ingress copy whose median is the own proposal under
+    // StopWatch, a direct packet under baseline Xen) and a change of the
+    // coresident load, which the slice starting at the next exit sees.
+    const auto input = [stopwatch](std::uint64_t seq) {
+      return [stopwatch, seq](Harness& h) {
+        if (stopwatch) {
+          h.feed_ingress(seq, seq);
+          h.feed_peer_proposal(seq, 0, 1);
+          h.feed_peer_proposal(seq, Duration::seconds(1).ns, 2);
+        } else {
+          net::Packet pkt;
+          pkt.seq = seq;
+          pkt.size_bytes = 80;
+          h.ctx->on_direct_packet(pkt);
+        }
+        h.machine.set_extra_load(0.3 * static_cast<double>(seq));
+      };
+    };
+    SpanExactness x(cfg);
+    check_many(x, 300, 2'000, 370);
+
+    // Two ordinary events on an exit's nanosecond, read between step()
+    // calls: the exit there still belongs after the input.
+    RealTime exit = x.next_exit();
+    x.at(exit, [](Harness&) {});
+    x.at(exit, input(1));
+    x.step_through(exit, 2);
+    check_many(x, 2'100, 9'000, 530);
+
+    // An input scheduled on an exit's nanosecond after a run ended there,
+    // with no read between: the exit there has already run.
+    exit = x.next_exit();
+    x.run_unread(exit);
+    x.at(exit, input(2));
+    check_many(x, 9'100, 60'000, 610);
+    x.finish();
+    EXPECT_EQ(x.alone().program->packet_seqs,
+              (std::vector<std::uint64_t>{1, 2}));
+  }
 }
 
 }  // namespace

@@ -298,14 +298,26 @@ TEST(Simulator, ReArmedExitKeepsItsTiePosition) {
   EXPECT_EQ(order, (std::vector<int>{2, 200}));
 }
 
-TEST(Simulator, InCallbackIsTrueOnlyWhileAnEventRuns) {
+TEST(Simulator, OnlyRunUntilClosesItsInstant) {
   Simulator sim;
-  bool inside = false;
-  sim.schedule_at(RealTime{10}, [&] { inside = sim.in_callback(); });
-  EXPECT_FALSE(sim.in_callback());
+  std::vector<bool> closed;
+  const auto record = [&] { closed.push_back(sim.now_closed()); };
+  EXPECT_FALSE(sim.now_closed());
+  sim.schedule_at(RealTime{10}, record);
+  sim.schedule_at(RealTime{10}, record);
+  sim.schedule_at(RealTime{20}, record);
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.now_closed());  // step() leaves an event at 10 pending
+  sim.run_until(RealTime{10});
+  EXPECT_TRUE(sim.now_closed());
+  // Scheduled at the closed instant: runs after everything that was there.
+  sim.schedule_at(RealTime{10}, record);
+  sim.run_until(RealTime{30});
+  EXPECT_EQ(closed, (std::vector<bool>{false, false, true, false}));
+  EXPECT_TRUE(sim.now_closed());
+  sim.schedule_at(RealTime{40}, record);
   sim.run();
-  EXPECT_TRUE(inside);
-  EXPECT_FALSE(sim.in_callback());
+  EXPECT_FALSE(sim.now_closed());  // run() closes nothing
 }
 
 TEST(Simulator, ManyTimescalesRunInOrder) {
