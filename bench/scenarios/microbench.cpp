@@ -401,6 +401,17 @@ Result run(const ScenarioContext& ctx) {
                     }),
                     "ns/op");
 
+  // The per-exit IPS-jitter draw is a lognormal at the default sigma.
+  Rng normal_rng(ctx.seed() ^ 11);
+  result.add_metric("rng_normal", time_ns_per_op(iters, [&](auto) {
+                      g_sink = normal_rng.normal();
+                    }),
+                    "ns/op");
+  result.add_metric("rng_lognormal", time_ns_per_op(iters, [&](auto) {
+                      g_sink = normal_rng.lognormal(0.0, 0.04);
+                    }),
+                    "ns/op");
+
   result.set_note(
       "Wall-clock ns/op of the primitives bounding simulation throughput; "
       "values vary run to run — compare trends, not bytes.");

@@ -27,8 +27,36 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// The 128-layer ziggurat behind Rng::normal: Doornik's ZIGNOR (2005), a
+/// variant of Marsaglia and Tsang's. Layer i spans heights f(x[i])..f(x[i+1])
+/// of f(x) = exp(-x^2 / 2); every layer, the base strip with its tail
+/// included, has area v. The tables are checked-in constants, not computed
+/// at start-up, so every compiler and libm samples the same variates;
+/// exposed here so a test can recompute them from the recurrence.
+namespace ziggurat {
+inline constexpr int kLayers = 128;
+/// r: where the base strip's tail begins.
+inline constexpr double kTailStart = 3.442619855899;
+/// v: the area of each layer.
+inline constexpr double kLayerArea = 9.91256303526217e-3;
+/// x[0] = v / f(r), x[1] = r, decreasing to x[128] = 0.
+extern const double kX[kLayers + 1];
+/// x[i + 1] / x[i]: the share of layer i that lies under the curve
+/// whatever the height.
+extern const double kRatio[kLayers];
+}  // namespace ziggurat
+
 /// xoshiro256** — fast, high-quality, reproducible PRNG with convenience
-/// samplers for the distributions the simulator needs.
+/// samplers for the distributions the simulator needs. An Rng is its 32
+/// bytes of stream state and nothing else: a draw depends only on the
+/// stream position.
+///
+/// `normal` is the ziggurat above. One 64-bit draw gives the layer (low 7
+/// bits) and a 53-bit uniform u in [-1, 1) (high bits); |u| < kRatio[i]
+/// returns u * x[i] at once, which happens on 97.2% of draws. Otherwise the
+/// draw is in a wedge, accepted by comparing a second uniform against the
+/// curve, or, in the base strip, beyond r, where Marsaglia's exponential
+/// rejection samples the tail exactly. A rejected draw starts over.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -46,7 +74,7 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Exponential with rate lambda (mean 1/lambda).
   double exponential(double lambda);
-  /// Standard normal via Box-Muller (cached second variate).
+  /// Normal with the given mean and standard deviation (ziggurat).
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Lognormal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
@@ -55,8 +83,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  double cached_normal_{0.0};
-  bool has_cached_normal_{false};
 };
 
 }  // namespace stopwatch

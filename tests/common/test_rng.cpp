@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -73,6 +78,106 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(mean, 3.0, 0.03);
   EXPECT_NEAR(var, 4.0, 0.1);
 }
+
+double std_normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// Binomial 5-sigma check that `hits` of `n` trials fits probability `p`.
+void expect_binomial(std::int64_t hits, std::int64_t n, double p) {
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  EXPECT_NEAR(static_cast<double>(hits), mean, 5.0 * sd)
+      << "n=" << n << " p=" << p;
+}
+
+TEST(RngZiggurat, TablesMatchTheRecurrence) {
+  // Doornik's zigNorInit, recomputed here in double arithmetic.
+  constexpr int kC = ziggurat::kLayers;
+  const double r = ziggurat::kTailStart;
+  const double v = ziggurat::kLayerArea;
+  std::vector<double> x(kC + 1);
+  double f = std::exp(-0.5 * r * r);
+  x[0] = v / f;
+  x[1] = r;
+  x[kC] = 0.0;
+  for (int i = 2; i < kC; ++i) {
+    x[i] = std::sqrt(-2.0 * std::log(v / x[i - 1] + f));
+    f = std::exp(-0.5 * x[i] * x[i]);
+  }
+  const auto ulps = [](double a, double b) {
+    return std::llabs(std::bit_cast<std::int64_t>(a) -
+                      std::bit_cast<std::int64_t>(b));
+  };
+  for (int i = 0; i <= kC; ++i) {
+    EXPECT_LE(ulps(ziggurat::kX[i], x[i]), 1) << "x[" << i << "]";
+  }
+  for (int i = 0; i < kC; ++i) {
+    EXPECT_LE(ulps(ziggurat::kRatio[i], x[i + 1] / x[i]), 1)
+        << "ratio[" << i << "]";
+  }
+}
+
+TEST(RngZiggurat, KolmogorovSmirnovAgainstPhi) {
+  Rng rng(23);
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  std::vector<double> draws(kN);
+  for (auto& d : draws) d = rng.normal();
+  std::sort(draws.begin(), draws.end());
+  double d_max = 0.0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double cdf = std_normal_cdf(draws[i]);
+    d_max = std::max({d_max, cdf - static_cast<double>(i) / kN,
+                      static_cast<double>(i + 1) / kN - cdf});
+  }
+  // 1.95 / sqrt(n) is the KS critical value at the 0.1% level.
+  EXPECT_LT(d_max, 1.95 / std::sqrt(static_cast<double>(kN)));
+}
+
+TEST(RngZiggurat, TailFrequencies) {
+  Rng rng(29);
+  constexpr std::int64_t kN = std::int64_t{1} << 22;
+  std::int64_t beyond_r = 0;
+  std::int64_t beyond_4 = 0;
+  for (std::int64_t i = 0; i < kN; ++i) {
+    const double z = std::fabs(rng.normal());
+    beyond_r += z > ziggurat::kTailStart;
+    beyond_4 += z > 4.0;
+  }
+  // P(|Z| > r) ~ 5.8e-4: every such draw comes from the tail sampler.
+  expect_binomial(beyond_r, kN, 2.0 * std_normal_cdf(-ziggurat::kTailStart));
+  expect_binomial(beyond_4, kN, 2.0 * std_normal_cdf(-4.0));
+}
+
+TEST(RngZiggurat, SignSymmetry) {
+  Rng rng(31);
+  constexpr std::int64_t kN = std::int64_t{1} << 22;
+  std::int64_t negative = 0;
+  std::int64_t tail = 0;
+  std::int64_t negative_tail = 0;
+  for (std::int64_t i = 0; i < kN; ++i) {
+    const double z = rng.normal();
+    negative += z < 0.0;
+    if (std::fabs(z) > ziggurat::kTailStart) {
+      ++tail;
+      negative_tail += z < 0.0;
+    }
+  }
+  expect_binomial(negative, kN, 0.5);
+  expect_binomial(negative_tail, tail, 0.5);
+}
+
+TEST(RngZiggurat, FirstDrawsAtSeedOneArePinned) {
+  // Any change to the sampler or the stream moves these, so it fails here
+  // and not only in the scenario goldens.
+  constexpr double kExpected[] = {
+      0x1.308646162dcfcp-1,  0x1.37efb7140b58bp-5,  0x1.5aae48157ce6bp-2,
+      -0x1.a731dde7fa7aap-2, 0x1.3093112a3b7eep-2,  -0x1.6ac8f35ff357fp+0,
+      -0x1.b6c03552c42abp-1, -0x1.fabba186c060ep-2};
+  Rng rng(1);
+  for (const double expected : kExpected) EXPECT_EQ(rng.normal(), expected);
+}
+
+// An Rng holds its xoshiro256** state and no cached variate.
+static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t));
 
 TEST(Rng, ExponentialRejectsNonPositiveRate) {
   Rng r(17);
