@@ -120,7 +120,11 @@ TEST(RngZiggurat, KolmogorovSmirnovAgainstPhi) {
   Rng rng(23);
   constexpr std::size_t kN = std::size_t{1} << 20;
   std::vector<double> draws(kN);
-  for (auto& d : draws) d = rng.normal();
+  double sum_sq = 0.0;
+  for (auto& d : draws) {
+    d = rng.normal();
+    sum_sq += d * d;
+  }
   std::sort(draws.begin(), draws.end());
   double d_max = 0.0;
   for (std::size_t i = 0; i < kN; ++i) {
@@ -130,6 +134,9 @@ TEST(RngZiggurat, KolmogorovSmirnovAgainstPhi) {
   }
   // 1.95 / sqrt(n) is the KS critical value at the 0.1% level.
   EXPECT_LT(d_max, 1.95 / std::sqrt(static_cast<double>(kN)));
+  // KS barely sees mass misplaced in the wedges, which are ~2.8% of draws;
+  // the second moment does. Var(Z^2) = 2, so this is a 5-sigma bound.
+  EXPECT_NEAR(sum_sq / kN, 1.0, 5.0 * std::sqrt(2.0 / kN));
 }
 
 TEST(RngZiggurat, TailFrequencies) {
