@@ -90,7 +90,9 @@ void expect_binomial(std::int64_t hits, std::int64_t n, double p) {
 }
 
 TEST(RngZiggurat, TablesMatchTheRecurrence) {
-  // Doornik's zigNorInit, recomputed here in double arithmetic.
+  // Doornik's zigNorInit, recomputed here in double arithmetic. glibc
+  // reproduces the checked-in tables exactly; a libm whose exp or log
+  // differs by an ulp drifts further up the chain, and this test says so.
   constexpr int kC = ziggurat::kLayers;
   const double r = ziggurat::kTailStart;
   const double v = ziggurat::kLayerArea;
