@@ -22,7 +22,7 @@ using workload::FileDownloadClient;
 const std::vector<std::uint32_t> kSizes = {1 << 10, 10 << 10, 100 << 10,
                                            1 << 20, 10 << 20};
 
-std::vector<double> run_series(core::Policy policy,
+std::vector<double> run_series(core::PolicyKind policy,
                                FileDownloadClient::Protocol proto,
                                std::uint64_t seed, std::size_t size_count,
                                int runs_per_size) {
@@ -61,18 +61,20 @@ Result run(const ScenarioContext& ctx) {
   const int runs = ctx.param_int("runs_per_size");
 
   const auto http_base =
-      run_series(core::Policy::kBaselineXen,
+      run_series(core::PolicyKind::kBaselineXen,
                  FileDownloadClient::Protocol::kHttpTcp, ctx.seed() ^ 21,
                  size_count, runs);
-  const auto http_sw = run_series(core::Policy::kStopWatch,
+  const auto http_sw = run_series(core::PolicyKind::kStopWatch,
                                   FileDownloadClient::Protocol::kHttpTcp,
                                   ctx.seed() ^ 21, size_count, runs);
   const auto udp_base =
-      run_series(core::Policy::kBaselineXen, FileDownloadClient::Protocol::kUdp,
-                 ctx.seed() ^ 22, size_count, runs);
+      run_series(core::PolicyKind::kBaselineXen,
+                 FileDownloadClient::Protocol::kUdp, ctx.seed() ^ 22,
+                 size_count, runs);
   const auto udp_sw =
-      run_series(core::Policy::kStopWatch, FileDownloadClient::Protocol::kUdp,
-                 ctx.seed() ^ 22, size_count, runs);
+      run_series(core::PolicyKind::kStopWatch,
+                 FileDownloadClient::Protocol::kUdp, ctx.seed() ^ 22,
+                 size_count, runs);
 
   Result result("fig5_file_download");
   std::vector<double> sizes_kb;

@@ -30,7 +30,7 @@ struct Row {
   obs::Snapshot obs;
 };
 
-Row run_nfs(core::Policy policy, double rate, double run_time_s,
+Row run_nfs(core::PolicyKind policy, double rate, double run_time_s,
             std::uint64_t seed, int sim_shards) {
   core::CloudConfig cfg;
   cfg.sim_shards = sim_shards;
@@ -82,7 +82,7 @@ Result run(const ScenarioContext& ctx) {
   // The mitigated arm is selectable (--param policy=...); the comparison
   // arm is always unmodified Xen. Metric names keep the historical
   // "stopwatch" labels for the mitigated arm regardless of the choice.
-  const core::Policy mitigated =
+  const core::PolicyKind mitigated =
       hypervisor::policy_kind_from_choice(ctx.param_choice("policy"));
 
   Result result("fig6_nfs");
@@ -97,7 +97,7 @@ Result run(const ScenarioContext& ctx) {
   obs::Snapshot last_obs;
   for (std::size_t i = 0; i < rate_count; ++i) {
     const double rate = kRates[i];
-    const Row base = run_nfs(core::Policy::kBaselineXen, rate, run_time_s,
+    const Row base = run_nfs(core::PolicyKind::kBaselineXen, rate, run_time_s,
                              ctx.seed() ^ 31, sim_shards);
     Row sw = run_nfs(mitigated, rate, run_time_s, ctx.seed() ^ 31, sim_shards);
     last_obs = std::move(sw.obs);

@@ -27,7 +27,7 @@ struct AppResult {
   obs::Snapshot obs;
 };
 
-AppResult run_app(const workload::ParsecAppSpec& spec, core::Policy policy,
+AppResult run_app(const workload::ParsecAppSpec& spec, core::PolicyKind policy,
                   int runs, std::uint64_t seed, int sim_shards) {
   std::vector<double> runtimes;
   std::uint64_t disk_irqs = 0;
@@ -78,7 +78,7 @@ Result run(const ScenarioContext& ctx) {
   // The mitigated arm is selectable (--param policy=...); the comparison
   // arm is always unmodified Xen. Metric names keep the historical
   // "stopwatch" labels for the mitigated arm regardless of the choice.
-  const core::Policy mitigated =
+  const core::PolicyKind mitigated =
       hypervisor::policy_kind_from_choice(ctx.param_choice("policy"));
 
   Result result("fig7_parsec");
@@ -86,7 +86,7 @@ Result run(const ScenarioContext& ctx) {
   obs::Snapshot last_obs;
   for (std::size_t i = 0; i < app_count; ++i) {
     const auto& spec = suite[i];
-    const AppResult base = run_app(spec, core::Policy::kBaselineXen, runs,
+    const AppResult base = run_app(spec, core::PolicyKind::kBaselineXen, runs,
                                    ctx.seed() + 1000, sim_shards);
     AppResult sw =
         run_app(spec, mitigated, runs, ctx.seed() + 1000, sim_shards);

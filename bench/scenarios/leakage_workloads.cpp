@@ -51,7 +51,7 @@ using leakage::TimingTap;
 
 constexpr std::size_t kReservoir = 8192;
 
-core::CloudConfig workload_cloud_config(core::Policy policy,
+core::CloudConfig workload_cloud_config(core::PolicyKind policy,
                                         std::uint64_t seed, int shards) {
   core::CloudConfig cfg;
   cfg.sim_shards = shards;
@@ -62,7 +62,7 @@ core::CloudConfig workload_cloud_config(core::Policy policy,
 }
 
 /// File retrieval: secret = file size class {24, 72, 144} KiB.
-ObservationLog run_file(core::Policy policy, std::uint64_t seed, int trials,
+ObservationLog run_file(core::PolicyKind policy, std::uint64_t seed, int trials,
                         int shards, obs::TimeSeries* series) {
   core::Cloud cloud(workload_cloud_config(policy, seed, shards));
   const core::VmHandle vm = cloud.add_vm(
@@ -93,7 +93,7 @@ ObservationLog run_file(core::Policy policy, std::uint64_t seed, int trials,
 
 /// NFS: secret = operation type the client is issuing {getattr, read,
 /// write}, one single-op load window per class per round.
-ObservationLog run_nfs(core::Policy policy, std::uint64_t seed,
+ObservationLog run_nfs(core::PolicyKind policy, std::uint64_t seed,
                        double window_s, int rounds, int shards,
                        obs::TimeSeries* series) {
   core::CloudConfig cfg = workload_cloud_config(policy, seed, shards);
@@ -141,8 +141,8 @@ ObservationLog run_nfs(core::Policy policy, std::uint64_t seed,
 
 /// PARSEC: secret = which application ran; ferret vs blackscholes are the
 /// suite's two closest baseline runtimes, so the classes genuinely overlap.
-ObservationLog run_parsec(core::Policy policy, std::uint64_t seed, int trials,
-                          int shards, obs::TimeSeries* series) {
+ObservationLog run_parsec(core::PolicyKind policy, std::uint64_t seed,
+                          int trials, int shards, obs::TimeSeries* series) {
   const auto& suite = workload::parsec_suite();
   const workload::ParsecAppSpec apps[] = {suite[0], suite[1]};
 
@@ -198,21 +198,21 @@ Result run(const ScenarioContext& ctx) {
 
   struct Row {
     const char* workload;
-    std::function<ObservationLog(core::Policy, std::uint64_t,
+    std::function<ObservationLog(core::PolicyKind, std::uint64_t,
                                  obs::TimeSeries*)>
         runner;
   };
   const std::vector<Row> rows = {
       {"file",
-       [&](core::Policy p, std::uint64_t s, obs::TimeSeries* ts) {
+       [&](core::PolicyKind p, std::uint64_t s, obs::TimeSeries* ts) {
          return run_file(p, s, trials, shards, ts);
        }},
       {"nfs",
-       [&](core::Policy p, std::uint64_t s, obs::TimeSeries* ts) {
+       [&](core::PolicyKind p, std::uint64_t s, obs::TimeSeries* ts) {
          return run_nfs(p, s, window_s, nfs_rounds, shards, ts);
        }},
       {"parsec",
-       [&](core::Policy p, std::uint64_t s, obs::TimeSeries* ts) {
+       [&](core::PolicyKind p, std::uint64_t s, obs::TimeSeries* ts) {
          return run_parsec(p, s, parsec_trials, shards, ts);
        }},
   };
@@ -221,7 +221,8 @@ Result run(const ScenarioContext& ctx) {
   // suffixed with the choice, so the default ("stopwatch") reproduces the
   // historical names — and the golden output — byte-for-byte.
   const std::string choice = ctx.param_choice("policy");
-  const core::Policy mitigated = hypervisor::policy_kind_from_choice(choice);
+  const core::PolicyKind mitigated =
+      hypervisor::policy_kind_from_choice(choice);
   const std::string display =
       choice == "stopwatch" ? "StopWatch" : "policy '" + choice + "'";
 
@@ -232,7 +233,7 @@ Result run(const ScenarioContext& ctx) {
   for (const Row& row : rows) {
     const std::uint64_t seed = ctx.seed() ^ (row.workload[0] * 0x10001ULL);
     const ObservationLog base_log =
-        row.runner(core::Policy::kBaselineXen, seed, nullptr);
+        row.runner(core::PolicyKind::kBaselineXen, seed, nullptr);
     // The mitigated arm also feeds the per-epoch observation rollups:
     // bounded at 64 windows regardless of horizon (width doubles as the
     // run outgrows the budget), values in microseconds of sim time.

@@ -102,7 +102,7 @@ IdleGuestCost guest_idle_cost(std::uint64_t events, std::uint64_t seed) {
   hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
                               Rng(seed));
   hypervisor::GuestContextConfig cfg;
-  cfg.policy = hypervisor::Policy::kStopWatch;
+  cfg.policy = hypervisor::PolicyKind::kStopWatch;
   cfg.replica_count = 1;
   hypervisor::ReplicaServices services;
   services.send_frame = [](net::Frame) {};
@@ -221,8 +221,8 @@ Result run(const ScenarioContext& ctx) {
       "ns/event");
 
   // Tracing disabled must be free: the same schedule+run body with a
-  // kernel trace sink attached to a *disarmed* recorder, against the plain
-  // loop. Each round measures both arms back to back (order alternating,
+  // kernel trace track of a *disarmed* recorder attached, against the
+  // plain loop. Each round measures both arms back to back (order alternating,
   // so the two arms see the same machine state and frequency drift
   // cancels) and yields one paired ratio; the median over rounds shrugs
   // off outlier rounds on shared runners. Nightly gates the result at
@@ -230,13 +230,13 @@ Result run(const ScenarioContext& ctx) {
   // reported but not wall-clock-gated by the bench diff.
   {
     obs::TraceRecorder recorder;  // never armed
-    obs::KernelCounterSink sink(
-        recorder.track(900, 0, "sim-kernel", "bench", obs::Category::kParallel));
+    obs::TraceTrack* track =
+        recorder.track(900, 0, "sim-kernel", "bench", obs::Category::kParallel);
     const std::uint64_t reps = std::max<std::uint64_t>(1, iters / 2000);
-    const auto loop = [&](sim::KernelTraceSink* trace_sink) {
+    const auto loop = [&](obs::TraceTrack* trace_track) {
       return time_ns_per_op(reps, [&](auto) {
         sim::Simulator sim;
-        sim.set_trace_sink(trace_sink);
+        sim.set_trace_track(trace_track);
         for (std::uint64_t i = 0; i < sim_events; ++i) {
           sim.schedule_at(RealTime::nanos(i * 100), [] {});
         }
@@ -246,9 +246,11 @@ Result run(const ScenarioContext& ctx) {
     };
     // Each arm sample is itself a min of three (contention bursts only
     // ever inflate a timing, so the min is the cleanest observation).
-    const auto best_of = [&](sim::KernelTraceSink* trace_sink) {
-      double best = loop(trace_sink);
-      for (int sub = 1; sub < 3; ++sub) best = std::min(best, loop(trace_sink));
+    const auto best_of = [&](obs::TraceTrack* trace_track) {
+      double best = loop(trace_track);
+      for (int sub = 1; sub < 3; ++sub) {
+        best = std::min(best, loop(trace_track));
+      }
       return best;
     };
     std::vector<double> ratios;
@@ -257,9 +259,9 @@ Result run(const ScenarioContext& ctx) {
       double disarmed;
       if (round % 2 == 0) {
         plain = best_of(nullptr);
-        disarmed = best_of(&sink);
+        disarmed = best_of(track);
       } else {
-        disarmed = best_of(&sink);
+        disarmed = best_of(track);
         plain = best_of(nullptr);
       }
       ratios.push_back(disarmed / plain);

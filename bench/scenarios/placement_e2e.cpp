@@ -151,7 +151,7 @@ Result run(const ScenarioContext& ctx) {
   core::CloudConfig cfg;
   cfg.sim_shards = ctx.param_int("sim_shards");
   cfg.seed = ctx.seed();
-  cfg.policy = core::Policy::kStopWatch;
+  cfg.policy = core::PolicyKind::kStopWatch;
   cfg.replica_count = 3;
   cfg.machine_count = n;
 

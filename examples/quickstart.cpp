@@ -37,7 +37,7 @@ int main() {
   // A cloud of three machines running the StopWatch hypervisor.
   core::CloudConfig cfg;
   cfg.seed = 2013;
-  cfg.policy = core::Policy::kStopWatch;  // try kBaselineXen for comparison
+  cfg.policy = core::PolicyKind::kStopWatch;  // try kBaselineXen for comparison
   cfg.machine_count = 3;
   core::Cloud cloud(cfg);
 

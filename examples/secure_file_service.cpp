@@ -32,7 +32,7 @@ double download_ms(core::Cloud& cloud, FileDownloadClient& client,
 int main() {
   core::CloudConfig cfg;
   cfg.seed = 5;
-  cfg.policy = core::Policy::kStopWatch;
+  cfg.policy = core::PolicyKind::kStopWatch;
   cfg.machine_count = 3;
   core::Cloud cloud(cfg);
 

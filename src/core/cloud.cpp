@@ -106,8 +106,7 @@ Cloud::Cloud(CloudConfig cfg)
       obs::TraceTrack* track =
           trace->track(900 + static_cast<std::uint32_t>(s), 0, "sim-kernel",
                        std::move(tname), obs::Category::kParallel);
-      kernel_sinks_.push_back(std::make_unique<obs::KernelCounterSink>(track));
-      sharded_.shard(s).set_trace_sink(kernel_sinks_.back().get());
+      sharded_.shard(s).set_trace_track(track);
     }
     if (sharded_.shard_count() > 1) {
       barrier_track_ = trace->track(800, 0, "parallel", "barriers",

@@ -62,7 +62,6 @@
 
 namespace stopwatch::core {
 
-using hypervisor::Policy;
 using hypervisor::PolicyConfig;
 using hypervisor::PolicyKind;
 using topology::EgressStats;
@@ -220,10 +219,6 @@ class Cloud {
   /// gate (single writer: the egress owner core). 64-window budget; the
   /// 50 ms initial width doubles as long horizons coarsen it.
   obs::TimeSeries egress_series_{50 * 1000 * 1000, 64};
-  /// Kernel execution-counter bridges, one per core, alive for the
-  /// cloud's lifetime (the cores hold raw pointers). Only populated when
-  /// a trace session is active at construction.
-  std::vector<std::unique_ptr<obs::KernelCounterSink>> kernel_sinks_;
   /// Barrier-window trace track (kParallel) + previous barrier time for
   /// span construction. Null / unset when tracing is off.
   obs::TraceTrack* barrier_track_{nullptr};

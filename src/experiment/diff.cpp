@@ -102,8 +102,11 @@ bool parse_bench_report(const std::string& json, BenchReport& report,
     }
     BenchResult result;
     result.scenario = scenario->as_string();
+    // Casting a double outside [0, 2^64) to uint64 is undefined, so a
+    // corrupted seed is ignored rather than converted.
     if (const JsonValue* seed = entry.find("seed");
-        seed != nullptr && seed->is_number()) {
+        seed != nullptr && seed->is_number() && seed->as_number() >= 0.0 &&
+        seed->as_number() < 0x1p64) {
       result.seed = static_cast<std::uint64_t>(seed->as_number());
     }
     for (const JsonValue& metric : metrics->items()) {

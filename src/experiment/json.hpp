@@ -1,30 +1,15 @@
-// Minimal deterministic JSON emission and reading for experiment results.
-// Numbers use the shortest round-trip representation (std::to_chars), so
-// the same Result always serializes to the same bytes — the property the
-// determinism tests and CI bench-smoke artifacts rely on. The reader is
-// the consumer half: stopwatch_bench_diff loads stopwatch-bench/1 reports
-// through JsonValue to compare bench trajectories in CI.
+// Minimal JSON reading for experiment results, the consumer half of the
+// emission helpers in common/json_emit.hpp: stopwatch_bench_diff loads
+// stopwatch-bench/1 reports through JsonValue to compare bench
+// trajectories in CI.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace stopwatch::experiment {
-
-/// Escapes `s` for use inside a JSON string literal (no surrounding quotes).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
-/// `s` as a quoted JSON string.
-[[nodiscard]] std::string json_string(const std::string& s);
-
-/// Shortest round-trip decimal form of `v`; non-finite values map to null
-/// (JSON has no NaN/Inf).
-[[nodiscard]] std::string json_number(double v);
-
-[[nodiscard]] std::string json_number(std::uint64_t v);
 
 /// Parses `s` as a double, requiring the whole string to be consumed (no
 /// trailing garbage, no leading whitespace). The one numeric-override

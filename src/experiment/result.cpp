@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "experiment/json.hpp"
+#include "common/json_emit.hpp"
 #include "stats/summary.hpp"
 
 namespace stopwatch::experiment {
@@ -11,6 +11,23 @@ namespace stopwatch::experiment {
 namespace {
 
 std::string pad(int indent) { return std::string(indent, ' '); }
+
+/// `"count": c, "sum": s, "max": m, "<buckets_key>": [[i, n], ...]`: the
+/// one serialization of a histogram, shared by `timeseries` windows
+/// ("sketch") and `observability` histograms ("buckets").
+std::string histogram_fields(const obs::HistogramSnapshot& h,
+                             const char* buckets_key) {
+  std::string out = "\"count\": ";
+  out += json_number(h.count) + ", \"sum\": " + json_number(h.sum) +
+         ", \"max\": " + json_number(h.max) + ", \"" + buckets_key + "\": [";
+  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+    out += b == 0 ? "[" : ", [";
+    out += json_number(static_cast<std::uint64_t>(h.buckets[b].first)) +
+           ", " + json_number(h.buckets[b].second) + "]";
+  }
+  out += "]";
+  return out;
+}
 
 }  // namespace
 
@@ -127,21 +144,11 @@ std::string Result::to_json(int indent) const {
              ",\n";
       out += p3 + "\"windows\": [";
       for (std::size_t w = 0; w < ts.windows.size(); ++w) {
-        const auto& [start_ns, roll] = ts.windows[w];
+        const auto& [start_ns, window] = ts.windows[w];
         out += (w == 0 ? "\n" : ",\n") + pad(indent + 8) +
                "{\"start_ns\": " +
-               json_number(static_cast<std::uint64_t>(start_ns)) +
-               ", \"count\": " + json_number(roll.count) +
-               ", \"sum\": " + json_number(roll.sum) +
-               ", \"max\": " + json_number(roll.max) + ", \"sketch\": [";
-        const auto buckets = roll.sketch.nonzero();
-        for (std::size_t b = 0; b < buckets.size(); ++b) {
-          if (b != 0) out += ", ";
-          out += "[" +
-                 json_number(static_cast<std::uint64_t>(buckets[b].first)) +
-                 ", " + json_number(buckets[b].second) + "]";
-        }
-        out += "]}";
+               json_number(static_cast<std::uint64_t>(start_ns)) + ", " +
+               histogram_fields(window, "sketch") + "}";
       }
       out += ts.windows.empty() ? "]\n" : "\n" + p3 + "]\n";
       out += p2 + "}";
@@ -171,17 +178,8 @@ std::string Result::to_json(int indent) const {
       out += ",\n" + p2 + "\"histograms\": {";
       for (std::size_t i = 0; i < observability_.histograms.size(); ++i) {
         const auto& [name, h] = observability_.histograms[i];
-        out += (i == 0 ? "\n" : ",\n") + p3 + json_string(name) +
-               ": {\"count\": " + json_number(h.count) +
-               ", \"sum\": " + json_number(h.sum) +
-               ", \"max\": " + json_number(h.max) + ", \"buckets\": [";
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-          if (b != 0) out += ", ";
-          out += "[" +
-                 json_number(static_cast<std::uint64_t>(h.buckets[b].first)) +
-                 ", " + json_number(h.buckets[b].second) + "]";
-        }
-        out += "]}";
+        out += (i == 0 ? "\n" : ",\n") + p3 + json_string(name) + ": {" +
+               histogram_fields(h, "buckets") + "}";
       }
       out += "\n" + p2 + "}";
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/json_emit.hpp"
 #include "experiment/json.hpp"
 
 namespace stopwatch::experiment {

@@ -52,7 +52,7 @@ enum class PolicyKind {
 };
 
 /// Backwards-compatible name: the pre-policy-API enum was
-/// `hypervisor::Policy` with the first two enumerators.
+/// `hypervisor::PolicyKind` with the first two enumerators.
 using Policy = PolicyKind;
 
 /// How the StopWatch VMMs combine proposed delivery times (ablation E11;

@@ -2,18 +2,6 @@
 
 namespace stopwatch::obs {
 
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) snap.buckets.emplace_back(i, n);
-  }
-  return snap;
-}
-
 Histogram* Registry::histogram(const std::string& name) {
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();

@@ -1,64 +1,8 @@
 #include "obs/timeseries.hpp"
 
-#include <bit>
-
 #include "common/contracts.hpp"
 
 namespace stopwatch::obs {
-
-void QuantileSketch::record(std::uint64_t value) {
-  ++buckets_[static_cast<std::size_t>(std::bit_width(value))];
-  ++count_;
-}
-
-void QuantileSketch::merge(const QuantileSketch& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[static_cast<std::size_t>(i)] +=
-        other.buckets_[static_cast<std::size_t>(i)];
-  }
-  count_ += other.count_;
-}
-
-std::uint64_t QuantileSketch::quantile_upper(double q) const {
-  if (count_ == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank in [1, count]: the smallest bucket whose cumulative count reaches
-  // ceil(q * count) upper-bounds the q-quantile.
-  auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count_));
-  if (static_cast<double>(rank) < q * static_cast<double>(count_)) ++rank;
-  if (rank == 0) rank = 1;
-  std::uint64_t cum = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cum += buckets_[static_cast<std::size_t>(i)];
-    if (cum >= rank) {
-      if (i == 0) return 0;
-      if (i >= 64) return ~0ULL;
-      return (std::uint64_t{1} << i) - 1;
-    }
-  }
-  return ~0ULL;  // unreachable: cum reaches count_ >= rank
-}
-
-std::vector<std::pair<int, std::uint64_t>> QuantileSketch::nonzero() const {
-  std::vector<std::pair<int, std::uint64_t>> out;
-  for (int i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = buckets_[static_cast<std::size_t>(i)];
-    if (n != 0) out.emplace_back(i, n);
-  }
-  return out;
-}
-
-std::string QuantileSketch::serialize() const {
-  std::string out;
-  for (const auto& [bucket, n] : nonzero()) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(bucket);
-    out += ':';
-    out += std::to_string(n);
-  }
-  return out;
-}
 
 TimeSeries::TimeSeries(std::int64_t initial_window_ns,
                        std::size_t max_windows)
@@ -75,30 +19,18 @@ void TimeSeries::record(std::int64_t t_ns, std::uint64_t value) {
   }
   const auto idx = static_cast<std::size_t>(t_ns / window_ns_);
   if (idx >= windows_.size()) windows_.resize(idx + 1);
-  TimeSeriesWindow& w = windows_[idx];
-  ++w.count;
-  w.sum += value;
-  if (value > w.max) w.max = value;
-  w.sketch.record(value);
-  ++total_;
+  windows_[idx].record(value);
 }
 
 void TimeSeries::coarsen() {
-  // Double the width and fold adjacent windows pairwise: every rollup
-  // field is mergeable, so the coarse series equals one built at the wide
+  // Double the width and fold adjacent windows pairwise: histograms
+  // merge exactly, so the coarse series equals one built at the wide
   // width from the start.
   const std::size_t n = windows_.size();
   const std::size_t folded = (n + 1) / 2;
   for (std::size_t i = 0; i < folded; ++i) {
-    TimeSeriesWindow merged = std::move(windows_[2 * i]);
-    if (2 * i + 1 < n) {
-      const TimeSeriesWindow& right = windows_[2 * i + 1];
-      merged.count += right.count;
-      merged.sum += right.sum;
-      if (right.max > merged.max) merged.max = right.max;
-      merged.sketch.merge(right.sketch);
-    }
-    windows_[i] = std::move(merged);
+    windows_[i] = windows_[2 * i];
+    if (2 * i + 1 < n) windows_[i].merge(windows_[2 * i + 1]);
   }
   windows_.resize(folded);
   window_ns_ *= 2;
@@ -109,15 +41,15 @@ TimeSeriesSnapshot TimeSeries::snapshot() const {
   snap.window_ns = window_ns_;
   snap.budget_windows = max_windows_;
   for (std::size_t i = 0; i < windows_.size(); ++i) {
-    if (windows_[i].count == 0) continue;
+    if (windows_[i].count() == 0) continue;
     snap.windows.emplace_back(static_cast<std::int64_t>(i) * window_ns_,
-                              windows_[i]);
+                              windows_[i].snapshot());
   }
   return snap;
 }
 
 std::size_t TimeSeries::memory_bytes() const {
-  return sizeof(TimeSeries) + windows_.capacity() * sizeof(TimeSeriesWindow);
+  return sizeof(TimeSeries) + windows_.capacity() * sizeof(PlainHistogram);
 }
 
 }  // namespace stopwatch::obs

@@ -3,10 +3,9 @@
 // The churn/open-loop roadmap item wants tail-latency-over-time and
 // leakage-bits-over-time series that survive multi-hour simulated
 // horizons without growing. A TimeSeries keeps a fixed budget of
-// consecutive windows, each a mergeable rollup (count / sum / max plus a
-// deterministic quantile sketch over power-of-two buckets — the same
-// bucket law as obs::Histogram). When the horizon outgrows the budget the
-// window width doubles and adjacent windows merge pairwise, so memory is
+// consecutive windows, each an obs::PlainHistogram (count / sum / max and
+// power-of-two buckets). When the horizon outgrows the budget the window
+// width doubles and adjacent windows merge pairwise, so memory is
 // O(max_windows) for any horizon while the series keeps full coverage.
 //
 // Determinism rules:
@@ -20,56 +19,19 @@
 //    wall clock or allocation pressure.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace stopwatch::obs {
-
-/// Deterministic mergeable quantile sketch: bucket i counts values whose
-/// bit_width is i — [2^(i-1), 2^i), bucket 0 exactly the zeros. Merging
-/// two sketches (bucket-wise add) equals sketching the concatenated
-/// stream, which is what makes per-window and per-shard rollups foldable.
-class QuantileSketch {
- public:
-  void record(std::uint64_t value);
-  void merge(const QuantileSketch& other);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-
-  /// Upper edge (2^i - 1) of the bucket holding the q-quantile by rank
-  /// (q clamped to [0, 1]; 0 on an empty sketch). The true quantile v
-  /// satisfies v <= quantile_upper(q) < 2 * max(v, 1) — the rank error is
-  /// bounded by one power-of-two bucket.
-  [[nodiscard]] std::uint64_t quantile_upper(double q) const;
-
-  /// (bucket index, count) for non-empty buckets, ascending.
-  [[nodiscard]] std::vector<std::pair<int, std::uint64_t>> nonzero() const;
-
-  /// Byte-exact text form ("i:count,..." ascending; empty sketch is "").
-  [[nodiscard]] std::string serialize() const;
-
- private:
-  static constexpr int kBuckets = 65;  // bit_width of a uint64 is in [0, 64]
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_{0};
-};
-
-/// One window's rollup.
-struct TimeSeriesWindow {
-  std::uint64_t count{0};
-  std::uint64_t sum{0};
-  std::uint64_t max{0};
-  QuantileSketch sketch;
-};
 
 /// Snapshot for serialization: non-empty windows with their start times.
 struct TimeSeriesSnapshot {
   std::int64_t window_ns{0};
   std::uint64_t budget_windows{0};
-  std::vector<std::pair<std::int64_t, TimeSeriesWindow>> windows;
+  std::vector<std::pair<std::int64_t, HistogramSnapshot>> windows;
 };
 
 class TimeSeries {
@@ -88,7 +50,6 @@ class TimeSeries {
   [[nodiscard]] std::int64_t window_ns() const { return window_ns_; }
   [[nodiscard]] std::size_t max_windows() const { return max_windows_; }
   [[nodiscard]] std::size_t window_count() const { return windows_.size(); }
-  [[nodiscard]] std::uint64_t total_count() const { return total_; }
 
   /// Bytes held by the window ring — capacity is reserved up front and
   /// never grows past the budget, which is what the fixed-budget tests
@@ -100,8 +61,7 @@ class TimeSeries {
 
   std::int64_t window_ns_;
   std::size_t max_windows_;
-  std::uint64_t total_{0};
-  std::vector<TimeSeriesWindow> windows_;  // dense from window index 0
+  std::vector<PlainHistogram> windows_;  // dense from window index 0
 };
 
 }  // namespace stopwatch::obs

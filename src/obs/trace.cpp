@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/json_emit.hpp"
+
 namespace stopwatch::obs {
 
 namespace {
@@ -18,24 +20,6 @@ std::string format_us(std::int64_t ns) {
   out += static_cast<char>('0' + frac / 100);
   out += static_cast<char>('0' + (frac / 10) % 10);
   out += static_cast<char>('0' + frac % 10);
-  return out;
-}
-
-/// Track names are repo-controlled but may embed user-facing VM names;
-/// escape the JSON specials so a quote can't break the document.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -117,14 +101,14 @@ std::string TraceRecorder::export_json(bool include_parallel) const {
                             ", \"tid\": " + std::to_string(t->tid_);
     if (!have_pid || t->pid_ != last_pid) {
       emit("{\"ph\": \"M\", " + ids +
-           ", \"name\": \"process_name\", \"args\": {\"name\": \"" +
-           escape(t->process_name_) + "\"}}");
+           ", \"name\": \"process_name\", \"args\": {\"name\": " +
+           json_string(t->process_name_) + "}}");
       last_pid = t->pid_;
       have_pid = true;
     }
     emit("{\"ph\": \"M\", " + ids +
-         ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
-         escape(t->thread_name_) + "\"}}");
+         ", \"name\": \"thread_name\", \"args\": {\"name\": " +
+         json_string(t->thread_name_) + "}}");
   }
 
   for (const Row& row : rows) {

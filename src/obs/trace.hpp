@@ -33,8 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/simulator.hpp"
-
 namespace stopwatch::obs {
 
 /// Whether a track survives the default (shard-count-invariant) export.
@@ -143,22 +141,5 @@ class TraceRecorder {
 /// it at construction.
 [[nodiscard]] TraceRecorder* active_trace();
 void set_active_trace(TraceRecorder* recorder);
-
-/// Bridges the sim kernel's execution hook onto a (kParallel) counter
-/// track. The kernel itself samples (every Simulator::kTraceSampleEvery
-/// executed events), so this just records each notification.
-class KernelCounterSink final : public sim::KernelTraceSink {
- public:
-  explicit KernelCounterSink(TraceTrack* track) : track_(track) {}
-
-  void on_executed(std::int64_t now_ns, std::uint64_t executed) override {
-    if (track_ != nullptr) {
-      track_->counter(now_ns, "events_executed", "executed", executed);
-    }
-  }
-
- private:
-  TraceTrack* track_;
-};
 
 }  // namespace stopwatch::obs

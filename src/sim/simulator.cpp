@@ -6,6 +6,7 @@
 
 #include "common/contracts.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace stopwatch::sim {
 
@@ -437,9 +438,10 @@ void Simulator::execute_top() {
   now_ = RealTime{rec.at_ns};
   ++executed_;
   --live_;
-  if (trace_sink_ != nullptr) [[unlikely]] {
+  if (trace_track_ != nullptr) [[unlikely]] {
     if ((executed_ & (kTraceSampleEvery - 1)) == 0) {
-      trace_sink_->on_executed(rec.at_ns, executed_);
+      trace_track_->counter(rec.at_ns, "events_executed", "executed",
+                            executed_);
     }
   }
   rec.where = Where::kExecuting;

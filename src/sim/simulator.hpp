@@ -41,6 +41,10 @@
 #include "common/time.hpp"
 #include "sim/task.hpp"
 
+namespace stopwatch::obs {
+class TraceTrack;
+}  // namespace stopwatch::obs
+
 namespace stopwatch::sim {
 
 /// Handle for a scheduled event; can be used to cancel or reschedule it.
@@ -56,17 +60,6 @@ struct EventId {
 /// runs before any kExit event; within a class, events run in schedule
 /// order. Guest vCPU exits are kExit.
 enum class Tie : std::uint8_t { kOrdinary, kExit };
-
-/// Observer of kernel event execution. The kernel samples: an installed
-/// sink is notified once every `Simulator::kTraceSampleEvery` executed
-/// events, so an attached sink costs one predicted branch and a mask test
-/// per event between notifications. Null by default — the disabled cost
-/// is one [[unlikely]] null check per event.
-class KernelTraceSink {
- public:
-  virtual ~KernelTraceSink() = default;
-  virtual void on_executed(std::int64_t now_ns, std::uint64_t executed) = 0;
-};
 
 /// Always-on kernel counters, exported into the observability block.
 /// Plain integers: each Simulator core is single-threaded by construction.
@@ -203,11 +196,15 @@ class Simulator {
   /// Always-on scheduling/placement counters (see KernelStats).
   [[nodiscard]] const KernelStats& kernel_stats() const { return stats_; }
 
-  /// Installs (or, with nullptr, removes) the sampled execution observer.
-  void set_trace_sink(KernelTraceSink* sink) { trace_sink_ = sink; }
+  /// Attaches (or, with nullptr, detaches) a trace track. Every
+  /// kTraceSampleEvery executed events the kernel records its
+  /// `events_executed` counter into it, so an attached track costs one
+  /// predicted branch and a mask test per event between samples. Null by
+  /// default: the detached cost is one [[unlikely]] null check per event.
+  void set_trace_track(obs::TraceTrack* track) { trace_track_ = track; }
 
-  /// Executed-event sampling interval for an installed KernelTraceSink
-  /// (power of two: the hot path tests `executed & (kTraceSampleEvery-1)`).
+  /// Executed-event sampling interval for an attached trace track (power
+  /// of two: the hot path tests `executed & (kTraceSampleEvery-1)`).
   static constexpr std::uint64_t kTraceSampleEvery = 4096;
 
  private:
@@ -327,7 +324,7 @@ class Simulator {
   std::uint64_t batched_{0};
   std::size_t live_{0};
   KernelStats stats_;
-  KernelTraceSink* trace_sink_{nullptr};
+  obs::TraceTrack* trace_track_{nullptr};
 
   static constexpr int kChunkBits = 8;  // 256 records per slab chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;

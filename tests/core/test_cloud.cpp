@@ -43,7 +43,7 @@ class TickCounterProgram final : public vm::GuestProgram {
 CloudConfig stopwatch_config(std::uint64_t seed = 42) {
   CloudConfig cfg;
   cfg.seed = seed;
-  cfg.policy = Policy::kStopWatch;
+  cfg.policy = PolicyKind::kStopWatch;
   cfg.machine_count = 3;
   return cfg;
 }
@@ -105,7 +105,7 @@ TEST(Cloud, DifferentSeedsChangeTimings) {
 
 TEST(Cloud, BaselineEchoes) {
   CloudConfig cfg = stopwatch_config();
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   const EchoRun run = run_echo_cloud(cfg, 10, Duration::millis(10));
   EXPECT_EQ(run.reply_seqs.size(), 10u);
 }
@@ -113,7 +113,7 @@ TEST(Cloud, BaselineEchoes) {
 TEST(Cloud, StopWatchDeliveryIsSlowerThanBaseline) {
   // The same echo exchange pays the Δn-median path under StopWatch.
   CloudConfig base_cfg = stopwatch_config();
-  base_cfg.policy = Policy::kBaselineXen;
+  base_cfg.policy = PolicyKind::kBaselineXen;
   const EchoRun base = run_echo_cloud(base_cfg, 10, Duration::millis(50));
   const EchoRun sw = run_echo_cloud(stopwatch_config(), 10, Duration::millis(50));
   ASSERT_EQ(base.reply_times_ns.size(), 10u);
@@ -314,7 +314,7 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   // Baseline runs single replicas, so replica_count > machine_count is
   // fine there (the knob is documented as ignored).
   CloudConfig baseline = stopwatch_config();
-  baseline.policy = Policy::kBaselineXen;
+  baseline.policy = PolicyKind::kBaselineXen;
   baseline.machine_count = 1;
   baseline.replica_count = 3;
   Cloud ok(baseline);

@@ -54,7 +54,7 @@ class PeerSenderProgram final : public vm::GuestProgram {
 CloudConfig sharded_config(int shards, std::uint64_t seed = 42) {
   CloudConfig cfg;
   cfg.seed = seed;
-  cfg.policy = Policy::kStopWatch;
+  cfg.policy = PolicyKind::kStopWatch;
   cfg.machine_count = 9;
   cfg.sim_shards = shards;
   return cfg;
@@ -211,7 +211,7 @@ TEST(CloudSharded, GuestTrafficBetweenWorkerShardsNamesTheFallback) {
   // destination's granted window. The run must fail loudly and name the
   // sequential fallback instead of reordering.
   CloudConfig cfg = sharded_config(3);
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle b = cloud.add_vm(
       "b", [] { return std::make_unique<EchoProgram>(); }, {1});
@@ -249,7 +249,7 @@ TEST(CloudSharded, NonTunnelingTapRejectedWhenVmsSpanShards) {
   // VMs on two shards the tap would fire from two worker threads. (Three
   // shards: the last one hosts only egress and the clients.)
   CloudConfig cfg = sharded_config(3);
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle a = cloud.add_vm(
       "a", [] { return std::make_unique<EchoProgram>(); }, {0});
@@ -263,7 +263,7 @@ TEST(CloudSharded, NonTunnelingTapRejectedWhenVmsSpanShards) {
 
 TEST(CloudSharded, NonTunnelingTapPreinstalledRejectedAtActivation) {
   CloudConfig cfg = sharded_config(3);
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   Cloud cloud(cfg);
   cloud.set_egress_tap([](std::uint32_t, RealTime, const net::Packet&) {});
   const VmHandle a = cloud.add_vm(
@@ -277,7 +277,7 @@ TEST(CloudSharded, NonTunnelingTapAllowedWhenActiveSetSharesAShard) {
   // One active VM -> one owner shard -> the replica send path is a single
   // writer even though shard_count > 1.
   CloudConfig cfg = sharded_config(2);
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle a = cloud.add_vm(
       "a", [] { return std::make_unique<EchoProgram>(); }, {0});

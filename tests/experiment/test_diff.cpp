@@ -5,15 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/json_emit.hpp"
 #include "experiment/diff.hpp"
 #include "experiment/json.hpp"
 #include "experiment/result.hpp"
+#include "experiment/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
@@ -381,6 +387,184 @@ TEST(DiffCli, ExitCodesMatchVerdicts) {
   std::remove(base_path.c_str());
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+// Parser robustness: seeded random inputs against every parser a report
+// or a command line reaches. Each case is deterministic, so a failure
+// replays exactly; the sanitizer lane runs the same loops under ASan and
+// UBSan, where a stray read or an out-of-range cast aborts the test.
+
+/// A real report exercising every block the reader may meet: strings with
+/// escapes and non-ASCII bytes, a null metric, `timeseries` and
+/// `observability` bucket lists.
+std::string rich_report() {
+  Result r("scn \"quoted\"\t\xf0\x9f\x98\x80");
+  r.add_metric("lat", 120.5, "ns/op");
+  r.add_metric("nan\\metric", std::nan(""), "bits");
+  r.add_series("trace", "us", {1.0, -2.5e-7, 3e12});
+  r.set_context(/*seed=*/7, /*smoke=*/true, {{"policy", "\"stopwatch\""}});
+  obs::TimeSeries series(1000, 8);
+  for (std::int64_t t = 0; t < 20'000; t += 700) {
+    series.record(t, static_cast<std::uint64_t>(t * 3));
+  }
+  r.add_timeseries("egress.release_latency_ns", series.snapshot());
+  obs::Registry registry;
+  registry.set_counter("sim.events_scheduled", 42);
+  registry.set_gauge("mem.arena_bytes", 1 << 20);
+  registry.histogram("net.frame_bytes")->record(1500);
+  r.set_observability(registry.snapshot());
+  std::vector<Result> results;
+  results.push_back(std::move(r));
+  return report_to_json(results);
+}
+
+/// Deletes, inserts, replaces or truncates bytes, 1-4 edits per document.
+/// Inserted bytes favor JSON syntax so edits reach deep parser states.
+std::string mutate(std::string doc, std::mt19937_64& rng) {
+  static constexpr std::string_view kSyntax = "{}[]\",:\\u0123456789eE+-.tfn";
+  const auto pick_byte = [&rng]() {
+    if (rng() % 2 == 0) return kSyntax[rng() % kSyntax.size()];
+    return static_cast<char>(rng() % 256);
+  };
+  const int edits = 1 + static_cast<int>(rng() % 4);
+  for (int e = 0; e < edits && !doc.empty(); ++e) {
+    const std::size_t at = rng() % doc.size();
+    switch (rng() % 4) {
+      case 0:
+        doc.erase(at, 1 + rng() % 8);
+        break;
+      case 1:
+        doc.insert(at, 1, pick_byte());
+        break;
+      case 2:
+        doc[at] = pick_byte();
+        break;
+      default:
+        doc.resize(at);
+    }
+  }
+  return doc;
+}
+
+TEST(ParserRobustness, MutatedReportsNeverCrashTheReaders) {
+  const std::string valid = rich_report();
+  BenchReport report;
+  std::string error;
+  ASSERT_TRUE(parse_bench_report(valid, report, error)) << error;
+
+  std::mt19937_64 rng(20131);
+  int rejected = 0;
+  int numbers = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::string doc = mutate(valid, rng);
+    JsonValue v;
+    std::string json_error;
+    const bool parsed = JsonValue::parse(doc, v, json_error);
+    EXPECT_TRUE(parsed || !json_error.empty());
+    std::string report_error;
+    if (parse_bench_report(doc, report, report_error)) {
+      EXPECT_TRUE(parsed);
+    } else {
+      EXPECT_FALSE(report_error.empty());
+      ++rejected;
+    }
+    // Every slice of a mutated document is also a candidate number.
+    const std::size_t at = doc.empty() ? 0 : rng() % doc.size();
+    const auto slice = std::string_view(doc).substr(at, rng() % 24);
+    double out = 0.0;
+    if (parse_double_strict(slice, out)) ++numbers;
+  }
+  // The mutations must reach both the error paths and the happy ones.
+  EXPECT_GT(rejected, 10'000);
+  EXPECT_LT(rejected, 20'000);
+  EXPECT_GT(numbers, 0);
+}
+
+TEST(ParserRobustness, DeepNestingIsRejectedWithoutRecursingAway) {
+  JsonValue v;
+  std::string error;
+  for (const std::size_t depth : {64u, 65u, 66u, 1000u, 100'000u}) {
+    const std::string open(depth, '[');
+    const std::string closed = open + std::string(depth, ']');
+    EXPECT_EQ(JsonValue::parse(closed, v, error), depth <= 65) << depth;
+    EXPECT_FALSE(JsonValue::parse(open, v, error)) << depth;
+    const std::string doc =
+        "{\"schema\": \"stopwatch-bench/1\", \"results\": " + closed + "}";
+    BenchReport report;
+    EXPECT_FALSE(parse_bench_report(doc, report, error)) << depth;
+  }
+}
+
+TEST(ParserRobustness, OutOfRangeSeedIsIgnoredNotCast) {
+  // A seed outside [0, 2^64) has no uint64 value; casting it would be
+  // undefined, so the reader keeps the default.
+  const std::string head =
+      R"({"schema": "stopwatch-bench/1", "results": [{"scenario": "s", )";
+  for (const char* seed : {"-1", "1e300", "18446744073709551616"}) {
+    const std::string doc = head + "\"seed\": " + seed + ", \"metrics\": []}]}";
+    BenchReport report;
+    std::string error;
+    ASSERT_TRUE(parse_bench_report(doc, report, error)) << error;
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_EQ(report.results[0].seed, 0u) << seed;
+  }
+}
+
+TEST(ParserRobustness, RandomArgvNeverCrashesTheRunnerParser) {
+  // Every flag, good and bad values, and random junk (empty included).
+  std::vector<std::string> tokens;
+  std::istringstream words(
+      "--list --smoke --all --quiet --seed --jobs --json --trace "
+      "--trace-parallel --profile --metrics --param --scenario a=b =x k= -1 "
+      "18446744073709551616 7 fig6_nfs --");
+  for (std::string word; words >> word;) tokens.push_back(word);
+  std::mt19937_64 rng(1804);
+  int accepted = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    std::vector<std::string> args = {"stopwatch_bench"};
+    const int n = static_cast<int>(rng() % 7);
+    for (int a = 0; a < n; ++a) {
+      if (rng() % 5 == 0) {
+        std::string junk(rng() % 6, '\0');
+        for (char& c : junk) c = static_cast<char>(1 + rng() % 255);
+        args.push_back(std::move(junk));
+      } else {
+        args.push_back(tokens[rng() % tokens.size()]);
+      }
+    }
+    std::vector<const char*> argv;
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    const int argc = static_cast<int>(argv.size());
+    RunnerOptions options;
+    std::string error;
+    if (parse_runner_options(argc, argv.data(), options, error)) {
+      ++accepted;
+    } else {
+      EXPECT_FALSE(error.empty());
+    }
+  }
+  EXPECT_GT(accepted, 100);  // both outcomes are reached
+  EXPECT_LT(accepted, 20'000);
+}
+
+TEST(ParserRobustness, JsonStringRoundTripsArbitraryBytes) {
+  std::mt19937_64 rng(1906);
+  for (int i = 0; i < 20'000; ++i) {
+    std::string bytes(rng() % 40, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng() % 256);
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(JsonValue::parse(json_string(bytes), v, error)) << error;
+    ASSERT_EQ(v.as_string(), bytes);
+  }
+  // A surrogate pair decodes to one four-byte UTF-8 code point.
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(JsonValue::parse("\"\\ud83d\\ude00\"", v, error)) << error;
+  EXPECT_EQ(v.as_string(), "\xf0\x9f\x98\x80");  // U+1F600
+  EXPECT_FALSE(JsonValue::parse("\"\\ud83d\"", v, error));
+  EXPECT_FALSE(JsonValue::parse("\"\\ud83d\\u0041\"", v, error));
+  EXPECT_FALSE(JsonValue::parse("\"\\ude00\"", v, error));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "common/contracts.hpp"
-#include "experiment/json.hpp"
+#include "common/json_emit.hpp"
 #include "experiment/registry.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"

@@ -131,7 +131,7 @@ struct Harness {
 
 GuestContextConfig stopwatch_cfg() {
   GuestContextConfig cfg;
-  cfg.policy = Policy::kStopWatch;
+  cfg.policy = PolicyKind::kStopWatch;
   cfg.replica_count = 3;
   cfg.policy.stopwatch.delta_n = Duration::millis(10);
   cfg.policy.stopwatch.delta_d = Duration::millis(12);
@@ -280,7 +280,7 @@ TEST(GuestContext, OutputsAreTunneledToEgress) {
 
 TEST(GuestContext, BaselineSendsDirectlyAndUsesRealClock) {
   GuestContextConfig cfg;
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   cfg.replica_count = 1;
   MachineConfig mc = exact_machine();
   mc.clock_offset = Duration::millis(500);
@@ -300,7 +300,7 @@ TEST(GuestContext, BaselineSendsDirectlyAndUsesRealClock) {
 
 TEST(GuestContext, BaselineDeliversAfterProcessingDelay) {
   GuestContextConfig cfg;
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   cfg.replica_count = 1;
   Harness h(cfg);
   h.start();
@@ -657,7 +657,7 @@ TEST(GuestContextSpans, StopWatchSpansMatchOneEventPerExit) {
 
 TEST(GuestContextSpans, BaselineSpansMatchOneEventPerExit) {
   GuestContextConfig cfg;
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   cfg.replica_count = 1;
   SpanExactness x(cfg);
   check_many(x, 300, 5'000, 410);
@@ -685,7 +685,7 @@ TEST(GuestContextSpans, BaselineSpansMatchOneEventPerExit) {
 
 TEST(GuestContextSpans, ReadsAtAnExitInstantMatchOneEventPerExit) {
   GuestContextConfig baseline;
-  baseline.policy = Policy::kBaselineXen;
+  baseline.policy = PolicyKind::kBaselineXen;
   baseline.replica_count = 1;
   for (const GuestContextConfig& cfg : {stopwatch_cfg(), baseline}) {
     const bool stopwatch = cfg.policy.kind == PolicyKind::kStopWatch;

@@ -56,7 +56,7 @@ struct TapFixture {
   NodeId sink;
   core::VmHandle vm;
 
-  explicit TapFixture(core::Policy policy, std::uint64_t seed)
+  explicit TapFixture(core::PolicyKind policy, std::uint64_t seed)
       : cloud([&] {
           core::CloudConfig cfg;
           cfg.seed = seed;
@@ -76,7 +76,7 @@ struct TapFixture {
 };
 
 TEST(TimingTap, RecordsLabeledInterReleaseGaps) {
-  TapFixture fx(core::Policy::kStopWatch, 11);
+  TapFixture fx(core::PolicyKind::kStopWatch, 11);
   ObservationLog log(ObservationLogConfig{11, 0});
   TimingTap tap(fx.cloud, fx.vm, TimingTap::Mode::kInterRelease, log);
   fx.cloud.start();
@@ -101,7 +101,7 @@ TEST(TimingTap, RecordsLabeledInterReleaseGaps) {
 
 TEST(TimingTap, SameSeedProducesByteIdenticalObservationLog) {
   const auto capture = [](std::uint64_t seed) {
-    TapFixture fx(core::Policy::kStopWatch, seed);
+    TapFixture fx(core::PolicyKind::kStopWatch, seed);
     ObservationLog log(ObservationLogConfig{seed, 64});
     TimingTap tap(fx.cloud, fx.vm, TimingTap::Mode::kInterRelease, log);
     fx.cloud.start();
@@ -119,7 +119,7 @@ TEST(TimingTap, SameSeedProducesByteIdenticalObservationLog) {
 }
 
 TEST(TimingTap, TrialDurationBracketsReleases) {
-  TapFixture fx(core::Policy::kStopWatch, 31);
+  TapFixture fx(core::PolicyKind::kStopWatch, 31);
   ObservationLog log(ObservationLogConfig{31, 0});
   TimingTap tap(fx.cloud, fx.vm, TimingTap::Mode::kTrialDuration, log);
   fx.cloud.start();
@@ -146,7 +146,7 @@ TEST(TimingTap, TrialDurationBracketsReleases) {
 TEST(TimingTap, BaselineDirectEmissionIsObserved) {
   // Under unmodified Xen output skips the egress median gate; the tap must
   // still see the attacker-visible instant (the VMM's direct send).
-  TapFixture fx(core::Policy::kBaselineXen, 41);
+  TapFixture fx(core::PolicyKind::kBaselineXen, 41);
   ObservationLog log(ObservationLogConfig{41, 0});
   TimingTap tap(fx.cloud, fx.vm, TimingTap::Mode::kInterRelease, log);
   fx.cloud.start();
@@ -158,7 +158,7 @@ TEST(TimingTap, BaselineDirectEmissionIsObserved) {
 }
 
 TEST(TimingTap, ModeGuardsRejectMismatchedCalls) {
-  TapFixture fx(core::Policy::kStopWatch, 51);
+  TapFixture fx(core::PolicyKind::kStopWatch, 51);
   ObservationLog log;
   TimingTap tap(fx.cloud, fx.vm, TimingTap::Mode::kInterRelease, log);
   EXPECT_THROW(tap.begin_trial(0), ContractViolation);

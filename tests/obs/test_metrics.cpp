@@ -1,8 +1,9 @@
 // The metrics layer's determinism contract: histogram buckets are fixed
 // powers of two, every mutation commutes (so record order and thread
-// interleaving cannot change a snapshot), and registry snapshots come out
-// sorted by name — the properties the `observability` report block and
-// the cross-shard identity tests lean on.
+// interleaving cannot change a snapshot), the plain flavor merges exactly,
+// and registry snapshots come out sorted by name — the properties the
+// `observability` and `timeseries` report blocks and the cross-shard
+// identity tests lean on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,25 @@
 
 namespace stopwatch::obs {
 namespace {
+
+std::vector<std::uint64_t> xorshift_stream(std::size_t n, std::uint64_t mod) {
+  std::vector<std::uint64_t> values;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    values.push_back(x % mod);
+  }
+  return values;
+}
+
+void expect_same(const HistogramSnapshot& a, const HistogramSnapshot& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.buckets, b.buckets);
+}
 
 TEST(Histogram, BucketIndexIsBitWidth) {
   Histogram h;
@@ -46,14 +66,7 @@ TEST(Histogram, SnapshotIsIndependentOfRecordOrder) {
   // The merge-order determinism the sharded simulator relies on: the same
   // multiset of values, recorded forward, reversed, and split across
   // threads, must snapshot identically.
-  std::vector<std::uint64_t> values;
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < 4096; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    values.push_back(x % 1'000'000);
-  }
+  const auto values = xorshift_stream(4096, 1'000'000);
 
   Histogram forward;
   for (const std::uint64_t v : values) forward.record(v);
@@ -78,17 +91,56 @@ TEST(Histogram, SnapshotIsIndependentOfRecordOrder) {
     for (std::thread& t : workers) t.join();
   }
 
-  const HistogramSnapshot a = forward.snapshot();
-  const HistogramSnapshot b = reversed.snapshot();
-  const HistogramSnapshot c = threaded.snapshot();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.sum, b.sum);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.buckets, b.buckets);
-  EXPECT_EQ(a.count, c.count);
-  EXPECT_EQ(a.sum, c.sum);
-  EXPECT_EQ(a.max, c.max);
-  EXPECT_EQ(a.buckets, c.buckets);
+  expect_same(forward.snapshot(), reversed.snapshot());
+  expect_same(forward.snapshot(), threaded.snapshot());
+}
+
+TEST(Histogram, PlainFlavorMergeEqualsConcatenatedStream) {
+  // The law TimeSeries coarsening leans on: hist(A) + hist(B) ==
+  // hist(A ++ B), byte-exact, and the atomic flavor agrees.
+  const auto values = xorshift_stream(8192, 1'000'000'000ULL);
+
+  PlainHistogram whole;
+  Histogram atomic_whole;
+  for (const std::uint64_t v : values) {
+    whole.record(v);
+    atomic_whole.record(v);
+  }
+
+  PlainHistogram left;
+  PlainHistogram right;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    (i < values.size() / 3 ? left : right).record(values[i]);
+  }
+  PlainHistogram merged = left;
+  merged.merge(right);
+
+  EXPECT_EQ(merged.count(), whole.count());
+  expect_same(merged.snapshot(), whole.snapshot());
+  expect_same(merged.snapshot(), atomic_whole.snapshot());
+}
+
+TEST(Histogram, PlainFlavorSnapshotIsIndependentOfRecordOrder) {
+  // Same multiset, recorded forward vs reversed, snapshots identically;
+  // an empty histogram has no buckets.
+  const auto values = xorshift_stream(2048, 1u << 20);
+  PlainHistogram forward;
+  for (const std::uint64_t v : values) forward.record(v);
+  PlainHistogram reversed;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) {
+    reversed.record(*it);
+  }
+  expect_same(forward.snapshot(), reversed.snapshot());
+
+  PlainHistogram small;
+  EXPECT_TRUE(small.snapshot().buckets.empty());
+  small.record(0);
+  small.record(1);
+  small.record(1);
+  small.record(5);  // bit_width 3 -> bucket 3
+  const std::vector<std::pair<int, std::uint64_t>> expected = {
+      {0, 1}, {1, 2}, {3, 1}};
+  EXPECT_EQ(small.snapshot().buckets, expected);
 }
 
 TEST(Registry, SnapshotSortedByNameAndLastWriteWins) {

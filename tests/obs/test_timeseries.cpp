@@ -1,12 +1,10 @@
-// The bounded-memory time-series contract: the quantile sketch merges
-// exactly (per-shard/per-window rollups fold into the same sketch as the
-// concatenated stream), serializes deterministically, and bounds rank
-// error by one power-of-two bucket even on adversarial streams; the
-// TimeSeries window ring never holds more than its budget and its memory
-// footprint is fixed at construction — for any horizon.
+// The bounded-memory time-series contract: coarsening folds windows into
+// exactly what recording at the coarse width would have built, the
+// TimeSeries window ring never holds more than its budget, and its memory
+// footprint is fixed at construction — for any horizon. (The windows'
+// merge law itself is tested with the Histogram in test_metrics.cpp.)
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -27,103 +25,6 @@ std::vector<std::uint64_t> xorshift_stream(std::size_t n, std::uint64_t mod) {
   return values;
 }
 
-TEST(QuantileSketch, MergeEqualsConcatenatedStream) {
-  // The mergeability law the per-window and per-shard rollups lean on:
-  // sketch(A) + sketch(B) == sketch(A ++ B), byte-exact.
-  const auto values = xorshift_stream(8192, 1'000'000'000ULL);
-
-  QuantileSketch whole;
-  for (const std::uint64_t v : values) whole.record(v);
-
-  QuantileSketch left;
-  QuantileSketch right;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    (i < values.size() / 3 ? left : right).record(values[i]);
-  }
-  QuantileSketch merged = left;
-  merged.merge(right);
-
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_EQ(merged.nonzero(), whole.nonzero());
-  EXPECT_EQ(merged.serialize(), whole.serialize());
-}
-
-TEST(QuantileSketch, SerializationIsDeterministicAndOrderIndependent) {
-  // Same multiset, recorded forward vs reversed, must serialize to the
-  // same bytes — and the text form is the documented "i:count,..." shape.
-  const auto values = xorshift_stream(2048, 1u << 20);
-  QuantileSketch forward;
-  for (const std::uint64_t v : values) forward.record(v);
-  QuantileSketch reversed;
-  for (auto it = values.rbegin(); it != values.rend(); ++it) {
-    reversed.record(*it);
-  }
-  EXPECT_EQ(forward.serialize(), reversed.serialize());
-
-  QuantileSketch small;
-  EXPECT_EQ(small.serialize(), "");  // empty sketch is ""
-  small.record(0);
-  small.record(1);
-  small.record(1);
-  small.record(5);  // bit_width 3 -> bucket 3
-  EXPECT_EQ(small.serialize(), "0:1,1:2,3:1");
-}
-
-TEST(QuantileSketch, RankErrorBoundedOnAdversarialStreams) {
-  // The documented bound: v <= quantile_upper(q) < 2 * max(v, 1) for the
-  // true rank-q value v. Exercised on the streams that break naive
-  // sketches — sorted, constant, and bimodal.
-  const auto check_stream = [](std::vector<std::uint64_t> values) {
-    QuantileSketch sketch;
-    for (const std::uint64_t v : values) sketch.record(v);
-    std::sort(values.begin(), values.end());
-    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
-      // The sketch's rank convention: ceil(q * n), 1-based, minimum 1.
-      auto rank = static_cast<std::uint64_t>(
-          q * static_cast<double>(values.size()));
-      if (static_cast<double>(rank) < q * static_cast<double>(values.size())) {
-        ++rank;
-      }
-      if (rank == 0) rank = 1;
-      const std::uint64_t truth = values[static_cast<std::size_t>(rank - 1)];
-      const std::uint64_t upper = sketch.quantile_upper(q);
-      EXPECT_GE(upper, truth) << "q=" << q;
-      EXPECT_LT(upper, 2 * std::max<std::uint64_t>(truth, 1)) << "q=" << q;
-    }
-  };
-
-  std::vector<std::uint64_t> sorted;
-  for (std::uint64_t i = 0; i < 4096; ++i) sorted.push_back(i * 37 + 1);
-  check_stream(sorted);
-
-  check_stream(std::vector<std::uint64_t>(4096, 777));  // constant
-
-  std::vector<std::uint64_t> bimodal;  // tiny mode + huge mode
-  for (int i = 0; i < 2000; ++i) bimodal.push_back(3);
-  for (int i = 0; i < 2000; ++i) bimodal.push_back(1'000'000'003ULL);
-  check_stream(bimodal);
-
-  // Wide-range random, capped below 2^62 so the doubled bound itself
-  // cannot overflow uint64 arithmetic in the assertion.
-  check_stream(xorshift_stream(4096, 1ULL << 62));
-}
-
-TEST(QuantileSketch, QuantileEdgeCases) {
-  QuantileSketch empty;
-  EXPECT_EQ(empty.quantile_upper(0.5), 0u);
-
-  QuantileSketch zeros;
-  zeros.record(0);
-  zeros.record(0);
-  EXPECT_EQ(zeros.quantile_upper(1.0), 0u);  // bucket 0: exactly the zeros
-
-  QuantileSketch one;
-  one.record(1u << 30);
-  // Out-of-range q clamps rather than reading past the buckets.
-  EXPECT_EQ(one.quantile_upper(-3.0), one.quantile_upper(0.0));
-  EXPECT_EQ(one.quantile_upper(7.0), one.quantile_upper(1.0));
-}
-
 TEST(TimeSeries, CoarseningKeepsWindowCountWithinBudget) {
   // 8 windows of 100ns; recording out to 100x the initial horizon must
   // double the width (as many times as needed) instead of growing the
@@ -135,7 +36,6 @@ TEST(TimeSeries, CoarseningKeepsWindowCountWithinBudget) {
     ++recorded;
     EXPECT_LE(series.window_count(), 8u);
   }
-  EXPECT_EQ(series.total_count(), recorded);
   // Width doubled from 100ns to cover 80us in <= 8 windows.
   EXPECT_GE(series.window_ns(), 80'000 / 8);
   // The snapshot's windows carry every recorded value between them.
@@ -147,7 +47,7 @@ TEST(TimeSeries, CoarseningKeepsWindowCountWithinBudget) {
 
 TEST(TimeSeries, CoarseningPreservesRollupsExactly) {
   // A pairwise fold must behave exactly like recording into the coarser
-  // windows from the start: count/sum/max and the sketch are mergeable,
+  // windows from the start: count/sum/max and the buckets are mergeable,
   // so the two paths agree byte for byte.
   const auto values = xorshift_stream(4096, 1'000'000);
   TimeSeries fine(50, 4);      // will coarsen repeatedly
@@ -166,8 +66,7 @@ TEST(TimeSeries, CoarseningPreservesRollupsExactly) {
     EXPECT_EQ(a.windows[i].second.count, b.windows[i].second.count);
     EXPECT_EQ(a.windows[i].second.sum, b.windows[i].second.sum);
     EXPECT_EQ(a.windows[i].second.max, b.windows[i].second.max);
-    EXPECT_EQ(a.windows[i].second.sketch.serialize(),
-              b.windows[i].second.sketch.serialize());
+    EXPECT_EQ(a.windows[i].second.buckets, b.windows[i].second.buckets);
   }
 }
 

@@ -100,40 +100,50 @@ TEST(TraceRecorder, EscapesQuotesInTrackNames) {
   TraceRecorder rec;
   rec.track(1, 0, "p", "vm \"quoted\"\nname");
   const std::string json = rec.export_json();
-  EXPECT_NE(json.find("vm \\\"quoted\\\" name"), std::string::npos);
+  EXPECT_NE(json.find("vm \\\"quoted\\\"\\nname"), std::string::npos);
 }
 
-TEST(KernelCounterSink, RecordsKernelNotificationsAsCounterEvents) {
+/// Schedules `n` no-op events after the kernel's current time and runs
+/// them.
+void run_events(sim::Simulator& simulator, std::uint64_t n) {
+  const std::int64_t base = simulator.now().ns + 1;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto at = RealTime::nanos(base + static_cast<std::int64_t>(i));
+    simulator.schedule_at(at, [] {});
+  }
+  simulator.run();
+}
+
+TEST(KernelTrack, RecordsEventsExecutedCounterOnlyWhileArmed) {
   TraceRecorder rec;
+  sim::Simulator simulator;
   TraceTrack* t =
       rec.track(900, 0, "sim-kernel", "core-0", Category::kParallel);
-  KernelCounterSink sink(t);
-  sink.on_executed(100, 4096);  // disarmed: dropped
+  simulator.set_trace_track(t);
+  run_events(simulator, sim::Simulator::kTraceSampleEvery);  // disarmed
+  EXPECT_EQ(rec.event_count(), 0u);
   rec.arm();
-  sink.on_executed(200, 8192);
-  sink.on_executed(300, 12288);
+  run_events(simulator, 2 * sim::Simulator::kTraceSampleEvery);
   EXPECT_EQ(rec.event_count(), 2u);
   const std::string json = rec.export_json(/*include_parallel=*/true);
   EXPECT_NE(json.find("\"events_executed\""), std::string::npos);
   EXPECT_NE(json.find("{\"executed\": 8192}"), std::string::npos);
+  EXPECT_NE(json.find("{\"executed\": 12288}"), std::string::npos);
 }
 
-TEST(KernelCounterSink, KernelSamplesEveryPowerOfTwoInterval) {
-  // The sampling lives in the kernel: a sink attached to a real simulator
-  // is notified once per kTraceSampleEvery executed events.
+TEST(KernelTrack, SamplesEveryPowerOfTwoIntervalUntilDetached) {
+  // One sample per kTraceSampleEvery executed events; a detached kernel
+  // records nothing.
   TraceRecorder rec;
+  rec.arm();
+  sim::Simulator simulator;
   TraceTrack* t =
       rec.track(901, 0, "sim-kernel", "core-0", Category::kParallel);
-  rec.arm();
-  KernelCounterSink sink(t);
-  sim::Simulator simulator;
-  simulator.set_trace_sink(&sink);
-  const std::uint64_t events = 2 * sim::Simulator::kTraceSampleEvery + 10;
-  for (std::uint64_t i = 0; i < events; ++i) {
-    simulator.schedule_at(RealTime::nanos(static_cast<std::int64_t>(i)),
-                          [] {});
-  }
-  simulator.run();
+  simulator.set_trace_track(t);
+  run_events(simulator, 2 * sim::Simulator::kTraceSampleEvery + 10);
+  EXPECT_EQ(rec.event_count(), 2u);
+  simulator.set_trace_track(nullptr);
+  run_events(simulator, 2 * sim::Simulator::kTraceSampleEvery);
   EXPECT_EQ(rec.event_count(), 2u);
 }
 

@@ -33,7 +33,7 @@ class EchoProgram final : public vm::GuestProgram {
 CloudConfig lazy_config(std::uint64_t seed = 11) {
   CloudConfig cfg;
   cfg.seed = seed;
-  cfg.policy = Policy::kStopWatch;
+  cfg.policy = PolicyKind::kStopWatch;
   cfg.machine_count = 9;
   cfg.shard_size = 4;
   return cfg;
@@ -137,7 +137,7 @@ TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
   // external endpoint, an id past every node) and a VM outside the
   // activation set all drop the packet without throwing or wiring anything.
   CloudConfig cfg = lazy_config(3);
-  cfg.policy = Policy::kBaselineXen;
+  cfg.policy = PolicyKind::kBaselineXen;
   Cloud cloud(cfg);
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {2});

@@ -11,13 +11,13 @@ struct ServiceFixture {
   core::Cloud cloud;
   core::VmHandle server;
 
-  explicit ServiceFixture(core::Policy policy, std::uint64_t seed = 3)
+  explicit ServiceFixture(core::PolicyKind policy, std::uint64_t seed = 3)
       : cloud(make_config(policy, seed)),
         server(cloud.add_vm(
             "files", [] { return std::make_unique<FileServerProgram>(); },
             {0, 1, 2})) {}
 
-  static core::CloudConfig make_config(core::Policy policy,
+  static core::CloudConfig make_config(core::PolicyKind policy,
                                        std::uint64_t seed) {
     core::CloudConfig cfg;
     cfg.seed = seed;
@@ -45,7 +45,7 @@ class DownloadSizeTest
 
 TEST_P(DownloadSizeTest, CompletesUnderBothProtocolsAndPolicies) {
   const auto [policy_int, size] = GetParam();
-  const auto policy = static_cast<core::Policy>(policy_int);
+  const auto policy = static_cast<core::PolicyKind>(policy_int);
   ServiceFixture fx(policy);
   FileDownloadClient tcp(fx.cloud, fx.cloud.vm_addr(fx.server),
                          FileDownloadClient::Protocol::kHttpTcp);
@@ -63,13 +63,13 @@ TEST_P(DownloadSizeTest, CompletesUnderBothProtocolsAndPolicies) {
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPolicies, DownloadSizeTest,
     ::testing::Combine(
-        ::testing::Values(static_cast<int>(core::Policy::kBaselineXen),
-                          static_cast<int>(core::Policy::kStopWatch)),
+        ::testing::Values(static_cast<int>(core::PolicyKind::kBaselineXen),
+                          static_cast<int>(core::PolicyKind::kStopWatch)),
         ::testing::Values(1024u, 65536u, 1048576u)));
 
 TEST(FileService, StopWatchHttpSlowerThanBaseline) {
-  ServiceFixture base(core::Policy::kBaselineXen);
-  ServiceFixture sw(core::Policy::kStopWatch);
+  ServiceFixture base(core::PolicyKind::kBaselineXen);
+  ServiceFixture sw(core::PolicyKind::kStopWatch);
   FileDownloadClient cb(base.cloud, base.cloud.vm_addr(base.server),
                         FileDownloadClient::Protocol::kHttpTcp);
   FileDownloadClient cs(sw.cloud, sw.cloud.vm_addr(sw.server),
@@ -83,8 +83,8 @@ TEST(FileService, StopWatchHttpSlowerThanBaseline) {
 }
 
 TEST(FileService, UdpNarrowsTheGapOnLargeFiles) {
-  ServiceFixture base(core::Policy::kBaselineXen);
-  ServiceFixture sw(core::Policy::kStopWatch);
+  ServiceFixture base(core::PolicyKind::kBaselineXen);
+  ServiceFixture sw(core::PolicyKind::kStopWatch);
   FileDownloadClient cb(base.cloud, base.cloud.vm_addr(base.server),
                         FileDownloadClient::Protocol::kUdp);
   FileDownloadClient cs(sw.cloud, sw.cloud.vm_addr(sw.server),
@@ -98,7 +98,7 @@ TEST(FileService, UdpNarrowsTheGapOnLargeFiles) {
 }
 
 TEST(FileService, SequentialDownloadsUseIndependentConnections) {
-  ServiceFixture fx(core::Policy::kStopWatch);
+  ServiceFixture fx(core::PolicyKind::kStopWatch);
   FileDownloadClient client(fx.cloud, fx.cloud.vm_addr(fx.server),
                             FileDownloadClient::Protocol::kHttpTcp);
   fx.cloud.start();
@@ -111,7 +111,7 @@ TEST(FileService, SequentialDownloadsUseIndependentConnections) {
 }
 
 TEST(FileService, ColdStartReadsWholeFileFromDisk) {
-  ServiceFixture fx(core::Policy::kStopWatch);
+  ServiceFixture fx(core::PolicyKind::kStopWatch);
   FileDownloadClient client(fx.cloud, fx.cloud.vm_addr(fx.server),
                             FileDownloadClient::Protocol::kUdp);
   fx.cloud.start();

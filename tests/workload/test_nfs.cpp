@@ -9,7 +9,7 @@
 namespace stopwatch::workload {
 namespace {
 
-core::CloudConfig nfs_config(core::Policy policy) {
+core::CloudConfig nfs_config(core::PolicyKind policy) {
   core::CloudConfig cfg;
   cfg.seed = 13;
   cfg.policy = policy;
@@ -32,7 +32,7 @@ struct NfsRun {
   double mean_latency_ms{0};
 };
 
-NfsRun run_nfs(core::Policy policy, double rate, Duration sim_time,
+NfsRun run_nfs(core::PolicyKind policy, double rate, Duration sim_time,
                NfsServerProgram::Config server_cfg = {}) {
   core::Cloud cloud(nfs_config(policy));
   const core::VmHandle vm = cloud.add_vm(
@@ -56,7 +56,8 @@ NfsRun run_nfs(core::Policy policy, double rate, Duration sim_time,
 }
 
 TEST(Nfs, OpsCompleteUnderStopWatch) {
-  const NfsRun r = run_nfs(core::Policy::kStopWatch, 50, Duration::seconds(5));
+  const NfsRun r =
+      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5));
   EXPECT_GT(r.issued, 150u);
   // Open loop: nearly everything issued long enough ago completes.
   EXPECT_GT(r.completed, r.issued * 8 / 10);
@@ -66,8 +67,9 @@ TEST(Nfs, OpsCompleteUnderStopWatch) {
 
 TEST(Nfs, BaselineFasterThanStopWatch) {
   const NfsRun base =
-      run_nfs(core::Policy::kBaselineXen, 50, Duration::seconds(5));
-  const NfsRun sw = run_nfs(core::Policy::kStopWatch, 50, Duration::seconds(5));
+      run_nfs(core::PolicyKind::kBaselineXen, 50, Duration::seconds(5));
+  const NfsRun sw =
+      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5));
   EXPECT_LT(base.mean_latency_ms, sw.mean_latency_ms);
   // And within the paper's overall range (a handful of Δn-scale units).
   EXPECT_LT(sw.mean_latency_ms, base.mean_latency_ms * 8.0);
@@ -77,9 +79,9 @@ TEST(Nfs, SyncWritesSlowerThanAsync) {
   NfsServerProgram::Config sync_cfg;
   sync_cfg.async_writes = false;
   const NfsRun async_run =
-      run_nfs(core::Policy::kStopWatch, 50, Duration::seconds(5));
+      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5));
   const NfsRun sync_run =
-      run_nfs(core::Policy::kStopWatch, 50, Duration::seconds(5), sync_cfg);
+      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5), sync_cfg);
   EXPECT_GT(sync_run.mean_latency_ms, async_run.mean_latency_ms);
 }
 
@@ -88,7 +90,7 @@ class NfsLoadSweep : public ::testing::TestWithParam<double> {};
 TEST_P(NfsLoadSweep, ThroughputScalesWithOfferedLoad) {
   const double rate = GetParam();
   const NfsRun r =
-      run_nfs(core::Policy::kStopWatch, rate, Duration::seconds(4));
+      run_nfs(core::PolicyKind::kStopWatch, rate, Duration::seconds(4));
   // Completed ops should track offered rate (open loop, 4 s minus warmup).
   const double expected = rate * 3.5;
   EXPECT_GT(static_cast<double>(r.completed), expected * 0.7) << rate;

@@ -9,7 +9,8 @@
 namespace stopwatch::workload {
 namespace {
 
-core::CloudConfig parsec_config(core::Policy policy, std::uint64_t seed = 9) {
+core::CloudConfig parsec_config(core::PolicyKind policy,
+                                std::uint64_t seed = 9) {
   core::CloudConfig cfg;
   cfg.seed = seed;
   cfg.policy = policy;
@@ -28,7 +29,7 @@ struct ParsecRun {
   bool deterministic{false};
 };
 
-ParsecRun run_app(const ParsecAppSpec& spec, core::Policy policy) {
+ParsecRun run_app(const ParsecAppSpec& spec, core::PolicyKind policy) {
   core::Cloud cloud(parsec_config(policy));
   bool done = false;
   RealTime finish{};
@@ -68,14 +69,14 @@ TEST(Parsec, SuiteHasTheFivePaperApps) {
 
 TEST(Parsec, DiskInterruptCountMatchesSpec) {
   const auto& spec = parsec_suite()[0];  // ferret
-  const ParsecRun r = run_app(spec, core::Policy::kStopWatch);
+  const ParsecRun r = run_app(spec, core::PolicyKind::kStopWatch);
   EXPECT_EQ(r.disk_interrupts, static_cast<std::uint64_t>(spec.disk_ops));
   EXPECT_TRUE(r.deterministic);
 }
 
 TEST(Parsec, BaselineRuntimeNearPaperValue) {
   const auto& spec = parsec_suite()[4];  // streamcluster
-  const ParsecRun r = run_app(spec, core::Policy::kBaselineXen);
+  const ParsecRun r = run_app(spec, core::PolicyKind::kBaselineXen);
   EXPECT_GT(r.runtime_ms, spec.paper_baseline_ms * 0.7);
   EXPECT_LT(r.runtime_ms, spec.paper_baseline_ms * 1.4);
 }
@@ -85,18 +86,18 @@ TEST(Parsec, StopWatchOverheadTracksDiskInterrupts) {
   const auto& small = parsec_suite()[0];  // ferret, 31 ops
   const auto& large = parsec_suite()[3];  // dedup, 293 ops
   const double small_overhead =
-      run_app(small, core::Policy::kStopWatch).runtime_ms -
-      run_app(small, core::Policy::kBaselineXen).runtime_ms;
+      run_app(small, core::PolicyKind::kStopWatch).runtime_ms -
+      run_app(small, core::PolicyKind::kBaselineXen).runtime_ms;
   const double large_overhead =
-      run_app(large, core::Policy::kStopWatch).runtime_ms -
-      run_app(large, core::Policy::kBaselineXen).runtime_ms;
+      run_app(large, core::PolicyKind::kStopWatch).runtime_ms -
+      run_app(large, core::PolicyKind::kBaselineXen).runtime_ms;
   EXPECT_GT(large_overhead, small_overhead * 4.0);
 }
 
 TEST(Parsec, OverheadStaysWithinPaperBand) {
   const auto& spec = parsec_suite()[1];  // blackscholes (worst case 2.27x)
-  const double base = run_app(spec, core::Policy::kBaselineXen).runtime_ms;
-  const double sw = run_app(spec, core::Policy::kStopWatch).runtime_ms;
+  const double base = run_app(spec, core::PolicyKind::kBaselineXen).runtime_ms;
+  const double sw = run_app(spec, core::PolicyKind::kStopWatch).runtime_ms;
   EXPECT_GT(sw / base, 1.2);
   EXPECT_LT(sw / base, 3.5);
 }
