@@ -33,12 +33,6 @@ const std::vector<JsonValue>& JsonValue::items() const {
   return items_;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
-  SW_EXPECTS(kind_ == Kind::kObject);
-  return members_;
-}
-
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   for (const auto& [name, value] : members_) {

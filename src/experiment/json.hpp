@@ -39,8 +39,6 @@ class JsonValue {
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members()
-      const;
 
   /// Object member lookup; nullptr when absent (or not an object).
   [[nodiscard]] const JsonValue* find(const std::string& key) const;

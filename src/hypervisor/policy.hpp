@@ -51,10 +51,6 @@ enum class PolicyKind {
   kTifcPacing,   ///< paced egress queues (arXiv:1003.5303)
 };
 
-/// Backwards-compatible name: the pre-policy-API enum was
-/// `hypervisor::PolicyKind` with the first two enumerators.
-using Policy = PolicyKind;
-
 /// How the StopWatch VMMs combine proposed delivery times (ablation E11;
 /// the paper argues only the median resists both a coresident victim and a
 /// leader that copies its timing to all replicas).

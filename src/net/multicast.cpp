@@ -50,7 +50,9 @@ void MulticastGroup::send(NodeId from, FramePayload payload,
   self->deliver(from, payload);
 
   // (Re)start the SPM chain advertising the sender's highest sequence so
-  // receivers can detect tail loss.
+  // receivers can detect tail loss — which only a fabric that drops frames
+  // can cause.
+  if (!net_->may_drop()) return;
   snd.spm_remaining = kSpmAttempts;
   arm_spm(from);
 }
@@ -154,7 +156,10 @@ void MulticastGroup::deliver_in_order(MemberState& m, NodeId sender,
 
 void MulticastGroup::maybe_schedule_nak(MemberState& m, NodeId sender,
                                         MemberState::RxState& rx) {
-  if (rx.nak_scheduled) return;
+  // Without drops every gap is a jitter-reordered frame still in flight:
+  // the stash restores order when it lands, and a NAK would only fetch a
+  // duplicate.
+  if (!net_->may_drop() || rx.nak_scheduled) return;
   rx.nak_scheduled = true;
   // NAK timers fire on the receiving member's shard.
   sim::Simulator& sim = net_->simulator_for(m.node);

@@ -6,6 +6,13 @@
 // reports. As in PGM, reliability is receiver-driven: receivers detect
 // sequence gaps and request retransmission with NAKs; senders keep a
 // retransmission buffer.
+//
+// The timers behind that — the sender's SPM heartbeat chain, which lets a
+// receiver detect the loss of a stream's last messages, and a receiver's
+// NAK timer on a sequence gap — run only when Network::may_drop(). On a
+// fabric that cannot lose a frame each gap is a reordered frame still in
+// flight, so the out-of-order stash alone restores sequence order. A
+// sender serves any NAK that does arrive either way.
 #pragma once
 
 #include <cstdint>

@@ -49,17 +49,24 @@ void Network::set_node_owner(NodeId node_id, int shard) {
 
 void Network::set_link(NodeId src, NodeId dst, LinkModel model) {
   SW_EXPECTS(src.value < nodes_.size() && dst.value < nodes_.size());
+  note_link(model);
   links_[{src.value, dst.value}] = model;
-}
-
-void Network::set_link_bidirectional(NodeId a, NodeId b, LinkModel model) {
-  set_link(a, b, model);
-  set_link(b, a, model);
 }
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
   SW_EXPECTS(node_id.value < nodes_.size());
+  note_link(model);
   node_links_[node_id.value] = model;
+}
+
+void Network::set_default_link(LinkModel model) {
+  note_link(model);
+  default_link_ = model;
+}
+
+void Network::set_drop_hook(std::function<bool(const Frame&)> hook) {
+  may_drop_ = may_drop_ || hook != nullptr;
+  drop_hook_ = std::move(hook);
 }
 
 Duration Network::min_latency_floor() const {
@@ -111,7 +118,8 @@ bool Network::send(Frame frame) {
       1, std::memory_order_relaxed);
   if (bytes_hist_ != nullptr) bytes_hist_->record(frame.size_bytes);
 
-  if (link.loss_probability > 0.0 && src.rng.chance(link.loss_probability)) {
+  if ((drop_hook_ && drop_hook_(frame)) ||
+      (link.loss_probability > 0.0 && src.rng.chance(link.loss_probability))) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

@@ -91,8 +91,6 @@ class Network {
 
   /// Sets the link model for the (src -> dst) direction.
   void set_link(NodeId src, NodeId dst, LinkModel model);
-  /// Sets the link model for both directions.
-  void set_link_bidirectional(NodeId a, NodeId b, LinkModel model);
   /// Default model for any frame with `node` as source or destination that
   /// has no explicit per-pair link. One entry covers a node's traffic with
   /// the whole cloud — O(1) state instead of a per-pair entry against every
@@ -101,7 +99,20 @@ class Network {
   /// link, then destination node link, then the global default.
   void set_node_link(NodeId node, LinkModel model);
   /// Default model for pairs without an explicit link.
-  void set_default_link(LinkModel model) { default_link_ = model; }
+  void set_default_link(LinkModel model);
+
+  /// Installs a predicate that send() consults before the loss draw; a
+  /// frame it returns true for is dropped as if lost on the wire. Used to
+  /// inject targeted losses (a specific sequence, a NAK) that a loss
+  /// probability cannot express. Under a sharded kernel it runs on the
+  /// sending node's shard, concurrently with other shards' sends.
+  void set_drop_hook(std::function<bool(const Frame&)> hook);
+
+  /// True once any registered link model has loss_probability > 0 or a
+  /// drop hook has been installed; never reverts. Reliability machinery
+  /// (multicast SPM heartbeats and NAK timers) arms only when it holds:
+  /// on a fabric that cannot lose a frame there is nothing to repair.
+  [[nodiscard]] bool may_drop() const { return may_drop_; }
 
   /// Minimum guaranteed latency over every link model registered so far
   /// (pair links, node links, and the default) — the lookahead bound: no
@@ -110,7 +121,7 @@ class Network {
   [[nodiscard]] Duration min_latency_floor() const;
 
   /// Sends a frame; delivery is scheduled on the simulator. Returns false if
-  /// the frame was dropped by the loss model.
+  /// the frame was dropped by the drop hook or the loss model.
   bool send(Frame frame);
 
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
@@ -121,7 +132,7 @@ class Network {
     return core_for(node(node_id).owner);
   }
 
-  /// Total frames dropped by loss models (diagnostics).
+  /// Total frames dropped by the drop hook and loss models (diagnostics).
   [[nodiscard]] std::uint64_t frames_dropped() const {
     return frames_dropped_.load(std::memory_order_relaxed);
   }
@@ -161,6 +172,9 @@ class Network {
   };
 
   [[nodiscard]] const LinkModel& link_for(NodeId src, NodeId dst) const;
+  void note_link(const LinkModel& model) {
+    may_drop_ = may_drop_ || model.loss_probability > 0.0;
+  }
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
   [[nodiscard]] sim::Simulator& core_for(int owner) {
@@ -177,6 +191,8 @@ class Network {
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkModel> links_;
   std::map<std::uint32_t, LinkModel> node_links_;
   LinkModel default_link_{};
+  std::function<bool(const Frame&)> drop_hook_;
+  bool may_drop_{false};
   /// Atomic: loss draws happen on the owning shard's worker, and two
   /// shards can drop concurrently within a window.
   std::atomic<std::uint64_t> frames_dropped_{0};

@@ -51,6 +51,9 @@ CloudConfig stopwatch_config(std::uint64_t seed = 42) {
 struct EchoRun {
   std::vector<std::int64_t> reply_times_ns;
   std::vector<std::uint64_t> reply_seqs;
+  std::uint64_t frames_dropped{0};
+  std::uint64_t spm_frames{0};
+  std::uint64_t nak_frames{0};
 };
 
 EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
@@ -80,6 +83,12 @@ EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
   EXPECT_TRUE(cloud.replicas_deterministic(vm));
   EXPECT_EQ(cloud.egress_stats(vm).hash_mismatches, 0u);
   EXPECT_EQ(cloud.total_divergences(), 0u);
+  const net::Network& net = cloud.network();
+  run.frames_dropped = net.frames_dropped();
+  run.spm_frames =
+      net.frames_sent_of_class(net::FramePayload{net::McastSpm{}}.index());
+  run.nak_frames =
+      net.frames_sent_of_class(net::FramePayload{net::McastNak{}}.index());
   return run;
 }
 
@@ -88,6 +97,30 @@ TEST(Cloud, StopWatchEchoesAllRequests) {
       run_echo_cloud(stopwatch_config(), 20, Duration::millis(20));
   ASSERT_EQ(run.reply_seqs.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(run.reply_seqs[i], i);
+}
+
+TEST(Cloud, LossyFabricKeepsReplicasInLockstep) {
+  // The one Cloud-level run of the multicast repair path: with 5% loss on
+  // every cloud link, SPM heartbeats and NAKs must get every replicated
+  // packet and proposal to every replica (run_echo_cloud checks
+  // determinism, divergences and egress hash agreement). Tunneled output
+  // is not multicast, so some replies are lost on the way out.
+  CloudConfig cfg = stopwatch_config();
+  cfg.cloud_link.loss_probability = 0.05;
+  const EchoRun run = run_echo_cloud(cfg, 40, Duration::millis(20));
+  EXPECT_GE(run.reply_seqs.size(), 1u);
+  EXPECT_GT(run.frames_dropped, 0u);
+  EXPECT_GT(run.spm_frames, 0u);
+  EXPECT_GT(run.nak_frames, 0u);
+}
+
+TEST(Cloud, LosslessFabricSendsNoRepairTraffic) {
+  const EchoRun run =
+      run_echo_cloud(stopwatch_config(), 40, Duration::millis(20));
+  EXPECT_EQ(run.reply_seqs.size(), 40u);
+  EXPECT_EQ(run.frames_dropped, 0u);
+  EXPECT_EQ(run.spm_frames, 0u);
+  EXPECT_EQ(run.nak_frames, 0u);
 }
 
 TEST(Cloud, RunsAreBitReproducible) {

@@ -142,6 +142,32 @@ TEST(Multicast, NakRetransmitsOnlyInsideTransmitWindow) {
   EXPECT_EQ(fx.received[fx.members[1].value].size(), 4100u);
 }
 
+TEST(Multicast, LosslessGroupArmsNoTimers) {
+  // Default links jitter but never drop, so the burst arrives reordered:
+  // the stash alone restores order, and the only events are deliveries.
+  TrioFixture fx;
+  ASSERT_FALSE(fx.net.may_drop());
+  const int kMessages = 200;
+  for (int i = 0; i < kMessages; ++i) {
+    fx.multicast(0, static_cast<std::uint64_t>(i));
+  }
+  fx.sim.run();
+  for (std::size_t r = 1; r < fx.members.size(); ++r) {
+    const auto& msgs = fx.received[fx.members[r].value];
+    ASSERT_EQ(msgs.size(), static_cast<std::size_t>(kMessages));
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(msgs[i].second, i) << "receiver " << r;
+    }
+  }
+  const std::uint64_t data_frames =
+      fx.net.frames_sent_of_class(FramePayload{Proposal{}}.index());
+  EXPECT_EQ(data_frames, 2u * kMessages);
+  EXPECT_EQ(fx.sim.events_executed(), data_frames);
+  EXPECT_EQ(fx.net.frames_sent_of_class(FramePayload{McastSpm{}}.index()), 0u);
+  EXPECT_EQ(fx.net.frames_sent_of_class(FramePayload{McastNak{}}.index()), 0u);
+  EXPECT_EQ(fx.group.naks_sent(), 0u);
+}
+
 TEST(Multicast, RejectsUnknownMember) {
   TrioFixture fx;
   Frame f;

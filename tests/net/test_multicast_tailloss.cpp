@@ -29,18 +29,23 @@ struct Pair {
       if (f.rm_group == 2) group.on_frame(sender, f);
     });
     net.set_handler(receiver, [this](const Frame& f) {
-      if (drop_once && !dropped && drop_once(f)) {
-        dropped = true;
-        return;  // swallowed by the network
-      }
       if (f.rm_group == 2) group.on_frame(receiver, f);
     });
+    // Swallowed by the network: the fabric's drop hook, so the group sees
+    // a fabric that can lose frames and arms its SPM and NAK timers.
+    net.set_drop_hook([this](const Frame& f) { return drops(f); });
     group.add_member(sender, [](NodeId, const FramePayload&) {});
     group.add_member(receiver, [this](NodeId, const FramePayload& p) {
       if (const auto* prop = std::get_if<Proposal>(&p)) {
         delivered.push_back(prop->copy_seq);
       }
     });
+  }
+
+  bool drops(const Frame& f) {
+    if (!drop_once || dropped || !drop_once(f)) return false;
+    dropped = true;
+    return true;
   }
 
   void send(std::uint64_t seq) {
@@ -87,12 +92,12 @@ TEST(MulticastTailLoss, LostNakIsRetried) {
     return false;
   };
   // ...and additionally lose the first NAK on the reverse path.
-  p.net.set_handler(p.sender, [&p, &nak_dropped](const Frame& f) {
+  p.net.set_drop_hook([&p, &nak_dropped](const Frame& f) {
     if (!nak_dropped && std::holds_alternative<McastNak>(f.payload)) {
       nak_dropped = true;
-      return;
+      return true;
     }
-    if (f.rm_group == 2) p.group.on_frame(p.sender, f);
+    return p.drops(f);
   });
   p.send(1);
   p.send(2);

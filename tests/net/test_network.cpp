@@ -185,5 +185,69 @@ TEST(Network, PairLinkOverridesNodeLink) {
   EXPECT_LT(arrival.ns, Duration::millis(1).ns);
 }
 
+TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
+  LinkModel lossless;
+  LinkModel lossy;
+  lossy.loss_probability = 0.01;
+  {
+    Fixture fx;
+    const NodeId a = fx.net.add_node([](const Frame&) {});
+    const NodeId b = fx.net.add_node([](const Frame&) {});
+    EXPECT_FALSE(fx.net.may_drop());
+    fx.net.set_link(a, b, lossless);
+    fx.net.set_node_link(a, lossless);
+    fx.net.set_default_link(lossless);
+    EXPECT_FALSE(fx.net.may_drop());
+    fx.net.set_link(a, b, lossy);
+    EXPECT_TRUE(fx.net.may_drop());
+    fx.net.set_link(a, b, lossless);  // sticky: never reverts
+    EXPECT_TRUE(fx.net.may_drop());
+  }
+  {
+    Fixture fx;
+    const NodeId a = fx.net.add_node([](const Frame&) {});
+    fx.net.set_node_link(a, lossy);
+    EXPECT_TRUE(fx.net.may_drop());
+  }
+  {
+    Fixture fx;
+    fx.net.set_default_link(lossy);
+    EXPECT_TRUE(fx.net.may_drop());
+  }
+  {
+    Fixture fx;
+    fx.net.set_drop_hook(nullptr);
+    EXPECT_FALSE(fx.net.may_drop());
+    fx.net.set_drop_hook([](const Frame&) { return false; });
+    EXPECT_TRUE(fx.net.may_drop());
+  }
+}
+
+TEST(Network, DropHookDropsBeforeDrawAndUplink) {
+  // A hooked drop is counted like a loss but takes no RNG draw and no
+  // serialization time: the frame behind it arrives exactly as if the
+  // dropped one had never been offered.
+  const auto second_arrival = [](bool drop_first) {
+    Fixture fx;
+    RealTime arrival{};
+    const NodeId a = fx.net.add_node([](const Frame&) {});
+    const NodeId b =
+        fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
+    LinkModel lm;
+    lm.bytes_per_second = 1e6;  // 1000 bytes = 1 ms on the uplink
+    fx.net.set_link(a, b, lm);
+    fx.net.set_drop_hook([](const Frame& f) { return f.size_bytes == 1000; });
+    if (drop_first) {
+      EXPECT_FALSE(fx.net.send(guest_frame(a, b, 1000)));
+    }
+    EXPECT_TRUE(fx.net.send(guest_frame(a, b, 100)));
+    fx.sim.run();
+    EXPECT_EQ(fx.net.frames_dropped(), drop_first ? 1u : 0u);
+    EXPECT_EQ(fx.net.stats(b).frames_received, 1u);
+    return arrival;
+  };
+  EXPECT_EQ(second_arrival(true).ns, second_arrival(false).ns);
+}
+
 }  // namespace
 }  // namespace stopwatch::net
