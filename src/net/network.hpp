@@ -144,7 +144,8 @@ class Network {
 
   /// Frames sent carrying the payload alternative at `payload_index`
   /// (the FramePayload variant index). Includes frames later dropped by
-  /// the loss model — the counter classifies offered traffic.
+  /// the drop hook or the loss model — the counter classifies offered
+  /// traffic.
   [[nodiscard]] std::uint64_t frames_sent_of_class(
       std::size_t payload_index) const {
     SW_EXPECTS(payload_index < kFrameClasses);
