@@ -238,8 +238,7 @@ Result run(const ScenarioContext& ctx) {
     const core::VmHandle vm = vms[vm_index];
     released += cloud.egress_stats(vm).packets_released;
     if (!cloud.replicas_deterministic(vm)) ++nondeterministic;
-    const std::span<const int> assigned =
-        cloud.topology().vm_machines(vm.index);
+    const std::span<const int> assigned = cloud.vm_machines(vm);
     for (int r = 0; r < cloud.replicas_of(vm); ++r) {
       const auto hosted =
           static_cast<int>(cloud.replica(vm, r).machine().id().value);
@@ -262,18 +261,17 @@ Result run(const ScenarioContext& ctx) {
                     static_cast<double>(cloud.total_divergences()), "events");
 
   // --- Scale proof: only the driven sample was wired ---
-  auto& topo = cloud.topology();
   result.add_metric("materialized_vms",
-                    static_cast<double>(topo.materialized_vm_count()), "VMs");
+                    static_cast<double>(cloud.materialized_vm_count()), "VMs");
   result.add_metric("lazy_materialized_only_driven",
-                    topo.materialized_vm_count() == driven.size() ? 1.0 : 0.0,
+                    cloud.materialized_vm_count() == driven.size() ? 1.0 : 0.0,
                     "bool");
   result.add_metric(
       "materialized_machines",
-      static_cast<double>(topo.machines().materialized_machines()),
+      static_cast<double>(cloud.machines().materialized_machines()),
       "machines");
   result.add_metric("machine_shards",
-                    static_cast<double>(topo.machines().shard_count()),
+                    static_cast<double>(cloud.machines().shard_count()),
                     "shards");
   result.add_metric("network_nodes",
                     static_cast<double>(cloud.network().node_count()), "nodes");

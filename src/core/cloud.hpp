@@ -1,12 +1,11 @@
 // The StopWatch cloud — the paper's primary contribution assembled.
 //
-// A Cloud owns the simulator, the network fabric, and the topology layer
-// (src/topology) that in turn owns the sharded machine table, the ingress
-// and egress nodes, and the guest VMs. The mitigation backend is chosen by
-// CloudConfig::policy (hypervisor::PolicyConfig — see
-// src/hypervisor/policy.hpp). Under the StopWatch policy every guest
-// VM added is transparently replicated `replica_count` times across the
-// requested machines and wired into:
+// A Cloud owns the simulator, the network fabric, the sharded machine
+// table (src/topology), the ingress and egress nodes, and the guest VMs.
+// The mitigation backend is chosen by CloudConfig::policy
+// (hypervisor::PolicyConfig — see src/hypervisor/policy.hpp). Under the
+// StopWatch policy every guest VM added is transparently replicated
+// `replica_count` times across the requested machines and wired into:
 //   * a per-VM ingress entry (its logical network address) that replicates
 //     every inbound packet to all hosting VMMs via reliable multicast
 //     (Sec. V);
@@ -17,19 +16,29 @@
 //     emission timing (Sec. VI) — and simultaneously verifies replica
 //     output determinism via content hashes.
 //
-// Every cloud takes one lifecycle: add_vm registers a cold placement
-// record; activate(vms) declares the activation set, partitions it across
-// the sim_shards cores, and wires it; start() boots the wired replicas;
-// run_for runs. A cloud that never calls activate gets every registered VM
-// activated by start(). Placement-scale scenarios register Θ(n²) VM
-// placements over hundreds of machines and only pay for the ones they
-// activate.
+// Every cloud takes one lifecycle, at any sim_shards:
+//   * add_vm records only the placement (name, machine triple, program
+//     factory) and registers the VM's ingress address node — a cold record
+//     and zero scheduled events, so registering Θ(n²) placements (376,251
+//     VMs over n = 1503 machines) costs O(VMs) compact records.
+//   * activate(vms) declares the activation set, builds the ShardPlan that
+//     partitions it across the sim_shards cores, and wires the listed VMs
+//     in index order: their multicast groups, replica GuestContexts, and
+//     the machine shards hosting them come into existence here, on the
+//     cores the plan assigns. This is the only step that wires a VM; a
+//     frame reaching a VM outside the set is a contract violation naming
+//     it. A cloud that never calls activate gets every registered VM
+//     activated by start().
+//   * start() boots every wired VM at the median of its machines' clocks
+//     (Sec. IV-A), batched per (owner core, machine shard) into single
+//     simulator entries (Simulator::schedule_batch); run_for runs.
 //
-// Under the baseline-Xen policy the same topology runs unreplicated
-// guests on unmodified-Xen semantics (real clocks, immediate interrupt
-// delivery): the comparison baseline for every experiment. The Deterland
-// and TIFC policies reuse the unreplicated wiring with their own delivery
-// and egress-release rules.
+// Under the baseline-Xen policy the same wiring runs unreplicated guests
+// on unmodified-Xen semantics (real clocks, immediate interrupt delivery):
+// the comparison baseline for every experiment. The Deterland and TIFC
+// policies reuse the unreplicated wiring with their own delivery and
+// egress-release rules. The delivery-time agreement itself stays in
+// hypervisor::GuestContext; routing here is placement-scale plumbing.
 //
 // Everything here is event-driven on sim::Simulator's slab/timer-wheel
 // core: callbacks are sim::Task (48-byte inline storage — every scheduling
@@ -40,7 +49,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,13 +61,15 @@
 #include "common/time.hpp"
 #include "hypervisor/guest_context.hpp"
 #include "hypervisor/machine.hpp"
+#include "hypervisor/policy.hpp"
+#include "net/multicast.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "topology/builder.hpp"
+#include "topology/machine_table.hpp"
 #include "topology/shard_plan.hpp"
 #include "vm/guest.hpp"
 
@@ -64,7 +77,6 @@ namespace stopwatch::core {
 
 using hypervisor::PolicyConfig;
 using hypervisor::PolicyKind;
-using topology::EgressStats;
 
 struct CloudConfig {
   std::uint64_t seed{1};
@@ -79,6 +91,8 @@ struct CloudConfig {
   /// Machines per shard of the topology layer's machine table.
   int shard_size{64};
   hypervisor::MachineConfig machine_template{};
+  /// Per-replica guest knobs. Its `policy` and `replica_count` must stay at
+  /// their defaults: wiring fills both from the fields above.
   hypervisor::GuestContextConfig guest_template{};
   /// Intra-cloud links (machine <-> machine / ingress / egress).
   net::LinkModel cloud_link{Duration::micros(150), 0.15, 125e6, 0.0};
@@ -97,20 +111,36 @@ struct VmHandle {
   std::uint32_t index{0};
 };
 
+/// Per-VM egress statistics.
+struct EgressStats {
+  std::uint64_t packets_released{0};
+  /// Replica output hash mismatches observed at the egress (must stay 0:
+  /// replicas are deterministic).
+  std::uint64_t hash_mismatches{0};
+};
+
 class Cloud {
  public:
-  using ProgramFactory = topology::TopologyBuilder::ProgramFactory;
+  using ProgramFactory = std::function<std::unique_ptr<vm::GuestProgram>()>;
   using PacketHandler = std::function<void(const net::Packet&)>;
+  /// Observer of egress packet releases — the attacker-visible event. Fires
+  /// at the instant the egress forwards a guest output (the median emission
+  /// timing under StopWatch, the sole copy under baseline, the batch
+  /// boundary under Deterland, the paced-queue slot under TifcPacing), for
+  /// every VM.
+  using EgressTap =
+      std::function<void(std::uint32_t vm, RealTime when, const net::Packet&)>;
 
   explicit Cloud(CloudConfig cfg);
 
   Cloud(const Cloud&) = delete;
   Cloud& operator=(const Cloud&) = delete;
 
-  /// Adds a guest VM replicated across `machine_indices` (first
-  /// `replica_count` entries used; baseline uses only the first). The
-  /// factory is invoked once per replica, when the VM is activated; all
-  /// replicas receive the same deterministic seed.
+  /// Registers a guest VM placed on the first effective_replicas() entries
+  /// of `machine_indices` (validated: in range, pairwise distinct; baseline
+  /// uses only the first). Only the placement is recorded; activate wires
+  /// it, invoking the factory once per replica. All replicas receive the
+  /// same deterministic seed.
   VmHandle add_vm(std::string name, ProgramFactory factory,
                   const std::vector<int>& machine_indices);
 
@@ -122,9 +152,9 @@ class Cloud {
   void send_external(NodeId from, net::Packet pkt);
 
   /// Activates every registered VM if activate() was not called, then
-  /// boots every wired VM, batched per machine shard: exchanges machine
-  /// clocks and starts each replica with the median as the initial virtual
-  /// time (Sec. IV-A).
+  /// boots every wired VM, batched per (owner core, machine shard):
+  /// exchanges machine clocks and starts each replica with the median as
+  /// the initial virtual time (Sec. IV-A).
   void start();
 
   /// Runs the simulation for `d` (of simulated real time).
@@ -136,18 +166,24 @@ class Cloud {
   /// Declares `driven` the activation set and partitions it across the
   /// configured sim_shards cores (whole shares-a-machine components per
   /// core — see topology::ShardPlan), wiring every listed VM in index
-  /// order. The only way a VM is wired: traffic reaching a VM outside the
-  /// set is a ContractViolation naming it. At most once, before start().
+  /// order on the core the plan assigns its machines; each VM's ingress
+  /// address delivers on that core. The egress gateway and every external
+  /// node move to the plan's egress shard. At most once, before start(),
+  /// and with more than one shard before any machine materializes (it
+  /// would sit on core 0 whatever the plan says). A preinstalled egress
+  /// tap must stay single-writer under the plan (see set_egress_tap).
   void activate(const std::vector<VmHandle>& driven);
 
-  /// Installs (or clears) the egress release observer — the hook the
-  /// leakage subsystem's TimingTap uses to record attacker-visible egress
-  /// timings (see src/leakage/timing_tap.hpp).
-  void set_egress_tap(topology::TopologyBuilder::EgressTap tap) {
-    topo_->set_egress_tap(std::move(tap));
-  }
+  /// Installs (or, with nullptr, removes) the egress release observer —
+  /// the hook the leakage subsystem's TimingTap uses to record
+  /// attacker-visible egress timings (see src/leakage/timing_tap.hpp). At
+  /// most one tap is active; it sees releases of every VM. Across >1 shard
+  /// it must stay single-writer: the policy tunnels output (the tap fires
+  /// only on the egress core), or the whole activation set lives on one
+  /// shard. Installing one that would not be is rejected.
+  void set_egress_tap(EgressTap tap);
   [[nodiscard]] bool has_egress_tap() const {
-    return topo_->has_egress_tap();
+    return static_cast<bool>(egress_tap_);
   }
 
   // --- Introspection ---
@@ -156,9 +192,7 @@ class Cloud {
   /// gateway (shard 0 until activate moves them to the plan's egress
   /// shard; always shard 0 unsharded). Client-side drivers
   /// schedule here, which keeps external-node state single-core.
-  [[nodiscard]] sim::Simulator& simulator() {
-    return sharded_.shard(driver_shard_);
-  }
+  [[nodiscard]] sim::Simulator& simulator() { return *egress_core_; }
   /// The sharded kernel itself (shard_count() == 1 unless configured up).
   [[nodiscard]] sim::ShardedSimulator& sharded() { return sharded_; }
   /// Events executed across all cores.
@@ -166,26 +200,37 @@ class Cloud {
     return sharded_.events_executed();
   }
   [[nodiscard]] net::Network& network() { return net_; }
-  [[nodiscard]] topology::TopologyBuilder& topology() { return *topo_; }
+  [[nodiscard]] topology::MachineTable& machines() { return table_; }
+  /// The machine-to-core assignment (the one-shard plan until activate
+  /// installs the activation set's plan).
+  [[nodiscard]] const topology::ShardPlan& shard_plan() const {
+    return plan_;
+  }
   [[nodiscard]] hypervisor::Machine& machine(int idx);
-  [[nodiscard]] int machine_count() const {
-    return topo_->machines().machine_count();
+  [[nodiscard]] int machine_count() const { return table_.machine_count(); }
+  [[nodiscard]] std::size_t vm_count() const { return vms_.size(); }
+  [[nodiscard]] std::size_t materialized_vm_count() const {
+    return materialized_vms_;
   }
-  [[nodiscard]] hypervisor::GuestContext& replica(VmHandle vm, int replica);
-  [[nodiscard]] int replicas_of(VmHandle vm) const;
-  [[nodiscard]] bool vm_materialized(VmHandle vm) const {
-    return topo_->materialized(vm.index);
-  }
+  [[nodiscard]] bool vm_materialized(VmHandle vm) const;
   [[nodiscard]] NodeId vm_addr(VmHandle vm) const;
-  [[nodiscard]] NodeId egress_node() const { return topo_->egress_node(); }
+  /// The machines `vm` is placed on, effective_replicas() of them.
+  [[nodiscard]] std::span<const int> vm_machines(VmHandle vm) const;
+  /// Wired replicas of `vm` (0 outside the activation set).
+  [[nodiscard]] int replicas_of(VmHandle vm) const;
+  [[nodiscard]] hypervisor::GuestContext& replica(VmHandle vm, int replica);
+  [[nodiscard]] NodeId egress_node() const { return egress_node_; }
+  /// Egress counters of `vm` (all zero while unwired).
   [[nodiscard]] const EgressStats& egress_stats(VmHandle vm) const;
   [[nodiscard]] const CloudConfig& config() const { return cfg_; }
 
-  /// True if every pair of replicas of `vm` agrees on the common prefix of
-  /// emitted packet hashes (replica determinism, Sec. VI).
+  /// True if every pair of wired replicas of `vm` agrees on the common
+  /// prefix of emitted packet hashes (replica determinism, Sec. VI;
+  /// vacuously true while unwired).
   [[nodiscard]] bool replicas_deterministic(VmHandle vm) const;
 
-  /// Sum of divergence counters across all replicas of all VMs.
+  /// Sum of divergence counters across all wired replicas plus egress
+  /// hash mismatches.
   [[nodiscard]] std::uint64_t total_divergences() const;
 
   /// End-of-run metrics snapshot: kernel counters summed over cores,
@@ -207,18 +252,101 @@ class Cloud {
   }
 
  private:
+  /// State only a wired VM has: replicas, multicast groups, ingress and
+  /// egress bookkeeping. wire() allocates it; an unwired VM pays 8 bytes.
+  struct WiredVm {
+    std::vector<std::unique_ptr<hypervisor::GuestContext>> replicas;
+    std::unique_ptr<net::MulticastGroup> control_group;
+    std::unique_ptr<net::MulticastGroup> ingress_group;
+    std::uint32_t ingress_group_id{0};
+    std::uint64_t ingress_seq{0};
+    // Egress reassembly: out_seq -> (copies seen, first hash, released).
+    struct EgressSlot {
+      int copies{0};
+      std::uint64_t hash{0};
+      bool released{false};
+      /// Arrival time of the first replica copy — the base of the
+      /// release-latency sample fed to the egress latency series.
+      std::int64_t first_copy_ns{0};
+    };
+    std::map<std::uint64_t, EgressSlot> egress_slots;
+    EgressStats egress_stats;
+    /// Frame-lifecycle trace track (null when tracing is inactive). Events
+    /// are written only from the core owning the VM's machines — one
+    /// writer per track, which is what the recorder's lock-free append
+    /// relies on.
+    obs::TraceTrack* track{nullptr};
+  };
+
+  /// The cold registration record every VM keeps (~80 bytes). Its machine
+  /// indices live in vm_machines_, its VmId is its index, and its replica
+  /// seed is derived at wire time.
+  struct VmEntry {
+    std::string name;
+    ProgramFactory factory;
+    NodeId addr{};
+    std::unique_ptr<WiredVm> wired;  ///< null until wire()
+  };
+
+  [[nodiscard]] int effective_replicas() const {
+    return policy_->effective_replicas(cfg_.replica_count);
+  }
+  [[nodiscard]] const VmEntry& entry(VmHandle vm) const;
+  void wire(std::uint32_t vm_index);
+  void boot(std::uint32_t vm_index);
+  /// The simulator core the plan assigns `machine`.
+  [[nodiscard]] sim::Simulator& core_of_machine(int machine);
+  /// Rejects a tap (`tapped`) that would fire from more than one core: the
+  /// policy emits output directly and wired VMs span several shards.
+  void expect_single_writer_tap(bool tapped) const;
+  void on_addr_frame(std::uint32_t vm_index, const net::Frame& frame);
+  void on_ingress_packet(std::uint32_t vm_index, const net::Packet& pkt);
+  void on_machine_frame(int machine_idx, const net::Frame& frame);
+  void on_egress_frame(const net::Frame& frame);
+  /// Forwards `pkt`, a released output of `vm`, from the egress node.
+  void release(std::uint32_t vm, const net::Packet& pkt);
+
   CloudConfig cfg_;
   Rng root_rng_;
   sim::ShardedSimulator sharded_;
   net::Network net_;
-  std::unique_ptr<topology::TopologyBuilder> topo_;
+  /// Built once the configuration validated: the egress gate and every
+  /// capability query go through it.
+  std::unique_ptr<hypervisor::MitigationPolicy> policy_;
+  /// Trace session active at construction (null = tracing off). Captured
+  /// once so every track this cloud creates shares one recorder.
+  obs::TraceRecorder* trace_;
+  /// The machine-to-core assignment: the one-shard plan until activate.
+  topology::ShardPlan plan_;
+  topology::MachineTable table_;
+  /// The core owning the egress gateway and the externals: core 0 until
+  /// activate moves them to the plan's egress shard. All egress-gate clock
+  /// reads and hold scheduling go through this core.
+  sim::Simulator* egress_core_;
+  NodeId egress_node_{};
+  /// Egress-gate track (pid 0/tid 0): replica copies, holds, releases.
+  /// Written only from the egress node's owner core (the egress shard).
+  obs::TraceTrack* egress_track_{nullptr};
+  /// Egress release-latency rollups: one sample per release, the span
+  /// from the first replica copy's arrival at the gate to the policy's
+  /// release instant, keyed by the release time. Written only from the
+  /// egress core, like egress_track_, so the series is byte-identical
+  /// across shard counts. 64-window budget; the 50 ms initial width
+  /// doubles as long horizons coarsen it.
+  obs::TimeSeries egress_series_{50 * 1000 * 1000, 64};
+  EgressTap egress_tap_;
+  std::vector<VmEntry> vms_;
+  /// Machine indices of every VM, effective_replicas() per VM, in VM order.
+  std::vector<int> vm_machines_;
+  /// Ingress address node -> VM index; kNoVm for every other node.
+  static constexpr std::uint32_t kNoVm = ~std::uint32_t{0};
+  std::vector<std::uint32_t> addr_to_vm_;
+  std::map<std::uint32_t, net::MulticastGroup*> groups_;  // by group id
+  std::uint32_t next_group_id_{1};
+  std::size_t materialized_vms_{0};
   /// Owns every named metric of this cloud; histograms are created in the
   /// constructor (single-threaded) and recorded into concurrently.
   obs::Registry registry_;
-  /// Egress release-latency rollups, recorded by the topology's egress
-  /// gate (single writer: the egress owner core). 64-window budget; the
-  /// 50 ms initial width doubles as long horizons coarsen it.
-  obs::TimeSeries egress_series_{50 * 1000 * 1000, 64};
   /// Barrier-window trace track (kParallel) + previous barrier time for
   /// span construction. Null / unset when tracing is off.
   obs::TraceTrack* barrier_track_{nullptr};
@@ -226,9 +354,6 @@ class Cloud {
   /// External endpoints registered so far; activate re-homes them (with
   /// the egress) onto the plan's egress shard.
   std::vector<NodeId> external_nodes_;
-  /// Core that owns externals + egress — what simulator() returns. 0
-  /// until activate installs the plan's egress shard.
-  int driver_shard_{0};
   bool activated_{false};
   bool started_{false};
 };

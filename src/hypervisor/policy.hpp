@@ -8,9 +8,8 @@
 //   * inbound delivery-time computation (median-of-r proposal agreement vs
 //     immediate delivery vs artificial-time batch boundaries);
 //   * whether replicas and the ingress/control multicast groups exist at
-//     all (capability queries consumed by topology::TopologyBuilder and
-//     core::Cloud — the single home of the "replica_count forced to 1"
-//     rule);
+//     all (capability queries consumed by core::Cloud — the single home
+//     of the "replica_count forced to 1" rule);
 //   * egress release semantics (inline on the median copy, batched at a
 //     quantum boundary, or per-flow paced), which is exactly what the
 //     leakage subsystem's TimingTap observes.
@@ -142,7 +141,7 @@ struct PolicyStats {
 
 /// One mitigation backend. Stateless except where noted
 /// (egress_release_delay); one instance per GuestContext and one per
-/// TopologyBuilder, all built by make_policy() from the same PolicyConfig.
+/// core::Cloud, all built by make_policy() from the same PolicyConfig.
 class MitigationPolicy {
  public:
   virtual ~MitigationPolicy() = default;
@@ -157,7 +156,7 @@ class MitigationPolicy {
   /// "tifc") — matches the --param policy=... choices.
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  // --- Capabilities (consumed by TopologyBuilder / core::Cloud) ---
+  // --- Capabilities (consumed by core::Cloud) ---
 
   /// Whether guest VMs are replicated and the ingress/control multicast
   /// groups exist. Non-replicated policies force one replica per VM.
@@ -170,13 +169,12 @@ class MitigationPolicy {
   [[nodiscard]] virtual VirtualClock::Mode clock_mode() const = 0;
 
   /// The single home of the "replica_count forced to 1 under non-replicated
-  /// policies" rule (formerly duplicated in core/cloud.cpp and
-  /// topology/builder.cpp).
+  /// policies" rule.
   [[nodiscard]] int effective_replicas(int requested) const {
     return replicated() ? requested : 1;
   }
   /// Shared replica/machine validation; `where` prefixes the messages
-  /// ("CloudConfig", "TopologyConfig"). The odd-count requirement is
+  /// ("CloudConfig"). The odd-count requirement is
   /// unconditional (the knob must be a valid median width even where it is
   /// ignored); the distinct-machines bound applies only when replicated.
   void validate_replicas(const std::string& where, int replica_count,
@@ -224,7 +222,7 @@ class MitigationPolicy {
     return candidate;
   }
 
-  // --- Egress release semantics (consumed by TopologyBuilder) ---
+  // --- Egress release semantics (consumed by core::Cloud's egress gate) ---
 
   /// How many tunneled replica copies of an output must arrive before the
   /// egress releases it ((r+1)/2 under StopWatch: the median timing).

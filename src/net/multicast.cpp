@@ -66,11 +66,11 @@ void MulticastGroup::arm_spm(NodeId from) {
   sim::Simulator& sim = net_->simulator_for(from);
   if (snd.spm_event && sim.is_executing(*snd.spm_event)) {
     // Re-armed from inside the SPM timer itself: reuse its arena slot.
-    sim.reschedule_after(*snd.spm_event, spm_interval_);
+    sim.reschedule_after(*snd.spm_event, kSpmInterval);
     return;
   }
   snd.spm_event =
-      sim.schedule_after(spm_interval_, [this, from] { on_spm_timer(from); });
+      sim.schedule_after(kSpmInterval, [this, from] { on_spm_timer(from); });
 }
 
 void MulticastGroup::on_spm_timer(NodeId from) {
@@ -166,12 +166,12 @@ void MulticastGroup::maybe_schedule_nak(MemberState& m, NodeId sender,
   if (rx.nak_event && sim.is_executing(*rx.nak_event)) {
     // Re-armed from the tail of the NAK timer itself (NAK or retransmission
     // may be lost): reuse its arena slot.
-    sim.reschedule_after(*rx.nak_event, nak_delay_);
+    sim.reschedule_after(*rx.nak_event, kNakDelay);
     return;
   }
   const NodeId member = m.node;
   rx.nak_event = sim.schedule_after(
-      nak_delay_, [this, member, sender] { on_nak_timer(member, sender); });
+      kNakDelay, [this, member, sender] { on_nak_timer(member, sender); });
 }
 
 void MulticastGroup::on_nak_timer(NodeId member, NodeId sender) {

@@ -52,9 +52,6 @@ class MulticastGroup {
   /// of the node handler must route group frames here.
   void on_frame(NodeId member, const Frame& frame);
 
-  /// Time a receiver waits after detecting a gap before NAKing.
-  void set_nak_delay(Duration d) { nak_delay_ = d; }
-
   [[nodiscard]] std::uint64_t naks_sent() const { return naks_sent_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
 
@@ -92,6 +89,10 @@ class MulticastGroup {
     std::optional<sim::EventId> spm_event;
   };
 
+  /// Time a receiver waits after detecting a gap before NAKing.
+  static constexpr Duration kNakDelay = Duration::micros(500);
+  /// Period of a sender's SPM (tail advertisement) heartbeats.
+  static constexpr Duration kSpmInterval = Duration::millis(1);
   static constexpr int kSpmAttempts = 8;
   /// Sequences a sender keeps for retransmission (PGM's transmit window).
   static constexpr std::size_t kTransmitWindow = 4096;
@@ -107,8 +108,6 @@ class MulticastGroup {
 
   Network* net_;
   std::uint32_t group_id_;
-  Duration nak_delay_{Duration::micros(500)};
-  Duration spm_interval_{Duration::millis(1)};
   std::vector<MemberState> members_;
   std::unordered_map<std::uint32_t, SenderState> senders_;  // by node id
   std::uint64_t naks_sent_{0};

@@ -137,8 +137,8 @@ class TraceRecorder {
 
 /// The process-wide recorder the current scenario run should record into
 /// (nullptr when tracing is off — the common case). The runner installs
-/// one around a single traced scenario; Cloud and TopologyBuilder capture
-/// it at construction.
+/// one around a single traced scenario; core::Cloud captures it at
+/// construction.
 [[nodiscard]] TraceRecorder* active_trace();
 void set_active_trace(TraceRecorder* recorder);
 

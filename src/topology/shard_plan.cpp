@@ -113,11 +113,4 @@ int ShardPlan::shard_of_machine(int machine) const {
   return assigned >= 0 ? assigned : machine % shards_;
 }
 
-bool ShardPlan::machine_planned(int machine) const {
-  if (machine_shard_.empty()) return false;
-  SW_EXPECTS(machine >= 0 &&
-             machine < static_cast<int>(machine_shard_.size()));
-  return machine_shard_[static_cast<std::size_t>(machine)] >= 0;
-}
-
 }  // namespace stopwatch::topology

@@ -33,9 +33,6 @@ class ShardPlan {
 
   [[nodiscard]] int shards() const { return shards_; }
   [[nodiscard]] int shard_of_machine(int machine) const;
-  /// True if the machine belongs to an active VM's component (false for
-  /// round-robin fallback assignments).
-  [[nodiscard]] bool machine_planned(int machine) const;
   /// Connected components among the active machines (parallelism upper
   /// bound: fewer components than shards leaves cores idle).
   [[nodiscard]] int component_count() const { return components_; }

@@ -373,6 +373,17 @@ TEST(Cloud, GuestTemplateValidatedAtConstruction) {
   cfg.guest_template.initial_slope = -1.0;
   expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
 
+  // Wiring fills the template's policy and replica count from the
+  // cloud-level fields, so a value set on the template is rejected.
+  cfg = stopwatch_config();
+  cfg.guest_template.policy = PolicyKind::kDeterland;
+  expect_config_rejected(cfg, "guest_template.policy is ignored: set "
+                              "CloudConfig.policy");
+  cfg = stopwatch_config();
+  cfg.guest_template.replica_count = 5;
+  expect_config_rejected(cfg, "guest_template.replica_count is ignored: set "
+                              "CloudConfig.replica_count");
+
   cfg = stopwatch_config();
   cfg.guest_template.exit_interval_instr = 1'000;  // the smallest legal value
   Cloud ok(cfg);

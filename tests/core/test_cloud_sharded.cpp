@@ -220,7 +220,7 @@ TEST(CloudSharded, GuestTrafficBetweenWorkerShardsNamesTheFallback) {
       "a", [b_addr] { return std::make_unique<PeerSenderProgram>(b_addr); },
       {0});
   cloud.activate({a, b});
-  const auto& plan = cloud.topology().shard_plan();
+  const auto& plan = cloud.shard_plan();
   ASSERT_NE(plan.shard_of_machine(0), plan.shard_of_machine(1));
   ASSERT_NE(plan.shard_of_machine(1), plan.egress_shard());
   cloud.start();
@@ -292,7 +292,7 @@ TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
   cloud.activate({vm});
-  const int egress = cloud.topology().shard_plan().egress_shard();
+  const int egress = cloud.shard_plan().egress_shard();
   EXPECT_GT(egress, 0);  // the single component fills shard 0
   EXPECT_EQ(cloud.network().node_owner(cloud.egress_node()), egress);
   EXPECT_EQ(cloud.network().node_owner(client), egress);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -53,14 +54,14 @@ TEST(LazyWiring, ActivationBuildsOnlyTheActivatedVmsShards) {
       [&](const net::Packet& pkt) { replies.push_back(pkt.seq); });
 
   // Registration wires nothing and builds no machine.
-  EXPECT_EQ(cloud.topology().materialized_vm_count(), 0u);
-  EXPECT_EQ(cloud.topology().machines().materialized_machines(), 0);
+  EXPECT_EQ(cloud.materialized_vm_count(), 0u);
+  EXPECT_EQ(cloud.machines().materialized_machines(), 0);
   cloud.activate({a});
   cloud.start();
   EXPECT_TRUE(cloud.vm_materialized(a));
   EXPECT_FALSE(cloud.vm_materialized(b));
   EXPECT_FALSE(cloud.vm_materialized(untouched));
-  EXPECT_EQ(cloud.topology().materialized_vm_count(), 1u);
+  EXPECT_EQ(cloud.materialized_vm_count(), 1u);
   EXPECT_EQ(cloud.replicas_of(a), 3);
   EXPECT_EQ(cloud.replicas_of(b), 0);
 
@@ -84,7 +85,7 @@ TEST(LazyWiring, ActivationBuildsOnlyTheActivatedVmsShards) {
 
   // Only the shard hosting a's machines {0,1,2} materialized: shard 0 of
   // the size-4 sharding. The other VMs' machines stayed un-built.
-  EXPECT_EQ(cloud.topology().machines().materialized_machines(), 4);
+  EXPECT_EQ(cloud.machines().materialized_machines(), 4);
 
   // Introspecting an unwired VM's replicas is a contract violation that
   // names the VM instead of an opaque index check.
@@ -94,6 +95,53 @@ TEST(LazyWiring, ActivationBuildsOnlyTheActivatedVmsShards) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("untouched"), std::string::npos);
   }
+}
+
+TEST(LazyWiring, ActivationSetIsSortedAndDeduplicated) {
+  // activate wires its set once per VM and in index order, whatever order
+  // and repeats the caller passes: {b, a, b} releases exactly what {a, b}
+  // does. b's machines sit in later machine-table shards than a's, so
+  // wiring b first would allocate their network nodes (and the jitter
+  // streams keyed by node id) first.
+  const auto run = [](const bool shuffled) {
+    std::vector<std::pair<std::uint32_t, std::int64_t>> releases;
+    Cloud cloud(lazy_config());
+    const VmHandle a = cloud.add_vm(
+        "a", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+    const VmHandle b = cloud.add_vm(
+        "b", [] { return std::make_unique<EchoProgram>(); }, {6, 7, 8});
+    const NodeId client = cloud.add_external_node([](const net::Packet&) {});
+    cloud.set_egress_tap(
+        [&releases](std::uint32_t vm, RealTime when, const net::Packet&) {
+          releases.emplace_back(vm, when.ns);
+        });
+    if (shuffled) {
+      cloud.activate({b, a, b});
+    } else {
+      cloud.activate({a, b});
+    }
+    EXPECT_EQ(cloud.materialized_vm_count(), 2u);
+    EXPECT_EQ(cloud.replicas_of(a), 3);
+    EXPECT_EQ(cloud.replicas_of(b), 3);
+    cloud.start();
+    for (int i = 0; i < 10; ++i) {
+      const VmHandle vm = i % 2 == 0 ? a : b;
+      cloud.simulator().schedule_at(
+          RealTime::millis(20 * (i + 1)), [&cloud, client, vm, i] {
+            net::Packet req;
+            req.dst = cloud.vm_addr(vm);
+            req.kind = net::PacketKind::kRequest;
+            req.seq = static_cast<std::uint64_t>(i);
+            req.size_bytes = 80;
+            cloud.send_external(client, req);
+          });
+    }
+    cloud.run_for(Duration::seconds(1));
+    return releases;
+  };
+  const auto shuffled = run(true);
+  EXPECT_EQ(shuffled.size(), 10u);
+  EXPECT_EQ(shuffled, run(false));
 }
 
 TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
@@ -111,18 +159,17 @@ TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
     cloud.add_vm("vm" + std::to_string(i),
                  [] { return std::make_unique<EchoProgram>(); }, triple(i));
   }
-  auto& topo = cloud.topology();
-  ASSERT_EQ(topo.vm_count(), static_cast<std::size_t>(kVms));
-  EXPECT_EQ(topo.materialized_vm_count(), 0u);
-  EXPECT_EQ(topo.machines().materialized_machines(), 0);
+  ASSERT_EQ(cloud.vm_count(), static_cast<std::size_t>(kVms));
+  EXPECT_EQ(cloud.materialized_vm_count(), 0u);
+  EXPECT_EQ(cloud.machines().materialized_machines(), 0);
   for (int i = 0; i < kVms; ++i) {
-    const auto vm = static_cast<std::uint32_t>(i);
-    ASSERT_EQ(topo.replicas_of(vm), 0) << "vm " << i;
-    ASSERT_FALSE(topo.materialized(vm));
-    ASSERT_EQ(topo.egress_stats(vm).packets_released, 0u);
-    ASSERT_EQ(topo.egress_stats(vm).hash_mismatches, 0u);
-    ASSERT_TRUE(topo.replicas_deterministic(vm));
-    const std::span<const int> machines = topo.vm_machines(vm);
+    const VmHandle vm{static_cast<std::uint32_t>(i)};
+    ASSERT_EQ(cloud.replicas_of(vm), 0) << "vm " << i;
+    ASSERT_FALSE(cloud.vm_materialized(vm));
+    ASSERT_EQ(cloud.egress_stats(vm).packets_released, 0u);
+    ASSERT_EQ(cloud.egress_stats(vm).hash_mismatches, 0u);
+    ASSERT_TRUE(cloud.replicas_deterministic(vm));
+    const std::span<const int> machines = cloud.vm_machines(vm);
     const std::vector<int> expected = triple(i);
     ASSERT_TRUE(std::equal(machines.begin(), machines.end(), expected.begin(),
                            expected.end()))
@@ -148,7 +195,7 @@ TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
       cloud.add_external_node([&](const net::Packet&) { ++received; });
   cloud.activate({active});
   cloud.start();
-  const NodeId machine = cloud.topology().machines().machine_node(2);
+  const NodeId machine = cloud.machines().machine_node(2);
   for (const NodeId dst : {cloud.egress_node(), client, NodeId{1u << 20},
                            cloud.vm_addr(vm)}) {
     net::Packet pkt;
@@ -167,7 +214,7 @@ TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
   EXPECT_EQ(cloud.network().stats(machine).frames_received, 4u);
   EXPECT_EQ(received, 0);
   EXPECT_EQ(cloud.replicas_of(vm), 0);
-  EXPECT_EQ(cloud.topology().materialized_vm_count(), 1u);
+  EXPECT_EQ(cloud.materialized_vm_count(), 1u);
 }
 
 }  // namespace
