@@ -13,9 +13,13 @@
 #include "hypervisor/guest_context.hpp"
 #include "hypervisor/policy.hpp"
 #include "leakage/estimators.hpp"
+#include "leakage/observation_log.hpp"
+#include "leakage/timing_tap.hpp"
+#include "obs/timeseries.hpp"
 #include "stats/detection.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/summary.hpp"
+#include "workload/file_service.hpp"
 #include "workload/timing.hpp"
 
 namespace stopwatch::bench {
@@ -167,6 +171,76 @@ inline TimingScenarioResult run_timing_scenario(
                cloud.simulator().now().to_seconds());
   result.deterministic = cloud.replicas_deterministic(attacker);
   return result;
+}
+
+/// One run of the secret-file-size egress channel.
+struct FileChannelRun {
+  /// TimingTap spans of each retrieval, labeled with its size class.
+  leakage::ObservationLog log;
+  double mean_latency_ms{0.0};
+  /// Egress releases of the serving VM per simulated second.
+  double releases_per_s{0.0};
+};
+
+/// The file-size leakage channel: a three-machine cloud under `policy`
+/// serves `trials` rounds of UDP retrievals of {24, 72, 144} KiB, the
+/// secret class, while a TimingTap records each retrieval's egress
+/// release span (also into `series`, when given).
+inline FileChannelRun run_file_channel(hypervisor::PolicyKind policy,
+                                       std::uint64_t seed, int trials,
+                                       int shards,
+                                       obs::TimeSeries* series = nullptr) {
+  core::CloudConfig cfg;
+  cfg.sim_shards = shards;
+  cfg.seed = seed;
+  cfg.policy = policy;
+  cfg.machine_count = 3;
+  core::Cloud cloud(cfg);
+  const core::VmHandle vm = cloud.add_vm(
+      "fileserver",
+      [] { return std::make_unique<workload::FileServerProgram>(); },
+      {0, 1, 2});
+  workload::FileDownloadClient client(
+      cloud, cloud.vm_addr(vm), workload::FileDownloadClient::Protocol::kUdp);
+
+  leakage::ObservationLog log(
+      leakage::ObservationLogConfig{seed, /*reservoir_capacity=*/8192});
+  leakage::TimingTap tap(cloud, vm, leakage::TimingTap::Mode::kTrialDuration,
+                         log);
+  tap.set_series(series);
+  cloud.start();
+
+  std::vector<double> latencies_ms;
+  const std::uint32_t sizes[] = {24 << 10, 72 << 10, 144 << 10};
+  for (int t = 0; t < trials; ++t) {
+    for (int c = 0; c < 3; ++c) {
+      tap.begin_trial(c);
+      bool done = false;
+      client.download(sizes[c], [&](Duration d) {
+        done = true;
+        latencies_ms.push_back(d.to_seconds() * 1e3);
+      });
+      while (!done) cloud.run_for(Duration::millis(50));
+      tap.end_trial();
+    }
+  }
+  const double elapsed_s = cloud.simulator().now().to_seconds();
+  cloud.halt_all();
+  const double releases_per_s =
+      elapsed_s > 0.0 ? static_cast<double>(tap.releases_seen()) / elapsed_s
+                      : 0.0;
+  return FileChannelRun{std::move(log), stats::summarize(latencies_ms).mean,
+                        releases_per_s};
+}
+
+/// Miller-Madow mutual information between the log's secret classes and
+/// its observations, binned `bins` ways by `mode`.
+inline double estimate_mi(const leakage::ObservationLog& log,
+                          leakage::BinningMode mode, int bins) {
+  const std::vector<double> edges =
+      leakage::make_bin_edges(log.pooled_samples(), mode, bins);
+  return leakage::mutual_information_miller_madow(
+      leakage::joint_from_log(log, edges));
 }
 
 /// The enum knob every detection-driven and leakage scenario exposes as

@@ -35,7 +35,6 @@
 #include "leakage/timing_tap.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "workload/file_service.hpp"
 #include "workload/nfs.hpp"
 #include "workload/parsec.hpp"
 
@@ -59,36 +58,6 @@ core::CloudConfig workload_cloud_config(core::PolicyKind policy,
   cfg.policy = policy;
   cfg.machine_count = 3;
   return cfg;
-}
-
-/// File retrieval: secret = file size class {24, 72, 144} KiB.
-ObservationLog run_file(core::PolicyKind policy, std::uint64_t seed, int trials,
-                        int shards, obs::TimeSeries* series) {
-  core::Cloud cloud(workload_cloud_config(policy, seed, shards));
-  const core::VmHandle vm = cloud.add_vm(
-      "fileserver",
-      [] { return std::make_unique<workload::FileServerProgram>(); },
-      {0, 1, 2});
-  workload::FileDownloadClient client(
-      cloud, cloud.vm_addr(vm), workload::FileDownloadClient::Protocol::kUdp);
-
-  ObservationLog log(ObservationLogConfig{seed, kReservoir});
-  TimingTap tap(cloud, vm, TimingTap::Mode::kTrialDuration, log);
-  tap.set_series(series);
-  cloud.start();
-
-  const std::uint32_t sizes[] = {24 << 10, 72 << 10, 144 << 10};
-  for (int t = 0; t < trials; ++t) {
-    for (int c = 0; c < 3; ++c) {
-      tap.begin_trial(c);
-      bool done = false;
-      client.download(sizes[c], [&done](Duration) { done = true; });
-      while (!done) cloud.run_for(Duration::millis(50));
-      tap.end_trial();
-    }
-  }
-  cloud.halt_all();
-  return log;
 }
 
 /// NFS: secret = operation type the client is issuing {getattr, read,
@@ -178,14 +147,6 @@ ObservationLog run_parsec(core::PolicyKind policy, std::uint64_t seed,
   return log;
 }
 
-double estimate_mi(const ObservationLog& log, leakage::BinningMode mode,
-                   int bins) {
-  const std::vector<double> edges =
-      leakage::make_bin_edges(log.pooled_samples(), mode, bins);
-  return leakage::mutual_information_miller_madow(
-      leakage::joint_from_log(log, edges));
-}
-
 Result run(const ScenarioContext& ctx) {
   const int trials = ctx.param_int("trials_per_class");
   const int parsec_trials = ctx.param_int("parsec_trials");
@@ -205,7 +166,7 @@ Result run(const ScenarioContext& ctx) {
   const std::vector<Row> rows = {
       {"file",
        [&](core::PolicyKind p, std::uint64_t s, obs::TimeSeries* ts) {
-         return run_file(p, s, trials, shards, ts);
+         return run_file_channel(p, s, trials, shards, ts).log;
        }},
       {"nfs",
        [&](core::PolicyKind p, std::uint64_t s, obs::TimeSeries* ts) {

@@ -25,10 +25,6 @@
 #include "bench_util.hpp"
 #include "core/cloud.hpp"
 #include "experiment/registry.hpp"
-#include "leakage/estimators.hpp"
-#include "leakage/observation_log.hpp"
-#include "leakage/timing_tap.hpp"
-#include "workload/file_service.hpp"
 
 namespace stopwatch::bench {
 namespace {
@@ -36,66 +32,6 @@ namespace {
 using experiment::ParamSpec;
 using experiment::Result;
 using experiment::ScenarioContext;
-using leakage::ObservationLog;
-using leakage::ObservationLogConfig;
-using leakage::TimingTap;
-
-struct FileChannelRun {
-  double mi_bits{0.0};
-  double mean_latency_ms{0.0};
-  double releases_per_s{0.0};
-};
-
-/// Secret-file-size download channel under `kind`: three size classes,
-/// TimingTap span observations, plus the client-visible latency and the
-/// egress release rate of the serving VM.
-FileChannelRun run_file_channel(hypervisor::PolicyKind kind,
-                                std::uint64_t seed, int trials, int bins,
-                                leakage::BinningMode mode) {
-  core::CloudConfig cfg;
-  cfg.seed = seed;
-  cfg.policy = hypervisor::PolicyConfig{kind};
-  cfg.machine_count = 3;
-  core::Cloud cloud(cfg);
-  const core::VmHandle vm = cloud.add_vm(
-      "fileserver",
-      [] { return std::make_unique<workload::FileServerProgram>(); },
-      {0, 1, 2});
-  workload::FileDownloadClient client(
-      cloud, cloud.vm_addr(vm), workload::FileDownloadClient::Protocol::kUdp);
-
-  ObservationLog log(ObservationLogConfig{seed, /*reservoir_capacity=*/8192});
-  TimingTap tap(cloud, vm, TimingTap::Mode::kTrialDuration, log);
-  cloud.start();
-
-  std::vector<double> latencies_ms;
-  const std::uint32_t sizes[] = {24 << 10, 72 << 10, 144 << 10};
-  for (int t = 0; t < trials; ++t) {
-    for (int c = 0; c < 3; ++c) {
-      tap.begin_trial(c);
-      bool done = false;
-      client.download(sizes[c], [&](Duration d) {
-        done = true;
-        latencies_ms.push_back(d.to_seconds() * 1e3);
-      });
-      while (!done) cloud.run_for(Duration::millis(50));
-      tap.end_trial();
-    }
-  }
-  const double elapsed_s = cloud.simulator().now().to_seconds();
-  cloud.halt_all();
-
-  FileChannelRun run;
-  const std::vector<double> edges =
-      leakage::make_bin_edges(log.pooled_samples(), mode, bins);
-  run.mi_bits = leakage::mutual_information_miller_madow(
-      leakage::joint_from_log(log, edges));
-  run.mean_latency_ms = stats::summarize(latencies_ms).mean;
-  run.releases_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(tap.releases_seen()) / elapsed_s
-                      : 0.0;
-  return run;
-}
 
 Result run(const ScenarioContext& ctx) {
   const int trials = ctx.param_int("trials_per_class");
@@ -130,7 +66,7 @@ Result run(const ScenarioContext& ctx) {
 
     // Leakage + cost arm: the secret-file-size egress channel.
     const FileChannelRun file =
-        run_file_channel(kind, seed ^ 0xF11E, trials, bins, mode);
+        run_file_channel(kind, seed ^ 0xF11E, trials, /*shards=*/1);
     if (kind == hypervisor::PolicyKind::kBaselineXen) {
       baseline_latency_ms = file.mean_latency_ms;
     }
@@ -142,7 +78,8 @@ Result run(const ScenarioContext& ctx) {
 
     result.add_metric("obs99_" + choice, static_cast<double>(obs99),
                       "observations");
-    result.add_metric("bits_per_epoch_" + choice, file.mi_bits, "bits");
+    result.add_metric("bits_per_epoch_" + choice,
+                      estimate_mi(file.log, mode, bins), "bits");
     result.add_metric("latency_ms_" + choice, file.mean_latency_ms, "ms");
     result.add_metric("latency_overhead_" + choice, overhead, "frac");
     result.add_metric("egress_releases_per_s_" + choice, file.releases_per_s,

@@ -26,8 +26,7 @@ std::unique_ptr<hypervisor::MitigationPolicy> validated_policy(
   // knobs on a non-replicated backend" contract); the replica/machine
   // combination check is the policy capability's job.
   auto policy = hypervisor::make_policy(cfg.policy);
-  policy->validate_replicas("CloudConfig", cfg.replica_count,
-                            cfg.machine_count);
+  policy->validate_replicas(cfg.replica_count, cfg.machine_count);
   SW_EXPECTS_MSG(cfg.shard_size >= 1,
                  "CloudConfig.shard_size must be >= 1 (got " +
                      std::to_string(cfg.shard_size) + ")");
@@ -84,10 +83,10 @@ Cloud::Cloud(CloudConfig cfg)
     : cfg_(cfg),
       root_rng_(cfg.seed),
       sharded_(sharded_config(cfg)),
-      net_(sharded_.shard(0), root_rng_.fork(0xF00D)),
+      net_(sharded_, root_rng_.fork(0xF00D)),
       policy_(validated_policy(cfg_)),
       trace_(obs::active_trace()),
-      table_(sharded_.shard(0), net_,
+      table_(sharded_, plan_, net_,
              topology::MachineTableConfig{cfg.machine_count, cfg.shard_size,
                                           cfg.seed, cfg.machine_template,
                                           cfg.clock_offset_spread},
@@ -95,9 +94,7 @@ Cloud::Cloud(CloudConfig cfg)
                on_machine_frame(machine, f);
              }),
       egress_core_(&sharded_.shard(0)) {
-  net_.attach_sharded(sharded_);
   net_.set_default_link(cfg_.cloud_link);
-  table_.set_sharding(&sharded_, &plan_);
   // The egress node is the first node allocated: node IDs key the links'
   // jitter streams.
   egress_node_ =

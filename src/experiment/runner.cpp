@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
@@ -13,7 +12,6 @@
 #include <string_view>
 
 #include "common/thread_pool.hpp"
-#include "experiment/json.hpp"
 #include "experiment/registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -333,40 +331,11 @@ int run_cli(int argc, const char* const* argv) {
                        [&](const ParamSpec& p) { return p.name == param; });
       if (spec == scenario->params.end()) continue;
       declared = true;
-      if (spec->kind == ParamSpec::Kind::kEnum) {
-        if (std::find(spec->choices.begin(), spec->choices.end(), text) ==
-            spec->choices.end()) {
-          std::fprintf(stderr,
-                       "error: --param %s=%s must be one of %s for "
-                       "scenario '%s'\n",
-                       param.c_str(), text.c_str(),
-                       spec->choices_joined().c_str(),
-                       scenario->name.c_str());
-          return 2;
-        }
-        continue;
-      }
-      double value = 0.0;
-      if (!parse_double_strict(text, value)) {
-        std::fprintf(stderr,
-                     "error: --param %s expects a number for scenario "
-                     "'%s', got '%s'\n",
-                     param.c_str(), scenario->name.c_str(), text.c_str());
-        return 2;
-      }
-      if (value < spec->min_value || value > spec->max_value) {
-        std::fprintf(stderr,
-                     "error: --param %s=%g is out of range [%g, %g] for "
-                     "scenario '%s'\n",
-                     param.c_str(), value, spec->min_value, spec->max_value,
+      const std::string reason = spec->reject_reason(text);
+      if (!reason.empty()) {
+        std::fprintf(stderr, "error: --param %s=%s %s for scenario '%s'\n",
+                     param.c_str(), text.c_str(), reason.c_str(),
                      scenario->name.c_str());
-        return 2;
-      }
-      if (spec->integral && std::nearbyint(value) != value) {
-        std::fprintf(stderr,
-                     "error: --param %s=%g must be a whole number for "
-                     "scenario '%s'\n",
-                     param.c_str(), value, scenario->name.c_str());
         return 2;
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "common/contracts.hpp"
 #include "common/json_emit.hpp"
@@ -53,38 +54,55 @@ std::string ParamSpec::choices_joined() const {
   return out;
 }
 
+std::string ParamSpec::reject_reason(const std::string& text) const {
+  if (kind == Kind::kEnum) {
+    if (std::find(choices.begin(), choices.end(), text) != choices.end()) {
+      return {};
+    }
+    return "must be one of " + choices_joined();
+  }
+  double value = 0.0;
+  if (!parse_double_strict(text, value)) return "expects a number";
+  // Written so that NaN, which compares false both ways, is out of range.
+  if (!(min_value <= value && value <= max_value)) {
+    char range[64];
+    std::snprintf(range, sizeof range, "[%g, %g]", min_value, max_value);
+    return std::string("is out of range ") + range;
+  }
+  if (integral && std::nearbyint(value) != value) {
+    return "must be a whole number";
+  }
+  return {};
+}
+
 ScenarioContext::ScenarioContext(std::uint64_t seed, bool smoke,
                                  ParamOverrides overrides,
                                  const std::vector<ParamSpec>& schema)
     : seed_(seed), smoke_(smoke) {
   for (const ParamSpec& spec : schema) {
     SW_EXPECTS(!values_.contains(spec.name) && !choices_.contains(spec.name));
+    const bool is_enum = spec.kind == ParamSpec::Kind::kEnum;
     const auto it = overrides.find(spec.name);
-    if (spec.kind == ParamSpec::Kind::kEnum) {
-      if (it != overrides.end()) {
-        SW_EXPECTS_MSG(std::find(spec.choices.begin(), spec.choices.end(),
-                                 it->second) != spec.choices.end(),
-                       "parameter '" + spec.name + "' must be one of " +
-                           spec.choices_joined() + " (got '" + it->second +
-                           "')");
-        choices_[spec.name] = it->second;
-        overrides.erase(it);
-      } else {
+    if (it == overrides.end()) {
+      if (is_enum) {
         choices_[spec.name] = spec.default_choice;
-      }
-    } else {
-      if (it != overrides.end()) {
-        double value = 0.0;
-        SW_EXPECTS_MSG(parse_double_strict(it->second, value),
-                       "parameter '" + spec.name + "' expects a number (got '" +
-                           it->second + "')");
-        SW_EXPECTS(spec.min_value <= value && value <= spec.max_value);
-        SW_EXPECTS(!spec.integral || std::nearbyint(value) == value);
-        values_[spec.name] = value;
-        overrides.erase(it);
       } else {
         values_[spec.name] = smoke ? spec.smoke_value : spec.default_value;
       }
+    } else {
+      const std::string reason = spec.reject_reason(it->second);
+      SW_EXPECTS_MSG(reason.empty(), "parameter '" + spec.name + "' " +
+                                         reason + " (got '" + it->second +
+                                         "')");
+      if (is_enum) {
+        choices_[spec.name] = it->second;
+      } else {
+        double value = 0.0;
+        // Cannot fail: reject_reason parsed the same text.
+        static_cast<void>(parse_double_strict(it->second, value));
+        values_[spec.name] = value;
+      }
+      overrides.erase(it);
     }
     order_.push_back(spec.name);
   }

@@ -54,6 +54,11 @@ struct ParamSpec {
   /// "median|min|max" — for catalogs and error messages.
   [[nodiscard]] std::string choices_joined() const;
 
+  /// Why `text` is not a valid override of this parameter ("must be one
+  /// of a|b", "expects a number", "is out of range [lo, hi]", "must be a
+  /// whole number"); empty when it is valid.
+  [[nodiscard]] std::string reject_reason(const std::string& text) const;
+
   std::string name;
   std::string description;
   Kind kind{Kind::kNumeric};

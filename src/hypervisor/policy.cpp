@@ -1,24 +1,37 @@
 #include "hypervisor/policy.hpp"
 
+#include <array>
 #include <string>
 
 #include "common/contracts.hpp"
 
 namespace stopwatch::hypervisor {
 
-void MitigationPolicy::validate_replicas(const std::string& where,
-                                         int replica_count,
+namespace {
+
+/// The --param policy=... choices, indexed by PolicyKind.
+constexpr std::array<std::string_view, 4> kPolicyNames = {
+    "baseline", "stopwatch", "deterland", "tifc"};
+
+}  // namespace
+
+std::string_view MitigationPolicy::name() const {
+  return policy_choice_name(kind());
+}
+
+void MitigationPolicy::validate_replicas(int replica_count,
                                          int machine_count) const {
   SW_EXPECTS_MSG(replica_count >= 1,
-                 where + ".replica_count must be >= 1 (got " +
+                 "CloudConfig.replica_count must be >= 1 (got " +
                      std::to_string(replica_count) + ")");
   SW_EXPECTS_MSG(replica_count % 2 == 1,
-                 where + ".replica_count must be odd for median "
-                         "agreement (got " +
+                 "CloudConfig.replica_count must be odd for median "
+                 "agreement (got " +
                      std::to_string(replica_count) + ")");
   if (replicated()) {
     SW_EXPECTS_MSG(replica_count <= machine_count,
-                   where + ".replica_count (" + std::to_string(replica_count) +
+                   "CloudConfig.replica_count (" +
+                       std::to_string(replica_count) +
                        ") cannot exceed machine_count (" +
                        std::to_string(machine_count) +
                        "): replicas must land on distinct machines");
@@ -91,33 +104,27 @@ bool policy_replicated(PolicyKind kind) {
 }
 
 const std::vector<std::string>& policy_choices() {
-  static const std::vector<std::string> kChoices = {"baseline", "stopwatch",
-                                                    "deterland", "tifc"};
+  static const std::vector<std::string> kChoices(kPolicyNames.begin(),
+                                                 kPolicyNames.end());
   return kChoices;
 }
 
 PolicyKind policy_kind_from_choice(const std::string& choice) {
-  if (choice == "baseline") return PolicyKind::kBaselineXen;
-  if (choice == "stopwatch") return PolicyKind::kStopWatch;
-  if (choice == "deterland") return PolicyKind::kDeterland;
-  if (choice == "tifc") return PolicyKind::kTifcPacing;
-  SW_EXPECTS_MSG(false, "unknown policy choice '" + choice +
-                            "' (expected baseline|stopwatch|deterland|tifc)");
+  std::string expected;
+  for (std::size_t i = 0; i < kPolicyNames.size(); ++i) {
+    if (choice == kPolicyNames[i]) return static_cast<PolicyKind>(i);
+    if (i > 0) expected += '|';
+    expected += kPolicyNames[i];
+  }
+  SW_EXPECTS_MSG(false, "unknown policy choice '" + choice + "' (expected " +
+                            expected + ")");
   return PolicyKind::kStopWatch;
 }
 
 std::string_view policy_choice_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kBaselineXen:
-      return "baseline";
-    case PolicyKind::kStopWatch:
-      return "stopwatch";
-    case PolicyKind::kDeterland:
-      return "deterland";
-    case PolicyKind::kTifcPacing:
-      return "tifc";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(kind);
+  SW_EXPECTS(index < kPolicyNames.size());
+  return kPolicyNames[index];
 }
 
 }  // namespace stopwatch::hypervisor

@@ -152,9 +152,8 @@ class MitigationPolicy {
   [[nodiscard]] const PolicyStats& stats() const { return stats_; }
 
   [[nodiscard]] virtual PolicyKind kind() const = 0;
-  /// Stable lowercase identifier ("baseline", "stopwatch", "deterland",
-  /// "tifc") — matches the --param policy=... choices.
-  [[nodiscard]] virtual std::string_view name() const = 0;
+  /// Stable lowercase identifier: policy_choice_name(kind()).
+  [[nodiscard]] std::string_view name() const;
 
   // --- Capabilities (consumed by core::Cloud) ---
 
@@ -173,12 +172,11 @@ class MitigationPolicy {
   [[nodiscard]] int effective_replicas(int requested) const {
     return replicated() ? requested : 1;
   }
-  /// Shared replica/machine validation; `where` prefixes the messages
-  /// ("CloudConfig"). The odd-count requirement is
+  /// Shared replica/machine validation; the messages name the
+  /// CloudConfig fields. The odd-count requirement is
   /// unconditional (the knob must be a valid median width even where it is
   /// ignored); the distinct-machines bound applies only when replicated.
-  void validate_replicas(const std::string& where, int replica_count,
-                         int machine_count) const;
+  void validate_replicas(int replica_count, int machine_count) const;
 
   // --- Inbound delivery times (guest-clock ns) ---
 

@@ -14,7 +14,6 @@ class BaselineXenPolicy final : public MitigationPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::kBaselineXen;
   }
-  [[nodiscard]] std::string_view name() const override { return "baseline"; }
 
   [[nodiscard]] bool replicated() const override { return false; }
   [[nodiscard]] bool tunnels_output() const override { return false; }

@@ -37,7 +37,6 @@ class DeterlandPolicy final : public MitigationPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::kDeterland;
   }
-  [[nodiscard]] std::string_view name() const override { return "deterland"; }
 
   [[nodiscard]] bool replicated() const override { return false; }
   [[nodiscard]] bool tunnels_output() const override { return true; }

@@ -35,7 +35,6 @@ class StopWatchPolicy final : public MitigationPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::kStopWatch;
   }
-  [[nodiscard]] std::string_view name() const override { return "stopwatch"; }
 
   [[nodiscard]] bool replicated() const override { return true; }
   [[nodiscard]] bool tunnels_output() const override { return true; }

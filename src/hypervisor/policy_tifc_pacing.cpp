@@ -26,7 +26,6 @@ class TifcPacingPolicy final : public MitigationPolicy {
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::kTifcPacing;
   }
-  [[nodiscard]] std::string_view name() const override { return "tifc"; }
 
   [[nodiscard]] bool replicated() const override { return false; }
   [[nodiscard]] bool tunnels_output() const override { return true; }

@@ -21,14 +21,8 @@ Duration LinkModel::min_latency() const {
                                   jitter_floor(jitter_sigma));
 }
 
-void Network::attach_sharded(sim::ShardedSimulator& sharded) {
-  SW_EXPECTS(!sharded.running());
-  sharded_ = &sharded;
-  sim_ = &sharded.shard(0);
-}
-
 NodeId Network::add_node(Handler handler) {
-  SW_EXPECTS(sharded_ == nullptr || !sharded_->running());
+  SW_EXPECTS(!kernel_->running());
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.push_back(
       Node{std::move(handler), {}, RealTime{}, rng_.fork(id.value), 0});
@@ -40,10 +34,8 @@ void Network::set_handler(NodeId node_id, Handler handler) {
 }
 
 void Network::set_node_owner(NodeId node_id, int shard) {
-  SW_EXPECTS(sharded_ == nullptr || !sharded_->running());
-  SW_EXPECTS(shard >= 0);
-  SW_EXPECTS(sharded_ == nullptr || shard < sharded_->shard_count());
-  SW_EXPECTS(sharded_ != nullptr || shard == 0);
+  SW_EXPECTS(!kernel_->running());
+  SW_EXPECTS(shard >= 0 && shard < kernel_->shard_count());
   node(node_id).owner = shard;
 }
 
@@ -110,7 +102,7 @@ bool Network::send(Frame frame) {
   // src rng) belongs to the source node, and send() runs on the source
   // owner's core — shard-confined by construction. Destination state is
   // only touched by the delivery task below, on the destination's core.
-  sim::Simulator& src_core = core_for(src.owner);
+  sim::Simulator& src_core = kernel_->shard(src.owner);
 
   src.stats.frames_sent += 1;
   src.stats.bytes_sent += frame.size_bytes;
@@ -156,9 +148,8 @@ bool Network::send(Frame frame) {
         d.stats.bytes_received += f->size_bytes;
         d.handler(*f);
       });
-  if (sharded_ != nullptr && dst.owner != src.owner) {
-    sharded_->cross_schedule(src.owner, dst.owner, arrival,
-                             std::move(deliver));
+  if (dst.owner != src.owner) {
+    kernel_->cross_schedule(src.owner, dst.owner, arrival, std::move(deliver));
   } else {
     src_core.schedule_at(arrival, std::move(deliver));
   }

@@ -6,15 +6,15 @@
 // can be overridden (e.g., a slow "wireless client" hop as in the paper's
 // evaluation; fast intra-cloud links for VMM-to-VMM proposal traffic).
 //
-// Shard awareness: every node has an owner shard (default 0). With a
-// sim::ShardedSimulator attached, a frame between same-owner nodes is
-// scheduled directly on the owner's core, while a frame crossing shards
-// goes through the sharded kernel's deterministic (source shard,
+// Shard awareness: the fabric runs on a sim::ShardedSimulator and every
+// node has an owner shard (default 0). A frame between same-owner nodes
+// is scheduled directly on the owner's core, while a frame crossing
+// shards goes through the kernel's deterministic (source shard,
 // destination shard) lanes. Stochastic draws (loss, jitter) come from a
 // per-node RNG stream forked from the fabric seed by node id — so the
 // draw sequence a node sees is a function of its own traffic only, never
 // of global send interleaving. That is what keeps an N-shard run
-// byte-identical to the sequential one.
+// byte-identical to a one-shard run.
 #pragma once
 
 #include <array>
@@ -68,13 +68,11 @@ class Network {
  public:
   using Handler = std::function<void(const Frame&)>;
 
-  Network(sim::Simulator& sim, Rng rng) : sim_(&sim), rng_(std::move(rng)) {}
-
-  /// Routes frames through a sharded kernel: same-owner traffic schedules
-  /// on the owner's core, cross-owner traffic through the merge lanes.
-  /// The attached kernel's shard 0 replaces the construction-time
-  /// simulator as the default core (owners default to 0).
-  void attach_sharded(sim::ShardedSimulator& sharded);
+  /// Same-owner traffic schedules on the owner's core of `kernel`,
+  /// cross-owner traffic through its merge lanes. The kernel must outlive
+  /// the fabric.
+  Network(sim::ShardedSimulator& kernel, Rng rng)
+      : kernel_(&kernel), rng_(std::move(rng)) {}
 
   /// Registers a node; the handler is invoked on frame arrival.
   NodeId add_node(Handler handler);
@@ -83,7 +81,7 @@ class Network {
   void set_handler(NodeId node, Handler handler);
 
   /// Assigns the shard that owns a node's events (default 0). Must not be
-  /// called while the sharded kernel is mid-window.
+  /// called while the kernel is mid-window.
   void set_node_owner(NodeId node, int shard);
   [[nodiscard]] int node_owner(NodeId node_id) const {
     return node(node_id).owner;
@@ -104,8 +102,8 @@ class Network {
   /// Installs a predicate that send() consults before the loss draw; a
   /// frame it returns true for is dropped as if lost on the wire. Used to
   /// inject targeted losses (a specific sequence, a NAK) that a loss
-  /// probability cannot express. Under a sharded kernel it runs on the
-  /// sending node's shard, concurrently with other shards' sends.
+  /// probability cannot express. It runs on the sending node's shard,
+  /// concurrently with other shards' sends.
   void set_drop_hook(std::function<bool(const Frame&)> hook);
 
   /// True once any registered link model has loss_probability > 0 or a
@@ -126,10 +124,9 @@ class Network {
 
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   /// The simulator core that owns a node's events.
   [[nodiscard]] sim::Simulator& simulator_for(NodeId node_id) {
-    return core_for(node(node_id).owner);
+    return kernel_->shard(node(node_id).owner);
   }
 
   /// Total frames dropped by the drop hook and loss models (diagnostics).
@@ -178,12 +175,8 @@ class Network {
   }
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
-  [[nodiscard]] sim::Simulator& core_for(int owner) {
-    return sharded_ ? sharded_->shard(owner) : *sim_;
-  }
 
-  sim::Simulator* sim_;
-  sim::ShardedSimulator* sharded_{nullptr};
+  sim::ShardedSimulator* kernel_;
   Rng rng_;
   /// Deque, not vector: handlers may register new nodes mid-delivery (a
   /// machine shard first touched by a running scenario), and a deque keeps

@@ -78,7 +78,7 @@ struct ShardedConfig {
   int shards{1};
   /// Uniform lookahead: the floor of every pair without a declared one.
   /// Must be positive and no larger than the minimum cross-shard event
-  /// latency. The topology layer derives this from the link models;
+  /// latency. core::Cloud::run_for derives it from the link models;
   /// tests set it directly.
   Duration window{Duration::micros(100)};
   /// Threads that run windows, the calling thread included (so T - 1

@@ -8,7 +8,10 @@
 // any machine in it is touched. Everything a machine is built from (its
 // RNG stream, its clock offset) is a pure function of (seed, index), so a
 // sharded table is observably identical to a dense one regardless of the
-// order shards materialize in.
+// order shards materialize in. Each machine is built on the simulator
+// core its ShardPlan assigns it, and that core's shard owns its network
+// node; the plan is read at materialization, so core::Cloud can rebuild
+// it at activation, before any machine is touched.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 #include "hypervisor/machine.hpp"
 #include "net/network.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulator.hpp"
 #include "topology/shard_plan.hpp"
 
 namespace stopwatch::topology {
@@ -41,17 +43,13 @@ class MachineTable {
   /// Invoked on every frame arriving at a machine's network node.
   using FrameHandler = std::function<void(int machine, const net::Frame&)>;
 
-  MachineTable(sim::Simulator& sim, net::Network& net, MachineTableConfig cfg,
+  /// `kernel`, `plan` and `net` must outlive the table.
+  MachineTable(sim::ShardedSimulator& kernel, const ShardPlan& plan,
+               net::Network& net, MachineTableConfig cfg,
                FrameHandler on_frame);
 
   MachineTable(const MachineTable&) = delete;
   MachineTable& operator=(const MachineTable&) = delete;
-
-  /// Routes future materializations through the sharded kernel: each
-  /// machine is built on (and its network node owned by) the simulator
-  /// core the plan assigns it. Must be called before any affected shard
-  /// materializes; both referents must outlive the table.
-  void set_sharding(sim::ShardedSimulator* sharded, const ShardPlan* plan);
 
   [[nodiscard]] int machine_count() const { return cfg_.machine_count; }
   [[nodiscard]] int shard_size() const { return cfg_.shard_size; }
@@ -90,9 +88,8 @@ class MachineTable {
   void materialize_shard(int shard);
   [[nodiscard]] Slot& slot(int machine);
 
-  sim::Simulator* sim_;
-  sim::ShardedSimulator* sharded_{nullptr};
-  const ShardPlan* plan_{nullptr};
+  sim::ShardedSimulator* kernel_;
+  const ShardPlan* plan_;
   net::Network* net_;
   MachineTableConfig cfg_;
   FrameHandler on_frame_;

@@ -137,5 +137,21 @@ TEST(RunnerCli, UnwritableProfilePathFailsTheRun) {
             1);
 }
 
+TEST(RunnerCli, RejectsInvalidParamOverridesBeforeRunning) {
+  // Every malformed --param fails the invocation as a usage error (exit
+  // 2) before any scenario runs, so no report file is ever opened.
+  const std::string json = ::testing::TempDir() + "/sw_cli_bad_param.json";
+  for (const char* param :
+       {"binning=bogus", "bins=abc", "run_time_s=0", "run_time_s=nan",
+        "trials_per_class=2.5", "no_such_param=1"}) {
+    std::remove(json.c_str());
+    EXPECT_EQ(run({"--scenario", "policy_matrix", "--smoke", "--quiet",
+                   "--param", param, "--json", json.c_str()}),
+              2)
+        << param;
+    EXPECT_FALSE(file_exists(json)) << param;
+  }
+}
+
 }  // namespace
 }  // namespace stopwatch::experiment

@@ -53,12 +53,12 @@ TEST(Policy, EffectiveReplicasCollapsesForNonReplicatedBackends) {
 TEST(Policy, ValidateReplicasOddUnconditionalDistinctOnlyIfReplicated) {
   const auto sw = make_policy(PolicyConfig{PolicyKind::kStopWatch});
   const auto baseline = make_policy(PolicyConfig{PolicyKind::kBaselineXen});
-  EXPECT_THROW(sw->validate_replicas("X", 0, 3), ContractViolation);
-  EXPECT_THROW(sw->validate_replicas("X", 4, 5), ContractViolation);
+  EXPECT_THROW(sw->validate_replicas(0, 3), ContractViolation);
+  EXPECT_THROW(sw->validate_replicas(4, 5), ContractViolation);
   // Distinct-machines bound binds only replicated backends.
-  EXPECT_THROW(sw->validate_replicas("X", 5, 3), ContractViolation);
-  EXPECT_NO_THROW(baseline->validate_replicas("X", 5, 3));
-  EXPECT_THROW(baseline->validate_replicas("X", 4, 5), ContractViolation);
+  EXPECT_THROW(sw->validate_replicas(5, 3), ContractViolation);
+  EXPECT_NO_THROW(baseline->validate_replicas(5, 3));
+  EXPECT_THROW(baseline->validate_replicas(4, 5), ContractViolation);
 }
 
 // --- Choice mapping --------------------------------------------------------

@@ -13,8 +13,9 @@ namespace stopwatch::net {
 namespace {
 
 struct Pair {
-  sim::Simulator sim;
-  Network net{sim, Rng(17)};
+  sim::ShardedSimulator kernel{{}};
+  sim::Simulator& sim = kernel.shard(0);
+  Network net{kernel, Rng(17)};
   MulticastGroup group{net, 2};
   NodeId sender{}, receiver{};
   std::vector<std::uint64_t> delivered;

@@ -8,8 +8,9 @@ namespace stopwatch::net {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
-  Network net{sim, Rng(1234)};
+  sim::ShardedSimulator kernel{{}};
+  sim::Simulator& sim = kernel.shard(0);
+  Network net{kernel, Rng(1234)};
 };
 
 Frame guest_frame(NodeId src, NodeId dst, std::uint32_t bytes) {
@@ -247,6 +248,44 @@ TEST(Network, DropHookDropsBeforeDrawAndUplink) {
     return arrival;
   };
   EXPECT_EQ(second_arrival(true).ns, second_arrival(false).ns);
+}
+
+TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
+  // A frame between owners crosses through the kernel's merge lane and
+  // must land at the nanosecond it lands at when both nodes share the
+  // only core: the jitter draw belongs to the sending node, not to the
+  // route.
+  struct Outcome {
+    std::int64_t arrival_ns{-1};
+    std::uint64_t crossed{0};
+  };
+  const auto deliver = [](int shards) {
+    sim::ShardedConfig cfg;
+    cfg.shards = shards;
+    sim::ShardedSimulator kernel{cfg};
+    Network net{kernel, Rng(1234)};
+    Outcome out;
+    const NodeId a = net.add_node([](const Frame&) {});
+    const NodeId b = net.add_node([&](const Frame&) {
+      out.arrival_ns = kernel.shard(shards - 1).now().ns;
+    });
+    net.set_node_owner(b, shards - 1);
+    // As core::Cloud::run_for does: the default link's floor (~55 us) is
+    // below the kernel's default window.
+    kernel.set_window(net.min_latency_floor());
+    kernel.shard(0).schedule_at(RealTime::nanos(10'000), [&] {
+      EXPECT_TRUE(net.send(guest_frame(a, b, 1500)));
+    });
+    kernel.run_until(RealTime::millis(5));
+    out.crossed = kernel.cross_scheduled();
+    return out;
+  };
+  const Outcome local = deliver(1);
+  const Outcome crossed = deliver(2);
+  ASSERT_GT(local.arrival_ns, 0);
+  EXPECT_EQ(crossed.arrival_ns, local.arrival_ns);
+  EXPECT_EQ(local.crossed, 0u);
+  EXPECT_EQ(crossed.crossed, 1u);
 }
 
 }  // namespace

@@ -15,14 +15,16 @@ namespace {
 
 struct Fixture {
   explicit Fixture(int machines, int shard_size, std::uint64_t seed = 7)
-      : table(sim, net,
+      : table(kernel, plan, net,
               MachineTableConfig{machines, shard_size, seed,
                                  hypervisor::MachineConfig{},
                                  Duration::millis(40)},
               [this](int, const net::Frame&) { ++frames; }) {}
 
-  sim::Simulator sim;
-  net::Network net{sim, Rng(99)};
+  sim::ShardedSimulator kernel{{}};
+  sim::Simulator& sim = kernel.shard(0);
+  ShardPlan plan;
+  net::Network net{kernel, Rng(99)};
   int frames{0};
   MachineTable table;
 };
@@ -117,17 +119,18 @@ TEST(MachineTable, MachineNodesReceiveFrames) {
 }
 
 TEST(MachineTable, RejectsBadConfigWithClearMessage) {
-  sim::Simulator sim;
-  net::Network net{sim, Rng(1)};
+  sim::ShardedSimulator kernel{{}};
+  ShardPlan plan;
+  net::Network net{kernel, Rng(1)};
   try {
-    MachineTable bad(sim, net, MachineTableConfig{0, 8, 1, {}, {}},
+    MachineTable bad(kernel, plan, net, MachineTableConfig{0, 8, 1, {}, {}},
                      [](int, const net::Frame&) {});
     FAIL() << "expected ContractViolation";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("machine_count"), std::string::npos);
   }
   try {
-    MachineTable bad(sim, net, MachineTableConfig{4, 0, 1, {}, {}},
+    MachineTable bad(kernel, plan, net, MachineTableConfig{4, 0, 1, {}, {}},
                      [](int, const net::Frame&) {});
     FAIL() << "expected ContractViolation";
   } catch (const ContractViolation& e) {
