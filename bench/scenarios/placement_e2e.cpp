@@ -159,13 +159,15 @@ Result run(const ScenarioContext& ctx) {
   std::vector<core::VmHandle> vms;
   {
     OBS_PROF_SCOPE("scenario.setup");
-    vms.reserve(static_cast<std::size_t>(k));
+    // One batch of triangle rows sharing one factory; VM i is named
+    // "vm<i>" on demand.
+    std::vector<int> rows;
+    rows.reserve(3 * static_cast<std::size_t>(k));
     for (const placement::Triangle& t : triangles) {
-      vms.push_back(
-          cloud.add_vm("vm" + std::to_string(vms.size()),
-                       [] { return std::make_unique<EchoProgram>(); },
-                       {t.a, t.b, t.c}));
+      rows.insert(rows.end(), {t.a, t.b, t.c});
     }
+    vms = cloud.add_vms([] { return std::make_unique<EchoProgram>(); }, rows,
+                        3);
   }
 
   std::map<std::uint32_t, long> replies_by_addr;

@@ -57,6 +57,23 @@ std::unique_ptr<hypervisor::MitigationPolicy> validated_policy(
   return policy;
 }
 
+/// "VM '<name>'", the subject of every per-VM contract message.
+std::string vm_label(const std::string& name) {
+  std::string label = "VM '";
+  label += name;
+  label += '\'';
+  return label;
+}
+
+/// Makes room for `extra` more elements at once, growing at least
+/// geometrically so that a run of batches stays amortized O(1) per element.
+template <typename T>
+void reserve_more(std::vector<T>& v, std::size_t extra) {
+  if (v.capacity() - v.size() < extra) {
+    v.reserve(std::max(v.size() + extra, 2 * v.capacity()));
+  }
+}
+
 /// Validates the shard knob before the kernel is constructed (the sharded
 /// kernel is a constructor-initialized member, so this runs first).
 sim::ShardedConfig sharded_config(const CloudConfig& cfg) {
@@ -99,6 +116,13 @@ Cloud::Cloud(CloudConfig cfg)
   // jitter streams.
   egress_node_ =
       net_.add_node([this](const net::Frame& f) { on_egress_frame(f); });
+  // A registered VM's address stays unbound until wire(): its frames land
+  // here, on core 0, and on_addr_frame rejects them by name.
+  net_.set_unbound_handler([this](const net::Frame& f) {
+    SW_ASSERT(f.dst.value < addr_to_vm_.size() &&
+              addr_to_vm_[f.dst.value] != kNoVm);
+    on_addr_frame(addr_to_vm_[f.dst.value], f);
+  });
   // Histograms exist up front (worker threads record into them); counters
   // are copied in at observability() time.
   net_.set_bytes_histogram(registry_.histogram("net.frame_bytes"));
@@ -131,19 +155,53 @@ Cloud::Cloud(CloudConfig cfg)
 
 VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
                        const std::vector<int>& machine_indices) {
-  SW_EXPECTS(!started_);
   SW_EXPECTS(factory != nullptr);
-  const int replicas = effective_replicas();
-  SW_EXPECTS_MSG(static_cast<int>(machine_indices.size()) >= replicas,
-                 "VM '" + name + "' needs " + std::to_string(replicas) +
-                     " machine indices, got " +
-                     std::to_string(machine_indices.size()));
+  factories_.push_back(std::move(factory));
+  return append_row(static_cast<std::uint32_t>(factories_.size() - 1),
+                    machine_indices, std::move(name));
+}
 
-  const std::span<const int> placed(machine_indices.data(),
-                                    static_cast<std::size_t>(replicas));
+std::vector<VmHandle> Cloud::add_vms(ProgramFactory factory,
+                                     std::span<const int> rows,
+                                     std::size_t row_width) {
+  SW_EXPECTS(factory != nullptr);
+  SW_EXPECTS(row_width >= 1 && rows.size() % row_width == 0);
+  const std::size_t count = rows.size() / row_width;
+  reserve_more(vms_, count);
+  reserve_more(vm_machines_,
+               count * static_cast<std::size_t>(effective_replicas()));
+  reserve_more(addr_to_vm_, net_.node_count() + count - addr_to_vm_.size());
+  factories_.push_back(std::move(factory));
+  const auto shared = static_cast<std::uint32_t>(factories_.size() - 1);
+  std::vector<VmHandle> handles;
+  handles.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    handles.push_back(
+        append_row(shared, rows.subspan(i * row_width, row_width), {}));
+  }
+  return handles;
+}
+
+VmHandle Cloud::append_row(std::uint32_t factory,
+                           std::span<const int> machines, std::string name) {
+  SW_EXPECTS(!started_);
+  const auto vm_index = static_cast<std::uint32_t>(vms_.size());
+  // Contract messages are built only on failure, so the label costs a row
+  // nothing.
+  const auto label = [&] {
+    return vm_label(name.empty() ? vm_name(vm_index) : name);
+  };
+  const int replicas = effective_replicas();
+  SW_EXPECTS_MSG(static_cast<int>(machines.size()) >= replicas,
+                 label() + " needs " + std::to_string(replicas) +
+                     " machine indices, got " +
+                     std::to_string(machines.size()));
+
+  const std::span<const int> placed =
+      machines.first(static_cast<std::size_t>(replicas));
   for (int m : placed) {
     SW_EXPECTS_MSG(m >= 0 && m < cfg_.machine_count,
-                   "VM '" + name + "' machine index " + std::to_string(m) +
+                   label() + " machine index " + std::to_string(m) +
                        " out of range [0, " +
                        std::to_string(cfg_.machine_count) + ")");
   }
@@ -151,26 +209,33 @@ VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
   for (std::size_t i = 0; i < placed.size(); ++i) {
     for (std::size_t j = i + 1; j < placed.size(); ++j) {
       SW_EXPECTS_MSG(placed[i] != placed[j],
-                     "VM '" + name + "' places two replicas on machine " +
+                     label() + " places two replicas on machine " +
                          std::to_string(placed[i]));
     }
   }
 
-  const auto vm_index = static_cast<std::uint32_t>(vms_.size());
-  VmEntry& entry = vms_.emplace_back();
-  entry.name = std::move(name);
-  entry.factory = std::move(factory);
+  // The VM's logical address doubles as its ingress entry point. It is
+  // only reserved here; wire() builds its node, and until then a frame to
+  // it reaches the fabric's unbound handler (see the constructor).
+  const NodeId addr = net_.reserve_node();
+  vms_.push_back(VmEntry{addr, factory, nullptr});
   vm_machines_.insert(vm_machines_.end(), placed.begin(), placed.end());
-
-  // The VM's logical address doubles as its ingress entry point. This is
-  // the only per-VM state a registration pays for besides the record.
-  entry.addr = net_.add_node(
-      [this, vm_index](const net::Frame& f) { on_addr_frame(vm_index, f); });
-  if (addr_to_vm_.size() <= entry.addr.value) {
-    addr_to_vm_.resize(entry.addr.value + 1, kNoVm);
+  if (!name.empty()) names_.emplace_back(vm_index, std::move(name));
+  if (addr_to_vm_.size() <= addr.value) {
+    addr_to_vm_.resize(addr.value + 1, kNoVm);
   }
-  addr_to_vm_[entry.addr.value] = vm_index;
+  addr_to_vm_[addr.value] = vm_index;
   return VmHandle{vm_index};
+}
+
+std::string Cloud::vm_name(std::uint32_t vm_index) const {
+  const auto it = std::lower_bound(
+      names_.begin(), names_.end(), vm_index,
+      [](const auto& named, std::uint32_t i) { return named.first < i; });
+  if (it != names_.end() && it->first == vm_index) return it->second;
+  std::string derived = "vm";
+  derived += std::to_string(vm_index);
+  return derived;
 }
 
 NodeId Cloud::add_external_node(PacketHandler on_packet) {
@@ -220,6 +285,9 @@ void Cloud::wire(std::uint32_t vm_index) {
   }
   // The VM's ingress address delivers on the shard hosting its replicas,
   // keeping the whole ingress -> replicate -> deliver path one-core.
+  net_.bind_node(entry.addr, [this, vm_index](const net::Frame& f) {
+    on_addr_frame(vm_index, f);
+  });
   net_.set_node_owner(entry.addr, owner);
   const int replicas = effective_replicas();
   const std::uint64_t det_seed =
@@ -237,8 +305,8 @@ void Cloud::wire(std::uint32_t vm_index) {
         static_cast<std::uint32_t>(machines.front() / cfg_.shard_size);
     std::string pname = "machine-shard-";
     pname += std::to_string(table_shard);
-    w.track =
-        trace_->track(1 + table_shard, vm_index, std::move(pname), entry.name);
+    w.track = trace_->track(1 + table_shard, vm_index, std::move(pname),
+                            vm_name(vm_index));
   }
 
   // Control and ingress multicast groups (replicated policies only).
@@ -289,7 +357,7 @@ void Cloud::wire(std::uint32_t vm_index) {
 
     auto ctx = std::make_unique<hypervisor::GuestContext>(
         VmId{vm_index}, ReplicaIndex{static_cast<std::uint32_t>(r)}, entry.addr,
-        table_.machine(m), core, gc, entry.factory(), det_seed,
+        table_.machine(m), core, gc, factories_[entry.factory](), det_seed,
         hypervisor::SliceStreams::derive(cfg_.seed, vm_index,
                                          static_cast<std::uint32_t>(r)),
         std::move(services));
@@ -512,9 +580,9 @@ int Cloud::replicas_of(VmHandle vm) const {
 
 hypervisor::GuestContext& Cloud::replica(VmHandle vm, int replica) {
   const VmEntry& e = entry(vm);
-  SW_EXPECTS_MSG(e.wired,
-                 "VM '" + e.name +
-                     "' is not wired: it is outside the activation set");
+  SW_EXPECTS_MSG(e.wired, vm_label(vm_name(vm.index)) +
+                              " is not wired: it is outside the activation "
+                              "set");
   const auto& replicas = e.wired->replicas;
   SW_EXPECTS(replica >= 0 && replica < static_cast<int>(replicas.size()));
   return *replicas[static_cast<std::size_t>(replica)];
@@ -558,8 +626,8 @@ std::uint64_t Cloud::total_divergences() const {
 void Cloud::on_addr_frame(std::uint32_t vm_index, const net::Frame& frame) {
   VmEntry& entry = vms_[vm_index];
   SW_EXPECTS_MSG(entry.wired,
-                 "VM '" + entry.name +
-                     "' is outside the activation set: a frame reached its "
+                 vm_label(vm_name(vm_index)) +
+                     " is outside the activation set: a frame reached its "
                      "ingress address, but only activated VMs are wired");
   WiredVm& w = *entry.wired;
   if (w.ingress_group && frame.rm_group == w.ingress_group_id) {

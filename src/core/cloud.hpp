@@ -17,18 +17,20 @@
 //     output determinism via content hashes.
 //
 // Every cloud takes one lifecycle, at any sim_shards:
-//   * add_vm records only the placement (name, machine triple, program
-//     factory) and registers the VM's ingress address node — a cold record
-//     and zero scheduled events, so registering Θ(n²) placements (376,251
-//     VMs over n = 1503 machines) costs O(VMs) compact records.
+//   * add_vm / add_vms record only the placement: a machine row, a
+//     16-byte entry (a reserved ingress address, a factory index, a null
+//     wired pointer) and the address's reverse-lookup slot. No network
+//     node, name string or factory copy is built per VM, and no event is
+//     scheduled, so registering Θ(n²) placements (376,251 VMs over
+//     n = 1503 machines) costs a few dozen bytes per VM.
 //   * activate(vms) declares the activation set, builds the ShardPlan that
 //     partitions it across the sim_shards cores, and wires the listed VMs
 //     in index order: their multicast groups, replica GuestContexts, and
 //     the machine shards hosting them come into existence here, on the
-//     cores the plan assigns. This is the only step that wires a VM; a
-//     frame reaching a VM outside the set is a contract violation naming
-//     it. A cloud that never calls activate gets every registered VM
-//     activated by start().
+//     cores the plan assigns, and so do their ingress address nodes. This
+//     is the only step that wires a VM; a frame reaching a VM outside the
+//     set is a contract violation naming it. A cloud that never calls
+//     activate gets every registered VM activated by start().
 //   * start() boots every wired VM at the median of its machines' clocks
 //     (Sec. IV-A), batched per (owner core, machine shard) into single
 //     simulator entries (Simulator::schedule_batch); run_for runs.
@@ -140,9 +142,18 @@ class Cloud {
   /// of `machine_indices` (validated: in range, pairwise distinct; baseline
   /// uses only the first). Only the placement is recorded; activate wires
   /// it, invoking the factory once per replica. All replicas receive the
-  /// same deterministic seed.
+  /// same deterministic seed. `name` labels the VM in errors and traces;
+  /// an empty one stands for "vm<index>".
   VmHandle add_vm(std::string name, ProgramFactory factory,
                   const std::vector<int>& machine_indices);
+
+  /// Registers one VM per row of `rows`, `row_width` machine indices per
+  /// row, row-major — the same as one add_vm per row with no name, except
+  /// that the whole batch shares `factory` and capacity is reserved once.
+  /// Returns the handles, which are consecutive.
+  std::vector<VmHandle> add_vms(ProgramFactory factory,
+                                std::span<const int> rows,
+                                std::size_t row_width);
 
   /// Adds an external endpoint (client, collector...) reached over the
   /// client link model (one per-node link entry, not a per-VM fan-out).
@@ -253,7 +264,8 @@ class Cloud {
 
  private:
   /// State only a wired VM has: replicas, multicast groups, ingress and
-  /// egress bookkeeping. wire() allocates it; an unwired VM pays 8 bytes.
+  /// egress bookkeeping. wire() allocates it; an unwired VM pays only the
+  /// null pointer in its VmEntry.
   struct WiredVm {
     std::vector<std::unique_ptr<hypervisor::GuestContext>> replicas;
     std::unique_ptr<net::MulticastGroup> control_group;
@@ -278,13 +290,14 @@ class Cloud {
     obs::TraceTrack* track{nullptr};
   };
 
-  /// The cold registration record every VM keeps (~80 bytes). Its machine
-  /// indices live in vm_machines_, its VmId is its index, and its replica
-  /// seed is derived at wire time.
+  /// The cold registration record every VM keeps (16 bytes). Its machine
+  /// indices live in vm_machines_, its VmId is its index, its name is
+  /// derived from the index unless the caller gave one (names_), and its
+  /// replica seed is derived at wire time. `addr` is a reserved network
+  /// ID; wire() binds its node.
   struct VmEntry {
-    std::string name;
-    ProgramFactory factory;
     NodeId addr{};
+    std::uint32_t factory{0};        ///< index into factories_
     std::unique_ptr<WiredVm> wired;  ///< null until wire()
   };
 
@@ -292,6 +305,12 @@ class Cloud {
     return policy_->effective_replicas(cfg_.replica_count);
   }
   [[nodiscard]] const VmEntry& entry(VmHandle vm) const;
+  /// The one registration path: validates `machines` (its first
+  /// effective_replicas() entries are the placement) and appends the row.
+  VmHandle append_row(std::uint32_t factory, std::span<const int> machines,
+                      std::string name);
+  /// The caller's name for `vm_index`, or "vm<index>".
+  [[nodiscard]] std::string vm_name(std::uint32_t vm_index) const;
   void wire(std::uint32_t vm_index);
   void boot(std::uint32_t vm_index);
   /// The simulator core the plan assigns `machine`.
@@ -336,9 +355,13 @@ class Cloud {
   obs::TimeSeries egress_series_{50 * 1000 * 1000, 64};
   EgressTap egress_tap_;
   std::vector<VmEntry> vms_;
+  /// One per add_vm call or add_vms batch; VmEntry::factory indexes it.
+  std::vector<ProgramFactory> factories_;
+  /// Caller-given names by VM index, in index order (append-only).
+  std::vector<std::pair<std::uint32_t, std::string>> names_;
   /// Machine indices of every VM, effective_replicas() per VM, in VM order.
   std::vector<int> vm_machines_;
-  /// Ingress address node -> VM index; kNoVm for every other node.
+  /// Ingress address ID -> VM index; kNoVm for every other node.
   static constexpr std::uint32_t kNoVm = ~std::uint32_t{0};
   std::vector<std::uint32_t> addr_to_vm_;
   std::map<std::uint32_t, net::MulticastGroup*> groups_;  // by group id

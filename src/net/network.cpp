@@ -22,15 +22,30 @@ Duration LinkModel::min_latency() const {
 }
 
 NodeId Network::add_node(Handler handler) {
-  SW_EXPECTS(!kernel_->running());
-  const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
-  nodes_.push_back(
-      Node{std::move(handler), {}, RealTime{}, rng_.fork(id.value), 0});
+  const NodeId id = reserve_node();
+  bind_node(id, std::move(handler));
   return id;
 }
 
-void Network::set_handler(NodeId node_id, Handler handler) {
-  node(node_id).handler = std::move(handler);
+NodeId Network::reserve_node() {
+  SW_EXPECTS(!kernel_->running());
+  return NodeId{issued_++};
+}
+
+void Network::bind_node(NodeId id, Handler handler) {
+  SW_EXPECTS(!kernel_->running());
+  SW_EXPECTS(id.value < issued_);
+  const std::size_t page = id.value >> kPageBits;
+  if (pages_.size() <= page) pages_.resize(page + 1);
+  if (pages_[page] == nullptr) pages_[page] = std::make_unique<Page>();
+  std::optional<Node>& slot = (*pages_[page])[id.value & (kPageSize - 1)];
+  SW_EXPECTS(!slot.has_value());
+  slot.emplace(
+      Node{std::move(handler), {}, RealTime{}, rng_.fork(id.value), 0});
+}
+
+void Network::set_unbound_handler(Handler handler) {
+  unbound_handler_ = std::move(handler);
 }
 
 void Network::set_node_owner(NodeId node_id, int shard) {
@@ -40,13 +55,13 @@ void Network::set_node_owner(NodeId node_id, int shard) {
 }
 
 void Network::set_link(NodeId src, NodeId dst, LinkModel model) {
-  SW_EXPECTS(src.value < nodes_.size() && dst.value < nodes_.size());
+  SW_EXPECTS(src.value < issued_ && dst.value < issued_);
   note_link(model);
   links_[{src.value, dst.value}] = model;
 }
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
-  SW_EXPECTS(node_id.value < nodes_.size());
+  SW_EXPECTS(node_id.value < issued_);
   note_link(model);
   node_links_[node_id.value] = model;
 }
@@ -82,20 +97,39 @@ const LinkModel& Network::link_for(NodeId src, NodeId dst) const {
   return default_link_;
 }
 
+const Network::Node* Network::find(NodeId id) const {
+  const std::size_t page = id.value >> kPageBits;
+  if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
+  const std::optional<Node>& slot = (*pages_[page])[id.value & (kPageSize - 1)];
+  return slot.has_value() ? &*slot : nullptr;
+}
+
+Network::Node* Network::find(NodeId id) {
+  return const_cast<Node*>(std::as_const(*this).find(id));
+}
+
 Network::Node& Network::node(NodeId id) {
-  SW_EXPECTS(id.value < nodes_.size());
-  return nodes_[id.value];
+  Node* n = find(id);
+  SW_EXPECTS(n != nullptr);
+  return *n;
 }
 
 const Network::Node& Network::node(NodeId id) const {
-  SW_EXPECTS(id.value < nodes_.size());
-  return nodes_[id.value];
+  const Node* n = find(id);
+  SW_EXPECTS(n != nullptr);
+  return *n;
 }
 
 bool Network::send(Frame frame) {
   Node& src = node(frame.src);
-  Node& dst = node(frame.dst);
-  SW_EXPECTS(dst.handler != nullptr);
+  // A reserved ID without a record routes to the unbound handler on
+  // owner 0; the choice is made here, once, for the frame's whole flight.
+  const Node* dst = find(frame.dst);
+  SW_EXPECTS(dst != nullptr ? dst->handler != nullptr
+                            : frame.dst.value < issued_ &&
+                                  unbound_handler_ != nullptr);
+  const bool unbound = dst == nullptr;
+  const int dst_owner = unbound ? 0 : dst->owner;
 
   const LinkModel& link = link_for(frame.src, frame.dst);
   // All mutable state touched on the send path (src stats, src tx_free,
@@ -139,17 +173,21 @@ bool Network::send(Frame frame) {
   // inline buffer, so it is boxed: the delivery task itself — pointer +
   // destination — stays inline in the slab, and the frame costs the one
   // heap allocation it always did.
-  sim::Task deliver(
-      [this, dst_id, f = std::make_unique<Frame>(std::move(frame))]() {
-        // nodes_ is a deque precisely so this reference survives handlers
-        // that register new nodes mid-delivery.
-        Node& d = node(dst_id);
-        d.stats.frames_received += 1;
-        d.stats.bytes_received += f->size_bytes;
-        d.handler(*f);
-      });
-  if (dst.owner != src.owner) {
-    kernel_->cross_schedule(src.owner, dst.owner, arrival, std::move(deliver));
+  sim::Task deliver([this, dst_id, unbound,
+                     f = std::make_unique<Frame>(std::move(frame))]() {
+    if (unbound) {
+      unbound_handler_(*f);
+      return;
+    }
+    // Records live in pages that never move, so this reference survives
+    // handlers that bind new nodes mid-delivery.
+    Node& d = node(dst_id);
+    d.stats.frames_received += 1;
+    d.stats.bytes_received += f->size_bytes;
+    d.handler(*f);
+  });
+  if (dst_owner != src.owner) {
+    kernel_->cross_schedule(src.owner, dst_owner, arrival, std::move(deliver));
   } else {
     src_core.schedule_at(arrival, std::move(deliver));
   }

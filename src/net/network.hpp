@@ -6,6 +6,12 @@
 // can be overridden (e.g., a slow "wireless client" hop as in the paper's
 // evaluation; fast intra-cloud links for VMM-to-VMM proposal traffic).
 //
+// An address may exist before its node does: reserve_node issues a dense
+// NodeId and builds nothing, bind_node builds the record later, and frames
+// to a reserved ID that is still unbound go to one fabric-wide handler.
+// That is what lets a cloud register hundreds of thousands of addresses
+// and build nodes only for the few it runs.
+//
 // Shard awareness: the fabric runs on a sim::ShardedSimulator and every
 // node has an owner shard (default 0). A frame between same-owner nodes
 // is scheduled directly on the owner's core, while a frame crossing
@@ -20,10 +26,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <variant>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/ids.hpp"
@@ -74,11 +82,30 @@ class Network {
   Network(sim::ShardedSimulator& kernel, Rng rng)
       : kernel_(&kernel), rng_(std::move(rng)) {}
 
-  /// Registers a node; the handler is invoked on frame arrival.
+  /// Registers a node; the handler is invoked on frame arrival. Same as
+  /// bind_node(reserve_node(), handler).
   NodeId add_node(Handler handler);
 
-  /// Replaces a node's handler (used when wiring mutually dependent parts).
-  void set_handler(NodeId node, Handler handler);
+  /// Issues the next dense NodeId without building its record: a reserved
+  /// ID is an address that costs nothing until bind_node. Frames sent to
+  /// it before then go to the unbound handler.
+  NodeId reserve_node();
+
+  /// Builds the record of a reserved, not yet bound `id`. Its stochastic
+  /// stream is forked by `id` exactly as add_node would have at
+  /// reservation time, so a late-bound node draws the jitter it would have
+  /// drawn had it been built eagerly. Reserving first is also how a
+  /// handler captures its own node's ID.
+  void bind_node(NodeId id, Handler handler);
+
+  /// True once `id` has a record (add_node, or reserve_node + bind_node).
+  [[nodiscard]] bool is_bound(NodeId id) const { return find(id) != nullptr; }
+
+  /// Receives every frame sent to a reserved ID that was unbound at send
+  /// time, delivered on owner 0 at the frame's arrival instant (frame.dst
+  /// names the ID). No record is built for it. Sending to an unbound ID
+  /// without this handler installed is a contract violation.
+  void set_unbound_handler(Handler handler);
 
   /// Assigns the shard that owns a node's events (default 0). Must not be
   /// called while the kernel is mid-window.
@@ -123,7 +150,8 @@ class Network {
   bool send(Frame frame);
 
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// IDs issued so far, bound or not.
+  [[nodiscard]] std::size_t node_count() const { return issued_; }
   /// The simulator core that owns a node's events.
   [[nodiscard]] sim::Simulator& simulator_for(NodeId node_id) {
     return kernel_->shard(node(node_id).owner);
@@ -173,15 +201,27 @@ class Network {
   void note_link(const LinkModel& model) {
     may_drop_ = may_drop_ || model.loss_probability > 0.0;
   }
+  /// The record of `id`, or null while it is reserved but unbound.
+  [[nodiscard]] Node* find(NodeId id);
+  [[nodiscard]] const Node* find(NodeId id) const;
+  /// The record of a bound `id` (contract violation otherwise).
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
 
+  /// Records live in fixed-size pages, allocated on the first bind into
+  /// them, so a reserved ID costs no record. A page never moves once
+  /// built: handlers may bind new nodes mid-delivery (a machine shard
+  /// first touched by a running scenario), and the executing node — and
+  /// its handler — stays reference-stable through that.
+  static constexpr std::uint32_t kPageBits = 6;
+  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
+  using Page = std::array<std::optional<Node>, kPageSize>;
+
   sim::ShardedSimulator* kernel_;
   Rng rng_;
-  /// Deque, not vector: handlers may register new nodes mid-delivery (a
-  /// machine shard first touched by a running scenario), and a deque keeps
-  /// the executing node — and its handler — reference-stable through that.
-  std::deque<Node> nodes_;
+  std::vector<std::unique_ptr<Page>> pages_;
+  std::uint32_t issued_{0};
+  Handler unbound_handler_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, LinkModel> links_;
   std::map<std::uint32_t, LinkModel> node_links_;
   LinkModel default_link_{};

@@ -69,7 +69,7 @@ TEST(Observability, ParallelTracksExistButStayOutOfDefaultExport) {
   obs::set_active_trace(&recorder);
   recorder.arm();
   ParamOverrides overrides = kSmallPlacement;
-  overrides["sim_shards"] = "4";
+  overrides["sim_shards"] = std::string("4");
   static_cast<void>(ScenarioRegistry::instance().run("placement_e2e",
                                                      /*seed=*/11,
                                                      /*smoke=*/true,

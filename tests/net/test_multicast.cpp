@@ -21,12 +21,9 @@ struct TrioFixture {
       received;
 
   explicit TrioFixture(LinkModel link = {}) {
-    for (int i = 0; i < 3; ++i) {
-      const auto id = net.add_node([](const Frame&) {});
-      members.push_back(id);
-    }
+    for (int i = 0; i < 3; ++i) members.push_back(net.reserve_node());
     for (const NodeId m : members) {
-      net.set_handler(m, [this, m](const Frame& f) {
+      net.bind_node(m, [this, m](const Frame& f) {
         if (f.rm_group == 1) group.on_frame(m, f);
       });
       group.add_member(m, [this, m](NodeId sender, const FramePayload& p) {

@@ -24,12 +24,12 @@ struct Pair {
   bool dropped{false};
 
   Pair() {
-    sender = net.add_node([](const Frame&) {});
-    receiver = net.add_node([](const Frame&) {});
-    net.set_handler(sender, [this](const Frame& f) {
+    sender = net.reserve_node();
+    receiver = net.reserve_node();
+    net.bind_node(sender, [this](const Frame& f) {
       if (f.rm_group == 2) group.on_frame(sender, f);
     });
-    net.set_handler(receiver, [this](const Frame& f) {
+    net.bind_node(receiver, [this](const Frame& f) {
       if (f.rm_group == 2) group.on_frame(receiver, f);
     });
     // Swallowed by the network: the fabric's drop hook, so the group sees

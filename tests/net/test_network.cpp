@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace stopwatch::net {
@@ -286,6 +287,96 @@ TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
   EXPECT_EQ(crossed.arrival_ns, local.arrival_ns);
   EXPECT_EQ(local.crossed, 0u);
   EXPECT_EQ(crossed.crossed, 1u);
+}
+
+TEST(Network, ReservedIdBoundLateDrawsTheEagerStream) {
+  // A node's stream is forked by its ID whenever its record is built, so
+  // binding the middle of three reserved IDs after the other two leaves
+  // every frame it sends arriving at the eager nanosecond.
+  const auto arrivals = [](bool late) {
+    Fixture fx;
+    std::vector<std::int64_t> out;
+    NodeId a;
+    NodeId mid;
+    NodeId c;
+    const auto sink = [&](const Frame&) { out.push_back(fx.sim.now().ns); };
+    if (late) {
+      a = fx.net.reserve_node();
+      mid = fx.net.reserve_node();
+      c = fx.net.reserve_node();
+      fx.net.bind_node(a, sink);
+      fx.net.bind_node(c, sink);
+      EXPECT_FALSE(fx.net.is_bound(mid));
+      fx.net.bind_node(mid, [](const Frame&) {});
+    } else {
+      a = fx.net.add_node(sink);
+      mid = fx.net.add_node([](const Frame&) {});
+      c = fx.net.add_node(sink);
+    }
+    EXPECT_EQ(fx.net.node_count(), 3u);
+    for (int i = 0; i < 8; ++i) {
+      fx.sim.schedule_at(RealTime::millis(i), [&fx, mid, a, c, i] {
+        fx.net.send(guest_frame(mid, i % 2 == 0 ? a : c, 200));
+      });
+    }
+    fx.sim.run();
+    return out;
+  };
+  const std::vector<std::int64_t> eager = arrivals(false);
+  ASSERT_EQ(eager.size(), 8u);
+  EXPECT_EQ(arrivals(true), eager);
+}
+
+TEST(Network, FrameToAnUnboundIdReachesTheUnboundHandler) {
+  // The sender sits on owner 1; the frame crosses to owner 0, where
+  // unbound IDs deliver, at the instant a bound owner-0 node would see it
+  // (the jitter draw belongs to the sender).
+  const auto deliver = [](bool bound) {
+    sim::ShardedConfig cfg;
+    cfg.shards = 2;
+    sim::ShardedSimulator kernel{cfg};
+    Network net{kernel, Rng(1234)};
+    std::int64_t arrival_ns = -1;
+    int unbound_frames = 0;
+    net.set_unbound_handler([&](const Frame& f) {
+      ++unbound_frames;
+      arrival_ns = kernel.shard(0).now().ns;
+      EXPECT_EQ(f.size_bytes, 1500u);
+    });
+    const NodeId a = net.add_node([](const Frame&) {});
+    net.set_node_owner(a, 1);
+    const NodeId dst = net.reserve_node();
+    if (bound) {
+      net.bind_node(dst, [&](const Frame&) {
+        arrival_ns = kernel.shard(0).now().ns;
+      });
+    }
+    kernel.set_window(net.min_latency_floor());
+    kernel.shard(1).schedule_at(RealTime::nanos(10'000), [&] {
+      EXPECT_TRUE(net.send(guest_frame(a, dst, 1500)));
+    });
+    kernel.run_until(RealTime::millis(5));
+    EXPECT_EQ(kernel.cross_scheduled(), 1u);
+    EXPECT_EQ(unbound_frames, bound ? 0 : 1);
+    EXPECT_EQ(net.is_bound(dst), bound);
+    EXPECT_EQ(net.node_count(), 2u);
+    return arrival_ns;
+  };
+  const std::int64_t unbound = deliver(false);
+  ASSERT_GT(unbound, 0);
+  EXPECT_EQ(unbound, deliver(true));
+}
+
+TEST(Network, SendToAnUnboundIdWithoutAHandlerIsRejected) {
+  Fixture fx;
+  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId reserved = fx.net.reserve_node();
+  EXPECT_THROW(fx.net.send(guest_frame(a, reserved, 100)), ContractViolation);
+  // Past every issued ID, even a fabric-wide handler does not apply.
+  fx.net.set_unbound_handler([](const Frame&) {});
+  EXPECT_THROW(fx.net.send(guest_frame(a, NodeId{99}, 100)),
+               ContractViolation);
+  EXPECT_TRUE(fx.net.send(guest_frame(a, reserved, 100)));
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
-// Cold registration and activation: a registered VM costs one ingress
-// address node and a cold record until Cloud::activate wires it, and
-// activation builds only the machine shards hosting the activated VMs.
+// Cold registration and activation: a registered VM costs a placement
+// row (machine indices, a 16-byte entry, a reserved address) until
+// Cloud::activate wires it, and activation builds only the machine shards
+// hosting the activated VMs.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -144,9 +150,21 @@ TEST(LazyWiring, ActivationSetIsSortedAndDeduplicated) {
   EXPECT_EQ(shuffled, run(false));
 }
 
+/// Heap bytes in use (main and mmapped chunks, every arena), or 0 where
+/// mallinfo2 is unavailable or reports nothing (sanitizer allocators).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
 TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
-  // 50k registrations: nothing wired, and every VM still answers its
-  // introspection queries from the cold record alone.
+  // 50k registrations: nothing wired, every VM still answers its
+  // introspection queries from the cold record alone, and a cold VM costs
+  // a placement row — no network node, name string or factory copy.
   CloudConfig cfg = lazy_config(17);
   cfg.machine_count = 64;
   cfg.shard_size = 16;
@@ -155,15 +173,28 @@ TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
   const auto triple = [](int i) {
     return std::vector<int>{i % 64, (i + 7) % 64, (i + 19) % 64};
   };
+  std::vector<int> rows;
   for (int i = 0; i < kVms; ++i) {
-    cloud.add_vm("vm" + std::to_string(i),
-                 [] { return std::make_unique<EchoProgram>(); }, triple(i));
+    const std::vector<int> t = triple(i);
+    rows.insert(rows.end(), t.begin(), t.end());
   }
+  const std::size_t heap_before = heap_in_use();
+  const std::vector<VmHandle> handles = cloud.add_vms(
+      [] { return std::make_unique<EchoProgram>(); }, rows, 3);
+  const std::size_t heap_after = heap_in_use();
+  if (heap_before != 0 && heap_after > heap_before) {
+    // The row itself is 12 + 16 + 4 bytes, the returned handle 4 more.
+    EXPECT_LE((heap_after - heap_before) / kVms, 64u)
+        << heap_after - heap_before << " heap bytes for " << kVms
+        << " cold VMs";
+  }
+  ASSERT_EQ(handles.size(), static_cast<std::size_t>(kVms));
   ASSERT_EQ(cloud.vm_count(), static_cast<std::size_t>(kVms));
   EXPECT_EQ(cloud.materialized_vm_count(), 0u);
   EXPECT_EQ(cloud.machines().materialized_machines(), 0);
   for (int i = 0; i < kVms; ++i) {
     const VmHandle vm{static_cast<std::uint32_t>(i)};
+    ASSERT_EQ(handles[static_cast<std::size_t>(i)].index, vm.index);
     ASSERT_EQ(cloud.replicas_of(vm), 0) << "vm " << i;
     ASSERT_FALSE(cloud.vm_materialized(vm));
     ASSERT_EQ(cloud.egress_stats(vm).packets_released, 0u);
@@ -176,6 +207,88 @@ TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
         << "vm " << i;
   }
   EXPECT_EQ(cloud.total_divergences(), 0u);
+}
+
+TEST(LazyWiring, BatchRegistrationMatchesOneByOne) {
+  // add_vms is one add_vm per row with a shared factory: the same handles,
+  // placements and addresses, and the driven VMs release the same egress
+  // packets at the same instants. Rows are 4 wide; the first three count.
+  const std::vector<int> rows = {0, 1, 2, 8, 3, 4, 5, 8, 6, 7, 8, 0,
+                                 1, 4, 7, 2, 2, 5, 8, 1};
+  constexpr std::size_t kWidth = 4;
+  constexpr std::size_t kRows = 5;
+  struct Registered {
+    std::vector<std::uint32_t> handles;
+    std::vector<int> machines;
+    std::vector<std::uint32_t> addrs;
+    std::vector<std::pair<std::uint32_t, std::int64_t>> releases;
+  };
+  const auto run = [&rows](bool batch) {
+    Registered out;
+    Cloud cloud(lazy_config());
+    std::vector<VmHandle> handles;
+    if (batch) {
+      handles = cloud.add_vms([] { return std::make_unique<EchoProgram>(); },
+                              rows, kWidth);
+    } else {
+      for (std::size_t i = 0; i < kRows; ++i) {
+        const std::vector<int> row(rows.begin() + i * kWidth,
+                                   rows.begin() + (i + 1) * kWidth);
+        handles.push_back(cloud.add_vm(
+            "", [] { return std::make_unique<EchoProgram>(); }, row));
+      }
+    }
+    const NodeId client = cloud.add_external_node([](const net::Packet&) {});
+    for (const VmHandle vm : handles) {
+      out.handles.push_back(vm.index);
+      const std::span<const int> m = cloud.vm_machines(vm);
+      out.machines.insert(out.machines.end(), m.begin(), m.end());
+      out.addrs.push_back(cloud.vm_addr(vm).value);
+    }
+    cloud.set_egress_tap(
+        [&out](std::uint32_t vm, RealTime when, const net::Packet&) {
+          out.releases.emplace_back(vm, when.ns);
+        });
+    cloud.activate({handles[1], handles[3]});
+    cloud.start();
+    for (int i = 0; i < 8; ++i) {
+      const VmHandle vm = handles[i % 2 == 0 ? 1 : 3];
+      cloud.simulator().schedule_at(
+          RealTime::millis(15 * (i + 1)), [&cloud, client, vm, i] {
+            net::Packet req;
+            req.dst = cloud.vm_addr(vm);
+            req.kind = net::PacketKind::kRequest;
+            req.seq = static_cast<std::uint64_t>(i);
+            req.size_bytes = 80;
+            cloud.send_external(client, req);
+          });
+    }
+    cloud.run_for(Duration::seconds(1));
+    return out;
+  };
+  const Registered batch = run(true);
+  const Registered single = run(false);
+  EXPECT_EQ(batch.handles, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(batch.handles, single.handles);
+  EXPECT_EQ(batch.machines.size(), kRows * 3);
+  EXPECT_EQ(batch.machines, single.machines);
+  EXPECT_EQ(batch.addrs, single.addrs);
+  EXPECT_EQ(batch.releases.size(), 8u);
+  EXPECT_EQ(batch.releases, single.releases);
+
+  // A bad row stops the batch there and names the VM it would have been.
+  Cloud cloud(lazy_config());
+  const std::vector<int> bad = {0, 1, 2, 3, 4, 5, 6, 6, 7};
+  try {
+    static_cast<void>(cloud.add_vms(
+        [] { return std::make_unique<EchoProgram>(); }, bad, 3));
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("VM 'vm2' places two replicas"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cloud.vm_count(), 2u);
 }
 
 TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
