@@ -141,8 +141,9 @@ Result run(const ScenarioContext& ctx) {
       }) / static_cast<double>(sim_events),
       "ns/event");
 
-  // Simulator: schedule + O(1) cancel (wheel unlink / lazy heap kill) per
-  // event, across the same spread of delays as the run benchmark.
+  // Simulator: schedule + cancel (wheel unlink / due-array erase / lazy
+  // far-heap kill) per event, across the same spread of delays as the run
+  // benchmark.
   result.add_metric(
       "simulator_cancel",
       time_ns_per_op(std::max<std::uint64_t>(1, iters / 1000), [&](auto) {

@@ -779,9 +779,6 @@ obs::Snapshot Cloud::observability() {
     kernel.scheduled += ks.scheduled;
     kernel.cancelled += ks.cancelled;
     kernel.rescheduled += ks.rescheduled;
-    kernel.heap_fallbacks += ks.heap_fallbacks;
-    kernel.due_sorted_pops += ks.due_sorted_pops;
-    kernel.due_fallback_pushes += ks.due_fallback_pushes;
     kernel.placed_due += ks.placed_due;
     kernel.placed_wheel += ks.placed_wheel;
     kernel.placed_far += ks.placed_far;
@@ -795,9 +792,6 @@ obs::Snapshot Cloud::observability() {
   registry_.set_counter("sim.events_cancelled", kernel.cancelled);
   registry_.set_counter("sim.events_rescheduled", kernel.rescheduled);
   registry_.set_counter("sim.events_executed", sharded_.events_executed());
-  registry_.set_counter("sim.heap_fallbacks", kernel.heap_fallbacks);
-  registry_.set_counter("sim.due_sorted_pops", kernel.due_sorted_pops);
-  registry_.set_counter("sim.due_fallback_pushes", kernel.due_fallback_pushes);
   registry_.set_counter("sim.placed_due", kernel.placed_due);
   registry_.set_counter("sim.placed_wheel", kernel.placed_wheel);
   registry_.set_counter("sim.placed_far", kernel.placed_far);

@@ -38,7 +38,7 @@ namespace stopwatch::obs {
 /// The static phase registry. Alphabetical; serialization order is this
 /// order. Adding a phase is an additive schema change — append-site and
 /// README table should move together.
-inline constexpr std::array<const char*, 13> kProfPhases = {
+inline constexpr std::array<const char*, 12> kProfPhases = {
     "bench.probe",          // microbench overhead-probe scope
     "cloud.run",            // Cloud::run_for / run_until body
     "leakage.estimate",     // binning + MI estimation over observation logs
@@ -50,7 +50,6 @@ inline constexpr std::array<const char*, 13> kProfPhases = {
     "scenario.setup",       // scenario-side topology build + VM creation
     "sharded.barrier_wait", // wait for worker cores after the caller's own
     "sharded.merge",        // cross-shard lane drain + deterministic merge
-    "sim.due_fallback",     // sorted-due -> heap fallback flip
     "sim.harvest",          // wheel cursor advance + level-0 bulk harvest
 };
 

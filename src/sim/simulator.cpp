@@ -71,9 +71,9 @@ EventId Simulator::reschedule_after(EventId id, Duration delay) {
   if (rec.where == Where::kWheel) {
     wheel_unlink(id.slot);
   } else if (rec.where == Where::kDue) {
-    ++due_stale_;  // the old heap entry dies of a sequence mismatch
+    due_erase(rec);
   } else {
-    ++far_stale_;
+    ++far_stale_;  // the old far entry dies of a sequence mismatch
   }
   rec.at_ns = now_.ns + delay.ns;
   // Retime = new position in the equal-time order of its class.
@@ -95,14 +95,13 @@ bool Simulator::cancel(EventId id) {
   if (rec.where == Where::kWheel) {
     wheel_unlink(id.slot);
   } else if (rec.where == Where::kDue) {
-    ++due_stale_;
+    due_erase(rec);
   } else {
     ++far_stale_;
   }
   free_slot(id.slot);
   --live_;
   ++stats_.cancelled;
-  if (due_stale_ > 64 && due_stale_ * 2 > due_.size()) due_compact();
   if (far_stale_ > 64 && far_stale_ * 2 > far_.size()) far_compact();
   return true;
 }
@@ -122,7 +121,7 @@ std::uint32_t Simulator::alloc_slot() {
         std::make_unique_for_overwrite<Record[]>(std::size_t{1}
                                                  << kChunkBits));
     ++stats_.arena_chunks;
-    // Piggyback the due heap's initial reservation on the (rare) chunk
+    // Piggyback the due array's initial reservation on the (rare) chunk
     // allocation so steady-state pushes never reallocate in small steps.
     if (due_.capacity() < kSlotsPerLevel) due_.reserve(kSlotsPerLevel);
   }
@@ -132,7 +131,7 @@ std::uint32_t Simulator::alloc_slot() {
 void Simulator::free_slot(std::uint32_t slot) {
   Record& rec = record(slot);
   rec.task.reset();
-  ++rec.gen;  // stale handles and lazy heap entries now miss
+  ++rec.gen;  // stale handles and lazy far-heap entries now miss
   rec.where = Where::kFree;
   // Free slots chain through their own `next` field: recycling costs two
   // writes and no container.
@@ -145,7 +144,7 @@ void Simulator::place(std::uint32_t slot, Record& rec) {
   const std::int64_t delta = tick - cur_tick_;
   if (delta <= 0) {
     // At or behind the cursor (including "later this tick"): executable
-    // order is decided by the due heap's (time, seq) key.
+    // order is decided by the due array's (time, seq) key.
     rec.where = Where::kDue;
     ++stats_.placed_due;
     due_push_entry(HeapEntry{rec.at_ns, rec.seq, slot, rec.gen});
@@ -205,60 +204,39 @@ bool Simulator::entry_live(const HeapEntry& e) const {
 }
 
 void Simulator::due_pop() {
-  if (due_sorted_) {
-    ++stats_.due_sorted_pops;
-    if (++due_head_ == due_.size()) {
-      due_.clear();
-      due_head_ = 0;
-    }
-  } else {
-    pop_heap_top(due_);
-    if (due_.empty()) {
-      due_sorted_ = true;
-      due_head_ = 0;
-    }
+  if (++due_head_ == due_.size()) {
+    due_.clear();
+    due_head_ = 0;
   }
 }
 
 void Simulator::due_push_entry(const HeapEntry& e) {
-  if (due_sorted_) {
-    if (due_head_ == due_.size()) {
-      due_.clear();
-      due_head_ = 0;
-      due_.push_back(e);
-      return;
-    }
-    const HeapEntry& back = due_.back();
-    if (back.at_ns < e.at_ns || (back.at_ns == e.at_ns && back.seq < e.seq)) {
-      due_.push_back(e);  // in-order append keeps the array sorted
-      return;
-    }
-    // Out-of-order arrival mid-drain: shed the consumed prefix and finish
-    // this drain in heap order.
-    OBS_PROF_SCOPE("sim.due_fallback");
+  if (due_empty() || Earlier{}(due_.back(), e)) {
+    due_.push_back(e);  // in-order append keeps the array sorted
+  } else {
+    // Out-of-order push: it sorts ahead of harvested entries. The front
+    // search may have moved the cursor far ahead of now(), and every push
+    // below the back lands here until the array drains; shedding the
+    // consumed prefix first keeps the array at its live entries plus the
+    // pops since the last insert.
     due_.erase(due_.begin(),
                due_.begin() + static_cast<std::ptrdiff_t>(due_head_));
     due_head_ = 0;
-    due_.push_back(e);
-    std::make_heap(due_.begin(), due_.end(), HeapLater{});
-    due_sorted_ = false;
-    ++stats_.heap_fallbacks;
-  } else {
-    due_.push_back(e);
-    std::push_heap(due_.begin(), due_.end(), HeapLater{});
-    ++stats_.due_fallback_pushes;
+    due_.insert(std::upper_bound(due_.begin(), due_.end(), e, Earlier{}), e);
   }
   if (due_.size() > stats_.max_due) stats_.max_due = due_.size();
 }
 
-void Simulator::due_compact() {
-  due_.erase(due_.begin(),
-             due_.begin() + static_cast<std::ptrdiff_t>(due_head_));
-  due_head_ = 0;
-  std::erase_if(due_, [this](const HeapEntry& e) { return !entry_live(e); });
-  // Erasure preserves relative order, so sorted mode survives compaction.
-  if (!due_sorted_) std::make_heap(due_.begin(), due_.end(), HeapLater{});
-  due_stale_ = 0;
+void Simulator::due_erase(const Record& rec) {
+  const auto first = due_.begin() + static_cast<std::ptrdiff_t>(due_head_);
+  const HeapEntry key{rec.at_ns, rec.seq, 0, 0};
+  const auto it = std::lower_bound(first, due_.end(), key, Earlier{});
+  SW_ASSERT(it != due_.end() && it->seq == rec.seq);
+  if (it == first) {
+    due_pop();
+  } else {
+    due_.erase(it);
+  }
 }
 
 void Simulator::far_compact() {
@@ -267,23 +245,17 @@ void Simulator::far_compact() {
   far_stale_ = 0;
 }
 
-void Simulator::pop_heap_top(std::vector<HeapEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), HeapLater{});
-  heap.pop_back();
+void Simulator::far_pop() {
+  std::pop_heap(far_.begin(), far_.end(), HeapLater{});
+  far_.pop_back();
 }
 
 bool Simulator::prepare_next() {
-  for (;;) {
-    // Zero stale entries (the common case: no cancels in flight) means the
-    // due top is valid by construction — no record load needed.
-    while (!due_empty()) {
-      if (due_stale_ == 0 || entry_live(due_front())) return true;
-      due_pop();
-      --due_stale_;
-    }
+  while (due_empty()) {
     if (live_ == 0) return false;
     advance_wheel();
   }
+  return true;
 }
 
 std::optional<std::int64_t> Simulator::next_event_time_ns() {
@@ -293,20 +265,16 @@ std::optional<std::int64_t> Simulator::next_event_time_ns() {
 
 void Simulator::flush_bucket(int level, std::uint32_t bucket) {
   // Detach the bucket, then refile each record relative to the (already
-  // advanced) cursor: a level-0 bucket harvests straight into the due heap
-  // (its one tick equals the cursor), a higher level cascades strictly
-  // downward (its deltas now fit a lower level or the due heap).
+  // advanced) cursor: a level-0 bucket harvests straight into the due
+  // array (its one tick equals the cursor), a higher level cascades
+  // strictly downward (its deltas now fit a lower level or the due array).
   std::uint32_t& head =
       bucket_head_[static_cast<std::size_t>(level) * kSlotsPerLevel + bucket];
   std::uint32_t walk = std::exchange(head, kNil);
   bitmap_[level] &= ~(std::uint64_t{1} << bucket);
   if (level == 0 && due_empty()) {
-    // Bulk harvest: append, then sort ascending by (time, seq). A sorted
-    // array satisfies the heap property, so later pushes compose — and the
-    // per-event sift-up of the one-at-a-time path is skipped entirely.
-    due_.clear();
-    due_head_ = 0;
-    due_sorted_ = true;
+    // Bulk harvest: append, then sort once, instead of one ordered
+    // insert per record.
     while (walk != kNil) {
       Record& rec = record(walk);
       rec.where = Where::kDue;
@@ -319,15 +287,11 @@ void Simulator::flush_bucket(int level, std::uint32_t bucket) {
     // cascade was built from an already-LIFO walk, so it detaches ascending
     // — probe both orientations before paying for a real sort. A lone
     // record (the common harvest of a periodic timer) is sorted already.
-    const auto ascending = [](const HeapEntry& a, const HeapEntry& b) {
-      if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
-      return a.seq < b.seq;
-    };
     if (due_.size() > 1 &&
-        !std::is_sorted(due_.begin(), due_.end(), ascending)) {
+        !std::is_sorted(due_.begin(), due_.end(), Earlier{})) {
       std::reverse(due_.begin(), due_.end());
-      if (!std::is_sorted(due_.begin(), due_.end(), ascending)) {
-        std::sort(due_.begin(), due_.end(), ascending);
+      if (!std::is_sorted(due_.begin(), due_.end(), Earlier{})) {
+        std::sort(due_.begin(), due_.end(), Earlier{});
       }
     }
     if (due_.size() > stats_.max_due) stats_.max_due = due_.size();
@@ -347,7 +311,7 @@ void Simulator::advance_wheel() {
   // Skim stale far-heap tops so the far candidate below is a real event
   // (zero stale entries — the common case — skips the record loads).
   while (far_stale_ > 0 && !far_.empty() && !entry_live(far_.front())) {
-    pop_heap_top(far_);
+    far_pop();
     --far_stale_;
   }
 
@@ -398,7 +362,7 @@ void Simulator::advance_wheel() {
 
   // Advance the cursor to the minimum bound, then flush every structure
   // that may contain events at that tick, coarse to fine, so equal-tick
-  // events all meet in the due heap where (time, seq) decides. No pending
+  // events all meet in the due array where (time, seq) decides. No pending
   // slot has a lower bound below best_tick (it is the minimum), so the
   // cursor lands on at most one slot per level — the tie case the seed of
   // this function got wrong — and never skips over one.
@@ -413,16 +377,16 @@ void Simulator::advance_wheel() {
     }
   }
   // Pull far events now inside the wheel horizon (including any at the
-  // cursor tick itself, which refile straight into the due heap).
+  // cursor tick itself, which refile straight into the due array).
   while (!far_.empty()) {
     const HeapEntry top = far_.front();
     if (far_stale_ > 0 && !entry_live(top)) {
-      pop_heap_top(far_);
+      far_pop();
       --far_stale_;
       continue;
     }
     if ((top.at_ns >> kTickShift) - cur_tick_ >= kWheelHorizonTicks) break;
-    pop_heap_top(far_);
+    far_pop();
     place(top.slot, record(top.slot));
   }
   // Harvest the level-0 bucket the cursor landed on, if occupied.

@@ -12,24 +12,26 @@
 // Storage layout (the PR-5 event core):
 //  * every event lives in one slot of a slab arena of Record entries,
 //    recycled through a free list; handles are generation-checked
-//    EventId{slot, gen}, so a stale cancel (or a stale heap entry left by a
-//    lazy deletion) is detected by a generation/sequence mismatch instead of
-//    a hash lookup;
-//  * timing is tracked by a three-part structure: a `due` min-heap of
-//    events at or before the wheel cursor (the only place equal-time
-//    ordering is ever decided), a hierarchical timer wheel (kWheelLevels
-//    levels x 64 slots, level-0 tick = 2^kTickShift ns, per-level occupancy
-//    bitmaps) for the near horizon, and an overflow min-heap for events
-//    beyond the wheel horizon (~275 ms);
+//    EventId{slot, gen}, so a stale cancel (or a stale far-heap entry left
+//    by a lazy deletion) is detected by a generation/sequence mismatch
+//    instead of a hash lookup;
+//  * timing is tracked by a three-part structure: a `due` array of the
+//    events at or before the wheel cursor, sorted by (time, sequence) (the
+//    only place equal-time ordering is ever decided), a hierarchical timer
+//    wheel (kWheelLevels levels x 64 slots, level-0 tick = 2^kTickShift ns,
+//    per-level occupancy bitmaps) for the near horizon, and an overflow
+//    min-heap for events beyond the wheel horizon (~275 ms);
 //  * callbacks are sim::Task — move-only with 48 bytes of inline storage —
 //    so the common scheduling lambdas never touch the allocator.
 //
-// Wheel buckets hold live events only (cancel unlinks in O(1) via intrusive
-// prev/next indices); the two heaps use lazy deletion with generation
-// checks and periodic compaction. The equal-time order holds across every
-// structure because events become executable only through the due heap,
-// which orders by (time, sequence), and an exit's sequence number carries
-// the kExitBit above every ordinary one.
+// Wheel buckets and the due array hold live events only: cancel unlinks a
+// wheel resident in O(1) via intrusive prev/next indices and erases a due
+// resident's entry, found by binary search on its (time, sequence) key.
+// Only the far heap uses lazy deletion, with generation checks and
+// periodic compaction. The equal-time order holds across every structure
+// because events become executable only through the due array, which is
+// sorted by (time, sequence), and an exit's sequence number carries the
+// kExitBit above every ordinary one.
 #pragma once
 
 #include <array>
@@ -67,16 +69,9 @@ struct KernelStats {
   std::uint64_t scheduled{0};
   std::uint64_t cancelled{0};
   std::uint64_t rescheduled{0};
-  /// Out-of-order due-array pushes that flipped the drain into heap mode.
-  std::uint64_t heap_fallbacks{0};
-  /// Pops served by the sorted-array fast path (O(1), no sifting).
-  std::uint64_t due_sorted_pops{0};
-  /// Pushes absorbed while the due structure was in heap-fallback mode
-  /// (each one sifts). due_sorted_pops vs due_fallback_pushes is the
-  /// retire-the-fallback evidence the ROADMAP item asks for.
-  std::uint64_t due_fallback_pushes{0};
   /// Occupancy high-water marks (memory accounting gauges): live events,
-  /// due-structure entries, far-heap entries.
+  /// due-array entries (consumed ones not yet shed included), far-heap
+  /// entries.
   std::uint64_t max_live{0};
   std::uint64_t max_due{0};
   std::uint64_t max_far{0};
@@ -178,7 +173,7 @@ class Simulator {
 
   /// Timestamp of the earliest pending event, or nullopt when nothing is
   /// pending. Non-const: it may advance the wheel cursor (draining wheel
-  /// buckets / the far heap into the due heap) to find the front, but it
+  /// buckets / the far heap into the due array) to find the front, but it
   /// never fires anything and never moves now(). This is the per-core
   /// watermark the sharded kernel's adaptive barrier window reads.
   [[nodiscard]] std::optional<std::int64_t> next_event_time_ns();
@@ -228,7 +223,7 @@ class Simulator {
 
   enum class Where : std::uint8_t {
     kFree,       // on the free list
-    kDue,        // in the due heap (tick <= wheel cursor)
+    kDue,        // in the due array (tick <= wheel cursor)
     kWheel,      // linked into a wheel bucket
     kFar,        // in the far overflow heap
     kExecuting,  // callback currently running (slot pinned, not live)
@@ -246,20 +241,29 @@ class Simulator {
     std::uint32_t next{kNil};
   };
 
-  /// Heap entry (due and far heaps). Carries its own copy of the ordering
-  /// key plus the generation/sequence pair that validates it against the
-  /// slab: cancel and reschedule free or re-key the record immediately and
-  /// leave the entry behind as garbage to be skipped at pop time.
+  /// Entry of the due array and the far heap: a copy of the record's
+  /// ordering key plus the generation/sequence pair that validates it
+  /// against the slab. Cancel and reschedule free or re-key a record
+  /// immediately; a due entry is erased with it, a far entry is left
+  /// behind as garbage to be skipped at pop time.
   struct HeapEntry {
     std::int64_t at_ns;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
+  /// The (time, sequence) order, ascending: the due array's sort key.
+  struct Earlier {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
+      return a.seq < b.seq;
+    }
+  };
+  /// The same order reversed, which makes the std:: heap algorithms keep
+  /// the far heap's earliest entry on top.
   struct HeapLater {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.at_ns != b.at_ns) return a.at_ns > b.at_ns;
-      return a.seq > b.seq;
+      return Earlier{}(b, a);
     }
   };
 
@@ -286,35 +290,32 @@ class Simulator {
   void wheel_link(std::uint32_t slot, Record& rec, int level,
                   std::uint32_t bucket);
   void wheel_unlink(std::uint32_t slot);
-  /// Ensures the due heap's top is the earliest live event, advancing the
-  /// wheel cursor (harvesting level-0 buckets, cascading higher levels,
+  /// Ensures the due array's front is the earliest live event, advancing
+  /// the wheel cursor (harvesting level-0 buckets, cascading higher levels,
   /// draining the far heap) as needed. Returns false if nothing is pending.
-  /// This is the single lazy-skip path shared by step() and run_until().
+  /// Shared by step(), run_until() and next_event_time_ns().
   bool prepare_next();
-  /// One cursor advance: moves at least one event toward the due heap.
+  /// One cursor advance: moves at least one event toward the due array.
   void advance_wheel();
   /// Detaches a wheel bucket and refiles its records against the cursor.
   void flush_bucket(int level, std::uint32_t bucket);
   [[nodiscard]] bool entry_live(const HeapEntry& e) const;
-  void pop_heap_top(std::vector<HeapEntry>& heap);
+  void far_pop();
   /// Kept out of line: its call count is the executed-event count a gprof
   /// run reports per layer.
   [[gnu::noinline]] void execute_top();
 
-  // The due structure runs in one of two modes: a sorted array consumed
-  // through due_head_ (how a bulk-harvested level-0 bucket drains — O(1)
-  // pops, no sifting) or, after an out-of-order push lands mid-drain, a
-  // binary heap over the whole vector. It returns to sorted mode whenever
-  // it drains empty.
-  [[nodiscard]] bool due_empty() const {
-    return due_sorted_ ? due_head_ == due_.size() : due_.empty();
-  }
-  [[nodiscard]] const HeapEntry& due_front() const {
-    return due_sorted_ ? due_[due_head_] : due_.front();
-  }
+  // The due array is sorted by Earlier and consumed through due_head_: a
+  // bulk-harvested level-0 bucket drains with O(1) pops, an in-order push
+  // appends, an out-of-order push sheds the consumed prefix and inserts at
+  // its upper bound, and cancel or retime erases its entry. It is cleared
+  // whenever it drains, so an empty due array is an empty vector.
+  [[nodiscard]] bool due_empty() const { return due_head_ == due_.size(); }
+  [[nodiscard]] const HeapEntry& due_front() const { return due_[due_head_]; }
   void due_pop();
   void due_push_entry(const HeapEntry& e);
-  void due_compact();
+  /// Erases the due entry of `rec`, looked up by its current (time, seq).
+  void due_erase(const Record& rec);
   void far_compact();
 
   RealTime now_{};
@@ -342,7 +343,7 @@ class Simulator {
   }
 
   /// Wheel cursor: no live event has tick < cur_tick_ except those already
-  /// in the due heap. Advances monotonically, possibly ahead of now().
+  /// in the due array. Advances monotonically, possibly ahead of now().
   std::int64_t cur_tick_{0};
   /// Bucket list heads, flattened [level * kSlotsPerLevel + slot].
   BucketHeads bucket_head_ = nil_buckets();
@@ -350,9 +351,7 @@ class Simulator {
 
   std::vector<HeapEntry> due_;
   std::size_t due_head_{0};
-  bool due_sorted_{true};
   std::vector<HeapEntry> far_;
-  std::uint64_t due_stale_{0};
   std::uint64_t far_stale_{0};
 
   /// Slot of the event whose callback is running (kNil when none), with its

@@ -2,10 +2,10 @@
 // core. A schedule/cancel (or schedule/run) cycle must recycle the same
 // handful of slots forever: pending() stays flat because it counts live
 // slots exactly, and arena_slots() stays flat because cancel releases a
-// slot immediately (wheel residents unlink in O(1); heap residents are
-// generation-checked so their stale entries cannot resurrect a recycled
-// slot). CI runs this suite under ASan+UBSan specifically to shake out
-// use-after-recycle bugs.
+// slot immediately (wheel residents unlink in O(1), due residents are
+// erased from the due array, and far-heap residents are generation-checked
+// so their stale entries cannot resurrect a recycled slot). CI runs this
+// suite under ASan+UBSan specifically to shake out use-after-recycle bugs.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -81,9 +81,10 @@ TEST(EventCoreChurn, RescheduleChurnHoldsOneSlot) {
 }
 
 TEST(EventCoreChurn, CancelHeavyHeapsCompact) {
-  // Cancel far-heap residents en masse: stale heap entries must be
-  // compacted away rather than accumulating (the heaps' lazy deletion has
-  // an amortized bound), and the run must still fire survivors in order.
+  // Cancel far-heap residents en masse: stale far-heap entries must be
+  // compacted away rather than accumulating (the far heap's lazy deletion
+  // has an amortized bound), and the run must still fire survivors in
+  // order.
   Simulator sim;
   std::vector<EventId> ids;
   std::uint64_t fired = 0;
@@ -94,7 +95,9 @@ TEST(EventCoreChurn, CancelHeavyHeapsCompact) {
           Duration::millis(300 + (i % 7)), [&fired] { ++fired; }));
     }
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (i % 10 != 0) ASSERT_TRUE(sim.cancel(ids[i]));
+      if (i % 10 != 0) {
+        ASSERT_TRUE(sim.cancel(ids[i]));
+      }
     }
     sim.run();
   }

@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -228,7 +232,7 @@ TEST(Simulator, EqualTimeFifoAcrossFarHorizonBoundary) {
 TEST(Simulator, EqualTimeFifoAcrossWheelAndDueBoundary) {
   // First event waits in the wheel; run_until stops the clock just short of
   // it, then a same-timestamp event arrives (which files straight into the
-  // due heap). FIFO among equal timestamps must hold across the boundary.
+  // due array). FIFO among equal timestamps must hold across the boundary.
   Simulator sim;
   std::vector<int> order;
   const RealTime t{2'000'000};
@@ -411,6 +415,211 @@ TEST(Simulator, TaskHoldsMoveOnlyAndOversizedCallables) {
   EXPECT_FALSE(large.is_inline());
   sim.run();
   EXPECT_EQ(got, 48);
+}
+
+TEST(Simulator, CancelAndRetimeInsideTheDueArray) {
+  // run_until(t - 1) finds its front by harvesting t's wheel bucket, so
+  // the seven events at t sit in the due array when one is cancelled, two
+  // are retimed and two more join them below.
+  Simulator sim;
+  std::vector<int> order;
+  const RealTime t{2'000'000};
+  const auto at_t = [&](int label, Tie tie) {
+    Task record = [&order, label] { order.push_back(label); };
+    return sim.schedule_at(t, std::move(record), tie);
+  };
+  std::vector<EventId> ids;
+  for (int label = 1; label <= 5; ++label) {
+    ids.push_back(at_t(label, Tie::kOrdinary));
+  }
+  at_t(10, Tie::kExit);
+  at_t(11, Tie::kExit);
+  sim.run_until(RealTime{t.ns - 1});
+  EXPECT_EQ(sim.kernel_stats().max_due, 7u);  // all seven harvested
+  EXPECT_EQ(sim.next_event_time_ns(), t.ns);
+
+  // 3 leaves from the middle of the array, gone rather than marked.
+  EXPECT_TRUE(sim.cancel(ids[2]));
+  EXPECT_FALSE(sim.cancel(ids[2]));
+  // 2 moves to t + 100, later in the same tick; 4 stays at t, behind 5.
+  sim.reschedule_after(ids[1], Duration{101});
+  sim.reschedule_after(ids[3], Duration{1});
+  // 6 lands ahead of the exits already queued, 12 behind them.
+  at_t(6, Tie::kOrdinary);
+  at_t(12, Tie::kExit);
+  EXPECT_EQ(sim.pending(), 8u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 4, 6, 10, 11, 12, 2}));
+  EXPECT_EQ(sim.now(), RealTime{t.ns + 100});
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Drives a Simulator with a seeded random mix of schedules, cancels and
+// retimes, from the top level and from inside callbacks, and mirrors every
+// operation in a reference queue keyed by (time, tie class, schedule
+// order). Schedule order counts schedules, retimes and re-arms in the
+// order the kernel draws their sequence numbers (a re-arm's when its
+// callback returns). Each firing records the reference's front next to
+// the event that actually ran.
+class RandomOps {
+ public:
+  explicit RandomOps(std::uint64_t seed) : rng_(seed) {}
+
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<int> expected;
+  int budget = 3000;
+
+  std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+  [[nodiscard]] std::size_t reference_size() const { return queue_.size(); }
+
+  /// A time at now() or out in the due array, a wheel level or the far
+  /// heap; half of the later ones snap to a 4096 ns grid, so that events
+  /// from different schedule times meet on one nanosecond.
+  std::int64_t target() {
+    const std::int64_t edge[] = {0, 1024, 1 << 16, 1 << 22, 1 << 28, 1 << 30};
+    const std::uint64_t c = below(std::size(edge));
+    std::int64_t at = sim.now().ns;
+    if (c == 0) return at;
+    const auto width = static_cast<std::uint64_t>(edge[c] - edge[c - 1]);
+    at += edge[c - 1] + static_cast<std::int64_t>(below(width));
+    if (below(2) == 0) at = (at + 4095) / 4096 * 4096;
+    return at;
+  }
+
+  void random_op() {
+    --budget;
+    // A recent label (-1 before the first schedule): pending, fired or
+    // recycled.
+    const auto n = static_cast<std::uint64_t>(events_.size());
+    const std::uint64_t back =
+        n == 0 ? 0 : below(std::min<std::uint64_t>(n, 64));
+    const int label = static_cast<int>(n) - 1 - static_cast<int>(back);
+    switch (below(6)) {
+      case 3:
+        if (label >= 0) {
+          cancel(label);
+          return;
+        }
+        break;
+      case 4:
+        if (label >= 0 && label != running_ && is_pending(label)) {
+          const std::int64_t at = target();
+          const Duration delay{at - sim.now().ns};
+          queue_.erase(events_[label].key);
+          sim.reschedule_after(events_[label].id, delay);
+          enqueue(label, at);
+          return;
+        }
+        break;
+      case 5:
+        if (running_ >= 0) {
+          rearm_at_ = target();
+          const Duration delay{*rearm_at_ - sim.now().ns};
+          sim.reschedule_after(events_[running_].id, delay);
+          return;
+        }
+        break;
+      default:
+        break;
+    }
+    schedule();
+  }
+
+ private:
+  using Key = std::tuple<std::int64_t, int, std::uint64_t>;
+  struct Event {
+    EventId id;
+    Tie tie;
+    Key key;
+  };
+
+  void schedule() {
+    const Tie tie = below(4) == 0 ? Tie::kExit : Tie::kOrdinary;
+    const std::int64_t at = target();
+    const int label = static_cast<int>(events_.size());
+    Task cb = [this, label] { fire(label); };
+    EventId id;
+    if (below(2) == 0) {
+      id = sim.schedule_at(RealTime{at}, std::move(cb), tie);
+    } else {
+      // A zero delay goes in as a negative one, which clamps to now().
+      const std::int64_t ns = at - sim.now().ns;
+      const Duration delay{ns == 0 ? -7 : ns};
+      id = sim.schedule_after(delay, std::move(cb), tie);
+    }
+    events_.push_back(Event{id, tie, Key{}});
+    enqueue(label, at);
+  }
+
+  void cancel(int label) {
+    bool live = false;
+    if (label == running_) {
+      live = rearm_at_.has_value();
+      rearm_at_.reset();
+    } else if (is_pending(label)) {
+      live = true;
+      queue_.erase(events_[label].key);
+    }
+    EXPECT_EQ(sim.cancel(events_[label].id), live) << label;
+  }
+
+  void enqueue(int label, std::int64_t at) {
+    Event& e = events_[label];
+    e.key = Key{at, e.tie == Tie::kExit ? 1 : 0, order_++};
+    queue_.emplace(e.key, label);
+  }
+
+  [[nodiscard]] bool is_pending(int label) const {
+    return queue_.count(events_[label].key) != 0;
+  }
+
+  void fire(int label) {
+    fired.push_back(label);
+    expected.push_back(queue_.empty() ? -1 : queue_.begin()->second);
+    EXPECT_EQ(std::get<0>(events_[label].key), sim.now().ns);
+    queue_.erase(events_[label].key);
+    running_ = label;
+    rearm_at_.reset();
+    for (std::uint64_t k = below(3); k > 0 && budget > 0; --k) random_op();
+    EXPECT_EQ(sim.pending(), queue_.size());
+    if (rearm_at_) enqueue(label, *rearm_at_);
+    running_ = -1;
+  }
+
+  std::mt19937_64 rng_;
+  std::map<Key, int> queue_;
+  std::vector<Event> events_;  // by label
+  std::uint64_t order_ = 0;
+  int running_ = -1;
+  std::optional<std::int64_t> rearm_at_;
+};
+
+TEST(Simulator, RandomOpsMatchReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    RandomOps ops(seed);
+    while (ops.budget > 0) {
+      for (std::uint64_t k = ops.below(4); k > 0 && ops.budget > 0; --k) {
+        ops.random_op();
+      }
+      EXPECT_EQ(ops.sim.pending(), ops.reference_size());
+      if (ops.below(3) == 0) {
+        for (std::uint64_t k = ops.below(8); k > 0; --k) ops.sim.step();
+      } else {
+        ops.sim.run_until(RealTime{ops.target()});
+      }
+    }
+    ops.sim.run();
+    EXPECT_EQ(ops.reference_size(), 0u);
+    EXPECT_EQ(ops.sim.pending(), 0u);
+    EXPECT_GT(ops.fired.size(), 1000u);
+    ASSERT_EQ(ops.fired.size(), ops.expected.size());
+    for (std::size_t i = 0; i < ops.fired.size(); ++i) {
+      ASSERT_EQ(ops.fired[i], ops.expected[i])
+          << "seed " << seed << ", event " << i;
+    }
+  }
 }
 
 }  // namespace
