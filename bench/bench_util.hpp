@@ -54,10 +54,6 @@ struct TimingScenarioConfig {
   double base_ips{1e9};
   double slope_min{0.90};
   double slope_max{1.10};
-  /// Deterland virtual-time batch quantum (kDeterland only).
-  Duration batch_quantum{Duration::millis(1)};
-  /// TIFC egress pacing quantum (kTifcPacing only).
-  Duration release_quantum{Duration::micros(500)};
 };
 
 struct TimingScenarioResult {
@@ -102,10 +98,8 @@ inline TimingScenarioResult run_timing_scenario(
     sw.slope_min = tc.slope_min;
     sw.slope_max = tc.slope_max;
   }
-  cfg.policy.deterland.batch_quantum = tc.batch_quantum;
   cfg.policy.deterland.delta_n = tc.delta_n;
   cfg.policy.deterland.delta_d = tc.delta_d;
-  cfg.policy.tifc.release_quantum = tc.release_quantum;
 
   std::vector<int> attacker_machines;
   std::vector<int> victim_machines;

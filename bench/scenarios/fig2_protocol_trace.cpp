@@ -22,7 +22,7 @@ Result run(const ScenarioContext& ctx) {
   core::CloudConfig cfg;
   cfg.seed = ctx.seed() ^ 11;
   cfg.machine_count = 3;
-  cfg.guest_template.record_packet_traces = true;
+  cfg.record_packet_traces = true;
   core::Cloud cloud(cfg);
 
   const core::VmHandle vm = cloud.add_vm(

@@ -100,7 +100,7 @@ struct IdleGuestCost {
 IdleGuestCost guest_idle_cost(std::uint64_t events, std::uint64_t seed) {
   sim::Simulator sim;
   hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
-                              Rng(seed));
+                              Duration{}, Rng(seed));
   hypervisor::GuestContextConfig cfg;
   cfg.policy = hypervisor::PolicyKind::kStopWatch;
   cfg.replica_count = 1;

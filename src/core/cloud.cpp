@@ -33,27 +33,6 @@ std::unique_ptr<hypervisor::MitigationPolicy> validated_policy(
   SW_EXPECTS_MSG(cfg.clock_offset_spread.ns >= 0,
                  "CloudConfig.clock_offset_spread must be >= 0 (got " +
                      std::to_string(cfg.clock_offset_spread.ns) + " ns)");
-  // The guest template reaches a GuestContext only when a VM is wired, at
-  // activation, after every add_vm.
-  const hypervisor::GuestContextConfig& guest = cfg.guest_template;
-  SW_EXPECTS_MSG(guest.exit_interval_instr >= 1'000,
-                 "CloudConfig.guest_template.exit_interval_instr must be >= "
-                 "1000 (got " +
-                     std::to_string(guest.exit_interval_instr) + ")");
-  SW_EXPECTS_MSG(guest.timer_period.ns > 0,
-                 "CloudConfig.guest_template.timer_period must be > 0 (got " +
-                     std::to_string(guest.timer_period.ns) + " ns)");
-  SW_EXPECTS_MSG(guest.initial_slope > 0.0,
-                 "CloudConfig.guest_template.initial_slope must be > 0 (got " +
-                     std::to_string(guest.initial_slope) + ")");
-  // Wiring overwrites these two from the cloud-level fields.
-  SW_EXPECTS_MSG(guest.policy == PolicyConfig{},
-                 "CloudConfig.guest_template.policy is ignored: set "
-                 "CloudConfig.policy");
-  SW_EXPECTS_MSG(
-      guest.replica_count == hypervisor::GuestContextConfig{}.replica_count,
-      "CloudConfig.guest_template.replica_count is ignored: set "
-      "CloudConfig.replica_count");
   return policy;
 }
 
@@ -325,9 +304,8 @@ void Cloud::wire(std::uint32_t vm_index) {
 
   for (int r = 0; r < replicas; ++r) {
     const int m = machines[static_cast<std::size_t>(r)];
-    hypervisor::GuestContextConfig gc = cfg_.guest_template;
-    gc.policy = cfg_.policy;
-    gc.replica_count = replicas;
+    const hypervisor::GuestContextConfig gc{cfg_.policy, replicas,
+                                            cfg_.record_packet_traces};
 
     sim::Simulator& core = core_of_machine(m);
     hypervisor::ReplicaServices services;

@@ -80,6 +80,10 @@ namespace stopwatch::core {
 using hypervisor::PolicyConfig;
 using hypervisor::PolicyKind;
 
+/// Every field is set by some scenario, test or example; the fixed
+/// parameters of the paper's testbed are constants next to their reader.
+/// Wiring builds each replica's GuestContextConfig from `policy`,
+/// `replica_count` and `record_packet_traces`.
 struct CloudConfig {
   std::uint64_t seed{1};
   /// Mitigation-policy selection + per-policy knobs (implicitly
@@ -92,10 +96,12 @@ struct CloudConfig {
   int machine_count{3};
   /// Machines per shard of the topology layer's machine table.
   int shard_size{64};
+  /// Per-machine model parameters; each machine's clock offset is drawn
+  /// separately (clock_offset_spread).
   hypervisor::MachineConfig machine_template{};
-  /// Per-replica guest knobs. Its `policy` and `replica_count` must stay at
-  /// their defaults: wiring fills both from the fields above.
-  hypervisor::GuestContextConfig guest_template{};
+  /// Every replica keeps per-packet protocol traces of its first 32
+  /// inbound packets (GuestContextStats::packet_traces; Fig. 2).
+  bool record_packet_traces{false};
   /// Intra-cloud links (machine <-> machine / ingress / egress).
   net::LinkModel cloud_link{Duration::micros(150), 0.15, 125e6, 0.0};
   /// External client links (the paper's campus-wireless client).

@@ -13,6 +13,13 @@ std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// Guest-caused VM exits occur at least every this many instructions.
+constexpr std::uint64_t kExitIntervalInstr = 100'000;
+/// PIT period: 250 Hz, as in the paper's guests.
+constexpr std::int64_t kTimerPeriodNs = Duration::micros(4000).ns;
+/// Initial virtual-clock slope (ns of virtual time per instruction).
+constexpr double kInitialSlope = 1.0;
+
 constexpr std::uint64_t kSliceStreamTag = 0x5117CE5ULL;
 enum SliceRole : std::uint64_t { kIpsRole = 1, kPreemptRole = 2 };
 
@@ -51,9 +58,6 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
       max_gap_ns_(policy_->max_replica_gap().ns),
       clock_(policy_->clock_mode(), [m = machine_] { return m->local_clock(); }) {
   SW_EXPECTS(cfg_.replica_count >= 1);
-  SW_EXPECTS(cfg_.exit_interval_instr >= 1'000);
-  SW_EXPECTS(cfg_.timer_period.ns > 0);
-  SW_EXPECTS(cfg_.initial_slope > 0.0);
   SW_EXPECTS(services_.send_frame != nullptr);
   if (replicated_ && cfg_.replica_count > 1) {
     SW_EXPECTS(services_.control_multicast != nullptr);
@@ -67,13 +71,13 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
 void GuestContext::start(VirtTime start) {
   SW_EXPECTS(!running_);
   running_ = true;
-  clock_.initialize(start, cfg_.initial_slope);
+  clock_.initialize(start, kInitialSlope);
   guest_->boot();
 
   last_exit_instr_ = 0;
   last_exit_clock_ns_ = clock_.now(0).ns;
-  next_periodic_exit_ = cfg_.exit_interval_instr;
-  next_timer_tick_ns_ = last_exit_clock_ns_ + cfg_.timer_period.ns;
+  next_periodic_exit_ = kExitIntervalInstr;
+  next_timer_tick_ns_ = last_exit_clock_ns_ + kTimerPeriodNs;
   epoch_start_local_ = machine_->local_clock();
 
   // Launch the beacon loop used for fastest-replica throttling. The loop
@@ -158,7 +162,7 @@ void GuestContext::plan_span() {
   std::uint64_t periodic = next_periodic_exit_;
   std::uint64_t next_preempt = next_preempt_instr_;
   std::int64_t t = sim_->now().ns;
-  const std::int64_t t_bound = t + cfg_.timer_period.ns;
+  const std::int64_t t_bound = t + kTimerPeriodNs;
   std::size_t preempt_draws = 0;
   for (;;) {
     SW_ASSERT(periodic > cur);
@@ -184,7 +188,7 @@ void GuestContext::plan_span() {
     t += run_time.ns;
     cur += n;
     const std::int64_t clock =
-        clock_.at(cur, RealTime{t} + mc.clock_offset).ns;
+        clock_.at(cur, RealTime{t} + machine_->clock_offset()).ns;
     span_.push_back({t, clock, cur, next_preempt, drew_preempt});
     if (!extend || clock >= due_clock || cur >= due_instr || t >= t_bound) {
       break;
@@ -192,7 +196,7 @@ void GuestContext::plan_span() {
     // A quiet exit of an idle guest: the chunk restarts when it ends.
     chunk -= n;
     if (chunk == 0) chunk = vm::GuestVm::kIdleChunkInstr;
-    periodic = cur + cfg_.exit_interval_instr;
+    periodic = cur + kExitIntervalInstr;
   }
   next_preempt_instr_ = next_preempt;
   start_slice(span_.front());
@@ -234,7 +238,7 @@ void GuestContext::run_quiet_exits(std::size_t end) {
   guest_->advance_idle(last.instr - guest_->instr());
   last_exit_instr_ = last.instr;
   last_exit_clock_ns_ = last.clock_ns;
-  next_periodic_exit_ = last.instr + cfg_.exit_interval_instr;
+  next_periodic_exit_ = last.instr + kExitIntervalInstr;
   for (; span_next_ < end; ++span_next_) {
     update_activity(false);
     start_slice(span_[span_next_ + 1]);
@@ -269,7 +273,7 @@ void GuestContext::on_guest_exit() {
   const std::uint64_t exit_instr = guest_->instr();
   last_exit_instr_ = exit_instr;
   last_exit_clock_ns_ = clock_.now(exit_instr).ns;
-  next_periodic_exit_ = exit_instr + cfg_.exit_interval_instr;
+  next_periodic_exit_ = exit_instr + kExitIntervalInstr;
 
   if (guest_->has_io_ops()) process_io_ops();
   if (epoch_instr_ > 0) check_epoch(exit_instr);
@@ -294,7 +298,7 @@ void GuestContext::process_io_ops() {
       slot.physical_done = done;
       slot.read = true;
       slot.delivery = policy_->disk_delivery(
-          last_exit_clock_ns_, done.ns + machine_->config().clock_offset.ns);
+          last_exit_clock_ns_, done.ns + machine_->clock_offset().ns);
       disk_slots_.push_back(slot);
     } else if (const auto* wr = std::get_if<vm::DiskWriteOp>(&op)) {
       const RealTime done = machine_->schedule_disk_op(wr->bytes);
@@ -303,7 +307,7 @@ void GuestContext::process_io_ops() {
       slot.physical_done = done;
       slot.read = false;
       slot.delivery = policy_->disk_delivery(
-          last_exit_clock_ns_, done.ns + machine_->config().clock_offset.ns);
+          last_exit_clock_ns_, done.ns + machine_->clock_offset().ns);
       disk_slots_.push_back(slot);
     } else if (auto* sp = std::get_if<vm::SendPacketOp>(&op)) {
       ++out_seq_;
@@ -342,7 +346,7 @@ void GuestContext::inject_due_interrupts() {
   while (next_timer_tick_ns_ <= now_ns) {
     guest_->inject_timer_tick();
     ++stats_.timer_injections;
-    next_timer_tick_ns_ += cfg_.timer_period.ns;
+    next_timer_tick_ns_ += kTimerPeriodNs;
   }
 
   // Guest soft timers (deterministic: driven by the guest clock). The
@@ -553,7 +557,7 @@ void GuestContext::on_direct_packet(const net::Packet& pkt) {
   slot.pkt = pkt;
   slot.have_pkt = true;
   slot.delivery = policy_->direct_delivery(
-      (sim_->now() + processing).ns + machine_->config().clock_offset.ns,
+      (sim_->now() + processing).ns + machine_->clock_offset().ns,
       last_exit_clock_ns_);
   net_slots_.emplace(seq, std::move(slot));
   cut_span();

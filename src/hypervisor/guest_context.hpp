@@ -6,6 +6,8 @@
 //    duration reflects host speed, contention, and jitter; every slice ends
 //    in a guest-caused VM exit (periodic, or at a trapping I/O instruction);
 //  * the guest clock and PIT timer-interrupt injection (Sec. IV-B);
+//    the exit interval, the 250 Hz PIT period and the initial clock slope
+//    are fixed model parameters, constants in guest_context.cpp;
 //  * the network card device model: buffer-hide inbound packets and deliver
 //    them at the policy's delivery time — under StopWatch: propose
 //    virt(last exit) + Δn, multicast proposals, adopt the median, inject at
@@ -81,6 +83,8 @@
 
 namespace stopwatch::hypervisor {
 
+/// The per-replica settings. core::Cloud fills all three fields from the
+/// CloudConfig fields of the same names.
 struct GuestContextConfig {
   /// Mitigation-policy selection + per-policy knobs (StopWatch's Δn/Δd,
   /// aggregation rule, throttle gap, epoch resync, ... live in
@@ -91,12 +95,6 @@ struct GuestContextConfig {
   int replica_count{3};
   /// Keep per-packet protocol traces (first 32 inbound packets).
   bool record_packet_traces{false};
-  /// Guest-caused VM exits occur at least every this many instructions.
-  std::uint64_t exit_interval_instr{100'000};
-  /// PIT period (250 Hz in the paper's guests).
-  Duration timer_period{Duration::micros(4000)};
-  /// Initial virtual-clock slope (ns of virtual time per instruction).
-  double initial_slope{1.0};
 };
 
 /// Timeline of one inbound packet through the StopWatch protocol (Fig. 2/3).

@@ -60,9 +60,6 @@ struct MachineConfig {
   Duration disk_seek_min{Duration::millis(2)};
   Duration disk_seek_max{Duration::millis(8)};
   double disk_bytes_per_second{80e6};
-
-  /// Machine-local clock offset from simulated global time.
-  Duration clock_offset{};
 };
 
 /// Statistics for experiment harnesses.
@@ -73,8 +70,15 @@ struct MachineStats {
 
 class Machine {
  public:
-  Machine(MachineId id, sim::Simulator& sim, MachineConfig cfg, Rng rng)
-      : id_(id), sim_(&sim), cfg_(cfg), rng_(std::move(rng)) {
+  /// `clock_offset` is the machine-local clock's offset from simulated
+  /// global time.
+  Machine(MachineId id, sim::Simulator& sim, MachineConfig cfg,
+          Duration clock_offset, Rng rng)
+      : id_(id),
+        sim_(&sim),
+        cfg_(cfg),
+        clock_offset_(clock_offset),
+        rng_(std::move(rng)) {
     SW_EXPECTS(cfg.base_ips > 0.0);
     SW_EXPECTS(cfg.disk_bytes_per_second > 0.0);
     SW_EXPECTS(cfg.disk_seek_min.ns >= 0 &&
@@ -86,11 +90,12 @@ class Machine {
 
   [[nodiscard]] MachineId id() const { return id_; }
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
+  [[nodiscard]] Duration clock_offset() const { return clock_offset_; }
   [[nodiscard]] const MachineStats& stats() const { return stats_; }
 
   /// Machine-local real clock (global simulated time + offset).
   [[nodiscard]] RealTime local_clock() const {
-    return sim_->now() + cfg_.clock_offset;
+    return sim_->now() + clock_offset_;
   }
 
   void register_load_source(LoadSource* src) {
@@ -182,6 +187,7 @@ class Machine {
   MachineId id_;
   sim::Simulator* sim_;
   MachineConfig cfg_;
+  Duration clock_offset_;
   Rng rng_;
   std::vector<LoadSource*> sources_;
   double extra_load_{0.0};

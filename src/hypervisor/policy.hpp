@@ -74,8 +74,6 @@ struct StopWatchPolicyConfig {
   /// Maximum allowed virtual-time lead of the fastest replica over the
   /// second fastest; enforced by slowing the leader.
   Duration max_replica_gap{Duration::millis(3)};
-  /// Real-time period of virtual-time sync beacons.
-  Duration sync_interval{Duration::millis(2)};
   /// Epoch-based resynchronization of virt toward real time (Sec. IV-A).
   bool epoch_resync{false};
   std::uint64_t epoch_instr{200'000'000};  // the paper's I

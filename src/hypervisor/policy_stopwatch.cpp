@@ -19,13 +19,15 @@ namespace stopwatch::hypervisor {
 
 namespace {
 
+/// Real-time period of the virtual-time sync beacons.
+constexpr Duration kSyncInterval = Duration::millis(2);
+
 class StopWatchPolicy final : public MitigationPolicy {
  public:
   explicit StopWatchPolicy(StopWatchPolicyConfig cfg) : cfg_(cfg) {
     SW_EXPECTS(cfg_.delta_n.ns >= 0);
     SW_EXPECTS(cfg_.delta_d.ns >= 0);
     SW_EXPECTS(cfg_.max_replica_gap.ns >= 0);
-    SW_EXPECTS(cfg_.sync_interval.ns > 0);
     // epoch_instr only drives the epoch boundary when resync is on;
     // disabled-resync configs may leave it 0.
     SW_EXPECTS(!cfg_.epoch_resync || cfg_.epoch_instr >= 1);
@@ -81,7 +83,7 @@ class StopWatchPolicy final : public MitigationPolicy {
   }
 
   [[nodiscard]] Duration sync_interval() const override {
-    return cfg_.sync_interval;
+    return kSyncInterval;
   }
   [[nodiscard]] Duration max_replica_gap() const override {
     return cfg_.max_replica_gap;

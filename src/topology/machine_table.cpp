@@ -65,8 +65,6 @@ void MachineTable::materialize_shard(int shard) {
   s.slots.resize(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k) {
     const int idx = begin + k;
-    hypervisor::MachineConfig mc = cfg_.machine_template;
-    mc.clock_offset = clock_offset(idx);
     const std::uint64_t tag =
         kMachineRngTag + static_cast<std::uint64_t>(idx);
     const std::uint64_t rng_seed = SplitMix64(cfg_.seed ^ tag).next();
@@ -75,8 +73,8 @@ void MachineTable::materialize_shard(int shard) {
     // owner; the machine itself stays a pure function of (seed, index).
     const int owner = plan_->shard_of_machine(idx);
     sl.machine = std::make_unique<hypervisor::Machine>(
-        MachineId{static_cast<std::uint32_t>(idx)}, kernel_->shard(owner), mc,
-        Rng(rng_seed));
+        MachineId{static_cast<std::uint32_t>(idx)}, kernel_->shard(owner),
+        cfg_.machine_template, clock_offset(idx), Rng(rng_seed));
     sl.node =
         net_->add_node([this, idx](const net::Frame& f) { on_frame_(idx, f); });
     net_->set_node_owner(sl.node, owner);

@@ -7,13 +7,17 @@
 
 namespace stopwatch::transport {
 
-TcpEndpoint::TcpEndpoint(TransportEnv& env, TcpConfig cfg)
-    : env_(&env), cfg_(cfg) {
-  SW_EXPECTS(cfg_.mss >= 64);
-  SW_EXPECTS(cfg_.initial_cwnd >= 1);
-  SW_EXPECTS(cfg_.max_cwnd >= cfg_.initial_cwnd);
-  SW_EXPECTS(cfg_.ack_every >= 1);
-}
+namespace {
+/// Congestion-window cap in segments (~23 KB — a 2.6-era Linux default
+/// receive window, as on the paper's testbed guests).
+constexpr int kMaxCwnd = 16;
+constexpr Duration kRto = Duration::millis(200);
+/// Delayed ACKs: one ACK per this many segments, or after the timer.
+constexpr int kAckEvery = 2;
+constexpr Duration kDelayedAck = Duration::millis(5);
+}  // namespace
+
+TcpEndpoint::TcpEndpoint(TransportEnv& env) : env_(&env) {}
 
 void TcpEndpoint::listen(MessageHandler on_message) {
   SW_EXPECTS(on_message != nullptr);
@@ -30,7 +34,6 @@ TcpEndpoint::Connection& TcpEndpoint::conn(NodeId peer, std::uint32_t flow) {
   if (inserted) {
     it->second.peer = peer;
     it->second.flow = flow;
-    it->second.cwnd = cfg_.initial_cwnd;
   }
   return it->second;
 }
@@ -77,8 +80,9 @@ const TcpEndpoint::Message* TcpEndpoint::message_at(
 
 void TcpEndpoint::pump(Connection& c) {
   SW_ASSERT(c.established);
-  const auto in_flight = [&c, this] {
-    return static_cast<int>((c.snd_next - c.snd_una + cfg_.mss - 1) / cfg_.mss);
+  const auto in_flight = [&c] {
+    return static_cast<int>((c.snd_next - c.snd_una + net::kMss - 1) /
+                            net::kMss);
   };
   while (c.snd_next < c.stream_len && in_flight() < c.cwnd) {
     const Message* m = message_at(c, c.snd_next);
@@ -86,7 +90,7 @@ void TcpEndpoint::pump(Connection& c) {
     send_segment(c, c.snd_next, *m);
     const std::uint64_t msg_end = m->start + m->len;
     const std::uint32_t payload = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.mss, msg_end - c.snd_next));
+        std::min<std::uint64_t>(net::kMss, msg_end - c.snd_next));
     c.snd_next += payload;
   }
   if (c.snd_next > c.snd_una) arm_rto(c);
@@ -96,7 +100,7 @@ void TcpEndpoint::send_segment(Connection& c, std::uint64_t seq,
                                const Message& m) {
   const std::uint64_t msg_end = m.start + m.len;
   const std::uint32_t payload = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(cfg_.mss, msg_end - seq));
+      std::min<std::uint64_t>(net::kMss, msg_end - seq));
   net::Packet pkt;
   pkt.dst = c.peer;
   pkt.kind = net::PacketKind::kData;
@@ -115,7 +119,7 @@ void TcpEndpoint::arm_rto(Connection& c) {
   const std::uint64_t generation = ++c.rto_generation;
   c.rto_armed = true;
   const Key k = key(c.peer, c.flow);
-  env_->set_timer(cfg_.rto, [this, k, generation] { on_rto(k, generation); });
+  env_->set_timer(kRto, [this, k, generation] { on_rto(k, generation); });
 }
 
 void TcpEndpoint::on_rto(Key k, std::uint64_t generation) {
@@ -145,7 +149,7 @@ void TcpEndpoint::on_rto(Key k, std::uint64_t generation) {
   // Go-back-N: rewind and re-enter slow start.
   ++stats_.retransmissions;
   c.snd_next = c.snd_una;
-  c.cwnd = cfg_.initial_cwnd;
+  c.cwnd = kInitialCwnd;
   pump(c);
 }
 
@@ -222,7 +226,7 @@ void TcpEndpoint::handle_ack(Connection& c, const net::Packet& pkt) {
     // already buffered can pass snd_next; transmission resumes from it.
     if (c.snd_next < c.snd_una) c.snd_next = c.snd_una;
     // Slow-start growth per ACK, capped.
-    c.cwnd = std::min(cfg_.max_cwnd, c.cwnd + 1);
+    c.cwnd = std::min(kMaxCwnd, c.cwnd + 1);
     // Prune fully acknowledged messages.
     while (!c.tx_messages.empty() &&
            c.tx_messages.front().start + c.tx_messages.front().len <=
@@ -269,13 +273,13 @@ void TcpEndpoint::handle_data(Connection& c, const net::Packet& pkt) {
   deliver_messages(c);
 
   // Delayed-ACK policy.
-  if (++c.unacked_segments >= cfg_.ack_every || !c.ooo.empty()) {
+  if (++c.unacked_segments >= kAckEvery || !c.ooo.empty()) {
     send_ack(c);
   } else if (!c.delack_armed) {
     c.delack_armed = true;
     const std::uint64_t generation = ++c.delack_generation;
     const Key k = key(c.peer, c.flow);
-    env_->set_timer(cfg_.delayed_ack, [this, k, generation] {
+    env_->set_timer(kDelayedAck, [this, k, generation] {
       const auto it = conns_.find(k);
       if (it == conns_.end()) return;
       Connection& cc = it->second;

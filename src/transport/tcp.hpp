@@ -23,17 +23,6 @@
 
 namespace stopwatch::transport {
 
-struct TcpConfig {
-  std::uint32_t mss{net::kMss};
-  int initial_cwnd{4};
-  /// Effective window cap in segments (~23 KB — a 2.6-era Linux default
-  /// receive window, as on the paper's testbed guests).
-  int max_cwnd{16};
-  Duration rto{Duration::millis(200)};
-  Duration delayed_ack{Duration::millis(5)};
-  int ack_every{2};
-};
-
 /// Statistics per endpoint (both directions, all connections).
 struct TcpStats {
   std::uint64_t data_packets_sent{0};
@@ -52,7 +41,7 @@ class TcpEndpoint {
       NodeId, std::uint32_t, std::uint32_t, std::uint32_t, std::uint32_t)>;
   using ConnectedHandler = std::function<void(NodeId, std::uint32_t)>;
 
-  explicit TcpEndpoint(TransportEnv& env, TcpConfig cfg = {});
+  explicit TcpEndpoint(TransportEnv& env);
 
   TcpEndpoint(const TcpEndpoint&) = delete;
   TcpEndpoint& operator=(const TcpEndpoint&) = delete;
@@ -78,6 +67,10 @@ class TcpEndpoint {
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
 
  private:
+  /// Slow-start initial congestion window, in segments (also the window
+  /// a go-back-N rewind re-enters slow start with).
+  static constexpr int kInitialCwnd{4};
+
   struct Message {
     std::uint32_t id{0};
     std::uint64_t start{0};
@@ -97,7 +90,7 @@ class TcpEndpoint {
     std::uint64_t snd_next{0};
     std::uint64_t stream_len{0};
     std::deque<Message> tx_messages;  // pruned as fully acked
-    int cwnd{4};
+    int cwnd{kInitialCwnd};
     std::uint64_t rto_generation{0};
     bool rto_armed{false};
 
@@ -128,7 +121,6 @@ class TcpEndpoint {
   const Message* message_at(Connection& c, std::uint64_t offset) const;
 
   TransportEnv* env_;
-  TcpConfig cfg_;
   MessageHandler on_message_;
   bool listening_{false};
   std::map<Key, Connection> conns_;

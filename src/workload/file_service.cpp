@@ -7,6 +7,17 @@
 
 namespace stopwatch::workload {
 
+namespace {
+/// Instructions to parse/handle one request.
+constexpr std::uint64_t kRequestHandlingInstr = 80'000;
+/// Instructions per 4 KiB of response preparation (checksums, copies).
+constexpr std::uint64_t kPer4kInstr = 2'000;
+/// Bytes per disk read (sequential chunks; cold start). Sized so one
+/// chunk's seek + transfer stays under the default Δd (Sec. V: the
+/// transfer must complete by the virtual delivery time).
+constexpr std::uint32_t kDiskChunk = 192 * 1024;
+}  // namespace
+
 void FileServerProgram::on_boot(vm::GuestApi& api) {
   api_ = &api;
   env_ = std::make_unique<GuestTransportEnv>(api);
@@ -44,7 +55,7 @@ void FileServerProgram::read_file(std::uint32_t remaining,
     done();
     return;
   }
-  const std::uint32_t chunk = std::min(cfg_.disk_chunk, remaining);
+  const std::uint32_t chunk = std::min(kDiskChunk, remaining);
   api_->disk_read(chunk, [this, remaining, chunk, done = std::move(done)] {
     read_file(remaining - chunk, done);
   });
@@ -54,11 +65,9 @@ void FileServerProgram::serve_tcp(NodeId peer, std::uint32_t flow,
                                   std::uint32_t msg_id,
                                   std::uint32_t file_size) {
   SW_EXPECTS(file_size >= 1);
-  api_->compute(cfg_.request_handling_instr, [this, peer, flow, msg_id,
-                                              file_size] {
+  api_->compute(kRequestHandlingInstr, [this, peer, flow, msg_id, file_size] {
     read_file(file_size, [this, peer, flow, msg_id, file_size] {
-      const std::uint64_t prep =
-          cfg_.per_4k_instr * ((file_size + 4095) / 4096) + 1;
+      const std::uint64_t prep = kPer4kInstr * ((file_size + 4095) / 4096) + 1;
       api_->compute(prep, [this, peer, flow, msg_id, file_size] {
         tcp_->send_message(peer, flow, msg_id, file_size, file_size);
       });
@@ -70,11 +79,9 @@ void FileServerProgram::serve_udp(NodeId peer, std::uint32_t flow,
                                   std::uint32_t msg_id,
                                   std::uint32_t file_size) {
   SW_EXPECTS(file_size >= 1);
-  api_->compute(cfg_.request_handling_instr, [this, peer, flow, msg_id,
-                                              file_size] {
+  api_->compute(kRequestHandlingInstr, [this, peer, flow, msg_id, file_size] {
     read_file(file_size, [this, peer, flow, msg_id, file_size] {
-      const std::uint64_t prep =
-          cfg_.per_4k_instr * ((file_size + 4095) / 4096) + 1;
+      const std::uint64_t prep = kPer4kInstr * ((file_size + 4095) / 4096) + 1;
       api_->compute(prep, [this, peer, flow, msg_id, file_size] {
         udp_->send_message(peer, flow, msg_id, file_size, file_size);
       });

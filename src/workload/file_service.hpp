@@ -26,20 +26,6 @@ namespace stopwatch::workload {
 /// A request's app_tag carries the requested file size in bytes.
 class FileServerProgram final : public vm::GuestProgram {
  public:
-  struct Config {
-    /// Instructions to parse/handle one request.
-    std::uint64_t request_handling_instr{80'000};
-    /// Instructions per 4 KiB of response preparation (checksums, copies).
-    std::uint64_t per_4k_instr{2'000};
-    /// Bytes per disk read (sequential chunks; cold start). Sized so one
-    /// chunk's seek + transfer stays under the default Δd (Sec. V: the
-    /// transfer must complete by the virtual delivery time).
-    std::uint32_t disk_chunk{192 * 1024};
-  };
-
-  FileServerProgram() : FileServerProgram(Config{}) {}
-  explicit FileServerProgram(Config cfg) : cfg_(cfg) {}
-
   void on_boot(vm::GuestApi& api) override;
   void on_timer_tick(vm::GuestApi& api, std::uint64_t tick) override;
   void on_packet(vm::GuestApi& api, const net::Packet& pkt) override;
@@ -52,7 +38,6 @@ class FileServerProgram final : public vm::GuestProgram {
   /// Reads `remaining` bytes in chunks, then runs `done`.
   void read_file(std::uint32_t remaining, std::function<void()> done);
 
-  Config cfg_;
   vm::GuestApi* api_{nullptr};
   std::unique_ptr<GuestTransportEnv> env_;
   std::unique_ptr<transport::TcpEndpoint> tcp_;

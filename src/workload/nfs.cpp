@@ -6,6 +6,15 @@
 
 namespace stopwatch::workload {
 
+namespace {
+constexpr std::uint64_t kRpcParseInstr = 50'000;
+constexpr std::uint64_t kMetadataInstr = 120'000;
+constexpr std::uint32_t kReadBytes = 8192;
+constexpr std::uint32_t kWriteBytes = 8192;
+/// Probability a read misses the page cache and touches disk.
+constexpr double kReadMissRate = 0.25;
+}  // namespace
+
 std::vector<NfsMixEntry> paper_nfs_mix() {
   return {
       {NfsOp::kSetattr, 0.1137}, {NfsOp::kLookup, 0.2407},
@@ -37,67 +46,50 @@ void NfsServerProgram::respond(NodeId peer, std::uint32_t flow,
 
 void NfsServerProgram::handle(NodeId peer, std::uint32_t flow,
                               std::uint32_t msg_id, NfsOp op) {
-  api_->compute(cfg_.rpc_parse_instr, [this, peer, flow, msg_id, op] {
+  api_->compute(kRpcParseInstr, [this, peer, flow, msg_id, op] {
     switch (op) {
       case NfsOp::kGetattr:
-        api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
+        api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
           respond(peer, flow, msg_id, 128, op);
         });
         return;
       case NfsOp::kLookup:
-        api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
+        api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
           respond(peer, flow, msg_id, 256, op);
         });
         return;
       case NfsOp::kRead: {
-        const bool miss = api_->det_rng().chance(cfg_.read_miss_rate);
+        const bool miss = api_->det_rng().chance(kReadMissRate);
         if (miss) {
-          api_->disk_read(cfg_.read_bytes, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, cfg_.read_bytes + 128, op);
+          api_->disk_read(kReadBytes, [this, peer, flow, msg_id, op] {
+            respond(peer, flow, msg_id, kReadBytes + 128, op);
           });
         } else {
-          api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, cfg_.read_bytes + 128, op);
+          api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
+            respond(peer, flow, msg_id, kReadBytes + 128, op);
           });
         }
         return;
       }
+      // Write-back caching: the mutating ops are acknowledged once their
+      // disk write is queued (it still raises its completion interrupt).
       case NfsOp::kWrite:
-        if (cfg_.async_writes) {
-          api_->disk_write(cfg_.write_bytes, [] {});
-          api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 136, op);
-          });
-        } else {
-          // NFSv4 stable write: hit the disk before acknowledging.
-          api_->disk_write(cfg_.write_bytes, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 136, op);
-          });
-        }
+        api_->disk_write(kWriteBytes, [] {});
+        api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
+          respond(peer, flow, msg_id, 136, op);
+        });
         return;
       case NfsOp::kSetattr:
-        if (cfg_.async_writes) {
-          api_->disk_write(512, [] {});
-          api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 128, op);
-          });
-        } else {
-          api_->disk_write(512, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 128, op);
-          });
-        }
+        api_->disk_write(512, [] {});
+        api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
+          respond(peer, flow, msg_id, 128, op);
+        });
         return;
       case NfsOp::kCreate:
-        if (cfg_.async_writes) {
-          api_->disk_write(1024, [] {});
-          api_->compute(cfg_.metadata_instr, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 160, op);
-          });
-        } else {
-          api_->disk_write(1024, [this, peer, flow, msg_id, op] {
-            respond(peer, flow, msg_id, 160, op);
-          });
-        }
+        api_->disk_write(1024, [] {});
+        api_->compute(kMetadataInstr, [this, peer, flow, msg_id, op] {
+          respond(peer, flow, msg_id, 160, op);
+        });
         return;
     }
   });

@@ -45,21 +45,6 @@ struct NfsMixEntry {
 /// Guest program: the NFS server.
 class NfsServerProgram final : public vm::GuestProgram {
  public:
-  struct Config {
-    std::uint64_t rpc_parse_instr{50'000};
-    std::uint64_t metadata_instr{120'000};
-    std::uint32_t read_bytes{8192};
-    std::uint32_t write_bytes{8192};
-    /// Probability a read misses the page cache and touches disk.
-    double read_miss_rate{0.25};
-    /// Write-back caching: acknowledge writes once queued (the disk write
-    /// still happens and still generates its completion interrupt).
-    bool async_writes{true};
-  };
-
-  NfsServerProgram() : NfsServerProgram(Config{}) {}
-  explicit NfsServerProgram(Config cfg) : cfg_(cfg) {}
-
   void on_boot(vm::GuestApi& api) override;
   void on_timer_tick(vm::GuestApi&, std::uint64_t) override {}
   void on_packet(vm::GuestApi&, const net::Packet& pkt) override;
@@ -69,7 +54,6 @@ class NfsServerProgram final : public vm::GuestProgram {
   void respond(NodeId peer, std::uint32_t flow, std::uint32_t msg_id,
                std::uint32_t bytes, NfsOp op);
 
-  Config cfg_;
   vm::GuestApi* api_{nullptr};
   std::unique_ptr<GuestTransportEnv> env_;
   std::unique_ptr<transport::TcpEndpoint> tcp_;

@@ -6,26 +6,35 @@
 
 namespace stopwatch::workload {
 
+namespace {
+/// Virtual-time burst and idle-gap durations of the victim's duty cycle.
+constexpr Duration kVictimBurst = Duration::millis(60);
+constexpr Duration kVictimGap = Duration::millis(25);
+/// Instructions per work unit within a burst.
+constexpr std::uint64_t kVictimUnitInstr = 2'000'000;
+constexpr std::uint32_t kVictimPacketBytes = 1400;
+}  // namespace
+
 void VictimServerProgram::on_boot(vm::GuestApi& api) {
   api_ = &api;
   start_burst();
 }
 
 void VictimServerProgram::start_burst() {
-  const std::int64_t end = api_->now().ns + cfg_.burst.ns;
+  const std::int64_t end = api_->now().ns + kVictimBurst.ns;
   work_unit(end);
 }
 
 void VictimServerProgram::work_unit(std::int64_t burst_end_ns) {
-  api_->compute(cfg_.unit_instr, [this, burst_end_ns] {
+  api_->compute(kVictimUnitInstr, [this, burst_end_ns] {
     // Emit response traffic.
     for (int i = 0; i < cfg_.packets_per_unit; ++i) {
       net::Packet pkt;
       pkt.dst = cfg_.sink;
       pkt.kind = net::PacketKind::kData;
       pkt.seq = ++out_seq_;
-      pkt.size_bytes = cfg_.packet_bytes;
-      pkt.msg_len = cfg_.packet_bytes;
+      pkt.size_bytes = kVictimPacketBytes;
+      pkt.msg_len = kVictimPacketBytes;
       api_->send_packet(pkt);
     }
     // Disk reads proceed asynchronously (a real file server overlaps I/O
@@ -36,7 +45,7 @@ void VictimServerProgram::work_unit(std::int64_t burst_end_ns) {
     if (api_->now().ns < burst_end_ns) {
       work_unit(burst_end_ns);
     } else {
-      api_->set_timer(cfg_.gap, [this] { start_burst(); });
+      api_->set_timer(kVictimGap, [this] { start_burst(); });
     }
   });
 }

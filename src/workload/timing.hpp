@@ -53,17 +53,14 @@ class AttackerProbeProgram final : public vm::GuestProgram {
 /// Victim guest: duty-cycled file serving (compute + disk + output bursts).
 class VictimServerProgram final : public vm::GuestProgram {
  public:
+  /// The duty cycle itself (virtual-time burst and idle gap, the work unit
+  /// within a burst, the response packet size) is fixed in timing.cpp.
   struct Config {
-    /// Virtual-time burst / idle-gap durations.
-    Duration burst{Duration::millis(60)};
-    Duration gap{Duration::millis(25)};
-    /// Work unit within a burst.
-    std::uint64_t unit_instr{2'000'000};
     std::uint32_t disk_bytes{64 * 1024};
+    /// Chance that a work unit also reads `disk_bytes` from disk.
     double disk_probability{0.30};
     /// Response packets emitted per work unit.
     int packets_per_unit{2};
-    std::uint32_t packet_bytes{1400};
     NodeId sink{};
   };
 

@@ -54,6 +54,8 @@ struct EchoRun {
   std::uint64_t frames_dropped{0};
   std::uint64_t spm_frames{0};
   std::uint64_t nak_frames{0};
+  /// Protocol traces kept by each replica.
+  std::vector<std::size_t> packet_traces;
 };
 
 EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
@@ -89,6 +91,10 @@ EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
       net.frames_sent_of_class(net::FramePayload{net::McastSpm{}}.index());
   run.nak_frames =
       net.frames_sent_of_class(net::FramePayload{net::McastNak{}}.index());
+  for (int r = 0; r < cloud.replicas_of(vm); ++r) {
+    run.packet_traces.push_back(
+        cloud.replica(vm, r).stats().packet_traces.size());
+  }
   return run;
 }
 
@@ -354,40 +360,19 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   EXPECT_EQ(ok.machine_count(), 1);
 }
 
-TEST(Cloud, GuestTemplateValidatedAtConstruction) {
-  // A GuestContext is built only when a VM is activated, so a bad guest
-  // template must be caught by the Cloud constructor instead.
+TEST(Cloud, PacketTracesFollowTheCloudKnob) {
+  // Per-replica protocol traces are off unless the cloud asks for them;
+  // with them on, every replica traces its first 32 inbound packets.
   CloudConfig cfg = stopwatch_config();
-  cfg.guest_template.timer_period = Duration{};
-  expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
-  cfg.guest_template.timer_period = Duration::micros(-4000);
-  expect_config_rejected(cfg, "CloudConfig.guest_template.timer_period");
-
-  cfg = stopwatch_config();
-  cfg.guest_template.exit_interval_instr = 999;
-  expect_config_rejected(cfg, "CloudConfig.guest_template.exit_interval_instr");
-
-  cfg = stopwatch_config();
-  cfg.guest_template.initial_slope = 0.0;
-  expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
-  cfg.guest_template.initial_slope = -1.0;
-  expect_config_rejected(cfg, "CloudConfig.guest_template.initial_slope");
-
-  // Wiring fills the template's policy and replica count from the
-  // cloud-level fields, so a value set on the template is rejected.
-  cfg = stopwatch_config();
-  cfg.guest_template.policy = PolicyKind::kDeterland;
-  expect_config_rejected(cfg, "guest_template.policy is ignored: set "
-                              "CloudConfig.policy");
-  cfg = stopwatch_config();
-  cfg.guest_template.replica_count = 5;
-  expect_config_rejected(cfg, "guest_template.replica_count is ignored: set "
-                              "CloudConfig.replica_count");
-
-  cfg = stopwatch_config();
-  cfg.guest_template.exit_interval_instr = 1'000;  // the smallest legal value
-  Cloud ok(cfg);
-  EXPECT_EQ(ok.machine_count(), 3);
+  EXPECT_EQ(run_echo_cloud(cfg, 40, Duration::millis(20)).packet_traces,
+            std::vector<std::size_t>(3, 0));
+  cfg.record_packet_traces = true;
+  const EchoRun on = run_echo_cloud(cfg, 40, Duration::millis(20));
+  ASSERT_EQ(on.packet_traces.size(), 3u);
+  for (const std::size_t n : on.packet_traces) {
+    EXPECT_GE(n, 1u);
+    EXPECT_LE(n, 32u);
+  }
 }
 
 TEST(Cloud, FiveReplicaCloudWorks) {

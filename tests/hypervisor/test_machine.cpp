@@ -21,9 +21,7 @@ MachineConfig quiet_config() {
 
 TEST(Machine, LocalClockIncludesOffset) {
   sim::Simulator sim;
-  MachineConfig cfg = quiet_config();
-  cfg.clock_offset = Duration::millis(25);
-  Machine m(MachineId{0}, sim, cfg, Rng(1));
+  Machine m(MachineId{0}, sim, quiet_config(), Duration::millis(25), Rng(1));
   EXPECT_EQ(m.local_clock().ns, Duration::millis(25).ns);
   sim.schedule_at(RealTime::millis(10), [] {});
   sim.run();
@@ -32,7 +30,7 @@ TEST(Machine, LocalClockIncludesOffset) {
 
 TEST(Machine, ContentionSlowsEffectiveIps) {
   sim::Simulator sim;
-  Machine m(MachineId{0}, sim, quiet_config(), Rng(2));
+  Machine m(MachineId{0}, sim, quiet_config(), Duration{}, Rng(2));
   FakeLoad self, other;
   m.register_load_source(&self);
   m.register_load_source(&other);
@@ -45,7 +43,7 @@ TEST(Machine, ContentionSlowsEffectiveIps) {
 
 TEST(Machine, LoadExcludingSkipsSelf) {
   sim::Simulator sim;
-  Machine m(MachineId{0}, sim, quiet_config(), Rng(3));
+  Machine m(MachineId{0}, sim, quiet_config(), Duration{}, Rng(3));
   FakeLoad a, b;
   a.value = 0.5;
   b.value = 0.25;
@@ -58,14 +56,14 @@ TEST(Machine, LoadExcludingSkipsSelf) {
 
 TEST(Machine, ExtraLoadCountsTowardContention) {
   sim::Simulator sim;
-  Machine m(MachineId{0}, sim, quiet_config(), Rng(4));
+  Machine m(MachineId{0}, sim, quiet_config(), Duration{}, Rng(4));
   m.set_extra_load(2.0);
   EXPECT_DOUBLE_EQ(m.load_excluding(nullptr), 2.0);
 }
 
 TEST(Machine, VmmDelayGrowsWithLoad) {
   sim::Simulator sim;
-  Machine m(MachineId{0}, sim, quiet_config(), Rng(5));
+  Machine m(MachineId{0}, sim, quiet_config(), Duration{}, Rng(5));
   const auto idle = m.vmm_processing_delay(0.0);
   const auto busy = m.vmm_processing_delay(1.0);
   EXPECT_EQ(idle.ns, quiet_config().vmm_base_delay.ns);
@@ -77,7 +75,7 @@ TEST(Machine, DiskIsFifoAndAccountsSeekPlusTransfer) {
   sim::Simulator sim;
   MachineConfig cfg = quiet_config();
   cfg.disk_bytes_per_second = 1e6;  // 1 MB/s
-  Machine m(MachineId{0}, sim, cfg, Rng(6));
+  Machine m(MachineId{0}, sim, cfg, Duration{}, Rng(6));
   // 1000 bytes at 1 MB/s = 1 ms transfer; 3 ms seek.
   const RealTime first = m.schedule_disk_op(1000);
   EXPECT_EQ(first.ns, Duration::millis(4).ns);
@@ -91,7 +89,7 @@ TEST(Machine, DiskIsFifoAndAccountsSeekPlusTransfer) {
 TEST(Machine, DiskQueueDrainsOverTime) {
   sim::Simulator sim;
   MachineConfig cfg = quiet_config();
-  Machine m(MachineId{0}, sim, cfg, Rng(7));
+  Machine m(MachineId{0}, sim, cfg, Duration{}, Rng(7));
   const RealTime first = m.schedule_disk_op(0);
   sim.schedule_at(RealTime::millis(100), [] {});
   sim.run();

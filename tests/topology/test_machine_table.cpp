@@ -51,7 +51,8 @@ TEST(MachineTable, ShardedLookupEquivalentToDenseTable) {
     auto& dm = dense.table.machine(i);
     auto& sm = sharded.table.machine(i);
     EXPECT_EQ(dm.id().value, sm.id().value);
-    EXPECT_EQ(dm.config().clock_offset.ns, sm.config().clock_offset.ns);
+    EXPECT_EQ(dm.clock_offset().ns, dense.table.clock_offset(i).ns) << i;
+    EXPECT_EQ(sm.clock_offset().ns, sharded.table.clock_offset(i).ns) << i;
     EXPECT_EQ(dm.local_clock().ns, sm.local_clock().ns);
     // The per-machine RNG stream is derived from (seed, index), not from a
     // shared draw order: the first jittered Dom0 delays must agree.

@@ -32,13 +32,10 @@ struct NfsRun {
   double mean_latency_ms{0};
 };
 
-NfsRun run_nfs(core::PolicyKind policy, double rate, Duration sim_time,
-               NfsServerProgram::Config server_cfg = {}) {
+NfsRun run_nfs(core::PolicyKind policy, double rate, Duration sim_time) {
   core::Cloud cloud(nfs_config(policy));
   const core::VmHandle vm = cloud.add_vm(
-      "nfs",
-      [server_cfg] { return std::make_unique<NfsServerProgram>(server_cfg); },
-      {0, 1, 2});
+      "nfs", [] { return std::make_unique<NfsServerProgram>(); }, {0, 1, 2});
   NfsLoadGenerator gen(cloud, cloud.vm_addr(vm), 5, rate, paper_nfs_mix(),
                        17);
   cloud.start();
@@ -73,16 +70,6 @@ TEST(Nfs, BaselineFasterThanStopWatch) {
   EXPECT_LT(base.mean_latency_ms, sw.mean_latency_ms);
   // And within the paper's overall range (a handful of Δn-scale units).
   EXPECT_LT(sw.mean_latency_ms, base.mean_latency_ms * 8.0);
-}
-
-TEST(Nfs, SyncWritesSlowerThanAsync) {
-  NfsServerProgram::Config sync_cfg;
-  sync_cfg.async_writes = false;
-  const NfsRun async_run =
-      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5));
-  const NfsRun sync_run =
-      run_nfs(core::PolicyKind::kStopWatch, 50, Duration::seconds(5), sync_cfg);
-  EXPECT_GT(sync_run.mean_latency_ms, async_run.mean_latency_ms);
 }
 
 class NfsLoadSweep : public ::testing::TestWithParam<double> {};
