@@ -19,7 +19,10 @@ using experiment::Result;
 using experiment::ScenarioContext;
 
 Result run(const ScenarioContext& ctx) {
-  const Duration run_time = Duration::seconds(ctx.param("run_time_s"));
+  // Whole seconds: a fractional run_time_s is truncated (0.01 simulates
+  // 0 s). ROADMAP item 4 switches this to from_seconds_f.
+  const Duration run_time =
+      Duration::seconds(static_cast<std::int64_t>(ctx.param("run_time_s")));
 
   Result result("delta_calibration");
 

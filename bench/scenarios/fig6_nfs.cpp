@@ -56,7 +56,9 @@ Row run_nfs(core::PolicyKind policy, double rate, double run_time_s,
                                  seed ^ 0x9e37);
   cloud.start();
   gen.start();
-  cloud.run_for(Duration::seconds(run_time_s));
+  // Whole seconds: a fractional run_time_s is truncated (0.01 simulates
+  // 0 s). ROADMAP item 4 switches this to from_seconds_f.
+  cloud.run_for(Duration::seconds(static_cast<std::int64_t>(run_time_s)));
   cloud.halt_all();
 
   Row row;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <compare>
+#include <concepts>
 #include <cstdint>
 #include <ostream>
 
@@ -27,6 +28,12 @@ struct Duration {
   [[nodiscard]] static constexpr Duration micros(std::int64_t v) { return {v * 1'000}; }
   [[nodiscard]] static constexpr Duration millis(std::int64_t v) { return {v * 1'000'000}; }
   [[nodiscard]] static constexpr Duration seconds(std::int64_t v) { return {v * 1'000'000'000}; }
+  // A floating-point argument would truncate silently to the integer
+  // factories above; it is a compile error instead (use from_seconds_f).
+  template <std::floating_point T> static Duration nanos(T) = delete;
+  template <std::floating_point T> static Duration micros(T) = delete;
+  template <std::floating_point T> static Duration millis(T) = delete;
+  template <std::floating_point T> static Duration seconds(T) = delete;
   [[nodiscard]] static constexpr Duration from_seconds_f(double s) {
     return {static_cast<std::int64_t>(s * 1e9)};
   }
@@ -54,6 +61,10 @@ struct TimePointBase {
   [[nodiscard]] static constexpr Derived nanos(std::int64_t v) { return Derived{v}; }
   [[nodiscard]] static constexpr Derived millis(std::int64_t v) { return Derived{v * 1'000'000}; }
   [[nodiscard]] static constexpr Derived seconds(std::int64_t v) { return Derived{v * 1'000'000'000}; }
+  // Floating-point arguments are a compile error, as for Duration.
+  template <std::floating_point T> static Derived nanos(T) = delete;
+  template <std::floating_point T> static Derived millis(T) = delete;
+  template <std::floating_point T> static Derived seconds(T) = delete;
 
   [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns) / 1e9; }
   [[nodiscard]] constexpr double to_millis() const { return static_cast<double>(ns) / 1e6; }

@@ -381,16 +381,12 @@ int run_cli(int argc, const char* const* argv) {
                  selected.size());
     return 2;
   }
+  // Installing a recorder is what turns it on; each one uninstalls itself
+  // when it goes out of scope at the end of this function.
   obs::TraceRecorder trace;
-  if (tracing) {
-    obs::set_active_trace(&trace);
-    trace.arm();
-  }
+  if (tracing) obs::set_active_trace(&trace);
   obs::Profiler profiler;
-  if (profiling) {
-    obs::set_active_profiler(&profiler);
-    profiler.arm();
-  }
+  if (profiling) obs::set_active_profiler(&profiler);
 
   bool side_output_failed = false;
   const auto write_side_file = [&](const std::string& path,
@@ -425,17 +421,14 @@ int run_cli(int argc, const char* const* argv) {
     // single-scenario, once at the end), so exporting + resetting here
     // scopes each output file to exactly one scenario run.
     if (tracing) {
-      trace.disarm();
       const std::string path =
           multi ? per_scenario_path(options.trace_path, outcome.name)
                 : options.trace_path;
       write_side_file(path, trace.export_json(options.trace_parallel),
                       "trace event(s)", trace.event_count());
       trace.clear();
-      trace.arm();
     }
     if (profiling) {
-      profiler.disarm();
       const obs::ProfilerSnapshot snap = profiler.snapshot();
       // Boundary samples: the scenario's own wall clock plus the process
       // RSS right after it finished. Nondeterministic by nature, which is
@@ -453,21 +446,11 @@ int run_cli(int argc, const char* const* argv) {
       write_side_file(path + ".stacks", obs::collapsed_stacks(snap),
                       "stack line(s)", snap.paths.size());
       profiler.clear();
-      profiler.arm();
     }
   };
   const std::vector<ScenarioOutcome> outcomes =
       run_scenarios(selected, overrides, options.seed, options.smoke,
                     options.jobs, print_outcome);
-
-  if (tracing) {
-    trace.disarm();
-    obs::set_active_trace(nullptr);
-  }
-  if (profiling) {
-    profiler.disarm();
-    obs::set_active_profiler(nullptr);
-  }
 
   std::vector<Result> results;
   results.reserve(outcomes.size());

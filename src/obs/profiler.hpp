@@ -9,13 +9,11 @@
 //    unknown phase name is a build error, and the `profile` block always
 //    lists every phase in registry order, so the output *schema* is
 //    byte-stable even though the wall values are measurements.
-//  * Recording is off unless a Profiler is installed via
-//    set_active_profiler AND armed. The disarmed fast path is one relaxed
-//    pointer load (plus one relaxed flag load when a profiler is
-//    installed) — the same shape the `tracing_disabled_overhead_ratio`
-//    microbench budget-gates, and `profiling_disabled_overhead_ratio`
-//    gates this one.
-//  * Armed recording goes to per-thread slots (registered on first use,
+//  * Installing a Profiler (set_active_profiler) is what turns recording
+//    on. With none installed, a scope costs one relaxed pointer load and
+//    one predicted branch — the disabled cost that the
+//    `profiling_disabled_overhead_ratio` microbench gates.
+//  * Recording goes to per-thread slots (registered on first use,
 //    merged under a mutex only at snapshot time), so simulator worker
 //    threads never contend. Each slot keeps per-phase {calls, total_ns,
 //    self_ns} plus a per-call-path self-time map that snapshot() renders
@@ -101,17 +99,11 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  void arm() { enabled_.store(true, std::memory_order_relaxed); }
-  void disarm() { enabled_.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] bool armed() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Merges every thread slot. Call only while writers are quiescent
   /// (scenario boundaries) — slot contents are plain integers.
   [[nodiscard]] ProfilerSnapshot snapshot() const;
 
-  /// Drops all recorded data (slots stay registered; armed unchanged).
+  /// Drops all recorded data (slots stay registered).
   /// Same quiescence contract as snapshot().
   void clear();
 
@@ -125,7 +117,6 @@ class Profiler {
   friend ThreadSlot* prof_enter(Profiler* profiler, std::size_t phase);
   ThreadSlot* slot_for_current_thread();
 
-  std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadSlot>> slots_;
   std::vector<std::uint64_t> core_busy_ns_;  // guarded by mu_
@@ -140,25 +131,25 @@ namespace detail {
 extern std::atomic<Profiler*> g_profiler;
 }  // namespace detail
 
-/// Out-of-line armed path: registers/fetches the calling thread's slot and
+/// Out-of-line recording path: registers/fetches the calling thread's slot and
 /// pushes a frame. Returns nullptr when the frame stack is saturated in a
 /// way that cannot be tracked (never happens at kProfMaxDepth >= real
 /// nesting; overflow is still counted and balanced).
 Profiler::ThreadSlot* prof_enter(Profiler* profiler, std::size_t phase);
 void prof_exit(Profiler::ThreadSlot* slot);
 
-/// RAII scope used via OBS_PROF_SCOPE. Disarmed cost: one relaxed load
-/// (+ one when a profiler is installed), one predicted branch.
+/// RAII scope used via OBS_PROF_SCOPE. Cost with no profiler installed:
+/// one relaxed load, one predicted branch.
 class ProfScope {
  public:
   explicit ProfScope(std::size_t phase)
       : ProfScope(phase, detail::g_profiler) {}
   /// Reads the profiler from `source` instead of the process-wide pointer:
-  /// the same disarmed check, on a pointer no other thread can see (the
+  /// the same null check, on a pointer no other thread can see (the
   /// microbench overhead probe's way to time it while scenarios run).
   ProfScope(std::size_t phase, const std::atomic<Profiler*>& source) {
     Profiler* p = source.load(std::memory_order_relaxed);
-    if (p == nullptr || !p->armed()) [[likely]] {
+    if (p == nullptr) [[likely]] {
       slot_ = nullptr;
       return;
     }

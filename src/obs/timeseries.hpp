@@ -48,7 +48,6 @@ class TimeSeries {
   [[nodiscard]] TimeSeriesSnapshot snapshot() const;
 
   [[nodiscard]] std::int64_t window_ns() const { return window_ns_; }
-  [[nodiscard]] std::size_t max_windows() const { return max_windows_; }
   [[nodiscard]] std::size_t window_count() const { return windows_.size(); }
 
   /// Bytes held by the window ring — capacity is reserved up front and

@@ -29,6 +29,10 @@ TraceRecorder* active_trace() { return g_active_trace; }
 
 void set_active_trace(TraceRecorder* recorder) { g_active_trace = recorder; }
 
+TraceRecorder::~TraceRecorder() {
+  if (g_active_trace == this) set_active_trace(nullptr);
+}
+
 TraceTrack* TraceRecorder::track(std::uint32_t pid, std::uint32_t tid,
                                  std::string process_name,
                                  std::string thread_name, Category category) {
@@ -36,8 +40,7 @@ TraceTrack* TraceRecorder::track(std::uint32_t pid, std::uint32_t tid,
   const auto key = std::make_pair(pid, tid);
   const auto it = by_id_.find(key);
   if (it != by_id_.end()) return it->second;
-  tracks_.emplace_back(TraceTrack(&enabled_, pid, tid,
-                                  std::move(process_name),
+  tracks_.emplace_back(TraceTrack(pid, tid, std::move(process_name),
                                   std::move(thread_name), category));
   by_id_[key] = &tracks_.back();
   return &tracks_.back();

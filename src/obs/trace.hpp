@@ -18,13 +18,14 @@
 // from the default export (`--trace-parallel` opts them in; a 1-shard run
 // has no barriers to show, and byte-identity must hold by default).
 //
-// Recording is off unless a TraceRecorder is installed via
-// set_active_trace AND armed: every record call starts with one relaxed
-// flag load, which is what keeps the disabled overhead inside the
+// Installing a TraceRecorder (set_active_trace) is what turns recording
+// on: core::Cloud asks the installed recorder for its tracks at
+// construction, and a track records every event it is given. With no
+// recorder installed no track exists, and every hook is one null-pointer
+// branch — which is what keeps the disabled overhead inside the
 // microbench's 2% budget.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -60,37 +61,27 @@ class TraceTrack {
  public:
   void instant(std::int64_t ts_ns, const char* name,
                const char* arg_name = nullptr, std::uint64_t arg_value = 0) {
-    if (!armed()) return;
     events_.push_back({ts_ns, -1, name, arg_name, arg_value, 'i'});
   }
   void complete(std::int64_t ts_ns, std::int64_t dur_ns, const char* name,
                 const char* arg_name = nullptr, std::uint64_t arg_value = 0) {
-    if (!armed()) return;
     events_.push_back({ts_ns, dur_ns, name, arg_name, arg_value, 'X'});
   }
   void counter(std::int64_t ts_ns, const char* name, const char* series,
                std::uint64_t value) {
-    if (!armed()) return;
     events_.push_back({ts_ns, -1, name, series, value, 'C'});
   }
 
  private:
   friend class TraceRecorder;
-  TraceTrack(const std::atomic<bool>* enabled, std::uint32_t pid,
-             std::uint32_t tid, std::string process_name,
+  TraceTrack(std::uint32_t pid, std::uint32_t tid, std::string process_name,
              std::string thread_name, Category category)
-      : enabled_(enabled),
-        pid_(pid),
+      : pid_(pid),
         tid_(tid),
         process_name_(std::move(process_name)),
         thread_name_(std::move(thread_name)),
         category_(category) {}
 
-  [[nodiscard]] bool armed() const {
-    return enabled_->load(std::memory_order_relaxed);
-  }
-
-  const std::atomic<bool>* enabled_;
   std::uint32_t pid_;
   std::uint32_t tid_;
   std::string process_name_;
@@ -101,11 +92,12 @@ class TraceTrack {
 
 class TraceRecorder {
  public:
-  void arm() { enabled_.store(true, std::memory_order_relaxed); }
-  void disarm() { enabled_.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] bool armed() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  TraceRecorder() = default;
+  /// Uninstalls itself if it is still the active recorder, so a recorder
+  /// that goes out of scope never leaves a dangling process-wide pointer.
+  ~TraceRecorder();
+  TraceRecorder(const TraceRecorder&) = delete;
+  TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// The track with identity (pid, tid), created on first request (the
   /// names and category are fixed by the creator). Creation is
@@ -123,13 +115,12 @@ class TraceRecorder {
   /// decimals), so equal inputs give equal bytes.
   [[nodiscard]] std::string export_json(bool include_parallel = false) const;
 
-  /// Drops every track and recorded event (the armed flag is unchanged).
+  /// Drops every track and recorded event.
   void clear();
 
   [[nodiscard]] std::size_t event_count() const;
 
  private:
-  std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::deque<TraceTrack> tracks_;  // deque: stable addresses across growth
   std::map<std::pair<std::uint32_t, std::uint32_t>, TraceTrack*> by_id_;
@@ -137,8 +128,8 @@ class TraceRecorder {
 
 /// The process-wide recorder the current scenario run should record into
 /// (nullptr when tracing is off — the common case). The runner installs
-/// one around a single traced scenario; core::Cloud captures it at
-/// construction.
+/// one for a traced run and exports and clears it after each scenario;
+/// core::Cloud captures it at construction.
 [[nodiscard]] TraceRecorder* active_trace();
 void set_active_trace(TraceRecorder* recorder);
 

@@ -305,7 +305,7 @@ void ShardedSimulator::run_until(RealTime t) {
   }
   SW_EXPECTS(t.ns >= now().ns);
   obs::Profiler* const profiler = obs::active_profiler();
-  timing_ = profiler != nullptr && profiler->armed();
+  timing_ = profiler != nullptr;
   constexpr std::int64_t kInf = kUnreachableNs;
   const auto k = cores_.size();
   bool done = false;

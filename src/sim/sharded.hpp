@@ -142,7 +142,7 @@ class ShardedSimulator {
   /// and re-raises here (the lowest core's exception first); the
   /// simulator stays usable.
   ///
-  /// While an obs::Profiler is armed, each core's busy time in this call
+  /// While an obs::Profiler is installed, each core's busy time in this call
   /// is added to the profiler's per-core totals (wall-clock values that
   /// never reach the deterministic report).
   void run_until(RealTime t);
@@ -271,7 +271,7 @@ class ShardedSimulator {
   std::vector<std::int64_t> eit_;
   std::vector<std::int64_t> run_to_ns_;
   std::vector<char> run_mask_;
-  /// True while an armed profiler wants per-core busy time.
+  /// True while an installed profiler wants per-core busy time.
   bool timing_{false};
 
   // --- Epoch barrier ---

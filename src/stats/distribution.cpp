@@ -30,17 +30,6 @@ double Uniform::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
 
 double Uniform::mean() const { return 0.5 * (lo_ + hi_); }
 
-Shifted::Shifted(std::shared_ptr<const Distribution> base, double shift)
-    : base_(std::move(base)), shift_(shift) {
-  SW_EXPECTS(base_ != nullptr);
-}
-
-double Shifted::cdf(double x) const { return base_->cdf(x - shift_); }
-
-double Shifted::sample(Rng& rng) const { return base_->sample(rng) + shift_; }
-
-double Shifted::mean() const { return base_->mean() + shift_; }
-
 SumOfIndependent::SumOfIndependent(std::shared_ptr<const Distribution> x,
                                    std::shared_ptr<const Uniform> uniform_noise,
                                    int quadrature_points)

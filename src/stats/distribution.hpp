@@ -50,19 +50,6 @@ class Uniform final : public Distribution {
   double lo_, hi_;
 };
 
-/// X + c for a fixed shift c (e.g., adding Δn to a delivery-time variable).
-class Shifted final : public Distribution {
- public:
-  Shifted(std::shared_ptr<const Distribution> base, double shift);
-  [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double mean() const override;
-
- private:
-  std::shared_ptr<const Distribution> base_;
-  double shift_;
-};
-
 /// Sum X + Y of two independent variables, CDF by numeric convolution over
 /// the second variable's support (used for Exp + Uniform noise in Fig. 8).
 class SumOfIndependent final : public Distribution {

@@ -23,19 +23,17 @@ const ParamOverrides kSmallPlacement = {{"machines", "99"},
                                         {"run_time_s", "0.4"},
                                         {"pair_samples", "2000"}};
 
-/// Runs placement_e2e with a fresh armed recorder and returns the default
-/// (shard-count-invariant) trace export.
+/// Runs placement_e2e with a fresh installed recorder and returns the
+/// default (shard-count-invariant) trace export.
 std::string trace_of(const std::string& shards, std::uint64_t jobs) {
   obs::TraceRecorder recorder;
   obs::set_active_trace(&recorder);
-  recorder.arm();
   ParamOverrides overrides = kSmallPlacement;
   overrides["sim_shards"] = shards;
   const Scenario* scenario = ScenarioRegistry::instance().find("placement_e2e");
   EXPECT_NE(scenario, nullptr);
   const auto outcomes =
       run_scenarios({scenario}, overrides, /*seed=*/11, /*smoke=*/true, jobs);
-  recorder.disarm();
   obs::set_active_trace(nullptr);
   EXPECT_EQ(outcomes.size(), 1u);
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.error;
@@ -67,14 +65,12 @@ TEST(Observability, TraceByteIdenticalAcrossJobs) {
 TEST(Observability, ParallelTracksExistButStayOutOfDefaultExport) {
   obs::TraceRecorder recorder;
   obs::set_active_trace(&recorder);
-  recorder.arm();
   ParamOverrides overrides = kSmallPlacement;
   overrides["sim_shards"] = std::string("4");
   static_cast<void>(ScenarioRegistry::instance().run("placement_e2e",
                                                      /*seed=*/11,
                                                      /*smoke=*/true,
                                                      overrides));
-  recorder.disarm();
   obs::set_active_trace(nullptr);
   // Barrier windows and per-core kernel counters recorded on a 4-shard
   // run, but only the opt-in export shows them.

@@ -1,4 +1,4 @@
-// The self-profiling acceptance contract, end to end: an armed profiler
+// The self-profiling acceptance contract, end to end: an installed profiler
 // over placement_e2e attributes >= 90% of the measured wall time to named
 // phases; the profile block's *schema* (names/structure, digits aside) is
 // identical across sim_shards and --jobs, apart from one busy-time entry
@@ -32,12 +32,10 @@ TEST(Profile, AttributesAtLeastNinetyPercentOfPlacementE2eWall) {
   obs::Profiler profiler;
   obs::Profiler* const previous = obs::active_profiler();
   obs::set_active_profiler(&profiler);
-  profiler.arm();
   const auto t0 = std::chrono::steady_clock::now();
   const Result r = ScenarioRegistry::instance().run(
       "placement_e2e", /*seed=*/11, /*smoke=*/true, kSmallPlacement);
   const auto t1 = std::chrono::steady_clock::now();
-  profiler.disarm();
   obs::set_active_profiler(previous);
   ASSERT_FALSE(r.metrics().empty());
 
@@ -82,20 +80,18 @@ std::string schema_shape(const std::string& json) {
   return out;
 }
 
-/// Runs placement_e2e under an armed profiler and returns the profile
+/// Runs placement_e2e under an installed profiler and returns the profile
 /// JSON (wall/RSS values are measurements — callers compare shapes).
 std::string profile_json_of(const std::string& shards, std::uint64_t jobs) {
   obs::Profiler profiler;
   obs::Profiler* const previous = obs::active_profiler();
   obs::set_active_profiler(&profiler);
-  profiler.arm();
   ParamOverrides overrides = kSmallPlacement;
   overrides["sim_shards"] = shards;
   const Scenario* scenario = ScenarioRegistry::instance().find("placement_e2e");
   EXPECT_NE(scenario, nullptr);
   const auto outcomes =
       run_scenarios({scenario}, overrides, /*seed=*/11, /*smoke=*/true, jobs);
-  profiler.disarm();
   obs::set_active_profiler(previous);
   EXPECT_EQ(outcomes.size(), 1u);
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.error;

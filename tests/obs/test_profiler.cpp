@@ -1,6 +1,6 @@
 // The profiler's accounting contract: nested scopes subtract child time
-// from parent self time (so attributed_ns never double counts), the
-// disarmed path records nothing, per-thread slots merge into one
+// from parent self time (so attributed_ns never double counts), an
+// uninstalled profiler records nothing, per-thread slots merge into one
 // snapshot, the JSON schema lists every registry phase in order, and
 // collapsed stacks render the call paths flamegraph tools expect.
 #include <gtest/gtest.h>
@@ -41,7 +41,6 @@ class ActiveProfiler {
 TEST(Profiler, NestedScopesSubtractChildTimeFromParentSelf) {
   Profiler profiler;
   ActiveProfiler install(&profiler);
-  profiler.arm();
   {
     OBS_PROF_SCOPE("scenario.drive");
     spin_for(std::chrono::microseconds(2000));
@@ -50,7 +49,6 @@ TEST(Profiler, NestedScopesSubtractChildTimeFromParentSelf) {
       spin_for(std::chrono::microseconds(4000));
     }
   }
-  profiler.disarm();
 
   const ProfilerSnapshot snap = profiler.snapshot();
   const auto& drive = snap.phases[kDrive];
@@ -67,20 +65,12 @@ TEST(Profiler, NestedScopesSubtractChildTimeFromParentSelf) {
   EXPECT_LE(snap.attributed_ns(), drive.total_ns);
 }
 
-TEST(Profiler, DisarmedAndUninstalledRecordNothing) {
+TEST(Profiler, UninstalledRecordsNothing) {
   Profiler profiler;
   {
-    // Installed but never armed.
-    ActiveProfiler install(&profiler);
+    // Not installed: the scope sees no active profiler.
     OBS_PROF_SCOPE("scenario.setup");
     spin_for(std::chrono::microseconds(100));
-  }
-  {
-    // Armed but not installed (the scope sees no active profiler).
-    profiler.arm();
-    OBS_PROF_SCOPE("scenario.setup");
-    spin_for(std::chrono::microseconds(100));
-    profiler.disarm();
   }
   const ProfilerSnapshot snap = profiler.snapshot();
   EXPECT_EQ(snap.phases[kSetup].calls, 0u);
@@ -91,7 +81,6 @@ TEST(Profiler, DisarmedAndUninstalledRecordNothing) {
 TEST(Profiler, SnapshotMergesThreadSlots) {
   Profiler profiler;
   ActiveProfiler install(&profiler);
-  profiler.arm();
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 50;
   std::vector<std::thread> workers;
@@ -104,7 +93,6 @@ TEST(Profiler, SnapshotMergesThreadSlots) {
     });
   }
   for (std::thread& w : workers) w.join();
-  profiler.disarm();
 
   const ProfilerSnapshot snap = profiler.snapshot();
   const auto& merge = snap.phases[prof_phase_index("sharded.merge")];
@@ -122,7 +110,6 @@ TEST(Profiler, SnapshotMergesThreadSlots) {
 TEST(Profiler, CollapsedStacksRenderSemicolonPaths) {
   Profiler profiler;
   ActiveProfiler install(&profiler);
-  profiler.arm();
   {
     OBS_PROF_SCOPE("scenario.drive");
     {
@@ -130,7 +117,6 @@ TEST(Profiler, CollapsedStacksRenderSemicolonPaths) {
       spin_for(std::chrono::microseconds(200));
     }
   }
-  profiler.disarm();
 
   const ProfilerSnapshot snap = profiler.snapshot();
   const std::string stacks = collapsed_stacks(snap);
@@ -142,17 +128,15 @@ TEST(Profiler, CollapsedStacksRenderSemicolonPaths) {
   EXPECT_EQ(lines, snap.paths.size());
 }
 
-TEST(Profiler, ClearDropsDataButKeepsArming) {
+TEST(Profiler, ClearDropsDataButKeepsRecording) {
   Profiler profiler;
   ActiveProfiler install(&profiler);
-  profiler.arm();
   {
     OBS_PROF_SCOPE("scenario.setup");
     spin_for(std::chrono::microseconds(100));
   }
   EXPECT_GT(profiler.snapshot().phases[kSetup].calls, 0u);
   profiler.clear();
-  EXPECT_TRUE(profiler.armed());
   EXPECT_EQ(profiler.snapshot().phases[kSetup].calls, 0u);
   EXPECT_TRUE(profiler.snapshot().paths.empty());
   {
@@ -160,7 +144,6 @@ TEST(Profiler, ClearDropsDataButKeepsArming) {
   }
   // The thread slot survived the clear and keeps recording.
   EXPECT_EQ(profiler.snapshot().phases[kSetup].calls, 1u);
-  profiler.disarm();
 }
 
 TEST(Profiler, JsonSchemaListsEveryPhaseInRegistryOrder) {

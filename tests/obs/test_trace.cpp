@@ -1,4 +1,4 @@
-// The trace recorder's export contract: disarmed recording is a no-op,
+// The trace recorder's export contract: clear() drops every event,
 // events serialize stable-sorted by (ts, pid, tid) with integer-exact
 // microsecond timestamps, and kParallel tracks stay out of the default
 // export — the properties behind the cross-shard byte-identity guarantee.
@@ -13,20 +13,13 @@
 namespace stopwatch::obs {
 namespace {
 
-TEST(TraceRecorder, DisarmedRecordingIsANoOp) {
+TEST(TraceRecorder, ClearDropsEveryEvent) {
   TraceRecorder rec;
   TraceTrack* t = rec.track(1, 0, "proc", "thread");
   t->instant(100, "ev");
   t->complete(200, 50, "span");
   t->counter(300, "ctr", "v", 7);
-  EXPECT_EQ(rec.event_count(), 0u);
-
-  rec.arm();
-  t->instant(100, "ev");
-  EXPECT_EQ(rec.event_count(), 1u);
-  rec.disarm();
-  t->instant(101, "ev");
-  EXPECT_EQ(rec.event_count(), 1u);
+  EXPECT_EQ(rec.event_count(), 3u);
 
   rec.clear();
   EXPECT_EQ(rec.event_count(), 0u);
@@ -45,12 +38,10 @@ TEST(TraceRecorder, ExportSortsByTsThenPidTidAndFormatsMicroseconds) {
   // creation order.
   TraceTrack* late = rec.track(2, 0, "proc-b", "row");
   TraceTrack* early = rec.track(1, 0, "proc-a", "row");
-  rec.arm();
   late->instant(1500, "tie");           // 1.500 us, pid 2
   early->instant(1500, "tie");          // 1.500 us, pid 1 — sorts first
   early->complete(2000, 250, "span");   // ts 2.000, dur 0.250
   late->instant(999, "first");          // 0.999 us — earliest
-  rec.disarm();
 
   const std::string json = rec.export_json();
   // Metadata precedes events, processes in pid order.
@@ -81,10 +72,8 @@ TEST(TraceRecorder, ParallelTracksAreOptIn) {
   TraceTrack* sim_track = rec.track(1, 0, "vm", "v0");
   TraceTrack* par = rec.track(800, 0, "parallel", "barriers",
                               Category::kParallel);
-  rec.arm();
   sim_track->instant(10, "ingress");
   par->complete(10, 5, "window");
-  rec.disarm();
 
   const std::string def = rec.export_json();
   EXPECT_NE(def.find("\"ingress\""), std::string::npos);
@@ -114,15 +103,13 @@ void run_events(sim::Simulator& simulator, std::uint64_t n) {
   simulator.run();
 }
 
-TEST(KernelTrack, RecordsEventsExecutedCounterOnlyWhileArmed) {
+TEST(KernelTrack, RecordsEventsExecutedCounterFromTheAttachedTrack) {
   TraceRecorder rec;
   sim::Simulator simulator;
+  run_events(simulator, sim::Simulator::kTraceSampleEvery);  // detached
   TraceTrack* t =
       rec.track(900, 0, "sim-kernel", "core-0", Category::kParallel);
   simulator.set_trace_track(t);
-  run_events(simulator, sim::Simulator::kTraceSampleEvery);  // disarmed
-  EXPECT_EQ(rec.event_count(), 0u);
-  rec.arm();
   run_events(simulator, 2 * sim::Simulator::kTraceSampleEvery);
   EXPECT_EQ(rec.event_count(), 2u);
   const std::string json = rec.export_json(/*include_parallel=*/true);
@@ -135,7 +122,6 @@ TEST(KernelTrack, SamplesEveryPowerOfTwoIntervalUntilDetached) {
   // One sample per kTraceSampleEvery executed events; a detached kernel
   // records nothing.
   TraceRecorder rec;
-  rec.arm();
   sim::Simulator simulator;
   TraceTrack* t =
       rec.track(901, 0, "sim-kernel", "core-0", Category::kParallel);
@@ -154,6 +140,22 @@ TEST(ActiveTrace, InstallAndClear) {
   EXPECT_EQ(active_trace(), &rec);
   set_active_trace(nullptr);
   EXPECT_EQ(active_trace(), nullptr);
+}
+
+TEST(ActiveTrace, DestroyedRecorderUninstallsItself) {
+  EXPECT_EQ(active_trace(), nullptr);
+  {
+    TraceRecorder rec;
+    set_active_trace(&rec);
+    EXPECT_EQ(active_trace(), &rec);
+  }
+  EXPECT_EQ(active_trace(), nullptr);
+  // A recorder that is not the installed one leaves the installed one be.
+  TraceRecorder installed;
+  set_active_trace(&installed);
+  { TraceRecorder other; }
+  EXPECT_EQ(active_trace(), &installed);
+  set_active_trace(nullptr);
 }
 
 }  // namespace

@@ -23,14 +23,6 @@ TEST(Distribution, UniformCdf) {
   EXPECT_DOUBLE_EQ(u.mean(), 4.0);
 }
 
-TEST(Distribution, ShiftedMovesCdfAndMean) {
-  auto base = std::make_shared<Exponential>(1.0);
-  const Shifted s(base, 5.0);
-  EXPECT_DOUBLE_EQ(s.cdf(5.0), 0.0);
-  EXPECT_NEAR(s.cdf(5.0 + std::log(2.0)), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(s.mean(), 6.0);
-}
-
 TEST(Distribution, SumOfIndependentHasCorrectMean) {
   auto x = std::make_shared<Exponential>(1.0);
   auto n = std::make_shared<Uniform>(0.0, 4.0);
