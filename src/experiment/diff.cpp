@@ -313,11 +313,13 @@ int run_diff_cli(int argc, const char* const* argv) {
       if (!next_value(arg, v)) return 2;
       const auto [ptr, ec] =
           std::from_chars(v.data(), v.data() + v.size(), options.threshold);
+      // An infinite threshold would pass every regression, so only a
+      // finite fraction sets the gate.
       if (ec != std::errc{} || ptr != v.data() + v.size() ||
-          !(options.threshold >= 0.0)) {
+          !(std::isfinite(options.threshold) && options.threshold >= 0.0)) {
         std::fprintf(stderr,
-                     "error: --threshold expects a non-negative fraction, "
-                     "got '%s'\n",
+                     "error: --threshold expects a finite non-negative "
+                     "fraction, got '%s'\n",
                      std::string(v).c_str());
         return 2;
       }

@@ -35,7 +35,8 @@ struct CapacityResult {
     int max_iterations = 5000);
 
 /// Binary entropy H2(p) in bits — the closed form behind the binary
-/// symmetric channel's capacity 1 - H2(p), used by tests and scenarios.
+/// symmetric channel's capacity 1 - H2(p). No scenario calls it: it is the
+/// tests' closed-form oracle for blahut_arimoto.
 [[nodiscard]] double binary_entropy_bits(double p);
 
 }  // namespace stopwatch::leakage

@@ -9,20 +9,16 @@
 namespace stopwatch::leakage {
 
 ObservationLog::ObservationLog(ObservationLogConfig cfg)
-    : cfg_(cfg), rng_(SplitMix64(cfg.seed ^ 0x0b5e7a71ULL).next()) {}
+    : cfg_(cfg), rng_(SplitMix64(cfg.seed ^ 0x0b5e7a71ULL).next()) {
+  SW_EXPECTS(cfg_.reservoir_capacity >= 1);
+}
 
 void ObservationLog::record(int secret_class, double value) {
   SW_EXPECTS(secret_class >= 0);
   ClassSlot& slot = classes_[secret_class];
   ++slot.seen;
   ++total_;
-  // Welford's online moments: exact regardless of reservoir evictions.
-  const double delta = value - slot.mean;
-  slot.mean += delta / static_cast<double>(slot.seen);
-  slot.m2 += delta * (value - slot.mean);
-
-  if (cfg_.reservoir_capacity == 0 ||
-      slot.reservoir.size() < cfg_.reservoir_capacity) {
+  if (slot.reservoir.size() < cfg_.reservoir_capacity) {
     slot.reservoir.push_back(value);
     return;
   }
@@ -40,23 +36,6 @@ std::vector<int> ObservationLog::classes() const {
   out.reserve(classes_.size());
   for (const auto& [cls, slot] : classes_) out.push_back(cls);
   return out;
-}
-
-std::uint64_t ObservationLog::count(int cls) const {
-  const auto it = classes_.find(cls);
-  return it == classes_.end() ? 0 : it->second.seen;
-}
-
-double ObservationLog::mean(int cls) const {
-  const auto it = classes_.find(cls);
-  SW_EXPECTS(it != classes_.end() && it->second.seen > 0);
-  return it->second.mean;
-}
-
-double ObservationLog::variance(int cls) const {
-  const auto it = classes_.find(cls);
-  SW_EXPECTS(it != classes_.end() && it->second.seen > 0);
-  return it->second.m2 / static_cast<double>(it->second.seen);
 }
 
 const std::vector<double>& ObservationLog::samples(int cls) const {
@@ -81,11 +60,7 @@ std::string ObservationLog::serialize() const {
       << " total=" << total_ << "\n";
   char buf[32];
   for (const auto& [cls, slot] : classes_) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(slot.mean)));
-    out << "class " << cls << " seen=" << slot.seen << " mean=" << buf;
-    out << " samples=";
+    out << "class " << cls << " seen=" << slot.seen << " samples=";
     for (const double v : slot.reservoir) {
       std::snprintf(buf, sizeof(buf), "%016llx",
                     static_cast<unsigned long long>(

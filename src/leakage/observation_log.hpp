@@ -9,12 +9,12 @@
 // victim was acting on, and hands the log to the mutual-information and
 // channel-capacity estimators (estimators.hpp, capacity.hpp).
 //
-// Memory is bounded: each secret class keeps an exact streaming summary
-// (count, mean, variance via Welford) plus a reservoir sample (Vitter's
-// Algorithm R) of at most `reservoir_capacity` values. Reservoir
-// replacement draws from a dedicated Rng seeded from the config, so the
-// retained sample — and therefore `serialize()` — is a pure function of
-// (seed, record sequence): the determinism property the tap tests assert.
+// Memory is bounded: each secret class keeps its exact record count plus a
+// reservoir sample (Vitter's Algorithm R) of at most `reservoir_capacity`
+// values — the samples the estimators consume. Reservoir replacement draws
+// from a dedicated Rng seeded from the config, so the retained sample — and
+// therefore `serialize()` — is a pure function of (seed, record sequence):
+// the determinism property the tap tests assert.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@ namespace stopwatch::leakage {
 
 struct ObservationLogConfig {
   std::uint64_t seed{1};
-  /// Maximum retained samples per secret class; 0 keeps every observation.
+  /// Maximum retained samples per secret class (at least 1).
   std::size_t reservoir_capacity{8192};
 };
 
@@ -44,15 +44,9 @@ class ObservationLog {
   /// Distinct secret classes seen so far, ascending.
   [[nodiscard]] std::vector<int> classes() const;
 
-  /// Observations recorded for `cls` (exact, even when the reservoir
-  /// retains fewer). Zero for classes never seen.
-  [[nodiscard]] std::uint64_t count(int cls) const;
+  /// Observations recorded over every class (exact, even when the
+  /// reservoirs retain fewer).
   [[nodiscard]] std::uint64_t total_count() const { return total_; }
-
-  /// Exact streaming mean / population variance of all observations of
-  /// `cls` (not just the retained reservoir).
-  [[nodiscard]] double mean(int cls) const;
-  [[nodiscard]] double variance(int cls) const;
 
   /// The retained sample for `cls` (all observations while under capacity;
   /// a uniform random subset once the reservoir saturates).
@@ -83,8 +77,6 @@ class ObservationLog {
  private:
   struct ClassSlot {
     std::uint64_t seen{0};
-    double mean{0.0};
-    double m2{0.0};
     std::vector<double> reservoir;
   };
 

@@ -41,7 +41,7 @@ void Network::bind_node(NodeId id, Handler handler) {
   std::optional<Node>& slot = (*pages_[page])[id.value & (kPageSize - 1)];
   SW_EXPECTS(!slot.has_value());
   slot.emplace(
-      Node{std::move(handler), {}, RealTime{}, rng_.fork(id.value), 0});
+      Node{std::move(handler), RealTime{}, rng_.fork(id.value), 0});
 }
 
 void Network::set_unbound_handler(Handler handler) {
@@ -52,12 +52,6 @@ void Network::set_node_owner(NodeId node_id, int shard) {
   SW_EXPECTS(!kernel_->running());
   SW_EXPECTS(shard >= 0 && shard < kernel_->shard_count());
   node(node_id).owner = shard;
-}
-
-void Network::set_link(NodeId src, NodeId dst, LinkModel model) {
-  SW_EXPECTS(src.value < issued_ && dst.value < issued_);
-  note_link(model);
-  links_[{src.value, dst.value}] = model;
 }
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
@@ -78,9 +72,6 @@ void Network::set_drop_hook(std::function<bool(const Frame&)> hook) {
 
 Duration Network::min_latency_floor() const {
   Duration floor = default_link_.min_latency();
-  for (const auto& [key, model] : links_) {
-    floor = std::min(floor, model.min_latency());
-  }
   for (const auto& [key, model] : node_links_) {
     floor = std::min(floor, model.min_latency());
   }
@@ -88,8 +79,6 @@ Duration Network::min_latency_floor() const {
 }
 
 const LinkModel& Network::link_for(NodeId src, NodeId dst) const {
-  const auto it = links_.find({src.value, dst.value});
-  if (it != links_.end()) return it->second;
   const auto src_it = node_links_.find(src.value);
   if (src_it != node_links_.end()) return src_it->second;
   const auto dst_it = node_links_.find(dst.value);
@@ -132,14 +121,12 @@ bool Network::send(Frame frame) {
   const int dst_owner = unbound ? 0 : dst->owner;
 
   const LinkModel& link = link_for(frame.src, frame.dst);
-  // All mutable state touched on the send path (src stats, src tx_free,
-  // src rng) belongs to the source node, and send() runs on the source
-  // owner's core — shard-confined by construction. Destination state is
-  // only touched by the delivery task below, on the destination's core.
+  // All mutable state touched on the send path (src tx_free, src rng)
+  // belongs to the source node, and send() runs on the source owner's
+  // core — shard-confined by construction. The destination is
+  // only reached by the delivery task below, on the destination's core.
   sim::Simulator& src_core = kernel_->shard(src.owner);
 
-  src.stats.frames_sent += 1;
-  src.stats.bytes_sent += frame.size_bytes;
   frames_by_class_[frame.payload.index()].fetch_add(
       1, std::memory_order_relaxed);
   if (bytes_hist_ != nullptr) bytes_hist_->record(frame.size_bytes);
@@ -179,12 +166,9 @@ bool Network::send(Frame frame) {
       unbound_handler_(*f);
       return;
     }
-    // Records live in pages that never move, so this reference survives
-    // handlers that bind new nodes mid-delivery.
-    Node& d = node(dst_id);
-    d.stats.frames_received += 1;
-    d.stats.bytes_received += f->size_bytes;
-    d.handler(*f);
+    // Records live in pages that never move, so the running handler
+    // survives the new nodes it may bind mid-delivery.
+    node(dst_id).handler(*f);
   });
   if (dst_owner != src.owner) {
     kernel_->cross_schedule(src.owner, dst_owner, arrival, std::move(deliver));
@@ -192,10 +176,6 @@ bool Network::send(Frame frame) {
     src_core.schedule_at(arrival, std::move(deliver));
   }
   return true;
-}
-
-const NodeStats& Network::stats(NodeId node_id) const {
-  return node(node_id).stats;
 }
 
 }  // namespace stopwatch::net

@@ -2,9 +2,10 @@
 // serialization delay (bandwidth), and loss.
 //
 // Topology used by StopWatch experiments: cloud machines, the ingress and
-// egress nodes, and external clients all attach here. Per-pair link models
-// can be overridden (e.g., a slow "wireless client" hop as in the paper's
-// evaluation; fast intra-cloud links for VMM-to-VMM proposal traffic).
+// egress nodes, and external clients all attach here. One default link
+// models intra-cloud traffic; a node link overrides it for all traffic of
+// one node (e.g., a slow "wireless client" hop as in the paper's
+// evaluation).
 //
 // An address may exist before its node does: reserve_node issues a dense
 // NodeId and builds nothing, bind_node builds the record later, and frames
@@ -63,14 +64,6 @@ struct LinkModel {
   [[nodiscard]] Duration min_latency() const;
 };
 
-/// Statistics kept per node.
-struct NodeStats {
-  std::uint64_t frames_sent{0};
-  std::uint64_t frames_received{0};
-  std::uint64_t bytes_sent{0};
-  std::uint64_t bytes_received{0};
-};
-
 /// The network fabric. Owns no node logic; nodes register handlers.
 class Network {
  public:
@@ -114,23 +107,21 @@ class Network {
     return node(node_id).owner;
   }
 
-  /// Sets the link model for the (src -> dst) direction.
-  void set_link(NodeId src, NodeId dst, LinkModel model);
-  /// Default model for any frame with `node` as source or destination that
-  /// has no explicit per-pair link. One entry covers a node's traffic with
-  /// the whole cloud — O(1) state instead of a per-pair entry against every
-  /// VM, which is what lets a 40k-VM topology wire an external client
-  /// without dense fan-out. Resolution order: pair link, then source node
-  /// link, then destination node link, then the global default.
+  /// Model for any frame with `node` as source or destination. One entry
+  /// covers a node's traffic with the whole cloud — O(1) state instead of
+  /// a per-pair entry against every VM, which is what lets a 40k-VM
+  /// topology wire an external client without dense fan-out. Resolution
+  /// order: source node link, then destination node link, then the
+  /// default.
   void set_node_link(NodeId node, LinkModel model);
-  /// Default model for pairs without an explicit link.
+  /// Model for frames between nodes without a node link.
   void set_default_link(LinkModel model);
 
   /// Installs a predicate that send() consults before the loss draw; a
-  /// frame it returns true for is dropped as if lost on the wire. Used to
-  /// inject targeted losses (a specific sequence, a NAK) that a loss
-  /// probability cannot express. It runs on the sending node's shard,
-  /// concurrently with other shards' sends.
+  /// frame it returns true for is dropped as if lost on the wire. A test
+  /// seam, with no scenario caller: it injects targeted losses (a specific
+  /// sequence, a NAK) that a loss probability cannot express. It runs on
+  /// the sending node's shard, concurrently with other shards' sends.
   void set_drop_hook(std::function<bool(const Frame&)> hook);
 
   /// True once any registered link model has loss_probability > 0 or a
@@ -140,16 +131,15 @@ class Network {
   [[nodiscard]] bool may_drop() const { return may_drop_; }
 
   /// Minimum guaranteed latency over every link model registered so far
-  /// (pair links, node links, and the default) — the lookahead bound: no
-  /// frame sent at t can arrive before t + min_latency_floor(). The
-  /// sharded barrier window must not exceed it.
+  /// (node links and the default) — the lookahead bound: no frame sent at
+  /// t can arrive before t + min_latency_floor(). The sharded barrier
+  /// window must not exceed it.
   [[nodiscard]] Duration min_latency_floor() const;
 
   /// Sends a frame; delivery is scheduled on the simulator. Returns false if
   /// the frame was dropped by the drop hook or the loss model.
   bool send(Frame frame);
 
-  [[nodiscard]] const NodeStats& stats(NodeId node) const;
   /// IDs issued so far, bound or not.
   [[nodiscard]] std::size_t node_count() const { return issued_; }
   /// The simulator core that owns a node's events.
@@ -186,7 +176,6 @@ class Network {
  private:
   struct Node {
     Handler handler;
-    NodeStats stats;
     /// Earliest time the node's uplink is free (serialization queueing).
     RealTime tx_free{};
     /// Per-node stochastic stream: loss and jitter draws for frames this
@@ -222,7 +211,6 @@ class Network {
   std::vector<std::unique_ptr<Page>> pages_;
   std::uint32_t issued_{0};
   Handler unbound_handler_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, LinkModel> links_;
   std::map<std::uint32_t, LinkModel> node_links_;
   LinkModel default_link_{};
   std::function<bool(const Frame&)> drop_hook_;

@@ -114,16 +114,6 @@ long ChiSquaredDetector::observations_needed(double confidence) const {
   return static_cast<long>(std::ceil(n));
 }
 
-std::vector<DetectionResult> ChiSquaredDetector::sweep(
-    const std::vector<double>& confidences) const {
-  std::vector<DetectionResult> out;
-  out.reserve(confidences.size());
-  for (double c : confidences) {
-    out.push_back(DetectionResult{c, observations_needed(c), noncentrality_});
-  }
-  return out;
-}
-
 std::vector<double> paper_confidence_grid() {
   return {0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99};
 }

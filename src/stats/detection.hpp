@@ -37,15 +37,6 @@ enum class Binning {
   kEquiprobable,  ///< k cells with equal null mass.
 };
 
-/// Result of a detection analysis at one confidence level.
-struct DetectionResult {
-  double confidence{0.0};
-  /// Observations needed to reject the null at `confidence`.
-  long observations_needed{0};
-  /// Per-observation chi-squared noncentrality λ1.
-  double noncentrality{0.0};
-};
-
 /// Analyses distinguishability of two distributions with a chi-squared test.
 class ChiSquaredDetector {
  public:
@@ -66,10 +57,6 @@ class ChiSquaredDetector {
 
   /// Observations needed at one confidence level.
   [[nodiscard]] long observations_needed(double confidence) const;
-
-  /// Sweep over several confidence levels (the x-axes of Figs. 1(b,c), 4(b)).
-  [[nodiscard]] std::vector<DetectionResult> sweep(
-      const std::vector<double>& confidences) const;
 
   [[nodiscard]] int bins() const { return bins_; }
 

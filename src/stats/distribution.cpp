@@ -14,10 +14,6 @@ double Exponential::cdf(double x) const {
   return 1.0 - std::exp(-lambda_ * x);
 }
 
-double Exponential::sample(Rng& rng) const { return rng.exponential(lambda_); }
-
-double Exponential::mean() const { return 1.0 / lambda_; }
-
 Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) { SW_EXPECTS(lo < hi); }
 
 double Uniform::cdf(double x) const {
@@ -25,10 +21,6 @@ double Uniform::cdf(double x) const {
   if (x >= hi_) return 1.0;
   return (x - lo_) / (hi_ - lo_);
 }
-
-double Uniform::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
-
-double Uniform::mean() const { return 0.5 * (lo_ + hi_); }
 
 SumOfIndependent::SumOfIndependent(std::shared_ptr<const Distribution> x,
                                    std::shared_ptr<const Uniform> uniform_noise,
@@ -58,37 +50,12 @@ double SumOfIndependent::cdf(double s) const {
   return acc / quadrature_points_;
 }
 
-double SumOfIndependent::sample(Rng& rng) const {
-  return x_->sample(rng) + noise_->sample(rng);
-}
-
-double SumOfIndependent::mean() const { return x_->mean() + noise_->mean(); }
-
-CdfDistribution::CdfDistribution(std::function<double(double)> cdf_fn,
-                                 double support_lo, double support_hi)
-    : cdf_fn_(std::move(cdf_fn)), lo_(support_lo), hi_(support_hi) {
+CdfDistribution::CdfDistribution(std::function<double(double)> cdf_fn)
+    : cdf_fn_(std::move(cdf_fn)) {
   SW_EXPECTS(cdf_fn_ != nullptr);
-  SW_EXPECTS(lo_ < hi_);
 }
 
 double CdfDistribution::cdf(double x) const { return cdf_fn_(x); }
-
-double CdfDistribution::sample(Rng& rng) const {
-  return invert_cdf(cdf_fn_, rng.uniform01(), lo_, hi_);
-}
-
-double CdfDistribution::mean() const {
-  // Valid for variables supported on [lo_, hi_]:
-  // E[X] = lo + ∫_{lo}^{hi} (1 - F(x)) dx.
-  const int steps = 20000;
-  const double h = (hi_ - lo_) / steps;
-  double acc = 0.0;
-  for (int i = 0; i < steps; ++i) {
-    const double x = lo_ + (i + 0.5) * h;
-    acc += (1.0 - cdf_fn_(x)) * h;
-  }
-  return lo_ + acc;
-}
 
 double mean_from_cdf(const std::function<double(double)>& cdf, double hi,
                      int steps) {

@@ -7,21 +7,15 @@
 #include <functional>
 #include <memory>
 
-#include "common/rng.hpp"
-
 namespace stopwatch::stats {
 
-/// Abstract real-valued distribution: CDF + sampling.
+/// Abstract real-valued distribution, known by its CDF.
 class Distribution {
  public:
   virtual ~Distribution() = default;
 
   /// P(X <= x).
   [[nodiscard]] virtual double cdf(double x) const = 0;
-  /// Draw one sample.
-  [[nodiscard]] virtual double sample(Rng& rng) const = 0;
-  /// E[X]; computed analytically by concrete classes where possible.
-  [[nodiscard]] virtual double mean() const = 0;
 };
 
 /// Exponential with rate lambda: the paper's model for packet inter-arrival
@@ -30,8 +24,6 @@ class Exponential final : public Distribution {
  public:
   explicit Exponential(double lambda);
   [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double mean() const override;
   [[nodiscard]] double lambda() const { return lambda_; }
 
  private:
@@ -43,8 +35,6 @@ class Uniform final : public Distribution {
  public:
   Uniform(double lo, double hi);
   [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double mean() const override;
 
  private:
   double lo_, hi_;
@@ -59,8 +49,6 @@ class SumOfIndependent final : public Distribution {
                    std::shared_ptr<const Uniform> uniform_noise,
                    int quadrature_points = 512);
   [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double mean() const override;
 
  private:
   std::shared_ptr<const Distribution> x_;
@@ -69,22 +57,15 @@ class SumOfIndependent final : public Distribution {
   int quadrature_points_;
 };
 
-/// Wraps an arbitrary CDF function as a Distribution (sampling by numeric
-/// inversion). Used to treat a median-of-three CDF as a first-class
-/// distribution.
+/// Wraps an arbitrary CDF function as a Distribution. Used to treat a
+/// median-of-three CDF as a first-class distribution.
 class CdfDistribution final : public Distribution {
  public:
-  /// `support_hi` bounds the numeric inversion search; the CDF must be
-  /// monotone nondecreasing with cdf(0-) ~ 0 for nonnegative variables.
-  CdfDistribution(std::function<double(double)> cdf_fn, double support_lo,
-                  double support_hi);
+  explicit CdfDistribution(std::function<double(double)> cdf_fn);
   [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] double mean() const override;
 
  private:
   std::function<double(double)> cdf_fn_;
-  double lo_, hi_;
 };
 
 /// Numerically computes E[X] for a nonnegative variable from its CDF via

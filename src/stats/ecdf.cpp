@@ -41,11 +41,4 @@ double Ecdf::max() const { return sorted_.back(); }
 double Ecdf::mean() const { return mean_; }
 double Ecdf::stddev() const { return stddev_; }
 
-double ks_two_sample(const Ecdf& a, const Ecdf& b) {
-  double d = 0.0;
-  for (double x : a.sorted_samples()) d = std::max(d, std::fabs(a.cdf(x) - b.cdf(x)));
-  for (double x : b.sorted_samples()) d = std::max(d, std::fabs(a.cdf(x) - b.cdf(x)));
-  return d;
-}
-
 }  // namespace stopwatch::stats

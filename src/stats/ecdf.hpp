@@ -20,15 +20,11 @@ class Ecdf {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
-  [[nodiscard]] const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;
   double mean_{0.0};
   double stddev_{0.0};
 };
-
-/// Exact two-sample Kolmogorov-Smirnov statistic between two ECDFs.
-[[nodiscard]] double ks_two_sample(const Ecdf& a, const Ecdf& b);
 
 }  // namespace stopwatch::stats

@@ -58,13 +58,12 @@ double order_statistic_cdf(const std::vector<double>& f, int r) {
 std::shared_ptr<Distribution> make_median_of_three(
     std::shared_ptr<const Distribution> d1,
     std::shared_ptr<const Distribution> d2,
-    std::shared_ptr<const Distribution> d3, double support_hi) {
+    std::shared_ptr<const Distribution> d3) {
   SW_EXPECTS(d1 && d2 && d3);
-  SW_EXPECTS(support_hi > 0.0);
   auto cdf = [d1, d2, d3](double x) {
     return median_of_three_cdf(d1->cdf(x), d2->cdf(x), d3->cdf(x));
   };
-  return std::make_shared<CdfDistribution>(cdf, 0.0, support_hi);
+  return std::make_shared<CdfDistribution>(cdf);
 }
 
 double ks_distance(const std::function<double(double)>& f,

@@ -32,13 +32,17 @@ namespace stopwatch::stats {
 
 /// Builds the median-of-three distribution over three component
 /// distributions. The returned object owns shared references to them.
+/// No scenario calls it yet: it is the prediction ROADMAP item 12 compares
+/// the measured egress distribution against.
 [[nodiscard]] std::shared_ptr<Distribution> make_median_of_three(
     std::shared_ptr<const Distribution> d1,
     std::shared_ptr<const Distribution> d2,
-    std::shared_ptr<const Distribution> d3, double support_hi);
+    std::shared_ptr<const Distribution> d3);
 
 /// Kolmogorov-Smirnov distance between two CDFs, max over a uniform grid of
-/// `grid_points` points on [lo, hi].
+/// `grid_points` points on [lo, hi]. No scenario calls it: it is the
+/// distance of the paper's Theorems 3-4, which the order-statistics tests
+/// check.
 [[nodiscard]] double ks_distance(const std::function<double(double)>& f,
                                  const std::function<double(double)>& g,
                                  double lo, double hi, int grid_points = 4096);

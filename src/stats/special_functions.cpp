@@ -83,14 +83,6 @@ double regularized_gamma_p(double a, double x) {
   return 1.0 - gamma_q_continued_fraction(a, x);
 }
 
-double regularized_gamma_q(double a, double x) {
-  SW_EXPECTS(a > 0.0);
-  SW_EXPECTS(x >= 0.0);
-  if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - gamma_p_series(a, x);
-  return gamma_q_continued_fraction(a, x);
-}
-
 double chi_squared_cdf(double x, double k) {
   SW_EXPECTS(k > 0.0);
   if (x <= 0.0) return 0.0;

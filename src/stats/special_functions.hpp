@@ -16,9 +16,6 @@ namespace stopwatch::stats {
 /// x >= 0. Series expansion for x < a+1, continued fraction otherwise.
 [[nodiscard]] double regularized_gamma_p(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-[[nodiscard]] double regularized_gamma_q(double a, double x);
-
 /// CDF of the chi-squared distribution with k degrees of freedom.
 [[nodiscard]] double chi_squared_cdf(double x, double k);
 

@@ -69,6 +69,8 @@ class UdpEndpoint {
 
   void maybe_deliver(NodeId peer, std::uint32_t flow, std::uint32_t msg_id,
                      RxMessage& m);
+  /// The lossy-fabric repair path: no scenario enables nak_reliability,
+  /// so only the loss tests reach it.
   void arm_nak(NodeId peer, std::uint32_t flow, std::uint32_t msg_id);
   void send_fragment(NodeId peer, std::uint32_t flow, std::uint32_t msg_id,
                      std::uint32_t msg_len, std::uint32_t off,

@@ -383,6 +383,8 @@ TEST(DiffCli, ExitCodesMatchVerdicts) {
   EXPECT_EQ(run({base_path.c_str(), "/nonexistent.json"}), 2);  // bad file
   EXPECT_EQ(run({base_path.c_str(), bad_path.c_str(), "--threshold", "x"}),
             2);
+  EXPECT_EQ(run({base_path.c_str(), bad_path.c_str(), "--threshold", "inf"}),
+            2);
 
   std::remove(base_path.c_str());
   std::remove(good_path.c_str());

@@ -59,7 +59,7 @@ TEST(MutualInformation, MillerMadowShrinksIndependentNoiseBias) {
   // Independent samples: true MI is 0; the plug-in estimate is biased up
   // by finite sampling, and Miller-Madow must land closer to the truth.
   Rng rng(7);
-  ObservationLog log(ObservationLogConfig{3, 0});
+  ObservationLog log(ObservationLogConfig{3, 1024});
   for (int i = 0; i < 400; ++i) {
     for (int c = 0; c < 2; ++c) log.record(c, rng.uniform(0.0, 1.0));
   }
@@ -76,7 +76,7 @@ TEST(MutualInformation, MillerMadowShrinksIndependentNoiseBias) {
 TEST(MutualInformation, MillerMadowNeverExceedsMarginalEntropies) {
   // A deterministic 2-class channel: the +1/(2N ln 2) correction must not
   // push the estimate past min(H(C), H(T)) = 1 bit.
-  ObservationLog log(ObservationLogConfig{1, 0});
+  ObservationLog log(ObservationLogConfig{1, 64});
   for (int i = 0; i < 20; ++i) {
     log.record(0, 1.0 + 0.001 * i);
     log.record(1, 5.0 + 0.001 * i);

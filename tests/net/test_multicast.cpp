@@ -21,6 +21,7 @@ struct TrioFixture {
       received;
 
   explicit TrioFixture(LinkModel link = {}) {
+    net.set_default_link(link);
     for (int i = 0; i < 3; ++i) members.push_back(net.reserve_node());
     for (const NodeId m : members) {
       net.bind_node(m, [this, m](const Frame& f) {
@@ -31,9 +32,6 @@ struct TrioFixture {
           received[m.value].push_back({sender.value, prop->copy_seq});
         }
       });
-      for (const NodeId other : members) {
-        if (other != m) net.set_link(m, other, link);
-      }
     }
   }
 

@@ -50,7 +50,7 @@ TEST(Network, LatencyIsAtLeastBasePlusSerialization) {
   lm.base_latency = Duration::millis(5);
   lm.jitter_sigma = 0.0;
   lm.bytes_per_second = 1e6;  // 1 MB/s -> 1000 bytes = 1 ms
-  fx.net.set_link(a, b, lm);
+  fx.net.set_default_link(lm);
   fx.net.send(guest_frame(a, b, 1000));
   fx.sim.run();
   EXPECT_EQ(arrival.ns, Duration::millis(6).ns);
@@ -66,7 +66,7 @@ TEST(Network, SerializationQueuesBackToBack) {
   lm.base_latency = Duration::millis(1);
   lm.jitter_sigma = 0.0;
   lm.bytes_per_second = 1e6;
-  fx.net.set_link(a, b, lm);
+  fx.net.set_default_link(lm);
   // Two 1000-byte frames sent at t=0 serialize at 1 ms each.
   fx.net.send(guest_frame(a, b, 1000));
   fx.net.send(guest_frame(a, b, 1000));
@@ -83,23 +83,11 @@ TEST(Network, LossDropsFrames) {
   const NodeId b = fx.net.add_node([&](const Frame&) { ++received; });
   LinkModel lm;
   lm.loss_probability = 1.0;
-  fx.net.set_link(a, b, lm);
+  fx.net.set_default_link(lm);
   EXPECT_FALSE(fx.net.send(guest_frame(a, b, 100)));
   fx.sim.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(fx.net.frames_dropped(), 1u);
-}
-
-TEST(Network, StatsAreCounted) {
-  Fixture fx;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  const NodeId b = fx.net.add_node([](const Frame&) {});
-  fx.net.send(guest_frame(a, b, 500));
-  fx.sim.run();
-  EXPECT_EQ(fx.net.stats(a).frames_sent, 1u);
-  EXPECT_EQ(fx.net.stats(a).bytes_sent, 500u);
-  EXPECT_EQ(fx.net.stats(b).frames_received, 1u);
-  EXPECT_EQ(fx.net.stats(b).bytes_received, 500u);
 }
 
 TEST(Network, PerDirectionLinksAreIndependent) {
@@ -114,8 +102,9 @@ TEST(Network, PerDirectionLinksAreIndependent) {
   fast.bytes_per_second = 1e12;
   LinkModel slow = fast;
   slow.base_latency = Duration::millis(10);
-  fx.net.set_link(a, b, fast);
-  fx.net.set_link(b, a, slow);
+  // Each direction resolves to its source node's link.
+  fx.net.set_node_link(a, fast);
+  fx.net.set_node_link(b, slow);
   fx.net.send(guest_frame(a, b, 10));
   fx.net.send(guest_frame(b, a, 10));
   fx.sim.run();
@@ -168,25 +157,6 @@ TEST(Network, NodeLinkAppliesToAllTrafficOfANode) {
   EXPECT_LT(to_peer.ns, Duration::millis(1).ns);
 }
 
-TEST(Network, PairLinkOverridesNodeLink) {
-  Fixture fx;
-  RealTime arrival{};
-  const NodeId client =
-      fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  LinkModel fast;
-  fast.base_latency = Duration::micros(10);
-  fast.jitter_sigma = 0.0;
-  fast.bytes_per_second = 1e12;
-  LinkModel slow = fast;
-  slow.base_latency = Duration::millis(20);
-  fx.net.set_node_link(client, slow);
-  fx.net.set_link(a, client, fast);  // explicit pair wins
-  fx.net.send(guest_frame(a, client, 10));
-  fx.sim.run();
-  EXPECT_LT(arrival.ns, Duration::millis(1).ns);
-}
-
 TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
   LinkModel lossless;
   LinkModel lossy;
@@ -196,13 +166,12 @@ TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
     const NodeId a = fx.net.add_node([](const Frame&) {});
     const NodeId b = fx.net.add_node([](const Frame&) {});
     EXPECT_FALSE(fx.net.may_drop());
-    fx.net.set_link(a, b, lossless);
     fx.net.set_node_link(a, lossless);
     fx.net.set_default_link(lossless);
     EXPECT_FALSE(fx.net.may_drop());
-    fx.net.set_link(a, b, lossy);
+    fx.net.set_node_link(b, lossy);
     EXPECT_TRUE(fx.net.may_drop());
-    fx.net.set_link(a, b, lossless);  // sticky: never reverts
+    fx.net.set_node_link(b, lossless);  // sticky: never reverts
     EXPECT_TRUE(fx.net.may_drop());
   }
   {
@@ -232,12 +201,15 @@ TEST(Network, DropHookDropsBeforeDrawAndUplink) {
   const auto second_arrival = [](bool drop_first) {
     Fixture fx;
     RealTime arrival{};
+    int received = 0;
     const NodeId a = fx.net.add_node([](const Frame&) {});
-    const NodeId b =
-        fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
+    const NodeId b = fx.net.add_node([&](const Frame&) {
+      arrival = fx.sim.now();
+      ++received;
+    });
     LinkModel lm;
     lm.bytes_per_second = 1e6;  // 1000 bytes = 1 ms on the uplink
-    fx.net.set_link(a, b, lm);
+    fx.net.set_default_link(lm);
     fx.net.set_drop_hook([](const Frame& f) { return f.size_bytes == 1000; });
     if (drop_first) {
       EXPECT_FALSE(fx.net.send(guest_frame(a, b, 1000)));
@@ -245,7 +217,7 @@ TEST(Network, DropHookDropsBeforeDrawAndUplink) {
     EXPECT_TRUE(fx.net.send(guest_frame(a, b, 100)));
     fx.sim.run();
     EXPECT_EQ(fx.net.frames_dropped(), drop_first ? 1u : 0u);
-    EXPECT_EQ(fx.net.stats(b).frames_received, 1u);
+    EXPECT_EQ(received, 1);
     return arrival;
   };
   EXPECT_EQ(second_arrival(true).ns, second_arrival(false).ns);

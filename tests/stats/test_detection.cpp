@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
 #include "stats/order_statistics.hpp"
 
 namespace stopwatch::stats {
@@ -74,16 +75,6 @@ TEST(Detection, CloserVictimDistributionIsHarderForBoth) {
             far.with_stopwatch().observations_needed(0.9));
   EXPECT_GT(close.without_stopwatch().observations_needed(0.9),
             far.without_stopwatch().observations_needed(0.9));
-}
-
-TEST(Detection, SweepMatchesPointQueries) {
-  const Fig1Setting s(0.5);
-  const auto det = s.with_stopwatch();
-  const auto sweep = det.sweep(paper_confidence_grid());
-  ASSERT_EQ(sweep.size(), paper_confidence_grid().size());
-  for (const auto& r : sweep) {
-    EXPECT_EQ(r.observations_needed, det.observations_needed(r.confidence));
-  }
 }
 
 TEST(Detection, FromSamplesDetectsObviousShift) {

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/rng.hpp"
 #include "stats/detection.hpp"
 #include "stats/order_statistics.hpp"
 

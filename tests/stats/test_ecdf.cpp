@@ -38,29 +38,6 @@ TEST(Ecdf, EmptyInputRejected) {
   EXPECT_THROW(Ecdf({}), ContractViolation);
 }
 
-TEST(Ecdf, KsTwoSampleIdenticalIsZero) {
-  const Ecdf a({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(ks_two_sample(a, a), 0.0);
-}
-
-TEST(Ecdf, KsTwoSampleDisjointIsOne) {
-  const Ecdf a({1.0, 2.0, 3.0});
-  const Ecdf b({10.0, 20.0, 30.0});
-  EXPECT_DOUBLE_EQ(ks_two_sample(a, b), 1.0);
-}
-
-TEST(Ecdf, KsTwoSampleDetectsShift) {
-  Rng rng(5);
-  std::vector<double> a, b;
-  for (int i = 0; i < 5000; ++i) {
-    a.push_back(rng.exponential(1.0));
-    b.push_back(rng.exponential(0.5));
-  }
-  const double d = ks_two_sample(Ecdf(std::move(a)), Ecdf(std::move(b)));
-  EXPECT_GT(d, 0.15);  // true KS distance for Exp(1) vs Exp(1/2) ~ 0.25
-  EXPECT_LT(d, 0.35);
-}
-
 TEST(Summary, PercentilesOrdered) {
   Rng rng(11);
   std::vector<double> xs;

@@ -37,15 +37,6 @@ TEST(SpecialFunctions, GammaPMatchesExponentialCdf) {
   }
 }
 
-TEST(SpecialFunctions, GammaPPlusQIsOne) {
-  for (double a : {0.5, 1.0, 2.5, 10.0}) {
-    for (double x : {0.01, 0.5, 1.0, 3.0, 20.0}) {
-      EXPECT_NEAR(regularized_gamma_p(a, x) + regularized_gamma_q(a, x), 1.0,
-                  1e-12);
-    }
-  }
-}
-
 TEST(SpecialFunctions, ChiSquaredCdfKnownValues) {
   // Chi-squared with k=2 is Exp(1/2): CDF(x) = 1 - e^{-x/2}.
   for (double x : {0.5, 1.0, 2.0, 5.991}) {
