@@ -141,9 +141,8 @@ Result run(const ScenarioContext& ctx) {
       }) / static_cast<double>(sim_events),
       "ns/event");
 
-  // Simulator: schedule + cancel (wheel unlink / due-array erase / lazy
-  // far-heap kill) per event, across the same spread of delays as the run
-  // benchmark.
+  // Simulator: schedule + cancel (wheel unlink / due-array erase) per
+  // event, across the same spread of delays as the run benchmark.
   result.add_metric(
       "simulator_cancel",
       time_ns_per_op(std::max<std::uint64_t>(1, iters / 1000), [&](auto) {
@@ -191,10 +190,10 @@ Result run(const ScenarioContext& ctx) {
   result.add_metric("guest_idle_exit", idle.ns_per_exit, "ns/exit");
 
   // Simulator: mixed near/far horizons — 70% inside the wheel's level 0
-  // (sub-66 us), 20% across the higher levels (sub-275 ms), 10% beyond the
-  // horizon in the overflow heap — so the wheel-vs-heap crossover shows in
-  // the trajectory. Delays come from a fixed xorshift stream: identical
-  // work every run.
+  // (sub-66 us), 20% across levels 0-2 (sub-250 ms), 10% at 0.3-3.3 s on
+  // level 3 — so the cost of cascading down the levels shows in the
+  // trajectory. Delays come from a fixed xorshift stream: identical work
+  // every run.
   result.add_metric(
       "simulator_mixed_horizon",
       time_ns_per_op(std::max<std::uint64_t>(1, iters / 1000), [&](auto) {

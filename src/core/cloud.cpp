@@ -539,10 +539,6 @@ const Cloud::VmEntry& Cloud::entry(VmHandle vm) const {
   return vms_[vm.index];
 }
 
-bool Cloud::vm_materialized(VmHandle vm) const {
-  return entry(vm).wired != nullptr;
-}
-
 NodeId Cloud::vm_addr(VmHandle vm) const { return entry(vm).addr; }
 
 std::span<const int> Cloud::vm_machines(VmHandle vm) const {
@@ -759,11 +755,9 @@ obs::Snapshot Cloud::observability() {
     kernel.rescheduled += ks.rescheduled;
     kernel.placed_due += ks.placed_due;
     kernel.placed_wheel += ks.placed_wheel;
-    kernel.placed_far += ks.placed_far;
     kernel.arena_chunks += ks.arena_chunks;
     kernel.max_live += ks.max_live;
     kernel.max_due += ks.max_due;
-    kernel.max_far += ks.max_far;
     arena_bytes += sharded_.shard(s).arena_bytes();
   }
   registry_.set_counter("sim.events_scheduled", kernel.scheduled);
@@ -772,7 +766,6 @@ obs::Snapshot Cloud::observability() {
   registry_.set_counter("sim.events_executed", sharded_.events_executed());
   registry_.set_counter("sim.placed_due", kernel.placed_due);
   registry_.set_counter("sim.placed_wheel", kernel.placed_wheel);
-  registry_.set_counter("sim.placed_far", kernel.placed_far);
   registry_.set_counter("sim.arena_chunks", kernel.arena_chunks);
 
   // Memory-accounting gauges: deterministic quantities only (wall-clock
@@ -781,7 +774,6 @@ obs::Snapshot Cloud::observability() {
   registry_.set_gauge("mem.arena_bytes", arena_bytes);
   registry_.set_gauge("mem.live_events_highwater", kernel.max_live);
   registry_.set_gauge("mem.due_highwater", kernel.max_due);
-  registry_.set_gauge("mem.far_highwater", kernel.max_far);
   registry_.set_gauge("mem.lane_bytes_highwater",
                       sharded_.lane_bytes_highwater());
 

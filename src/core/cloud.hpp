@@ -229,7 +229,6 @@ class Cloud {
   [[nodiscard]] std::size_t materialized_vm_count() const {
     return materialized_vms_;
   }
-  [[nodiscard]] bool vm_materialized(VmHandle vm) const;
   [[nodiscard]] NodeId vm_addr(VmHandle vm) const;
   /// The machines `vm` is placed on, effective_replicas() of them.
   [[nodiscard]] std::span<const int> vm_machines(VmHandle vm) const;
@@ -252,8 +251,8 @@ class Cloud {
 
   /// End-of-run metrics snapshot: kernel counters summed over cores,
   /// sharded-execution stats, per-class frame counts, policy decision
-  /// counters, memory-accounting gauges (arena bytes, live/due/far
-  /// high-water marks, peak cross-shard lane bytes), and the frame-size /
+  /// counters, memory-accounting gauges (arena bytes, live/due high-water
+  /// marks, peak cross-shard lane bytes), and the frame-size /
   /// merge-batch histograms. Intended for a Result's `observability`
   /// block — call once after run_for.
   [[nodiscard]] obs::Snapshot observability();

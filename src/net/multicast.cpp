@@ -32,8 +32,10 @@ void MulticastGroup::send(NodeId from, FramePayload payload,
 
   SenderState& snd = senders_[from.value];
   const std::uint64_t seq = snd.next_seq++;
-  snd.buffer.emplace_back(payload, size_bytes);
-  if (snd.buffer.size() > kTransmitWindow) snd.buffer.pop_front();
+  if (net_->may_drop()) {
+    snd.buffer.emplace_back(payload, size_bytes);
+    if (snd.buffer.size() > kTransmitWindow) snd.buffer.pop_front();
+  }
 
   for (auto& m : members_) {
     if (m.node == from) continue;

@@ -7,12 +7,12 @@
 // sequence gaps and request retransmission with NAKs; senders keep a
 // retransmission buffer.
 //
-// The timers behind that — the sender's SPM heartbeat chain, which lets a
-// receiver detect the loss of a stream's last messages, and a receiver's
-// NAK timer on a sequence gap — run only when Network::may_drop(). On a
-// fabric that cannot lose a frame each gap is a reordered frame still in
-// flight, so the out-of-order stash alone restores sequence order. A
-// sender serves any NAK that does arrive either way.
+// The machinery behind that — the sender's retransmission buffer, its SPM
+// heartbeat chain, which lets a receiver detect the loss of a stream's
+// last messages, and a receiver's NAK timer on a sequence gap — runs only
+// when Network::may_drop(), which is final once the first frame is sent.
+// On a fabric that cannot lose a frame each gap is a reordered frame still
+// in flight, so the out-of-order stash alone restores sequence order.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,8 @@ class MulticastGroup {
   struct SenderState {
     std::uint64_t next_seq{1};
     /// Retransmission buffer: (payload, size) of the last kTransmitWindow
-    /// sequences sent, [next_seq - buffer.size(), next_seq).
+    /// sequences sent, [next_seq - buffer.size(), next_seq). Empty when
+    /// the fabric cannot drop a frame.
     std::deque<std::pair<FramePayload, std::uint32_t>> buffer;
     int spm_remaining{0};
     bool spm_armed{false};

@@ -56,18 +56,30 @@ void Network::set_node_owner(NodeId node_id, int shard) {
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
   SW_EXPECTS(node_id.value < issued_);
-  note_link(model);
+  note_may_drop(model.loss_probability > 0.0);
   node_links_[node_id.value] = model;
 }
 
 void Network::set_default_link(LinkModel model) {
-  note_link(model);
+  note_may_drop(model.loss_probability > 0.0);
   default_link_ = model;
 }
 
 void Network::set_drop_hook(std::function<bool(const Frame&)> hook) {
-  may_drop_ = may_drop_ || hook != nullptr;
+  note_may_drop(hook != nullptr);
   drop_hook_ = std::move(hook);
+}
+
+void Network::note_may_drop(bool drops) {
+  if (!drops || may_drop_) return;
+  SW_EXPECTS_MSG(
+      std::ranges::none_of(frames_by_class_,
+                           [](const auto& sent) {
+                             return sent.load(std::memory_order_relaxed) != 0;
+                           }),
+      "Network::may_drop() is final once a frame has been sent: install "
+      "lossy links and drop hooks before the first send");
+  may_drop_ = true;
 }
 
 Duration Network::min_latency_floor() const {
@@ -99,12 +111,6 @@ Network::Node* Network::find(NodeId id) {
 
 Network::Node& Network::node(NodeId id) {
   Node* n = find(id);
-  SW_EXPECTS(n != nullptr);
-  return *n;
-}
-
-const Network::Node& Network::node(NodeId id) const {
-  const Node* n = find(id);
   SW_EXPECTS(n != nullptr);
   return *n;
 }

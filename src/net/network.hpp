@@ -103,9 +103,6 @@ class Network {
   /// Assigns the shard that owns a node's events (default 0). Must not be
   /// called while the kernel is mid-window.
   void set_node_owner(NodeId node, int shard);
-  [[nodiscard]] int node_owner(NodeId node_id) const {
-    return node(node_id).owner;
-  }
 
   /// Model for any frame with `node` as source or destination. One entry
   /// covers a node's traffic with the whole cloud — O(1) state instead of
@@ -126,8 +123,11 @@ class Network {
 
   /// True once any registered link model has loss_probability > 0 or a
   /// drop hook has been installed; never reverts. Reliability machinery
-  /// (multicast SPM heartbeats and NAK timers) arms only when it holds:
-  /// on a fabric that cannot lose a frame there is nothing to repair.
+  /// (multicast retransmission buffers, SPM heartbeats and NAK timers)
+  /// runs only when it holds: on a fabric that cannot lose a frame there
+  /// is nothing to repair. Final once the first frame is sent — a lossy
+  /// link or a drop hook installed after that is a contract violation,
+  /// since the frames already sent kept no retransmission copy.
   [[nodiscard]] bool may_drop() const { return may_drop_; }
 
   /// Minimum guaranteed latency over every link model registered so far
@@ -187,15 +187,13 @@ class Network {
   };
 
   [[nodiscard]] const LinkModel& link_for(NodeId src, NodeId dst) const;
-  void note_link(const LinkModel& model) {
-    may_drop_ = may_drop_ || model.loss_probability > 0.0;
-  }
+  /// Sets may_drop_ when `drops`, which must precede the first send.
+  void note_may_drop(bool drops);
   /// The record of `id`, or null while it is reserved but unbound.
   [[nodiscard]] Node* find(NodeId id);
   [[nodiscard]] const Node* find(NodeId id) const;
   /// The record of a bound `id` (contract violation otherwise).
   Node& node(NodeId id);
-  const Node& node(NodeId id) const;
 
   /// Records live in fixed-size pages, allocated on the first bind into
   /// them, so a reserved ID costs no record. A page never moves once

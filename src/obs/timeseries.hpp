@@ -51,8 +51,9 @@ class TimeSeries {
   [[nodiscard]] std::size_t window_count() const { return windows_.size(); }
 
   /// Bytes held by the window ring — capacity is reserved up front and
-  /// never grows past the budget, which is what the fixed-budget tests
-  /// assert.
+  /// never grows past the budget. No scenario reads it: it is the
+  /// fixed-budget test's oracle, the one observer of the ring's capacity
+  /// (window_count() sees only the windows in use).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:

@@ -32,7 +32,6 @@ EventId Simulator::schedule_after(Duration delay, Task cb, Tie tie) {
 EventId Simulator::schedule_batch(RealTime at, std::vector<Task> batch) {
   SW_EXPECTS(!batch.empty());
   for (const Task& cb : batch) SW_EXPECTS(cb != nullptr);
-  batched_ += batch.size();
   // `this` + the moved-in vector is 32 bytes: the batch rides the same slab
   // slot inline, its callbacks' own storage living in the vector.
   return schedule_at(at, [this, b = std::move(batch)]() mutable {
@@ -70,10 +69,8 @@ EventId Simulator::reschedule_after(EventId id, Duration delay) {
   Record& rec = record(id.slot);
   if (rec.where == Where::kWheel) {
     wheel_unlink(id.slot);
-  } else if (rec.where == Where::kDue) {
-    due_erase(rec);
   } else {
-    ++far_stale_;  // the old far entry dies of a sequence mismatch
+    due_erase(rec);
   }
   rec.at_ns = now_.ns + delay.ns;
   // Retime = new position in the equal-time order of its class.
@@ -94,15 +91,12 @@ bool Simulator::cancel(EventId id) {
   if (rec.gen != id.gen || rec.where == Where::kFree) return false;
   if (rec.where == Where::kWheel) {
     wheel_unlink(id.slot);
-  } else if (rec.where == Where::kDue) {
-    due_erase(rec);
   } else {
-    ++far_stale_;
+    due_erase(rec);
   }
   free_slot(id.slot);
   --live_;
   ++stats_.cancelled;
-  if (far_stale_ > 64 && far_stale_ * 2 > far_.size()) far_compact();
   return true;
 }
 
@@ -131,7 +125,7 @@ std::uint32_t Simulator::alloc_slot() {
 void Simulator::free_slot(std::uint32_t slot) {
   Record& rec = record(slot);
   rec.task.reset();
-  ++rec.gen;  // stale handles and lazy far-heap entries now miss
+  ++rec.gen;  // stale handles now miss
   rec.where = Where::kFree;
   // Free slots chain through their own `next` field: recycling costs two
   // writes and no container.
@@ -147,15 +141,7 @@ void Simulator::place(std::uint32_t slot, Record& rec) {
     // order is decided by the due array's (time, seq) key.
     rec.where = Where::kDue;
     ++stats_.placed_due;
-    due_push_entry(HeapEntry{rec.at_ns, rec.seq, slot, rec.gen});
-    return;
-  }
-  if (delta >= kWheelHorizonTicks) {
-    rec.where = Where::kFar;
-    ++stats_.placed_far;
-    far_.push_back(HeapEntry{rec.at_ns, rec.seq, slot, rec.gen});
-    std::push_heap(far_.begin(), far_.end(), HeapLater{});
-    if (far_.size() > stats_.max_far) stats_.max_far = far_.size();
+    due_push_entry(DueEntry{rec.at_ns, rec.seq, slot});
     return;
   }
   ++stats_.placed_wheel;
@@ -198,11 +184,6 @@ void Simulator::wheel_unlink(std::uint32_t slot) {
   rec.prev = rec.next = kNil;
 }
 
-bool Simulator::entry_live(const HeapEntry& e) const {
-  const Record& rec = record(e.slot);
-  return rec.gen == e.gen && rec.seq == e.seq;
-}
-
 void Simulator::due_pop() {
   if (++due_head_ == due_.size()) {
     due_.clear();
@@ -210,7 +191,7 @@ void Simulator::due_pop() {
   }
 }
 
-void Simulator::due_push_entry(const HeapEntry& e) {
+void Simulator::due_push_entry(const DueEntry& e) {
   if (due_empty() || Earlier{}(due_.back(), e)) {
     due_.push_back(e);  // in-order append keeps the array sorted
   } else {
@@ -229,7 +210,7 @@ void Simulator::due_push_entry(const HeapEntry& e) {
 
 void Simulator::due_erase(const Record& rec) {
   const auto first = due_.begin() + static_cast<std::ptrdiff_t>(due_head_);
-  const HeapEntry key{rec.at_ns, rec.seq, 0, 0};
+  const DueEntry key{rec.at_ns, rec.seq, 0};
   const auto it = std::lower_bound(first, due_.end(), key, Earlier{});
   SW_ASSERT(it != due_.end() && it->seq == rec.seq);
   if (it == first) {
@@ -237,17 +218,6 @@ void Simulator::due_erase(const Record& rec) {
   } else {
     due_.erase(it);
   }
-}
-
-void Simulator::far_compact() {
-  std::erase_if(far_, [this](const HeapEntry& e) { return !entry_live(e); });
-  std::make_heap(far_.begin(), far_.end(), HeapLater{});
-  far_stale_ = 0;
-}
-
-void Simulator::far_pop() {
-  std::pop_heap(far_.begin(), far_.end(), HeapLater{});
-  far_.pop_back();
 }
 
 bool Simulator::prepare_next() {
@@ -278,7 +248,7 @@ void Simulator::flush_bucket(int level, std::uint32_t bucket) {
     while (walk != kNil) {
       Record& rec = record(walk);
       rec.where = Where::kDue;
-      due_.push_back(HeapEntry{rec.at_ns, rec.seq, walk, rec.gen});
+      due_.push_back(DueEntry{rec.at_ns, rec.seq, walk});
       const std::uint32_t next = std::exchange(rec.next, kNil);
       rec.prev = kNil;
       walk = next;
@@ -308,19 +278,11 @@ void Simulator::flush_bucket(int level, std::uint32_t bucket) {
 
 void Simulator::advance_wheel() {
   OBS_PROF_SCOPE("sim.harvest");
-  // Skim stale far-heap tops so the far candidate below is a real event
-  // (zero stale entries — the common case — skips the record loads).
-  while (far_stale_ > 0 && !far_.empty() && !entry_live(far_.front())) {
-    far_pop();
-    --far_stale_;
-  }
-
   // Fast path: the next level-0 tick lies inside the cursor's level-1
-  // group and the far heap is empty. Every higher-level bound starts at
-  // the next group or later, so that tick is the minimum, and since the
-  // cursor stays in its level-1 group no cascade is due — only the
-  // level-0 harvest below remains.
-  if (bitmap_[0] != 0 && far_.empty()) {
+  // group. Every higher-level bound starts at the next group or later, so
+  // that tick is the minimum, and since the cursor stays in its level-1
+  // group no cascade is due — only the level-0 harvest below remains.
+  if (bitmap_[0] != 0) {
     const auto pos = static_cast<unsigned>(cur_tick_ & kSlotMask);
     const std::int64_t tick =
         cur_tick_ + std::countr_zero(rotr64(bitmap_[0], pos));
@@ -331,10 +293,10 @@ void Simulator::advance_wheel() {
     }
   }
 
-  // The earliest pending bound of each structure. Level 0 yields an exact
+  // The earliest pending bound of each level. Level 0 yields an exact
   // event tick (each occupied bucket holds exactly one tick value of the
   // 63-tick window); higher levels yield the lower bound of their earliest
-  // pending slot; the far heap yields its top's exact tick.
+  // pending slot.
   bool have = false;
   std::int64_t best_tick = 0;
   const auto consider = [&](std::int64_t t) {
@@ -356,12 +318,11 @@ void Simulator::advance_wheel() {
     const int dist = std::countr_zero(rotr64(bitmap_[level], pos));
     consider((cur_group + 1 + dist) << (kLevelBits * level));
   }
-  if (!far_.empty()) consider(far_.front().at_ns >> kTickShift);
   SW_ASSERT(have);  // live_ > 0 and due_ empty => somewhere to go
   SW_ASSERT(best_tick >= cur_tick_);
 
-  // Advance the cursor to the minimum bound, then flush every structure
-  // that may contain events at that tick, coarse to fine, so equal-tick
+  // Advance the cursor to the minimum bound, then flush every level that
+  // may contain events at that tick, coarse to fine, so equal-tick
   // events all meet in the due array where (time, seq) decides. No pending
   // slot has a lower bound below best_tick (it is the minimum), so the
   // cursor lands on at most one slot per level — the tie case the seed of
@@ -376,26 +337,13 @@ void Simulator::advance_wheel() {
       flush_bucket(level, slot);
     }
   }
-  // Pull far events now inside the wheel horizon (including any at the
-  // cursor tick itself, which refile straight into the due array).
-  while (!far_.empty()) {
-    const HeapEntry top = far_.front();
-    if (far_stale_ > 0 && !entry_live(top)) {
-      far_pop();
-      --far_stale_;
-      continue;
-    }
-    if ((top.at_ns >> kTickShift) - cur_tick_ >= kWheelHorizonTicks) break;
-    far_pop();
-    place(top.slot, record(top.slot));
-  }
   // Harvest the level-0 bucket the cursor landed on, if occupied.
   const auto l0 = static_cast<std::uint32_t>(cur_tick_ & kSlotMask);
   if (((bitmap_[0] >> l0) & 1u) != 0) flush_bucket(0, l0);
 }
 
 void Simulator::execute_top() {
-  const HeapEntry top = due_front();
+  const DueEntry top = due_front();
   due_pop();
   Record& rec = record(top.slot);
   SW_ASSERT(rec.at_ns >= now_.ns);
@@ -410,7 +358,7 @@ void Simulator::execute_top() {
   }
   rec.where = Where::kExecuting;
   executing_slot_ = top.slot;
-  executing_gen_ = top.gen;
+  executing_gen_ = rec.gen;
   rearm_at_ns_ = kNoRearm;
   // The Task runs in its slab slot. Chunks never move, so the record stays
   // put while the callback schedules (and grows the slab); the kExecuting

@@ -9,29 +9,26 @@
 // scheduled, and a simulation run is a pure function of its configuration
 // and seed.
 //
-// Storage layout (the PR-5 event core):
+// Storage layout:
 //  * every event lives in one slot of a slab arena of Record entries,
 //    recycled through a free list; handles are generation-checked
-//    EventId{slot, gen}, so a stale cancel (or a stale far-heap entry left
-//    by a lazy deletion) is detected by a generation/sequence mismatch
-//    instead of a hash lookup;
-//  * timing is tracked by a three-part structure: a `due` array of the
-//    events at or before the wheel cursor, sorted by (time, sequence) (the
-//    only place equal-time ordering is ever decided), a hierarchical timer
+//    EventId{slot, gen}, so a stale cancel is detected by a generation
+//    mismatch instead of a hash lookup;
+//  * timing is tracked by two structures: a `due` array of the events at
+//    or before the wheel cursor, sorted by (time, sequence) (the only
+//    place equal-time ordering is ever decided), and a hierarchical timer
 //    wheel (kWheelLevels levels x 64 slots, level-0 tick = 2^kTickShift ns,
-//    per-level occupancy bitmaps) for the near horizon, and an overflow
-//    min-heap for events beyond the wheel horizon (~275 ms);
+//    per-level occupancy bitmaps) whose levels together span every int64
+//    nanosecond, so no event ever overflows it;
 //  * callbacks are sim::Task — move-only with 48 bytes of inline storage —
 //    so the common scheduling lambdas never touch the allocator.
 //
-// Wheel buckets and the due array hold live events only: cancel unlinks a
-// wheel resident in O(1) via intrusive prev/next indices and erases a due
-// resident's entry, found by binary search on its (time, sequence) key.
-// Only the far heap uses lazy deletion, with generation checks and
-// periodic compaction. The equal-time order holds across every structure
-// because events become executable only through the due array, which is
-// sorted by (time, sequence), and an exit's sequence number carries the
-// kExitBit above every ordinary one.
+// Both structures hold live events only: cancel unlinks a wheel resident
+// in O(1) via intrusive prev/next indices and erases a due resident's
+// entry, found by binary search on its (time, sequence) key. The
+// equal-time order holds across both because events become executable
+// only through the due array, which is sorted by (time, sequence), and an
+// exit's sequence number carries the kExitBit above every ordinary one.
 #pragma once
 
 #include <array>
@@ -69,18 +66,15 @@ struct KernelStats {
   std::uint64_t scheduled{0};
   std::uint64_t cancelled{0};
   std::uint64_t rescheduled{0};
-  /// Occupancy high-water marks (memory accounting gauges): live events,
-  /// due-array entries (consumed ones not yet shed included), far-heap
-  /// entries.
+  /// Occupancy high-water marks (memory accounting gauges): live events
+  /// and due-array entries (consumed ones not yet shed included).
   std::uint64_t max_live{0};
   std::uint64_t max_due{0};
-  std::uint64_t max_far{0};
   /// Placements by destination structure. Counts every place() — initial
-  /// schedules plus refiles from wheel cascades and far-heap pulls — so
-  /// (placed_wheel + placed_far) - scheduled measures refile traffic.
+  /// schedules plus refiles from wheel cascades — so placed_wheel -
+  /// scheduled measures refile traffic.
   std::uint64_t placed_due{0};
   std::uint64_t placed_wheel{0};
-  std::uint64_t placed_far{0};
   /// Slab chunks allocated (arena growth; never shrinks).
   std::uint64_t arena_chunks{0};
 };
@@ -161,10 +155,6 @@ class Simulator {
   /// count reflects work performed, not queue entries consumed).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of callbacks that rode inside batches instead of occupying
-  /// their own slab slots (diagnostics for the batching win).
-  [[nodiscard]] std::uint64_t batched_callbacks() const { return batched_; }
-
   /// Number of live pending events: scheduled, not yet fired, not
   /// cancelled. Exact — derived from live slab slots, not from queue sizes
   /// (the seed implementation undercounted after a cancelled entry had been
@@ -173,7 +163,7 @@ class Simulator {
 
   /// Timestamp of the earliest pending event, or nullopt when nothing is
   /// pending. Non-const: it may advance the wheel cursor (draining wheel
-  /// buckets / the far heap into the due array) to find the front, but it
+  /// buckets into the due array) to find the front, but it
   /// never fires anything and never moves now(). This is the per-core
   /// watermark the sharded kernel's adaptive barrier window reads.
   [[nodiscard]] std::optional<std::int64_t> next_event_time_ns();
@@ -206,14 +196,12 @@ class Simulator {
   // --- Wheel geometry ---
   static constexpr int kTickShift = 10;  // level-0 tick = 1024 ns
   static constexpr int kLevelBits = 6;   // 64 slots per level
-  static constexpr int kWheelLevels = 3;
+  /// Level l holds deltas below 2^(kLevelBits*(l+1)) ticks; nine levels
+  /// reach 2^64 ns, past every non-negative int64 time.
+  static constexpr int kWheelLevels = 9;
+  static_assert(kTickShift + kLevelBits * kWheelLevels >= 63);
   static constexpr std::uint32_t kSlotsPerLevel = 1u << kLevelBits;
   static constexpr std::uint32_t kSlotMask = kSlotsPerLevel - 1;
-  /// Ticks covered by levels [0, l). Level l spans one tick of size
-  /// 2^(kLevelBits*l) per slot; beyond kWheelHorizonTicks events overflow
-  /// into the far heap.
-  static constexpr std::int64_t kWheelHorizonTicks =
-      std::int64_t{1} << (kLevelBits * kWheelLevels);
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
   /// Set in the sequence number of every Tie::kExit event, so the (time,
@@ -225,7 +213,6 @@ class Simulator {
     kFree,       // on the free list
     kDue,        // in the due array (tick <= wheel cursor)
     kWheel,      // linked into a wheel bucket
-    kFar,        // in the far overflow heap
     kExecuting,  // callback currently running (slot pinned, not live)
   };
 
@@ -241,29 +228,18 @@ class Simulator {
     std::uint32_t next{kNil};
   };
 
-  /// Entry of the due array and the far heap: a copy of the record's
-  /// ordering key plus the generation/sequence pair that validates it
-  /// against the slab. Cancel and reschedule free or re-key a record
-  /// immediately; a due entry is erased with it, a far entry is left
-  /// behind as garbage to be skipped at pop time.
-  struct HeapEntry {
+  /// Entry of the due array: a copy of the record's ordering key and its
+  /// slot. Cancel and reschedule erase a record's entry along with it.
+  struct DueEntry {
     std::int64_t at_ns;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   /// The (time, sequence) order, ascending: the due array's sort key.
   struct Earlier {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    bool operator()(const DueEntry& a, const DueEntry& b) const {
       if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
       return a.seq < b.seq;
-    }
-  };
-  /// The same order reversed, which makes the std:: heap algorithms keep
-  /// the far heap's earliest entry on top.
-  struct HeapLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return Earlier{}(b, a);
     }
   };
 
@@ -284,23 +260,21 @@ class Simulator {
   }
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);
-  /// Files `slot` (whose record is `rec`) into due/wheel/far according to
-  /// its record's time, relative to the current wheel cursor.
+  /// Files `slot` (whose record is `rec`) into the due array or the wheel
+  /// according to its record's time, relative to the current wheel cursor.
   void place(std::uint32_t slot, Record& rec);
   void wheel_link(std::uint32_t slot, Record& rec, int level,
                   std::uint32_t bucket);
   void wheel_unlink(std::uint32_t slot);
   /// Ensures the due array's front is the earliest live event, advancing
-  /// the wheel cursor (harvesting level-0 buckets, cascading higher levels,
-  /// draining the far heap) as needed. Returns false if nothing is pending.
+  /// the wheel cursor (harvesting level-0 buckets, cascading higher levels)
+  /// as needed. Returns false if nothing is pending.
   /// Shared by step(), run_until() and next_event_time_ns().
   bool prepare_next();
   /// One cursor advance: moves at least one event toward the due array.
   void advance_wheel();
   /// Detaches a wheel bucket and refiles its records against the cursor.
   void flush_bucket(int level, std::uint32_t bucket);
-  [[nodiscard]] bool entry_live(const HeapEntry& e) const;
-  void far_pop();
   /// Kept out of line: its call count is the executed-event count a gprof
   /// run reports per layer.
   [[gnu::noinline]] void execute_top();
@@ -311,18 +285,16 @@ class Simulator {
   // its upper bound, and cancel or retime erases its entry. It is cleared
   // whenever it drains, so an empty due array is an empty vector.
   [[nodiscard]] bool due_empty() const { return due_head_ == due_.size(); }
-  [[nodiscard]] const HeapEntry& due_front() const { return due_[due_head_]; }
+  [[nodiscard]] const DueEntry& due_front() const { return due_[due_head_]; }
   void due_pop();
-  void due_push_entry(const HeapEntry& e);
+  void due_push_entry(const DueEntry& e);
   /// Erases the due entry of `rec`, looked up by its current (time, seq).
   void due_erase(const Record& rec);
-  void far_compact();
 
   RealTime now_{};
   std::int64_t closed_ns_{-1};  // where the last run_until() ended
   std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
-  std::uint64_t batched_{0};
   std::size_t live_{0};
   KernelStats stats_;
   obs::TraceTrack* trace_track_{nullptr};
@@ -349,10 +321,8 @@ class Simulator {
   BucketHeads bucket_head_ = nil_buckets();
   std::uint64_t bitmap_[kWheelLevels]{};
 
-  std::vector<HeapEntry> due_;
+  std::vector<DueEntry> due_;
   std::size_t due_head_{0};
-  std::vector<HeapEntry> far_;
-  std::uint64_t far_stale_{0};
 
   /// Slot of the event whose callback is running (kNil when none), with its
   /// generation; plain sentinels rather than optionals — these are touched

@@ -95,9 +95,4 @@ hypervisor::Machine& MachineTable::machine(int i) { return *slot(i).machine; }
 
 NodeId MachineTable::machine_node(int i) { return slot(i).node; }
 
-bool MachineTable::machine_materialized(int i) const {
-  SW_EXPECTS(i >= 0 && i < cfg_.machine_count);
-  return shards_[static_cast<std::size_t>(i / cfg_.shard_size)].materialized;
-}
-
 }  // namespace stopwatch::topology

@@ -68,7 +68,6 @@ class MachineTable {
   /// machine's configured offset).
   [[nodiscard]] Duration clock_offset(int i) const;
 
-  [[nodiscard]] bool machine_materialized(int i) const;
   [[nodiscard]] int materialized_shards() const { return materialized_shards_; }
   [[nodiscard]] int materialized_machines() const {
     return materialized_machines_;

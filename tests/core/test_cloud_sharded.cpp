@@ -294,13 +294,14 @@ TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   cloud.activate({vm});
   const int egress = cloud.shard_plan().egress_shard();
   EXPECT_GT(egress, 0);  // the single component fills shard 0
-  EXPECT_EQ(cloud.network().node_owner(cloud.egress_node()), egress);
-  EXPECT_EQ(cloud.network().node_owner(client), egress);
+  sim::Simulator* const egress_core = &cloud.sharded().shard(egress);
+  EXPECT_EQ(&cloud.network().simulator_for(cloud.egress_node()), egress_core);
+  EXPECT_EQ(&cloud.network().simulator_for(client), egress_core);
   // The driver core follows: external scheduling stays on the owner core.
-  EXPECT_EQ(&cloud.simulator(), &cloud.sharded().shard(egress));
+  EXPECT_EQ(&cloud.simulator(), egress_core);
   // Externals registered after activation land there directly too.
   const NodeId late = cloud.add_external_node([](const net::Packet&) {});
-  EXPECT_EQ(cloud.network().node_owner(late), egress);
+  EXPECT_EQ(&cloud.network().simulator_for(late), egress_core);
 }
 
 TEST(CloudSharded, PlanKeepsGuestComponentsOffTheEgressShard) {

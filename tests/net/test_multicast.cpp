@@ -115,6 +115,9 @@ TEST(Multicast, DuplicateFramesIgnored) {
 
 TEST(Multicast, NakRetransmitsOnlyInsideTransmitWindow) {
   TrioFixture fx;
+  // A drop hook that never fires: the fabric may drop, so the sender keeps
+  // its transmit window, yet every frame arrives.
+  fx.net.set_drop_hook([](const Frame&) { return false; });
   // 4100 messages: the 4096-message window now holds sequences 5..4100.
   for (int i = 0; i < 4100; ++i) fx.multicast(0, static_cast<std::uint64_t>(i));
   fx.sim.run();
@@ -162,6 +165,14 @@ TEST(Multicast, LosslessGroupArmsNoTimers) {
   EXPECT_EQ(fx.net.frames_sent_of_class(FramePayload{McastSpm{}}.index()), 0u);
   EXPECT_EQ(fx.net.frames_sent_of_class(FramePayload{McastNak{}}.index()), 0u);
   EXPECT_EQ(fx.group.naks_sent(), 0u);
+  // Nor did the sender keep a retransmission copy: a NAK finds nothing.
+  Frame nak;
+  nak.src = fx.members[1];
+  nak.dst = fx.members[0];
+  nak.rm_group = 1;
+  nak.payload = McastNak{1, fx.members[1], 1, kMessages + 1};
+  fx.group.on_frame(fx.members[0], nak);
+  EXPECT_EQ(fx.group.retransmissions(), 0u);
 }
 
 TEST(Multicast, RejectsUnknownMember) {

@@ -194,6 +194,29 @@ TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
   }
 }
 
+TEST(Network, LossAfterFirstSendIsRejected) {
+  // Frames sent on a lossless fabric keep no retransmission copy, so no
+  // loss may appear behind them: may_drop() is final from the first send.
+  Fixture fx;
+  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId b = fx.net.add_node([](const Frame&) {});
+  LinkModel lossy;
+  lossy.loss_probability = 0.01;
+  fx.net.send(guest_frame(a, b, 100));
+  EXPECT_THROW(fx.net.set_default_link(lossy), ContractViolation);
+  EXPECT_THROW(fx.net.set_node_link(a, lossy), ContractViolation);
+  EXPECT_THROW(fx.net.set_drop_hook([](const Frame&) { return false; }),
+               ContractViolation);
+  EXPECT_FALSE(fx.net.may_drop());
+  // Lossless links may still change after the first send.
+  LinkModel slow;
+  slow.base_latency = Duration::millis(2);
+  fx.net.set_node_link(b, slow);
+  fx.net.set_drop_hook(nullptr);
+  fx.sim.run();
+  EXPECT_FALSE(fx.net.may_drop());
+}
+
 TEST(Network, DropHookDropsBeforeDrawAndUplink) {
   // A hooked drop is counted like a loss but takes no RNG draw and no
   // serialization time: the frame behind it arrives exactly as if the

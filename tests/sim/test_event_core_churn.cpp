@@ -2,10 +2,10 @@
 // core. A schedule/cancel (or schedule/run) cycle must recycle the same
 // handful of slots forever: pending() stays flat because it counts live
 // slots exactly, and arena_slots() stays flat because cancel releases a
-// slot immediately (wheel residents unlink in O(1), due residents are
-// erased from the due array, and far-heap residents are generation-checked
-// so their stale entries cannot resurrect a recycled slot). CI runs this
-// suite under ASan+UBSan specifically to shake out use-after-recycle bugs.
+// slot immediately (wheel residents unlink in O(1) and due residents are
+// erased from the due array, so no stale entry can resurrect a recycled
+// slot). CI runs this suite under ASan+UBSan specifically to shake out
+// use-after-recycle bugs.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ TEST(EventCoreChurn, ScheduleCancelMillionCycleStaysFlat) {
     rng ^= rng << 13;
     rng ^= rng >> 7;
     rng ^= rng << 17;
-    // Mixed horizons: due (0), wheel levels, and far heap all recycle.
+    // Mixed horizons: due (0) and wheel levels 0-3 all recycle.
     const auto delay = static_cast<std::int64_t>(rng % 400'000'000);
     const EventId id = sim.schedule_after(Duration{delay}, [] {});
     ASSERT_TRUE(sim.cancel(id));
@@ -80,11 +80,10 @@ TEST(EventCoreChurn, RescheduleChurnHoldsOneSlot) {
   EXPECT_EQ(sim.arena_slots(), 1u);
 }
 
-TEST(EventCoreChurn, CancelHeavyHeapsCompact) {
-  // Cancel far-heap residents en masse: stale far-heap entries must be
-  // compacted away rather than accumulating (the far heap's lazy deletion
-  // has an amortized bound), and the run must still fire survivors in
-  // order.
+TEST(EventCoreChurn, CancelHeavyRoundsReuseSlots) {
+  // Cancel nine in ten of each round's level-3 residents: every cancel
+  // frees its slot at once, so the arena stays at one round's worth, and
+  // the run must still fire the survivors.
   Simulator sim;
   std::vector<EventId> ids;
   std::uint64_t fired = 0;

@@ -83,16 +83,17 @@ TEST(MachineTable, TouchingOneMachineMaterializesOnlyItsShard) {
   Fixture fx(100, 10);
   EXPECT_EQ(fx.table.materialized_shards(), 0);
   EXPECT_EQ(fx.table.materialized_machines(), 0);
-  EXPECT_FALSE(fx.table.machine_materialized(42));
   static_cast<void>(fx.table.machine(42));
   EXPECT_EQ(fx.table.materialized_shards(), 1);
   EXPECT_EQ(fx.table.materialized_machines(), 10);
-  EXPECT_TRUE(fx.table.machine_materialized(42));
-  EXPECT_TRUE(fx.table.machine_materialized(40));  // same shard
-  EXPECT_FALSE(fx.table.machine_materialized(39));
+  static_cast<void>(fx.table.machine(40));  // same shard: nothing new
+  EXPECT_EQ(fx.table.materialized_machines(), 10);
   // clock_offset stays computable without materializing anything.
   static_cast<void>(fx.table.clock_offset(99));
   EXPECT_EQ(fx.table.materialized_shards(), 1);
+  static_cast<void>(fx.table.machine(39));  // the shard below
+  EXPECT_EQ(fx.table.materialized_shards(), 2);
+  EXPECT_EQ(fx.table.materialized_machines(), 20);
 }
 
 TEST(MachineTable, RaggedFinalShardMaterializes) {
