@@ -44,21 +44,18 @@ struct WorkloadStats {
 /// protocol (with one shard that handoff degenerates to a self-schedule,
 /// keeping the event count identical across shard counts).
 WorkloadStats run_workload(int shards, int chains, Duration horizon,
-                           Duration window) {
+                           Duration hop) {
   // The chains live here, outside their own callbacks: a chain whose
   // capture owned it would keep itself alive forever.
   std::deque<sim::Task> chain_store;
   sim::ShardedConfig cfg;
   cfg.shards = shards;
-  cfg.window = window;
   sim::ShardedSimulator sharded(cfg);
 
   const std::int64_t horizon_ns = horizon.ns;
-  const Duration hop = Duration::nanos(2 * window.ns);
   // The only cross-shard traffic is the ring handoff to shard s+1, and
   // every handoff lands exactly `hop` past the sender's clock — declare
-  // that floor so windows can widen beyond the uniform default; all other
-  // pairs never exchange events.
+  // that floor; all other pairs never exchange events.
   for (int s = 0; shards > 1 && s < shards; ++s) {
     for (int d = 0; d < shards; ++d) {
       if (d == s) continue;
@@ -114,12 +111,12 @@ Result run(const ScenarioContext& ctx) {
   const int chains = ctx.param_int("chains_per_shard");
   const auto horizon =
       Duration::from_seconds_f(ctx.param("horizon_ms") / 1000.0);
-  const Duration window = Duration::micros(20);
+  const Duration hop = Duration::micros(40);
 
   // Same aggregate chain count on both kernels: the sequential run hosts
   // all shards * chains chains on its one core.
-  const WorkloadStats seq = run_workload(1, shards * chains, horizon, window);
-  const WorkloadStats par = run_workload(shards, chains, horizon, window);
+  const WorkloadStats seq = run_workload(1, shards * chains, horizon, hop);
+  const WorkloadStats par = run_workload(shards, chains, horizon, hop);
 
   Result result("simulator_parallel_shards");
   result.add_metric("shards", shards, "cores");

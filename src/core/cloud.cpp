@@ -62,6 +62,16 @@ sim::ShardedConfig sharded_config(const CloudConfig& cfg) {
   sim::ShardedConfig sc;
   sc.shards = cfg.sim_shards;
   if (sc.shards > 1) {
+    // activate() declares every shard pair's lookahead floor from these
+    // two links; a zero floor defeats conservative windowing.
+    SW_EXPECTS_MSG(cfg.cloud_link.min_latency().ns > 0,
+                   "CloudConfig.cloud_link must have a positive minimum "
+                   "latency when sim_shards > 1 (it bounds the barrier "
+                   "window)");
+    SW_EXPECTS_MSG(cfg.client_link.min_latency().ns > 0,
+                   "CloudConfig.client_link must have a positive minimum "
+                   "latency when sim_shards > 1 (it bounds the barrier "
+                   "window)");
     // The plan's last shard hosts only egress and the clients, so with
     // one thread fewer than shards it rides on the calling thread beside
     // core 0 (core s runs on thread s mod T) instead of keeping a whole
@@ -403,20 +413,21 @@ void Cloud::start() {
     activate(all);
   }
   started_ = true;
-  // One boot batch per (owner core, machine shard): a shard of wired VMs
-  // costs one simulator arena slot instead of one per VM, each boot thunk
-  // a 16-byte capture riding the batch vector's storage, and each batch
-  // lands on the core that owns the booting replicas.
-  std::map<std::pair<int, int>, std::vector<sim::Task>> batches;
+  // Each wired VM boots as its own event on the core that owns its
+  // replicas, scheduled in (owner core, machine shard, VM index) order so
+  // equal-time FIFO runs the boots in that order.
+  std::map<std::pair<int, int>, std::vector<std::uint32_t>> boots;
   for (std::uint32_t i = 0; i < vms_.size(); ++i) {
     if (!vms_[i].wired) continue;
     const int machine = vm_machines(VmHandle{i}).front();
-    batches[{plan_.shard_of_machine(machine), table_.shard_of(machine)}]
-        .push_back([this, i] { boot(i); });
+    boots[{plan_.shard_of_machine(machine), table_.shard_of(machine)}]
+        .push_back(i);
   }
-  for (auto& [key, batch] : batches) {
+  for (const auto& [key, vms] : boots) {
     sim::Simulator& core = sharded_.shard(key.first);
-    core.schedule_batch(core.now(), std::move(batch));
+    for (const std::uint32_t i : vms) {
+      core.schedule_at(core.now(), [this, i] { boot(i); });
+    }
   }
 }
 
@@ -469,7 +480,7 @@ void Cloud::activate(const std::vector<VmHandle>& driven) {
   const Duration to_egress = std::min(cfg_.cloud_link.min_latency(),
                                       cfg_.client_link.min_latency());
   const Duration from_egress = cfg_.client_link.min_latency();
-  if (shards > 1 && to_egress.ns > 0 && from_egress.ns > 0) {
+  if (shards > 1) {
     for (int s = 0; s < shards; ++s) {
       for (int d = 0; d < shards; ++d) {
         if (s == d) continue;
@@ -509,16 +520,6 @@ void Cloud::expect_single_writer_tap(bool tapped) const {
 void Cloud::run_for(Duration d) {
   OBS_PROF_SCOPE("cloud.run");
   SW_EXPECTS(started_);
-  if (sharded_.shard_count() > 1) {
-    // Conservative lookahead: every cross-shard frame takes at least the
-    // network's minimum-latency floor — the uniform floor for any shard
-    // pair activate did not declare.
-    const Duration window = net_.min_latency_floor();
-    SW_EXPECTS_MSG(window.ns > 0,
-                   "shard-parallel run needs a positive lookahead window "
-                   "(a zero-latency link defeats conservative windowing)");
-    sharded_.set_window(window);
-  }
   sharded_.run_until(sharded_.now() + d);
 }
 
@@ -782,8 +783,6 @@ obs::Snapshot Cloud::observability() {
   registry_.set_counter("sharded.barriers", sharded_.barriers());
   registry_.set_counter("sharded.cross_scheduled", sharded_.cross_scheduled());
   registry_.set_counter("sharded.max_merge_batch", sharded_.max_merge_batch());
-  registry_.set_counter("sharded.window_ns",
-                        static_cast<std::uint64_t>(sharded_.window().ns));
   registry_.set_counter("sharded.adaptive_extensions",
                         sharded_.adaptive_extensions());
   if (sharded_.shard_count() > 1) {

@@ -32,8 +32,8 @@
 //     set is a contract violation naming it. A cloud that never calls
 //     activate gets every registered VM activated by start().
 //   * start() boots every wired VM at the median of its machines' clocks
-//     (Sec. IV-A), batched per (owner core, machine shard) into single
-//     simulator entries (Simulator::schedule_batch); run_for runs.
+//     (Sec. IV-A), one event per VM on the core that owns its replicas,
+//     in (owner core, machine shard, VM index) order; run_for runs.
 //
 // Under the baseline-Xen policy the same wiring runs unreplicated guests
 // on unmodified-Xen semantics (real clocks, immediate interrupt delivery):
@@ -169,7 +169,7 @@ class Cloud {
   void send_external(NodeId from, net::Packet pkt);
 
   /// Activates every registered VM if activate() was not called, then
-  /// boots every wired VM, batched per (owner core, machine shard):
+  /// boots every wired VM in (owner core, machine shard, VM index) order:
   /// exchanges machine clocks and starts each replica with the median as
   /// the initial virtual time (Sec. IV-A).
   void start();

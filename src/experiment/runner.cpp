@@ -1,6 +1,7 @@
 #include "experiment/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
@@ -10,8 +11,8 @@
 #include <map>
 #include <mutex>
 #include <string_view>
+#include <thread>
 
-#include "common/thread_pool.hpp"
 #include "experiment/registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -136,6 +137,14 @@ void run_one_scenario(const Scenario& scenario, const ParamOverrides& overrides,
           .count();
 }
 
+// Maps a --jobs value to a worker count: 0 means one per hardware thread
+// (1 when the runtime cannot tell), anything else is taken literally.
+std::size_t recommended_jobs(std::uint64_t requested) {
+  if (requested != 0) return static_cast<std::size_t>(requested);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 }  // namespace
 
 std::string per_scenario_path(const std::string& path,
@@ -155,8 +164,7 @@ std::vector<ScenarioOutcome> run_scenarios(
     std::uint64_t jobs, const OutcomeCallback& on_complete) {
   std::vector<ScenarioOutcome> outcomes(selected.size());
   const std::size_t workers = std::min<std::size_t>(
-      recommended_jobs(static_cast<std::size_t>(jobs)),
-      std::max<std::size_t>(1, selected.size()));
+      recommended_jobs(jobs), std::max<std::size_t>(1, selected.size()));
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < selected.size(); ++i) {
@@ -166,31 +174,36 @@ std::vector<ScenarioOutcome> run_scenarios(
     return outcomes;
   }
 
+  // Workers claim selection indices in order from a shared counter; each
+  // writes only its own outcome slot. jthread joins on scope exit, also
+  // when a callback throws.
   std::mutex mutex;
   std::condition_variable completed;
   std::vector<char> done(selected.size(), 0);
-  {
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      pool.submit([&, i] {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::jthread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      for (std::size_t i = next++; i < selected.size(); i = next++) {
         run_one_scenario(*selected[i], overrides, seed, smoke, outcomes[i]);
         {
           const std::lock_guard<std::mutex> lock(mutex);
           done[i] = 1;
         }
         completed.notify_all();
-      });
-    }
-    // Publish outcomes progressively but strictly in selection order: the
-    // callback (and therefore stdout and the JSON report) never observes
-    // completion order, which is what keeps --jobs N byte-identical to
-    // --jobs 1.
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      std::unique_lock<std::mutex> lock(mutex);
-      completed.wait(lock, [&] { return done[i] != 0; });
-      lock.unlock();
-      if (on_complete) on_complete(outcomes[i], i);
-    }
+      }
+    });
+  }
+  // Publish outcomes progressively but strictly in selection order: the
+  // callback (and therefore stdout and the JSON report) never observes
+  // completion order, which is what keeps --jobs N byte-identical to
+  // --jobs 1.
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    completed.wait(lock, [&] { return done[i] != 0; });
+    lock.unlock();
+    if (on_complete) on_complete(outcomes[i], i);
   }
   return outcomes;
 }

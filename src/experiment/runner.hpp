@@ -77,8 +77,9 @@ struct ScenarioOutcome {
 using OutcomeCallback =
     std::function<void(const ScenarioOutcome&, std::size_t index)>;
 
-/// Executes `selected` on `jobs` workers (1 = in the calling thread, 0 = one
-/// per hardware thread). Each scenario runs in per-task isolation: its own
+/// Executes `selected` on `jobs` worker threads (1 = in the calling thread,
+/// 0 = one per hardware thread), each claiming the next unclaimed index in
+/// selection order. Each scenario runs in per-task isolation: its own
 /// derived RNG stream (see derive_scenario_seed), its own Result sink, and
 /// its own exception capture. `overrides` is filtered per scenario to the
 /// parameters it declares. Outcomes are returned — and `on_complete` fires —

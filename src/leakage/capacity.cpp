@@ -10,6 +10,9 @@ namespace stopwatch::leakage {
 namespace {
 
 constexpr double kLog2e = 1.4426950408889634;  // nats -> bits
+/// Convergence target for the Csiszár upper-lower gap, in nats.
+constexpr double kTolerance = 1e-9;
+constexpr int kMaxIterations = 5000;
 
 }  // namespace
 
@@ -19,8 +22,7 @@ double binary_entropy_bits(double p) {
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
-CapacityResult blahut_arimoto(const std::vector<std::vector<double>>& channel,
-                              double tolerance, int max_iterations) {
+CapacityResult blahut_arimoto(const std::vector<std::vector<double>>& channel) {
   const std::size_t inputs = channel.size();
   SW_EXPECTS_MSG(inputs >= 2, "capacity needs at least two input classes");
   const std::size_t outputs = channel.front().size();
@@ -43,7 +45,7 @@ CapacityResult blahut_arimoto(const std::vector<std::vector<double>>& channel,
   std::vector<double> row_exponent(inputs, 0.0);
   double last_lower_nats = 0.0;
 
-  for (int iter = 1; iter <= max_iterations; ++iter) {
+  for (int iter = 1; iter <= kMaxIterations; ++iter) {
     result.iterations = iter;
     // q_T(t) = Σ_c p(c) W(t|c).
     std::fill(output_marginal.begin(), output_marginal.end(), 0.0);
@@ -71,7 +73,7 @@ CapacityResult blahut_arimoto(const std::vector<std::vector<double>>& channel,
       upper_nats = std::max(upper_nats, d);
     }
     last_lower_nats = lower_nats;
-    if (upper_nats - lower_nats <= tolerance) {
+    if (upper_nats - lower_nats <= kTolerance) {
       result.capacity_bits = std::max(0.0, lower_nats * kLog2e);
       result.converged = true;
       return result;

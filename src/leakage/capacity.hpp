@@ -24,15 +24,14 @@ struct CapacityResult {
   /// The capacity-achieving input prior over secret classes.
   std::vector<double> optimal_input;
   int iterations{0};
-  /// Csiszár upper-lower gap fell below tolerance within max_iterations.
+  /// Csiszár upper-lower gap fell below 1e-9 nats within 5000 iterations.
   bool converged{false};
 };
 
 /// Capacity of the channel with conditional rows `channel[c][t] = W(t|c)`.
 /// Every row must be a probability vector; at least 2 rows and 1 column.
 [[nodiscard]] CapacityResult blahut_arimoto(
-    const std::vector<std::vector<double>>& channel, double tolerance = 1e-9,
-    int max_iterations = 5000);
+    const std::vector<std::vector<double>>& channel);
 
 /// Binary entropy H2(p) in bits — the closed form behind the binary
 /// symmetric channel's capacity 1 - H2(p). No scenario calls it: it is the

@@ -82,14 +82,6 @@ void Network::note_may_drop(bool drops) {
   may_drop_ = true;
 }
 
-Duration Network::min_latency_floor() const {
-  Duration floor = default_link_.min_latency();
-  for (const auto& [key, model] : node_links_) {
-    floor = std::min(floor, model.min_latency());
-  }
-  return floor;
-}
-
 const LinkModel& Network::link_for(NodeId src, NodeId dst) const {
   const auto src_it = node_links_.find(src.value);
   if (src_it != node_links_.end()) return src_it->second;

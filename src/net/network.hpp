@@ -130,12 +130,6 @@ class Network {
   /// since the frames already sent kept no retransmission copy.
   [[nodiscard]] bool may_drop() const { return may_drop_; }
 
-  /// Minimum guaranteed latency over every link model registered so far
-  /// (node links and the default) — the lookahead bound: no frame sent at
-  /// t can arrive before t + min_latency_floor(). The sharded barrier
-  /// window must not exceed it.
-  [[nodiscard]] Duration min_latency_floor() const;
-
   /// Sends a frame; delivery is scheduled on the simulator. Returns false if
   /// the frame was dropped by the drop hook or the loss model.
   bool send(Frame frame);

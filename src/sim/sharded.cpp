@@ -90,12 +90,6 @@ ShardedSimulator::~ShardedSimulator() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ShardedSimulator::set_window(Duration w) {
-  SW_EXPECTS(!running_);
-  SW_EXPECTS(w.ns > 0);
-  cfg_.window = w;
-}
-
 void ShardedSimulator::set_lookahead(int src, int dst, Duration floor) {
   SW_EXPECTS(!running_);
   SW_EXPECTS(src >= 0 && src < cfg_.shards);
@@ -308,6 +302,16 @@ void ShardedSimulator::run_until(RealTime t) {
   timing_ = profiler != nullptr;
   constexpr std::int64_t kInf = kUnreachableNs;
   const auto k = cores_.size();
+  // A window "extends" when it grants some core more than the tightest
+  // finite floor of any pair past its position.
+  std::int64_t min_floor = kInf;
+  for (std::size_t s = 0; s < k; ++s) {
+    for (std::size_t d = 0; d < k; ++d) {
+      if (s == d) continue;
+      min_floor = std::min(
+          min_floor, lookahead_ns(static_cast<int>(s), static_cast<int>(d)));
+    }
+  }
   bool done = false;
   while (!done) {
     // Idle fast-path: with no pending events anywhere and no lane
@@ -378,7 +382,7 @@ void ShardedSimulator::run_until(RealTime t) {
       window_end_ns_[d] = run ? end : now_d;
       if (run) {
         ++ran;
-        if (run_to - now_d > cfg_.window.ns) extended = true;
+        if (run_to - now_d > min_floor) extended = true;
       }
     }
     if (extended) ++adaptive_extensions_;

@@ -13,7 +13,7 @@
 //  * Each core's window ends at the earliest time any cross-shard entry
 //    could still reach it, computed from the per-core earliest-pending-
 //    event watermarks and the declared per-pair lookahead floors
-//    (set_lookahead; the uniform `window` for pairs without one) by the
+//    (set_lookahead; ShardedConfig::window for pairs without one) by the
 //    classic earliest-input-time relaxation
 //      eit[d] = min over s != d of (min(t_min[s], eit[s]) + L[s][d]),
 //    iterated to its fixpoint so reaction chains (s receives, then
@@ -76,10 +76,10 @@ namespace stopwatch::sim {
 struct ShardedConfig {
   /// Number of independent simulator cores (>= 1).
   int shards{1};
-  /// Uniform lookahead: the floor of every pair without a declared one.
-  /// Must be positive and no larger than the minimum cross-shard event
-  /// latency. core::Cloud::run_for derives it from the link models;
-  /// tests set it directly.
+  /// Uniform lookahead: the floor of every pair without a declared one
+  /// (see set_lookahead). Must be positive and no larger than the minimum
+  /// cross-shard event latency. core::Cloud declares every pair, so only
+  /// kernel and network tests rely on it.
   Duration window{Duration::micros(100)};
   /// Threads that run windows, the calling thread included (so T - 1
   /// persistent workers are spawned). 0 auto-sizes to min(shards, host
@@ -103,9 +103,6 @@ class ShardedSimulator {
   [[nodiscard]] int shard_count() const { return cfg_.shards; }
   /// Threads that run windows, the calling thread included.
   [[nodiscard]] std::size_t thread_count() const { return workers_.size() + 1; }
-  [[nodiscard]] Duration window() const { return cfg_.window; }
-  /// Adjusts the uniform lookahead. Must not be called mid-run.
-  void set_window(Duration w);
 
   /// Declares the minimum latency of cross-shard traffic from `src` to
   /// `dst`: no event executing on `src` at time ts may cross_schedule an
@@ -161,8 +158,8 @@ class ShardedSimulator {
   /// Like every counter here, it depends on the shard count but never on
   /// the thread count.
   [[nodiscard]] std::uint64_t barriers() const { return barriers_; }
-  /// Windows in which some core was granted a bound more than one
-  /// uniform window past its position.
+  /// Windows in which some core was granted a bound more than the
+  /// smallest finite pair floor past its position.
   [[nodiscard]] std::uint64_t adaptive_extensions() const {
     return adaptive_extensions_;
   }

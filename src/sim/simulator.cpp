@@ -29,19 +29,6 @@ EventId Simulator::schedule_after(Duration delay, Task cb, Tie tie) {
   return schedule_impl(now_.ns + delay.ns, std::move(cb), tie);
 }
 
-EventId Simulator::schedule_batch(RealTime at, std::vector<Task> batch) {
-  SW_EXPECTS(!batch.empty());
-  for (const Task& cb : batch) SW_EXPECTS(cb != nullptr);
-  // `this` + the moved-in vector is 32 bytes: the batch rides the same slab
-  // slot inline, its callbacks' own storage living in the vector.
-  return schedule_at(at, [this, b = std::move(batch)]() mutable {
-    // step() already counted the record once; count the remaining callbacks
-    // so a batch of k reads as k executed events.
-    executed_ += b.size() - 1;
-    for (Task& cb : b) cb();
-  });
-}
-
 EventId Simulator::schedule_impl(std::int64_t at_ns, Task&& cb, Tie tie) {
   SW_EXPECTS(cb != nullptr);
   const std::uint32_t slot = alloc_slot();

@@ -100,13 +100,6 @@ class Simulator {
   /// its class).
   EventId schedule_after(Duration delay, Task cb, Tie tie = Tie::kOrdinary);
 
-  /// Schedule a batch of callbacks as ONE event record at absolute time
-  /// `at`; when it fires the callbacks run back to back in vector order. A
-  /// shard of k same-time events costs one slab slot instead of k — the
-  /// topology layer uses this to boot machine shards without flooding the
-  /// queue. Cancelling the returned id cancels the whole batch.
-  EventId schedule_batch(RealTime at, std::vector<Task> batch);
-
   /// Re-arms the event `id` to fire `delay` after now, reusing its arena
   /// slot and — when called from inside the event's own callback — its Task
   /// object, so periodic timers (vCPU slices, sync beacons, stall rechecks)
@@ -151,14 +144,13 @@ class Simulator {
   /// Run events with timestamp <= t, then advance the clock to exactly t.
   void run_until(RealTime t);
 
-  /// Number of events executed so far. A batch of k callbacks counts k (the
-  /// count reflects work performed, not queue entries consumed).
+  /// Number of events executed so far.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
   /// Number of live pending events: scheduled, not yet fired, not
   /// cancelled. Exact — derived from live slab slots, not from queue sizes
   /// (the seed implementation undercounted after a cancelled entry had been
-  /// lazily popped). A batch counts as one pending event.
+  /// lazily popped).
   [[nodiscard]] std::size_t pending() const { return live_; }
 
   /// Timestamp of the earliest pending event, or nullopt when nothing is

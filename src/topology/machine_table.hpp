@@ -30,7 +30,7 @@ namespace stopwatch::topology {
 
 struct MachineTableConfig {
   int machine_count{1};
-  /// Machines per shard; the materialization and event-batching granule.
+  /// Machines per shard; the materialization granule.
   int shard_size{64};
   std::uint64_t seed{1};
   hypervisor::MachineConfig machine_template{};

@@ -9,15 +9,16 @@ namespace stopwatch::transport {
 
 namespace {
 constexpr std::uint32_t kUdpMtuPayload = 1472;
+/// How long a receiver waits on a hole before NAKing it (and between NAKs).
+constexpr Duration kNakDelay = Duration::millis(20);
 
 std::uint64_t peer_flow_key(NodeId peer, std::uint32_t flow) {
   return (static_cast<std::uint64_t>(peer.value) << 32) | flow;
 }
 }  // namespace
 
-UdpEndpoint::UdpEndpoint(TransportEnv& env, bool nak_reliability,
-                         Duration nak_delay)
-    : env_(&env), nak_reliability_(nak_reliability), nak_delay_(nak_delay) {}
+UdpEndpoint::UdpEndpoint(TransportEnv& env, bool nak_reliability)
+    : env_(&env), nak_reliability_(nak_reliability) {}
 
 void UdpEndpoint::set_message_handler(MessageHandler handler) {
   on_message_ = std::move(handler);
@@ -95,6 +96,7 @@ void UdpEndpoint::maybe_deliver(NodeId peer, std::uint32_t flow,
                                 std::uint32_t msg_id, RxMessage& m) {
   if (m.delivered || m.bytes < m.len) return;
   m.delivered = true;
+  m.got.clear();
   ++stats_.messages_delivered;
   if (on_message_) on_message_(peer, flow, msg_id, m.len, m.tag);
 }
@@ -103,7 +105,7 @@ void UdpEndpoint::arm_nak(NodeId peer, std::uint32_t flow,
                           std::uint32_t msg_id) {
   const RxKey k{peer_flow_key(peer, flow), msg_id};
   rx_[k].nak_armed = true;
-  env_->set_timer(nak_delay_, [this, peer, flow, msg_id, k] {
+  env_->set_timer(kNakDelay, [this, peer, flow, msg_id, k] {
     const auto it = rx_.find(k);
     if (it == rx_.end()) return;
     RxMessage& m = it->second;

@@ -35,8 +35,7 @@ class UdpEndpoint {
   using MessageHandler = std::function<void(
       NodeId, std::uint32_t, std::uint32_t, std::uint32_t, std::uint32_t)>;
 
-  explicit UdpEndpoint(TransportEnv& env, bool nak_reliability = false,
-                       Duration nak_delay = Duration::millis(20));
+  explicit UdpEndpoint(TransportEnv& env, bool nak_reliability = false);
 
   UdpEndpoint(const UdpEndpoint&) = delete;
   UdpEndpoint& operator=(const UdpEndpoint&) = delete;
@@ -53,6 +52,8 @@ class UdpEndpoint {
   [[nodiscard]] const UdpStats& stats() const { return stats_; }
 
  private:
+  /// Kept after delivery as a tombstone with `got` emptied, so a late
+  /// duplicate or NAK-repaired fragment cannot start a second delivery.
   struct RxMessage {
     std::uint32_t len{0};
     std::uint32_t tag{0};
@@ -78,7 +79,6 @@ class UdpEndpoint {
 
   TransportEnv* env_;
   bool nak_reliability_;
-  Duration nak_delay_;
   MessageHandler on_message_;
   std::map<RxKey, RxMessage> rx_;
   /// Sender-side retained messages for NAK service: key -> (len, tag).

@@ -350,6 +350,13 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   cfg.clock_offset_spread = Duration::millis(-1);
   expect_config_rejected(cfg, "clock_offset_spread");
 
+  // A zero-latency link leaves the sharded kernel no lookahead; refused
+  // here rather than at the first run_for.
+  cfg = stopwatch_config();
+  cfg.sim_shards = 4;
+  cfg.cloud_link.base_latency = Duration::nanos(0);
+  expect_config_rejected(cfg, "cloud_link");
+
   // Baseline runs single replicas, so replica_count > machine_count is
   // fine there (the knob is documented as ignored).
   CloudConfig baseline = stopwatch_config();

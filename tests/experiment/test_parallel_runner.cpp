@@ -60,16 +60,21 @@ TEST(ParallelRunner, EightJobsByteIdenticalToSequential) {
   const auto selected = cheap_deterministic_selection();
   const auto sequential =
       run_scenarios(selected, {}, /*seed=*/7, /*smoke=*/true, /*jobs=*/1);
-  const auto parallel =
-      run_scenarios(selected, {}, /*seed=*/7, /*smoke=*/true, /*jobs=*/8);
   ASSERT_EQ(sequential.size(), selected.size());
-  ASSERT_EQ(parallel.size(), selected.size());
   for (std::size_t i = 0; i < selected.size(); ++i) {
     EXPECT_TRUE(sequential[i].ok) << sequential[i].error;
-    EXPECT_TRUE(parallel[i].ok) << parallel[i].error;
-    EXPECT_EQ(parallel[i].name, selected[i]->name);
   }
-  EXPECT_EQ(report_of(sequential), report_of(parallel));
+  // 0 means one job per hardware thread.
+  for (const std::uint64_t jobs : {std::uint64_t{8}, std::uint64_t{0}}) {
+    const auto parallel =
+        run_scenarios(selected, {}, /*seed=*/7, /*smoke=*/true, jobs);
+    ASSERT_EQ(parallel.size(), selected.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      EXPECT_TRUE(parallel[i].ok) << parallel[i].error;
+      EXPECT_EQ(parallel[i].name, selected[i]->name);
+    }
+    EXPECT_EQ(report_of(sequential), report_of(parallel)) << "jobs=" << jobs;
+  }
 }
 
 TEST(ParallelRunner, ThrowingScenarioDoesNotTakeDownSiblings) {

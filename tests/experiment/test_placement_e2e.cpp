@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cloud.hpp"
 #include "experiment/registry.hpp"
 #include "experiment/result.hpp"
 #include "experiment/runner.hpp"
@@ -88,7 +89,7 @@ TEST(PlacementE2e, AdaptiveWindowCutsBarriersThreefold) {
   // counters: on the 4-core smoke run each core's window reaches the
   // earliest time cross-shard traffic could still arrive, so idle
   // stretches cost one window — at least 3x fewer barriers than one per
-  // uniform window over the run's span.
+  // fabric-floor window over the run's span.
   const Result r = ScenarioRegistry::instance().run(
       "placement_e2e", /*seed=*/11, /*smoke=*/true,
       {{"machines", "99"},
@@ -106,12 +107,13 @@ TEST(PlacementE2e, AdaptiveWindowCutsBarriersThreefold) {
   // The scenario runs its 0.4 s of traffic plus a 0.5 s drain.
   const std::uint64_t span_ns = 900'000'000;
   const std::uint64_t barriers = counter("sharded.barriers");
-  const std::uint64_t window_ns = counter("sharded.window_ns");
+  const auto floor_ns = static_cast<std::uint64_t>(
+      core::CloudConfig{}.cloud_link.min_latency().ns);
   ASSERT_GT(barriers, 0u);
-  ASSERT_GT(window_ns, 0u);
+  ASSERT_GT(floor_ns, 0u);
   EXPECT_GT(counter("sharded.adaptive_extensions"), 0u);
-  EXPECT_LE(3 * barriers, span_ns / window_ns)
-      << "barriers=" << barriers << " window_ns=" << window_ns;
+  EXPECT_LE(3 * barriers, span_ns / floor_ns)
+      << "barriers=" << barriers << " floor_ns=" << floor_ns;
 }
 
 TEST(PlacementE2e, GreedyPlacementModeRunsArbitraryN) {

@@ -256,8 +256,11 @@ TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
     std::uint64_t crossed{0};
   };
   const auto deliver = [](int shards) {
+    // The default link's floor (~55 us) is below the kernel's default
+    // window, so it bounds the undeclared pairs.
     sim::ShardedConfig cfg;
     cfg.shards = shards;
+    cfg.window = LinkModel{}.min_latency();
     sim::ShardedSimulator kernel{cfg};
     Network net{kernel, Rng(1234)};
     Outcome out;
@@ -266,9 +269,6 @@ TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
       out.arrival_ns = kernel.shard(shards - 1).now().ns;
     });
     net.set_node_owner(b, shards - 1);
-    // As core::Cloud::run_for does: the default link's floor (~55 us) is
-    // below the kernel's default window.
-    kernel.set_window(net.min_latency_floor());
     kernel.shard(0).schedule_at(RealTime::nanos(10'000), [&] {
       EXPECT_TRUE(net.send(guest_frame(a, b, 1500)));
     });
@@ -329,6 +329,7 @@ TEST(Network, FrameToAnUnboundIdReachesTheUnboundHandler) {
   const auto deliver = [](bool bound) {
     sim::ShardedConfig cfg;
     cfg.shards = 2;
+    cfg.window = LinkModel{}.min_latency();
     sim::ShardedSimulator kernel{cfg};
     Network net{kernel, Rng(1234)};
     std::int64_t arrival_ns = -1;
@@ -346,7 +347,6 @@ TEST(Network, FrameToAnUnboundIdReachesTheUnboundHandler) {
         arrival_ns = kernel.shard(0).now().ns;
       });
     }
-    kernel.set_window(net.min_latency_floor());
     kernel.shard(1).schedule_at(RealTime::nanos(10'000), [&] {
       EXPECT_TRUE(net.send(guest_frame(a, dst, 1500)));
     });

@@ -445,7 +445,6 @@ TEST(ShardedSimulator, RejectsInvalidConfig) {
   EXPECT_THROW(ShardedSimulator({2, Duration::nanos(0), 1}),
                ContractViolation);
   ShardedSimulator ok({2, kWindow, 1});
-  EXPECT_THROW(ok.set_window(Duration::nanos(-5)), ContractViolation);
   EXPECT_THROW(static_cast<void>(ok.shard(2)), ContractViolation);
   EXPECT_THROW(ok.set_lane_drain_order({0, 1, 2}), ContractViolation);
 }

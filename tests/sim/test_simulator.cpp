@@ -121,56 +121,6 @@ TEST(Simulator, PendingCountExcludesCancelled) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
-TEST(Simulator, BatchOccupiesOneQueueEntryButCountsAllCallbacks) {
-  Simulator sim;
-  std::vector<int> order;
-  std::vector<Simulator::Callback> batch;
-  for (int i = 0; i < 5; ++i) {
-    batch.push_back([&order, i] { order.push_back(i); });
-  }
-  sim.schedule_batch(RealTime::millis(10), std::move(batch));
-  EXPECT_EQ(sim.pending(), 1u);  // the whole shard is one queue entry
-  sim.schedule_at(RealTime::millis(5), [&order] { order.push_back(-1); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
-  EXPECT_EQ(sim.events_executed(), 6u);  // 5 batched + 1 plain
-}
-
-TEST(Simulator, BatchOrdersAgainstEqualTimestampEventsBySchedule) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(RealTime::millis(10), [&order] { order.push_back(0); });
-  std::vector<Simulator::Callback> batch;
-  batch.push_back([&order] { order.push_back(1); });
-  batch.push_back([&order] { order.push_back(2); });
-  sim.schedule_batch(RealTime::millis(10), std::move(batch));
-  sim.schedule_at(RealTime::millis(10), [&order] { order.push_back(3); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(Simulator, CancelDropsWholeBatch) {
-  Simulator sim;
-  int fired = 0;
-  std::vector<Simulator::Callback> batch;
-  batch.push_back([&fired] { ++fired; });
-  batch.push_back([&fired] { ++fired; });
-  const auto id = sim.schedule_batch(RealTime::millis(1), std::move(batch));
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Simulator, EmptyOrNullBatchRejected) {
-  Simulator sim;
-  EXPECT_THROW(sim.schedule_batch(RealTime::millis(1), {}), ContractViolation);
-  std::vector<Simulator::Callback> with_null;
-  with_null.push_back([] {});
-  with_null.push_back(nullptr);
-  EXPECT_THROW(sim.schedule_batch(RealTime::millis(1), std::move(with_null)),
-               ContractViolation);
-}
-
 // --- PR-5 event core: generation checks, wheel/heap boundaries, exact
 // pending(), and in-place rescheduling. ---
 

@@ -254,5 +254,39 @@ TEST(Udp, NakReliabilityRecoversLoss) {
   EXPECT_GT(b.stats().naks_sent, 0u);
 }
 
+TEST(Udp, LateFragmentOfDeliveredMessageIsIgnored) {
+  // A delivered message keeps only its tombstone: a duplicate fragment
+  // arriving afterwards must neither deliver it again nor provoke a NAK.
+  for (const bool nak : {false, true}) {
+    Loopback lb;
+    Loopback::Env env_a(lb, NodeId{1});
+    Loopback::Env env_b(lb, NodeId{2});
+    UdpEndpoint a(env_a, nak);
+    UdpEndpoint b(env_b, nak);
+    std::vector<net::Packet> fragments;
+    lb.a_rx = [&](const net::Packet& p) { a.on_packet(p); };
+    lb.b_rx = [&](const net::Packet& p) {
+      if (fragments.size() < 4) fragments.push_back(p);
+      b.on_packet(p);
+    };
+    int delivered = 0;
+    b.set_message_handler([&](NodeId, std::uint32_t, std::uint32_t,
+                              std::uint32_t, std::uint32_t) { ++delivered; });
+    a.send_message(NodeId{2}, 1, 3, 5'000, 0);
+    lb.sim.run();
+    ASSERT_EQ(delivered, 1) << "nak=" << nak;
+    ASSERT_EQ(fragments.size(), 4u);
+    // One stray duplicate, given time for a NAK timer to fire...
+    b.on_packet(fragments.front());
+    lb.sim.run();
+    // ...then a whole duplicate copy of the message.
+    for (const net::Packet& p : fragments) b.on_packet(p);
+    lb.sim.run();
+    EXPECT_EQ(delivered, 1) << "nak=" << nak;
+    EXPECT_EQ(b.stats().messages_delivered, 1u) << "nak=" << nak;
+    EXPECT_EQ(b.stats().naks_sent, 0u) << "nak=" << nak;
+  }
+}
+
 }  // namespace
 }  // namespace stopwatch::transport
