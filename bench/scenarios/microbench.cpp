@@ -32,16 +32,32 @@ using experiment::ParamSpec;
 using experiment::Result;
 using experiment::ScenarioContext;
 
-/// Runs `body(i)` `iters` times and returns mean wall nanoseconds per call.
+/// Timed repeats per metric: the median of five shrugs off a repeat that
+/// a neighbor on a shared host slowed down.
+constexpr int kRepeats = 5;
+
+/// The median of `samples` (sorted in place).
+double median_of(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// Runs `body(i)` `iters` times in kRepeats timed repeats and returns the
+/// median over repeats of the mean wall nanoseconds per call.
 template <typename Body>
 double time_ns_per_op(std::uint64_t iters, Body&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    body(i);
+  const std::uint64_t per_repeat =
+      std::max<std::uint64_t>(1, (iters + kRepeats - 1) / kRepeats);
+  std::vector<double> ns;
+  std::uint64_t i = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t k = 0; k < per_repeat; ++k) body(i++);
+    const auto t1 = std::chrono::steady_clock::now();
+    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                 static_cast<double>(per_repeat));
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(iters);
+  return median_of(ns);
 }
 
 /// Defeats dead-code elimination of a computed value.
@@ -88,38 +104,75 @@ class IdleProgram final : public vm::GuestProgram {
   void on_packet(vm::GuestApi&, const net::Packet&) override {}
 };
 
-/// Wall cost of one idle guest under StopWatch on one machine, run for
-/// `events` simulator events. With one replica there are no beacons, and
-/// alone on its machine the guest runs spans: every event ends a span of
-/// idle exits, and every exit ends one idle chunk.
-struct IdleGuestCost {
-  double ns_per_event;  // per simulator event, i.e. per span
-  double ns_per_exit;
+/// A guest that computes in bursts: 30 tasks of 2,000,000 instructions
+/// (20 exits each), then 25 ms of idle guest time.
+class BurstProgram final : public vm::GuestProgram {
+ public:
+  void on_boot(vm::GuestApi& api) override { burst(api, 30); }
+  void on_timer_tick(vm::GuestApi&, std::uint64_t) override {}
+  void on_packet(vm::GuestApi&, const net::Packet&) override {}
+
+ private:
+  void burst(vm::GuestApi& api, int tasks) {
+    api.compute(2'000'000, [this, &api, tasks] {
+      if (tasks > 1) {
+        burst(api, tasks - 1);
+      } else {
+        api.set_timer(Duration::millis(25), [this, &api] { burst(api, 30); });
+      }
+    });
+  }
 };
 
-IdleGuestCost guest_idle_cost(std::uint64_t events, std::uint64_t seed) {
-  sim::Simulator sim;
-  hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
-                              Duration{}, Rng(seed));
-  hypervisor::GuestContextConfig cfg;
-  cfg.policy = hypervisor::PolicyKind::kStopWatch;
-  cfg.replica_count = 1;
-  hypervisor::ReplicaServices services;
-  services.send_frame = [](net::Frame) {};
-  hypervisor::GuestContext guest(VmId{0}, ReplicaIndex{0}, NodeId{0}, machine,
-                                 sim, cfg, std::make_unique<IdleProgram>(),
-                                 seed,
-                                 hypervisor::SliceStreams::derive(seed, 0, 0),
-                                 std::move(services));
-  guest.start(VirtTime{});
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run(events);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-  const std::uint64_t exits = guest.instr() / vm::GuestVm::kIdleChunkInstr;
-  guest.halt();
-  return {ns / static_cast<double>(sim.events_executed()),
-          ns / static_cast<double>(exits)};
+/// Wall cost of StopWatch guests with one replica on one machine, run for
+/// `events` simulator events: an idle guest, alone or beside a bursting
+/// co-resident. With one replica there are no beacons, so every event
+/// ends a plan of exits. The median of kRepeats runs of events/kRepeats.
+struct GuestCost {
+  double ns_per_event;  // per simulator event, i.e. per plan
+  double ns_per_exit;   // per exit of either guest
+};
+
+GuestCost guest_cost(std::uint64_t events, std::uint64_t seed,
+                     bool bursting_neighbor) {
+  std::vector<double> per_event;
+  std::vector<double> per_exit;
+  for (int r = 0; r < kRepeats; ++r) {
+    sim::Simulator sim;
+    hypervisor::Machine machine(MachineId{0}, sim, hypervisor::MachineConfig{},
+                                Duration{}, Rng(seed));
+    hypervisor::GuestContextConfig cfg;
+    cfg.policy = hypervisor::PolicyKind::kStopWatch;
+    cfg.replica_count = 1;
+    std::vector<std::unique_ptr<hypervisor::GuestContext>> guests;
+    for (std::uint32_t vm = 0; vm < (bursting_neighbor ? 2u : 1u); ++vm) {
+      hypervisor::ReplicaServices services;
+      services.send_frame = [](net::Frame) {};
+      std::unique_ptr<vm::GuestProgram> program;
+      if (vm == 0) {
+        program = std::make_unique<IdleProgram>();
+      } else {
+        program = std::make_unique<BurstProgram>();
+      }
+      guests.push_back(std::make_unique<hypervisor::GuestContext>(
+          VmId{vm}, ReplicaIndex{0}, NodeId{vm}, machine, sim, cfg,
+          std::move(program), seed,
+          hypervisor::SliceStreams::derive(seed, vm, 0), std::move(services)));
+    }
+    for (auto& g : guests) g->start(VirtTime{});
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.run(std::max<std::uint64_t>(1, events / kRepeats));
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+    std::uint64_t exits = 0;
+    for (auto& g : guests) {
+      exits += g->stats().exits;
+      g->halt();
+    }
+    per_event.push_back(ns / static_cast<double>(sim.events_executed()));
+    per_exit.push_back(ns / static_cast<double>(exits));
+  }
+  return {median_of(per_event), median_of(per_exit)};
 }
 
 Result run(const ScenarioContext& ctx) {
@@ -182,12 +235,15 @@ Result run(const ScenarioContext& ctx) {
                            sim_events),
       "ns/event");
 
-  // Idle guest vCPU slices: ns per simulator event (one span of exits)
-  // and ns per exit.
-  const IdleGuestCost idle =
-      guest_idle_cost(std::max<std::uint64_t>(1'000, iters / 10), ctx.seed());
+  // Idle guest vCPU slices: ns per simulator event (one plan of exits)
+  // and ns per exit, alone and beside a bursting co-resident.
+  const std::uint64_t guest_events = std::max<std::uint64_t>(1'000, iters / 10);
+  const GuestCost idle = guest_cost(guest_events, ctx.seed(), false);
   result.add_metric("guest_idle_slice", idle.ns_per_event, "ns/slice");
   result.add_metric("guest_idle_exit", idle.ns_per_exit, "ns/exit");
+  result.add_metric("guest_coresident_exit",
+                    guest_cost(guest_events, ctx.seed(), true).ns_per_exit,
+                    "ns/exit");
 
   // Simulator: mixed near/far horizons — 70% inside the wheel's level 0
   // (sub-66 us), 20% across levels 0-2 (sub-250 ms), 10% at 0.3-3.3 s on
@@ -272,10 +328,8 @@ Result run(const ScenarioContext& ctx) {
       }
       ratios.push_back(traced / plain);
     }
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                     ratios.end());
-    result.add_metric("tracing_disabled_overhead_ratio",
-                      ratios[ratios.size() / 2], "x");
+    result.add_metric("tracing_disabled_overhead_ratio", median_of(ratios),
+                      "x");
   }
 
   // Profiling disabled must be free the same way: the schedule+run body
@@ -322,10 +376,8 @@ Result run(const ScenarioContext& ctx) {
       }
       ratios.push_back(scoped / plain);
     }
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                     ratios.end());
-    result.add_metric("profiling_disabled_overhead_ratio",
-                      ratios[ratios.size() / 2], "x");
+    result.add_metric("profiling_disabled_overhead_ratio", median_of(ratios),
+                      "x");
   }
 
   Rng rng(ctx.seed());

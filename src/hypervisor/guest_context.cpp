@@ -65,7 +65,7 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
   guest_ = std::make_unique<vm::GuestVm>(
       vm, vm_addr, std::move(program), det_seed,
       [this] { return clock_.now(guest_->instr()); });
-  machine_->register_load_source(this);
+  machine_->register_guest(this);
 }
 
 void GuestContext::start(VirtTime start) {
@@ -88,7 +88,7 @@ void GuestContext::start(VirtTime start) {
                                          [this] { beacon_tick(); });
   }
 
-  schedule_slice();
+  machine_->plan();
 }
 
 void GuestContext::beacon_tick() {
@@ -106,12 +106,9 @@ void GuestContext::beacon_tick() {
 void GuestContext::halt() {
   settle();
   halted_ = true;
-  if (slice_event_) {
-    sim_->cancel(*slice_event_);
-    slice_event_.reset();
-  }
   span_.clear();
   span_next_ = 0;
+  machine_->plan();
 }
 
 VirtTime GuestContext::virt_now() const {
@@ -121,85 +118,102 @@ VirtTime GuestContext::virt_now() const {
 
 vm::GuestProgram& GuestContext::program() {
   settle();
-  cut_span();
+  machine_->cut(*this, /*in_flight=*/true);
   return guest_->program();
 }
 
-void GuestContext::on_host_load_changed() {
-  settle();
-  cut_span();
-}
-
-void GuestContext::schedule_slice() {
-  if (halted_ || stalled_) return;
-  SW_ASSERT(!slice_event_ || !sim_->is_scheduled(*slice_event_));
-  plan_span();
-  const Duration until{span_.back().at_ns - sim_->now().ns};
-  if (slice_event_ && sim_->is_executing(*slice_event_)) {
-    // The common case: the span that just ended re-arms itself — same
-    // arena slot, same Task, no allocation or construction per span.
-    sim_->reschedule_after(*slice_event_, until);
-  } else {
-    slice_event_ = sim_->schedule_after(
-        until, [this] { on_span_end(); }, sim::Tie::kExit);
+void GuestContext::begin_plan() {
+  cursor_.activity = activity_ema_;
+  if (!plannable()) return;
+  if (in_flight()) {
+    span_.front() = span_[span_next_];
+    span_.resize(1);
+    span_next_ = 0;
   }
-}
-
-void GuestContext::plan_span() {
-  span_.clear();
-  span_next_ = 0;
-  const MachineConfig& mc = machine_->config();
-  const double other_load = machine_->load_excluding(this);
-  const bool preempts = machine_->preempts(other_load);
-  const bool extend = guest_->is_idle() && !guest_->has_io_ops() &&
-                      machine_->sole_source(this);
-  const std::int64_t due_clock = extend ? next_due_clock_ns() : 0;
-  const std::uint64_t due_instr =
+  // The guest's state is that of its last exit; the exit in flight, if
+  // any, retires its slice's instructions from there.
+  const std::uint64_t in_slice = in_flight() ? span_[0].instr - guest_->instr()
+                                             : 0;
+  const std::uint64_t boundary = guest_->instr_to_boundary();
+  // What the guest's state says becomes due: outside access to the program
+  // may have given it work or I/O since its last exit.
+  const bool io = guest_->has_io_ops();
+  cursor_.instr = in_flight() ? span_[0].instr : guest_->instr();
+  cursor_.next_preempt =
+      in_flight() ? span_[0].preempt_after : next_preempt_instr_;
+  cursor_.chunk = in_slice >= boundary ? 0 : boundary - in_slice;
+  cursor_.periodic = in_flight() ? cursor_.instr + kExitIntervalInstr
+                                 : next_periodic_exit_;
+  cursor_.jitter_draws = 0;
+  cursor_.preempt_draws = 0;
+  cursor_.busy = !guest_->is_idle();
+  cursor_.due_clock = io ? INT64_MIN : next_due_clock_ns();
+  cursor_.due_instr =
       epoch_instr_ > 0 ? (epoch_index_ + 1) * epoch_instr_ : UINT64_MAX;
+}
 
-  std::uint64_t cur = guest_->instr();
-  std::uint64_t chunk = guest_->instr_to_boundary();
-  std::uint64_t periodic = next_periodic_exit_;
-  std::uint64_t next_preempt = next_preempt_instr_;
-  std::int64_t t = sim_->now().ns;
-  const std::int64_t t_bound = t + kTimerPeriodNs;
-  std::size_t preempt_draws = 0;
-  for (;;) {
-    SW_ASSERT(periodic > cur);
-    const std::uint64_t n = std::min(chunk, periodic - cur);
-    const double jitter = jitter_draws_.ahead(
-        span_.size(), [&] { return machine_->ips_jitter(streams_.ips); });
-    const double ips = machine_->effective_ips(other_load, jitter);
-    auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
-                    mc.exit_overhead;
-    // Periodic loss of the physical core to coresident load (vCPU
-    // scheduling).
-    bool drew_preempt = false;
-    if (cur >= next_preempt) {
-      if (preempts) {
-        run_time += machine_->preemption_wait(
-            other_load, preempt_draws_.ahead(preempt_draws++, [&] {
-              return streams_.preempt.exponential(1.0);
-            }));
-        drew_preempt = true;
-      }
-      next_preempt = cur + mc.preempt_interval_instr;
+[[gnu::always_inline]] inline void GuestContext::plan_slice(
+    PlanCursor& c, double other_load, std::int64_t start_ns,
+    std::uint32_t seq) {
+  const MachineConfig& mc = machine_->config();
+  // An idle chunk that ended at a quiet exit restarts.
+  if (c.chunk == 0) c.chunk = vm::GuestVm::kIdleChunkInstr;
+  const std::uint64_t cur = c.instr;
+  SW_ASSERT(c.periodic > cur);
+  const std::uint64_t n = std::min(c.chunk, c.periodic - cur);
+  const double jitter = jitter_draws_.ahead(c.jitter_draws++, [&] {
+    return machine_->ips_jitter(streams_.ips);
+  });
+  const double ips = machine_->effective_ips(other_load, jitter);
+  auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
+                  mc.exit_overhead;
+  // Periodic loss of the physical core to coresident load (vCPU
+  // scheduling).
+  bool drew_preempt = false;
+  if (cur >= c.next_preempt) {
+    if (machine_->preempts(other_load)) {
+      run_time += machine_->preemption_wait(
+          other_load, preempt_draws_.ahead(c.preempt_draws++, [&] {
+            return streams_.preempt.exponential(1.0);
+          }));
+      drew_preempt = true;
     }
-    t += run_time.ns;
-    cur += n;
-    const std::int64_t clock =
-        clock_.at(cur, RealTime{t} + machine_->clock_offset()).ns;
-    span_.push_back({t, clock, cur, next_preempt, drew_preempt});
-    if (!extend || clock >= due_clock || cur >= due_instr || t >= t_bound) {
-      break;
-    }
-    // A quiet exit of an idle guest: the chunk restarts when it ends.
-    chunk -= n;
-    if (chunk == 0) chunk = vm::GuestVm::kIdleChunkInstr;
-    periodic = cur + kExitIntervalInstr;
+    c.next_preempt = cur + mc.preempt_interval_instr;
   }
-  next_preempt_instr_ = next_preempt;
+  const std::int64_t t = start_ns + run_time.ns;
+  c.instr = cur + n;
+  const std::int64_t clock =
+      clock_.at(c.instr, RealTime{t} + machine_->clock_offset()).ns;
+  span_.push_back({t, clock, c.instr, c.next_preempt, seq, drew_preempt});
+  c.chunk -= n;
+  c.periodic = c.instr + kExitIntervalInstr;
+}
+
+void GuestContext::start_first_slice(double other_load, std::uint32_t seq) {
+  plan_slice(cursor_, other_load, sim_->now().ns, seq);
   start_slice(span_.front());
+  cursor_.jitter_draws = 0;
+  cursor_.preempt_draws = 0;
+}
+
+bool GuestContext::extend(double other_load, const PlannedExit* horizon,
+                          std::int64_t t_bound, std::uint32_t& seq) {
+  PlanCursor c = cursor_;
+  std::uint32_t s = seq;
+  bool quiet = true;
+  for (;;) {
+    const PlannedExit& e = span_.back();
+    if (horizon != nullptr && !e.before(*horizon)) break;
+    // A busy guest's task ends, and runs guest code, where its chunk does.
+    quiet = e.clock_ns < c.due_clock && e.instr < c.due_instr &&
+            !(c.busy && c.chunk == 0) && e.at_ns < t_bound;
+    if (!quiet) break;
+    c.activity = decayed(c.activity, c.busy);
+    plan_slice(c, other_load, e.at_ns, s++);
+  }
+  cursor_ = c;
+  seq = s;
+  return quiet;
 }
 
 std::int64_t GuestContext::next_due_clock_ns() const {
@@ -230,46 +244,55 @@ void GuestContext::start_slice(const PlannedExit& e) {
   if (e.drew_preempt) preempt_draws_.pop();
 }
 
+void GuestContext::truncate_after(const PlannedExit& last) {
+  // Keep the exits up to `last`, and the first after it, in flight.
+  std::size_t keep = span_next_;
+  while (span_[keep].before(last)) {
+    ++keep;
+    SW_ASSERT(keep < span_.size());
+  }
+  span_.resize(keep + 1);
+}
+
+std::size_t GuestContext::first_due_exit() const {
+  const std::int64_t due = next_due_clock_ns();
+  std::size_t i = span_next_;
+  while (i + 1 < span_.size() && span_[i].clock_ns < due) ++i;
+  return i;
+}
+
 void GuestContext::run_quiet_exits(std::size_t end) {
   if (end == span_next_) return;
   // Only the last exit's values survive, except the activity decay and
-  // the draws, which each exit takes in turn.
+  // the draws, which each exit takes in turn. A quiet exit ends no task,
+  // so whether the guest is busy holds across them.
   const PlannedExit& last = span_[end - 1];
-  guest_->advance_idle(last.instr - guest_->instr());
+  const bool busy = !guest_->is_idle();
+  if (busy) {
+    guest_->advance(last.instr - guest_->instr());
+  } else {
+    guest_->advance_idle(last.instr - guest_->instr());
+  }
   last_exit_instr_ = last.instr;
   last_exit_clock_ns_ = last.clock_ns;
   next_periodic_exit_ = last.instr + kExitIntervalInstr;
+  stats_.exits += end - span_next_;
   for (; span_next_ < end; ++span_next_) {
-    update_activity(false);
+    update_activity(busy);
     start_slice(span_[span_next_ + 1]);
   }
 }
 
-void GuestContext::settle_to_now() {
-  // Until a run_until() has closed now(), the exits at now() still run
-  // after the ordinary events there (Tie::kExit).
-  const std::int64_t limit =
-      sim_->now_closed() ? sim_->now().ns : sim_->now().ns - 1;
-  std::size_t end = span_next_;
-  while (end + 1 < span_.size() && span_[end].at_ns <= limit) ++end;
-  run_quiet_exits(end);
-}
-
-void GuestContext::cut_span() {
-  if (span_next_ + 1 >= span_.size()) return;
-  span_.resize(span_next_ + 1);
-  next_preempt_instr_ = span_.back().preempt_after;
-  sim_->reschedule_after(*slice_event_,
-                         Duration{span_.back().at_ns - sim_->now().ns});
-}
-
-void GuestContext::on_span_end() {
-  run_quiet_exits(span_.size() - 1);
+void GuestContext::run_last_exit() {
   guest_->advance(span_.back().instr - guest_->instr());
+  next_preempt_instr_ = span_.back().preempt_after;
+  span_.clear();
+  span_next_ = 0;
   on_guest_exit();
 }
 
 void GuestContext::on_guest_exit() {
+  ++stats_.exits;
   const std::uint64_t exit_instr = guest_->instr();
   last_exit_instr_ = exit_instr;
   last_exit_clock_ns_ = clock_.now(exit_instr).ns;
@@ -282,11 +305,8 @@ void GuestContext::on_guest_exit() {
   // Host-load bookkeeping (not guest-visible).
   update_activity(!guest_->is_idle());
 
-  if (replicated_ && should_stall()) {
-    enter_stall();
-    return;
-  }
-  schedule_slice();
+  // The machine plans the next slice.
+  if (replicated_ && should_stall()) enter_stall();
 }
 
 void GuestContext::process_io_ops() {
@@ -430,7 +450,7 @@ void GuestContext::recheck_stall() {
   }
   stalled_ = false;
   stats_.total_stall_time += sim_->now() - stall_began_;
-  schedule_slice();
+  machine_->plan();
 }
 
 void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
@@ -495,14 +515,20 @@ void GuestContext::on_proposal(const net::Proposal& p) {
 
   // Spread between the two *fastest* replicas — the gap Δn must dominate
   // (the slowest replica may lag arbitrarily; the median never comes from
-  // it, and the throttle only paces the leaders, Sec. VII-A).
-  std::vector<std::int64_t> vals;
-  vals.reserve(slot.proposals.size());
-  for (const auto& [machine, v] : slot.proposals) vals.push_back(v);
-  std::sort(vals.begin(), vals.end());
-  stats_.proposal_spread_ms.push_back(
-      static_cast<double>(vals[vals.size() - 1] - vals[vals.size() - 2]) /
-      1e6);
+  // it, and the throttle only paces the leaders, Sec. VII-A): the two
+  // largest proposals, read in one pass.
+  std::int64_t top = INT64_MIN;
+  std::int64_t second = INT64_MIN;
+  for (const auto& [machine, v] : slot.proposals) {
+    if (v > top) {
+      second = top;
+      top = v;
+    } else if (v > second) {
+      second = v;
+    }
+  }
+  const std::int64_t spread = slot.proposals.size() > 1 ? top - second : 0;
+  stats_.proposal_spread_ms.push_back(static_cast<double>(spread) / 1e6);
   const std::int64_t margin = median - last_exit_clock_ns_;
   stats_.median_margin_ms.push_back(static_cast<double>(margin) / 1e6);
   if (margin < 0) {
@@ -512,7 +538,7 @@ void GuestContext::on_proposal(const net::Proposal& p) {
     median = last_exit_clock_ns_;
   }
   slot.delivery = median;
-  cut_span();
+  machine_->cut(*this);
   {
     const auto trace_it = live_traces_.find(p.copy_seq);
     if (trace_it != live_traces_.end()) {
@@ -537,7 +563,7 @@ void GuestContext::on_sync_beacon(const net::SyncBeacon& b) {
   if (peer_virt_ns_.size() != known &&
       peer_virt_ns_.size() + 1 >=
           static_cast<std::size_t>(cfg_.replica_count)) {
-    cut_span();
+    machine_->cut(*this);
   }
 }
 
@@ -560,7 +586,7 @@ void GuestContext::on_direct_packet(const net::Packet& pkt) {
       (sim_->now() + processing).ns + machine_->clock_offset().ns,
       last_exit_clock_ns_);
   net_slots_.emplace(seq, std::move(slot));
-  cut_span();
+  machine_->cut(*this);
 }
 
 void GuestContext::check_epoch(std::uint64_t exit_instr) {

@@ -28,36 +28,45 @@
 // are delivered as soon as Dom0 has processed them — which is exactly what
 // leaks coresident-victim activity.
 //
-// Spans. Interrupts are injected only at guest exits, and at an idle exit
-// none is due, so nothing guest-visible happens between such exits. The
-// execution engine therefore plans a *span*: the run of exits up to and
-// including the first one where something may become due, with one
-// simulator event (Tie::kExit) at its end.
-//  * A guest qualifies when it is idle, has no queued I/O and is the only
-//    LoadSource on its machine (so no co-resident reads its activity, and
-//    its coresident load is the constant extra load). For such a guest
-//    schedule_slice() runs the per-slice arithmetic and draws in a loop
-//    and stops at the first exit that reaches a PIT tick, a guest soft
-//    timer, a disk or net delivery, an epoch boundary or a stall, or at
-//    one PIT period of real time past the span's start (the span bound).
-//    A busy or co-resident guest plans a span of one exit: one code path.
+// Spans. Interrupts are injected only at guest exits, and guest code runs
+// only at the exit that ends a task, so at an exit where no interrupt is
+// due and no task ends nothing guest-visible happens. Such a *quiet* exit
+// only decays the guest's activity and starts its next slice. The Machine
+// therefore plans its guests' exits together (machine.cpp), with one
+// simulator event (Tie::kExit) at the end of the plan:
+//  * It merges the guests' exits in time order, same-nanosecond exits in
+//    the order their slices started (the kernel's order for one event per
+//    exit). At each quiet exit it decays that guest's activity and starts
+//    its next slice, which reads the coresident load as it stands at that
+//    instant. GuestContext keeps the per-slice arithmetic and draws.
+//  * The plan ends at the first exit of any guest that reaches a PIT
+//    tick, a guest soft timer, a disk or net delivery, an epoch boundary,
+//    the end of a busy guest's current task, queued I/O or a stall, or at
+//    one PIT period of real time past the plan's start (the bound). That
+//    exit runs in full; the other guests' slices in flight at that point
+//    start the next plan. Beside a LoadSource that is not a GuestContext
+//    every plan ends at its first exit (see LoadSource).
 //  * Settle: every entry point, internal event and state accessor first
-//    runs the planned exits that lie in the past, exactly as their events
-//    would have. At time t that is every exit strictly before t (exits at
-//    t run after ordinary events, per Tie::kExit), and the exits at t too
-//    once a run_until() has ended at t (Simulator::now_closed()). So a
-//    read between step() calls at t leaves the exits at t to the inputs
-//    still queued there, and an input scheduled at t after a run ended
-//    there finds them done.
+//    runs the planned exits of every guest on the machine that lie in the
+//    past, exactly as their events would have. At time t that is every
+//    exit strictly before t (exits at t run after ordinary events, per
+//    Tie::kExit), and the exits at t too once a run_until() has ended at t
+//    (Simulator::now_closed()). So a read between step() calls at t
+//    leaves the exits at t to the inputs still queued there, and an input
+//    scheduled at t after a run ended there finds them done.
 //  * Cut: an input that changes what becomes due (a proposal completing
-//    a delivery, a direct packet, a change of the machine's load inputs,
-//    a beacon that completes the peer set, or outside access to the
-//    guest program) truncates the plan after the exit in flight, whose
-//    time was fixed when its slice started; the span event moves there.
+//    a delivery, a direct packet, a beacon that completes the peer set)
+//    ends the whole plan at the guest's first planned exit where something
+//    is now due, at the earliest its exit in flight, whose time was fixed
+//    when its slice started; the exit event moves there. Outside access to
+//    the guest program ends it at the exit in flight, and a change of the
+//    machine's load inputs at the first exit in flight of any guest.
+//    Co-residents' slices that started before the new end keep their
+//    fixed durations.
 //  * Draws: each slice's IPS jitter and preemption draw come from the
 //    replica's own streams, taken ahead into queues when planned and
 //    popped when the slice starts, so draws a cut left unused serve the
-//    next span in stream order.
+//    next plan in stream order.
 // A run with spans is therefore identical, exit for exit, to one where
 // every exit is its own event.
 #pragma once
@@ -110,6 +119,8 @@ struct PacketTrace {
 
 /// Divergence and delivery statistics (per replica).
 struct GuestContextStats {
+  /// Guest-caused VM exits run (quiet ones included).
+  std::uint64_t exits{0};
   std::uint64_t net_deliveries{0};
   std::uint64_t disk_deliveries{0};
   std::uint64_t timer_injections{0};
@@ -236,19 +247,43 @@ class GuestContext final : public LoadSource {
     settle();
     return activity_ema_;
   }
-  /// The machine's extra load changed or a co-resident registered: the
-  /// guest's coresident load, and whether it runs spans, may change.
-  void on_host_load_changed() override;
 
  private:
+  friend class Machine;
+
   /// One planned exit: the end of one slice.
   struct PlannedExit {
     std::int64_t at_ns;  // real time of the exit
     std::int64_t clock_ns;  // guest clock at the exit
     std::uint64_t instr;  // guest instructions retired at the exit
-    /// next_preempt_instr_ once this slice was planned.
+    /// The instruction count at or past which the next slice to start
+    /// loses the core (next_preempt_instr_ after this exit).
     std::uint64_t preempt_after;
+    /// The machine-wide start order of the slice: same-nanosecond exits
+    /// run in this order. It wraps; the exits one plan compares started
+    /// far fewer than 2^31 slices apart.
+    std::uint32_t seq;
     bool drew_preempt;  // the slice took a preemption draw
+    /// Whether this exit runs before `o` on the machine.
+    [[nodiscard]] bool before(const PlannedExit& o) const {
+      return at_ns != o.at_ns ? at_ns < o.at_ns
+                              : static_cast<std::int32_t>(seq - o.seq) < 0;
+    }
+  };
+
+  /// The guest's state at the end of its last planned exit, while the
+  /// machine extends a plan.
+  struct PlanCursor {
+    std::uint64_t instr;  // instructions retired at the exit
+    std::uint64_t next_preempt;  // PlannedExit::preempt_after of the exit
+    std::uint64_t chunk;  // left of the task (or idle chunk) in progress
+    std::uint64_t periodic;  // instruction count of the next periodic exit
+    std::size_t jitter_draws;  // draws read ahead for unstarted slices
+    std::size_t preempt_draws;
+    double activity;  // activity_ema_ after the planned exits
+    bool busy;  // !is_idle(), constant over quiet exits
+    std::int64_t due_clock;  // next_due_clock_ns(); INT64_MIN with I/O queued
+    std::uint64_t due_instr;  // the next epoch boundary
   };
 
   /// Draws from one stream, taken ahead of the slices that use them. A
@@ -277,33 +312,60 @@ class GuestContext final : public LoadSource {
     std::size_t head_{0};
   };
 
-  // Execution engine.
-  void schedule_slice();
-  /// Plans the next span from the state after the last exit (span_[0] is
-  /// the slice starting now).
-  void plan_span();
+  // Execution engine; the Machine drives the plan (see "Spans").
+  /// Whether the guest runs slices (started, not halted, not stalled).
+  [[nodiscard]] bool plannable() const {
+    return running_ && !halted_ && !stalled_;
+  }
+  /// Whether a started slice has not reached its exit yet.
+  [[nodiscard]] bool in_flight() const { return span_next_ < span_.size(); }
+  /// Keeps only the exit in flight, if any, and sets the cursor from it
+  /// (only the activity for a guest that runs no slices).
+  void begin_plan();
+  /// Plans the slice that starts at `start_ns` after the cursor's exit,
+  /// under coresident load `other_load`, and moves the cursor to its end.
+  void plan_slice(PlanCursor& c, double other_load, std::int64_t start_ns,
+                  std::uint32_t seq);
+  /// Plans and starts the slice of a guest without an exit in flight.
+  void start_first_slice(double other_load, std::uint32_t seq);
   /// Pops the draws of the slice that `e` ends, as it starts.
   void start_slice(const PlannedExit& e);
-  /// The span event: runs the quiet exits, then the final one in full.
-  void on_span_end();
+  /// Extends the plan while the last planned exit is quiet (before
+  /// `t_bound`) and runs before `horizon`, the other guests' earliest
+  /// (null: none), taking start orders from `seq`. The coresident load is
+  /// constant meanwhile: only this guest's exits run. Returns false at an
+  /// exit that is not quiet, which ends the machine's plan.
+  bool extend(double other_load, const PlannedExit* horizon,
+              std::int64_t t_bound, std::uint32_t& seq);
+  /// Keeps the planned exits up to `last` (another guest's, or its own)
+  /// and the first one after it, which stays in flight.
+  void truncate_after(const PlannedExit& last);
+  /// The index of the first planned exit not yet run where something is
+  /// now due (the last planned one if none).
+  [[nodiscard]] std::size_t first_due_exit() const;
   /// Runs the quiet exits span_[span_next_, end): what on_guest_exit()
   /// does at each when nothing is due, and the start of the next slice.
   void run_quiet_exits(std::size_t end);
-  /// Settles the span to now() (see the header comment). Logically const:
-  /// it runs exits that already happened in simulated time.
-  void settle() const {
-    if (span_next_ + 1 < span_.size()) {
-      const_cast<GuestContext*>(this)->settle_to_now();
-    }
+  /// Runs the quiet exits that lie at or before `limit_ns`.
+  void settle_to(std::int64_t limit_ns) {
+    std::size_t end = span_next_;
+    while (end + 1 < span_.size() && span_[end].at_ns <= limit_ns) ++end;
+    run_quiet_exits(end);
   }
-  void settle_to_now();
-  /// Truncates the plan after the exit in flight. Call after settle().
-  void cut_span();
+  /// Runs the last planned exit, which ends the machine's plan, in full.
+  /// The machine has run every quiet exit before it.
+  void run_last_exit();
+  /// Settles the machine to now() (see the header comment). Logically
+  /// const: it runs exits that already happened in simulated time.
+  void settle() const { machine_->settle(); }
   /// Guest clock at which the earliest pending PIT tick, guest timer,
   /// disk or net delivery becomes due, or a stall begins.
   [[nodiscard]] std::int64_t next_due_clock_ns() const;
+  [[nodiscard]] static double decayed(double activity, bool busy) {
+    return 0.98 * activity + 0.02 * (busy ? 1.0 : 0.0);
+  }
   void update_activity(bool busy) {
-    activity_ema_ = 0.98 * activity_ema_ + 0.02 * (busy ? 1.0 : 0.0);
+    activity_ema_ = decayed(activity_ema_, busy);
   }
   void on_guest_exit();
   void beacon_tick();
@@ -360,17 +422,18 @@ class GuestContext final : public LoadSource {
   bool halted_{false};
   bool stalled_{false};
   RealTime stall_began_{};
-  /// The span in flight: span_[span_next_] is the first exit not yet run,
-  /// and span_.back() is the exit of the span event.
+  /// The planned exits: span_[span_next_] is the first not yet run (its
+  /// slice has started), and span_.back() either ends the machine's plan
+  /// or is in flight past its end.
   std::vector<PlannedExit> span_;
   std::size_t span_next_{0};
+  PlanCursor cursor_{};
   DrawQueue jitter_draws_;
   DrawQueue preempt_draws_;
   /// Periodic timers each own one simulator arena slot for their lifetime
   /// (re-armed in place via Simulator::reschedule_after; the handles stay
-  /// valid across re-arms, so halt() can still cancel them). The slice
-  /// event is the span event.
-  std::optional<sim::EventId> slice_event_;
+  /// valid across re-arms, so halt() can still cancel them). The Machine
+  /// owns the exit event.
   std::optional<sim::EventId> beacon_event_;
   std::optional<sim::EventId> stall_event_;
 

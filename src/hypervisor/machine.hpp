@@ -1,6 +1,7 @@
 // A physical machine of the cloud: CPU with contention and jitter, a
 // machine-local real clock (with offset), the Dom0/VMM processing-delay
-// model, and a FIFO rotating disk.
+// model, a FIFO rotating disk, and the plan of its guests' vCPU exits
+// (machine.cpp).
 //
 // The machine is where cross-VM interference lives — the *source* of the
 // timing side channel. A coresident victim's CPU activity slows other
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -20,15 +22,18 @@
 
 namespace stopwatch::hypervisor {
 
-/// A source of host load (implemented by GuestContext).
+class GuestContext;
+
+/// A source of host load. The machine plans its GuestContexts' exits
+/// ahead, because it knows how their activity evolves between exits. It
+/// cannot know that of any other source, so beside one every plan ends at
+/// its first exit: one event per exit. Only tests define such a source,
+/// as that one-event-per-exit reference.
 class LoadSource {
  public:
   virtual ~LoadSource() = default;
   /// Current activity in [0, 1] (fraction of recent time spent non-idle).
   [[nodiscard]] virtual double activity() const = 0;
-  /// The machine's load inputs changed: its extra load was set, or
-  /// another source registered.
-  virtual void on_host_load_changed() {}
 };
 
 struct MachineConfig {
@@ -98,30 +103,28 @@ class Machine {
     return sim_->now() + clock_offset_;
   }
 
+  /// Registers a source the machine cannot plan (see LoadSource).
   void register_load_source(LoadSource* src) {
     SW_EXPECTS(src != nullptr);
-    for (LoadSource* s : sources_) s->on_host_load_changed();
-    sources_.push_back(src);
+    add_source(src, nullptr);
   }
-
-  /// True if `src` is the only load source on this machine.
-  [[nodiscard]] bool sole_source(const LoadSource* src) const {
-    return sources_.size() == 1 && sources_.front() == src;
-  }
+  /// Registers a guest whose exits the machine plans (its constructor
+  /// calls this).
+  void register_guest(GuestContext* guest);
 
   /// Extra host load injected by experiments (e.g., the collaborating
   /// attacker VM of Sec. IX).
   void set_extra_load(double load) {
     SW_EXPECTS(load >= 0.0);
     extra_load_ = load;
-    for (LoadSource* s : sources_) s->on_host_load_changed();
+    on_load_changed();
   }
 
   /// Sum of coresident activity excluding `self` (pass nullptr for "all").
   [[nodiscard]] double load_excluding(const LoadSource* self) const {
     double load = extra_load_;
-    for (const auto* s : sources_) {
-      if (s != self) load += s->activity();
+    for (const Source& s : sources_) {
+      if (s.source != self) load += s.source->activity();
     }
     return load;
   }
@@ -184,13 +187,52 @@ class Machine {
   }
 
  private:
+  // Exit planning (machine.cpp; see "Spans" in guest_context.hpp). The
+  // guests call these.
+  friend class GuestContext;
+
+  struct Source {
+    LoadSource* source;
+    GuestContext* guest;  // null for a source the machine cannot plan
+  };
+  /// Runs every guest's planned exits that lie in the past.
+  void settle();
+  /// Plans the guests' exits from the exits in flight, up to the first
+  /// one where something may become due, and arms the exit event there.
+  void plan();
+  /// An input reached `guest`: the plan ends at its first planned exit
+  /// where something is now due, or at its exit in flight if `in_flight`
+  /// (outside access to its program may have changed anything).
+  void cut(GuestContext& guest, bool in_flight = false);
+  /// The extra load or the set of sources changed: the plan ends at the
+  /// first exit in flight.
+  void on_load_changed();
+  void add_source(LoadSource* src, GuestContext* guest);
+  /// The coresident load `guest` reads while the plan is made, from the
+  /// activities the guests will have at that point of the plan.
+  [[nodiscard]] double planned_load(const GuestContext* guest) const;
+  /// Truncates every guest's plan after `guest`'s planned exit `exit`,
+  /// which then ends the plan.
+  void end_plan_at(GuestContext& guest, std::size_t exit);
+  void arm(std::int64_t at_ns);
+  void on_exit_event();
+
   MachineId id_;
   sim::Simulator* sim_;
   MachineConfig cfg_;
   Duration clock_offset_;
   Rng rng_;
-  std::vector<LoadSource*> sources_;
+  std::vector<Source> sources_;
+  /// The planned guests, in registration order.
+  std::vector<GuestContext*> guests_;
+  /// Whether a source the machine cannot plan is registered.
+  bool foreign_source_{false};
   double extra_load_{0.0};
+  /// The guest whose exit ends the plan (null: no plan in flight), the
+  /// event at that exit, and the start order of the next planned slice.
+  GuestContext* last_{nullptr};
+  std::optional<sim::EventId> exit_event_;
+  std::uint32_t next_slice_seq_{0};
   RealTime disk_free_{};
   MachineStats stats_;
 };

@@ -53,18 +53,30 @@ MachineConfig exact_machine() {
   return mc;
 }
 
-/// A co-resident load source that never does anything: beside it a guest
-/// is not alone on its machine, so it plans spans of one exit, while its
-/// coresident load stays exactly what it would be alone.
+/// A co-resident load source that never does anything. The machine cannot
+/// plan it, so beside it every plan ends at its first exit: one event per
+/// exit, while the guests' coresident load stays exactly what it would be
+/// without it.
 class IdleNeighbor final : public LoadSource {
  public:
   [[nodiscard]] double activity() const override { return 0.0; }
 };
 
-struct Harness {
+/// The simulator and machine the guests run on.
+struct Host {
   sim::Simulator sim;
   Machine machine;
   IdleNeighbor neighbor;
+
+  Host(const MachineConfig& mc, Duration clock_offset, bool idle_neighbor)
+      : machine(MachineId{0}, sim, mc, clock_offset, Rng(5)) {
+    if (idle_neighbor) machine.register_load_source(&neighbor);
+  }
+};
+
+/// One guest on the host: its program, its context and what it sent.
+struct Rig {
+  VmId vm;
   RecorderProgram* program{nullptr};
   std::unique_ptr<GuestContext> ctx;
   std::vector<net::Proposal> own_proposals;
@@ -72,13 +84,9 @@ struct Harness {
   std::vector<net::SyncBeacon> own_beacons;
   std::vector<net::Frame> frames_out;
 
-  explicit Harness(GuestContextConfig cfg,
-                   std::function<void(vm::GuestApi&)> boot = nullptr,
-                   MachineConfig mc = exact_machine(),
-                   Duration clock_offset = Duration{},
-                   bool idle_neighbor = false)
-      : machine(MachineId{0}, sim, mc, clock_offset, Rng(5)) {
-    if (idle_neighbor) machine.register_load_source(&neighbor);
+  Rig(Host& host, const GuestContextConfig& cfg,
+      std::function<void(vm::GuestApi&)> boot, VmId vm_id)
+      : vm(vm_id) {
     auto prog = std::make_unique<RecorderProgram>();
     prog->boot_action = std::move(boot);
     program = prog.get();
@@ -100,9 +108,10 @@ struct Harness {
         ctx->on_sync_beacon(*b);
       }
     };
-    ctx = std::make_unique<GuestContext>(VmId{1}, ReplicaIndex{0}, NodeId{50},
-                                         machine, sim, cfg, std::move(prog),
-                                         777, SliceStreams::derive(5, 1, 0),
+    ctx = std::make_unique<GuestContext>(vm, ReplicaIndex{0}, NodeId{50},
+                                         host.machine, host.sim, cfg,
+                                         std::move(prog), 777,
+                                         SliceStreams::derive(5, vm.value, 0),
                                          svc);
   }
 
@@ -111,7 +120,7 @@ struct Harness {
   void feed_peer_proposal(std::uint64_t seq, std::int64_t virt_ns,
                           std::uint32_t machine_id) {
     net::Proposal p;
-    p.vm = VmId{1};
+    p.vm = vm;
     p.copy_seq = seq;
     p.proposed_delivery = VirtTime{virt_ns};
     p.proposer = MachineId{machine_id};
@@ -120,12 +129,23 @@ struct Harness {
 
   void feed_ingress(std::uint64_t seq, std::uint64_t pkt_seq = 0) {
     net::IngressCopy copy;
-    copy.vm = VmId{1};
+    copy.vm = vm;
     copy.copy_seq = seq;
     copy.pkt.seq = pkt_seq;
     copy.pkt.size_bytes = 100;
     ctx->on_ingress_copy(copy);
   }
+};
+
+/// One guest alone on its machine (or beside an idle neighbor).
+struct Harness : Host, Rig {
+  explicit Harness(const GuestContextConfig& cfg,
+                   std::function<void(vm::GuestApi&)> boot = nullptr,
+                   const MachineConfig& mc = exact_machine(),
+                   Duration clock_offset = Duration{},
+                   bool idle_neighbor = false)
+      : Host(mc, clock_offset, idle_neighbor),
+        Rig(*this, cfg, std::move(boot), VmId{1}) {}
 };
 
 GuestContextConfig stopwatch_cfg() {
@@ -445,9 +465,10 @@ RealTime us(std::int64_t micros) { return RealTime::nanos(micros * 1'000); }
 struct Snapshot {
   std::uint64_t instr{0};
   std::int64_t virt_ns{0};
-  std::uint64_t net{0}, disk{0}, ticks{0}, tunneled{0}, median_passed{0},
-      disk_late{0}, epoch_missing{0}, stalls{0}, rebases{0};
+  std::uint64_t exits{0}, net{0}, disk{0}, ticks{0}, tunneled{0},
+      median_passed{0}, disk_late{0}, epoch_missing{0}, stalls{0}, rebases{0};
   std::int64_t stall_ns{0};
+  double activity{0.0};
   std::vector<double> spread_ms, margin_ms, disk_margin_ms;
   std::vector<std::uint64_t> hashes;
   std::vector<std::int64_t> tick_virt_ns, packet_virt_ns;
@@ -456,11 +477,12 @@ struct Snapshot {
   bool operator==(const Snapshot&) const = default;
 };
 
-Snapshot snapshot(const Harness& h) {
+Snapshot snapshot(const Rig& r) {
   Snapshot s;
-  s.instr = h.ctx->instr();
-  s.virt_ns = h.ctx->virt_now().ns;
-  const GuestContextStats& st = h.ctx->stats();
+  s.instr = r.ctx->instr();
+  s.virt_ns = r.ctx->virt_now().ns;
+  const GuestContextStats& st = r.ctx->stats();
+  s.exits = st.exits;
   s.net = st.net_deliveries;
   s.disk = st.disk_deliveries;
   s.ticks = st.timer_injections;
@@ -471,16 +493,17 @@ Snapshot snapshot(const Harness& h) {
   s.stalls = st.throttle_stalls;
   s.rebases = st.epoch_rebase_count;
   s.stall_ns = st.total_stall_time.ns;
+  s.activity = r.ctx->activity();
   s.spread_ms = st.proposal_spread_ms;
   s.margin_ms = st.median_margin_ms;
   s.disk_margin_ms = st.disk_margin_ms;
-  s.hashes = h.ctx->output_hashes();
-  s.tick_virt_ns = h.program->tick_virt_ns;
-  s.packet_virt_ns = h.program->packet_virt_ns;
-  for (const net::SyncBeacon& b : h.own_beacons) {
+  s.hashes = r.ctx->output_hashes();
+  s.tick_virt_ns = r.program->tick_virt_ns;
+  s.packet_virt_ns = r.program->packet_virt_ns;
+  for (const net::SyncBeacon& b : r.own_beacons) {
     s.beacons.emplace_back(b.virt.ns, b.instr);
   }
-  for (const net::Proposal& p : h.own_proposals) {
+  for (const net::Proposal& p : r.own_proposals) {
     s.proposals.emplace_back(p.copy_seq, p.proposed_delivery.ns);
   }
   return s;
@@ -500,6 +523,26 @@ void periodic_io(vm::GuestApi& api) {
   });
 }
 
+/// Bursts of `tasks` compute tasks of 730,000 instructions each, several
+/// exits apiece, then 3.1 ms of idle guest time. Each burst starts with a
+/// disk read, and each task ends with an output packet that carries the
+/// instruction count.
+void bursting(vm::GuestApi& api, int tasks = 6) {
+  if (tasks == 6) api.disk_read(4096, [] {});
+  api.compute(730'000, [&api, tasks] {
+    net::Packet pkt;
+    pkt.dst = NodeId{9};
+    pkt.size_bytes = 100;
+    pkt.seq = api.instructions();
+    api.send_packet(pkt);
+    if (tasks > 1) {
+      bursting(api, tasks - 1);
+    } else {
+      api.set_timer(Duration::micros(3100), [&api] { bursting(api); });
+    }
+  });
+}
+
 /// A jittered, contended, preempting machine: every per-slice draw counts.
 MachineConfig noisy_machine() {
   MachineConfig mc;
@@ -512,80 +555,125 @@ MachineConfig noisy_machine() {
 /// it being zero).
 constexpr Duration kNoisyClockOffset = Duration::micros(700);
 
-/// Drives a guest alone on its machine (which runs spans) and the same
-/// guest beside an idle neighbor (every span one exit) through the same
-/// inputs, and checks that they agree at every read.
+/// Two guests on one machine: `a` and `b` (VMs 1 and 2).
+struct PairHarness : Host {
+  Rig a;
+  Rig b;
+
+  PairHarness(const GuestContextConfig& cfg,
+              std::function<void(vm::GuestApi&)> boot_a,
+              std::function<void(vm::GuestApi&)> boot_b,
+              const MachineConfig& mc, bool idle_neighbor)
+      : Host(mc, kNoisyClockOffset, idle_neighbor),
+        a(*this, cfg, std::move(boot_a), VmId{1}),
+        b(*this, cfg, std::move(boot_b), VmId{2}) {}
+
+  void start() {
+    a.start();
+    b.start();
+  }
+};
+
+std::vector<Snapshot> snapshots(const Harness& h) { return {snapshot(h)}; }
+std::vector<Snapshot> snapshots(const PairHarness& h) {
+  return {snapshot(h.a), snapshot(h.b)};
+}
+
+/// Drives the same guests twice through the same inputs: on their own
+/// machine (which plans spans) and beside an idle neighbor (every plan
+/// one exit, so one event per exit), and checks that they agree at every
+/// read.
+template <typename H>
 class SpanExactness {
  public:
-  explicit SpanExactness(const GuestContextConfig& cfg)
-      : alone_(cfg, periodic_io, noisy_machine(), kNoisyClockOffset),
-        paired_(cfg, periodic_io, noisy_machine(), kNoisyClockOffset,
-                /*idle_neighbor=*/true) {
-    alone_.start();
-    paired_.start();
+  /// `make(idle_neighbor)` builds one of the two harnesses.
+  explicit SpanExactness(
+      const std::function<std::unique_ptr<H>(bool)>& make)
+      : spans_(make(false)), reference_(make(true)) {
+    spans_->start();
+    reference_->start();
   }
 
   /// Schedules `op` on both harnesses as an ordinary event at `at`.
-  void at(RealTime at, const std::function<void(Harness&)>& op) {
-    for (Harness* h : {&alone_, &paired_}) {
+  void at(RealTime at, const std::function<void(H&)>& op) {
+    for (H* h : {spans_.get(), reference_.get()}) {
       h->sim.schedule_at(at, [h, op] { op(*h); });
     }
   }
 
-  /// The paired guest's next event time: with one exit per event, almost
+  /// The reference's next event time: with one exit per event, almost
   /// always an exit.
   RealTime next_exit() {
-    return RealTime{paired_.sim.next_event_time_ns().value()};
+    return RealTime{reference_->sim.next_event_time_ns().value()};
   }
 
   /// Runs both to `t` and compares them.
   void check_at(RealTime t) {
-    alone_.sim.run_until(t);
-    paired_.sim.run_until(t);
-    EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "at " << t.ns << " ns";
+    spans_->sim.run_until(t);
+    reference_->sim.run_until(t);
+    EXPECT_EQ(snapshots(*spans_), snapshots(*reference_))
+        << "at " << t.ns << " ns";
     ++checks_;
   }
 
   /// Runs both to just before `t`, then runs the `n` ordinary events at
   /// `t` one step() at a time, comparing them before and after each step.
   void step_through(RealTime t, int n) {
-    alone_.sim.run_until(RealTime{t.ns - 1});
-    paired_.sim.run_until(RealTime{t.ns - 1});
+    spans_->sim.run_until(RealTime{t.ns - 1});
+    reference_->sim.run_until(RealTime{t.ns - 1});
     for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "before step " << i;
-      for (Harness* h : {&alone_, &paired_}) {
+      EXPECT_EQ(snapshots(*spans_), snapshots(*reference_))
+          << "before step " << i;
+      for (H* h : {spans_.get(), reference_.get()}) {
         ASSERT_TRUE(h->sim.step());
         ASSERT_EQ(h->sim.now(), t);
       }
     }
-    EXPECT_EQ(snapshot(alone_), snapshot(paired_)) << "after the steps";
+    EXPECT_EQ(snapshots(*spans_), snapshots(*reference_)) << "after the steps";
     ++checks_;
   }
 
   /// Runs both to `t` without reading either.
   void run_unread(RealTime t) {
-    alone_.sim.run_until(t);
-    paired_.sim.run_until(t);
+    spans_->sim.run_until(t);
+    reference_->sim.run_until(t);
   }
 
   void finish() {
     EXPECT_GT(checks_, 20);
-    // Spans really ran: the lone guest needed far fewer events.
-    EXPECT_LT(alone_.sim.events_executed() * 4,
-              paired_.sim.events_executed());
-    EXPECT_GT(snapshot(alone_).disk, 0u);
-    EXPECT_GT(snapshot(alone_).net, 0u);
+    // Spans really ran: the machine needed far fewer events.
+    EXPECT_LT(spans_->sim.events_executed() * 4,
+              reference_->sim.events_executed());
+    std::uint64_t disk = 0;
+    std::uint64_t net = 0;
+    for (const Snapshot& s : snapshots(*spans_)) {
+      disk += s.disk;
+      net += s.net;
+    }
+    EXPECT_GT(disk, 0u);
+    EXPECT_GT(net, 0u);
   }
 
-  [[nodiscard]] const Harness& alone() const { return alone_; }
+  [[nodiscard]] const H& spans() const { return *spans_; }
 
  private:
-  Harness alone_;
-  Harness paired_;
+  std::unique_ptr<H> spans_;
+  std::unique_ptr<H> reference_;
   int checks_{0};
 };
 
-void check_many(SpanExactness& x, std::int64_t from_us, std::int64_t to_us,
+/// One guest with `boot` on the noisy machine.
+SpanExactness<Harness> single(
+    const GuestContextConfig& cfg,
+    std::function<void(vm::GuestApi&)> boot = periodic_io) {
+  return SpanExactness<Harness>([cfg, boot](bool idle_neighbor) {
+    return std::make_unique<Harness>(cfg, boot, noisy_machine(),
+                                     kNoisyClockOffset, idle_neighbor);
+  });
+}
+
+template <typename H>
+void check_many(SpanExactness<H>& x, std::int64_t from_us, std::int64_t to_us,
                 std::int64_t step_us) {
   for (std::int64_t t = from_us; t <= to_us; t += step_us) x.check_at(us(t));
 }
@@ -595,7 +683,7 @@ TEST(GuestContextSpans, StopWatchSpansMatchOneEventPerExit) {
   cfg.policy.stopwatch.max_replica_gap = Duration::millis(2);
   cfg.policy.stopwatch.epoch_resync = true;
   cfg.policy.stopwatch.epoch_instr = 9'000'000;
-  SpanExactness x(cfg);
+  auto x = single(cfg);
   check_many(x, 300, 3'000, 370);
 
   // An ingress copy in the middle of a span, then one on an exit's
@@ -642,7 +730,7 @@ TEST(GuestContextSpans, StopWatchSpansMatchOneEventPerExit) {
   x.at(us(52'700), [](Harness& h) { h.ctx->halt(); });
   check_many(x, 52'400, 56'000, 600);
   x.finish();
-  const GuestContextStats& st = x.alone().ctx->stats();
+  const GuestContextStats& st = x.spans().ctx->stats();
   EXPECT_EQ(st.throttle_stalls, 1u);
   EXPECT_EQ(st.divergence_median_passed, 1u);
   EXPECT_GT(st.divergence_epoch_missing, 0u);  // epoch boundaries crossed
@@ -652,7 +740,7 @@ TEST(GuestContextSpans, BaselineSpansMatchOneEventPerExit) {
   GuestContextConfig cfg;
   cfg.policy = PolicyKind::kBaselineXen;
   cfg.replica_count = 1;
-  SpanExactness x(cfg);
+  auto x = single(cfg);
   check_many(x, 300, 5'000, 410);
   const auto direct = [](std::uint64_t seq) {
     return [seq](Harness& h) {
@@ -701,7 +789,7 @@ TEST(GuestContextSpans, ReadsAtAnExitInstantMatchOneEventPerExit) {
         h.machine.set_extra_load(0.3 * static_cast<double>(seq));
       };
     };
-    SpanExactness x(cfg);
+    auto x = single(cfg);
     check_many(x, 300, 2'000, 370);
 
     // Two ordinary events on an exit's nanosecond, read between step()
@@ -719,9 +807,164 @@ TEST(GuestContextSpans, ReadsAtAnExitInstantMatchOneEventPerExit) {
     x.at(exit, input(2));
     check_many(x, 9'100, 60'000, 610);
     x.finish();
-    EXPECT_EQ(x.alone().program->packet_seqs,
+    EXPECT_EQ(x.spans().program->packet_seqs,
               (std::vector<std::uint64_t>{1, 2}));
   }
+}
+
+TEST(GuestContextSpans, BusyGuestSpansMatchOneEventPerExit) {
+  GuestContextConfig baseline;
+  baseline.policy = PolicyKind::kBaselineXen;
+  baseline.replica_count = 1;
+  for (const GuestContextConfig& cfg : {stopwatch_cfg(), baseline}) {
+    const bool stopwatch = cfg.policy.kind == PolicyKind::kStopWatch;
+    SCOPED_TRACE(stopwatch ? "StopWatch" : "baseline");
+    // A packet, whose handler interrupts the compute task in progress.
+    const auto packet = [stopwatch](std::uint64_t seq) {
+      return [stopwatch, seq](Harness& h) {
+        if (stopwatch) {
+          h.feed_ingress(seq, seq);
+          h.feed_peer_proposal(seq, 0, 1);
+          h.feed_peer_proposal(seq, Duration::seconds(1).ns, 2);
+        } else {
+          net::Packet pkt;
+          pkt.seq = seq;
+          pkt.size_bytes = 80;
+          h.ctx->on_direct_packet(pkt);
+        }
+      };
+    };
+    auto x = single(cfg, [](vm::GuestApi& api) { bursting(api); });
+    check_many(x, 150, 3'000, 190);
+    x.at(us(3'350), packet(1));
+    x.at(us(5'420), [](Harness& h) { h.machine.set_extra_load(0.6); });
+    check_many(x, 3'100, 9'000, 230);
+    // Inputs on an exit's nanosecond, read between step() calls.
+    const RealTime exit = x.next_exit();
+    x.at(exit, packet(2));
+    x.at(exit, [](Harness& h) { h.machine.set_extra_load(0.2); });
+    x.step_through(exit, 2);
+    x.at(us(11'900), packet(3));
+    x.at(us(14'100), [](Harness& h) { h.machine.set_extra_load(0.0); });
+    check_many(x, 9'100, 30'000, 310);
+    x.finish();
+    const Harness& h = x.spans();
+    EXPECT_EQ(h.program->packet_seqs, (std::vector<std::uint64_t>{1, 2, 3}));
+    // Busy exits ran quietly: far more exits than events.
+    EXPECT_GT(h.ctx->stats().exits, 4 * h.sim.events_executed());
+  }
+}
+
+/// An idle guest (a) beside a bursting one (b) on a jittered, contended,
+/// preempting machine.
+SpanExactness<PairHarness> coresident_pair(const GuestContextConfig& cfg,
+                                           const MachineConfig& mc) {
+  return SpanExactness<PairHarness>([cfg, mc](bool idle_neighbor) {
+    return std::make_unique<PairHarness>(
+        cfg, periodic_io, [](vm::GuestApi& api) { bursting(api); }, mc,
+        idle_neighbor);
+  });
+}
+
+/// Delivers packet `seq` to `r` through its own proposal (the median).
+void deliver(Rig& r, std::uint64_t seq) {
+  r.feed_ingress(seq, seq);
+  r.feed_peer_proposal(seq, 0, 1);
+  r.feed_peer_proposal(seq, Duration::seconds(1).ns, 2);
+}
+
+TEST(GuestContextSpans, CoresidentGuestsMatchOneEventPerExit) {
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.policy.stopwatch.max_replica_gap = Duration::millis(2);
+  auto x = coresident_pair(cfg, noisy_machine());
+  check_many(x, 200, 4'000, 270);
+
+  // A packet to each guest, one on an exit's nanosecond read between
+  // step() calls, and a change of the coresident load.
+  x.at(us(4'300), [](PairHarness& h) { deliver(h.a, 1); });
+  const RealTime exit = x.next_exit();
+  x.at(exit, [](PairHarness& h) { deliver(h.b, 1); });
+  x.at(exit, [](PairHarness&) {});
+  x.step_through(exit, 2);
+  x.at(us(7'700), [](PairHarness& h) { h.machine.set_extra_load(0.5); });
+  check_many(x, 4'400, 14'000, 330);
+
+  // The busy guest's peer set completes and it stalls; later beacons
+  // release it, while its neighbor keeps running.
+  const auto peers_at = [](std::int64_t virt_ns) {
+    return [virt_ns](PairHarness& h) {
+      for (const std::uint32_t m : {1u, 2u}) {
+        net::SyncBeacon b = peer_beacon(m, virt_ns);
+        b.vm = h.b.vm;
+        h.b.ctx->on_sync_beacon(b);
+      }
+    };
+  };
+  x.at(us(14'500), peers_at(Duration::millis(1).ns));
+  x.at(us(21'000), peers_at(Duration::millis(90).ns));
+  x.at(us(23'300), [](PairHarness& h) {
+    h.machine.set_extra_load(0.0);
+    deliver(h.a, 2);
+  });
+  check_many(x, 14'100, 40'000, 410);
+
+  // Outside access to the busy guest's program, between runs.
+  x.check_at(x.next_exit());
+  x.at(x.next_exit(), [](PairHarness& h) {
+    static_cast<void>(h.b.ctx->program());
+  });
+  check_many(x, 40'100, 46'000, 370);
+
+  // The idle guest halts; the busy one runs on alone.
+  x.at(us(46'300), [](PairHarness& h) { h.a.ctx->halt(); });
+  check_many(x, 46'200, 60'000, 530);
+  x.finish();
+
+  const PairHarness& h = x.spans();
+  EXPECT_EQ(h.b.ctx->stats().throttle_stalls, 1u);
+  EXPECT_GT(h.b.ctx->activity(), 0.1);  // b ran busy: its load counted
+  // One event covers at least ten exits of the two guests.
+  EXPECT_GE(h.a.ctx->stats().exits + h.b.ctx->stats().exits,
+            10 * h.sim.events_executed());
+}
+
+TEST(GuestContextSpans, SameNanosecondExitsMatchOneEventPerExit) {
+  // Two identical bursting guests on a machine without jitter, contention
+  // or preemption exit in lockstep: every exit ties with the neighbor's.
+  // The Dom0 delay still reads their activity.
+  MachineConfig mc = exact_machine();
+  mc.vmm_load_delay = Duration::micros(600);
+  const GuestContextConfig cfg = stopwatch_cfg();
+  SpanExactness<PairHarness> x([cfg, mc](bool idle_neighbor) {
+    const auto boot = [](vm::GuestApi& api) { bursting(api); };
+    return std::make_unique<PairHarness>(cfg, boot, boot, mc, idle_neighbor);
+  });
+  check_many(x, 100, 3'000, 230);
+
+  // Inputs to both on a tied exit's nanosecond, read between steps, and
+  // after a run that ended there.
+  RealTime exit = x.next_exit();
+  x.at(exit, [](PairHarness& h) { h.a.feed_ingress(1, 1); });
+  x.at(exit, [](PairHarness& h) { h.b.feed_ingress(1, 1); });
+  x.step_through(exit, 2);
+  x.at(us(3'400), [](PairHarness& h) {
+    for (Rig* r : {&h.a, &h.b}) {
+      r->feed_peer_proposal(1, 0, 1);
+      r->feed_peer_proposal(1, Duration::seconds(1).ns, 2);
+    }
+  });
+  check_many(x, 3'100, 9'000, 290);
+  exit = x.next_exit();
+  x.run_unread(exit);
+  x.at(exit, [](PairHarness& h) { deliver(h.a, 2); });
+  x.at(exit, [](PairHarness& h) { deliver(h.b, 2); });
+  check_many(x, 9'100, 30'000, 470);
+  x.finish();
+
+  const PairHarness& h = x.spans();
+  EXPECT_EQ(snapshot(h.a).virt_ns, snapshot(h.b).virt_ns);
+  EXPECT_EQ(snapshot(h.a).exits, snapshot(h.b).exits);
+  EXPECT_EQ(h.a.program->packet_seqs, (std::vector<std::uint64_t>{1, 2}));
 }
 
 }  // namespace
