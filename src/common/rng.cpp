@@ -103,12 +103,6 @@ const double ziggurat::kRatio[ziggurat::kLayers] = {
     0x1.d58014742e544p-1, 0x1.c96d1a883d306p-1, 0x1.b3911e9b8053ep-1,
     0x1.803c6d4f93b49p-1, 0x0p+0};
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
@@ -116,20 +110,8 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::fork(std::uint64_t stream_tag) const {
   // Mix the current state with the tag through splitmix to decorrelate.
-  SplitMix64 sm(s_[0] ^ rotl(s_[2], 17) ^ (stream_tag * 0x9e3779b97f4a7c15ULL));
+  SplitMix64 sm(s_[0] ^ std::rotl(s_[2], 17) ^ (stream_tag * 0x9e3779b97f4a7c15ULL));
   return Rng(sm.next());
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::uniform01() {
@@ -160,38 +142,31 @@ double Rng::exponential(double lambda) {
   return -std::log(u) / lambda;
 }
 
-double Rng::normal(double mean, double stddev) {
-  SW_EXPECTS(stddev >= 0.0);
-  using ziggurat::kRatio;
+double Rng::normal_slow(double mean, double stddev, std::uint64_t bits) {
   using ziggurat::kX;
-  for (;;) {
-    const std::uint64_t bits = next_u64();
-    const auto i = static_cast<std::size_t>(bits & 0x7f);
-    // 2 * (53-bit uniform) - 1 is exact: u is a multiple of 2^-52.
-    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
-    if (std::fabs(u) < kRatio[i]) return mean + stddev * (u * kX[i]);
-    if (i == 0) {
-      // Beyond r in the base strip: Marsaglia's tail method. 1 - U is in
-      // (0, 1], so neither log sees 0.
-      double x = 0.0;
-      double y = 0.0;
-      do {
-        x = std::log(1.0 - uniform01()) / ziggurat::kTailStart;
-        y = std::log(1.0 - uniform01());
-      } while (-2.0 * y < x * x);
-      const double tail = ziggurat::kTailStart - x;
-      return mean + stddev * (u < 0.0 ? -tail : tail);
-    }
-    // A wedge: accept when a uniform height between f(x[i]) and f(x[i+1]),
-    // both scaled by 1 / f(x), lies under the curve.
-    const double x = u * kX[i];
-    const double f0 = std::exp(-0.5 * (kX[i] * kX[i] - x * x));
-    const double f1 = std::exp(-0.5 * (kX[i + 1] * kX[i + 1] - x * x));
-    if (f1 + uniform01() * (f0 - f1) < 1.0) return mean + stddev * x;
+  const auto i = static_cast<std::size_t>(bits & 0x7f);
+  const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+  if (i == 0) {
+    // Beyond r in the base strip: Marsaglia's tail method. 1 - U is in
+    // (0, 1], so neither log sees 0.
+    double x = 0.0;
+    double y = 0.0;
+    do {
+      x = std::log(1.0 - uniform01()) / ziggurat::kTailStart;
+      y = std::log(1.0 - uniform01());
+    } while (-2.0 * y < x * x);
+    const double tail = ziggurat::kTailStart - x;
+    return mean + stddev * (u < 0.0 ? -tail : tail);
   }
+  // A wedge: accept when a uniform height between f(x[i]) and f(x[i+1]),
+  // both scaled by 1 / f(x), lies under the curve.
+  const double x = u * kX[i];
+  const double f0 = std::exp(-0.5 * (kX[i] * kX[i] - x * x));
+  const double f1 = std::exp(-0.5 * (kX[i + 1] * kX[i + 1] - x * x));
+  if (f1 + uniform01() * (f0 - f1) < 1.0) return mean + stddev * x;
+  // A rejected draw starts over.
+  return normal(mean, stddev);
 }
-
-double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
 bool Rng::chance(double p) {
   SW_EXPECTS(p >= 0.0 && p <= 1.0);

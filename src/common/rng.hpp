@@ -7,7 +7,12 @@
 // for regression testing.
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+
+#include "common/contracts.hpp"
 
 namespace stopwatch {
 
@@ -57,6 +62,11 @@ extern const double kRatio[kLayers];
 /// draw is in a wedge, accepted by comparing a second uniform against the
 /// curve, or, in the base strip, beyond r, where Marsaglia's exponential
 /// rejection samples the tail exactly. A rejected draw starts over.
+///
+/// The stream step and that fast path are inline, so a caller drawing one
+/// jitter per vCPU slice pays a few instructions and no call; the wedge
+/// and tail paths stay out of line (rng.cpp) and continue from the 64-bit
+/// draw the fast path rejected, so every variate is the same either way.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
@@ -65,7 +75,17 @@ class Rng {
   /// adding noise consumers does not perturb unrelated streams.
   [[nodiscard]] Rng fork(std::uint64_t stream_tag) const;
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   /// Uniform in [0, 1).
   double uniform01();
   /// Uniform in [lo, hi).
@@ -77,12 +97,29 @@ class Rng {
   /// Normal with the given mean and standard deviation (ziggurat).
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Lognormal: exp(N(mu, sigma)).
-  double lognormal(double mu, double sigma);
+  double lognormal(double mu, double sigma) {
+    return std::exp(normal(mu, sigma));
+  }
   /// Bernoulli trial.
   bool chance(double p);
 
  private:
+  /// normal() past its fast path: the wedge or tail of the draw `bits`.
+  double normal_slow(double mean, double stddev, std::uint64_t bits);
+
   std::uint64_t s_[4];
 };
+
+inline double Rng::normal(double mean, double stddev) {
+  SW_EXPECTS(stddev >= 0.0);
+  const std::uint64_t bits = next_u64();
+  const auto i = static_cast<std::size_t>(bits & 0x7f);
+  // 2 * (53-bit uniform) - 1 is exact: u is a multiple of 2^-52.
+  const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+  if (std::fabs(u) < ziggurat::kRatio[i]) [[likely]] {
+    return mean + stddev * (u * ziggurat::kX[i]);
+  }
+  return normal_slow(mean, stddev, bits);
+}
 
 }  // namespace stopwatch

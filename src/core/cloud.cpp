@@ -286,6 +286,7 @@ void Cloud::wire(std::uint32_t vm_index) {
   // keep what it built alive.
   entry.wired = std::make_unique<WiredVm>();
   WiredVm& w = *entry.wired;
+  w.outputs = OutputComparator(replicas);
 
   if (trace_ != nullptr) {
     // Track identity is the machine-table shard + VM index — both
@@ -334,6 +335,11 @@ void Cloud::wire(std::uint32_t vm_index) {
       }
       net_.send(std::move(f));
     };
+    if (replicas > 1) {
+      services.output_emitted = [&w, r](std::uint64_t hash) {
+        w.outputs.record(static_cast<std::size_t>(r), hash);
+      };
+    }
     if (w.control_group) {
       net::MulticastGroup* group = w.control_group.get();
       const NodeId node = table_.machine_node(m);
@@ -569,19 +575,38 @@ const EgressStats& Cloud::egress_stats(VmHandle vm) const {
   return e.wired ? e.wired->egress_stats : kUnwired;
 }
 
+void Cloud::OutputComparator::match(Pair& p, bool other_ahead,
+                                    std::uint64_t hash) {
+  if (other_ahead) {
+    p.diverged = p.diverged || p.unmatched.front() != hash;
+    p.unmatched.pop_front();
+  } else {
+    p.unmatched.push_back(hash);
+  }
+}
+
+void Cloud::OutputComparator::record(std::size_t replica,
+                                     std::uint64_t hash) {
+  if (replica == 0) {
+    for (Pair& p : pairs_) match(p, p.emitted > emitted0_, hash);
+    ++emitted0_;
+  } else {
+    Pair& p = pairs_[replica - 1];
+    match(p, emitted0_ > p.emitted, hash);
+    ++p.emitted;
+  }
+}
+
+bool Cloud::OutputComparator::consistent() const {
+  // A mismatch is found once both sides have emitted its position, and
+  // the common prefix only grows, so it stays in it.
+  return std::none_of(pairs_.begin(), pairs_.end(),
+                      [](const Pair& p) { return p.diverged; });
+}
+
 bool Cloud::replicas_deterministic(VmHandle vm) const {
   const VmEntry& e = entry(vm);
-  if (!e.wired) return true;
-  const auto& replicas = e.wired->replicas;
-  for (std::size_t i = 1; i < replicas.size(); ++i) {
-    const auto& a = replicas[0]->output_hashes();
-    const auto& b = replicas[i]->output_hashes();
-    const std::size_t n = std::min(a.size(), b.size());
-    for (std::size_t k = 0; k < n; ++k) {
-      if (a[k] != b[k]) return false;
-    }
-  }
-  return true;
+  return !e.wired || e.wired->outputs.consistent();
 }
 
 std::uint64_t Cloud::total_divergences() const {

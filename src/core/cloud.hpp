@@ -50,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -212,10 +213,6 @@ class Cloud {
   [[nodiscard]] sim::Simulator& simulator() { return *egress_core_; }
   /// The sharded kernel itself (shard_count() == 1 unless configured up).
   [[nodiscard]] sim::ShardedSimulator& sharded() { return sharded_; }
-  /// Events executed across all cores.
-  [[nodiscard]] std::uint64_t events_executed() const {
-    return sharded_.events_executed();
-  }
   [[nodiscard]] net::Network& network() { return net_; }
   [[nodiscard]] topology::MachineTable& machines() { return table_; }
   /// The machine-to-core assignment (the one-shard plan until activate
@@ -268,10 +265,43 @@ class Cloud {
   }
 
  private:
+  /// Replica determinism (Sec. VI), checked as the replicas emit: each
+  /// replica's packet hashes are compared with replica 0's at the same
+  /// output position. A pair keeps only the hashes one side has emitted
+  /// and the other not yet, so the state is bounded by how far the
+  /// replicas lag each other, not by the length of the run. A VM's
+  /// replicas all run on one core (wire()), so no lock is needed.
+  class OutputComparator {
+   public:
+    OutputComparator() = default;
+    explicit OutputComparator(int replicas)
+        : pairs_(static_cast<std::size_t>(replicas - 1)) {}
+    void record(std::size_t replica, std::uint64_t hash);
+    /// Whether every replica agrees with replica 0 on their common prefix.
+    [[nodiscard]] bool consistent() const;
+
+   private:
+    /// Replica i (pairs_[i - 1]) against replica 0.
+    struct Pair {
+      /// The hashes the side ahead emitted past the other's position.
+      std::deque<std::uint64_t> unmatched;
+      std::uint64_t emitted{0};  // by replica i
+      bool diverged{false};
+    };
+    /// Compares `hash` with the other side's at its position if that side
+    /// is ahead, and queues it otherwise.
+    static void match(Pair& p, bool other_ahead, std::uint64_t hash);
+
+    std::uint64_t emitted0_{0};
+    std::vector<Pair> pairs_;
+  };
+
   /// State only a wired VM has: replicas, multicast groups, ingress and
   /// egress bookkeeping. wire() allocates it; an unwired VM pays only the
   /// null pointer in its VmEntry.
   struct WiredVm {
+    /// Declared before the replicas, whose output hook records into it.
+    OutputComparator outputs;
     std::vector<std::unique_ptr<hypervisor::GuestContext>> replicas;
     std::unique_ptr<net::MulticastGroup> control_group;
     std::unique_ptr<net::MulticastGroup> ingress_group;

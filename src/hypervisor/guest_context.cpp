@@ -13,8 +13,6 @@ std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Guest-caused VM exits occur at least every this many instructions.
-constexpr std::uint64_t kExitIntervalInstr = 100'000;
 /// PIT period: 250 Hz, as in the paper's guests.
 constexpr std::int64_t kTimerPeriodNs = Duration::micros(4000).ns;
 /// Initial virtual-clock slope (ns of virtual time per instruction).
@@ -127,6 +125,7 @@ void GuestContext::begin_plan() {
   if (!plannable()) return;
   if (in_flight()) {
     span_.front() = span_[span_next_];
+    span_.front().preempt_mark = 0;
     span_.resize(1);
     span_next_ = 0;
   }
@@ -152,68 +151,15 @@ void GuestContext::begin_plan() {
       epoch_instr_ > 0 ? (epoch_index_ + 1) * epoch_instr_ : UINT64_MAX;
 }
 
-[[gnu::always_inline]] inline void GuestContext::plan_slice(
-    PlanCursor& c, double other_load, std::int64_t start_ns,
-    std::uint32_t seq) {
-  const MachineConfig& mc = machine_->config();
-  // An idle chunk that ended at a quiet exit restarts.
-  if (c.chunk == 0) c.chunk = vm::GuestVm::kIdleChunkInstr;
-  const std::uint64_t cur = c.instr;
-  SW_ASSERT(c.periodic > cur);
-  const std::uint64_t n = std::min(c.chunk, c.periodic - cur);
-  const double jitter = jitter_draws_.ahead(c.jitter_draws++, [&] {
-    return machine_->ips_jitter(streams_.ips);
-  });
-  const double ips = machine_->effective_ips(other_load, jitter);
-  auto run_time = Duration::from_seconds_f(static_cast<double>(n) / ips) +
-                  mc.exit_overhead;
-  // Periodic loss of the physical core to coresident load (vCPU
-  // scheduling).
-  bool drew_preempt = false;
-  if (cur >= c.next_preempt) {
-    if (machine_->preempts(other_load)) {
-      run_time += machine_->preemption_wait(
-          other_load, preempt_draws_.ahead(c.preempt_draws++, [&] {
-            return streams_.preempt.exponential(1.0);
-          }));
-      drew_preempt = true;
-    }
-    c.next_preempt = cur + mc.preempt_interval_instr;
-  }
-  const std::int64_t t = start_ns + run_time.ns;
-  c.instr = cur + n;
-  const std::int64_t clock =
-      clock_.at(c.instr, RealTime{t} + machine_->clock_offset()).ns;
-  span_.push_back({t, clock, c.instr, c.next_preempt, seq, drew_preempt});
-  c.chunk -= n;
-  c.periodic = c.instr + kExitIntervalInstr;
-}
-
-void GuestContext::start_first_slice(double other_load, std::uint32_t seq) {
-  plan_slice(cursor_, other_load, sim_->now().ns, seq);
-  start_slice(span_.front());
+void GuestContext::start_first_slice(const Machine::SliceModel& m,
+                                     std::uint32_t seq) {
+  plan_slice(m, sim_->now().ns, seq);
+  // The slice starts now: it takes the draws it read ahead.
+  jitter_draws_.pop(cursor_.jitter_draws);
+  preempt_draws_.pop(cursor_.preempt_draws);
   cursor_.jitter_draws = 0;
   cursor_.preempt_draws = 0;
-}
-
-bool GuestContext::extend(double other_load, const PlannedExit* horizon,
-                          std::int64_t t_bound, std::uint32_t& seq) {
-  PlanCursor c = cursor_;
-  std::uint32_t s = seq;
-  bool quiet = true;
-  for (;;) {
-    const PlannedExit& e = span_.back();
-    if (horizon != nullptr && !e.before(*horizon)) break;
-    // A busy guest's task ends, and runs guest code, where its chunk does.
-    quiet = e.clock_ns < c.due_clock && e.instr < c.due_instr &&
-            !(c.busy && c.chunk == 0) && e.at_ns < t_bound;
-    if (!quiet) break;
-    c.activity = decayed(c.activity, c.busy);
-    plan_slice(c, other_load, e.at_ns, s++);
-  }
-  cursor_ = c;
-  seq = s;
-  return quiet;
+  span_.front().preempt_mark = 0;
 }
 
 std::int64_t GuestContext::next_due_clock_ns() const {
@@ -239,11 +185,6 @@ std::int64_t GuestContext::next_due_clock_ns() const {
   return due;
 }
 
-void GuestContext::start_slice(const PlannedExit& e) {
-  jitter_draws_.pop();
-  if (e.drew_preempt) preempt_draws_.pop();
-}
-
 void GuestContext::truncate_after(const PlannedExit& last) {
   // Keep the exits up to `last`, and the first after it, in flight.
   std::size_t keep = span_next_;
@@ -263,9 +204,9 @@ std::size_t GuestContext::first_due_exit() const {
 
 void GuestContext::run_quiet_exits(std::size_t end) {
   if (end == span_next_) return;
-  // Only the last exit's values survive, except the activity decay and
-  // the draws, which each exit takes in turn. A quiet exit ends no task,
-  // so whether the guest is busy holds across them.
+  // Only the last exit's values survive; the plan decayed the activity
+  // exit by exit. A quiet exit ends no task, so whether the guest is busy
+  // holds across them.
   const PlannedExit& last = span_[end - 1];
   const bool busy = !guest_->is_idle();
   if (busy) {
@@ -276,11 +217,14 @@ void GuestContext::run_quiet_exits(std::size_t end) {
   last_exit_instr_ = last.instr;
   last_exit_clock_ns_ = last.clock_ns;
   next_periodic_exit_ = last.instr + kExitIntervalInstr;
+  activity_ema_ = last.activity;
   stats_.exits += end - span_next_;
-  for (; span_next_ < end; ++span_next_) {
-    update_activity(busy);
-    start_slice(span_[span_next_ + 1]);
-  }
+  // Each exit starts the next slice, which takes one jitter draw and
+  // perhaps a preemption draw.
+  jitter_draws_.pop(end - span_next_);
+  preempt_draws_.pop(span_[end].preempt_mark -
+                     span_[span_next_].preempt_mark);
+  span_next_ = end;
 }
 
 void GuestContext::run_last_exit() {
@@ -331,8 +275,9 @@ void GuestContext::process_io_ops() {
       disk_slots_.push_back(slot);
     } else if (auto* sp = std::get_if<vm::SendPacketOp>(&op)) {
       ++out_seq_;
-      out_hash_chain_ = mix_hash(out_hash_chain_, sp->pkt.content_hash());
-      out_hashes_.push_back(sp->pkt.content_hash());
+      const std::uint64_t hash = sp->pkt.content_hash();
+      out_hash_chain_ = mix_hash(out_hash_chain_, hash);
+      if (services_.output_emitted) services_.output_emitted(hash);
       if (policy_->tunnels_output()) {
         net::Frame f;
         f.src = services_.machine_node;
@@ -342,7 +287,7 @@ void GuestContext::process_io_ops() {
         t.vm = vm_;
         t.replica = replica_;
         t.out_seq = out_seq_;
-        t.content_hash = sp->pkt.content_hash();
+        t.content_hash = hash;
         t.pkt = sp->pkt;
         f.payload = t;
         services_.send_frame(std::move(f));

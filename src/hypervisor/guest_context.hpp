@@ -6,8 +6,8 @@
 //    duration reflects host speed, contention, and jitter; every slice ends
 //    in a guest-caused VM exit (periodic, or at a trapping I/O instruction);
 //  * the guest clock and PIT timer-interrupt injection (Sec. IV-B);
-//    the exit interval, the 250 Hz PIT period and the initial clock slope
-//    are fixed model parameters, constants in guest_context.cpp;
+//    the exit interval (GuestContext::kExitIntervalInstr), the 250 Hz PIT
+//    period and the initial clock slope are fixed model parameters;
 //  * the network card device model: buffer-hide inbound packets and deliver
 //    them at the policy's delivery time — under StopWatch: propose
 //    virt(last exit) + Δn, multicast proposals, adopt the median, inject at
@@ -64,13 +64,17 @@
 //    Co-residents' slices that started before the new end keep their
 //    fixed durations.
 //  * Draws: each slice's IPS jitter and preemption draw come from the
-//    replica's own streams, taken ahead into queues when planned and
-//    popped when the slice starts, so draws a cut left unused serve the
-//    next plan in stream order.
+//    replica's own streams, taken ahead into queues a block at a time
+//    when planned (the jitter's normals first, then their exponentials),
+//    and popped together by the run of quiet exits that starts their
+//    slices, so draws a cut left unused serve the next plan in stream
+//    order. The plan also records each quiet exit's decayed activity, so
+//    running a run of quiet exits costs the same whatever its length.
 // A run with spans is therefore identical, exit for exit, to one where
 // every exit is its own event.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -169,6 +173,9 @@ struct ReplicaServices {
   std::function<void(net::FramePayload, std::uint32_t bytes)> control_multicast;
   /// Send a frame from this machine's network node.
   std::function<void(net::Frame)> send_frame;
+  /// Told each emitted guest packet's content hash, in emission order,
+  /// for the cloud's replica-determinism check (may be null).
+  std::function<void(std::uint64_t content_hash)> output_emitted;
   NodeId machine_node{};
   NodeId egress_node{};
 };
@@ -238,11 +245,6 @@ class GuestContext final : public LoadSource {
     settle();
     return {out_hash_chain_, out_seq_};
   }
-  /// Per-packet output hashes, for prefix comparison across replicas.
-  [[nodiscard]] const std::vector<std::uint64_t>& output_hashes() const {
-    settle();
-    return out_hashes_;
-  }
   [[nodiscard]] double activity() const override {
     settle();
     return activity_ema_;
@@ -250,6 +252,9 @@ class GuestContext final : public LoadSource {
 
  private:
   friend class Machine;
+
+  /// Guest-caused VM exits occur at least every this many instructions.
+  static constexpr std::uint64_t kExitIntervalInstr = 100'000;
 
   /// One planned exit: the end of one slice.
   struct PlannedExit {
@@ -259,11 +264,16 @@ class GuestContext final : public LoadSource {
     /// The instruction count at or past which the next slice to start
     /// loses the core (next_preempt_instr_ after this exit).
     std::uint64_t preempt_after;
+    /// activity_ema_ after this exit, set when the plan finds it quiet.
+    double activity;
     /// The machine-wide start order of the slice: same-nanosecond exits
     /// run in this order. It wraps; the exits one plan compares started
     /// far fewer than 2^31 slices apart.
     std::uint32_t seq;
-    bool drew_preempt;  // the slice took a preemption draw
+    /// The preemption draws the plan has read ahead for its slices up to
+    /// this one (PlanCursor::preempt_draws): the slices started by a run
+    /// of quiet exits took the difference of two marks.
+    std::uint32_t preempt_mark;
     /// Whether this exit runs before `o` on the machine.
     [[nodiscard]] bool before(const PlannedExit& o) const {
       return at_ns != o.at_ns ? at_ns < o.at_ns
@@ -279,7 +289,7 @@ class GuestContext final : public LoadSource {
     std::uint64_t chunk;  // left of the task (or idle chunk) in progress
     std::uint64_t periodic;  // instruction count of the next periodic exit
     std::size_t jitter_draws;  // draws read ahead for unstarted slices
-    std::size_t preempt_draws;
+    std::uint32_t preempt_draws;
     double activity;  // activity_ema_ after the planned exits
     bool busy;  // !is_idle(), constant over quiet exits
     std::int64_t due_clock;  // next_due_clock_ns(); INT64_MIN with I/O queued
@@ -287,20 +297,40 @@ class GuestContext final : public LoadSource {
   };
 
   /// Draws from one stream, taken ahead of the slices that use them. A
-  /// plan reads ahead (drawing only past the queued ones); a slice's
-  /// start pops its draw; a cut leaves the unused draws queued.
+  /// plan reads ahead, drawing a block at a time past the queued ones; the
+  /// exits that start slices pop their draws together; a cut leaves the
+  /// unused draws queued. The streams have no other reader, so how far
+  /// ahead they are drawn moves no value.
   class DrawQueue {
    public:
-    template <typename Draw>
-    double ahead(std::size_t i, Draw&& draw) {
-      while (head_ + i >= buf_.size()) buf_.push_back(draw());
+    /// Draws per refill: enough that the sampler's calls run back to back
+    /// instead of between slice computations, few enough (256 bytes) that
+    /// the draws a guest takes ahead stay in cache.
+    static constexpr std::size_t kBlock = 32;
+    /// Popped draws are dropped once this many have accumulated. Read
+    /// ahead by blocks, the queue seldom drains to empty, so its buffer
+    /// grows to this point plus what a plan reads ahead.
+    static constexpr std::size_t kDropAt = 4 * kBlock;
+
+    /// The draw `i` places past the next one to pop. `fill(out, k)` writes
+    /// the stream's next `k` draws to `out`.
+    template <typename Fill>
+    double ahead(std::size_t i, Fill&& fill) {
+      while (head_ + i >= buf_.size()) [[unlikely]] {
+        const std::size_t end = buf_.size();
+        buf_.resize(end + kBlock);
+        fill(buf_.data() + end, kBlock);
+      }
       return buf_[head_ + i];
     }
-    void pop() {
-      if (++head_ == buf_.size()) {
+    /// Pops the next `n` draws.
+    void pop(std::size_t n) {
+      head_ += n;
+      SW_ASSERT(head_ <= buf_.size());
+      if (head_ == buf_.size()) {
         buf_.clear();
         head_ = 0;
-      } else if (head_ >= 1024) {
+      } else if (head_ >= kDropAt) {
         buf_.erase(buf_.begin(),
                    buf_.begin() + static_cast<std::ptrdiff_t>(head_));
         head_ = 0;
@@ -323,20 +353,23 @@ class GuestContext final : public LoadSource {
   /// (only the activity for a guest that runs no slices).
   void begin_plan();
   /// Plans the slice that starts at `start_ns` after the cursor's exit,
-  /// under coresident load `other_load`, and moves the cursor to its end.
-  void plan_slice(PlanCursor& c, double other_load, std::int64_t start_ns,
+  /// under the coresident load of `m`, and moves the cursor to its end.
+  void plan_slice(const Machine::SliceModel& m, std::int64_t start_ns,
                   std::uint32_t seq);
-  /// Plans and starts the slice of a guest without an exit in flight.
-  void start_first_slice(double other_load, std::uint32_t seq);
-  /// Pops the draws of the slice that `e` ends, as it starts.
-  void start_slice(const PlannedExit& e);
+  /// Plans and starts the slice of a guest without an exit in flight,
+  /// under the coresident load set in `m`.
+  void start_first_slice(const Machine::SliceModel& m, std::uint32_t seq);
   /// Extends the plan while the last planned exit is quiet (before
   /// `t_bound`) and runs before `horizon`, the other guests' earliest
-  /// (null: none), taking start orders from `seq`. The coresident load is
-  /// constant meanwhile: only this guest's exits run. Returns false at an
-  /// exit that is not quiet, which ends the machine's plan.
-  bool extend(double other_load, const PlannedExit* horizon,
+  /// (null: none), taking start orders from `seq`. The coresident load,
+  /// set in `m`, is constant meanwhile: only this guest's exits run.
+  /// Returns false at an exit that is not quiet, which ends the machine's
+  /// plan.
+  bool extend(const Machine::SliceModel& m, const PlannedExit* horizon,
               std::int64_t t_bound, std::uint32_t& seq);
+  // plan_slice() and extend() are defined below the class, so that the
+  // machine's merge (machine.cpp) runs them without a call: on a machine
+  // with co-resident guests a merge step often covers a single exit.
   /// Keeps the planned exits up to `last` (another guest's, or its own)
   /// and the first one after it, which stays in flight.
   void truncate_after(const PlannedExit& last);
@@ -455,7 +488,6 @@ class GuestContext final : public LoadSource {
   // Output path.
   std::uint64_t out_seq_{0};
   std::uint64_t out_hash_chain_{0};
-  std::vector<std::uint64_t> out_hashes_;
 
   // Peer tracking (throttle). The map counts the peers heard from; the
   // running max of its entries is what should_stall() compares against.
@@ -477,5 +509,64 @@ class GuestContext final : public LoadSource {
 
   GuestContextStats stats_;
 };
+
+[[gnu::always_inline]] inline void GuestContext::plan_slice(
+    const Machine::SliceModel& m, std::int64_t start_ns, std::uint32_t seq) {
+  PlanCursor& c = cursor_;
+  // An idle chunk that ended at a quiet exit restarts.
+  if (c.chunk == 0) c.chunk = vm::GuestVm::kIdleChunkInstr;
+  const std::uint64_t cur = c.instr;
+  SW_ASSERT(c.periodic > cur);
+  const std::uint64_t n = std::min(c.chunk, c.periodic - cur);
+  const double jitter =
+      jitter_draws_.ahead(c.jitter_draws++, [&](double* out, std::size_t k) {
+        machine_->ips_jitter(streams_.ips, out, k);
+      });
+  auto run_time =
+      Duration::from_seconds_f(static_cast<double>(n) / m.ips(jitter)) +
+      m.exit_overhead;
+  // Periodic loss of the physical core to coresident load (vCPU
+  // scheduling).
+  if (cur >= c.next_preempt) {
+    if (m.preempts) {
+      run_time += m.preemption_wait(preempt_draws_.ahead(
+          c.preempt_draws++, [&](double* out, std::size_t k) {
+            for (std::size_t j = 0; j < k; ++j) {
+              out[j] = streams_.preempt.exponential(1.0);
+            }
+          }));
+    }
+    c.next_preempt = cur + m.preempt_interval_instr;
+  }
+  const std::int64_t t = start_ns + run_time.ns;
+  c.instr = cur + n;
+  const std::int64_t clock =
+      clock_.at(c.instr, RealTime{t} + m.clock_offset).ns;
+  span_.push_back(
+      {t, clock, c.instr, c.next_preempt, 0.0, seq, c.preempt_draws});
+  c.chunk -= n;
+  c.periodic = c.instr + kExitIntervalInstr;
+}
+
+[[gnu::always_inline]] inline bool GuestContext::extend(
+    const Machine::SliceModel& m, const PlannedExit* horizon,
+    std::int64_t t_bound, std::uint32_t& seq) {
+  PlanCursor& c = cursor_;
+  std::uint32_t s = seq;
+  bool quiet = true;
+  for (;;) {
+    PlannedExit& e = span_.back();
+    if (horizon != nullptr && !e.before(*horizon)) break;
+    // A busy guest's task ends, and runs guest code, where its chunk does.
+    quiet = e.clock_ns < c.due_clock && e.instr < c.due_instr &&
+            !(c.busy && c.chunk == 0) && e.at_ns < t_bound;
+    if (!quiet) break;
+    c.activity = decayed(c.activity, c.busy);
+    e.activity = c.activity;
+    plan_slice(m, e.at_ns, s++);
+  }
+  seq = s;
+  return quiet;
+}
 
 }  // namespace stopwatch::hypervisor

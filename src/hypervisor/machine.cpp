@@ -36,6 +36,17 @@ double Machine::planned_load(const GuestContext* guest) const {
   return load;
 }
 
+GuestContext* Machine::earliest(const GuestContext* other_than) const {
+  GuestContext* first = nullptr;
+  for (GuestContext* g : guests_) {
+    if (g == other_than || !g->plannable()) continue;
+    if (first == nullptr || g->span_.back().before(first->span_.back())) {
+      first = g;
+    }
+  }
+  return first;
+}
+
 void Machine::settle() {
   if (last_ == nullptr) return;
   // Until a run_until() has closed now(), the exits at now() still run
@@ -52,34 +63,28 @@ void Machine::plan() {
   // A guest without an exit in flight starts its slice now, reading the
   // load as it stands.
   const std::int64_t now = sim_->now().ns;
+  SliceModel model = slice_model();
   for (GuestContext* g : guests_) {
     if (!g->plannable() || g->in_flight()) continue;
-    g->start_first_slice(planned_load(g), next_slice_seq_++);
+    model.set_load(planned_load(g));
+    g->start_first_slice(model, next_slice_seq_++);
   }
   // Merge: the guest with the earliest planned exit runs its quiet exits
   // up to the next guest's, each decaying its activity and starting its
-  // next slice; the first exit that is not quiet ends the plan.
+  // next slice; the first exit that is not quiet ends the plan. A step
+  // ends where the guest with the runner-up exit takes over, so only that
+  // one is looked for; with two guests that takes no comparison.
   const std::int64_t t_bound = now + kPlanBoundNs;
-  for (;;) {
-    GuestContext* next = nullptr;
-    const GuestContext::PlannedExit* horizon = nullptr;
-    for (GuestContext* g : guests_) {
-      if (!g->plannable()) continue;
-      const GuestContext::PlannedExit* e = &g->span_.back();
-      if (next == nullptr || e->before(next->span_.back())) {
-        if (next != nullptr) horizon = &next->span_.back();
-        next = g;
-      } else if (horizon == nullptr || e->before(*horizon)) {
-        horizon = e;
-      }
-    }
-    if (next == nullptr) break;
-    if (foreign_source_ ||
-        !next->extend(planned_load(next), horizon, t_bound, next_slice_seq_)) {
-      last_ = next;
-      break;
-    }
+  GuestContext* next = earliest(nullptr);
+  while (next != nullptr && !foreign_source_) {
+    GuestContext* second = earliest(next);
+    const GuestContext::PlannedExit* horizon =
+        second != nullptr ? &second->span_.back() : nullptr;
+    model.set_load(planned_load(next));
+    if (!next->extend(model, horizon, t_bound, next_slice_seq_)) break;
+    next = second;
   }
+  last_ = next;
   if (last_ != nullptr) {
     arm(last_->span_.back().at_ns);
   } else if (exit_event_) {

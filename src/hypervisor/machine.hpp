@@ -10,6 +10,9 @@
 // attacker through interrupt timing, while StopWatch's median masks it.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -129,35 +132,66 @@ class Machine {
     return load;
   }
 
-  /// Draws one slice's host IPS jitter from `rng`, a guest's own stream
-  /// (1.0 without jitter).
-  [[nodiscard]] double ips_jitter(Rng& rng) const {
-    return cfg_.ips_jitter_sigma > 0.0
-               ? rng.lognormal(0.0, cfg_.ips_jitter_sigma)
-               : 1.0;
+  /// Draws `n` slices' host IPS jitter from `rng`, a guest's own stream,
+  /// into `out` (1.0 without jitter). Each is rng.lognormal(0, sigma), in
+  /// stream order; the normals are drawn first and exponentiated after, so
+  /// that the exp calls run back to back.
+  void ips_jitter(Rng& rng, double* out, std::size_t n) const {
+    const double sigma = cfg_.ips_jitter_sigma;
+    if (sigma > 0.0) {
+      for (std::size_t k = 0; k < n; ++k) out[k] = rng.normal(0.0, sigma);
+      for (std::size_t k = 0; k < n; ++k) out[k] = std::exp(out[k]);
+    } else {
+      std::fill_n(out, n, 1.0);
+    }
   }
 
-  /// The effective instruction rate of a slice with IPS jitter `jitter`,
-  /// for a guest whose coresident load is `other_load`.
-  [[nodiscard]] double effective_ips(double other_load, double jitter) const {
-    return cfg_.base_ips * jitter / (1.0 + cfg_.contention_alpha * other_load);
-  }
+  /// What a vCPU slice's duration depends on: the machine's rate,
+  /// overheads and clock offset, which a plan reads once, and the
+  /// contention of the coresident load the slice runs under, which it sets
+  /// once per run of slices under one load (set_load()).
+  struct SliceModel {
+    double base_ips;
+    double contention_alpha;
+    Duration exit_overhead;
+    std::uint64_t preempt_interval_instr;
+    double preempt_wait_ns;
+    Duration clock_offset;
+    /// 1 + contention_alpha * other_load: contention divides the rate.
+    double contention{1.0};
+    /// Whether a vCPU that loses the core waits at all (0 load -> no
+    /// wait, and no draw).
+    bool preempts{false};
+    /// The mean of that wait: preempt_wait * other_load, in ns.
+    double preempt_mean_ns{0.0};
 
-  /// Whether a vCPU that loses the core waits at all under coresident
-  /// load `other_load` (0 load -> no wait, and no draw).
-  [[nodiscard]] bool preempts(double other_load) const {
-    return other_load > 0.0 && cfg_.preempt_wait.ns > 0;
-  }
+    /// Sets the coresident load of the slices to come.
+    void set_load(double other_load) {
+      contention = 1.0 + contention_alpha * other_load;
+      preempts = other_load > 0.0 && preempt_wait_ns > 0.0;
+      preempt_mean_ns = preempt_wait_ns * other_load;
+    }
+    /// The effective instruction rate of a slice with IPS jitter `jitter`.
+    [[nodiscard]] double ips(double jitter) const {
+      return base_ips * jitter / contention;
+    }
+    /// The runqueue wait a vCPU suffers when it loses the core:
+    /// ~Exp(preempt_mean_ns), scaled from `unit_exp`, a unit-mean
+    /// exponential draw from the guest's own stream. Precondition:
+    /// preempts.
+    [[nodiscard]] Duration preemption_wait(double unit_exp) const {
+      return Duration{static_cast<std::int64_t>(preempt_mean_ns * unit_exp)};
+    }
+  };
 
-  /// The runqueue wait a vCPU suffers when it loses the core on a host
-  /// with coresident load `other_load`: ~Exp(preempt_wait * other_load),
-  /// scaled from `unit_exp`, a unit-mean exponential draw from the
-  /// guest's own stream. Precondition: preempts(other_load).
-  [[nodiscard]] Duration preemption_wait(double other_load,
-                                         double unit_exp) const {
-    const double mean_ns =
-        static_cast<double>(cfg_.preempt_wait.ns) * other_load;
-    return Duration{static_cast<std::int64_t>(mean_ns * unit_exp)};
+  /// This machine's slice model, with no coresident load set.
+  [[nodiscard]] SliceModel slice_model() const {
+    return {cfg_.base_ips,
+            cfg_.contention_alpha,
+            cfg_.exit_overhead,
+            cfg_.preempt_interval_instr,
+            static_cast<double>(cfg_.preempt_wait.ns),
+            clock_offset_};
   }
 
   /// Samples the Dom0 device-model processing delay under `load`.
@@ -208,6 +242,9 @@ class Machine {
   /// first exit in flight.
   void on_load_changed();
   void add_source(LoadSource* src, GuestContext* guest);
+  /// The planned guest, other than `other_than`, whose last planned exit
+  /// runs first (null: none).
+  [[nodiscard]] GuestContext* earliest(const GuestContext* other_than) const;
   /// The coresident load `guest` reads while the plan is made, from the
   /// activities the guests will have at that point of the plan.
   [[nodiscard]] double planned_load(const GuestContext* guest) const;

@@ -300,6 +300,68 @@ TEST(Cloud, VmToVmTrafficFlowsThroughEgressAndIngress) {
   EXPECT_EQ(cloud.total_divergences(), 0u);
 }
 
+/// Echoes requests like EchoProgram, but its `diverge_at`-th reply (from
+/// 1; 0: none) is one byte longer, as a replica that lost determinism
+/// would emit.
+class SkewedEchoProgram final : public vm::GuestProgram {
+ public:
+  explicit SkewedEchoProgram(int diverge_at) : diverge_at_(diverge_at) {}
+  void on_boot(vm::GuestApi&) override {}
+  void on_timer_tick(vm::GuestApi&, std::uint64_t) override {}
+  void on_packet(vm::GuestApi& api, const net::Packet& pkt) override {
+    if (pkt.kind != net::PacketKind::kRequest) return;
+    net::Packet reply;
+    reply.dst = pkt.src;
+    reply.kind = net::PacketKind::kData;
+    reply.seq = pkt.seq;
+    reply.size_bytes = ++replies_ == diverge_at_ ? 101 : 100;
+    api.send_packet(reply);
+  }
+
+ private:
+  int diverge_at_;
+  int replies_{0};
+};
+
+TEST(Cloud, DivergentReplicaOutputIsCaught) {
+  Cloud cloud(stopwatch_config());
+  // The factory builds replicas in order: the second one diverges on its
+  // third packet.
+  int built = 0;
+  const VmHandle vm = cloud.add_vm(
+      "skewed",
+      [&built] {
+        return std::make_unique<SkewedEchoProgram>(built++ == 1 ? 3 : 0);
+      },
+      {0, 1, 2});
+  const NodeId client = cloud.add_external_node([](const net::Packet&) {});
+  cloud.start();
+  const auto request = [&cloud, client, vm](std::uint64_t seq) {
+    net::Packet req;
+    req.dst = cloud.vm_addr(vm);
+    req.kind = net::PacketKind::kRequest;
+    req.seq = seq;
+    req.size_bytes = 80;
+    cloud.send_external(client, req);
+  };
+  for (std::uint64_t seq = 0; seq < 2; ++seq) {
+    request(seq);
+    cloud.run_for(Duration::millis(100));
+  }
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_EQ(cloud.replica(vm, r).output_signature().second, 2u) << r;
+  }
+  EXPECT_TRUE(cloud.replicas_deterministic(vm));
+  for (std::uint64_t seq = 2; seq < 4; ++seq) {
+    request(seq);
+    cloud.run_for(Duration::millis(100));
+  }
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_EQ(cloud.replica(vm, r).output_signature().second, 4u) << r;
+  }
+  EXPECT_FALSE(cloud.replicas_deterministic(vm));
+}
+
 TEST(Cloud, ReplicaPlacementOnSameMachineRejected) {
   Cloud cloud(stopwatch_config());
   EXPECT_THROW(cloud.add_vm(

@@ -470,7 +470,7 @@ struct Snapshot {
   std::int64_t stall_ns{0};
   double activity{0.0};
   std::vector<double> spread_ms, margin_ms, disk_margin_ms;
-  std::vector<std::uint64_t> hashes;
+  std::pair<std::uint64_t, std::uint64_t> outputs;  // hash chain, count
   std::vector<std::int64_t> tick_virt_ns, packet_virt_ns;
   std::vector<std::pair<std::int64_t, std::uint64_t>> beacons;  // virt, instr
   std::vector<std::pair<std::uint64_t, std::int64_t>> proposals;  // seq, virt
@@ -497,7 +497,7 @@ Snapshot snapshot(const Rig& r) {
   s.spread_ms = st.proposal_spread_ms;
   s.margin_ms = st.median_margin_ms;
   s.disk_margin_ms = st.disk_margin_ms;
-  s.hashes = r.ctx->output_hashes();
+  s.outputs = r.ctx->output_signature();
   s.tick_virt_ns = r.program->tick_virt_ns;
   s.packet_virt_ns = r.program->packet_virt_ns;
   for (const net::SyncBeacon& b : r.own_beacons) {

@@ -35,8 +35,10 @@ TEST(Machine, ContentionSlowsEffectiveIps) {
   m.register_load_source(&self);
   m.register_load_source(&other);
   other.value = 1.0;
-  const double solo = m.effective_ips(0.0, 1.0);
-  const double contended = m.effective_ips(m.load_excluding(&self), 1.0);
+  Machine::SliceModel model = m.slice_model();
+  const double solo = model.ips(1.0);
+  model.set_load(m.load_excluding(&self));
+  const double contended = model.ips(1.0);
   EXPECT_DOUBLE_EQ(solo, 1e9);
   EXPECT_NEAR(contended, 1e9 / 1.7, 1.0);  // alpha = 0.7, load = 1
 }
