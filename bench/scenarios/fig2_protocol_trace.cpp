@@ -3,12 +3,15 @@
 // protocol invariants across replicas: every replica adopts the same median
 // proposal, and injection happens at a virtual time at or past the median.
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "core/cloud.hpp"
 #include "experiment/registry.hpp"
+#include "hypervisor/guest_context.hpp"
 #include "workload/timing.hpp"
 
 namespace stopwatch::bench {
@@ -18,11 +21,49 @@ using experiment::ParamSpec;
 using experiment::Result;
 using experiment::ScenarioContext;
 
+/// One inbound packet's timeline on one replica (Figs. 2/3), in ms.
+struct PacketRecord {
+  /// Latest minus earliest proposed delivery, virtual time.
+  double proposal_spread_ms{0.0};
+  double chosen_delivery_virt_ms{0.0};
+  double inject_virt_ms{0.0};
+  bool injected{false};
+};
+
+/// Records one replica's first kTracedPackets inbound packets. A tap sees
+/// one replica, on that replica's core.
+struct ProtocolTraceTap final : hypervisor::DeliveryTap {
+  static constexpr std::uint64_t kTracedPackets = 32;
+
+  void on_delivery_chosen(
+      std::uint64_t copy_seq,
+      const std::map<std::uint32_t, std::int64_t>& proposals,
+      std::int64_t delivery_ns, std::int64_t) override {
+    if (copy_seq > kTracedPackets) return;
+    const auto [lo, hi] = std::minmax_element(
+        proposals.begin(), proposals.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    PacketRecord& rec = by_seq[copy_seq];
+    rec.proposal_spread_ms = static_cast<double>(hi->second) / 1e6 -
+                             static_cast<double>(lo->second) / 1e6;
+    rec.chosen_delivery_virt_ms = static_cast<double>(delivery_ns) / 1e6;
+  }
+  void on_net_injected(std::uint64_t copy_seq, std::int64_t clock_ns,
+                       RealTime) override {
+    if (copy_seq > kTracedPackets) return;
+    PacketRecord& rec = by_seq[copy_seq];
+    rec.inject_virt_ms = static_cast<double>(clock_ns) / 1e6;
+    rec.injected = true;
+  }
+  /// By copy_seq, which is also injection order.
+  std::map<std::uint64_t, PacketRecord> by_seq;
+};
+
 Result run(const ScenarioContext& ctx) {
   core::CloudConfig cfg;
   cfg.seed = ctx.seed() ^ 11;
   cfg.machine_count = 3;
-  cfg.record_packet_traces = true;
+  std::array<ProtocolTraceTap, 3> taps;
   core::Cloud cloud(cfg);
 
   const core::VmHandle vm = cloud.add_vm(
@@ -32,6 +73,9 @@ Result run(const ScenarioContext& ctx) {
   workload::BackgroundBroadcaster bcast(
       cloud, cloud.vm_addr(vm), ctx.param("broadcast_rate_hz"), 3);
   cloud.start();
+  for (int r = 0; r < 3; ++r) {
+    cloud.replica(vm, r).set_delivery_tap(&taps[static_cast<std::size_t>(r)]);
+  }
   bcast.start();
   cloud.run_for(Duration::from_seconds_f(ctx.param("run_time_s")));
   cloud.halt_all();
@@ -43,20 +87,15 @@ Result run(const ScenarioContext& ctx) {
   std::uint64_t traces = 0;
   std::uint64_t inject_before_median = 0;
   std::vector<double> proposal_spread_ms;
-  for (int r = 0; r < 3; ++r) {
-    for (const auto& tr : cloud.replica(vm, r).stats().packet_traces) {
+  for (const ProtocolTraceTap& tap : taps) {
+    for (const auto& [seq, rec] : tap.by_seq) {
+      if (!rec.injected) continue;
       ++traces;
-      adopted_by_seq[tr.copy_seq].push_back(tr.chosen_delivery_virt_ms);
-      if (tr.inject_virt_ms < tr.chosen_delivery_virt_ms) {
+      adopted_by_seq[seq].push_back(rec.chosen_delivery_virt_ms);
+      if (rec.inject_virt_ms < rec.chosen_delivery_virt_ms) {
         ++inject_before_median;
       }
-      double lo = 1e300;
-      double hi = -1e300;
-      for (const auto& [machine, virt_ms] : tr.proposals_ms) {
-        lo = std::min(lo, virt_ms);
-        hi = std::max(hi, virt_ms);
-      }
-      if (!tr.proposals_ms.empty()) proposal_spread_ms.push_back(hi - lo);
+      proposal_spread_ms.push_back(rec.proposal_spread_ms);
     }
   }
   std::uint64_t median_disagreements = 0;

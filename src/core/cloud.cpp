@@ -315,8 +315,7 @@ void Cloud::wire(std::uint32_t vm_index) {
 
   for (int r = 0; r < replicas; ++r) {
     const int m = machines[static_cast<std::size_t>(r)];
-    const hypervisor::GuestContextConfig gc{cfg_.policy, replicas,
-                                            cfg_.record_packet_traces};
+    const hypervisor::GuestContextConfig gc{cfg_.policy, replicas};
 
     sim::Simulator& core = core_of_machine(m);
     hypervisor::ReplicaServices services;

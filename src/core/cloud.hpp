@@ -83,8 +83,9 @@ using hypervisor::PolicyKind;
 
 /// Every field is set by some scenario, test or example; the fixed
 /// parameters of the paper's testbed are constants next to their reader.
-/// Wiring builds each replica's GuestContextConfig from `policy`,
-/// `replica_count` and `record_packet_traces`.
+/// Wiring builds each replica's GuestContextConfig from `policy` and
+/// `replica_count`; a scenario that reads per-packet decisions installs a
+/// hypervisor::DeliveryTap on the replicas it reads.
 struct CloudConfig {
   std::uint64_t seed{1};
   /// Mitigation-policy selection + per-policy knobs (implicitly
@@ -100,9 +101,6 @@ struct CloudConfig {
   /// Per-machine model parameters; each machine's clock offset is drawn
   /// separately (clock_offset_spread).
   hypervisor::MachineConfig machine_template{};
-  /// Every replica keeps per-packet protocol traces of its first 32
-  /// inbound packets (GuestContextStats::packet_traces; Fig. 2).
-  bool record_packet_traces{false};
   /// Intra-cloud links (machine <-> machine / ingress / egress).
   net::LinkModel cloud_link{Duration::micros(150), 0.15, 125e6, 0.0};
   /// External client links (the paper's campus-wireless client).

@@ -66,6 +66,8 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
   machine_->register_guest(this);
 }
 
+GuestContext::~GuestContext() = default;
+
 void GuestContext::start(VirtTime start) {
   SW_EXPECTS(!running_);
   running_ = true;
@@ -334,10 +336,9 @@ void GuestContext::inject_due_interrupts() {
       slot.late_counted = true;
       ++stats_.divergence_disk_late;
     }
-    // Real-time slack between the physical transfer finishing and this
-    // injection (negative = the virtual deadline beat the hardware).
-    stats_.disk_margin_ms.push_back(
-        static_cast<double>(sim_->now().ns - slot.physical_done.ns) / 1e6);
+    if (tap_ != nullptr) {
+      tap_->on_disk_injected(sim_->now() - slot.physical_done);
+    }
     guest_->inject_disk_complete(slot.request_id);
     ++stats_.disk_deliveries;
     disk_slots_.pop_front();
@@ -352,13 +353,8 @@ void GuestContext::inject_due_interrupts() {
     if (*slot.delivery > now_ns) break;
     guest_->inject_net_packet(slot.pkt);
     ++stats_.net_deliveries;
-    const auto trace_it = live_traces_.find(next_net_inject_seq_);
-    if (trace_it != live_traces_.end()) {
-      trace_it->second.inject_virt_ms = static_cast<double>(now_ns) / 1e6;
-      trace_it->second.inject_real_ms =
-          static_cast<double>(sim_->now().ns) / 1e6;
-      stats_.packet_traces.push_back(std::move(trace_it->second));
-      live_traces_.erase(trace_it);
+    if (tap_ != nullptr) {
+      tap_->on_net_injected(next_net_inject_seq_, now_ns, sim_->now());
     }
     net_slots_.erase(it);
     ++next_net_inject_seq_;
@@ -405,11 +401,6 @@ void GuestContext::on_ingress_copy(const net::IngressCopy& copy) {
   NetSlot& slot = net_slots_[copy.copy_seq];
   slot.pkt = copy.pkt;
   slot.have_pkt = true;
-  if (cfg_.record_packet_traces && copy.copy_seq <= 32) {
-    PacketTrace& tr = live_traces_[copy.copy_seq];
-    tr.copy_seq = copy.copy_seq;
-    tr.arrival_real_ms = static_cast<double>(sim_->now().ns) / 1e6;
-  }
 
   // Dom0 device-model processing before the proposal goes out; this is
   // where coresident load perturbs the proposal (and where StopWatch's
@@ -441,13 +432,6 @@ void GuestContext::on_proposal(const net::Proposal& p) {
   if (p.copy_seq < next_net_inject_seq_) return;  // already delivered
   NetSlot& slot = net_slots_[p.copy_seq];
   slot.proposals[p.proposer.value] = p.proposed_delivery.ns;
-  {
-    const auto trace_it = live_traces_.find(p.copy_seq);
-    if (trace_it != live_traces_.end()) {
-      trace_it->second.proposals_ms.emplace_back(
-          p.proposer.value, static_cast<double>(p.proposed_delivery.ns) / 1e6);
-    }
-  }
   if (slot.delivery.has_value()) return;
   if (slot.proposals.size() <
       static_cast<std::size_t>(cfg_.replica_count)) {
@@ -457,25 +441,7 @@ void GuestContext::on_proposal(const net::Proposal& p) {
   // All proposals in: combine per the policy's aggregation rule (median of
   // the replicas' votes in the paper).
   std::int64_t median = policy_->combine_proposals(slot.proposals);
-
-  // Spread between the two *fastest* replicas — the gap Δn must dominate
-  // (the slowest replica may lag arbitrarily; the median never comes from
-  // it, and the throttle only paces the leaders, Sec. VII-A): the two
-  // largest proposals, read in one pass.
-  std::int64_t top = INT64_MIN;
-  std::int64_t second = INT64_MIN;
-  for (const auto& [machine, v] : slot.proposals) {
-    if (v > top) {
-      second = top;
-      top = v;
-    } else if (v > second) {
-      second = v;
-    }
-  }
-  const std::int64_t spread = slot.proposals.size() > 1 ? top - second : 0;
-  stats_.proposal_spread_ms.push_back(static_cast<double>(spread) / 1e6);
   const std::int64_t margin = median - last_exit_clock_ns_;
-  stats_.median_margin_ms.push_back(static_cast<double>(margin) / 1e6);
   if (margin < 0) {
     // The chosen median already passed on this replica: synchrony violated
     // (Sec. V footnote 4). Deliver as soon as possible and count it.
@@ -483,14 +449,10 @@ void GuestContext::on_proposal(const net::Proposal& p) {
     median = last_exit_clock_ns_;
   }
   slot.delivery = median;
-  machine_->cut(*this);
-  {
-    const auto trace_it = live_traces_.find(p.copy_seq);
-    if (trace_it != live_traces_.end()) {
-      trace_it->second.chosen_delivery_virt_ms =
-          static_cast<double>(median) / 1e6;
-    }
+  if (tap_ != nullptr) {
+    tap_->on_delivery_chosen(p.copy_seq, slot.proposals, median, margin);
   }
+  machine_->cut(*this);
 }
 
 void GuestContext::on_sync_beacon(const net::SyncBeacon& b) {

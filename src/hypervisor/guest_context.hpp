@@ -19,7 +19,9 @@
 //  * output tunneling to the egress node, when the policy tunnels (Sec. VI);
 //  * fastest-replica throttling via virtual-time sync beacons (Sec. VII-A);
 //  * epoch-based clock resynchronization (Sec. IV-A);
-//  * divergence detection (synchrony violations).
+//  * divergence detection (synchrony violations), kept as counters;
+//  * telling an installed DeliveryTap each delivery decision, the only
+//    per-packet record a replica keeps (none when no tap is installed).
 //
 // Every policy-dependent decision is delegated to the MitigationPolicy
 // built from GuestContextConfig::policy (see hypervisor/policy.hpp): under
@@ -82,6 +84,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -96,7 +99,7 @@
 
 namespace stopwatch::hypervisor {
 
-/// The per-replica settings. core::Cloud fills all three fields from the
+/// The per-replica settings. core::Cloud fills both fields from the
 /// CloudConfig fields of the same names.
 struct GuestContextConfig {
   /// Mitigation-policy selection + per-policy knobs (StopWatch's Δn/Δd,
@@ -106,22 +109,9 @@ struct GuestContextConfig {
   /// Replicas per guest VM (3 in the paper; 5 hardens against Sec. IX).
   /// Forced to 1 by non-replicated policies.
   int replica_count{3};
-  /// Keep per-packet protocol traces (first 32 inbound packets).
-  bool record_packet_traces{false};
 };
 
-/// Timeline of one inbound packet through the StopWatch protocol (Fig. 2/3).
-struct PacketTrace {
-  std::uint64_t copy_seq{0};
-  double arrival_real_ms{0.0};
-  /// (machine, proposed delivery in virtual ms), in arrival order.
-  std::vector<std::pair<std::uint32_t, double>> proposals_ms;
-  double chosen_delivery_virt_ms{0.0};
-  double inject_virt_ms{0.0};
-  double inject_real_ms{0.0};
-};
-
-/// Divergence and delivery statistics (per replica).
+/// Divergence and delivery counters (per replica).
 struct GuestContextStats {
   /// Guest-caused VM exits run (quiet ones included).
   std::uint64_t exits{0};
@@ -140,16 +130,34 @@ struct GuestContextStats {
   std::uint64_t throttle_stalls{0};
   Duration total_stall_time{};
   std::uint64_t epoch_rebase_count{0};
+};
+// A guest with no delivery tap keeps counters only: nothing here grows
+// with the run.
+static_assert(std::is_trivially_copyable_v<GuestContextStats>);
 
-  /// Per-packet spread (max - min) of the three proposals, in ms of virtual
-  /// time — the quantity Δn must dominate (Sec. VII-A calibration).
-  std::vector<double> proposal_spread_ms;
-  /// Slack between median determination and the median deadline, ms.
-  std::vector<double> median_margin_ms;
-  /// Slack between physical disk completion and virtual delivery, ms.
-  std::vector<double> disk_margin_ms;
-  /// Protocol traces (when GuestContextConfig::record_packet_traces).
-  std::vector<PacketTrace> packet_traces;
+/// Observer of one replica's device-model decisions, installed with
+/// GuestContext::set_delivery_tap: what a scenario or test reads per
+/// packet or disk completion. It runs on the replica's own core. Times
+/// are on the guest clock (virtual under StopWatch) unless named real.
+class DeliveryTap {
+ public:
+  virtual ~DeliveryTap() = default;
+  /// Inbound packet `copy_seq`'s delivery time was chosen from
+  /// `proposals` (proposed delivery by proposer machine id): `delivery_ns`,
+  /// and `margin_ns`, the combined proposal minus the guest clock before
+  /// a negative margin is clamped to deliver at once.
+  virtual void on_delivery_chosen(
+      std::uint64_t /*copy_seq*/,
+      const std::map<std::uint32_t, std::int64_t>& /*proposals*/,
+      std::int64_t /*delivery_ns*/, std::int64_t /*margin_ns*/) {}
+  /// Packet `copy_seq` was injected at guest clock `clock_ns`, real time
+  /// `real`.
+  virtual void on_net_injected(std::uint64_t /*copy_seq*/,
+                               std::int64_t /*clock_ns*/, RealTime /*real*/) {}
+  /// A disk completion was injected `slack` of real time after its
+  /// physical transfer finished (negative: the deadline beat the
+  /// hardware).
+  virtual void on_disk_injected(Duration /*slack*/) {}
 };
 
 /// A replica's own per-slice random streams: host IPS jitter and vCPU
@@ -188,6 +196,10 @@ class GuestContext final : public LoadSource {
                std::uint64_t det_seed, SliceStreams streams,
                ReplicaServices services);
 
+  /// Out of line: the device models' map destructors are then compiled
+  /// here alone (inlined into the cloud's destructor at -O3 they added
+  /// ~70 KB of text to stopwatch_bench).
+  ~GuestContext() override;
   GuestContext(const GuestContext&) = delete;
   GuestContext& operator=(const GuestContext&) = delete;
 
@@ -228,6 +240,9 @@ class GuestContext final : public LoadSource {
     return stats_;
   }
   [[nodiscard]] const MitigationPolicy& policy() const { return *policy_; }
+  /// Installs (or, with nullptr, removes) the observer of this replica's
+  /// deliveries. The caller keeps it alive while the guest runs.
+  void set_delivery_tap(DeliveryTap* tap) { tap_ = tap; }
   [[nodiscard]] const vm::GuestCounters& guest_counters() const {
     settle();
     return guest_->counters();
@@ -480,7 +495,6 @@ class GuestContext final : public LoadSource {
   std::map<std::uint64_t, NetSlot> net_slots_;  // keyed by ingress copy_seq
   std::uint64_t next_net_inject_seq_{1};
   std::uint64_t baseline_arrival_seq_{1};
-  std::map<std::uint64_t, PacketTrace> live_traces_;
 
   // Disk device model (FIFO: requests complete in order).
   std::deque<DiskSlot> disk_slots_;
@@ -508,6 +522,7 @@ class GuestContext final : public LoadSource {
   double activity_ema_{0.0};
 
   GuestContextStats stats_;
+  DeliveryTap* tap_{nullptr};
 };
 
 [[gnu::always_inline]] inline void GuestContext::plan_slice(

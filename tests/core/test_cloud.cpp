@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,12 +56,31 @@ struct EchoRun {
   std::uint64_t frames_dropped{0};
   std::uint64_t spm_frames{0};
   std::uint64_t nak_frames{0};
-  /// Protocol traces kept by each replica.
-  std::vector<std::size_t> packet_traces;
+  /// Per replica: deliveries its tap was told of, chosen and injected
+  /// (the tap is installed on replica `tapped` only), and its
+  /// net_deliveries counter.
+  std::vector<std::size_t> tapped_chosen;
+  std::vector<std::size_t> tapped_injected;
+  std::vector<std::uint64_t> net_deliveries;
+};
+
+/// Counts the deliveries one replica's tap is told of.
+struct CountingTap final : hypervisor::DeliveryTap {
+  void on_delivery_chosen(std::uint64_t,
+                          const std::map<std::uint32_t, std::int64_t>&,
+                          std::int64_t, std::int64_t) override {
+    ++chosen;
+  }
+  void on_net_injected(std::uint64_t, std::int64_t, RealTime) override {
+    ++injected;
+  }
+  std::size_t chosen{0};
+  std::size_t injected{0};
 };
 
 EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
-                       Duration spacing) {
+                       Duration spacing, int tapped = 0) {
+  std::vector<CountingTap> taps(3);
   Cloud cloud(cfg);
   const VmHandle vm = cloud.add_vm(
       "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
@@ -70,6 +91,8 @@ EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
         run.reply_seqs.push_back(pkt.seq);
       });
   cloud.start();
+  cloud.replica(vm, tapped).set_delivery_tap(
+      &taps[static_cast<std::size_t>(tapped)]);
   for (int i = 0; i < requests; ++i) {
     cloud.simulator().schedule_at(
         RealTime{} + spacing * (i + 1), [&cloud, client, vm, i] {
@@ -92,8 +115,10 @@ EchoRun run_echo_cloud(const CloudConfig& cfg, int requests,
   run.nak_frames =
       net.frames_sent_of_class(net::FramePayload{net::McastNak{}}.index());
   for (int r = 0; r < cloud.replicas_of(vm); ++r) {
-    run.packet_traces.push_back(
-        cloud.replica(vm, r).stats().packet_traces.size());
+    const CountingTap& tap = taps[static_cast<std::size_t>(r)];
+    run.tapped_chosen.push_back(tap.chosen);
+    run.tapped_injected.push_back(tap.injected);
+    run.net_deliveries.push_back(cloud.replica(vm, r).stats().net_deliveries);
   }
   return run;
 }
@@ -429,18 +454,22 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   EXPECT_EQ(ok.machine_count(), 1);
 }
 
-TEST(Cloud, PacketTracesFollowTheCloudKnob) {
-  // Per-replica protocol traces are off unless the cloud asks for them;
-  // with them on, every replica traces its first 32 inbound packets.
-  CloudConfig cfg = stopwatch_config();
-  EXPECT_EQ(run_echo_cloud(cfg, 40, Duration::millis(20)).packet_traces,
-            std::vector<std::size_t>(3, 0));
-  cfg.record_packet_traces = true;
-  const EchoRun on = run_echo_cloud(cfg, 40, Duration::millis(20));
-  ASSERT_EQ(on.packet_traces.size(), 3u);
-  for (const std::size_t n : on.packet_traces) {
-    EXPECT_GE(n, 1u);
-    EXPECT_LE(n, 32u);
+TEST(Cloud, DeliveryTapSeesItsReplicaOnly) {
+  // A tap installed on one replica is told of each of that replica's
+  // deliveries, once when its time is chosen and once when it is
+  // injected; the replicas with no tap record nothing.
+  const EchoRun run =
+      run_echo_cloud(stopwatch_config(), 40, Duration::millis(20), 1);
+  ASSERT_EQ(run.net_deliveries.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    if (r == 1) {
+      EXPECT_GE(run.tapped_injected[r], 1u);
+      EXPECT_EQ(run.tapped_injected[r], run.net_deliveries[r]);
+      EXPECT_EQ(run.tapped_chosen[r], run.net_deliveries[r]);
+    } else {
+      EXPECT_EQ(run.tapped_chosen[r], 0u) << "replica " << r;
+      EXPECT_EQ(run.tapped_injected[r], 0u) << "replica " << r;
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -74,10 +76,43 @@ struct Host {
   }
 };
 
-/// One guest on the host: its program, its context and what it sent.
+/// Everything a replica's delivery tap is told.
+struct RecordingTap final : DeliveryTap {
+  struct Chosen {
+    std::uint64_t copy_seq;
+    std::map<std::uint32_t, std::int64_t> proposals;
+    std::int64_t delivery_ns;
+    std::int64_t margin_ns;
+  };
+  struct Injected {
+    std::uint64_t copy_seq;
+    std::int64_t clock_ns;
+    RealTime real;
+  };
+  void on_delivery_chosen(
+      std::uint64_t copy_seq,
+      const std::map<std::uint32_t, std::int64_t>& proposals,
+      std::int64_t delivery_ns, std::int64_t margin_ns) override {
+    chosen.push_back({copy_seq, proposals, delivery_ns, margin_ns});
+  }
+  void on_net_injected(std::uint64_t copy_seq, std::int64_t clock_ns,
+                       RealTime real) override {
+    injected.push_back({copy_seq, clock_ns, real});
+  }
+  void on_disk_injected(Duration slack) override {
+    disk_slack.push_back(slack);
+  }
+  std::vector<Chosen> chosen;
+  std::vector<Injected> injected;
+  std::vector<Duration> disk_slack;
+};
+
+/// One guest on the host: its program, its context (with a delivery tap
+/// installed) and what it sent.
 struct Rig {
   VmId vm;
   RecorderProgram* program{nullptr};
+  RecordingTap tap;
   std::unique_ptr<GuestContext> ctx;
   std::vector<net::Proposal> own_proposals;
   std::vector<net::EpochReport> own_reports;
@@ -113,6 +148,7 @@ struct Rig {
                                          std::move(prog), 777,
                                          SliceStreams::derive(5, vm.value, 0),
                                          svc);
+    ctx->set_delivery_tap(&tap);
   }
 
   void start() { ctx->start(VirtTime{}); }
@@ -437,10 +473,8 @@ TEST(GuestContext, EpochReportsEmittedAndClockRebased) {
   EXPECT_NEAR(static_cast<double>(h.ctx->virt_now().ns), 80e6, 2e6);
 }
 
-TEST(GuestContext, PacketTracesRecordProtocolTimeline) {
-  GuestContextConfig cfg = stopwatch_cfg();
-  cfg.record_packet_traces = true;
-  Harness h(cfg);
+TEST(GuestContext, DeliveryTapSeesProtocolTimeline) {
+  Harness h(stopwatch_cfg());
   h.start();
   h.sim.run_until(RealTime::millis(5));
   h.feed_ingress(1, 9);
@@ -448,13 +482,20 @@ TEST(GuestContext, PacketTracesRecordProtocolTimeline) {
   h.feed_peer_proposal(1, 17'000'000, 1);
   h.feed_peer_proposal(1, 19'000'000, 2);
   h.sim.run_until(RealTime::millis(30));
-  ASSERT_EQ(h.ctx->stats().packet_traces.size(), 1u);
-  const auto& tr = h.ctx->stats().packet_traces[0];
-  EXPECT_EQ(tr.copy_seq, 1u);
-  EXPECT_NEAR(tr.arrival_real_ms, 5.0, 0.1);
-  EXPECT_EQ(tr.proposals_ms.size(), 3u);
-  EXPECT_NEAR(tr.chosen_delivery_virt_ms, 17.0, 0.1);  // median of 15/17/19
-  EXPECT_GE(tr.inject_virt_ms, tr.chosen_delivery_virt_ms);
+  // A late duplicate changes nothing: the packet was delivered.
+  h.feed_peer_proposal(1, 19'000'000, 2);
+  ASSERT_EQ(h.tap.chosen.size(), 1u);
+  const RecordingTap::Chosen& chosen = h.tap.chosen[0];
+  EXPECT_EQ(chosen.copy_seq, 1u);
+  EXPECT_EQ(chosen.proposals.size(), 3u);
+  EXPECT_NEAR(static_cast<double>(chosen.delivery_ns), 17e6, 1e5);  // median
+  ASSERT_EQ(h.tap.injected.size(), 1u);
+  EXPECT_EQ(h.tap.injected[0].copy_seq, 1u);
+  EXPECT_GE(h.tap.injected[0].clock_ns, chosen.delivery_ns);
+  // The guest clock tracks real time on this machine.
+  EXPECT_NEAR(static_cast<double>(h.tap.injected[0].real.ns),
+              static_cast<double>(h.tap.injected[0].clock_ns), 2e5);
+  EXPECT_EQ(h.ctx->stats().net_deliveries, 1u);
 }
 
 // --- Spans: exactness against one event per exit ---
@@ -494,9 +535,16 @@ Snapshot snapshot(const Rig& r) {
   s.rebases = st.epoch_rebase_count;
   s.stall_ns = st.total_stall_time.ns;
   s.activity = r.ctx->activity();
-  s.spread_ms = st.proposal_spread_ms;
-  s.margin_ms = st.median_margin_ms;
-  s.disk_margin_ms = st.disk_margin_ms;
+  for (const RecordingTap::Chosen& c : r.tap.chosen) {
+    const auto [lo, hi] = std::minmax_element(
+        c.proposals.begin(), c.proposals.end(),
+        [](const auto& x, const auto& y) { return x.second < y.second; });
+    s.spread_ms.push_back(static_cast<double>(hi->second - lo->second) / 1e6);
+    s.margin_ms.push_back(static_cast<double>(c.margin_ns) / 1e6);
+  }
+  for (const Duration slack : r.tap.disk_slack) {
+    s.disk_margin_ms.push_back(static_cast<double>(slack.ns) / 1e6);
+  }
   s.outputs = r.ctx->output_signature();
   s.tick_virt_ns = r.program->tick_virt_ns;
   s.packet_virt_ns = r.program->packet_virt_ns;
