@@ -6,11 +6,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "core/cloud.hpp"
+#include "experiment/points.hpp"
 #include "experiment/scenario.hpp"
 #include "hypervisor/guest_context.hpp"
 #include "hypervisor/policy.hpp"
@@ -213,6 +215,23 @@ inline TimingScenarioResult run_timing_scenario(
                cloud.simulator().now().to_seconds());
   result.deterministic = cloud.replicas_deterministic(attacker);
   return result;
+}
+
+/// Runs each of `configs` through run_timing_scenario as one sweep of
+/// independent points (experiment::for_each_point, under the scenario's
+/// thread budget) and returns reduce(result) of each, in config order.
+/// `reduce` keeps only what the caller reads, so a point's per-packet
+/// vectors are freed with its cloud instead of piling up across the sweep.
+template <typename Reduce>
+auto run_timing_sweep(const experiment::ScenarioContext& ctx,
+                      const std::vector<TimingScenarioConfig>& configs,
+                      const Reduce& reduce) {
+  std::vector<std::invoke_result_t<const Reduce&, TimingScenarioResult&&>>
+      out(configs.size());
+  experiment::for_each_point(ctx, configs.size(), [&](std::size_t i) {
+    out[i] = reduce(run_timing_scenario(configs[i]));
+  });
+  return out;
 }
 
 /// One run of the secret-file-size egress channel.

@@ -7,6 +7,8 @@
 // (StopWatch), min, max, and leader-dictates (with the leader chosen
 // adversarially as the victim-coresident machine).
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "experiment/registry.hpp"
@@ -17,36 +19,6 @@ namespace {
 using experiment::ParamSpec;
 using experiment::Result;
 using experiment::ScenarioContext;
-
-struct Outcome {
-  long obs99{0};
-  double mean_wait_ms{0};
-};
-
-Outcome evaluate(hypervisor::AggregationRule rule, const ScenarioContext& ctx) {
-  TimingScenarioConfig base;
-  base.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
-  base.seed = ctx.seed() ^ 61;
-  base.aggregation = rule;
-  // Adversarial leader: the machine shared with the victim (index r-1).
-  base.leader_machine = static_cast<std::uint32_t>(base.replica_count - 1);
-
-  TimingScenarioConfig clean = base;
-  clean.victim_present = false;
-  TimingScenarioConfig vic = base;
-  vic.victim_present = true;
-
-  const auto r_clean = run_timing_scenario(clean);
-  const auto r_vic = run_timing_scenario(vic);
-  Outcome out;
-  out.obs99 = make_detector(r_clean.inter_arrival_ms, r_vic.inter_arrival_ms,
-                            ctx.param_choice("binning"))
-                  .observations_needed(0.99);
-  out.mean_wait_ms = r_clean.median_margin_ms.empty()
-                         ? 0.0
-                         : stats::summarize(r_clean.median_margin_ms).mean;
-  return out;
-}
 
 Result run(const ScenarioContext& ctx) {
   Result result("ablation_aggregation");
@@ -61,18 +33,50 @@ Result run(const ScenarioContext& ctx) {
   };
   // "all" sweeps every rule and adds the cross-rule shape check; naming a
   // single rule evaluates just that aggregation (the CLI-exposed axis).
+  // Each evaluated rule runs a victim-free cloud, then one with the
+  // victim: one sweep of independent points.
   const std::string& selected = ctx.param_choice("aggregation");
-  long median_obs99 = 0;
+  std::vector<std::string> names;
+  std::vector<TimingScenarioConfig> configs;
   for (const auto& [name, rule] : rules) {
     if (selected != "all" && selected != name) continue;
-    const Outcome out = evaluate(rule, ctx);
-    if (rule == hypervisor::AggregationRule::kMedian) {
-      median_obs99 = out.obs99;
+    names.emplace_back(name);
+    TimingScenarioConfig tc;
+    tc.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
+    tc.seed = ctx.seed() ^ 61;
+    tc.aggregation = rule;
+    // Adversarial leader: the machine shared with the victim (index r-1).
+    tc.leader_machine = static_cast<std::uint32_t>(tc.replica_count - 1);
+    for (const bool victim : {false, true}) {
+      tc.victim_present = victim;
+      configs.push_back(tc);
     }
-    result.add_metric(std::string(name) + "_obs99",
-                      static_cast<double>(out.obs99), "observations");
-    result.add_metric(std::string(name) + "_mean_slack", out.mean_wait_ms,
-                      "ms");
+  }
+  struct Run {
+    std::vector<double> inter_arrival_ms;
+    double mean_slack_ms{0};
+  };
+  const std::vector<Run> runs =
+      run_timing_sweep(ctx, configs, [](TimingScenarioResult r) {
+        const double mean_slack_ms =
+            r.median_margin_ms.empty()
+                ? 0.0
+                : stats::summarize(r.median_margin_ms).mean;
+        return Run{std::move(r.inter_arrival_ms), mean_slack_ms};
+      });
+
+  long median_obs99 = 0;
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    const Run& clean = runs[2 * k];
+    const Run& victim = runs[2 * k + 1];
+    const long obs99 = make_detector(clean.inter_arrival_ms,
+                                     victim.inter_arrival_ms,
+                                     ctx.param_choice("binning"))
+                           .observations_needed(0.99);
+    if (names[k] == "median") median_obs99 = obs99;
+    result.add_metric(names[k] + "_obs99", static_cast<double>(obs99),
+                      "observations");
+    result.add_metric(names[k] + "_mean_slack", clean.mean_slack_ms, "ms");
   }
   if (selected == "all") {
     result.add_metric("median_obs99_is_max",

@@ -7,8 +7,10 @@
 // with a clamped slope. Smaller epochs track real time better — but tighter
 // coupling to real time risks re-opening the timing channel; "virt should
 // be adjusted ... only with large I values".
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -28,59 +30,74 @@ struct Outcome {
   std::uint64_t victim_divergences{0};
 };
 
-Outcome evaluate(bool resync, std::uint64_t epoch_instr,
-                 const ScenarioContext& ctx) {
-  TimingScenarioConfig base;
-  base.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
-  base.seed = ctx.seed() ^ 51;
-  base.epoch_resync = resync;
-  base.epoch_instr = epoch_instr;
-  // The machines run 6% faster than the initial slope assumes, so the
-  // uncorrected virtual clock drifts ahead of real time.
-  base.base_ips = 1.06e9;
-  base.slope_min = 0.80;
-  base.slope_max = 1.20;
-
-  TimingScenarioConfig clean = base;
-  clean.victim_present = false;
-  TimingScenarioConfig vic = base;
-  vic.victim_present = true;
-
-  const auto r_clean = run_timing_scenario(clean);
-  const auto r_vic = run_timing_scenario(vic);
-  Outcome out;
-  out.drift_s = r_clean.clock_drift_s;
-  out.obs99 = make_detector(r_clean.inter_arrival_ms, r_vic.inter_arrival_ms,
-                            ctx.param_choice("binning"))
-                  .observations_needed(0.99);
-  out.clean_divergences = r_clean.divergences;
-  out.victim_divergences = r_vic.divergences;
-  return out;
-}
-
 Result run(const ScenarioContext& ctx) {
   Result result("ablation_epoch_resync");
 
-  const Outcome off = evaluate(false, 0, ctx);
+  const std::vector<std::uint64_t> epochs =
+      ctx.smoke() ? std::vector<std::uint64_t>{400'000'000}
+                  : std::vector<std::uint64_t>{100'000'000, 400'000'000,
+                                               1'600'000'000};
+  // Resync disabled (epoch 0), then enabled at each epoch length; each
+  // setting runs a victim-free cloud, then one with the victim: one sweep
+  // of independent points.
+  std::vector<std::uint64_t> settings = {0};
+  settings.insert(settings.end(), epochs.begin(), epochs.end());
+  std::vector<TimingScenarioConfig> configs;
+  for (const std::uint64_t epoch_instr : settings) {
+    TimingScenarioConfig tc;
+    tc.run_time = Duration::from_seconds_f(ctx.param("run_time_s"));
+    tc.seed = ctx.seed() ^ 51;
+    tc.epoch_resync = epoch_instr != 0;
+    tc.epoch_instr = epoch_instr;
+    // The machines run 6% faster than the initial slope assumes, so the
+    // uncorrected virtual clock drifts ahead of real time.
+    tc.base_ips = 1.06e9;
+    tc.slope_min = 0.80;
+    tc.slope_max = 1.20;
+    for (const bool victim : {false, true}) {
+      tc.victim_present = victim;
+      configs.push_back(tc);
+    }
+  }
+  struct Run {
+    std::vector<double> inter_arrival_ms;
+    double drift_s{0};
+    std::uint64_t divergences{0};
+  };
+  const std::vector<Run> runs =
+      run_timing_sweep(ctx, configs, [](TimingScenarioResult r) {
+        return Run{std::move(r.inter_arrival_ms), r.clock_drift_s,
+                   r.divergences};
+      });
+  const auto outcome = [&](std::size_t k) {
+    const Run& clean = runs[2 * k];
+    const Run& victim = runs[2 * k + 1];
+    Outcome out;
+    out.drift_s = clean.drift_s;
+    out.obs99 = make_detector(clean.inter_arrival_ms, victim.inter_arrival_ms,
+                              ctx.param_choice("binning"))
+                    .observations_needed(0.99);
+    out.clean_divergences = clean.divergences;
+    out.victim_divergences = victim.divergences;
+    return out;
+  };
+
+  const Outcome off = outcome(0);
   result.add_metric("disabled_drift", off.drift_s, "s");
   result.add_metric("disabled_obs99", static_cast<double>(off.obs99),
                     "observations");
   result.add_metric("disabled_clean_divergences",
                     static_cast<double>(off.clean_divergences), "events");
 
-  const std::vector<std::uint64_t> epochs =
-      ctx.smoke() ? std::vector<std::uint64_t>{400'000'000}
-                  : std::vector<std::uint64_t>{100'000'000, 400'000'000,
-                                               1'600'000'000};
   std::vector<double> epoch_minstr;
   std::vector<double> drift_s;
   std::vector<double> obs99;
   std::vector<double> clean_div;
   std::vector<double> victim_div;
   double max_resync_drift = 0.0;
-  for (const std::uint64_t epoch : epochs) {
-    const Outcome on = evaluate(true, epoch, ctx);
-    epoch_minstr.push_back(static_cast<double>(epoch / 1'000'000));
+  for (std::size_t k = 0; k < epochs.size(); ++k) {
+    const Outcome on = outcome(k + 1);
+    epoch_minstr.push_back(static_cast<double>(epochs[k] / 1'000'000));
     drift_s.push_back(on.drift_s);
     obs99.push_back(static_cast<double>(on.obs99));
     clean_div.push_back(static_cast<double>(on.clean_divergences));

@@ -5,7 +5,7 @@
 // median — the surviving proposals then reflect the victim-coresident
 // replica. The paper's countermeasure: more replicas (3 -> 5) force the
 // attacker to marginalize several machines at once.
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -17,19 +17,6 @@ namespace {
 using experiment::ParamSpec;
 using experiment::Result;
 using experiment::ScenarioContext;
-
-long detect_at_99(const TimingScenarioConfig& base,
-                  const std::string& binning) {
-  TimingScenarioConfig clean = base;
-  clean.victim_present = false;
-  TimingScenarioConfig vic = base;
-  vic.victim_present = true;
-  const auto r_clean = run_timing_scenario(clean);
-  const auto r_vic = run_timing_scenario(vic);
-  return make_detector(r_clean.inter_arrival_ms, r_vic.inter_arrival_ms,
-                       binning)
-      .observations_needed(0.99);
-}
 
 struct Row {
   int replicas;
@@ -43,14 +30,14 @@ Result run(const ScenarioContext& ctx) {
                                      {5, 1}, {5, 2}, {5, 3}};
 
   Result result("collab_attackers");
-  std::vector<double> replicas;
-  std::vector<double> marginalized;
-  std::vector<double> obs99;
   // The marginalization attack targets replica agreement, but the sweep
   // runs under any backend (--param policy=...): non-replicated ones show
   // a flat curve, the control the countermeasure rows compare against.
+  // Each row runs a victim-free cloud, then one with the victim: one sweep
+  // of independent points.
   const hypervisor::PolicyKind policy =
       hypervisor::policy_kind_from_choice(ctx.param_choice("policy"));
+  std::vector<TimingScenarioConfig> configs;
   for (const Row& row : rows) {
     TimingScenarioConfig tc;
     tc.policy = policy;
@@ -59,10 +46,25 @@ Result run(const ScenarioContext& ctx) {
     tc.seed = ctx.seed() ^ 91;
     tc.marginalize_machines = row.marginalized;
     tc.marginalize_load = ctx.param("marginalize_load");
-    replicas.push_back(row.replicas);
-    marginalized.push_back(row.marginalized);
-    obs99.push_back(
-        static_cast<double>(detect_at_99(tc, ctx.param_choice("binning"))));
+    for (const bool victim : {false, true}) {
+      tc.victim_present = victim;
+      configs.push_back(tc);
+    }
+  }
+  const std::vector<std::vector<double>> inter_arrival_ms = run_timing_sweep(
+      ctx, configs,
+      [](TimingScenarioResult r) { return std::move(r.inter_arrival_ms); });
+
+  std::vector<double> replicas;
+  std::vector<double> marginalized;
+  std::vector<double> obs99;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    replicas.push_back(rows[k].replicas);
+    marginalized.push_back(rows[k].marginalized);
+    obs99.push_back(static_cast<double>(
+        make_detector(inter_arrival_ms[2 * k], inter_arrival_ms[2 * k + 1],
+                      ctx.param_choice("binning"))
+            .observations_needed(0.99)));
   }
   result.add_series("replicas", "VMs", replicas);
   result.add_series("marginalized_hosts", "machines", marginalized);

@@ -33,6 +33,7 @@
 #include "core/cloud.hpp"
 #include "experiment/registry.hpp"
 #include "obs/profiler.hpp"
+#include "obs/timeseries.hpp"
 #include "placement/placement.hpp"
 
 namespace stopwatch::bench {
@@ -155,7 +156,11 @@ Result run(const ScenarioContext& ctx) {
   cfg.replica_count = 3;
   cfg.machine_count = n;
 
+  // Sim-time rollups of egress release latency, for the `timeseries`
+  // block: 64 windows, 50 ms wide until a long horizon coarsens them.
+  obs::TimeSeries egress_latency(50 * 1000 * 1000, 64);
   core::Cloud cloud(cfg);
+  cloud.set_egress_latency_series(&egress_latency);
   std::vector<core::VmHandle> vms;
   {
     OBS_PROF_SCOPE("scenario.setup");
@@ -297,9 +302,8 @@ Result run(const ScenarioContext& ctx) {
       "25% relative error.");
   // Sim-time rollups (egress release latency) participate in cross-shard
   // byte-identity; they go in the `timeseries` block, not observability.
-  for (auto& [series_name, series] : cloud.timeseries()) {
-    result.add_timeseries(series_name, std::move(series));
-  }
+  result.add_timeseries("egress.release_latency_ns",
+                        egress_latency.snapshot());
   // Kernel/fabric/policy counters for the `observability` block. Several
   // of them (barrier counts, placement of events in the wheel) legitimately
   // depend on sim_shards; cross-shard-count comparisons strip the block.

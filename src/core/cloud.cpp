@@ -726,11 +726,13 @@ void Cloud::on_egress_frame(const net::Frame& frame) {
     // Sample at gating time for both the inline and the held path: the
     // release instant is already decided here, so the rollup stays a pure
     // function of sim time (byte-identical across shard counts).
-    const std::int64_t released_at =
-        egress_core_->now().ns + std::max<std::int64_t>(hold.ns, 0);
-    egress_series_.record(
-        released_at,
-        static_cast<std::uint64_t>(released_at - slot.first_copy_ns));
+    if (egress_series_ != nullptr) {
+      const std::int64_t released_at =
+          egress_core_->now().ns + std::max<std::int64_t>(hold.ns, 0);
+      egress_series_->record(
+          released_at,
+          static_cast<std::uint64_t>(released_at - slot.first_copy_ns));
+    }
     if (hold.ns <= 0) {
       release(out->vm.value, out->pkt);
     } else {

@@ -202,6 +202,16 @@ class Cloud {
     return static_cast<bool>(egress_tap_);
   }
 
+  /// Installs (or, with nullptr, removes) the egress release-latency
+  /// recorder: one sample per release, the span from the first replica
+  /// copy's arrival at the gate to the policy's release instant, keyed by
+  /// the release time. Written only from the egress core, and a pure
+  /// function of sim time, so the series is byte-identical across
+  /// sim_shards and --jobs. With none installed nothing is recorded.
+  void set_egress_latency_series(obs::TimeSeries* series) {
+    egress_series_ = series;
+  }
+
   // --- Introspection ---
 
   /// The driver core — the core owning every external node and the egress
@@ -251,16 +261,6 @@ class Cloud {
   /// merge-batch histograms. Intended for a Result's `observability`
   /// block — call once after run_for.
   [[nodiscard]] obs::Snapshot observability();
-
-  /// Sim-time rollup series owned by the cloud, named for a Result's
-  /// `timeseries` block. Currently one series: `egress.release_latency_ns`,
-  /// fed one sample per egress release (first replica copy -> policy
-  /// release instant). Values are pure functions of sim time, so the
-  /// snapshots are byte-identical across sim_shards and --jobs.
-  [[nodiscard]] std::vector<std::pair<std::string, obs::TimeSeriesSnapshot>>
-  timeseries() const {
-    return {{"egress.release_latency_ns", egress_series_.snapshot()}};
-  }
 
  private:
   /// Replica determinism (Sec. VI), checked as the replicas emit: each
@@ -379,13 +379,9 @@ class Cloud {
   /// Egress-gate track (pid 0/tid 0): replica copies, holds, releases.
   /// Written only from the egress node's owner core (the egress shard).
   obs::TraceTrack* egress_track_{nullptr};
-  /// Egress release-latency rollups: one sample per release, the span
-  /// from the first replica copy's arrival at the gate to the policy's
-  /// release instant, keyed by the release time. Written only from the
-  /// egress core, like egress_track_, so the series is byte-identical
-  /// across shard counts. 64-window budget; the 50 ms initial width
-  /// doubles as long horizons coarsen it.
-  obs::TimeSeries egress_series_{50 * 1000 * 1000, 64};
+  /// See set_egress_latency_series; written only from the egress core,
+  /// like egress_track_.
+  obs::TimeSeries* egress_series_{nullptr};
   EgressTap egress_tap_;
   std::vector<VmEntry> vms_;
   /// One per add_vm call or add_vms batch; VmEntry::factory indexes it.

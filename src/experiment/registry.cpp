@@ -32,11 +32,12 @@ std::vector<const Scenario*> ScenarioRegistry::list() const {
 }
 
 Result ScenarioRegistry::run(const std::string& name, std::uint64_t seed,
-                             bool smoke, ParamOverrides overrides) const {
+                             bool smoke, ParamOverrides overrides,
+                             ThreadBudget* budget) const {
   const Scenario* scenario = find(name);
   SW_EXPECTS(scenario != nullptr);
   const ScenarioContext ctx(derive_scenario_seed(seed, name), smoke,
-                            std::move(overrides), scenario->params);
+                            std::move(overrides), scenario->params, budget);
   Result result = scenario->run(ctx);
   SW_ENSURES(result.scenario() == scenario->name);
   result.set_context(seed, smoke, ctx.resolved());

@@ -35,8 +35,10 @@ class ScenarioRegistry {
   /// scenario's output depends only on (seed, name, params) — never on
   /// which other scenarios ran, or on what thread ran it. The Result is
   /// stamped with the invocation `seed`, the value a user re-runs with.
+  /// The scenario's sweeps draw helper threads from `budget` (null: none).
   [[nodiscard]] Result run(const std::string& name, std::uint64_t seed,
-                           bool smoke, ParamOverrides overrides = {}) const;
+                           bool smoke, ParamOverrides overrides = {},
+                           ThreadBudget* budget = nullptr) const;
 
  private:
   std::map<std::string, Scenario> scenarios_;

@@ -1,10 +1,8 @@
 #include "experiment/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -13,6 +11,7 @@
 #include <string_view>
 #include <thread>
 
+#include "experiment/points.hpp"
 #include "experiment/registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -29,16 +28,19 @@ constexpr std::string_view kUsage =
     "  --smoke              short deterministic runs (implies --all unless\n"
     "                       --scenario is given)\n"
     "  --seed <n>           base RNG seed (default 1)\n"
-    "  --jobs <n>           run scenarios on <n> worker threads (default 1;\n"
-    "                       0 = one per hardware thread); results stay in\n"
-    "                       deterministic registry order\n"
+    "  --jobs <n>           threads for scenarios and the points of their\n"
+    "                       sweeps (default 0 = one per hardware thread;\n"
+    "                       1 = sequential); results stay byte-identical,\n"
+    "                       in registry order; peak memory grows with the\n"
+    "                       points in flight (at most 3 per sweep)\n"
     "  --param <k=v>        override a scenario parameter (applies to each\n"
     "                       selected scenario that declares <k>)\n"
     "  --json <path>        write results as JSON to <path>\n"
     "  --trace <path>       record a sim-time trace as Chrome/Perfetto\n"
-    "                       trace-event JSON; multi-scenario selections\n"
-    "                       require --jobs 1 and write one file per\n"
-    "                       scenario (<stem>.<scenario>.<ext>)\n"
+    "                       trace-event JSON; sweep points run in turn;\n"
+    "                       multi-scenario selections run at --jobs 1\n"
+    "                       and write one file per scenario\n"
+    "                       (<stem>.<scenario>.<ext>)\n"
     "  --trace-parallel     include shard-machinery tracks (barrier windows,\n"
     "                       per-core kernel counters) in the trace; these\n"
     "                       vary with sim_shards, unlike the default export\n"
@@ -113,7 +115,8 @@ void print_observability(const Result& result) {
 /// translating every escape (contract violations, scenario bugs, non-std
 /// exceptions) into a captured per-scenario error so siblings keep running.
 void run_one_scenario(const Scenario& scenario, const ParamOverrides& overrides,
-                      std::uint64_t seed, bool smoke, ScenarioOutcome& out) {
+                      std::uint64_t seed, bool smoke, ThreadBudget& budget,
+                      ScenarioOutcome& out) {
   out.name = scenario.name;
   ParamOverrides scenario_overrides;
   for (const auto& [param, value] : overrides) {
@@ -125,7 +128,7 @@ void run_one_scenario(const Scenario& scenario, const ParamOverrides& overrides,
   const auto t0 = std::chrono::steady_clock::now();
   try {
     out.result = ScenarioRegistry::instance().run(
-        scenario.name, seed, smoke, std::move(scenario_overrides));
+        scenario.name, seed, smoke, std::move(scenario_overrides), &budget);
     out.ok = true;
   } catch (const std::exception& e) {
     out.error = e.what();
@@ -147,6 +150,13 @@ std::size_t recommended_jobs(std::uint64_t requested) {
 
 }  // namespace
 
+std::uint64_t effective_jobs(const RunnerOptions& options,
+                             std::size_t scenario_count) {
+  const bool side_outputs =
+      !options.trace_path.empty() || !options.profile_path.empty();
+  return options.jobs.value_or(side_outputs && scenario_count > 1 ? 1 : 0);
+}
+
 std::string per_scenario_path(const std::string& path,
                               const std::string& scenario) {
   const std::size_t slash = path.find_last_of('/');
@@ -163,48 +173,26 @@ std::vector<ScenarioOutcome> run_scenarios(
     const ParamOverrides& overrides, std::uint64_t seed, bool smoke,
     std::uint64_t jobs, const OutcomeCallback& on_complete) {
   std::vector<ScenarioOutcome> outcomes(selected.size());
-  const std::size_t workers = std::min<std::size_t>(
-      recommended_jobs(jobs), std::max<std::size_t>(1, selected.size()));
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      run_one_scenario(*selected[i], overrides, seed, smoke, outcomes[i]);
-      if (on_complete) on_complete(outcomes[i], i);
-    }
-    return outcomes;
-  }
-
-  // Workers claim selection indices in order from a shared counter; each
-  // writes only its own outcome slot. jthread joins on scope exit, also
-  // when a callback throws.
-  std::mutex mutex;
-  std::condition_variable completed;
-  std::vector<char> done(selected.size(), 0);
-  std::atomic<std::size_t> next{0};
-  std::vector<std::jthread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      for (std::size_t i = next++; i < selected.size(); i = next++) {
-        run_one_scenario(*selected[i], overrides, seed, smoke, outcomes[i]);
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          done[i] = 1;
-        }
-        completed.notify_all();
-      }
-    });
-  }
+  const std::size_t threads = recommended_jobs(jobs);
+  ThreadBudget budget(threads);
   // Publish outcomes progressively but strictly in selection order: the
-  // callback (and therefore stdout and the JSON report) never observes
-  // completion order, which is what keeps --jobs N byte-identical to
-  // --jobs 1.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    std::unique_lock<std::mutex> lock(mutex);
-    completed.wait(lock, [&] { return done[i] != 0; });
-    lock.unlock();
-    if (on_complete) on_complete(outcomes[i], i);
-  }
+  // thread that finishes the next unpublished scenario publishes it and
+  // every finished one after it, under the lock. The callback (and
+  // therefore stdout and the JSON report) never observes completion order,
+  // which is what keeps --jobs N byte-identical to --jobs 1.
+  std::mutex publish_mutex;
+  std::vector<char> done(selected.size(), 0);
+  std::size_t published = 0;
+  for_each_point(&budget, selected.size(), threads, [&](std::size_t i) {
+    run_one_scenario(*selected[i], overrides, seed, smoke, budget,
+                     outcomes[i]);
+    const std::lock_guard<std::mutex> lock(publish_mutex);
+    done[i] = 1;
+    for (; published < selected.size() && done[published] != 0;
+         ++published) {
+      if (on_complete) on_complete(outcomes[published], published);
+    }
+  });
   return outcomes;
 }
 
@@ -247,12 +235,14 @@ bool parse_runner_options(int argc, const char* const* argv,
       if (!next_value(arg, v)) return false;
       // parse_u64 rejects signs, so `--jobs -1` fails here rather than
       // wrapping to a huge thread count via an atoi-style fallback.
-      if (!parse_u64(v, options.jobs)) {
+      std::uint64_t jobs = 0;
+      if (!parse_u64(v, jobs)) {
         error = "--jobs expects a non-negative integer (0 = one per "
                 "hardware thread), got '" +
                 std::string(v) + "'";
         return false;
       }
+      options.jobs = jobs;
     } else if (arg == "--json") {
       std::string_view v;
       if (!next_value(arg, v)) return false;
@@ -381,12 +371,15 @@ int run_cli(int argc, const char* const* argv) {
   // scenario's cloud (respectively the instrumented phases) capture
   // directly, so concurrent scenarios would interleave into one recording.
   // Sequential multi-scenario runs compose instead: export + reset between
-  // scenarios, one suffixed file each. Anything else is a named error —
-  // never a silent drop.
+  // scenarios, one suffixed file each. That is what they get without
+  // --jobs; an explicit other value is a named error — never a silent
+  // drop. (A sweep's points within one scenario need no such care: the
+  // profiler keeps per-thread slots, and points run in turn under a
+  // trace.)
   const bool tracing = !options.trace_path.empty();
   const bool profiling = !options.profile_path.empty();
   const bool multi = selected.size() > 1;
-  if ((tracing || profiling) && multi && options.jobs != 1) {
+  if ((tracing || profiling) && multi && options.jobs.value_or(1) != 1) {
     std::fprintf(stderr,
                  "error: --trace/--profile with %zu scenarios requires "
                  "--jobs 1 (sequential runs write per-scenario files "
@@ -463,7 +456,7 @@ int run_cli(int argc, const char* const* argv) {
   };
   const std::vector<ScenarioOutcome> outcomes =
       run_scenarios(selected, overrides, options.seed, options.smoke,
-                    options.jobs, print_outcome);
+                    effective_jobs(options, selected.size()), print_outcome);
 
   std::vector<Result> results;
   results.reserve(outcomes.size());

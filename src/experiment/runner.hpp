@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,9 +23,10 @@ struct RunnerOptions {
   bool run_all{false};
   bool quiet{false};
   std::uint64_t seed{1};
-  /// Worker threads for scenario execution: 1 = sequential (default),
-  /// 0 = one per hardware thread.
-  std::uint64_t jobs{1};
+  /// Threads for scenarios and their sweep points: 1 = sequential, 0 =
+  /// one per hardware thread. Unset means 0, except that a multi-scenario
+  /// --trace/--profile session runs at 1.
+  std::optional<std::uint64_t> jobs;
   std::vector<std::string> scenarios;
   /// Raw --param key=value pairs in command-line order; values stay text
   /// until each scenario's schema says whether they are numbers or enum
@@ -32,12 +34,13 @@ struct RunnerOptions {
   std::vector<std::pair<std::string, std::string>> param_overrides;
   std::string json_path;
   /// Chrome/Perfetto trace-event JSON output path. The trace session is
-  /// process-wide, so multi-scenario selections require --jobs 1 and emit
-  /// one suffixed file per scenario (<stem>.<scenario>.<ext>).
+  /// process-wide, so multi-scenario selections run at --jobs 1 (another
+  /// explicit value is refused) and emit one suffixed file per scenario
+  /// (<stem>.<scenario>.<ext>).
   std::string trace_path;
   /// Self-profile output path (wall-clock phase attribution + RSS, JSON;
   /// collapsed stacks land at <path>.stacks). Same composition rule as
-  /// --trace: multi-scenario selections require --jobs 1 and write
+  /// --trace: multi-scenario selections run at --jobs 1 and write
   /// per-scenario suffixed files.
   std::string profile_path;
   /// Include shard-execution-machinery tracks (barrier windows, per-core
@@ -54,6 +57,12 @@ struct RunnerOptions {
 [[nodiscard]] bool parse_runner_options(int argc, const char* const* argv,
                                         RunnerOptions& options,
                                         std::string& error);
+
+/// The --jobs value a run of `scenario_count` scenarios uses: the one
+/// given, else 0 (one thread per hardware thread) — except that a
+/// multi-scenario --trace/--profile session runs at 1, as it must.
+[[nodiscard]] std::uint64_t effective_jobs(const RunnerOptions& options,
+                                           std::size_t scenario_count);
 
 /// The per-scenario output file a multi-scenario --trace/--profile run
 /// writes: ".<scenario>" inserted before the path's final extension
@@ -73,18 +82,20 @@ struct ScenarioOutcome {
   double elapsed_s{0.0};
 };
 
-/// Invoked once per scenario, in selection order, from the calling thread.
+/// Invoked once per scenario, in selection order; calls never overlap, but
+/// they may come from any of the run's threads.
 using OutcomeCallback =
     std::function<void(const ScenarioOutcome&, std::size_t index)>;
 
-/// Executes `selected` on `jobs` worker threads (1 = in the calling thread,
-/// 0 = one per hardware thread), each claiming the next unclaimed index in
-/// selection order. Each scenario runs in per-task isolation: its own
-/// derived RNG stream (see derive_scenario_seed), its own Result sink, and
-/// its own exception capture. `overrides` is filtered per scenario to the
-/// parameters it declares. Outcomes are returned — and `on_complete` fires —
-/// in selection order regardless of completion order, so reports are
-/// byte-identical across --jobs values.
+/// Executes `selected` under a budget of `jobs` threads (1 = all in the
+/// calling thread, 0 = one per hardware thread) through for_each_point:
+/// scenarios claim threads first, and a scenario's sweep points take the
+/// ones left over or returned. Each scenario runs in per-task isolation:
+/// its own derived RNG stream (see derive_scenario_seed), its own Result
+/// sink, and its own exception capture. `overrides` is filtered per
+/// scenario to the parameters it declares. Outcomes are returned — and
+/// `on_complete` fires — in selection order regardless of completion
+/// order, so reports are byte-identical across --jobs values.
 [[nodiscard]] std::vector<ScenarioOutcome> run_scenarios(
     const std::vector<const Scenario*>& selected,
     const ParamOverrides& overrides, std::uint64_t seed, bool smoke,

@@ -77,8 +77,9 @@ std::string ParamSpec::reject_reason(const std::string& text) const {
 
 ScenarioContext::ScenarioContext(std::uint64_t seed, bool smoke,
                                  ParamOverrides overrides,
-                                 const std::vector<ParamSpec>& schema)
-    : seed_(seed), smoke_(smoke) {
+                                 const std::vector<ParamSpec>& schema,
+                                 ThreadBudget* budget)
+    : seed_(seed), smoke_(smoke), budget_(budget) {
   for (const ParamSpec& spec : schema) {
     SW_EXPECTS(!values_.contains(spec.name) && !choices_.contains(spec.name));
     const bool is_enum = spec.kind == ParamSpec::Kind::kEnum;

@@ -80,14 +80,20 @@ struct ParamSpec {
 /// stay text until the schema says whether they are numbers or choices.
 using ParamOverrides = std::map<std::string, std::string>;
 
+class ThreadBudget;
+
 /// The resolved inputs of one scenario run.
 class ScenarioContext {
  public:
+  /// `budget` is the --jobs thread budget the scenario's sweeps draw on
+  /// (see for_each_point); null runs them on the calling thread.
   ScenarioContext(std::uint64_t seed, bool smoke, ParamOverrides overrides,
-                  const std::vector<ParamSpec>& schema);
+                  const std::vector<ParamSpec>& schema,
+                  ThreadBudget* budget = nullptr);
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] bool smoke() const { return smoke_; }
+  [[nodiscard]] ThreadBudget* budget() const { return budget_; }
 
   /// The effective value of a declared numeric parameter: the override if
   /// given, else the schema's smoke/default value. Fails the contract for
@@ -106,6 +112,7 @@ class ScenarioContext {
  private:
   std::uint64_t seed_;
   bool smoke_;
+  ThreadBudget* budget_;
   std::map<std::string, double> values_;
   std::map<std::string, std::string> choices_;
   std::vector<std::string> order_;

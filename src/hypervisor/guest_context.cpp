@@ -431,8 +431,8 @@ void GuestContext::on_proposal(const net::Proposal& p) {
   settle();
   if (p.copy_seq < next_net_inject_seq_) return;  // already delivered
   NetSlot& slot = net_slots_[p.copy_seq];
-  slot.proposals[p.proposer.value] = p.proposed_delivery.ns;
   if (slot.delivery.has_value()) return;
+  slot.proposals[p.proposer.value] = p.proposed_delivery.ns;
   if (slot.proposals.size() <
       static_cast<std::size_t>(cfg_.replica_count)) {
     return;
@@ -452,6 +452,10 @@ void GuestContext::on_proposal(const net::Proposal& p) {
   if (tap_ != nullptr) {
     tap_->on_delivery_chosen(p.copy_seq, slot.proposals, median, margin);
   }
+  // The votes are spent. The slot itself waits for its delivery time, and
+  // a replica that lags (StopWatch paces only the two fastest) holds
+  // hundreds of them.
+  slot.proposals.clear();
   machine_->cut(*this);
 }
 

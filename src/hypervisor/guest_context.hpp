@@ -435,7 +435,8 @@ class GuestContext final : public LoadSource {
   struct NetSlot {
     net::Packet pkt;
     bool have_pkt{false};
-    /// Proposals received so far, keyed by proposer machine.
+    /// Proposals received so far, keyed by proposer machine; emptied once
+    /// `delivery` is chosen from them.
     std::map<std::uint32_t, std::int64_t> proposals;
     std::optional<std::int64_t> delivery;  // guest-clock ns
     std::int64_t proposal_base{0};

@@ -1,6 +1,7 @@
 // The observability guarantees end to end: a traced scenario serializes
 // to byte-identical trace JSON whether the event core runs on 1 or 4
-// simulator shards and whether the runner uses 1 or 8 jobs; the
+// simulator shards and whether the runner uses 1 or 8 jobs (a sweep
+// scenario's too, whose clouds would otherwise run in parallel); the
 // `observability` report block is present, populated, and — since some of
 // its counters legitimately depend on sim_shards — strippable, leaving
 // the rest of the report byte-identical across the knob.
@@ -23,14 +24,14 @@ const ParamOverrides kSmallPlacement = {{"machines", "99"},
                                         {"run_time_s", "0.4"},
                                         {"pair_samples", "2000"}};
 
-/// Runs placement_e2e with a fresh installed recorder and returns the
-/// default (shard-count-invariant) trace export.
-std::string trace_of(const std::string& shards, std::uint64_t jobs) {
+/// Runs `name` with a fresh installed recorder and returns the default
+/// (shard-count-invariant) trace export.
+std::string trace_of_scenario(const std::string& name,
+                              const ParamOverrides& overrides,
+                              std::uint64_t jobs) {
   obs::TraceRecorder recorder;
   obs::set_active_trace(&recorder);
-  ParamOverrides overrides = kSmallPlacement;
-  overrides["sim_shards"] = shards;
-  const Scenario* scenario = ScenarioRegistry::instance().find("placement_e2e");
+  const Scenario* scenario = ScenarioRegistry::instance().find(name);
   EXPECT_NE(scenario, nullptr);
   const auto outcomes =
       run_scenarios({scenario}, overrides, /*seed=*/11, /*smoke=*/true, jobs);
@@ -39,6 +40,13 @@ std::string trace_of(const std::string& shards, std::uint64_t jobs) {
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.error;
   EXPECT_GT(recorder.event_count(), 0u);
   return recorder.export_json();
+}
+
+/// The trace of a small placement_e2e run on `shards` simulator cores.
+std::string trace_of(const std::string& shards, std::uint64_t jobs) {
+  ParamOverrides overrides = kSmallPlacement;
+  overrides["sim_shards"] = shards;
+  return trace_of_scenario("placement_e2e", overrides, jobs);
 }
 
 TEST(Observability, TraceByteIdenticalAcrossShardCounts) {
@@ -55,11 +63,24 @@ TEST(Observability, TraceByteIdenticalAcrossShardCounts) {
 }
 
 TEST(Observability, TraceByteIdenticalAcrossJobs) {
-  // The scenario body runs inline at --jobs 1 and on a pool worker at
-  // --jobs 8; the recorder must serialize the same bytes either way.
+  // The budget is 1 thread at --jobs 1 and 8 at --jobs 8; the recorder
+  // must serialize the same bytes either way.
   const std::string inline_run = trace_of("2", /*jobs=*/1);
   const std::string pooled_run = trace_of("2", /*jobs=*/8);
   EXPECT_EQ(inline_run, pooled_run);
+}
+
+TEST(Observability, SweepTraceByteIdenticalAcrossJobs) {
+  // A sweep's clouds ask for the same track identities, and a track has
+  // one writer: under a recorder the points run in turn whatever the
+  // budget, so the trace cannot tell --jobs 4 from --jobs 1.
+  const ParamOverrides overrides = {{"run_time_s", "1"}};
+  const std::string one =
+      trace_of_scenario("delta_calibration", overrides, /*jobs=*/1);
+  const std::string four =
+      trace_of_scenario("delta_calibration", overrides, /*jobs=*/4);
+  EXPECT_EQ(one, four);
+  EXPECT_NE(one.find("\"ingress\""), std::string::npos);
 }
 
 TEST(Observability, ParallelTracksExistButStayOutOfDefaultExport) {

@@ -77,6 +77,39 @@ TEST(ParallelRunner, EightJobsByteIdenticalToSequential) {
   }
 }
 
+TEST(ParallelRunner, SweepPointsByteIdenticalAcrossJobs) {
+  // The four run_timing_scenario sweeps run their clouds as points on the
+  // runner's thread budget: alone (every thread goes to one sweep) and
+  // together (sweeps share what the scenarios leave), the report must not
+  // know how many threads ran it.
+  std::vector<const Scenario*> selected;
+  for (const char* name : {"ablation_aggregation", "ablation_epoch_resync",
+                           "collab_attackers", "delta_calibration"}) {
+    const Scenario* scenario = ScenarioRegistry::instance().find(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    selected.push_back(scenario);
+  }
+  const ParamOverrides short_runs = {{"run_time_s", "1"}};
+  const auto sequential =
+      run_scenarios(selected, short_runs, /*seed=*/7, /*smoke=*/true,
+                    /*jobs=*/1);
+  for (const ScenarioOutcome& outcome : sequential) {
+    EXPECT_TRUE(outcome.ok) << outcome.name << ": " << outcome.error;
+  }
+  for (const std::uint64_t jobs : {std::uint64_t{4}, std::uint64_t{0}}) {
+    EXPECT_EQ(report_of(sequential),
+              report_of(run_scenarios(selected, short_runs, /*seed=*/7,
+                                      /*smoke=*/true, jobs)))
+        << "jobs=" << jobs;
+  }
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const auto alone = run_scenarios({selected[i]}, short_runs, /*seed=*/7,
+                                     /*smoke=*/true, /*jobs=*/4);
+    EXPECT_EQ(report_of({sequential[i]}), report_of(alone))
+        << selected[i]->name << " alone";
+  }
+}
+
 TEST(ParallelRunner, ThrowingScenarioDoesNotTakeDownSiblings) {
   const Scenario* thrower =
       ScenarioRegistry::instance().find("test_always_throws");

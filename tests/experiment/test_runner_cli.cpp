@@ -1,8 +1,10 @@
 // The CLI composition rules for process-wide side outputs (--trace,
-// --profile): multi-scenario selections demand --jobs 1 and then write
-// one suffixed file per scenario; parallel multi-scenario runs fail up
-// front with a named error instead of corrupting a shared session; and
-// per_scenario_path derives the suffixed names deterministically.
+// --profile): multi-scenario selections run at --jobs 1 (the default for
+// them; --jobs otherwise defaults to one thread per hardware thread) and
+// then write one suffixed file per scenario; an explicit parallel --jobs
+// fails up front with a named error instead of corrupting a shared
+// session; and per_scenario_path derives the suffixed names
+// deterministically.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,6 +38,31 @@ TEST(RunnerOptions, ParsesProfileFlag) {
   ASSERT_TRUE(parse_runner_options(5, argv, options, error)) << error;
   EXPECT_EQ(options.profile_path, "/tmp/p.json");
   EXPECT_TRUE(options.trace_path.empty());
+}
+
+TEST(RunnerOptions, JobsDefaultsToOnePerHardwareThread) {
+  const char* plain[] = {"stopwatch_bench", "--scenario", "delta_calibration"};
+  RunnerOptions options;
+  std::string error;
+  ASSERT_TRUE(parse_runner_options(3, plain, options, error)) << error;
+  EXPECT_FALSE(options.jobs.has_value());
+  // 0 = one thread per hardware thread, for one scenario or many.
+  EXPECT_EQ(effective_jobs(options, 1), 0u);
+  EXPECT_EQ(effective_jobs(options, 18), 0u);
+  // A side output keeps a lone scenario's default, but several scenarios
+  // share one process-wide session and so run one at a time.
+  options.profile_path = "p.json";
+  EXPECT_EQ(effective_jobs(options, 1), 0u);
+  EXPECT_EQ(effective_jobs(options, 2), 1u);
+  options.profile_path.clear();
+  options.trace_path = "t.json";
+  EXPECT_EQ(effective_jobs(options, 2), 1u);
+
+  const char* explicit_jobs[] = {"stopwatch_bench", "--all", "--jobs", "3"};
+  RunnerOptions given;
+  ASSERT_TRUE(parse_runner_options(4, explicit_jobs, given, error)) << error;
+  EXPECT_EQ(given.jobs, 3u);
+  EXPECT_EQ(effective_jobs(given, 18), 3u);
 }
 
 int run(std::vector<const char*> argv) {
@@ -98,9 +125,9 @@ TEST(RunnerCli, SingleScenarioProfileWritesPlainPathPlusStacks) {
 }
 
 TEST(RunnerCli, SequentialMultiScenarioWritesSuffixedFilesPerScenario) {
-  // --jobs 1 (the default) makes multi-scenario sessions well-defined:
-  // the runner exports and clears between scenarios, so each file holds
-  // exactly its scenario's data.
+  // Without --jobs a multi-scenario session runs at --jobs 1, which makes
+  // it well-defined: the runner exports and clears between scenarios, so
+  // each file holds exactly its scenario's data.
   const std::string dir = ::testing::TempDir();
   const std::string profile = dir + "/sw_cli_multi.json";
   const std::string trace = dir + "/sw_cli_multi_trace.json";
