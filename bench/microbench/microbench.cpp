@@ -1,8 +1,8 @@
 // Scenario — microbenchmarks of the core primitives: the simulator event
 // loop, median agreement math, placement construction, and the statistical
 // machinery. These bound simulation throughput, so their ns/op trajectory
-// is what future perf PRs move. Wall-clock measurements make this the one
-// intentionally non-deterministic scenario.
+// is what future perf PRs move. Its metrics are wall-clock measurements,
+// so it is built into stopwatch_microbench, not the science runner.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -337,8 +337,8 @@ Result run(const ScenarioContext& ctx) {
   // pointer (the whole disabled cost: one relaxed load and one branch),
   // against the same body with no scope at all. Same alternating
   // paired-ratio scheme as above; nightly gates <= 1.02. The scope reads
-  // a probe-local pointer, not the process-wide one, so a profiled
-  // scenario on another --jobs thread cannot turn the probe on.
+  // a probe-local pointer, not the process-wide one, so --profile cannot
+  // turn the probe on.
   {
     const std::atomic<obs::Profiler*> probe{nullptr};
     const std::uint64_t reps = std::max<std::uint64_t>(1, iters / 2000);
@@ -487,7 +487,6 @@ Result run(const ScenarioContext& ctx) {
         "placement construction, and chi-squared machinery",
     .params = {ParamSpec{"iterations", "base iteration count", 2'000'000.0,
                          100'000.0}.with_int_range(1, 1e9)},
-    .deterministic = false,
     .run = run,
 }};
 

@@ -7,9 +7,9 @@
 // cloud's shape in miniature: per-shard self-rescheduling timer chains
 // (the vCPU-slice / beacon pattern that dominates event counts) with a
 // fixed fraction of cross-shard handoffs riding the deterministic lane
-// merge. Wall-clock measurements make this non-deterministic by
-// construction; the identity CI lane therefore excludes it, and the
-// nightly trend gate tracks its ns/event trajectory instead.
+// merge. Its metrics are wall-clock measurements, so it is built into
+// stopwatch_microbench, not the science runner; the nightly trend gate
+// tracks its ns/event trajectory.
 //
 // NOTE: speedup_x reflects the cores the host actually has. On a 1-CPU
 // container the parallel run measures barrier + lane overhead (ratio
@@ -156,7 +156,6 @@ Result run(const ScenarioContext& ctx) {
                    .with_int_range(1, 4096),
                ParamSpec{"horizon_ms", "simulated milliseconds", 40.0, 4.0}
                    .with_range(0.1, 10000)},
-    .deterministic = false,
     .run = run,
 }};
 

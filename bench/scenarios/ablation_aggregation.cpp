@@ -106,7 +106,6 @@ Result run(const ScenarioContext& ctx) {
                    "delivery-time aggregation rule to evaluate", "all",
                    {"all", "median", "min", "max", "leader"}),
                binning_param()},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -126,7 +126,6 @@ Result run(const ScenarioContext& ctx) {
     .params = {ParamSpec{"run_time_s", "simulated seconds per run", 30.0,
                          5.0}.with_range(0.01, 3600),
                binning_param()},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -89,7 +89,6 @@ Result run(const ScenarioContext& ctx) {
                          "induced load on marginalized hosts", 2.0}
                    .with_range(0, 100),
                binning_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

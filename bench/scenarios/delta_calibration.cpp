@@ -134,7 +134,6 @@ Result run(const ScenarioContext& ctx) {
         "against proposal spread, delivery margins, and synchrony violations",
     .params = {ParamSpec{"run_time_s", "simulated seconds per sweep point",
                          15.0, 3.0}.with_range(0.01, 3600)},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -116,7 +116,6 @@ Result run(const ScenarioContext&) {
         "Fig. 1: analytic CDFs and detection cost of the median of three "
         "(baseline Exp(1) vs victim Exp(lambda'))",
     .params = {},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -132,7 +132,6 @@ Result run(const ScenarioContext& ctx) {
                    .with_range(0.01, 3600),
                ParamSpec{"broadcast_rate_hz", "background broadcast rate",
                          6.0}.with_range(0.1, 10000)},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -126,7 +126,6 @@ Result run(const ScenarioContext& ctx) {
                          "background broadcast packet rate", 80.0}
                    .with_range(0.1, 10000),
                binning_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -111,7 +111,6 @@ Result run(const ScenarioContext& ctx) {
                          5.0, 3.0}.with_int_range(1, 5),
                ParamSpec{"runs_per_size", "downloads averaged per size", 5.0,
                          2.0}.with_int_range(1, 100)},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -145,7 +145,6 @@ Result run(const ScenarioContext& ctx) {
                          "number of load levels from {25,50,100,200,400}",
                          5.0, 2.0}.with_int_range(1, 5),
                sim_shards_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

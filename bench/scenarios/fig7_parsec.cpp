@@ -123,7 +123,6 @@ Result run(const ScenarioContext& ctx) {
                ParamSpec{"runs_per_app", "runs averaged per app", 5.0, 1.0}
                    .with_int_range(1, 100),
                sim_shards_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

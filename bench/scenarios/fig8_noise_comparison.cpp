@@ -176,7 +176,6 @@ Result run(const ScenarioContext& ctx) {
                ParamSpec{"convolution_points",
                          "grid points for the Exp+Uniform convolution", 256.0,
                          96.0}.with_int_range(8, 100000)},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -361,7 +361,6 @@ Result run(const ScenarioContext& ctx) {
                    500.0}
              .with_int_range(100, 100000),
          binning_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -253,7 +253,6 @@ Result run(const ScenarioContext& ctx) {
          ParamSpec{"bins", "observation cells for the estimators", 12.0}
              .with_int_range(4, 128),
          sim_shards_param(), binning_param(), policy_param()},
-    .deterministic = true,
     .run = run,
 }};
 

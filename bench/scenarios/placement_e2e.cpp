@@ -335,7 +335,6 @@ Result run(const ScenarioContext& ctx) {
          ParamSpec::enumeration("placement", "placement construction",
                                 "theorem2", {"theorem2", "greedy"}),
          sim_shards_param()},
-    .deterministic = true,
     .run = run,
 }};
 

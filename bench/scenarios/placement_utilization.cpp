@@ -116,7 +116,6 @@ Result run(const ScenarioContext& ctx) {
         "Theorem 2 construction, greedy fallback), all placements validated",
     .params = {ParamSpec{"max_n", "largest machine count exercised", 501.0,
                          99.0}.with_int_range(9, 10000)},
-    .deterministic = true,
     .run = run,
 }};
 

@@ -109,7 +109,6 @@ Result run(const ScenarioContext& ctx) {
          ParamSpec{"bins", "observation cells for the MI estimator", 12.0}
              .with_int_range(4, 128),
          binning_param()},
-    .deterministic = true,
     .run = run,
 }};
 

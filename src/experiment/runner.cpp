@@ -21,7 +21,7 @@ namespace stopwatch::experiment {
 namespace {
 
 constexpr std::string_view kUsage =
-    "usage: stopwatch_bench [options]\n"
+    "usage: stopwatch_bench|stopwatch_microbench [options]\n"
     "  --list               list registered scenarios and their parameters\n"
     "  --scenario <name>    run one scenario (repeatable)\n"
     "  --all                run every registered scenario\n"
@@ -61,8 +61,7 @@ void print_catalog() {
   const auto scenarios = ScenarioRegistry::instance().list();
   std::printf("%zu registered scenarios:\n\n", scenarios.size());
   for (const Scenario* s : scenarios) {
-    std::printf("%-24s %s%s\n", s->name.c_str(), s->description.c_str(),
-                s->deterministic ? "" : "  [non-deterministic]");
+    std::printf("%-24s %s\n", s->name.c_str(), s->description.c_str());
     for (const ParamSpec& p : s->params) {
       if (p.kind == ParamSpec::Kind::kEnum) {
         std::printf("    --param %s=<%s>  %s (default %s)\n", p.name.c_str(),

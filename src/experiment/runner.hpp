@@ -1,6 +1,7 @@
 // Command-line driver for the scenario registry — the implementation of the
-// stopwatch_bench binary. Kept in the library so tests can exercise the
-// exact CLI surface CI uses.
+// stopwatch_bench and stopwatch_microbench binaries, which differ only in
+// the scenarios linked into them. Kept in the library so tests can
+// exercise the exact CLI surface CI uses.
 #pragma once
 
 #include <cstdint>

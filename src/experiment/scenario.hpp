@@ -2,8 +2,8 @@
 // parameter schema, and a run function mapping a ScenarioContext (seed +
 // smoke flag + parameter overrides) to a Result. Scenarios self-register
 // with the ScenarioRegistry at static-initialization time; the
-// stopwatch_bench runner and the determinism tests drive them through the
-// registry, never through bespoke mains.
+// stopwatch_bench and stopwatch_microbench runners and the determinism
+// tests drive them through the registry, never through bespoke mains.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +123,6 @@ struct Scenario {
   std::string name;
   std::string description;
   std::vector<ParamSpec> params;
-  /// Whether two runs with the same context must produce byte-identical
-  /// JSON. False only for scenarios measuring wall-clock time.
-  bool deterministic{true};
   std::function<Result(const ScenarioContext&)> run;
 };
 

@@ -145,8 +145,9 @@ class ProfScope {
   explicit ProfScope(std::size_t phase)
       : ProfScope(phase, detail::g_profiler) {}
   /// Reads the profiler from `source` instead of the process-wide pointer:
-  /// the same null check, on a pointer no other thread can see (the
-  /// microbench overhead probe's way to time it while scenarios run).
+  /// the same null check, on a pointer no session can install (the
+  /// microbench overhead probe's way to time the disabled scope even under
+  /// `stopwatch_microbench --profile`).
   ProfScope(std::size_t phase, const std::atomic<Profiler*>& source) {
     Profiler* p = source.load(std::memory_order_relaxed);
     if (p == nullptr) [[likely]] {

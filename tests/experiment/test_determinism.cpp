@@ -1,14 +1,17 @@
 // Determinism guarantees of the experiment subsystem: the same scenario and
-// seed must serialize to byte-identical JSON (the property CI's bench-smoke
-// artifacts and BENCH_*.json trajectories rely on), and differing seeds
-// must actually change seed-sensitive measurements.
+// seed must serialize to byte-identical JSON (the property CI's report
+// comparisons rely on), every registered scenario's report must not depend
+// on --jobs, and differing seeds must actually change seed-sensitive
+// measurements.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "experiment/registry.hpp"
 #include "experiment/result.hpp"
+#include "experiment/runner.hpp"
 
 namespace stopwatch::experiment {
 namespace {
@@ -26,7 +29,6 @@ TEST(Determinism, RegisteredScenariosCoverCheckedSet) {
   for (const std::string& name : kCheckedScenarios) {
     const Scenario* scenario = registry.find(name);
     ASSERT_NE(scenario, nullptr) << name;
-    EXPECT_TRUE(scenario->deterministic) << name;
   }
 }
 
@@ -37,6 +39,26 @@ TEST(Determinism, SameSeedProducesByteIdenticalJson) {
     const Result second = registry.run(name, /*seed=*/7, /*smoke=*/true);
     EXPECT_EQ(first.to_json(), second.to_json()) << name;
   }
+}
+
+/// The serialized report of a whole run; a failed scenario fails the test.
+std::string report_of(const std::vector<ScenarioOutcome>& outcomes) {
+  std::vector<Result> results;
+  for (const ScenarioOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.ok) << outcome.name << ": " << outcome.error;
+    if (outcome.ok) results.push_back(outcome.result);
+  }
+  return report_to_json(results);
+}
+
+// The registry holds science only: every registered scenario, with its
+// sweep points, serializes to the same bytes on one thread and on four.
+TEST(Determinism, EveryRegisteredScenarioByteIdenticalAcrossJobs) {
+  const auto all = ScenarioRegistry::instance().list();
+  const auto report_at = [&](std::uint64_t jobs) {
+    return report_of(run_scenarios(all, {}, /*seed=*/1, /*smoke=*/true, jobs));
+  };
+  EXPECT_EQ(report_at(1), report_at(4));
 }
 
 TEST(Determinism, ReportSerializationIsByteStable) {

@@ -19,13 +19,11 @@ namespace stopwatch::experiment {
 namespace {
 
 /// A registry-registered scenario that always throws mid-run, to prove the
-/// runner confines a failure to its own outcome slot. Marked
-/// non-deterministic so sweeps over deterministic scenarios skip it.
+/// runner confines a failure to its own outcome slot.
 [[maybe_unused]] const ScenarioRegistrar kThrowingRegistrar{{
     .name = "test_always_throws",
     .description = "test-only scenario that throws mid-run",
     .params = {},
-    .deterministic = false,
     .run = [](const ScenarioContext&) -> Result {
       throw std::runtime_error("synthetic mid-run failure");
     },

@@ -18,10 +18,9 @@ namespace {
 const std::vector<std::string> kChoices = {"baseline", "stopwatch",
                                            "deterland", "tifc"};
 
-TEST(PolicyMatrix, RegisteredAndDeterministic) {
+TEST(PolicyMatrix, Registered) {
   const Scenario* s = ScenarioRegistry::instance().find("policy_matrix");
   ASSERT_NE(s, nullptr);
-  EXPECT_TRUE(s->deterministic);
 }
 
 /// One shared smoke run (the matrix runs eight clouds plus four channel
