@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "experiment/points.hpp"
 #include "experiment/registry.hpp"
 #include "stats/summary.hpp"
 #include "workload/file_service.hpp"
@@ -60,21 +61,35 @@ Result run(const ScenarioContext& ctx) {
   const auto size_count = static_cast<std::size_t>(ctx.param_int("size_count"));
   const int runs = ctx.param_int("runs_per_size");
 
-  const auto http_base =
-      run_series(core::PolicyKind::kBaselineXen,
-                 FileDownloadClient::Protocol::kHttpTcp, ctx.seed() ^ 21,
-                 size_count, runs);
-  const auto http_sw = run_series(core::PolicyKind::kStopWatch,
-                                  FileDownloadClient::Protocol::kHttpTcp,
-                                  ctx.seed() ^ 21, size_count, runs);
-  const auto udp_base =
-      run_series(core::PolicyKind::kBaselineXen,
-                 FileDownloadClient::Protocol::kUdp, ctx.seed() ^ 22,
-                 size_count, runs);
-  const auto udp_sw =
-      run_series(core::PolicyKind::kStopWatch,
-                 FileDownloadClient::Protocol::kUdp, ctx.seed() ^ 22,
-                 size_count, runs);
+  // Three independent points, heaviest first: HTTP under StopWatch, HTTP
+  // baseline, then both UDP clouds in one point, so that their heaps (2.0
+  // and 5.0 MiB at the largest size) are never held at once.
+  std::vector<double> http_base;
+  std::vector<double> http_sw;
+  std::vector<double> udp_base;
+  std::vector<double> udp_sw;
+  experiment::for_each_point(ctx, 3, [&](std::size_t p) {
+    switch (p) {
+      case 0:
+        http_sw = run_series(core::PolicyKind::kStopWatch,
+                             FileDownloadClient::Protocol::kHttpTcp,
+                             ctx.seed() ^ 21, size_count, runs);
+        return;
+      case 1:
+        http_base = run_series(core::PolicyKind::kBaselineXen,
+                               FileDownloadClient::Protocol::kHttpTcp,
+                               ctx.seed() ^ 21, size_count, runs);
+        return;
+      default:
+        udp_base = run_series(core::PolicyKind::kBaselineXen,
+                              FileDownloadClient::Protocol::kUdp,
+                              ctx.seed() ^ 22, size_count, runs);
+        udp_sw = run_series(core::PolicyKind::kStopWatch,
+                            FileDownloadClient::Protocol::kUdp,
+                            ctx.seed() ^ 22, size_count, runs);
+        return;
+    }
+  });
 
   Result result("fig5_file_download");
   std::vector<double> sizes_kb;

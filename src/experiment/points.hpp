@@ -37,7 +37,12 @@ class ThreadBudget {
 /// wall 0.40 / 0.17 / 0.12 s, peak RSS 4.90 / 5.38-5.48 / 5.49 MiB and
 /// heap high-water 317 / 720 / 905 KiB with 1, 3 and 4 points in flight.
 /// Three takes most of the wall-time gain for about a tenth more RSS; each
-/// further point adds about 185 KiB of heap.
+/// further point adds about 185 KiB of heap. Heap high-water per point,
+/// measured the same way at --jobs 1: fig6_nfs run_time_s=5 70-306 KiB
+/// (the mitigated cloud at 400 ops/s the most); fig5_file_download
+/// runs_per_size=2 93 KiB (HTTP baseline), 172 KiB (HTTP under StopWatch)
+/// and 5.0 MiB (the UDP point, whose baseline and StopWatch clouds peak
+/// at 2.0 and 5.0 MiB in turn).
 inline constexpr std::size_t kMaxPointsInFlight = 3;
 
 /// Runs fn(i) exactly once for each i in [0, n): on the calling thread, and

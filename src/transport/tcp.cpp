@@ -70,6 +70,22 @@ void TcpEndpoint::send_message(NodeId peer, std::uint32_t flow,
   if (c.established) pump(c);
 }
 
+void TcpEndpoint::close(NodeId peer, std::uint32_t flow) {
+  const auto it = conns_.find(key(peer, flow));
+  if (it != conns_.end()) it->second.closed = true;
+}
+
+void TcpEndpoint::release_if_done(Connections::iterator it) {
+  // Timers of an erased connection find no entry and return, as they
+  // returned before on a cleared flag or a stale generation.
+  const Connection& c = it->second;
+  if (c.closed && !c.rto_armed && c.snd_una == c.stream_len &&
+      c.ooo.empty() && c.rx_headers.empty() && c.unacked_segments == 0 &&
+      !c.delack_armed) {
+    conns_.erase(it);
+  }
+}
+
 const TcpEndpoint::Message* TcpEndpoint::message_at(
     Connection& c, std::uint64_t offset) const {
   for (const Message& m : c.tx_messages) {
@@ -167,22 +183,27 @@ void TcpEndpoint::send_ack(Connection& c) {
 
 void TcpEndpoint::on_packet(const net::Packet& pkt) {
   ++stats_.packets_received;
+  if (pkt.kind == net::PacketKind::kSyn) {
+    if (!listening_) return;
+    Connection& c = conn(pkt.src, pkt.flow);
+    c.established = true;
+    net::Packet sa;
+    sa.dst = pkt.src;
+    sa.kind = net::PacketKind::kSynAck;
+    sa.flow = pkt.flow;
+    sa.size_bytes = net::kHeaderBytes;
+    env_->send(sa);
+    ++stats_.control_packets_sent;
+    return;
+  }
+  // From the wire, only a SYN opens a connection. Anything else for one
+  // this endpoint does not hold is late traffic of a connection close()
+  // released, such as a reordered ACK of data since acked.
+  const auto it = conns_.find(key(pkt.src, pkt.flow));
+  if (it == conns_.end()) return;
+  Connection& c = it->second;
   switch (pkt.kind) {
-    case net::PacketKind::kSyn: {
-      if (!listening_) return;
-      Connection& c = conn(pkt.src, pkt.flow);
-      c.established = true;
-      net::Packet sa;
-      sa.dst = pkt.src;
-      sa.kind = net::PacketKind::kSynAck;
-      sa.flow = pkt.flow;
-      sa.size_bytes = net::kHeaderBytes;
-      env_->send(sa);
-      ++stats_.control_packets_sent;
-      return;
-    }
     case net::PacketKind::kSynAck: {
-      Connection& c = conn(pkt.src, pkt.flow);
       if (!c.syn_sent) return;
       const bool first = !c.established;
       c.established = true;
@@ -197,26 +218,22 @@ void TcpEndpoint::on_packet(const net::Packet& pkt) {
       ++stats_.ack_packets_sent;
       if (first && c.on_connected) c.on_connected(pkt.src, pkt.flow);
       pump(c);
-      return;
+      break;
     }
-    case net::PacketKind::kAck: {
-      Connection& c = conn(pkt.src, pkt.flow);
+    case net::PacketKind::kAck:
       c.established = true;  // implicit accept of handshake ACK
       handle_ack(c, pkt);
-      return;
-    }
-    case net::PacketKind::kData: {
-      Connection& c = conn(pkt.src, pkt.flow);
+      break;
+    case net::PacketKind::kData:
       c.established = true;
       handle_data(c, pkt);
-      return;
-    }
-    case net::PacketKind::kFin: {
-      return;  // connection teardown is a no-op in this model
-    }
+      break;
+    case net::PacketKind::kFin:
+      return;  // teardown is not on the wire: see close()
     default:
       return;  // not a TCP packet
   }
+  release_if_done(it);
 }
 
 void TcpEndpoint::handle_ack(Connection& c, const net::Packet& pkt) {
@@ -286,6 +303,7 @@ void TcpEndpoint::handle_data(Connection& c, const net::Packet& pkt) {
       if (cc.delack_generation != generation) return;
       cc.delack_armed = false;
       if (cc.unacked_segments > 0) send_ack(cc);
+      release_if_done(it);
     });
   }
 }

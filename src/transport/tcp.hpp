@@ -13,6 +13,7 @@
 // the receiver fires one callback per completed message.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -61,10 +62,24 @@ class TcpEndpoint {
   /// Feed an inbound packet addressed to this endpoint.
   void on_packet(const net::Packet& pkt);
 
+  /// Ends the application's use of the connection. It keeps sending,
+  /// retransmitting and acknowledging, and is released once its data is
+  /// acked and every segment it received is acked; that is checked as its
+  /// packets and delayed ACKs are handled, so close a connection with
+  /// traffic still to come (after queuing its last message, or in the
+  /// handler of the last message it receives). Teardown is not modelled on
+  /// the wire: later segments of the flow are dropped, and a flow is not
+  /// reopened after close.
+  void close(NodeId peer, std::uint32_t flow);
+
   /// Registers the message handler for client-side endpoints (responses).
   void set_message_handler(MessageHandler handler);
 
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
+
+  /// Connections held, closed ones not yet released included: what tests
+  /// read to see that close() releases them.
+  [[nodiscard]] std::size_t connection_count() const { return conns_.size(); }
 
  private:
   /// Slow-start initial congestion window, in segments (also the window
@@ -83,6 +98,7 @@ class TcpEndpoint {
     std::uint32_t flow{0};
     bool established{false};
     bool syn_sent{false};
+    bool closed{false};
     ConnectedHandler on_connected;
 
     // Sender.
@@ -119,11 +135,14 @@ class TcpEndpoint {
   void handle_data(Connection& c, const net::Packet& pkt);
   void handle_ack(Connection& c, const net::Packet& pkt);
   const Message* message_at(Connection& c, std::uint64_t offset) const;
+  using Connections = std::map<Key, Connection>;
+  /// Erases the connection if it is closed and has nothing left to do.
+  void release_if_done(Connections::iterator it);
 
   TransportEnv* env_;
   MessageHandler on_message_;
   bool listening_{false};
-  std::map<Key, Connection> conns_;
+  Connections conns_;
   TcpStats stats_;
 };
 

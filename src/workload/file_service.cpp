@@ -70,6 +70,7 @@ void FileServerProgram::serve_tcp(NodeId peer, std::uint32_t flow,
       const std::uint64_t prep = kPer4kInstr * ((file_size + 4095) / 4096) + 1;
       api_->compute(prep, [this, peer, flow, msg_id, file_size] {
         tcp_->send_message(peer, flow, msg_id, file_size, file_size);
+        tcp_->close(peer, flow);
       });
     });
   });
@@ -105,8 +106,10 @@ FileDownloadClient::FileDownloadClient(core::Cloud& cloud,
     }
   });
 
-  const auto on_response = [this](NodeId, std::uint32_t, std::uint32_t msg_id,
-                                  std::uint32_t, std::uint32_t) {
+  const auto on_response = [this](NodeId peer, std::uint32_t flow,
+                                  std::uint32_t msg_id, std::uint32_t,
+                                  std::uint32_t) {
+    if (protocol_ == Protocol::kHttpTcp) tcp_->close(peer, flow);
     const auto it = pending_.find(msg_id);
     if (it == pending_.end()) return;
     const Duration latency =

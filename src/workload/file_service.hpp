@@ -30,6 +30,9 @@ class FileServerProgram final : public vm::GuestProgram {
   void on_timer_tick(vm::GuestApi& api, std::uint64_t tick) override;
   void on_packet(vm::GuestApi& api, const net::Packet& pkt) override;
 
+  /// The HTTP endpoint, valid after boot.
+  [[nodiscard]] const transport::TcpEndpoint& tcp() const { return *tcp_; }
+
  private:
   void serve_tcp(NodeId peer, std::uint32_t flow, std::uint32_t msg_id,
                  std::uint32_t file_size);
@@ -53,13 +56,12 @@ class FileDownloadClient {
                      Protocol protocol);
 
   /// Starts one download of `file_size` bytes; `done(latency)` fires on
-  /// completion. Each download uses a fresh flow (fresh TCP connection —
-  /// cold start, as in the paper).
+  /// completion. Each download uses a fresh flow (a fresh TCP connection
+  /// — cold start, as in the paper), released on both ends once the
+  /// download completes.
   void download(std::uint32_t file_size, std::function<void(Duration)> done);
 
-  [[nodiscard]] const transport::TcpStats& tcp_stats() const {
-    return tcp_->stats();
-  }
+  [[nodiscard]] const transport::TcpEndpoint& tcp() const { return *tcp_; }
 
  private:
   core::Cloud* cloud_;

@@ -76,18 +76,22 @@ TEST(ParallelRunner, EightJobsByteIdenticalToSequential) {
 }
 
 TEST(ParallelRunner, SweepPointsByteIdenticalAcrossJobs) {
-  // The four run_timing_scenario sweeps run their clouds as points on the
-  // runner's thread budget: alone (every thread goes to one sweep) and
-  // together (sweeps share what the scenarios leave), the report must not
-  // know how many threads ran it.
+  // The sweeps run their clouds as points on the runner's thread budget:
+  // alone (every thread goes to one sweep) and together (sweeps share what
+  // the scenarios leave), the report must not know how many threads ran
+  // it.
   std::vector<const Scenario*> selected;
-  for (const char* name : {"ablation_aggregation", "ablation_epoch_resync",
-                           "collab_attackers", "delta_calibration"}) {
+  for (const char* name :
+       {"ablation_aggregation", "ablation_epoch_resync", "collab_attackers",
+        "delta_calibration", "fig6_nfs", "fig5_file_download"}) {
     const Scenario* scenario = ScenarioRegistry::instance().find(name);
     ASSERT_NE(scenario, nullptr) << name;
     selected.push_back(scenario);
   }
-  const ParamOverrides short_runs = {{"run_time_s", "1"}};
+  // Each scenario takes the overrides it declares: fig5_file_download has
+  // no run_time_s, and runs_per_size is its own.
+  const ParamOverrides short_runs = {{"run_time_s", "1"},
+                                     {"runs_per_size", "1"}};
   const auto sequential =
       run_scenarios(selected, short_runs, /*seed=*/7, /*smoke=*/true,
                     /*jobs=*/1);

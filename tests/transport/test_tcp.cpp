@@ -192,6 +192,100 @@ TEST(Tcp, ConcurrentFlowsAreIndependent) {
   EXPECT_EQ(flows.size(), 3u);
 }
 
+TEST(Tcp, ClosedConnectionRetransmitsUntilItsDataIsAcked) {
+  TcpPair pair;
+  bool lost = false;
+  pair.lb.b_rx = [&](const net::Packet& p) {
+    if (p.kind == net::PacketKind::kData && !lost) {
+      lost = true;  // the only data segment, first time round
+      return;
+    }
+    pair.b.on_packet(p);
+  };
+  int delivered = 0;
+  pair.b.listen([&](NodeId, std::uint32_t, std::uint32_t, std::uint32_t,
+                    std::uint32_t) { ++delivered; });
+  pair.a.connect(NodeId{2}, 1, [&](NodeId peer, std::uint32_t flow) {
+    pair.a.send_message(peer, flow, 1, 1000, 0);
+    pair.a.close(peer, flow);
+  });
+  // The segment is lost and its RTO (200 ms) is not yet due: the closed
+  // connection still holds it.
+  pair.lb.sim.run_until(RealTime::millis(100));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(pair.a.connection_count(), 1u);
+  pair.lb.sim.run_until(RealTime::millis(2000));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(pair.a.stats().retransmissions, 1u);
+  EXPECT_EQ(pair.a.connection_count(), 0u);
+  EXPECT_EQ(pair.b.connection_count(), 1u);  // b never closed its end
+}
+
+TEST(Tcp, ClosedConnectionSendsItsPendingDelayedAck) {
+  TcpPair pair;
+  pair.b.listen([&](NodeId peer, std::uint32_t flow, std::uint32_t,
+                    std::uint32_t, std::uint32_t) {
+    pair.b.close(peer, flow);
+  });
+  pair.a.connect(NodeId{2}, 1, [&](NodeId peer, std::uint32_t flow) {
+    // One segment: b acknowledges it only when its delayed-ACK timer fires.
+    pair.a.send_message(peer, flow, 1, 300, 0);
+  });
+  pair.lb.sim.run_until(RealTime::millis(2000));
+  EXPECT_EQ(pair.b.stats().ack_packets_sent, 1u);
+  EXPECT_EQ(pair.b.connection_count(), 0u);
+  // The ACK reached a before its RTO: nothing was sent twice.
+  EXPECT_EQ(pair.a.stats().retransmissions, 0u);
+}
+
+TEST(Tcp, NewFlowToTheSamePeerAfterClose) {
+  TcpPair pair;
+  pair.b.listen([&](NodeId peer, std::uint32_t flow, std::uint32_t msg_id,
+                    std::uint32_t, std::uint32_t tag) {
+    pair.b.send_message(peer, flow, msg_id, tag, tag);
+    pair.b.close(peer, flow);
+  });
+  std::vector<std::uint32_t> replies;
+  pair.a.set_message_handler([&](NodeId peer, std::uint32_t flow,
+                                 std::uint32_t msg_id, std::uint32_t,
+                                 std::uint32_t) {
+    replies.push_back(msg_id);
+    pair.a.close(peer, flow);
+  });
+  for (std::uint32_t flow = 1; flow <= 2; ++flow) {
+    pair.a.connect(NodeId{2}, flow, [&pair, flow](NodeId peer, std::uint32_t) {
+      pair.a.send_message(peer, flow, flow, 200, 5000);
+    });
+    pair.lb.sim.run_until(RealTime::millis(2000 * flow));
+    EXPECT_EQ(pair.a.connection_count(), 0u) << "flow " << flow;
+    EXPECT_EQ(pair.b.connection_count(), 0u) << "flow " << flow;
+  }
+  EXPECT_EQ(replies, (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(Tcp, LateAckOfAReleasedFlowIsDropped) {
+  TcpPair pair;
+  std::vector<net::Packet> acks;
+  pair.lb.a_rx = [&](const net::Packet& p) {
+    if (p.kind == net::PacketKind::kAck) acks.push_back(p);
+    pair.a.on_packet(p);
+  };
+  pair.b.listen([](NodeId, std::uint32_t, std::uint32_t, std::uint32_t,
+                   std::uint32_t) {});
+  pair.a.connect(NodeId{2}, 1, [&](NodeId peer, std::uint32_t flow) {
+    pair.a.send_message(peer, flow, 1, 20'000, 0);
+    pair.a.close(peer, flow);
+  });
+  pair.lb.sim.run_until(RealTime::millis(2000));
+  ASSERT_EQ(pair.a.connection_count(), 0u);
+  ASSERT_GE(acks.size(), 2u);
+  // A reordered copy of an early ACK arrives after the release: it must
+  // not reopen the flow.
+  pair.a.on_packet(acks.front());
+  pair.lb.sim.run_until(RealTime::millis(4000));
+  EXPECT_EQ(pair.a.connection_count(), 0u);
+}
+
 TEST(Udp, MessageFragmentationAndReassembly) {
   Loopback lb;
   Loopback::Env env_a(lb, NodeId{1});

@@ -107,7 +107,25 @@ TEST(FileService, SequentialDownloadsUseIndependentConnections) {
   // Fresh flow per download: no warm-connection advantage beyond noise.
   EXPECT_GT(second, first * 0.4);
   EXPECT_LT(second, first * 2.5);
-  EXPECT_GE(client.tcp_stats().messages_delivered, 2u);
+  EXPECT_GE(client.tcp().stats().messages_delivered, 2u);
+}
+
+TEST(FileService, FinishedDownloadsReleaseTheirConnections) {
+  ServiceFixture fx(core::PolicyKind::kStopWatch);
+  FileDownloadClient client(fx.cloud, fx.cloud.vm_addr(fx.server),
+                            FileDownloadClient::Protocol::kHttpTcp);
+  fx.cloud.start();
+  for (int i = 0; i < 20; ++i) {
+    fx.download_ms(client, i % 2 == 0 ? 1024u : 30u * 1024u);
+  }
+  // Time for the last download's final ACKs to land.
+  fx.cloud.run_for(Duration::millis(500));
+  EXPECT_EQ(client.tcp().connection_count(), 0u);
+  for (int r = 0; r < 3; ++r) {
+    const auto& server = static_cast<const FileServerProgram&>(
+        fx.cloud.replica(fx.server, r).program());
+    EXPECT_EQ(server.tcp().connection_count(), 0u) << "replica " << r;
+  }
 }
 
 TEST(FileService, ColdStartReadsWholeFileFromDisk) {
