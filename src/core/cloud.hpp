@@ -339,9 +339,11 @@ class Cloud {
   }
   [[nodiscard]] const VmEntry& entry(VmHandle vm) const;
   /// The one registration path: validates `machines` (its first
-  /// effective_replicas() entries are the placement) and appends the row.
+  /// `replicas` entries, effective_replicas() read once by the caller, are
+  /// the placement) and appends the row. `name` labels contract messages
+  /// only; empty stands for "vm<index>", and add_vm records a real one.
   VmHandle append_row(std::uint32_t factory, std::span<const int> machines,
-                      std::string name);
+                      int replicas, const std::string& name);
   /// The caller's name for `vm_index`, or "vm<index>".
   [[nodiscard]] std::string vm_name(std::uint32_t vm_index) const;
   void wire(std::uint32_t vm_index);

@@ -1,18 +1,48 @@
 #include "placement/placement.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <numeric>
-#include <utility>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 #include "obs/profiler.hpp"
 
 namespace stopwatch::placement {
 
-Quasigroup::Quasigroup(int order) : order_(order), half_((order + 1) / 2) {
+namespace {
+
+/// a ∘ b in the quasigroup of odd order q, for a, b in [0, q):
+/// (a + b) * (q+1)/2 mod q is (a + b) / 2 mod q, and an odd sum is halved
+/// as a + b + q. Bose's construction calls it unchecked, its arguments
+/// being in range by construction.
+int product(int a, int b, int q) {
+  const int sum = a + b;
+  const int half = (sum % 2 == 0 ? sum : sum + q) / 2;
+  return half < q ? half : half - q;
+}
+
+// Bose's construction over n = 3q points, q = 2v + 1 odd: node (a, l) is
+// index a + l * q, a in [0, q), l in {0, 1, 2}.
+
+/// Appends G_0, the q "spool" triples {(a,0), (a,1), (a,2)}.
+void append_g0(std::vector<Triangle>& out, int q) {
+  for (int a = 0; a < q; ++a) out.push_back(Triangle{a, a + q, a + 2 * q});
+}
+
+/// Appends G_t, 1 <= t <= v: {(a_i, l), (a_j, l), (a_i ∘ a_j, l+1 mod 3)},
+/// j = i + t mod q.
+void append_group(std::vector<Triangle>& out, int q, int t) {
+  for (int i = 0; i < q; ++i) {
+    const int j = i + t < q ? i + t : i + t - q;
+    const int ij = product(i, j, q);
+    out.push_back(Triangle{i, j, ij + q});
+    out.push_back(Triangle{i + q, j + q, ij + 2 * q});
+    out.push_back(Triangle{i + 2 * q, j + 2 * q, ij});
+  }
+}
+
+}  // namespace
+
+Quasigroup::Quasigroup(int order) : order_(order) {
   SW_EXPECTS(order >= 1);
   SW_EXPECTS(order % 2 == 1);
 }
@@ -20,8 +50,7 @@ Quasigroup::Quasigroup(int order) : order_(order), half_((order + 1) / 2) {
 int Quasigroup::op(int a, int b) const {
   SW_EXPECTS(a >= 0 && a < order_);
   SW_EXPECTS(b >= 0 && b < order_);
-  return static_cast<int>(
-      (static_cast<long long>(a + b) * half_) % order_);
+  return product(a, b, order_);
 }
 
 long max_triangle_packing(int n) {
@@ -44,62 +73,10 @@ BoseSystem bose_construction(int n) {
   BoseSystem sys;
   sys.n = n;
   sys.v = (n - 3) / 6;
-  const int q = 2 * sys.v + 1;  // quasigroup order
-  const Quasigroup Q(q);
-
-  // Node (a, l) -> index a + l * q, a in [0, q), l in {0, 1, 2}.
-  const auto node = [q](int a, int l) { return a + l * q; };
-
-  // G_0: the 2v+1 "spool" triples {(a,0), (a,1), (a,2)}.
-  for (int a = 0; a < q; ++a) {
-    sys.g0.push_back(Triangle{node(a, 0), node(a, 1), node(a, 2)});
-  }
-
-  // G_t, 1 <= t <= v: {(a_i, l), (a_j, l), (a_i ∘ a_j, l+1 mod 3)},
-  // j = i + t mod q.
-  for (int t = 1; t <= sys.v; ++t) {
-    std::vector<Triangle> group;
-    for (int i = 0; i < q; ++i) {
-      const int j = (i + t) % q;
-      for (int l = 0; l < 3; ++l) {
-        group.push_back(
-            Triangle{node(i, l), node(j, l), node(Q.op(i, j), (l + 1) % 3)});
-      }
-    }
-    sys.gt.push_back(std::move(group));
-  }
+  const int q = 2 * sys.v + 1;
+  append_g0(sys.g0, q);
+  for (int t = 1; t <= sys.v; ++t) append_group(sys.gt.emplace_back(), q, t);
   return sys;
-}
-
-namespace {
-
-// unique_ptr values keep each system's address stable across later map
-// insertions, so references handed out under the lock stay valid after it
-// is released. Guarded by a mutex rather than thread_local (cf. the
-// chi-squared memo): a Bose system for n=201 is ~100 KB, and the parallel
-// scenario runner would otherwise rebuild it once per worker thread.
-struct BoseCache {
-  std::mutex mutex;
-  std::map<int, std::unique_ptr<BoseSystem>> by_n;
-};
-
-BoseCache& bose_cache() {
-  static BoseCache cache;
-  return cache;
-}
-
-}  // namespace
-
-const BoseSystem& bose_construction_cached(int n) {
-  BoseCache& cache = bose_cache();
-  const std::lock_guard<std::mutex> lock(cache.mutex);
-  auto it = cache.by_n.find(n);
-  if (it == cache.by_n.end()) {
-    it = cache.by_n
-             .emplace(n, std::make_unique<BoseSystem>(bose_construction(n)))
-             .first;
-  }
-  return *it->second;
 }
 
 long theorem2_bound(int n, int c) {
@@ -118,45 +95,25 @@ long theorem2_bound(int n, int c) {
 std::vector<Triangle> theorem2_placement(int n, int c) {
   OBS_PROF_SCOPE("placement.theorem2");
   SW_EXPECTS(n % 6 == 3);
-  return theorem2_placement(bose_construction_cached(n), n, c);
-}
-
-std::vector<Triangle> theorem2_placement(const BoseSystem& sys, int n, int c) {
-  SW_EXPECTS(n % 6 == 3 && sys.n == n);
   SW_EXPECTS(c >= 1 && c <= (n - 1) / 2);
-  const int q = 2 * sys.v + 1;
-  const Quasigroup Q(q);
-  const auto node = [q](int a, int l) { return a + l * q; };
+  const int v = (n - 3) / 6;
+  const int q = 2 * v + 1;
 
   std::vector<Triangle> placed;
   placed.reserve(static_cast<std::size_t>(theorem2_bound(n, c)));
-  const auto take_groups = [&](int count) {
-    for (int t = 1; t <= count; ++t) {
-      const auto& g = sys.gt[static_cast<std::size_t>(t - 1)];
-      placed.insert(placed.end(), g.begin(), g.end());
-    }
-  };
-
-  if (c % 3 == 0) {
-    // G_1 .. G_{c/3}: each visits every node exactly 3 times.
-    take_groups(c / 3);
-  } else if (c % 3 == 1) {
-    // G_0 (1 visit) + G_1 .. G_{(c-1)/3}.
-    placed.insert(placed.end(), sys.g0.begin(), sys.g0.end());
-    take_groups((c - 1) / 3);
-  } else {
-    // G_0 + G_1 .. G_{(c-2)/3} + v triangles from G_v visiting each node
-    // at most once: {(a_i, 0), (a_j, 0), (a_i ∘ a_j, 1)}, j = i + v.
-    placed.insert(placed.end(), sys.g0.begin(), sys.g0.end());
-    take_groups((c - 2) / 3);
-    SW_ASSERT(sys.v >= 1);  // c ≡ 2 requires c >= 2, so (n-1)/2 >= 2, v >= 1
-    // These must come from a group not already used; since
-    // (c-2)/3 <= (n-7)/6 < v when c <= (n-1)/2 ... use G_v, which the
-    // take_groups above touched only if (c-2)/3 == v, impossible:
-    // c <= (n-1)/2 = 3v+1 gives (c-2)/3 <= v - 1/3 < v.
-    for (int i = 0; i < sys.v; ++i) {
-      const int j = i + sys.v;  // i + t mod q with t = v; i < v so no wrap
-      placed.push_back(Triangle{node(i, 0), node(j, 0), node(Q.op(i, j), 1)});
+  // c ≡ 0: G_1 .. G_{c/3}, each visiting every node exactly 3 times.
+  // c ≡ 1: G_0 (1 visit) + G_1 .. G_{(c-1)/3}.
+  // c ≡ 2: G_0 + G_1 .. G_{(c-2)/3} + v triangles from G_v visiting each
+  // node at most once. In every case the group count is c / 3.
+  if (c % 3 != 0) append_g0(placed, q);
+  for (int t = 1; t <= c / 3; ++t) append_group(placed, q, t);
+  if (c % 3 == 2) {
+    // {(a_i, 0), (a_j, 0), (a_i ∘ a_j, 1)}, j = i + v (no wrap: i < v).
+    // G_v is untouched by the groups above: c <= (n-1)/2 = 3v+1 gives
+    // (c-2)/3 <= v - 1/3 < v.
+    SW_ASSERT(v >= 1);  // c ≡ 2 requires c >= 2, so (n-1)/2 >= 2, v >= 1
+    for (int i = 0; i < v; ++i) {
+      placed.push_back(Triangle{i, i + v, product(i, i + v, q) + q});
     }
   }
   SW_ENSURES(static_cast<long>(placed.size()) == theorem2_bound(n, c));
@@ -202,6 +159,18 @@ bool valid_placement(const std::vector<Triangle>& triangles, int n, int c) {
   SW_EXPECTS(n >= 0);
   const auto un = static_cast<std::size_t>(n);
   std::vector<int> load(un, 0);
+  // One bit per vertex pair {lo < hi}, at lo * n + hi: an edge repeats iff
+  // its bit is already set.
+  std::vector<std::uint64_t> used((un * un + 63) / 64, 0);
+  const auto reuse = [&used, un](int x, int y) {
+    const std::size_t bit = static_cast<std::size_t>(std::min(x, y)) * un +
+                            static_cast<std::size_t>(std::max(x, y));
+    std::uint64_t& word = used[bit / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    const bool seen = (word & mask) != 0;
+    word |= mask;
+    return seen;
+  };
   for (const Triangle& t : triangles) {
     const int vs[3] = {t.a, t.b, t.c};
     for (int v : vs) {
@@ -211,37 +180,7 @@ bool valid_placement(const std::vector<Triangle>& triangles, int n, int c) {
     for (int v : vs) {
       if (++load[static_cast<std::size_t>(v)] > c && c > 0) return false;
     }
-  }
-
-  // Edge-disjointness in O(T + n): counting-sort every edge {lo < hi} into
-  // a bucket per lo; an edge repeats iff some hi occurs twice in one
-  // bucket, which a per-vertex stamp catches. Scratch is 12 B per triangle
-  // plus O(n), never O(n^2).
-  const auto for_each_edge = [&triangles](auto&& visit) {
-    for (const Triangle& t : triangles) {
-      visit(std::min(t.a, t.b), std::max(t.a, t.b));
-      visit(std::min(t.a, t.c), std::max(t.a, t.c));
-      visit(std::min(t.b, t.c), std::max(t.b, t.c));
-    }
-  };
-  // first[lo] .. first[lo + 1]: bucket lo's range in his.
-  std::vector<std::size_t> first(un + 1, 0);
-  for_each_edge(
-      [&first](int lo, int) { ++first[static_cast<std::size_t>(lo) + 1]; });
-  std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<int> his(3 * triangles.size());
-  std::vector<std::size_t> cursor(first.begin(), first.end() - 1);
-  for_each_edge([&his, &cursor](int lo, int hi) {
-    his[cursor[static_cast<std::size_t>(lo)]++] = hi;
-  });
-  std::vector<int> seen_in(un, -1);  // last bucket each hi appeared in
-  for (int lo = 0; lo < n; ++lo) {
-    const auto b = static_cast<std::size_t>(lo);
-    for (std::size_t i = first[b]; i < first[b + 1]; ++i) {
-      int& seen = seen_in[static_cast<std::size_t>(his[i])];
-      if (seen == lo) return false;  // edge {lo, his[i]} reused
-      seen = lo;
-    }
+    if (reuse(t.a, t.b) || reuse(t.a, t.c) || reuse(t.b, t.c)) return false;
   }
   return true;
 }

@@ -39,7 +39,6 @@ class Quasigroup {
 
  private:
   int order_;
-  int half_;  // (q+1)/2 = multiplicative inverse of 2 mod q
 };
 
 /// Theorem 1: size of a maximum edge-disjoint triangle packing of K_n.
@@ -48,7 +47,9 @@ class Quasigroup {
 /// Bose construction: a Steiner triple system on n = 6v + 3 points,
 /// organized into the paper's triangle groups G_0 (the "spool" triples,
 /// 2v+1 of them) and G_1..G_v (n triangles each). Every node appears exactly
-/// once in G_0 and exactly three times in each G_t.
+/// once in G_0 and exactly three times in each G_t. Kept as the grouped
+/// view tests check theorem2_placement against; both emit each group with
+/// the same routine.
 struct BoseSystem {
   int n{0};
   int v{0};
@@ -57,13 +58,6 @@ struct BoseSystem {
 };
 [[nodiscard]] BoseSystem bose_construction(int n);
 
-/// Memoized view of bose_construction(n), shared process-wide behind a
-/// mutex (the parallel scenario runner calls theorem2_placement from many
-/// worker threads at once). The returned reference is heap-backed and
-/// never evicted, so it stays valid for the life of the process; reading
-/// the system concurrently is safe — it is immutable once built.
-[[nodiscard]] const BoseSystem& bose_construction_cached(int n);
-
 /// Theorem 2: constructive capacity-constrained placement. Requires
 /// n ≡ 3 (mod 6) and 1 <= c <= (n-1)/2. Returns edge-disjoint triangles
 /// such that no machine appears in more than c of them, of the size the
@@ -71,11 +65,9 @@ struct BoseSystem {
 ///   c ≡ 0 (mod 3):  (1/3)cn
 ///   c ≡ 1 (mod 3):  (1/3)cn
 ///   c ≡ 2 (mod 3):  (1/3)(c-1)n + (n-3)/6
+/// The triangles are G_0 (if c ≢ 0), then G_1 .. G_{c/3}, then (if c ≡ 2)
+/// v triangles of G_v, written straight into one vector of that size.
 [[nodiscard]] std::vector<Triangle> theorem2_placement(int n, int c);
-/// Theorem 2 from a given Bose system for n (theorem2_placement(n, c)
-/// passes the cached one).
-[[nodiscard]] std::vector<Triangle> theorem2_placement(const BoseSystem& sys,
-                                                       int n, int c);
 
 /// Number of VMs Theorem 2 guarantees for (n, c).
 [[nodiscard]] long theorem2_bound(int n, int c);
@@ -88,7 +80,9 @@ struct BoseSystem {
 /// Validates the StopWatch constraints: triangles are pairwise
 /// edge-disjoint, have three distinct vertices in [0, n), and no vertex
 /// appears in more than c triangles (c <= 0 disables the capacity check).
-/// Requires n >= 0. O(T + n) time; scratch is 12 B per triangle plus O(n).
+/// Requires n >= 0. One pass over the T triangles: O(T + n²/64) time, and
+/// the scratch is one bit per vertex pair, n²/8 bytes (0.5 MB at n = 2001),
+/// plus a load count per vertex.
 [[nodiscard]] bool valid_placement(const std::vector<Triangle>& triangles,
                                    int n, int c = 0);
 

@@ -132,17 +132,32 @@ void TcpEndpoint::send_segment(Connection& c, std::uint64_t seq,
 }
 
 void TcpEndpoint::arm_rto(Connection& c) {
-  const std::uint64_t generation = ++c.rto_generation;
   c.rto_armed = true;
+  c.rto_deadline_ns = env_->now_ns() + kRto.ns;
+  if (!c.rto_timer_pending) schedule_rto(c, kRto);
+}
+
+void TcpEndpoint::schedule_rto(Connection& c, Duration delay) {
+  c.rto_timer_pending = true;
+  const std::uint64_t generation = ++c.rto_generation;
   const Key k = key(c.peer, c.flow);
-  env_->set_timer(kRto, [this, k, generation] { on_rto(k, generation); });
+  env_->set_timer(delay, [this, k, generation] { on_rto(k, generation); });
 }
 
 void TcpEndpoint::on_rto(Key k, std::uint64_t generation) {
   const auto it = conns_.find(k);
   if (it == conns_.end()) return;
   Connection& c = it->second;
-  if (!c.rto_armed || c.rto_generation != generation) return;  // stale
+  if (c.rto_generation != generation) return;  // not this connection's timer
+  c.rto_timer_pending = false;
+  if (!c.rto_armed) return;
+  // ACKs since this timer was scheduled moved the deadline: wait out the
+  // rest of it (Linux's mod_timer, without a timer per ACK).
+  const std::int64_t now = env_->now_ns();
+  if (now < c.rto_deadline_ns) {
+    schedule_rto(c, Duration::nanos(c.rto_deadline_ns - now));
+    return;
+  }
 
   if (!c.established) {
     if (!c.syn_sent) return;

@@ -7,7 +7,12 @@
 //  * delayed ACKs (every 2nd segment or a short timer) — the coalescing
 //    that makes packets-per-operation fall as NFS load rises (Fig. 6(b));
 //  * go-back-N retransmission on RTO (losses are rare on the cloud LAN but
-//    the protocol must stay correct under them).
+//    the protocol must stay correct under them). The RTO is due 200 ms
+//    after the last send or ACK that left data in flight; like Linux's
+//    mod_timer, re-arming moves the deadline of one pending timer event
+//    instead of scheduling one per ACK, so a guest pays for a timer
+//    interrupt only when the deadline is actually reached (or an earlier
+//    event finds that it has moved and re-arms for the rest).
 //
 // Application data is exchanged as *messages* (length-delimited byte runs);
 // the receiver fires one callback per completed message.
@@ -107,8 +112,13 @@ class TcpEndpoint {
     std::uint64_t stream_len{0};
     std::deque<Message> tx_messages;  // pruned as fully acked
     int cwnd{kInitialCwnd};
-    std::uint64_t rto_generation{0};
+    /// Retransmission timer: armed while unacked data (or a SYN) waits.
+    /// Arming moves the deadline; at most one timer event is pending, and
+    /// it re-arms itself for the rest of a deadline that moved meanwhile.
     bool rto_armed{false};
+    bool rto_timer_pending{false};
+    std::int64_t rto_deadline_ns{0};
+    std::uint64_t rto_generation{0};  ///< of the pending timer
 
     // Receiver.
     std::uint64_t rcv_next{0};
@@ -129,6 +139,7 @@ class TcpEndpoint {
   void pump(Connection& c);
   void send_segment(Connection& c, std::uint64_t seq, const Message& m);
   void arm_rto(Connection& c);
+  void schedule_rto(Connection& c, Duration delay);
   void on_rto(Key k, std::uint64_t generation);
   void send_ack(Connection& c);
   void deliver_messages(Connection& c);

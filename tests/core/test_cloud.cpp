@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -393,6 +394,48 @@ TEST(Cloud, ReplicaPlacementOnSameMachineRejected) {
                    "bad", [] { return std::make_unique<EchoProgram>(); },
                    {0, 0, 1}),
                ContractViolation);
+}
+
+TEST(Cloud, AddVmsNamesTheBadRow) {
+  // A batch validates row by row, as add_vm validates its one row: the
+  // first bad row throws, names the VM index it would have taken, and
+  // leaves the rows before it registered. Each batch follows one good VM,
+  // so the names count from the cloud's first VM, not the batch's.
+  const auto echo = [] { return std::make_unique<EchoProgram>(); };
+  const std::vector<int> good = {0, 1, 2};
+  struct Bad {
+    std::vector<int> row;
+    const char* message;
+  };
+  const Bad bads[] = {
+      {{0, 0, 1}, "places two replicas on machine 0"},
+      {{2, 1, 3}, "machine index 3 out of range [0, 3)"},
+  };
+  for (const Bad& bad : bads) {
+    for (const int k : {0, 3, 6}) {
+      Cloud cloud(stopwatch_config());
+      static_cast<void>(cloud.add_vm("first", echo, good));
+      std::vector<int> rows;
+      for (int i = 0; i < 7; ++i) {
+        const std::vector<int>& row = i == k ? bad.row : good;
+        rows.insert(rows.end(), row.begin(), row.end());
+      }
+      const std::string name = "VM 'vm" + std::to_string(1 + k) + "' ";
+      try {
+        static_cast<void>(cloud.add_vms(echo, rows, 3));
+        ADD_FAILURE() << "row " << k << " was accepted";
+      } catch (const ContractViolation& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name + bad.message), std::string::npos) << what;
+      }
+      ASSERT_EQ(cloud.vm_count(), static_cast<std::size_t>(1 + k));
+      // The cloud stays usable: the next VM takes the failed row's index.
+      const VmHandle next = cloud.add_vm("", echo, good);
+      EXPECT_EQ(next.index, static_cast<std::uint32_t>(1 + k));
+      const std::span<const int> placed = cloud.vm_machines(next);
+      EXPECT_EQ(std::vector<int>(placed.begin(), placed.end()), good);
+    }
+  }
 }
 
 /// Expects Cloud(cfg) to throw a ContractViolation whose message mentions

@@ -14,8 +14,8 @@ namespace stopwatch::placement {
 namespace {
 
 /// The node-based std::set checker valid_placement used to be: one
-/// red-black node per edge. Kept as the reference the sort-based checker
-/// must agree with.
+/// red-black node per edge. Kept as the reference the bitmap checker must
+/// agree with.
 bool reference_valid_placement(const std::vector<Triangle>& triangles, int n,
                                int c) {
   std::set<std::pair<int, int>> edges;
@@ -166,6 +166,39 @@ TEST(Theorem2, UtilizationBeatsIsolation) {
   }
 }
 
+TEST(Theorem2, MatchesBoseSystemGroups) {
+  // theorem2_placement emits the Bose groups directly; assembled from the
+  // grouped system, the same triangles come out in the same order: G_0 if
+  // c is not a multiple of 3, G_1 .. G_{c/3}, and for c = 2 (mod 3) the
+  // l = 0 triangle of each i < v in G_v.
+  const auto same = [](const Triangle& x, const Triangle& y) {
+    return x.a == y.a && x.b == y.b && x.c == y.c;
+  };
+  for (const int n : {9, 15, 21, 45, 99, 201}) {
+    const BoseSystem sys = bose_construction(n);
+    for (int c = 1; c <= (n - 1) / 2; ++c) {
+      std::vector<Triangle> expected;
+      if (c % 3 != 0) expected = sys.g0;
+      for (int t = 1; t <= c / 3; ++t) {
+        const auto& g = sys.gt[static_cast<std::size_t>(t - 1)];
+        expected.insert(expected.end(), g.begin(), g.end());
+      }
+      if (c % 3 == 2) {
+        const auto& g_v = sys.gt[static_cast<std::size_t>(sys.v - 1)];
+        for (int i = 0; i < sys.v; ++i) {
+          expected.push_back(g_v[static_cast<std::size_t>(3 * i)]);
+        }
+      }
+      const std::vector<Triangle> placed = theorem2_placement(n, c);
+      ASSERT_EQ(placed.size(), expected.size()) << "n=" << n << " c=" << c;
+      for (std::size_t i = 0; i < placed.size(); ++i) {
+        ASSERT_TRUE(same(placed[i], expected[i]))
+            << "n=" << n << " c=" << c << " triangle " << i;
+      }
+    }
+  }
+}
+
 TEST(Theorem2, RejectsOutOfRangeInputs) {
   EXPECT_THROW(theorem2_placement(10, 1), ContractViolation);
   EXPECT_THROW(theorem2_placement(9, 0), ContractViolation);
@@ -221,7 +254,8 @@ TEST(ValidPlacement, AgreesWithSetReferenceOnRandomLists) {
   // Seeded random lists built to hit every rejection path: packings
   // validated against a capacity other than the one they were built for
   // (overflow), copies of an early triangle appended at the end (edge reuse
-  // far apart), reversed or rotated vertex order, degenerate and
+  // far apart), one edge reused in reversed order as a new triangle's first,
+  // second or third edge, reversed or rotated vertex order, degenerate and
   // out-of-range vertices, and free-form lists of random triples.
   Rng rng(0x5A1DA7E5ULL);
   int accepted = 0;
@@ -251,7 +285,7 @@ TEST(ValidPlacement, AgreesWithSetReferenceOnRandomLists) {
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(ts.size()) - 1));
       Triangle& t = ts[pick];
-      switch (rng.uniform_int(0, 6)) {
+      switch (rng.uniform_int(0, 7)) {
         case 0:  // copy of the first triangle, reversed, at the far end
           ts.push_back(Triangle{ts.front().c, ts.front().b, ts.front().a});
           break;
@@ -268,6 +302,23 @@ TEST(ValidPlacement, AgreesWithSetReferenceOnRandomLists) {
         case 4:  // out of range, below or above
           t.b = rng.chance(0.5) ? -1 : n;
           break;
+        case 5: {
+          // One edge reused in reversed order, as the new triangle's first,
+          // second or third edge.
+          const int fresh = static_cast<int>(rng.uniform_int(0, n - 1));
+          switch (rng.uniform_int(0, 2)) {
+            case 0:
+              ts.push_back(Triangle{t.c, t.b, fresh});
+              break;
+            case 1:
+              ts.push_back(Triangle{t.c, fresh, t.a});
+              break;
+            default:
+              ts.push_back(Triangle{fresh, t.b, t.a});
+              break;
+          }
+          break;
+        }
         default:  // unmodified
           break;
       }
@@ -292,6 +343,36 @@ TEST(ValidPlacement, FullCapacityTheorem2AtCloudScale) {
   // Placing any triangle a second time reuses its three edges.
   ts.push_back(ts[ts.size() / 2]);
   EXPECT_FALSE(valid_placement(ts, n, c));
+}
+
+TEST(ValidPlacement, OneReusedEdgeAtCloudScaleAgreesWithSetReference) {
+  // At n = 1503 with most edges free (G_0 + G_1: 2004 triangles), a new
+  // triangle that reuses exactly one edge of a placed one, in reversed
+  // vertex order, as its first, second or third edge, is rejected however
+  // far apart the bits of its edges lie; a triangle of free edges is not.
+  const int n = 1503;
+  const std::vector<Triangle> base = theorem2_placement(n, 4);
+  const std::size_t picks[] = {0, base.size() / 2, base.size() - 1};
+  for (const std::size_t pick : picks) {
+    const Triangle t = base[pick];
+    const int far = t.a < n / 2 ? n - 1 : 0;
+    ASSERT_TRUE(far != t.a && far != t.b && far != t.c);
+    const Triangle cases[] = {
+        {t.b, t.a, far},  // reuses {a, b} first
+        {t.c, far, t.a},  // reuses {a, c} second
+        {far, t.c, t.b},  // reuses {b, c} third
+    };
+    for (const Triangle& added : cases) {
+      std::vector<Triangle> ts = base;
+      ts.push_back(added);
+      EXPECT_FALSE(reference_valid_placement(ts, n, 0));
+      EXPECT_FALSE(valid_placement(ts, n)) << "pick " << pick;
+    }
+  }
+  std::vector<Triangle> ts = base;
+  ts.push_back(Triangle{1, 700, n - 1});
+  ASSERT_TRUE(reference_valid_placement(ts, n, 0));
+  EXPECT_TRUE(valid_placement(ts, n));
 }
 
 }  // namespace

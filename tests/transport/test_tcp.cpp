@@ -23,12 +23,16 @@ class Loopback {
       lb_->transmit(pkt);
     }
     void set_timer(Duration delay, std::function<void()> cb) override {
+      ++timers_set;
       lb_->sim.schedule_after(delay, std::move(cb));
     }
     [[nodiscard]] std::int64_t now_ns() const override {
       return lb_->sim.now().ns;
     }
     [[nodiscard]] NodeId local_addr() const override { return self_; }
+
+    /// Timers scheduled through this environment.
+    int timers_set{0};
 
    private:
     Loopback* lb_;
@@ -261,6 +265,79 @@ TEST(Tcp, NewFlowToTheSamePeerAfterClose) {
     EXPECT_EQ(pair.b.connection_count(), 0u) << "flow " << flow;
   }
   EXPECT_EQ(replies, (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(Tcp, AcksKeepOneRetransmissionTimer) {
+  // a only sends data and receives ACKs, so every timer its environment
+  // schedules is an RTO timer. ACKs move the deadline of the pending one:
+  // the count grows with the transfer's length in RTOs, not with its ACKs.
+  TcpPair pair;
+  const std::uint32_t size = 1 << 20;
+  std::int64_t delivered_ns = -1;
+  pair.b.listen([&](NodeId, std::uint32_t, std::uint32_t, std::uint32_t len,
+                    std::uint32_t) {
+    EXPECT_EQ(len, size);
+    delivered_ns = pair.lb.sim.now().ns;
+  });
+  pair.a.connect(NodeId{2}, 1, [&](NodeId peer, std::uint32_t flow) {
+    pair.a.send_message(peer, flow, 1, size, 0);
+  });
+  pair.lb.sim.run();
+  ASSERT_GT(delivered_ns, 0);
+  EXPECT_EQ(pair.a.stats().retransmissions, 0u);
+  EXPECT_GT(pair.b.stats().ack_packets_sent, 300u);
+  // One timer for the SYN, one per RTO of transfer it re-arms for, and
+  // the last one, which finds nothing in flight.
+  const std::int64_t rtos = delivered_ns / Duration::millis(200).ns;
+  EXPECT_LE(pair.env_a.timers_set, 2 + rtos)
+      << pair.b.stats().ack_packets_sent << " ACKs over " << delivered_ns
+      << " ns";
+}
+
+TEST(Tcp, RetransmitsOneRtoAfterTheLastAck) {
+  // Twenty segments; the first copy of the eleventh is lost. The ACKs of
+  // the first ten and the duplicate ACKs of the rest each move the RTO
+  // deadline, so the segment is resent 200 ms after the last of them, by
+  // the one timer pending since the SYN (re-armed once for the deadline
+  // that moved), not by the last of one timer per ACK.
+  TcpPair pair;
+  const std::uint64_t lost_seq = 10 * net::kMss;
+  std::vector<std::int64_t> resent_ns;
+  int timers_at_resend = -1;
+  bool lost = false;
+  pair.lb.b_rx = [&](const net::Packet& p) {
+    if (p.kind == net::PacketKind::kData && p.seq == lost_seq) {
+      if (!lost) {
+        lost = true;
+        return;
+      }
+      // The link delays every packet by 1 ms.
+      resent_ns.push_back(pair.lb.sim.now().ns - Duration::millis(1).ns);
+      timers_at_resend = pair.env_a.timers_set;
+    }
+    pair.b.on_packet(p);
+  };
+  std::int64_t last_ack_ns = -1;
+  pair.lb.a_rx = [&](const net::Packet& p) {
+    if (p.kind == net::PacketKind::kAck && resent_ns.empty()) {
+      last_ack_ns = pair.lb.sim.now().ns;
+    }
+    pair.a.on_packet(p);
+  };
+  int delivered = 0;
+  pair.b.listen([&](NodeId, std::uint32_t, std::uint32_t, std::uint32_t,
+                    std::uint32_t) { ++delivered; });
+  pair.a.connect(NodeId{2}, 1, [&](NodeId peer, std::uint32_t flow) {
+    pair.a.send_message(peer, flow, 1, 20 * net::kMss, 0);
+  });
+  pair.lb.sim.run();
+  ASSERT_EQ(resent_ns.size(), 1u);
+  EXPECT_EQ(resent_ns.front(), last_ack_ns + Duration::millis(200).ns);
+  // The SYN's timer, its re-arm at the moved deadline, and the timer the
+  // retransmission armed.
+  EXPECT_EQ(timers_at_resend, 3);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(pair.a.stats().retransmissions, 1u);
 }
 
 TEST(Tcp, LateAckOfAReleasedFlowIsDropped) {
