@@ -101,17 +101,12 @@ Cloud::Cloud(CloudConfig cfg)
              }),
       egress_core_(&sharded_.shard(0)) {
   net_.set_default_link(cfg_.cloud_link);
-  // The egress node is the first node allocated: node IDs key the links'
-  // jitter streams.
-  egress_node_ =
-      net_.add_node([this](const net::Frame& f) { on_egress_frame(f); });
-  // A registered VM's address stays unbound until wire(): its frames land
-  // here, on core 0, and on_addr_frame rejects them by name.
-  net_.set_unbound_handler([this](const net::Frame& f) {
-    SW_ASSERT(f.dst.value < addr_to_vm_.size() &&
-              addr_to_vm_[f.dst.value] != kNoVm);
-    on_addr_frame(addr_to_vm_[f.dst.value], f);
-  });
+  // Nodes are keyed by what they are (net::node_key), never by the order
+  // they are built in: the egress, machines, externals and VM addresses
+  // each draw the same stream whatever else the cloud builds.
+  egress_node_ = net_.add_node(
+      net::node_key(net::NodeRole::kEgress, 0),
+      [this](const net::Frame& f) { on_egress_frame(f); });
   // Histograms exist up front (worker threads record into them); counters
   // are copied in at observability() time.
   net_.set_bytes_histogram(registry_.histogram("net.frame_bytes"));
@@ -153,29 +148,23 @@ VmHandle Cloud::add_vm(std::string name, ProgramFactory factory,
   return vm;
 }
 
-std::vector<VmHandle> Cloud::add_vms(ProgramFactory factory,
-                                     std::span<const int> rows,
-                                     std::size_t row_width) {
+VmHandle Cloud::add_vms(ProgramFactory factory, std::span<const int> rows,
+                        std::size_t row_width) {
   SW_EXPECTS(factory != nullptr);
   SW_EXPECTS(row_width >= 1 && rows.size() % row_width == 0);
   const std::size_t count = rows.size() / row_width;
   const int replicas = effective_replicas();
   reserve_more(vms_, count);
   reserve_more(vm_machines_, count * static_cast<std::size_t>(replicas));
-  // The batch's addresses are the next `count` node IDs: one resize covers
-  // them, so append_row finds every slot in place.
-  const std::size_t addr_end = net_.node_count() + count;
-  if (addr_to_vm_.size() < addr_end) addr_to_vm_.resize(addr_end, kNoVm);
   factories_.push_back(std::move(factory));
   const auto shared = static_cast<std::uint32_t>(factories_.size() - 1);
   const std::string unnamed;
-  std::vector<VmHandle> handles;
-  handles.reserve(count);
+  const VmHandle first{static_cast<std::uint32_t>(vms_.size())};
   for (std::size_t i = 0; i < count; ++i) {
     const std::span<const int> row = rows.subspan(i * row_width, row_width);
-    handles.push_back(append_row(shared, row, replicas, unnamed));
+    static_cast<void>(append_row(shared, row, replicas, unnamed));
   }
-  return handles;
+  return first;
 }
 
 VmHandle Cloud::append_row(std::uint32_t factory, std::span<const int> machines,
@@ -209,16 +198,9 @@ VmHandle Cloud::append_row(std::uint32_t factory, std::span<const int> machines,
     }
   }
 
-  // The VM's logical address doubles as its ingress entry point. It is
-  // only reserved here; wire() builds its node, and until then a frame to
-  // it reaches the fabric's unbound handler (see the constructor).
-  const NodeId addr = net_.reserve_node();
-  vms_.push_back(VmEntry{addr, factory, nullptr});
+  // No address node yet: vm_addr builds it at first need.
+  vms_.push_back(VmEntry{kNoAddr, factory, nullptr});
   vm_machines_.insert(vm_machines_.end(), placed.begin(), placed.end());
-  if (addr_to_vm_.size() <= addr.value) {
-    addr_to_vm_.resize(addr.value + 1, kNoVm);
-  }
-  addr_to_vm_[addr.value] = vm_index;
   return VmHandle{vm_index};
 }
 
@@ -234,8 +216,10 @@ std::string Cloud::vm_name(std::uint32_t vm_index) const {
 
 NodeId Cloud::add_external_node(PacketHandler on_packet) {
   SW_EXPECTS(on_packet != nullptr);
-  const NodeId id =
-      net_.add_node([cb = std::move(on_packet)](const net::Frame& f) {
+  const NodeId id = net_.add_node(
+      net::node_key(net::NodeRole::kExternal,
+                    static_cast<std::uint32_t>(external_nodes_.size())),
+      [cb = std::move(on_packet)](const net::Frame& f) {
         if (const auto* gp = std::get_if<net::GuestPacketPayload>(&f.payload)) {
           cb(gp->pkt);
         }
@@ -279,10 +263,7 @@ void Cloud::wire(std::uint32_t vm_index) {
   }
   // The VM's ingress address delivers on the shard hosting its replicas,
   // keeping the whole ingress -> replicate -> deliver path one-core.
-  net_.bind_node(entry.addr, [this, vm_index](const net::Frame& f) {
-    on_addr_frame(vm_index, f);
-  });
-  net_.set_node_owner(entry.addr, owner);
+  net_.set_node_owner(vm_addr(VmHandle{vm_index}), owner);
   const int replicas = effective_replicas();
   const std::uint64_t det_seed =
       SplitMix64(cfg_.seed ^ (0xABCDULL + vm_index)).next();
@@ -550,7 +531,25 @@ const Cloud::VmEntry& Cloud::entry(VmHandle vm) const {
   return vms_[vm.index];
 }
 
-NodeId Cloud::vm_addr(VmHandle vm) const { return entry(vm).addr; }
+NodeId Cloud::vm_addr(VmHandle vm) {
+  SW_EXPECTS(vm.index < vms_.size());
+  VmEntry& e = vms_[vm.index];
+  if (e.addr != kNoAddr) return e.addr;
+  SW_EXPECTS_MSG(!sharded_.running(),
+                 vm_label(vm_name(vm.index)) +
+                     " has no address node yet, and none is built mid-run: "
+                     "take its address before run_for");
+  // Frames to a VM outside the activation set reach on_addr_frame too, on
+  // core 0, which rejects them by name.
+  e.addr = net_.add_node(
+      net::node_key(net::NodeRole::kVmAddress, vm.index),
+      [this, i = vm.index](const net::Frame& f) { on_addr_frame(i, f); });
+  if (addr_to_vm_.size() <= e.addr.value) {
+    addr_to_vm_.resize(e.addr.value + 1, kNoVm);
+  }
+  addr_to_vm_[e.addr.value] = vm.index;
+  return e.addr;
+}
 
 std::span<const int> Cloud::vm_machines(VmHandle vm) const {
   SW_EXPECTS(vm.index < vms_.size());

@@ -17,17 +17,22 @@
 //     output determinism via content hashes.
 //
 // Every cloud takes one lifecycle, at any sim_shards:
-//   * add_vm / add_vms record only the placement: a machine row, a
-//     16-byte entry (a reserved ingress address, a factory index, a null
-//     wired pointer) and the address's reverse-lookup slot. No network
-//     node, name string or factory copy is built per VM, and no event is
-//     scheduled, so registering Θ(n²) placements (376,251 VMs over
-//     n = 1503 machines) costs a few dozen bytes per VM.
+//   * add_vm / add_vms record only the placement: a machine row and a
+//     16-byte entry (an unbuilt address, a factory index, a null wired
+//     pointer). No network node, name string or factory copy is built per
+//     VM, and no event is scheduled, so registering Θ(n²) placements
+//     (376,251 VMs over n = 1503 machines) costs 28 bytes per VM.
+//   * A VM's address node (its ingress entry) is built at first need:
+//     vm_addr, or wiring. Every network node's random stream is keyed by
+//     what the node is (net::node_key: the egress, VM address i, machine
+//     m, external k), so a VM's timing does not depend on the cold VMs
+//     registered after it, on shard_size, or on the order nodes are
+//     built in.
 //   * activate(vms) declares the activation set, builds the ShardPlan that
 //     partitions it across the sim_shards cores, and wires the listed VMs
 //     in index order: their multicast groups, replica GuestContexts, and
 //     the machine shards hosting them come into existence here, on the
-//     cores the plan assigns, and so do their ingress address nodes. This
+//     cores the plan assigns, which also own their address nodes. This
 //     is the only step that wires a VM; a frame reaching a VM outside the
 //     set is a contract violation naming it. A cloud that never calls
 //     activate gets every registered VM activated by start().
@@ -155,10 +160,9 @@ class Cloud {
   /// Registers one VM per row of `rows`, `row_width` machine indices per
   /// row, row-major — the same as one add_vm per row with no name, except
   /// that the whole batch shares `factory` and capacity is reserved once.
-  /// Returns the handles, which are consecutive.
-  std::vector<VmHandle> add_vms(ProgramFactory factory,
-                                std::span<const int> rows,
-                                std::size_t row_width);
+  /// Returns the first row's handle; row i's is `first.index + i`.
+  VmHandle add_vms(ProgramFactory factory, std::span<const int> rows,
+                   std::size_t row_width);
 
   /// Adds an external endpoint (client, collector...) reached over the
   /// client link model (one per-node link entry, not a per-VM fan-out).
@@ -234,7 +238,9 @@ class Cloud {
   [[nodiscard]] std::size_t materialized_vm_count() const {
     return materialized_vms_;
   }
-  [[nodiscard]] NodeId vm_addr(VmHandle vm) const;
+  /// The logical network address of `vm`, building its node on first
+  /// need (which must come before run_for).
+  [[nodiscard]] NodeId vm_addr(VmHandle vm);
   /// The machines `vm` is placed on, effective_replicas() of them.
   [[nodiscard]] std::span<const int> vm_machines(VmHandle vm) const;
   /// Wired replicas of `vm` (0 outside the activation set).
@@ -323,13 +329,14 @@ class Cloud {
     obs::TraceTrack* track{nullptr};
   };
 
+  static constexpr NodeId kNoAddr{~std::uint32_t{0}};
   /// The cold registration record every VM keeps (16 bytes). Its machine
   /// indices live in vm_machines_, its VmId is its index, its name is
   /// derived from the index unless the caller gave one (names_), and its
-  /// replica seed is derived at wire time. `addr` is a reserved network
-  /// ID; wire() binds its node.
+  /// replica seed is derived at wire time. `addr` stays kNoAddr until
+  /// vm_addr builds the address node.
   struct VmEntry {
-    NodeId addr{};
+    NodeId addr{kNoAddr};
     std::uint32_t factory{0};        ///< index into factories_
     std::unique_ptr<WiredVm> wired;  ///< null until wire()
   };
@@ -392,7 +399,7 @@ class Cloud {
   std::vector<std::pair<std::uint32_t, std::string>> names_;
   /// Machine indices of every VM, effective_replicas() per VM, in VM order.
   std::vector<int> vm_machines_;
-  /// Ingress address ID -> VM index; kNoVm for every other node.
+  /// Built address node ID -> VM index; kNoVm for every other node.
   static constexpr std::uint32_t kNoVm = ~std::uint32_t{0};
   std::vector<std::uint32_t> addr_to_vm_;
   std::map<std::uint32_t, net::MulticastGroup*> groups_;  // by group id

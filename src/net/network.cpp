@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 namespace stopwatch::net {
@@ -21,31 +22,17 @@ Duration LinkModel::min_latency() const {
                                   jitter_floor(jitter_sigma));
 }
 
-NodeId Network::add_node(Handler handler) {
-  const NodeId id = reserve_node();
-  bind_node(id, std::move(handler));
-  return id;
-}
-
-NodeId Network::reserve_node() {
+NodeId Network::add_node(std::uint64_t stream_key, Handler handler) {
   SW_EXPECTS(!kernel_->running());
-  return NodeId{issued_++};
-}
-
-void Network::bind_node(NodeId id, Handler handler) {
-  SW_EXPECTS(!kernel_->running());
-  SW_EXPECTS(id.value < issued_);
-  const std::size_t page = id.value >> kPageBits;
-  if (pages_.size() <= page) pages_.resize(page + 1);
-  if (pages_[page] == nullptr) pages_[page] = std::make_unique<Page>();
-  std::optional<Node>& slot = (*pages_[page])[id.value & (kPageSize - 1)];
-  SW_EXPECTS(!slot.has_value());
-  slot.emplace(
-      Node{std::move(handler), RealTime{}, rng_.fork(id.value), 0});
-}
-
-void Network::set_unbound_handler(Handler handler) {
-  unbound_handler_ = std::move(handler);
+  SW_EXPECTS(handler != nullptr);
+  const bool fresh = stream_keys_.insert(stream_key).second;
+  SW_EXPECTS_MSG(fresh, "Network::add_node: stream key (role " +
+                            std::to_string(stream_key >> 32) + ", index " +
+                            std::to_string(stream_key & 0xFFFFFFFFu) +
+                            ") already names a node");
+  nodes_.push_back(
+      Node{std::move(handler), RealTime{}, rng_.fork(stream_key), 0});
+  return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
 void Network::set_node_owner(NodeId node_id, int shard) {
@@ -55,7 +42,7 @@ void Network::set_node_owner(NodeId node_id, int shard) {
 }
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
-  SW_EXPECTS(node_id.value < issued_);
+  SW_EXPECTS(node_id.value < nodes_.size());
   note_may_drop(model.loss_probability > 0.0);
   node_links_[node_id.value] = model;
 }
@@ -90,33 +77,14 @@ const LinkModel& Network::link_for(NodeId src, NodeId dst) const {
   return default_link_;
 }
 
-const Network::Node* Network::find(NodeId id) const {
-  const std::size_t page = id.value >> kPageBits;
-  if (page >= pages_.size() || pages_[page] == nullptr) return nullptr;
-  const std::optional<Node>& slot = (*pages_[page])[id.value & (kPageSize - 1)];
-  return slot.has_value() ? &*slot : nullptr;
-}
-
-Network::Node* Network::find(NodeId id) {
-  return const_cast<Node*>(std::as_const(*this).find(id));
-}
-
 Network::Node& Network::node(NodeId id) {
-  Node* n = find(id);
-  SW_EXPECTS(n != nullptr);
-  return *n;
+  SW_EXPECTS(id.value < nodes_.size());
+  return nodes_[id.value];
 }
 
 bool Network::send(Frame frame) {
   Node& src = node(frame.src);
-  // A reserved ID without a record routes to the unbound handler on
-  // owner 0; the choice is made here, once, for the frame's whole flight.
-  const Node* dst = find(frame.dst);
-  SW_EXPECTS(dst != nullptr ? dst->handler != nullptr
-                            : frame.dst.value < issued_ &&
-                                  unbound_handler_ != nullptr);
-  const bool unbound = dst == nullptr;
-  const int dst_owner = unbound ? 0 : dst->owner;
+  const int dst_owner = node(frame.dst).owner;
 
   const LinkModel& link = link_for(frame.src, frame.dst);
   // All mutable state touched on the send path (src tx_free, src rng)
@@ -158,14 +126,8 @@ bool Network::send(Frame frame) {
   // inline buffer, so it is boxed: the delivery task itself — pointer +
   // destination — stays inline in the slab, and the frame costs the one
   // heap allocation it always did.
-  sim::Task deliver([this, dst_id, unbound,
+  sim::Task deliver([this, dst_id,
                      f = std::make_unique<Frame>(std::move(frame))]() {
-    if (unbound) {
-      unbound_handler_(*f);
-      return;
-    }
-    // Records live in pages that never move, so the running handler
-    // survives the new nodes it may bind mid-delivery.
     node(dst_id).handler(*f);
   });
   if (dst_owner != src.owner) {

@@ -7,19 +7,20 @@
 // one node (e.g., a slow "wireless client" hop as in the paper's
 // evaluation).
 //
-// An address may exist before its node does: reserve_node issues a dense
-// NodeId and builds nothing, bind_node builds the record later, and frames
-// to a reserved ID that is still unbound go to one fabric-wide handler.
-// That is what lets a cloud register hundreds of thousands of addresses
-// and build nodes only for the few it runs.
+// add_node is the one way to make a node. Its NodeId is a dense handle in
+// build order and feeds no randomness: the node's stochastic stream (loss,
+// jitter) is forked from the fabric seed by the caller's stream key, which
+// names what the node is (node_key: a role and an index within it). So the
+// draws a node sees do not depend on how many nodes were built before it,
+// or in what order — a cloud builds nodes only for the few endpoints it
+// runs, in whatever order it first needs them.
 //
 // Shard awareness: the fabric runs on a sim::ShardedSimulator and every
 // node has an owner shard (default 0). A frame between same-owner nodes
 // is scheduled directly on the owner's core, while a frame crossing
 // shards goes through the kernel's deterministic (source shard,
-// destination shard) lanes. Stochastic draws (loss, jitter) come from a
-// per-node RNG stream forked from the fabric seed by node id — so the
-// draw sequence a node sees is a function of its own traffic only, never
+// destination shard) lanes. Draws come from the sending node's own stream,
+// so the sequence a node sees is a function of its own traffic only, never
 // of global send interleaving. That is what keeps an N-shard run
 // byte-identical to a one-shard run.
 #pragma once
@@ -27,12 +28,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <optional>
+#include <unordered_set>
 #include <variant>
-#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/ids.hpp"
@@ -64,6 +64,21 @@ struct LinkModel {
   [[nodiscard]] Duration min_latency() const;
 };
 
+/// What a cloud node is: the role half of its stream key (node_key).
+enum class NodeRole : std::uint32_t {
+  kEgress = 1,
+  kVmAddress,  ///< a VM's logical address, which is its ingress entry
+  kMachine,
+  kExternal,   ///< indexed in registration order
+};
+
+/// The stream key of node `index` of `role`: distinct for every (role,
+/// index) pair.
+[[nodiscard]] constexpr std::uint64_t node_key(NodeRole role,
+                                               std::uint32_t index) {
+  return (std::uint64_t{static_cast<std::uint32_t>(role)} << 32) | index;
+}
+
 /// The network fabric. Owns no node logic; nodes register handlers.
 class Network {
  public:
@@ -75,30 +90,11 @@ class Network {
   Network(sim::ShardedSimulator& kernel, Rng rng)
       : kernel_(&kernel), rng_(std::move(rng)) {}
 
-  /// Registers a node; the handler is invoked on frame arrival. Same as
-  /// bind_node(reserve_node(), handler).
-  NodeId add_node(Handler handler);
-
-  /// Issues the next dense NodeId without building its record: a reserved
-  /// ID is an address that costs nothing until bind_node. Frames sent to
-  /// it before then go to the unbound handler.
-  NodeId reserve_node();
-
-  /// Builds the record of a reserved, not yet bound `id`. Its stochastic
-  /// stream is forked by `id` exactly as add_node would have at
-  /// reservation time, so a late-bound node draws the jitter it would have
-  /// drawn had it been built eagerly. Reserving first is also how a
-  /// handler captures its own node's ID.
-  void bind_node(NodeId id, Handler handler);
-
-  /// True once `id` has a record (add_node, or reserve_node + bind_node).
-  [[nodiscard]] bool is_bound(NodeId id) const { return find(id) != nullptr; }
-
-  /// Receives every frame sent to a reserved ID that was unbound at send
-  /// time, delivered on owner 0 at the frame's arrival instant (frame.dst
-  /// names the ID). No record is built for it. Sending to an unbound ID
-  /// without this handler installed is a contract violation.
-  void set_unbound_handler(Handler handler);
+  /// Builds a node whose stochastic stream is forked from the fabric seed
+  /// by `stream_key`; `handler` is invoked on frame arrival. A key names
+  /// at most one node: reusing one is a contract violation. Returns the
+  /// next dense NodeId.
+  NodeId add_node(std::uint64_t stream_key, Handler handler);
 
   /// Assigns the shard that owns a node's events (default 0). Must not be
   /// called while the kernel is mid-window.
@@ -134,8 +130,8 @@ class Network {
   /// the frame was dropped by the drop hook or the loss model.
   bool send(Frame frame);
 
-  /// IDs issued so far, bound or not.
-  [[nodiscard]] std::size_t node_count() const { return issued_; }
+  /// Nodes built so far.
+  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   /// The simulator core that owns a node's events.
   [[nodiscard]] sim::Simulator& simulator_for(NodeId node_id) {
     return kernel_->shard(node(node_id).owner);
@@ -173,8 +169,9 @@ class Network {
     /// Earliest time the node's uplink is free (serialization queueing).
     RealTime tx_free{};
     /// Per-node stochastic stream: loss and jitter draws for frames this
-    /// node sends. Forked from the fabric RNG by node id, so the stream
-    /// is independent of other nodes' traffic (and of shard count).
+    /// node sends. Forked from the fabric RNG by the node's stream key, so
+    /// the stream is independent of other nodes' traffic (and of shard
+    /// count and build order).
     Rng rng;
     /// Shard whose core runs this node's events.
     int owner{0};
@@ -183,26 +180,15 @@ class Network {
   [[nodiscard]] const LinkModel& link_for(NodeId src, NodeId dst) const;
   /// Sets may_drop_ when `drops`, which must precede the first send.
   void note_may_drop(bool drops);
-  /// The record of `id`, or null while it is reserved but unbound.
-  [[nodiscard]] Node* find(NodeId id);
-  [[nodiscard]] const Node* find(NodeId id) const;
-  /// The record of a bound `id` (contract violation otherwise).
+  /// The record of `id` (contract violation if no such node).
   Node& node(NodeId id);
-
-  /// Records live in fixed-size pages, allocated on the first bind into
-  /// them, so a reserved ID costs no record. A page never moves once
-  /// built: handlers may bind new nodes mid-delivery (a machine shard
-  /// first touched by a running scenario), and the executing node — and
-  /// its handler — stays reference-stable through that.
-  static constexpr std::uint32_t kPageBits = 6;
-  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
-  using Page = std::array<std::optional<Node>, kPageSize>;
 
   sim::ShardedSimulator* kernel_;
   Rng rng_;
-  std::vector<std::unique_ptr<Page>> pages_;
-  std::uint32_t issued_{0};
-  Handler unbound_handler_;
+  /// Indexed by NodeId. A deque never moves its elements, so a running
+  /// handler stays valid through the nodes a delivery may add.
+  std::deque<Node> nodes_;
+  std::unordered_set<std::uint64_t> stream_keys_;
   std::map<std::uint32_t, LinkModel> node_links_;
   LinkModel default_link_{};
   std::function<bool(const Frame&)> drop_hook_;

@@ -75,8 +75,9 @@ void MachineTable::materialize_shard(int shard) {
     sl.machine = std::make_unique<hypervisor::Machine>(
         MachineId{static_cast<std::uint32_t>(idx)}, kernel_->shard(owner),
         cfg_.machine_template, clock_offset(idx), Rng(rng_seed));
-    sl.node =
-        net_->add_node([this, idx](const net::Frame& f) { on_frame_(idx, f); });
+    sl.node = net_->add_node(
+        net::node_key(net::NodeRole::kMachine, static_cast<std::uint32_t>(idx)),
+        [this, idx](const net::Frame& f) { on_frame_(idx, f); });
     net_->set_node_owner(sl.node, owner);
   }
   s.materialized = true;

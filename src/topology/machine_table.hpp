@@ -6,12 +6,13 @@
 // The table groups machines into fixed-size shards and materializes a
 // shard — machines plus their network nodes, in one pass — the first time
 // any machine in it is touched. Everything a machine is built from (its
-// RNG stream, its clock offset) is a pure function of (seed, index), so a
-// sharded table is observably identical to a dense one regardless of the
-// order shards materialize in. Each machine is built on the simulator
-// core its ShardPlan assigns it, and that core's shard owns its network
-// node; the plan is read at materialization, so core::Cloud can rebuild
-// it at activation, before any machine is touched.
+// RNG stream, its clock offset, its network node's stream key) is a pure
+// function of (seed, index), so a sharded table is observably identical to
+// a dense one regardless of shard size or the order shards materialize in.
+// Each machine is built on the simulator core its ShardPlan assigns it,
+// and that core's shard owns its network node; the plan is read at
+// materialization, so core::Cloud can rebuild it at activation, before
+// any machine is touched.
 #pragma once
 
 #include <cstdint>

@@ -22,11 +22,12 @@ struct TrioFixture {
 
   explicit TrioFixture(LinkModel link = {}) {
     net.set_default_link(link);
-    for (int i = 0; i < 3; ++i) members.push_back(net.reserve_node());
+    for (std::uint64_t key = 0; key < 3; ++key) {
+      members.push_back(net.add_node(key, [this](const Frame& f) {
+        if (f.rm_group == 1) group.on_frame(f.dst, f);
+      }));
+    }
     for (const NodeId m : members) {
-      net.bind_node(m, [this, m](const Frame& f) {
-        if (f.rm_group == 1) group.on_frame(m, f);
-      });
       group.add_member(m, [this, m](NodeId sender, const FramePayload& p) {
         if (const auto* prop = std::get_if<Proposal>(&p)) {
           received[m.value].push_back({sender.value, prop->copy_seq});

@@ -24,14 +24,11 @@ struct Pair {
   bool dropped{false};
 
   Pair() {
-    sender = net.reserve_node();
-    receiver = net.reserve_node();
-    net.bind_node(sender, [this](const Frame& f) {
-      if (f.rm_group == 2) group.on_frame(sender, f);
-    });
-    net.bind_node(receiver, [this](const Frame& f) {
-      if (f.rm_group == 2) group.on_frame(receiver, f);
-    });
+    const auto deliver = [this](const Frame& f) {
+      if (f.rm_group == 2) group.on_frame(f.dst, f);
+    };
+    sender = net.add_node(0, deliver);
+    receiver = net.add_node(1, deliver);
     // Swallowed by the network: the fabric's drop hook, so the group sees
     // a fabric that can lose frames and arms its SPM and NAK timers.
     net.set_drop_hook([this](const Frame& f) { return drops(f); });

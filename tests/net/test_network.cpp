@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace stopwatch::net {
@@ -30,8 +31,8 @@ Frame guest_frame(NodeId src, NodeId dst, std::uint32_t bytes) {
 TEST(Network, DeliversFrameToHandler) {
   Fixture fx;
   int received = 0;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  const NodeId b = fx.net.add_node([&](const Frame& f) {
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
+  const NodeId b = fx.net.add_node(1, [&](const Frame& f) {
     ++received;
     EXPECT_EQ(f.src, a);
   });
@@ -43,9 +44,9 @@ TEST(Network, DeliversFrameToHandler) {
 TEST(Network, LatencyIsAtLeastBasePlusSerialization) {
   Fixture fx;
   RealTime arrival{};
-  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
   const NodeId b =
-      fx.net.add_node([&](const Frame&) { arrival = fx.sim.now(); });
+      fx.net.add_node(1, [&](const Frame&) { arrival = fx.sim.now(); });
   LinkModel lm;
   lm.base_latency = Duration::millis(5);
   lm.jitter_sigma = 0.0;
@@ -59,9 +60,9 @@ TEST(Network, LatencyIsAtLeastBasePlusSerialization) {
 TEST(Network, SerializationQueuesBackToBack) {
   Fixture fx;
   std::vector<RealTime> arrivals;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
   const NodeId b = fx.net.add_node(
-      [&](const Frame&) { arrivals.push_back(fx.sim.now()); });
+      1, [&](const Frame&) { arrivals.push_back(fx.sim.now()); });
   LinkModel lm;
   lm.base_latency = Duration::millis(1);
   lm.jitter_sigma = 0.0;
@@ -79,8 +80,8 @@ TEST(Network, SerializationQueuesBackToBack) {
 TEST(Network, LossDropsFrames) {
   Fixture fx;
   int received = 0;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  const NodeId b = fx.net.add_node([&](const Frame&) { ++received; });
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
+  const NodeId b = fx.net.add_node(1, [&](const Frame&) { ++received; });
   LinkModel lm;
   lm.loss_probability = 1.0;
   fx.net.set_default_link(lm);
@@ -94,8 +95,8 @@ TEST(Network, PerDirectionLinksAreIndependent) {
   Fixture fx;
   RealTime ab{}, ba{};
   NodeId a{}, b{};
-  a = fx.net.add_node([&](const Frame&) { ba = fx.sim.now(); });
-  b = fx.net.add_node([&](const Frame&) { ab = fx.sim.now(); });
+  a = fx.net.add_node(0, [&](const Frame&) { ba = fx.sim.now(); });
+  b = fx.net.add_node(1, [&](const Frame&) { ab = fx.sim.now(); });
   LinkModel fast;
   fast.base_latency = Duration::micros(10);
   fast.jitter_sigma = 0.0;
@@ -123,7 +124,7 @@ TEST(Network, PacketContentHashDiscriminates) {
 
 TEST(Network, UnknownNodeRejected) {
   Fixture fx;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
   Frame f = guest_frame(a, NodeId{99}, 10);
   EXPECT_THROW(fx.net.send(f), ContractViolation);
 }
@@ -134,11 +135,11 @@ TEST(Network, NodeLinkAppliesToAllTrafficOfANode) {
   Fixture fx;
   RealTime to_client{}, to_peer{}, from_client{};
   const NodeId client =
-      fx.net.add_node([&](const Frame&) { to_client = fx.sim.now(); });
+      fx.net.add_node(0, [&](const Frame&) { to_client = fx.sim.now(); });
   const NodeId a =
-      fx.net.add_node([&](const Frame&) { from_client = fx.sim.now(); });
+      fx.net.add_node(1, [&](const Frame&) { from_client = fx.sim.now(); });
   const NodeId b =
-      fx.net.add_node([&](const Frame&) { to_peer = fx.sim.now(); });
+      fx.net.add_node(2, [&](const Frame&) { to_peer = fx.sim.now(); });
   LinkModel fast;
   fast.base_latency = Duration::micros(10);
   fast.jitter_sigma = 0.0;
@@ -163,8 +164,8 @@ TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
   lossy.loss_probability = 0.01;
   {
     Fixture fx;
-    const NodeId a = fx.net.add_node([](const Frame&) {});
-    const NodeId b = fx.net.add_node([](const Frame&) {});
+    const NodeId a = fx.net.add_node(0, [](const Frame&) {});
+    const NodeId b = fx.net.add_node(1, [](const Frame&) {});
     EXPECT_FALSE(fx.net.may_drop());
     fx.net.set_node_link(a, lossless);
     fx.net.set_default_link(lossless);
@@ -176,7 +177,7 @@ TEST(Network, MayDropFollowsLossyLinksAndDropHook) {
   }
   {
     Fixture fx;
-    const NodeId a = fx.net.add_node([](const Frame&) {});
+    const NodeId a = fx.net.add_node(0, [](const Frame&) {});
     fx.net.set_node_link(a, lossy);
     EXPECT_TRUE(fx.net.may_drop());
   }
@@ -198,8 +199,8 @@ TEST(Network, LossAfterFirstSendIsRejected) {
   // Frames sent on a lossless fabric keep no retransmission copy, so no
   // loss may appear behind them: may_drop() is final from the first send.
   Fixture fx;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  const NodeId b = fx.net.add_node([](const Frame&) {});
+  const NodeId a = fx.net.add_node(0, [](const Frame&) {});
+  const NodeId b = fx.net.add_node(1, [](const Frame&) {});
   LinkModel lossy;
   lossy.loss_probability = 0.01;
   fx.net.send(guest_frame(a, b, 100));
@@ -225,8 +226,8 @@ TEST(Network, DropHookDropsBeforeDrawAndUplink) {
     Fixture fx;
     RealTime arrival{};
     int received = 0;
-    const NodeId a = fx.net.add_node([](const Frame&) {});
-    const NodeId b = fx.net.add_node([&](const Frame&) {
+    const NodeId a = fx.net.add_node(0, [](const Frame&) {});
+    const NodeId b = fx.net.add_node(1, [&](const Frame&) {
       arrival = fx.sim.now();
       ++received;
     });
@@ -264,8 +265,8 @@ TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
     sim::ShardedSimulator kernel{cfg};
     Network net{kernel, Rng(1234)};
     Outcome out;
-    const NodeId a = net.add_node([](const Frame&) {});
-    const NodeId b = net.add_node([&](const Frame&) {
+    const NodeId a = net.add_node(0, [](const Frame&) {});
+    const NodeId b = net.add_node(1, [&](const Frame&) {
       out.arrival_ns = kernel.shard(shards - 1).now().ns;
     });
     net.set_node_owner(b, shards - 1);
@@ -284,94 +285,55 @@ TEST(Network, CrossOwnerFrameGoesThroughTheLaneAtTheSameInstant) {
   EXPECT_EQ(crossed.crossed, 1u);
 }
 
-TEST(Network, ReservedIdBoundLateDrawsTheEagerStream) {
-  // A node's stream is forked by its ID whenever its record is built, so
-  // binding the middle of three reserved IDs after the other two leaves
-  // every frame it sends arriving at the eager nanosecond.
-  const auto arrivals = [](bool late) {
+TEST(Network, ArrivalsDependOnlyOnTheStreamKey) {
+  // A node's jitter stream is forked by its stream key, not by its NodeId:
+  // the same keyed nodes added in another order, after an unrelated node,
+  // see every frame land at the same nanosecond.
+  const auto arrivals = [](bool reversed) {
     Fixture fx;
     std::vector<std::int64_t> out;
-    NodeId a;
-    NodeId mid;
-    NodeId c;
     const auto sink = [&](const Frame&) { out.push_back(fx.sim.now().ns); };
-    if (late) {
-      a = fx.net.reserve_node();
-      mid = fx.net.reserve_node();
-      c = fx.net.reserve_node();
-      fx.net.bind_node(a, sink);
-      fx.net.bind_node(c, sink);
-      EXPECT_FALSE(fx.net.is_bound(mid));
-      fx.net.bind_node(mid, [](const Frame&) {});
+    NodeId sender;
+    NodeId sinks[2];
+    if (reversed) {
+      static_cast<void>(fx.net.add_node(99, [](const Frame&) {}));
+      sinks[1] = fx.net.add_node(node_key(NodeRole::kMachine, 1), sink);
+      sender = fx.net.add_node(node_key(NodeRole::kEgress, 0),
+                               [](const Frame&) {});
+      sinks[0] = fx.net.add_node(node_key(NodeRole::kMachine, 0), sink);
     } else {
-      a = fx.net.add_node(sink);
-      mid = fx.net.add_node([](const Frame&) {});
-      c = fx.net.add_node(sink);
+      sender = fx.net.add_node(node_key(NodeRole::kEgress, 0),
+                               [](const Frame&) {});
+      sinks[0] = fx.net.add_node(node_key(NodeRole::kMachine, 0), sink);
+      sinks[1] = fx.net.add_node(node_key(NodeRole::kMachine, 1), sink);
     }
-    EXPECT_EQ(fx.net.node_count(), 3u);
+    EXPECT_EQ(fx.net.node_count(), reversed ? 4u : 3u);
     for (int i = 0; i < 8; ++i) {
-      fx.sim.schedule_at(RealTime::millis(i), [&fx, mid, a, c, i] {
-        fx.net.send(guest_frame(mid, i % 2 == 0 ? a : c, 200));
+      fx.sim.schedule_at(RealTime::millis(i), [&fx, &sinks, sender, i] {
+        fx.net.send(guest_frame(sender, sinks[i % 2], 200));
       });
     }
     fx.sim.run();
     return out;
   };
-  const std::vector<std::int64_t> eager = arrivals(false);
-  ASSERT_EQ(eager.size(), 8u);
-  EXPECT_EQ(arrivals(true), eager);
+  const std::vector<std::int64_t> in_order = arrivals(false);
+  ASSERT_EQ(in_order.size(), 8u);
+  EXPECT_EQ(arrivals(true), in_order);
 }
 
-TEST(Network, FrameToAnUnboundIdReachesTheUnboundHandler) {
-  // The sender sits on owner 1; the frame crosses to owner 0, where
-  // unbound IDs deliver, at the instant a bound owner-0 node would see it
-  // (the jitter draw belongs to the sender).
-  const auto deliver = [](bool bound) {
-    sim::ShardedConfig cfg;
-    cfg.shards = 2;
-    cfg.window = LinkModel{}.min_latency();
-    sim::ShardedSimulator kernel{cfg};
-    Network net{kernel, Rng(1234)};
-    std::int64_t arrival_ns = -1;
-    int unbound_frames = 0;
-    net.set_unbound_handler([&](const Frame& f) {
-      ++unbound_frames;
-      arrival_ns = kernel.shard(0).now().ns;
-      EXPECT_EQ(f.size_bytes, 1500u);
-    });
-    const NodeId a = net.add_node([](const Frame&) {});
-    net.set_node_owner(a, 1);
-    const NodeId dst = net.reserve_node();
-    if (bound) {
-      net.bind_node(dst, [&](const Frame&) {
-        arrival_ns = kernel.shard(0).now().ns;
-      });
-    }
-    kernel.shard(1).schedule_at(RealTime::nanos(10'000), [&] {
-      EXPECT_TRUE(net.send(guest_frame(a, dst, 1500)));
-    });
-    kernel.run_until(RealTime::millis(5));
-    EXPECT_EQ(kernel.cross_scheduled(), 1u);
-    EXPECT_EQ(unbound_frames, bound ? 0 : 1);
-    EXPECT_EQ(net.is_bound(dst), bound);
-    EXPECT_EQ(net.node_count(), 2u);
-    return arrival_ns;
-  };
-  const std::int64_t unbound = deliver(false);
-  ASSERT_GT(unbound, 0);
-  EXPECT_EQ(unbound, deliver(true));
-}
-
-TEST(Network, SendToAnUnboundIdWithoutAHandlerIsRejected) {
+TEST(Network, ReusedStreamKeyIsRejected) {
   Fixture fx;
-  const NodeId a = fx.net.add_node([](const Frame&) {});
-  const NodeId reserved = fx.net.reserve_node();
-  EXPECT_THROW(fx.net.send(guest_frame(a, reserved, 100)), ContractViolation);
-  // Past every issued ID, even a fabric-wide handler does not apply.
-  fx.net.set_unbound_handler([](const Frame&) {});
-  EXPECT_THROW(fx.net.send(guest_frame(a, NodeId{99}, 100)),
-               ContractViolation);
-  EXPECT_TRUE(fx.net.send(guest_frame(a, reserved, 100)));
+  const std::uint64_t key = node_key(NodeRole::kVmAddress, 7);
+  static_cast<void>(fx.net.add_node(key, [](const Frame&) {}));
+  try {
+    static_cast<void>(fx.net.add_node(key, [](const Frame&) {}));
+    FAIL() << "a reused stream key was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("(role 2, index 7) already names"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fx.net.node_count(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Cold registration and activation: a registered VM costs a placement
-// row (machine indices, a 16-byte entry, a reserved address) until
+// row (machine indices and a 16-byte entry, no network node) until
 // Cloud::activate wires it, and activation builds only the machine shards
 // hosting the activated VMs.
 #include <gtest/gtest.h>
@@ -105,8 +105,7 @@ TEST(LazyWiring, ActivationSetIsSortedAndDeduplicated) {
   // activate wires its set once per VM and in index order, whatever order
   // and repeats the caller passes: {b, a, b} releases exactly what {a, b}
   // does. b's machines sit in later machine-table shards than a's, so
-  // wiring b first would allocate their network nodes (and the jitter
-  // streams keyed by node id) first.
+  // wiring b first would build their network nodes first.
   const auto run = [](const bool shuffled) {
     std::vector<std::pair<std::uint32_t, std::int64_t>> releases;
     Cloud cloud(lazy_config());
@@ -162,7 +161,8 @@ std::size_t heap_in_use() {
 TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
   // 50k registrations: nothing wired, every VM still answers its
   // introspection queries from the cold record alone, and a cold VM costs
-  // a placement row — no network node, name string or factory copy.
+  // a placement row — no network node (the egress is the only one), name
+  // string or factory copy.
   CloudConfig cfg = lazy_config(17);
   cfg.machine_count = 64;
   cfg.shard_size = 16;
@@ -177,22 +177,22 @@ TEST(LazyWiring, ColdRegistryHoldsPlacementsOnly) {
     rows.insert(rows.end(), t.begin(), t.end());
   }
   const std::size_t heap_before = heap_in_use();
-  const std::vector<VmHandle> handles = cloud.add_vms(
+  const VmHandle first = cloud.add_vms(
       [] { return std::make_unique<EchoProgram>(); }, rows, 3);
   const std::size_t heap_after = heap_in_use();
   if (heap_before != 0 && heap_after > heap_before) {
-    // The row itself is 12 + 16 + 4 bytes, the returned handle 4 more.
-    EXPECT_LE((heap_after - heap_before) / kVms, 64u)
+    // The row itself is 12 + 16 bytes.
+    EXPECT_LE((heap_after - heap_before) / kVms, 32u)
         << heap_after - heap_before << " heap bytes for " << kVms
         << " cold VMs";
   }
-  ASSERT_EQ(handles.size(), static_cast<std::size_t>(kVms));
+  EXPECT_EQ(first.index, 0u);
+  EXPECT_EQ(cloud.network().node_count(), 1u);
   ASSERT_EQ(cloud.vm_count(), static_cast<std::size_t>(kVms));
   EXPECT_EQ(cloud.materialized_vm_count(), 0u);
   EXPECT_EQ(cloud.machines().materialized_machines(), 0);
   for (int i = 0; i < kVms; ++i) {
     const VmHandle vm{static_cast<std::uint32_t>(i)};
-    ASSERT_EQ(handles[static_cast<std::size_t>(i)].index, vm.index);
     ASSERT_EQ(cloud.replicas_of(vm), 0) << "vm " << i;
     ASSERT_EQ(cloud.egress_stats(vm).packets_released, 0u);
     ASSERT_EQ(cloud.egress_stats(vm).hash_mismatches, 0u);
@@ -225,8 +225,11 @@ TEST(LazyWiring, BatchRegistrationMatchesOneByOne) {
     Cloud cloud(lazy_config());
     std::vector<VmHandle> handles;
     if (batch) {
-      handles = cloud.add_vms([] { return std::make_unique<EchoProgram>(); },
-                              rows, kWidth);
+      const VmHandle first = cloud.add_vms(
+          [] { return std::make_unique<EchoProgram>(); }, rows, kWidth);
+      for (std::uint32_t i = 0; i < kRows; ++i) {
+        handles.push_back(VmHandle{first.index + i});
+      }
     } else {
       for (std::size_t i = 0; i < kRows; ++i) {
         const std::vector<int> row(rows.begin() + i * kWidth,
@@ -320,8 +323,7 @@ TEST(LazyWiring, BaselineDirectFrameToANonVmNodeIsIgnored) {
     f.payload = net::GuestPacketPayload{pkt};
     EXPECT_TRUE(cloud.network().send(std::move(f)));
   }
-  // The machine's own record receives all four frames; none is lost.
-  EXPECT_TRUE(cloud.network().is_bound(machine));
+  // The machine's own node receives all four frames; none is lost.
   EXPECT_NO_THROW(cloud.run_for(Duration::seconds(1)));
   EXPECT_EQ(cloud.network().frames_dropped(), 0u);
   EXPECT_EQ(received, 0);
